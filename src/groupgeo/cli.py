@@ -5,15 +5,17 @@ or a Cayley-table JSON file), a conjugacy class by representative label, a
 rational metric modulus, and a command; the result is a deterministic JSON
 report on stdout or in a file.  Identical inputs give byte-identical bytes.
 
-Exit codes: 0 success, 2 usage errors, 3 validation failures (bad Cayley
-table, unknown label, non-cyclic or otherwise unsupported class or group),
-4 mathematical precondition failures (singular metric values).
+Exit codes: 0 success, 2 usage errors (including an --out path in a missing
+directory), 3 validation failures (bad Cayley table, unknown label,
+non-cyclic or otherwise unsupported class or group), 4 mathematical
+precondition failures (singular metric values).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -118,6 +120,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        print(f"error(usage): --out directory does not exist: {args.out!r}",
+              file=sys.stderr)
+        return USAGE_EXIT
     try:
         if args.group is not None:
             try:

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
 from .cyclotomic import rat
 from .errors import GroupGeoError, SingularMetricError, UnsupportedGroupError
-from .linalg import Mat, solve_affine
+from .linalg import Mat, solve_affine_columns
 
 
 def _chart_rows(alpha, beta, gamma, one):
@@ -70,24 +70,6 @@ class Connection:
         comps = [calculus.one_form(row) for row in rows]
         return cls(calculus, comps, parameters=(alpha, beta, gamma))
 
-    @classmethod
-    def from_right_chart(cls, calculus: Calculus, alpha: GroupFunction,
-                         beta: GroupFunction, gamma: GroupFunction) -> "Connection":
-        """Chart with the parameter functions on the right of each basis form,
-        converted to left-normal components through the bimodule rule."""
-        _require_chart_class(calculus)
-        csum = alpha + beta + gamma + calculus.constant(1)
-        if not csum.is_zero():
-            raise ValueError("chart parameters must sum to -1 pointwise")
-        rows = _chart_rows(alpha, beta, gamma, calculus.constant(1))
-        comps = []
-        for row in rows:
-            acc = calculus.zero_one_form()
-            for j, func in enumerate(row):
-                acc = acc + calculus.basis_one_form(j).right_mul(func)
-            comps.append(acc)
-        return cls(calculus, comps, parameters=_extract_chart(calculus, comps))
-
     def coefficient(self, a: int, b: int) -> GroupFunction:
         """The function multiplying e_b inside A_a."""
         return self.components[a].coeffs[b]
@@ -115,21 +97,6 @@ def _require_chart_class(calculus: Calculus):
     if calculus.n_members != 3 or not calculus._circulant_products():
         raise UnsupportedGroupError(
             "connection chart requires a 3-member class with circulant products")
-
-
-def _extract_chart(calculus: Calculus, comps: Sequence[OneForm]):
-    """Read chart parameters back off converted components; None when the
-    components do not fit the left-sided pattern with a single triple."""
-    alpha = comps[0].coeffs[0] - calculus.constant(1)
-    gamma = comps[0].coeffs[1]
-    beta = comps[0].coeffs[2]
-    if not (alpha + beta + gamma + calculus.constant(1)).is_zero():
-        return None
-    rows = _chart_rows(alpha, beta, gamma, calculus.constant(1))
-    for row, comp in zip(rows, comps):
-        if calculus.one_form(row) != comp:
-            return None
-    return (alpha, beta, gamma)
 
 
 # -- residuals --------------------------------------------------------------
@@ -257,24 +224,54 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     Returns a particular torsion-free connection and a basis of the
     homogeneous solution space; differences of torsion-free connections
     are spanned by the basis, so the family is particular + span.
+
+    The system of torsion_system is kron(M, I_|G|): a delta function in a
+    component wedges to 2-forms on its own group element, so equation
+    (a, k, g) and unknown (c, b, h) meet with the entry M[a*q + k][c*m + b]
+    when g == h and not at all otherwise.  The small factor M, m*q rows by
+    m*m columns, is reduced once beside one right-hand side column per
+    group element.  The particular solution and kernel basis come out in
+    the dense column order (c*m + b)*|G| + h, free column slowest and
+    element fastest, equal vector for vector to solving torsion_system.
     """
-    mat, rhs = torsion_system(calculus)
-    particular, kern = solve_affine(mat, rhs)
-    m = calculus.n_members
-    order = calculus.group.order
-
-    def to_components(vec) -> list[OneForm]:
-        comps = []
-        for cpos in range(m):
-            coeffs = []
+    cal = calculus
+    cls = cal.cls
+    grp = cls.group
+    m = cal.n_members
+    qdim = cal.quotient_dim
+    order = grp.order
+    factor = [[rat(0)] * (m * m) for _ in range(m * qdim)]
+    rhs_columns = [[rat(0)] * (m * qdim) for _ in range(order)]
+    for apos, a in enumerate(cls.members):
+        de = cal.d_basis(apos)
+        for k in range(qdim):
+            for g in range(order):
+                rhs_columns[g][apos * qdim + k] = -de.coeffs[k](g)
+        for cpos, c in enumerate(cls.members):
+            conj_pos = cls.position(grp.conj(grp.inv(c), a))
             for bpos in range(m):
-                base = (cpos * m + bpos) * order
-                coeffs.append(GroupFunction(calculus.group, vec[base:base + order]))
-            comps.append(calculus.one_form(coeffs))
-        return comps
+                plus = cal.reduction[(bpos, conj_pos)]
+                minus = cal.reduction[(bpos, apos)]
+                for k in range(qdim):
+                    factor[apos * qdim + k][cpos * m + bpos] = plus[k] - minus[k]
+    particulars, factor_kernel = solve_affine_columns(Mat(factor), rhs_columns)
 
-    conn = Connection(calculus, to_components(particular))
-    return conn, [to_components(v) for v in kern]
+    def to_components(values) -> list[OneForm]:
+        # values[c*m + b] holds the |G| values of the coefficient of e_b in A_c
+        return [cal.one_form([GroupFunction(grp, values[cpos * m + bpos])
+                              for bpos in range(m)])
+                for cpos in range(m)]
+
+    zero = rat(0)
+    conn = Connection(cal, to_components(
+        [[x[col] for x in particulars] for col in range(m * m)]))
+    kernel = []
+    for v in factor_kernel:
+        for h in range(order):
+            kernel.append(to_components(
+                [[v[col] if g == h else zero for g in range(order)]
+                 for col in range(m * m)]))
+    return conn, kernel
 
 
 # -- distinguished connections ----------------------------------------------

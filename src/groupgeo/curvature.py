@@ -347,56 +347,76 @@ def _chart_unchecked(cal: Calculus, alpha, beta, gamma) -> Connection:
     return Connection(cal, [cal.one_form(row) for row in rows])
 
 
-def ricci_flat_solve(calculus: Calculus, variant: str = "canonical",
-                     constrain_sum: bool = True):
-    """Solve for all chart parameter triples with vanishing Ricci.
+def ricci_system(calculus: Calculus, variant: str = "canonical",
+                 constrain_sum: bool = True) -> tuple[Mat, list]:
+    """The exact linear system in the chart parameters whose solutions are
+    the Ricci-flat chart members.
 
-    Ricci is affine in the three parameter functions, so this is an exact
-    linear solve in 3|G| scalars.  With the chart constraint included the
-    expected outcome for the supported classes is a single isolated triple;
-    without it the solution set picks up the constant shifts that leave the
-    relative curvature unchanged.
+    Unknown order: parameter i (alpha, beta, gamma) at group element h sits
+    at column i*|G| + h.  Row order: Ricci coordinate (p, q) at group
+    element g sits at row (p*m + q)*|G| + g; with the chart constraint one
+    row alpha + beta + gamma = -1 per group element follows.
 
-    Returns (particular, kernel) where particular is a parameter triple and
-    kernel is a basis of homogeneous triples.
+    Ricci is affine in the parameters and commutes with left translation:
+    the exterior derivative uses only right translations, and the lift and
+    contraction have constant coefficients.  So the column of delta_h at
+    row (p, q, g) is the column of delta_e at row (p, q, h^-1 g), and four
+    ricci evaluations (the zero chart and delta_e in each parameter)
+    assemble the system instead of one per unknown.
     """
     cal = calculus
     _require_chart_class(cal)
     grp = cal.group
     order = grp.order
     m = cal.n_members
-    nunk = 3 * order
+
+    def flat_ricci(params) -> list:
+        t = ricci(_chart_unchecked(cal, *params), variant)
+        return [t.coords[p][q](g) for p in range(m) for q in range(m)
+                for g in range(order)]
+
+    zero = cal.zero_function()
+    base = flat_ricci((zero, zero, zero))
+    delta_e = GroupFunction.delta(grp, 0)
+    cols = []
+    for i in range(3):
+        params = [zero, zero, zero]
+        params[i] = delta_e
+        cols.append([a - b for a, b in zip(flat_ricci(params), base)])
+    moved = [[grp.mul(grp.inv(h), g) for h in range(order)] for g in range(order)]
+    rows = [[col[blk + x] for col in cols for x in moved[g]]
+            for blk in range(0, len(base), order) for g in range(order)]
+    rhs = [-v for v in base]
+    if constrain_sum:
+        for g in range(order):
+            row = [rat(0)] * (3 * order)
+            for i in range(3):
+                row[i * order + g] = rat(1)
+            rows.append(row)
+            rhs.append(rat(-1))
+    return Mat(rows), rhs
+
+
+def ricci_flat_solve(calculus: Calculus, variant: str = "canonical",
+                     constrain_sum: bool = True):
+    """Solve for all chart parameter triples with vanishing Ricci.
+
+    Ricci is affine in the three parameter functions, so this is an exact
+    linear solve in 3|G| scalars, assembled by left translation in
+    ricci_system.  With the chart constraint included the expected outcome
+    for the supported classes is a single isolated triple; without it the
+    solution set picks up the constant shifts that leave the relative
+    curvature unchanged.
+
+    Returns (particular, kernel) where particular is a parameter triple and
+    kernel is a basis of homogeneous triples.
+    """
+    grp = calculus.group
+    order = grp.order
 
     def params_from_vec(vec):
         return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
                      for i in range(3))
 
-    def ricci_of_params(params):
-        conn = _chart_unchecked(cal, *params)
-        return ricci(conn, variant)
-
-    def flatten(t: TensorOneOne):
-        return [t.coords[p][q](g) for p in range(m) for q in range(m)
-                for g in range(order)]
-
-    zero_params = params_from_vec([rat(0)] * nunk)
-    base = flatten(ricci_of_params(zero_params))
-    ncols = nunk
-    nrows = len(base)
-    cols = []
-    for u in range(ncols):
-        vec = [rat(0)] * nunk
-        vec[u] = rat(1)
-        col = flatten(ricci_of_params(params_from_vec(vec)))
-        cols.append([a - b for a, b in zip(col, base)])
-    rows = [[cols[u][r] for u in range(ncols)] for r in range(nrows)]
-    rhs = [-v for v in base]
-    if constrain_sum:
-        for g in range(order):
-            row = [rat(0)] * ncols
-            for i in range(3):
-                row[i * order + g] = rat(1)
-            rows.append(row)
-            rhs.append(rat(-1))
-    particular, kern = solve_affine(Mat(rows), rhs)
+    particular, kern = solve_affine(*ricci_system(calculus, variant, constrain_sum))
     return params_from_vec(particular), [params_from_vec(v) for v in kern]

@@ -5,13 +5,21 @@ are plain Python lists (or tuples) of scalars; a matrix acts on a vector
 with ``@``.  Elimination always picks the first row with a nonzero entry
 as pivot, so every reduction is deterministic and reproducible.
 
+Gauss-Jordan elimination updates each row only in the nonzero columns of
+the pivot row, which keeps the sparse systems of the torsion and Ricci
+solves cheap.  A matrix whose entries are all rational is eliminated over
+``Fraction`` and its reduced entries are wrapped back as order-1
+cyclotomic numbers, skipping the cyclotomic arithmetic the field does not
+need.
+
 Nothing here is floating point.  Rank, kernels and inverses are exact,
 which is what makes downstream eigenvalue certification possible.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclotomic, rat
 from .errors import InfeasibleSystemError
@@ -104,9 +112,6 @@ class Mat:
     def conj(self) -> "Mat":
         return Mat([[a.conj() for a in row] for row in self.rows])
 
-    def map(self, fn: Callable[[Cyclotomic], object]) -> "Mat":
-        return Mat([[fn(a) for a in row] for row in self.rows])
-
     def trace(self) -> Cyclotomic:
         t = rat(0)
         for i in range(min(self.nrows, self.ncols)):
@@ -158,9 +163,14 @@ def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     Pivot choice is positional (first nonzero in the column), never by
-    magnitude, so the result is identical on every run.
+    magnitude, so the result is identical on every run.  A matrix whose
+    entries are all rational is eliminated over ``Fraction`` and wrapped
+    back afterwards; the loop is the same for both scalar types.
     """
     rows = [list(r) for r in matrix.rows]
+    rational = all(x.is_rational() for row in rows for x in row)
+    if rational:
+        rows = [[x.as_fraction() for x in row] for row in rows]
     nr, nc = len(rows), matrix.ncols
     pivots: list[int] = []
     r = 0
@@ -171,14 +181,27 @@ def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
         if src is None:
             continue
         rows[r], rows[src] = rows[src], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        inv = 1 / prow[c]
+        # the pivot row is zero left of c, so updates touch only its
+        # nonzero columns
+        nonzero = [j for j in range(c, nc) if prow[j]]
+        for j in nonzero:
+            prow[j] = prow[j] * inv
         for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j in nonzero:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
+    if rational:
+        # few distinct values survive elimination: wrap each one once, so
+        # every zero shares one rat(0)
+        wrapped: dict[Fraction, Cyclotomic] = {}
+        rows = [[wrapped[x] if x in wrapped else wrapped.setdefault(x, rat(x))
+                 for x in row] for row in rows]
     return Mat(rows), tuple(pivots)
 
 
@@ -186,21 +209,28 @@ def rank(matrix: Mat) -> int:
     return len(rref(matrix)[1])
 
 
-def kernel_basis(matrix: Mat) -> list[Vector]:
-    """A deterministic basis of the right null space, one vector per free
-    column, with a 1 in the free position."""
-    red, pivots = rref(matrix)
-    nc = matrix.ncols
+def _kernel_from_rref(red: Mat, pivots: Sequence[int], nc: int) -> list[Vector]:
+    """One kernel vector per free column among the first ``nc`` columns of
+    a reduced matrix, with a 1 in the free position."""
     pivot_set = set(pivots)
-    free = [c for c in range(nc) if c not in pivot_set]
+    zero, one = rat(0), rat(1)
     basis = []
-    for fc in free:
-        v = [rat(0)] * nc
-        v[fc] = rat(1)
+    for fc in range(nc):
+        if fc in pivot_set:
+            continue
+        v = [zero] * nc
+        v[fc] = one
         for r_i, pc in enumerate(pivots):
             v[pc] = -red.rows[r_i][fc]
         basis.append(v)
     return basis
+
+
+def kernel_basis(matrix: Mat) -> list[Vector]:
+    """A deterministic basis of the right null space, one vector per free
+    column, with a 1 in the free position."""
+    red, pivots = rref(matrix)
+    return _kernel_from_rref(red, pivots, matrix.ncols)
 
 
 def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[Vector, list[Vector]]:
@@ -209,20 +239,38 @@ def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[Vector, list[Vector]]:
     The particular solution sets every free variable to zero.  Raises
     InfeasibleSystemError when the system is inconsistent.
     """
-    b = [as_scalar(x) for x in rhs]
-    if len(b) != matrix.nrows:
+    (particular,), kernel = solve_affine_columns(matrix, [rhs])
+    return particular, kernel
+
+
+def solve_affine_columns(matrix: Mat, rhs_columns: Sequence[Sequence]
+                         ) -> tuple[list[Vector], list[Vector]]:
+    """Solve ``matrix @ x = b`` for every column ``b`` from one reduction of
+    ``[matrix | b_1 ... b_k]``: one particular solution per column, each
+    with every free variable zero, and the shared kernel basis.
+
+    The right-hand side columns come last, so they never change the pivots
+    among the matrix's own columns and the kernel is read off the same
+    reduction.  Raises InfeasibleSystemError when some column is
+    inconsistent.
+    """
+    cols = [[as_scalar(x) for x in b] for b in rhs_columns]
+    if any(len(b) != matrix.nrows for b in cols):
         raise ValueError("right hand side length does not match row count")
-    aug = matrix.hstack(Mat([[x] for x in b])) if matrix.nrows else Mat([])
-    red, pivots = rref(aug)
+    red, pivots = rref(Mat([list(row) + [b[i] for b in cols]
+                            for i, row in enumerate(matrix.rows)]))
     nc = matrix.ncols
-    if pivots and pivots[-1] == nc:
-        bad = len(pivots) - 1
+    if pivots and pivots[-1] >= nc:
+        bad = next(r_i for r_i, pc in enumerate(pivots) if pc >= nc)
         raise InfeasibleSystemError(
             f"inconsistent system: row {bad} of the reduced form reads 0 = 1")
-    particular = [rat(0)] * nc
-    for r_i, pc in enumerate(pivots):
-        particular[pc] = red.rows[r_i][nc]
-    return particular, kernel_basis(matrix)
+    particulars = []
+    for j in range(nc, nc + len(cols)):
+        x = [rat(0)] * nc
+        for r_i, pc in enumerate(pivots):
+            x[pc] = red.rows[r_i][j]
+        particulars.append(x)
+    return particulars, _kernel_from_rref(red, pivots, nc)
 
 
 def inverse(matrix: Mat) -> Mat:
@@ -247,13 +295,6 @@ def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:
         power = power @ matrix
     return out
 
-
-def vec_add(a: Sequence, b: Sequence) -> Vector:
-    return [as_scalar(x) + as_scalar(y) for x, y in zip(a, b)]
-
-def vec_scale(a: Sequence, s) -> Vector:
-    ss = as_scalar(s)
-    return [as_scalar(x) * ss for x in a]
 
 def vec_is_zero(a: Sequence) -> bool:
     return all(as_scalar(x).is_zero() for x in a)

@@ -208,11 +208,12 @@ def calculus_report(cal: Calculus) -> dict:
 
 def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
+    # levi_civita rejects a singular mu; do that before the torsion solve
+    lc = levi_civita(cal, mu)
     particular, kernel = torsion_free_family(cal)
     members = [particular.components] + kernel
     sum_ok = all(
         Connection(cal, comps).sum_form().is_zero() for comps in members)
-    lc = levi_civita(cal, mu)
     return {
         "mu": fraction_json(mu),
         "torsion_free_family_dimension": len(kernel),

@@ -6,6 +6,7 @@ suite.  All fixtures return exact objects; nothing here touches floats.
 """
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -102,3 +103,35 @@ def s3_cls(s3_group):
 @pytest.fixture(scope="session")
 def s3_cal(s3_cls):
     return differential_calculus(s3_cls)
+
+
+def relabelled(group, seed):
+    """The same group with its non-identity elements renumbered by a seeded
+    shuffle; each name moves with its element."""
+    n = group.order
+    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    names = [None] * n
+    for old, new in enumerate(perm):
+        names[new] = group.names[old]
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[group.mul(a, b)]
+    return FiniteGroup(names, table, name=f"{group.name}-relabelled")
+
+
+@pytest.fixture(scope="session")
+def cal_d3():
+    return differential_calculus(conjugacy_class(dihedral(3), "sr"))
+
+
+@pytest.fixture(scope="session")
+def cal_d6_relabelled(d6):
+    return differential_calculus(conjugacy_class(relabelled(d6, 12), "sr"))
+
+
+@pytest.fixture(params=["cal_d3", "cal_d6", "s3_cal", "cal_d6_relabelled"])
+def oracle_cal(request):
+    """Calculi on which each structured solve is checked against its dense
+    oracle: D3, D6, the S3 table and a relabelled D6 table."""
+    return request.getfixturevalue(request.param)

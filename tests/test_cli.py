@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from groupgeo import reporting
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
 
@@ -83,6 +84,35 @@ def test_negative_mu_needs_equals_form(capsys):
                         "--mu=-1/3", "--cmd", "connection")
     assert code == 4
     assert "error(precondition)" in err
+
+
+def _forbid(monkeypatch, *names):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("called after the input should have been rejected")
+    for name in names:
+        monkeypatch.setattr(reporting, name, unreachable)
+
+
+def test_singular_mu_rejected_before_torsion_solve(monkeypatch, capsys):
+    _forbid(monkeypatch, "torsion_free_family")
+    code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                        "--mu=-1/3", "--cmd", "connection")
+    assert code == 4
+    assert "error(precondition)" in err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
+    _forbid(monkeypatch, "calculus_report", "connection_report", "curvature_report",
+            "ricci_report", "dirac_report", "wave_report",
+            "spectral_action_report", "full_report")
+    target = tmp_path / "missing" / "r.json"
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                          "--cmd", "calculus", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error(usage):")
+    assert "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_unknown_family_exits_3(capsys):

@@ -15,9 +15,11 @@ from groupgeo.connections import (
     regularity_residual,
     torsion_free_family,
     torsion_residual,
+    torsion_system,
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import SingularMetricError
+from groupgeo.linalg import solve_affine
 
 
 def _const_chart(cal, a, b, c):
@@ -79,6 +81,19 @@ def test_torsion_free_family_members_are_torsion_free(family_d6, cal_d6):
         assert all(t.is_zero() for t in torsion_residual(member))
         # torsion freedom forces the component sum to vanish
         assert member.sum_form().is_zero()
+
+
+def _dense_vector(components, order):
+    # the column order of torsion_system: (c*m + b)*|G| + h
+    return [f(h) for comp in components for f in comp.coeffs for h in range(order)]
+
+
+def test_factored_family_matches_dense_torsion_solve(oracle_cal):
+    conn, kernel = torsion_free_family(oracle_cal)
+    particular, dense_kernel = solve_affine(*torsion_system(oracle_cal))
+    order = oracle_cal.group.order
+    assert _dense_vector(conn.components, order) == particular
+    assert [_dense_vector(k, order) for k in kernel] == dense_kernel
 
 
 def test_levi_civita_components(cal_d6, lc_d6):

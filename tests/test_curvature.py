@@ -17,11 +17,13 @@ from groupgeo.curvature import (
     relative_curvature,
     ricci,
     ricci_flat_solve,
+    ricci_system,
     riemann,
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.groups import ad_table
+from groupgeo.linalg import Mat
 
 
 def _basis_two_form(cal, k):
@@ -156,3 +158,44 @@ def test_s3_ricci_flat(s3_cal):
     lc = levi_civita(s3_cal)
     assert ricci(lc, "canonical").is_zero()
     assert ricci(lc, "braided").is_zero()
+
+
+def _jacobian_by_evaluation(cal, variant):
+    """The unconstrained Ricci system assembled from one ricci evaluation
+    per unknown: the oracle for the left-translation assembly."""
+    from groupgeo.curvature import _chart_unchecked
+    grp = cal.group
+    order = grp.order
+    m = cal.n_members
+    nunk = 3 * order
+
+    def params_from_vec(vec):
+        return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
+                     for i in range(3))
+
+    def flatten(t):
+        return [t.coords[p][q](g) for p in range(m) for q in range(m)
+                for g in range(order)]
+
+    def ricci_at(vec):
+        return flatten(ricci(_chart_unchecked(cal, *params_from_vec(vec)), variant))
+
+    base = ricci_at([rat(0)] * nunk)
+    cols = []
+    for u in range(nunk):
+        vec = [rat(0)] * nunk
+        vec[u] = rat(1)
+        cols.append([a - b for a, b in zip(ricci_at(vec), base)])
+    rows = [[cols[u][r] for u in range(nunk)] for r in range(len(base))]
+    return rows, [-v for v in base]
+
+
+@pytest.mark.parametrize("variant", ["canonical", "braided"])
+def test_ricci_system_matches_evaluation_jacobian(oracle_cal, variant):
+    rows, rhs = _jacobian_by_evaluation(oracle_cal, variant)
+    assert ricci_system(oracle_cal, variant, constrain_sum=False) == (Mat(rows), rhs)
+    order = oracle_cal.group.order
+    for g in range(order):
+        rows.append([rat(1) if u % order == g else rat(0) for u in range(3 * order)])
+        rhs.append(rat(-1))
+    assert ricci_system(oracle_cal, variant, constrain_sum=True) == (Mat(rows), rhs)

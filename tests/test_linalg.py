@@ -15,6 +15,7 @@ from groupgeo.linalg import (
     rank,
     rref,
     solve_affine,
+    solve_affine_columns,
     vec_is_zero,
 )
 
@@ -77,6 +78,22 @@ def test_solve_affine_particular_plus_kernel():
     assert len(ker) == 1
     for v in ker:
         assert vec_is_zero(a @ v)
+    # the kernel read off the augmented reduction is kernel_basis's
+    rng = random.Random(11)
+    for mat, rhs in ((a, [3, 5]), (_random_mat(rng, 3, 6), [1, 0, 2])):
+        x0, ker = solve_affine(mat, rhs)
+        assert list(mat @ x0) == [rat(b) for b in rhs]
+        assert ker == kernel_basis(mat)
+
+
+def test_solve_affine_columns_shares_one_reduction():
+    a = Mat([[1, 2, 0, 1], [0, 0, 1, 1]])
+    cols = [[1, 2], [0, 3], [4, 0]]
+    particulars, ker = solve_affine_columns(a, cols)
+    for b, x0 in zip(cols, particulars):
+        assert (x0, ker) == solve_affine(a, b)
+    with pytest.raises(InfeasibleSystemError):
+        solve_affine_columns(Mat([[1, 1], [1, 1]]), [[1, 1], [0, 1]])
 
 
 def test_solve_affine_infeasible():
@@ -135,6 +152,61 @@ def test_trace_and_scalar_mul():
     a = Mat([[1, 2], [3, 4]])
     assert a.trace() == rat(5)
     assert (a * Fraction(1, 2)) + (a * Fraction(1, 2)) == a
+
+
+def _dense_rref(matrix):
+    """The elimination loop that rewrites the whole row at every step: the
+    oracle for the sparse, Fraction-aware rref."""
+    rows = [list(r) for r in matrix.rows]
+    nr, nc = len(rows), matrix.ncols
+    pivots = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        src = next((i for i in range(r, nr) if rows[i][c]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Mat(rows), tuple(pivots)
+
+
+def test_rref_of_rational_matrix_at_any_order():
+    rng = random.Random(21)
+    base = [[rat(rng.choice([0, 0, 1, -1, 2, Fraction(1, 3)])) for _ in range(7)]
+            for _ in range(4)]
+    # dependent rows force free columns and zero rows
+    base.append([x + y for x, y in zip(base[0], base[1])])
+    base.append([x * 2 for x in base[2]])
+    order_one = Mat(base)
+    promoted = Mat([[x.to_order(6) for x in row] for row in base])
+    assert promoted[0, 0].order == 6
+    expected = _dense_rref(order_one)
+    assert rref(order_one) == expected
+    assert rref(promoted) == expected
+    assert _dense_rref(promoted) == expected
+
+
+def test_rref_of_mixed_cyclotomic_matrix():
+    w3, w4 = cyclo(3), cyclo(4)
+    a = Mat([[1, w3, 0, w4],
+             [w4, w3 * w4, 1, -1],
+             [Fraction(1, 2), 0, w3 ** 2, w4 + w3],
+             [1 + w4, w3 + w3 * w4, 1, w4 - 1]])  # row 0 + row 1
+    red, pivots = rref(a)
+    assert (red, pivots) == _dense_rref(a)
+    assert pivots == (0, 1, 2)
+    ker = kernel_basis(a)
+    assert len(ker) == 1
+    assert vec_is_zero(a @ ker[0])
 
 
 def test_cyclotomic_entries_exact_rref():
