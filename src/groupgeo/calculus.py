@@ -371,12 +371,6 @@ def differential_calculus(cls: ConjClass) -> Calculus:
     return Calculus(cls)
 
 
-def two_form_space(cls: ConjClass) -> Calculus:
-    """Degree-2 entry point: the calculus object carries the relation basis,
-    the quotient basis and the reduction map."""
-    return Calculus(cls)
-
-
 def wedge(left: OneForm, right: OneForm) -> TwoForm:
     if left.calculus is not right.calculus:
         raise ValueError("both forms must live over the same calculus")

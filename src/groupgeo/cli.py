@@ -5,10 +5,11 @@ or a Cayley-table JSON file), a conjugacy class by representative label, a
 rational metric modulus, and a command; the result is a deterministic JSON
 report on stdout or in a file.  Identical inputs give byte-identical bytes.
 
-Exit codes: 0 success, 2 usage errors (including an --out path in a missing
-directory), 3 validation failures (bad Cayley table, unknown label,
-non-cyclic or otherwise unsupported class or group), 4 mathematical
-precondition failures (singular metric values).
+Exit codes: 0 success, 2 usage errors (including an --out path that is a
+directory, lies in a missing directory or cannot be written), 3 validation
+failures (bad Cayley table, unknown label, non-cyclic or otherwise
+unsupported class or group), 4 mathematical precondition failures
+(singular metric values).
 """
 
 from __future__ import annotations
@@ -124,6 +125,10 @@ def main(argv=None) -> int:
         print(f"error(usage): --out directory does not exist: {args.out!r}",
               file=sys.stderr)
         return USAGE_EXIT
+    if args.out and os.path.isdir(args.out):
+        print(f"error(usage): --out names a directory: {args.out!r}",
+              file=sys.stderr)
+        return USAGE_EXIT
     try:
         if args.group is not None:
             try:
@@ -160,8 +165,13 @@ def main(argv=None) -> int:
         return VALIDATION_EXIT
     text = render(report, args.pretty)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error(usage): cannot write --out {args.out!r}: {exc}",
+                  file=sys.stderr)
+            return USAGE_EXIT
     else:
         sys.stdout.write(text)
     return 0

@@ -22,13 +22,14 @@ from typing import Optional, Sequence
 
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
 from .cyclotomic import rat
-from .errors import GroupGeoError, SingularMetricError, UnsupportedGroupError
-from .linalg import Mat, solve_affine_columns
+from .errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
+                     UnsupportedGroupError)
+from .linalg import Mat, solve_affine, solve_affine_columns
 
 
 def _chart_rows(alpha, beta, gamma, one):
     """The shared 3x3 coefficient pattern of the connection chart; works for
-    any ring elements supporting + (parameter functions or symbols)."""
+    any ring elements supporting + (parameter functions)."""
     return [
         [one + alpha, gamma, beta],
         [gamma, one + beta, alpha],
@@ -309,50 +310,39 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
 
     Chart members are torsion-free by construction and constant chart members
     are automatically cotorsion-free, so regularity is the only condition
-    left: a quadratic system in two free constants after eliminating gamma
-    through the chart constraint.  The system is solved exactly; only
-    rational roots belong to the scan and irrational ones are reported
-    as an error rather than silently dropped.
+    left, in two free constants (a, b) after eliminating gamma through the
+    chart constraint.  Each product bucket sums a full circulant orbit of
+    pairs, in which the quadratic terms cancel, so the residual is affine in
+    (a, b).  It is read off regularity_residual at (0, 0), (1, 0) and (0, 1);
+    the residual has degree at most 2, so agreeing with that affine map at
+    (1, 1), (2, 0) and (0, 2) proves it affine everywhere.  The resulting
+    rational linear system is solved exactly: no solution gives [], a line
+    or plane of solutions is an error.
     """
-    import sympy
-
     _require_chart_class(calculus)
-    cls = calculus.cls
-    grp = cls.group
-    a, b = sympy.symbols("a b")
-    c = -1 - a - b
-    rows = _chart_rows(a, b, c, sympy.Integer(1))
+    order = calculus.group.order
 
-    def red_frac(pair, k):
-        return sympy.Rational(*calculus.reduction[pair][k].as_fraction().as_integer_ratio())
+    def residual(a, b) -> list:
+        const = calculus.constant
+        conn = Connection.from_chart(calculus, const(a), const(b), const(-1 - a - b))
+        return [f(h) for g, form in regularity_residual(conn).items() if g != 0
+                for f in form.coeffs for h in range(order)]
 
-    buckets: dict[int, list] = {}
-    identity = 0
-    for i, ai in enumerate(cls.members):
-        for j, aj in enumerate(cls.members):
-            g = grp.mul(ai, aj)
-            if g in cls or g == identity:
-                continue
-            vec = buckets.setdefault(g, [sympy.Integer(0)] * calculus.quotient_dim)
-            for p in range(3):
-                for q in range(3):
-                    factor = rows[i][p] * rows[j][q]
-                    for k in range(calculus.quotient_dim):
-                        coeff = red_frac((p, q), k)
-                        if coeff:
-                            vec[k] = vec[k] + factor * coeff
-    equations = [sympy.expand(expr) for vec in buckets.values() for expr in vec]
-    solutions = sympy.solve(equations, [a, b], dict=True)
-    out = []
-    for sol in solutions:
-        va, vb = sol.get(a), sol.get(b)
-        if va is None or vb is None or va.free_symbols or vb.free_symbols:
+    r0 = residual(0, 0)
+    da = [x - y for x, y in zip(residual(1, 0), r0)]
+    db = [x - y for x, y in zip(residual(0, 1), r0)]
+    for a, b in ((1, 1), (2, 0), (0, 2)):
+        if residual(a, b) != [x + y * a + z * b for x, y, z in zip(r0, da, db)]:
             raise GroupGeoError(
-                "regular constant scan found a positive-dimensional solution set")
-        if not (va.is_rational and vb.is_rational):
-            raise GroupGeoError(
-                f"regular constant scan hit a non-rational root ({va}, {vb})")
-        fa = Fraction(int(va.p), int(va.q))
-        fb = Fraction(int(vb.p), int(vb.q))
-        out.append((fa, fb, Fraction(-1) - fa - fb))
-    return sorted(out)
+                "regular constant scan: the regularity residual is not affine "
+                f"in the chart constants, it fails at (a, b) = ({a}, {b})")
+    try:
+        (va, vb), kernel = solve_affine(Mat([[x, y] for x, y in zip(da, db)]),
+                                        [-x for x in r0])
+    except InfeasibleSystemError:
+        return []
+    if kernel:
+        raise GroupGeoError(
+            "regular constant scan found a positive-dimensional solution set")
+    fa, fb = va.as_fraction(), vb.as_fraction()
+    return [(fa, fb, -1 - fa - fb)]

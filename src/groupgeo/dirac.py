@@ -24,6 +24,7 @@ not asserted away.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -462,9 +463,7 @@ def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
             cur = cur[1:]
         if len(cur) == 1:
             break
-        den_lcm = 1
-        for c in cur:
-            den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+        den_lcm = math.lcm(*(c.denominator for c in cur))
         ints = [int(c * den_lcm) for c in cur]
         root = _find_rational_root(ints)
         if root is None:
@@ -474,12 +473,6 @@ def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
         roots.append(root)
         cur = _deflate(cur, root)
     return roots
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a) or 1
 
 
 def _divisors(n: int) -> list[int]:

@@ -100,14 +100,20 @@ class FiniteGroup:
     def from_dict(cls, data: dict) -> "FiniteGroup":
         if not isinstance(data, dict) or "names" not in data or "table" not in data:
             raise CayleyValidationError("Cayley data must be an object with 'names' and 'table'")
-        return cls(data["names"], data["table"], name=data.get("name"))
+        names, table = data["names"], data["table"]
+        if not isinstance(names, list) or not isinstance(table, list):
+            raise CayleyValidationError("Cayley 'names' and 'table' must be lists")
+        if not all(isinstance(row, list) for row in table):
+            raise CayleyValidationError("every Cayley table row must be a list")
+        return cls(names, table, name=data.get("name"))
 
     @classmethod
     def from_json_file(cls, path) -> "FiniteGroup":
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not UTF-8
             raise CayleyValidationError(f"cannot read Cayley table {path}: {exc}") from exc
         return cls.from_dict(data)
 
@@ -134,7 +140,7 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
     for g in range(n):
         for h in range(n):
             v = table[g][h]
-            if not isinstance(v, int) or not (0 <= v < n):
+            if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
                 raise CayleyValidationError(
                     f"table entry ({names[g]}, {names[h]}) = {v!r} is not an element index")
     for g in range(n):

@@ -130,6 +130,27 @@ def cal_d6_relabelled(d6):
     return differential_calculus(conjugacy_class(relabelled(d6, 12), "sr"))
 
 
+def dicyclic3():
+    """The dicyclic group of order 12 from x^2 = a^3, x a x^-1 = a^-1; the
+    element a^i x^j is named f"a{i}x{j}" and sits at index 6*j + i."""
+    def mul(p, q):
+        (j, i), (l, k) = divmod(p, 6), divmod(q, 6)
+        # x^j a^k = a^(+-k) x^j, and x^2 = a^3
+        rot = i + (-k if j else k) + (3 if j + l == 2 else 0)
+        return ((j + l) % 2) * 6 + rot % 6
+
+    names = [f"a{i}x{j}" for j in range(2) for i in range(6)]
+    table = [[mul(p, q) for q in range(12)] for p in range(12)]
+    return FiniteGroup(names, table, name="dicyclic:3")
+
+
+@pytest.fixture(scope="session", params=["a0x1", "a1x1"])
+def cal_dic3(request):
+    """Both 3-member classes of the dicyclic group of order 12; the square
+    of a member is the central a^3, not the identity."""
+    return differential_calculus(conjugacy_class(dicyclic3(), request.param))
+
+
 @pytest.fixture(params=["cal_d3", "cal_d6", "s3_cal", "cal_d6_relabelled"])
 def oracle_cal(request):
     """Calculi on which each structured solve is checked against its dense

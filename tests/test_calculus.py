@@ -14,7 +14,6 @@ from groupgeo.calculus import (
     braiding,
     d_one_form,
     differential_calculus,
-    two_form_space,
     wedge,
 )
 from groupgeo.cyclotomic import rat
@@ -200,11 +199,6 @@ def test_module_wedge_helper_matches_method(cal_d6):
     alpha = cal_d6.basis_one_form(0)
     beta = cal_d6.basis_one_form(1)
     assert wedge(alpha, beta) == cal_d6.wedge(alpha, beta)
-
-
-def test_two_form_space_alias(cls_d6):
-    cal = two_form_space(cls_d6)
-    assert cal.quotient_dim == 4
 
 
 def test_s3_calculus_matches_d6_structure(s3_cal):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from groupgeo import reporting
+from groupgeo import cli, reporting
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
 
@@ -101,10 +101,13 @@ def test_singular_mu_rejected_before_torsion_solve(monkeypatch, capsys):
     assert "error(precondition)" in err
 
 
+REPORT_BUILDERS = ("calculus_report", "connection_report", "curvature_report",
+                   "ricci_report", "dirac_report", "wave_report",
+                   "spectral_action_report", "full_report")
+
+
 def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
-    _forbid(monkeypatch, "calculus_report", "connection_report", "curvature_report",
-            "ricci_report", "dirac_report", "wave_report",
-            "spectral_action_report", "full_report")
+    _forbid(monkeypatch, *REPORT_BUILDERS)
     target = tmp_path / "missing" / "r.json"
     code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                           "--cmd", "calculus", "--out", str(target))
@@ -113,6 +116,30 @@ def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
     assert err.startswith("error(usage):")
     assert "Traceback" not in err
     assert not target.parent.exists()
+
+
+def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
+    _forbid(monkeypatch, *REPORT_BUILDERS)
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                          "--cmd", "calculus", "--out", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error(usage):")
+    assert "directory" in err
+
+
+def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise PermissionError(13, "Permission denied")
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "r.json"
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                          "--cmd", "calculus", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error(usage): cannot write --out")
+    assert "Traceback" not in err
+    assert not target.exists()
 
 
 def test_unknown_family_exits_3(capsys):
@@ -150,13 +177,30 @@ def test_missing_cayley_file_exits_3(tmp_path, capsys):
     assert "cannot read" in err
 
 
-def test_invalid_cayley_table_exits_3(tmp_path, capsys):
+@pytest.mark.parametrize("content, fragment", [
+    pytest.param(json.dumps({"names": ["e", "a"], "table": [[0, 1], [1, 1]]}).encode(),
+                 "invertibility", id="latin-square"),
+    pytest.param(b'{"names": ["e", "a"], "table": [[0, 1], [1, 0]]}\xff',
+                 "cannot read", id="not-utf8"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, "cannot read", id="deep-nesting"),
+    pytest.param(json.dumps({"names": ["e", "a"], "table": 5}).encode(),
+                 "must be lists", id="table-not-list"),
+    pytest.param(json.dumps({"names": "ea", "table": [[0, 1], [1, 0]]}).encode(),
+                 "must be lists", id="names-string"),
+    pytest.param(json.dumps({"names": ["e", "a"], "table": [[0, 1], 5]}).encode(),
+                 "row must be a list", id="row-not-list"),
+    pytest.param(json.dumps({"names": ["e", "a"],
+                             "table": [[False, True], [True, False]]}).encode(),
+                 "not an element index", id="bool-entries"),
+])
+def test_invalid_cayley_table_exits_3(tmp_path, capsys, content, fragment):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"names": ["e", "a"], "table": [[0, 1], [1, 1]]}))
+    bad.write_bytes(content)
     code, _, err = _run(capsys, "--cayley", str(bad), "--class", "a",
                         "--cmd", "calculus")
     assert code == 3
-    assert "error(validation)" in err
+    assert err.startswith("error(validation)")
+    assert fragment in err
 
 
 def test_cayley_group_end_to_end(s3_path, capsys):

@@ -1,10 +1,14 @@
 """Torsion-free connections, the distinguished one, and the parameter scan."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+from groupgeo import connections
 from groupgeo.calculus import GroupFunction
 from groupgeo.connections import (
     Connection,
@@ -18,7 +22,7 @@ from groupgeo.connections import (
     torsion_system,
 )
 from groupgeo.cyclotomic import rat
-from groupgeo.errors import SingularMetricError
+from groupgeo.errors import GroupGeoError, SingularMetricError
 from groupgeo.linalg import solve_affine
 
 
@@ -163,3 +167,77 @@ def test_s3_levi_civita(s3_cal):
 def test_s3_scan_matches(s3_cal):
     third = Fraction(-1, 3)
     assert constant_regular_scan(s3_cal) == [(third, third, third)]
+
+
+def _sympy_scan(cal):
+    """The regularity scan derived symbolically: every off-class,
+    off-identity product bucket of the chart in constants (a, b, -1-a-b),
+    expanded and handed to sympy.solve.  The oracle for
+    constant_regular_scan."""
+    sympy = pytest.importorskip("sympy")
+    cls, grp = cal.cls, cal.group
+    a, b = sympy.symbols("a b")
+    c = -1 - a - b
+    rows = [[1 + a, c, b], [c, 1 + b, a], [b, a, 1 + c]]
+    buckets = {}
+    for i, ai in enumerate(cls.members):
+        for j, aj in enumerate(cls.members):
+            g = grp.mul(ai, aj)
+            if g in cls or g == 0:
+                continue
+            vec = buckets.setdefault(g, [sympy.Integer(0)] * cal.quotient_dim)
+            for p in range(3):
+                for q in range(3):
+                    for k in range(cal.quotient_dim):
+                        coeff = cal.reduction[(p, q)][k].as_fraction()
+                        vec[k] += rows[i][p] * rows[j][q] * sympy.Rational(
+                            coeff.numerator, coeff.denominator)
+    equations = [sympy.expand(e) for vec in buckets.values() for e in vec]
+    out = []
+    for sol in sympy.solve(equations, [a, b], dict=True):
+        va, vb = Fraction(str(sol[a])), Fraction(str(sol[b]))
+        out.append((va, vb, -1 - va - vb))
+    return sorted(out)
+
+
+def test_scan_matches_sympy_oracle(oracle_cal):
+    assert constant_regular_scan(oracle_cal) == _sympy_scan(oracle_cal)
+
+
+def test_dicyclic_scan_matches_sympy_oracle(cal_dic3):
+    grp = cal_dic3.group
+    # the diagonal bucket c^2 is off the class and not the identity here
+    assert all(grp.mul(c, c) not in cal_dic3.cls and grp.mul(c, c) != 0
+               for c in cal_dic3.cls.members)
+    third = Fraction(-1, 3)
+    assert constant_regular_scan(cal_dic3) == _sympy_scan(cal_dic3) == [
+        (third, third, third)]
+
+
+def test_scan_rejects_non_affine_residual(cal_d6, monkeypatch):
+    original = connections.regularity_residual
+
+    def with_square(conn):
+        out = original(conn)
+        alpha = conn.parameters[0](0)
+        g = next(g for g in out if g != 0)
+        out[g] = out[g] + conn.calculus.d_basis(0) * (alpha * alpha)
+        return out
+
+    monkeypatch.setattr(connections, "regularity_residual", with_square)
+    with pytest.raises(GroupGeoError, match="not affine"):
+        constant_regular_scan(cal_d6)
+
+
+def test_connection_command_never_imports_sympy():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import sys\n"
+              "from groupgeo.cli import main\n"
+              "code = main(['--group', 'dihedral:3', '--class', 'sr',"
+              " '--cmd', 'connection'])\n"
+              "assert code == 0, code\n"
+              "assert 'sympy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
