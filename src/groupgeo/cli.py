@@ -6,10 +6,11 @@ rational metric modulus, and a command; the result is a deterministic JSON
 report on stdout or in a file.  Identical inputs give byte-identical bytes.
 
 Exit codes: 0 success, 2 usage errors (including an --out path that is a
-directory, lies in a missing directory or cannot be written), 3 validation
-failures (bad Cayley table, unknown label, non-cyclic or otherwise
-unsupported class or group), 4 mathematical precondition failures
-(singular metric values).
+directory, lies in a missing directory or cannot be written, and a
+``dihedral:N`` above MAX_DIHEDRAL), 3 validation failures (bad Cayley table,
+unknown label, non-cyclic or otherwise unsupported class or group), 4
+mathematical failures on valid input (singular metric values, a candidate
+spectrum that misses dimensions, an infeasible exact system).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     CayleyValidationError,
     GroupGeoError,
     NonCyclicClassError,
-    SingularMetricError,
     UnsupportedGroupError,
 )
 from .groups import FiniteGroup, conjugacy_class, dihedral
@@ -34,6 +34,9 @@ from . import reporting
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
 PRECONDITION_EXIT = 4
+
+# largest builtin dihedral:N; its (2N)^2 table is validated in O(N^3)
+MAX_DIHEDRAL = 256
 
 COMMANDS = ("calculus", "connection", "curvature", "ricci", "dirac", "wave",
             "spectral-action", "report-all")
@@ -75,13 +78,11 @@ def parse_group_spec(spec: str) -> FiniteGroup:
             raise ValueError(f"dihedral parameter {param!r} is not an integer")
         if n < 1:
             raise ValueError(f"dihedral parameter must be positive, got {n}")
+        if n > MAX_DIHEDRAL:
+            raise ValueError(
+                f"dihedral parameter {n} exceeds the limit of {MAX_DIHEDRAL}")
         return dihedral(n)
     raise UnsupportedGroupError(f"no builtin group family named {name!r}")
-
-
-def load_cayley(path: str) -> FiniteGroup:
-    """Load and fully validate a Cayley-table JSON file."""
-    return FiniteGroup.from_json_file(path)
 
 
 def _build_report(args, group: FiniteGroup) -> dict:
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
                 print(f"error(usage): {exc}", file=sys.stderr)
                 return USAGE_EXIT
         else:
-            group = load_cayley(args.cayley)
+            group = FiniteGroup.from_json_file(args.cayley)
         try:
             group.index(args.class_label)
         except KeyError:
@@ -151,18 +152,14 @@ def main(argv=None) -> int:
                   f"{args.mu!r}", file=sys.stderr)
             return USAGE_EXIT
         report = _build_report(args, group)
-    except SingularMetricError as exc:
-        print(f"error(precondition): {exc}", file=sys.stderr)
-        return PRECONDITION_EXIT
-    except (CayleyValidationError, NonCyclicClassError, UnsupportedGroupError) as exc:
-        print(f"error(validation): {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
-    except OSError as exc:
+    except (CayleyValidationError, NonCyclicClassError, UnsupportedGroupError,
+            OSError) as exc:
         print(f"error(validation): {exc}", file=sys.stderr)
         return VALIDATION_EXIT
     except GroupGeoError as exc:
-        print(f"error(validation): {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
+        # the input is valid; the mathematics refuses it
+        print(f"error(precondition): {exc}", file=sys.stderr)
+        return PRECONDITION_EXIT
     text = render(report, args.pretty)
     if args.out:
         try:

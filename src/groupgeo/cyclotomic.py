@@ -10,6 +10,8 @@ Rationals are the order-1 case (Phi_1 = x - 1, a single coordinate).
 Mixing orders promotes both operands to the least common multiple order
 via zeta_N = zeta_M ** (M // N).  Conjugation is the field automorphism
 zeta -> zeta ** (N - 1), i.e. complex conjugation on the standard embedding.
+Elements hash by their normalised trace Tr(x)/phi(N), which promotion
+leaves unchanged, so equal values hash equally whatever their order.
 """
 
 from __future__ import annotations
@@ -79,6 +81,19 @@ def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def _degree(order: int) -> int:
     return len(cyclotomic_polynomial(order)) - 1
+
+
+@lru_cache(maxsize=None)
+def _trace_weights(order: int) -> tuple[Fraction, ...]:
+    """Tr(z^j)/phi(order) for each power-basis element z^j.  With
+    m = order/gcd(j, order), z^j is a primitive m-th root, and the m-th
+    primitive roots sum to mu(m), the negated second-highest coefficient
+    of Phi_m; the trace normalises this by phi(m)."""
+    weights = []
+    for j in range(_degree(order)):
+        phi = cyclotomic_polynomial(order // gcd(j, order))
+        weights.append(-phi[-2] / (len(phi) - 1))
+    return tuple(weights)
 
 
 class Cyclotomic:
@@ -289,7 +304,10 @@ class Cyclotomic:
         a, b = self._common(self, o)
         return a.coeffs == b.coeffs
 
-    __hash__ = None  # mutable-free but order-promotion makes hashing a trap
+    def __hash__(self):
+        # the normalised trace is the same in every field containing the
+        # value, and a rational's is the rational itself
+        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order))))
 
     def __bool__(self):
         return not self.is_zero()
@@ -348,3 +366,4 @@ ONE = rat(1)
 assert cyclo(6, 1) ** 6 == 1
 assert cyclo(6, 3) == -1
 assert (cyclo(6, 1) + cyclo(6, 5)).is_rational()
+assert hash(cyclo(3, 1)) == hash(cyclo(6, 2))

@@ -10,9 +10,11 @@ A spinor operator is a plain exact matrix on W tensor (functions on G),
 laid out spinor-component-major: entry block (i, j) of the dim(W) x dim(W)
 grid is the |G| x |G| operator mapping the j-th spinor component into the
 i-th.  Spectra are certified, never approximated: a candidate eigenvalue
-receives the exact nullity of (op - lambda id) as its multiplicity, and the
+keeps the exact kernel basis of (op - lambda id) as its eigenspace, and the
 multiplicities must add up to the full dimension or the computation refuses
-to answer (IncompleteSpectrumError).
+to answer (IncompleteSpectrumError).  A certified spectrum proves the
+operator diagonalisable, so chirality gradings and minimal polynomials are
+read off it without a second reduction.
 
 The eigenmode catalogs replay a closed-form list of claimed eigenvectors
 against those certified multiplicities.  Candidates that are identically
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from .calculus import Calculus, GroupFunction
 from .connections import Connection, levi_civita
@@ -310,67 +313,70 @@ def _sort_key(value: Cyclotomic):
 
 
 class Spectrum:
-    """An exact eigenvalue table whose multiplicities provably exhaust the
-    operator dimension."""
+    """Exact eigenvalues with their eigenspace bases, whose dimensions
+    provably exhaust the operator dimension.
 
-    __slots__ = ("pairs", "dimension")
+    eigenspaces maps each value to its basis vectors, ordered by real and
+    then imaginary part; pairs and multiplicities are read off it.
+    """
 
-    def __init__(self, pairs: Sequence[tuple], dimension: int):
-        ps = tuple((as_scalar(v), int(m)) for v, m in pairs)
-        total = sum(m for _, m in ps)
+    __slots__ = ("eigenspaces", "dimension")
+
+    def __init__(self, eigenspaces: Mapping | Sequence[tuple], dimension: int):
+        spaces = sorted(((as_scalar(v), tuple(basis))
+                         for v, basis in dict(eigenspaces).items()),
+                        key=lambda item: _sort_key(item[0]))
+        total = sum(len(basis) for _, basis in spaces)
         if total != dimension:
             raise IncompleteSpectrumError(
                 f"multiplicities sum to {total} but the operator dimension is "
                 f"{dimension}; the candidate list misses {dimension - total} dimensions")
-        object.__setattr__(self, "pairs", ps)
+        object.__setattr__(self, "eigenspaces", MappingProxyType(dict(spaces)))
         object.__setattr__(self, "dimension", dimension)
 
     def __setattr__(self, *_):
         raise AttributeError("Spectrum is immutable")
 
+    @property
+    def pairs(self) -> tuple[tuple[Cyclotomic, int], ...]:
+        return tuple((v, len(basis)) for v, basis in self.eigenspaces.items())
+
     def multiplicity(self, value) -> int:
-        v = as_scalar(value)
-        for val, m in self.pairs:
-            if val == v:
-                return m
-        return 0
+        return len(self.eigenspaces.get(as_scalar(value), ()))
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self):
-        return len(self.pairs)
+        return len(self.eigenspaces)
 
     def __repr__(self):
         body = ", ".join(f"{v!r}: {m}" for v, m in self.pairs)
         return f"Spectrum({{{body}}}, dim={self.dimension})"
 
 
-def spectrum(op: Mat, candidates: Sequence) -> Spectrum:
+def spectrum(op: Mat, candidates: Sequence | None = None) -> Spectrum:
     """Certify the spectrum of an exact operator against candidate values.
 
-    Each distinct candidate gets multiplicity = exact nullity of
-    (op - lambda id); candidates of nullity zero are dropped.  If the
-    multiplicities do not exhaust the dimension the candidate list was
-    incomplete and IncompleteSpectrumError is raised: no eigenvalue is
-    ever reported on numerical evidence.
+    Each distinct candidate keeps the exact kernel basis of
+    (op - lambda id) as its eigenspace; candidates of nullity zero are
+    dropped.  If the multiplicities do not exhaust the dimension the
+    candidate list was incomplete and IncompleteSpectrumError is raised: no
+    eigenvalue is ever reported on numerical evidence.  Without candidates
+    the rational roots of the Krylov minimal polynomial are used.
     """
     n = op.nrows
     if n != op.ncols:
         raise ValueError("spectra are defined for square operators")
+    if candidates is None:
+        candidates = _rational_roots(minimal_polynomial(op))
     ident = Mat.identity(n)
-    seen: list[Cyclotomic] = []
-    pairs = []
-    for cand in candidates:
-        v = as_scalar(cand)
-        if any(v == s for s in seen):
-            continue
-        seen.append(v)
-        mult = n - rank(op - ident * v)
-        if mult:
-            pairs.append((v, mult))
-    pairs.sort(key=lambda p: _sort_key(p[0]))
-    return Spectrum(pairs, n)
+    spaces = {}
+    for v in dict.fromkeys(as_scalar(c) for c in candidates):
+        basis = kernel_basis(op - ident * v)
+        if basis:
+            spaces[v] = basis
+    return Spectrum(spaces, n)
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +439,7 @@ def minimal_polynomial_check(op: Mat, candidates: Sequence | None = None) -> boo
     if candidates is None:
         coeffs = minimal_polynomial(op)
     else:
-        distinct: list[Cyclotomic] = []
-        for c in candidates:
-            v = as_scalar(c)
-            if not any(v == s for s in distinct):
-                distinct.append(v)
-        coeffs = poly_from_roots(distinct)
+        coeffs = poly_from_roots(dict.fromkeys(as_scalar(c) for c in candidates))
     return eval_poly(op, coeffs).is_zero()
 
 
@@ -520,26 +521,22 @@ def _deflate(fracs: list[Fraction], root: Fraction) -> list[Fraction]:
 # chirality
 
 
-def chirality(op: Mat, candidates: Sequence | None = None,
-              kernel_sign: int = 1) -> Mat:
-    """A grading that squares to the identity and anticommutes with op.
+def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
+    """A grading that squares to the identity and anticommutes with the
+    operator whose certified spectrum is given.
 
-    The operator is diagonalised exactly; the +lambda and -lambda
-    eigenspaces are paired blockwise through their deterministic kernel
-    bases and the grading swaps the pair, acting as kernel_sign times the
-    identity on the kernel.  Both kernel signs give valid gradings, which
-    is exactly the non-uniqueness on a spectrum with zero modes.
+    The +lambda and -lambda eigenspaces of the spectrum are paired
+    blockwise through their deterministic kernel bases and the grading
+    swaps the pair, acting as kernel_sign times the identity on the
+    kernel.  Both kernel signs give valid gradings, which is exactly the
+    non-uniqueness on a spectrum with zero modes.
 
     Raises AsymmetricSpectrumError when some multiplicity of +lambda and
     -lambda disagree, since then no pairing exists.
     """
     if kernel_sign not in (1, -1):
         raise ValueError("kernel_sign must be +1 or -1")
-    if candidates is None:
-        candidates = _rational_roots(minimal_polynomial(op))
-    spect = spectrum(op, candidates)
-    n = op.nrows
-    ident = Mat.identity(n)
+    spaces = spect.eigenspaces
     # symmetry check first: every nonzero eigenvalue needs its mirror
     for v, m in spect.pairs:
         neg = -v
@@ -548,38 +545,21 @@ def chirality(op: Mat, candidates: Sequence | None = None,
             raise AsymmetricSpectrumError(
                 f"eigenvalue {v!r} has multiplicity {m} but {neg!r} has "
                 f"{m_neg}; no exact grading can pair them")
-    columns: list[list[Cyclotomic]] = []
-    blocks: list[tuple[int, str]] = []  # (size, kind) in column order
-    done: list[Cyclotomic] = []
-    for v, m in spect.pairs:
-        if v.is_zero() or any(v == d for d in done):
-            continue
-        done.append(v)
-        done.append(-v)
-        plus = kernel_basis(op - ident * v)
-        minus = kernel_basis(op + ident * v)
-        columns.extend(plus)
-        columns.extend(minus)
-        blocks.append((m, "swap"))
-    zero_mult = spect.multiplicity(0)
-    if zero_mult:
-        columns.extend(kernel_basis(op))
-        blocks.append((zero_mult, "kernel"))
-    basis = Mat(columns).transpose()
-    grading = [[_ZERO] * n for _ in range(n)]
-    offset = 0
-    for size, kind in blocks:
-        if kind == "swap":
-            for i in range(size):
-                grading[offset + i][offset + size + i] = _ONE
-                grading[offset + size + i][offset + i] = _ONE
-            offset += 2 * size
-        else:
-            sign = _ONE if kernel_sign == 1 else -_ONE
-            for i in range(size):
-                grading[offset + i][offset + i] = sign
-            offset += size
-    return basis @ Mat(grading) @ inverse(basis)
+    # the grading sends sources[k] to images[k]: the i-th basis vector of
+    # +lambda to the i-th of -lambda and back, kernel vectors to their sign
+    sources: list[list[Cyclotomic]] = []
+    images: list[list[Cyclotomic]] = []
+    mirrors = set()
+    for v, plus in spaces.items():
+        if v and v not in mirrors:
+            mirrors.add(-v)
+            minus = spaces[-v]
+            sources += plus + minus
+            images += minus + plus
+    for vec in spaces.get(_ZERO, ()):
+        sources.append(vec)
+        images.append([x * kernel_sign for x in vec])
+    return Mat(images).transpose() @ inverse(Mat(sources).transpose())
 
 
 # ---------------------------------------------------------------------------
@@ -627,29 +607,12 @@ def _catalog_context(C: ConjClass):
     return group, spinor, twisted, reps
 
 
-class _ByValue:
-    """Accumulate items under exact scalar keys compared by equality, since
-    equal cyclotomic values can carry different ambient orders."""
-
-    def __init__(self):
-        self.entries: list[tuple[Cyclotomic, list]] = []
-
-    def bucket(self, value) -> list:
-        v = as_scalar(value)
-        for key, items in self.entries:
-            if key == v:
-                return items
-        items: list = []
-        self.entries.append((v, items))
-        return items
-
-
 def _assess(op: Mat, families: list[dict], claimed_values: list,
             completions: list[tuple]) -> dict:
     """Shared scoring: statuses per candidate, spans and gaps per value."""
     n = op.nrows
     ident = Mat.identity(n)
-    verified = _ByValue()
+    verified: dict[Cyclotomic, list] = {}
     for fam in families:
         claimed = fam["claimed_eigenvalue"]
         for cand in fam["candidates"]:
@@ -666,11 +629,11 @@ def _assess(op: Mat, families: list[dict], claimed_values: list,
             cand["eigenvalue"] = lam
             cand["status"] = ("eigenmode" if lam == as_scalar(claimed)
                               else "eigenvalue_mismatch")
-            verified.bucket(lam).append(vec)
+            verified.setdefault(lam, []).append(vec)
     summaries = []
     for value in claimed_values:
         v = as_scalar(value)
-        vecs = list(verified.bucket(v))
+        vecs = verified.get(v, [])
         mult = n - rank(op - ident * v)
         span = _span_dim(vecs)
         comp_entries = []
@@ -930,11 +893,6 @@ def spectral_action(spect: Spectrum, f, lam) -> Cyclotomic:
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("the scale must be a positive rational")
-    total = sum(m for _, m in spect.pairs)
-    if total != spect.dimension:
-        raise IncompleteSpectrumError(
-            f"spectrum object is inconsistent: multiplicities sum to {total} "
-            f"of dimension {spect.dimension}")
     if callable(f):
         evaluate: Callable = f
     else:

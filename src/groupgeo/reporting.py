@@ -282,6 +282,12 @@ def ricci_report(cal: Calculus) -> dict:
     return out
 
 
+def _certified_minimal_polynomial(spect: spinops.Spectrum) -> list:
+    # the eigenspaces fill the space, so the operator is diagonalisable and
+    # its minimal polynomial has exactly the certified eigenvalues as roots
+    return values_json(spinops.poly_from_roots(spect.eigenspaces))
+
+
 def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     cls = cal.cls
@@ -294,9 +300,8 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
     for a in cls.members:
         gamma_sum = gamma_sum + gammas[a]
     spect = spinops.spectrum(op, spinops.dirac_candidates(mu))
-    minpoly = spinops.minimal_polynomial(op)
     met = spinops.metric(cls, mu)
-    nine = op @ op @ op == op * 9
+    square = op @ op
     out = {
         "mu": fraction_json(mu),
         "metric": {"eta": matrix_json(met.eta), "eta_inv": matrix_json(met.eta_inv)},
@@ -305,10 +310,10 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
         "gamma_sum": matrix_json(gamma_sum),
         "spectrum": spectrum_json(spect),
         "trace": scalar_json(op.trace()),
-        "trace_of_square": scalar_json((op @ op).trace()),
+        "trace_of_square": scalar_json(square.trace()),
         "hermitian": op.conj_transpose() == op,
-        "cube_equals_nine_times": nine,
-        "minimal_polynomial": values_json(minpoly),
+        "cube_equals_nine_times": square @ op == op * 9,
+        "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0 and rep.dim == 2:
         blocks = spinops.spinor_blocks(op, 2)
@@ -319,7 +324,7 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
             blocks[0][0] == -d0 and blocks[1][1] == -d0
             and blocks[0][1] == d2 and blocks[1][0] == d1)
     try:
-        gam = spinops.chirality(op, spinops.dirac_candidates(mu))
+        gam = spinops.chirality(spect)
         ident = Mat.identity(op.nrows)
         out["chirality"] = {
             "available": True,
@@ -345,7 +350,7 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         "operator": matrix_json(op),
         "spectrum": spectrum_json(spect),
         "hermitian": op.conj_transpose() == op,
-        "minimal_polynomial": values_json(spinops.minimal_polynomial(op)),
+        "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0:
         d0 = spinops.class_translation_sum(cls)

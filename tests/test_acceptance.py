@@ -171,7 +171,7 @@ def test_criterion_06_wave_operator_and_catalog_certification(
 
 
 def test_criterion_07_chirality_grading(dirac0_d6):
-    g = chirality(dirac0_d6)
+    g = chirality(spectrum(dirac0_d6))
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 

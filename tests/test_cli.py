@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from conftest import dicyclic3
 from groupgeo import cli, reporting
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
@@ -242,6 +243,32 @@ def test_exact_scalar_serialization(capsys):
     assert entry["decimal"].startswith("0.5 + 0.8660")
     diag = report["gamma"]["sr"][0][0]
     assert diag == {"num": -1, "den": 1, "decimal": "-1.0"}
+
+
+def test_incomplete_spectrum_exits_4(tmp_path, capsys):
+    # a valid table and class; the wave candidate formula assumes involutive
+    # class members, and the members of this class square to a^3
+    path = tmp_path / "dic3.json"
+    path.write_text(json.dumps(dicyclic3().to_dict()))
+    code, out, err = _run(capsys, "--cayley", str(path), "--class", "a0x1",
+                          "--cmd", "wave")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error(precondition): multiplicities sum to 10")
+
+
+def test_dihedral_over_the_cap_exits_2_before_building(monkeypatch, capsys):
+    def unreachable(_n):
+        raise AssertionError("built a group over the cap")
+    monkeypatch.setattr(cli, "dihedral", unreachable)
+    code, out, err = _run(capsys, "--group", f"dihedral:{cli.MAX_DIHEDRAL + 1}",
+                          "--class", "sr", "--cmd", "calculus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error(usage):")
+    assert str(cli.MAX_DIHEDRAL) in err
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_group_spec("dihedral:100000")
 
 
 def test_parse_group_spec_direct():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 
@@ -132,3 +133,41 @@ def test_bool_and_zero():
     assert cyclo(6)
     assert rat(0).is_zero()
     assert (cyclo(6) - cyclo(6)).is_zero()
+
+
+_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@st.composite
+def _promotions(draw):
+    """A random element of Q(zeta_M) with a random multiple M * k."""
+    order = draw(st.integers(1, 12))
+    coeffs = draw(st.lists(_fractions, min_size=order, max_size=order))
+    value = rat(0)
+    for power, c in enumerate(coeffs):
+        value = value + cyclo(order, power) * rat(c)
+    return value, order * draw(st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_promotions())
+def test_promotion_keeps_value_and_hash(case):
+    value, target = case
+    promoted = value.to_order(target)
+    assert promoted.order == target
+    assert promoted == value
+    assert hash(promoted) == hash(value)
+
+
+@settings(deadline=None)
+@given(_fractions)
+def test_rationals_hash_like_fractions(q):
+    assert hash(rat(q)) == hash(q)
+    assert hash(rat(q).to_order(12)) == hash(q)
+
+
+def test_equal_values_share_a_dict_key():
+    assert hash(rat(3)) == hash(3)
+    assert {cyclo(3, 1): 1}[cyclo(6, 2)] == 1
+    assert {rat(-1): "minus one"}[cyclo(2)] == "minus one"
+    assert len({cyclo(4), cyclo(12, 3), cyclo(4).to_order(8)}) == 1

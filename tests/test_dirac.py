@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from groupgeo import dirac, reporting
+from groupgeo.connections import levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
     Spectrum,
@@ -235,7 +237,8 @@ def test_dirac_operator_validates_inputs(rep_d6, lc_d6, d6):
 
 def test_spectrum_requires_exhaustion():
     with pytest.raises(IncompleteSpectrumError, match="misses 2 dimensions"):
-        Spectrum([(rat(1), 2)], 4)
+        Spectrum([(rat(1), [[rat(1), rat(0), rat(0), rat(0)],
+                            [rat(0), rat(1), rat(0), rat(0)]])], 4)
 
 
 def test_spectrum_certification_fails_on_short_candidates(dirac0_d6):
@@ -290,6 +293,59 @@ def test_wave_on_sign_character(wave0_d6, d6):
 def test_wave_minimal_polynomial(wave0_d6):
     assert minimal_polynomial(wave0_d6) == poly_from_roots([0, -6, -12])
     assert minimal_polynomial_check(wave0_d6, [0, -6, -12])
+
+
+# -- minimal polynomials read off the certified spectrum --------------------
+
+MUS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 5)]
+
+
+@pytest.mark.parametrize("mu", MUS, ids=str)
+def test_certified_roots_give_krylov_minimal_polynomial_d6(rep_d6, cal_d6, cls_d6, mu):
+    op = dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu)
+    spect = spectrum(op, dirac_candidates(mu))
+    assert minimal_polynomial(op) == poly_from_roots(spect.eigenspaces)
+    op = wave_operator(cls_d6, mu)
+    spect = spectrum(op, wave_candidates(mu))
+    assert minimal_polynomial(op) == poly_from_roots(spect.eigenspaces)
+
+
+@pytest.mark.parametrize("cal_name", ["cal_d3", "s3_cal"])
+def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name):
+    cal = request.getfixturevalue(cal_name)
+    cls = cal.cls
+    op = dirac_operator(builtin_rep(cls.group, "spinor"), levi_civita(cal), cls)
+    spect = spectrum(op, dirac_candidates())
+    assert minimal_polynomial(op) == poly_from_roots(spect.eigenspaces)
+
+
+@pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)], ids=str)
+def test_reports_reduce_each_candidate_once_and_skip_krylov(
+        monkeypatch, rep_d6, cal_d6, cls_d6, mu):
+    expected = {
+        "dirac": reporting.values_json(minimal_polynomial(
+            dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu))),
+        "wave": reporting.values_json(minimal_polynomial(wave_operator(cls_d6, mu))),
+    }
+    reductions = []
+
+    def counted(matrix):
+        reductions.append(matrix)
+        return kernel_basis(matrix)
+
+    def krylov(_op):
+        raise AssertionError("a report ran the Krylov minimal polynomial")
+
+    kernel_basis = dirac.kernel_basis
+    monkeypatch.setattr(dirac, "kernel_basis", counted)
+    monkeypatch.setattr(dirac, "minimal_polynomial", krylov)
+    report = reporting.dirac_report(cal_d6, mu)
+    assert report["minimal_polynomial"] == expected["dirac"]
+    assert len(reductions) == len(set(dirac_candidates(mu)))
+    reductions.clear()
+    report = reporting.wave_report(cls_d6, mu)
+    assert report["minimal_polynomial"] == expected["wave"]
+    assert len(reductions) == len(set(wave_candidates(mu)))
 
 
 # -- eigenmode catalogs -----------------------------------------------------
@@ -411,36 +467,36 @@ def test_catalogs_unavailable_off_the_supported_group(s3_cls):
 # -- chirality --------------------------------------------------------------
 
 def test_chirality_properties(dirac0_d6):
-    g = chirality(dirac0_d6)
+    g = chirality(spectrum(dirac0_d6))
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 
 
 def test_chirality_kernel_sign_choices(dirac0_d6):
-    plus = chirality(dirac0_d6, kernel_sign=1)
-    minus = chirality(dirac0_d6, kernel_sign=-1)
+    plus = chirality(spectrum(dirac0_d6), kernel_sign=1)
+    minus = chirality(spectrum(dirac0_d6), kernel_sign=-1)
     assert plus != minus
     for g in (plus, minus):
         assert g @ g == Mat.identity(24)
         assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
     with pytest.raises(ValueError, match="kernel_sign"):
-        chirality(dirac0_d6, kernel_sign=0)
+        chirality(spectrum(dirac0_d6), kernel_sign=0)
 
 
 def test_chirality_of_zero_operator():
     z = Mat.zeros(3, 3)
-    assert chirality(z, candidates=[0]) == Mat.identity(3)
-    assert chirality(z, candidates=[0], kernel_sign=-1) == Mat.identity(3) * -1
+    assert chirality(spectrum(z, candidates=[0])) == Mat.identity(3)
+    assert chirality(spectrum(z, candidates=[0]), kernel_sign=-1) == Mat.identity(3) * -1
 
 
 def test_chirality_rejects_asymmetric_spectrum(dirac1_d6):
     with pytest.raises(AsymmetricSpectrumError, match="-27/5"):
-        chirality(dirac1_d6, dirac_candidates(Fraction(1)))
+        chirality(spectrum(dirac1_d6, dirac_candidates(Fraction(1))))
 
 
 def test_chirality_with_explicit_candidates(dirac0_d6):
-    g = chirality(dirac0_d6, candidates=[0, 3, -3])
-    assert g == chirality(dirac0_d6)
+    g = chirality(spectrum(dirac0_d6, candidates=[0, 3, -3]))
+    assert g == chirality(spectrum(dirac0_d6))
 
 
 # -- spectral action --------------------------------------------------------
@@ -501,6 +557,6 @@ def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
     op = dirac_operator(rep, levi_civita(s3_cal), s3_cls)
-    g = chirality(op)
+    g = chirality(spectrum(op))
     assert g @ g == Mat.identity(12)
     assert (g @ op + op @ g).is_zero()
