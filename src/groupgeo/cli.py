@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,10 @@ PRECONDITION_EXIT = 4
 
 # largest builtin dihedral:N; its (2N)^2 table is validated in O(N^3)
 MAX_DIHEDRAL = 256
+
+# a plain rational or decimal; exponents are refused because Fraction
+# would expand "1e999999999" into a billion-digit integer first
+_MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
 COMMANDS = ("calculus", "connection", "curvature", "ricci", "dirac", "wave",
             "spectral-action", "report-all")
@@ -85,10 +90,16 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     raise UnsupportedGroupError(f"no builtin group family named {name!r}")
 
 
-def _build_report(args, group: FiniteGroup) -> dict:
+def _parse_mu(text: str) -> Fraction:
+    """The --mu value as an exact rational; ValueError on anything else."""
+    if not _MU_SYNTAX.fullmatch(text):
+        raise ValueError(f"not a plain rational: {text!r}")
+    return Fraction(text)
+
+
+def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
-    mu = Fraction(args.mu)
     if args.cmd == "report-all":
         return reporting.full_report(group, cls, mu)
     if args.cmd == "wave":
@@ -131,6 +142,12 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return USAGE_EXIT
     try:
+        mu = _parse_mu(args.mu)
+    except (ValueError, ZeroDivisionError):
+        print(f"error(usage): --mu must be a rational like 1/3, got "
+              f"{args.mu!r}", file=sys.stderr)
+        return USAGE_EXIT
+    try:
         if args.group is not None:
             try:
                 group = parse_group_spec(args.group)
@@ -145,13 +162,7 @@ def main(argv=None) -> int:
             print(f"error(validation): no element named {args.class_label!r} "
                   f"in group {group.name}", file=sys.stderr)
             return VALIDATION_EXIT
-        try:
-            Fraction(args.mu)
-        except (ValueError, ZeroDivisionError):
-            print(f"error(usage): --mu must be a rational like 1/3, got "
-                  f"{args.mu!r}", file=sys.stderr)
-            return USAGE_EXIT
-        report = _build_report(args, group)
+        report = _build_report(args, group, mu)
     except (CayleyValidationError, NonCyclicClassError, UnsupportedGroupError,
             OSError) as exc:
         print(f"error(validation): {exc}", file=sys.stderr)

@@ -177,48 +177,6 @@ def is_regular(conn: Connection) -> bool:
 
 # -- the torsion-free family ------------------------------------------------
 
-def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
-    """The linear system in the component coefficients whose solutions are
-    exactly the torsion-free connections.
-
-    Unknown order: coefficient of e_b at group element h inside A_c sits at
-    column (c*m + b)*|G| + h.  Row order: member a, then quotient coordinate
-    k, then group element g, at row (a*q + k)*|G| + g.  The right-hand side
-    is -de_a, so M x = rhs characterises torsion freeness.
-    """
-    cal = calculus
-    cls = cal.cls
-    grp = cls.group
-    m = cal.n_members
-    order = grp.order
-    qdim = cal.quotient_dim
-    ncols = m * m * order
-    nrows = m * qdim * order
-
-    rows = [[rat(0)] * ncols for _ in range(nrows)]
-    rhs = [rat(0)] * nrows
-    for apos, a in enumerate(cls.members):
-        de = cal.d_basis(apos)
-        for k in range(qdim):
-            for g in range(order):
-                rhs[(apos * qdim + k) * order + g] = -de.coeffs[k](g)
-        for cpos, c in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(grp.inv(c), a))
-            for bpos in range(m):
-                # A_c = delta_h e_b wedges to delta_h (e_b^e_conj - e_b^e_a);
-                # the delta keeps each group element in its own row block.
-                plus = cal.reduction[(bpos, conj_pos)]
-                minus = cal.reduction[(bpos, apos)]
-                for k in range(qdim):
-                    coeff = plus[k] - minus[k]
-                    if coeff.is_zero():
-                        continue
-                    col_base = (cpos * m + bpos) * order
-                    for h in range(order):
-                        rows[(apos * qdim + k) * order + h][col_base + h] = coeff
-    return Mat(rows), rhs
-
-
 def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneForm]]]:
     """Solve the torsion condition exactly.
 
@@ -226,14 +184,16 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     homogeneous solution space; differences of torsion-free connections
     are spanned by the basis, so the family is particular + span.
 
-    The system of torsion_system is kron(M, I_|G|): a delta function in a
+    The dense torsion system has unknown (c, b, h) at column
+    (c*m + b)*|G| + h, equation (a, k, g) at row (a*q + k)*|G| + g and
+    right-hand side -de_a.  It is kron(M, I_|G|): a delta function in a
     component wedges to 2-forms on its own group element, so equation
     (a, k, g) and unknown (c, b, h) meet with the entry M[a*q + k][c*m + b]
     when g == h and not at all otherwise.  The small factor M, m*q rows by
     m*m columns, is reduced once beside one right-hand side column per
     group element.  The particular solution and kernel basis come out in
     the dense column order (c*m + b)*|G| + h, free column slowest and
-    element fastest, equal vector for vector to solving torsion_system.
+    element fastest, equal vector for vector to solving the dense system.
     """
     cal = calculus
     cls = cal.cls

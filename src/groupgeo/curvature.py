@@ -92,61 +92,6 @@ class TensorOneOne:
         return " + ".join(parts) if parts else "0"
 
 
-class TensorTwoOne:
-    """A 2-form-valued vector: sum coords[k][q] B_k (x) e_q over the
-    quotient basis monomials B_k."""
-
-    __slots__ = ("calculus", "coords")
-
-    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[GroupFunction]]):
-        grid = tuple(tuple(row) for row in coords)
-        if len(grid) != calculus.quotient_dim or any(
-                len(row) != calculus.n_members for row in grid):
-            raise ValueError("quotient-by-member grid of coefficients required")
-        object.__setattr__(self, "calculus", calculus)
-        object.__setattr__(self, "coords", grid)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TensorTwoOne is immutable")
-
-    @classmethod
-    def zero(cls, calculus: Calculus) -> "TensorTwoOne":
-        z = calculus.zero_function()
-        return cls(calculus, [[z] * calculus.n_members
-                              for _ in range(calculus.quotient_dim)])
-
-    def __add__(self, other: "TensorTwoOne") -> "TensorTwoOne":
-        return TensorTwoOne(self.calculus, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "TensorTwoOne") -> "TensorTwoOne":
-        return TensorTwoOne(self.calculus, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "TensorTwoOne":
-        return TensorTwoOne(self.calculus, [[-a for a in row] for row in self.coords])
-
-    def __mul__(self, scalar) -> "TensorTwoOne":
-        return TensorTwoOne(self.calculus, [[a * scalar for a in row] for row in self.coords])
-
-    __rmul__ = __mul__
-
-    def column(self, q: int) -> TwoForm:
-        """The 2-form paired with e_q."""
-        return TwoForm(self.calculus, [row[q] for row in self.coords])
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.coords for f in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorTwoOne):
-            return NotImplemented
-        return all(a == b for ra, rb in zip(self.coords, other.coords)
-                   for a, b in zip(ra, rb))
-
-    __hash__ = None
-
-
 # -- the connection action --------------------------------------------------
 
 def connection_grid(conn: Connection) -> list[list[OneForm]]:
@@ -184,43 +129,6 @@ def covariant_derivative(conn: Connection, alpha: OneForm) -> TensorOneOne:
                 if not v.coeffs[p].is_zero():
                     coords[p][q] = coords[p][q] + f * v.coeffs[p]
     return TensorOneOne(cal, coords)
-
-
-def riemann(conn: Connection) -> list[TensorTwoOne]:
-    """Curvature applied to each basis form:
-
-        R(e_a) = sum_q (sum_m V[a][m] ^ V[m][q] - dV[a][q]) (x) e_q
-
-    The sign is normalised so that for the distinguished connection the
-    curvature of e_a pairs the positive background 2-forms de_b with the
-    conjugation pattern, matching the component curvature F_a = de_a."""
-    cal = conn.calculus
-    m = cal.n_members
-    grid = connection_grid(conn)
-    out = []
-    for apos in range(m):
-        cols = []
-        for q in range(m):
-            two = -cal.d_one_form(grid[apos][q])
-            for mid in range(m):
-                two = two + cal.wedge(grid[apos][mid], grid[mid][q])
-            cols.append(two)
-        out.append(TensorTwoOne(cal, [[cols[q].coeffs[k] for q in range(m)]
-                                      for k in range(cal.quotient_dim)]))
-    return out
-
-
-def curvature_of(conn: Connection, alpha: OneForm) -> TensorTwoOne:
-    """Curvature acting on a general 1-form; tensorial over left
-    multiplication, so it is the coefficient-weighted sum of the basis
-    curvatures."""
-    cal = conn.calculus
-    total = TensorTwoOne.zero(cal)
-    basis = riemann(conn)
-    for apos, f in enumerate(alpha.coeffs):
-        if not f.is_zero():
-            total = total + basis[apos] * f
-    return total
 
 
 # -- curvature 2-forms ------------------------------------------------------

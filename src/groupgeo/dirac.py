@@ -17,9 +17,10 @@ operator diagonalisable, so chirality gradings and minimal polynomials are
 read off it without a second reduction.
 
 The eigenmode catalogs replay a closed-form list of claimed eigenvectors
-against those certified multiplicities.  Candidates that are identically
-zero are reported as such, surviving candidates are verified exactly, and
-any gap between the span of the verified modes and the true multiplicity is
+against the operator a report has built and its certified spectrum, whose
+multiplicities they read.  Candidates that are identically zero are
+reported as such, surviving candidates are verified exactly, and any gap
+between the span of the verified modes and the true multiplicity is
 reported together with explicit completion modes.  Shortfalls are reported,
 not asserted away.
 """
@@ -31,9 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
-from .calculus import Calculus, GroupFunction
-from .connections import Connection, levi_civita
-from .curvature import TensorOneOne
+from .connections import Connection
 from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
@@ -42,8 +41,8 @@ from .errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from .groups import ConjClass, FiniteGroup
-from .linalg import Mat, as_scalar, eval_poly, inverse, kernel_basis, rank
+from .groups import ConjClass
+from .linalg import Mat, as_scalar, inverse, kernel_basis, rank
 from .representations import Representation, builtin_rep, irreducibles
 
 _ZERO = rat(0)
@@ -100,19 +99,6 @@ def metric(cls: ConjClass, mu) -> Metric:
                    for i in range(n)])
     assert eta @ eta_inv == Mat.identity(n)
     return Metric(cls, mu, eta, eta_inv)
-
-
-def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
-    """The metric as a (1,1) tensor: sum of e_a x e_a plus mu theta x theta.
-
-    Its wedge vanishes, which is the compatibility between the pairing and
-    the 2-form relations; the test suite certifies that identity.
-    """
-    mu = Fraction(mu)
-    m = calculus.cls.size
-    grid = [[calculus.constant(Fraction(mu) + (1 if p == q else 0))
-             for q in range(m)] for p in range(m)]
-    return TensorOneOne(calculus, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +415,6 @@ def poly_from_roots(roots: Sequence) -> list[Cyclotomic]:
     return coeffs
 
 
-def minimal_polynomial_check(op: Mat, candidates: Sequence | None = None) -> bool:
-    """Does the product of (op - c id) over the candidates annihilate op?
-
-    With no candidates the Krylov minimal polynomial itself is evaluated,
-    which certifies the elimination.  Either way the verdict comes from an
-    exact matrix identity, never from eigenvalue estimates.
-    """
-    if candidates is None:
-        coeffs = minimal_polynomial(op)
-    else:
-        coeffs = poly_from_roots(dict.fromkeys(as_scalar(c) for c in candidates))
-    return eval_poly(op, coeffs).is_zero()
-
-
 def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
     """All roots of a monic exact polynomial, required rational.
 
@@ -597,6 +569,7 @@ def _span_dim(vectors: list[list[Cyclotomic]]) -> int:
 
 def _catalog_context(C: ConjClass):
     group = C.group
+    # refuse before any representation is built
     if group.order != 12 or C.size != 3:
         raise UnsupportedGroupError(
             "the closed-form eigenmode catalog is stated for the 12-element "
@@ -607,11 +580,12 @@ def _catalog_context(C: ConjClass):
     return group, spinor, twisted, reps
 
 
-def _assess(op: Mat, families: list[dict], claimed_values: list,
-            completions: list[tuple]) -> dict:
-    """Shared scoring: statuses per candidate, spans and gaps per value."""
-    n = op.nrows
-    ident = Mat.identity(n)
+def _assess(op: Mat, spect: Spectrum, families: list[dict],
+            claimed_values: list, completions: list[tuple]) -> dict:
+    """Shared scoring: statuses per candidate, spans and gaps per value.
+
+    Multiplicities are read off the certified spectrum of op.
+    """
     verified: dict[Cyclotomic, list] = {}
     for fam in families:
         claimed = fam["claimed_eigenvalue"]
@@ -634,7 +608,7 @@ def _assess(op: Mat, families: list[dict], claimed_values: list,
     for value in claimed_values:
         v = as_scalar(value)
         vecs = verified.get(v, [])
-        mult = n - rank(op - ident * v)
+        mult = spect.multiplicity(v)
         span = _span_dim(vecs)
         comp_entries = []
         comp_vecs = []
@@ -667,9 +641,10 @@ def _assess(op: Mat, families: list[dict], claimed_values: list,
     return {"families": families, "eigenvalues": summaries}
 
 
-def eigenmode_catalog(rep: Representation, A: Connection, C: ConjClass,
-                      mu=Fraction(0)) -> dict:
-    """Replay the closed-form Dirac eigenvector list at mu = 0.
+def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
+    """Replay the closed-form Dirac eigenvector list against the mu = 0
+    Dirac operator op of the spinor representation and the distinguished
+    connection, with its certified spectrum spect.
 
     Families: images of the off-diagonal translation blocks (claimed zero
     modes), the two columns of the twisted 2-dimensional representation
@@ -680,22 +655,12 @@ def eigenmode_catalog(rep: Representation, A: Connection, C: ConjClass,
     reports those shortfalls and exhibits explicit completion modes from
     the irreducible matrix elements.
     """
-    mu = Fraction(mu)
-    if mu != 0:
-        raise ValueError("the closed-form catalog is stated at mu = 0")
     group, spinor, twisted, reps = _catalog_context(C)
-    if rep.matrices != spinor.matrices:
-        raise UnsupportedGroupError(
-            "the catalog is stated for the 2-dimensional spinor representation")
-    if A != levi_civita(A.calculus):
-        raise ValueError(
-            "the catalog is stated for the distinguished torsion-free connection")
-    op = dirac_operator(rep, A, C, mu)
     n = group.order
     zero_fn = [_ZERO] * n
 
     def rho(k, l):
-        return _vec_of(rep.matrix_element(k - 1, l - 1))
+        return _vec_of(spinor.matrix_element(k - 1, l - 1))
 
     def rho2(k, l):
         return _vec_of(reps["planar2"].matrix_element(k - 1, l - 1))
@@ -703,13 +668,13 @@ def eigenmode_catalog(rep: Representation, A: Connection, C: ConjClass,
     def sig(k, l):
         return _vec_of(twisted.matrix_element(k - 1, l - 1))
 
-    lower = translation_block(rep, C, 1, 0)
-    upper = translation_block(rep, C, 0, 1)
+    lower = translation_block(spinor, C, 1, 0)
+    upper = translation_block(spinor, C, 0, 1)
     diag = class_translation_sum(C)
     t, x = C.members[0], C.members[1]
     r_t = group.right_translation(t)
     r_x = group.right_translation(x)
-    omega = rep(t)[1, 0]
+    omega = spinor(t)[1, 0]
 
     families = []
     fam = {"name": "translation-block images", "claimed_eigenvalue": rat(0),
@@ -801,13 +766,13 @@ def eigenmode_catalog(rep: Representation, A: Connection, C: ConjClass,
         ]),
     ]
 
-    out = _assess(op, families, [rat(0), rat(3), rat(-3)], completions)
-    out["mu"] = mu
+    out = _assess(op, spect, families, [rat(0), rat(3), rat(-3)], completions)
+    out["mu"] = Fraction(0)
 
-    parity_full = Mat.identity(rep.dim).kron(parity_op)
+    parity_full = Mat.identity(spinor.dim).kron(parity_op)
     out["sign_multiplication_anticommutes"] = (
         (op @ parity_full + parity_full @ op).is_zero()
-        and parity_full @ parity_full == Mat.identity(rep.dim * n))
+        and parity_full @ parity_full == Mat.identity(spinor.dim * n))
     zero_block = Mat.zeros(n, n)
     out["component_identities"] = {
         "lower*lower": lower @ lower == zero_block,
@@ -820,8 +785,9 @@ def eigenmode_catalog(rep: Representation, A: Connection, C: ConjClass,
     return out
 
 
-def wave_eigenmode_catalog(C: ConjClass, mu=Fraction(0)) -> dict:
-    """Replay the closed-form wave eigenfunction list at mu = 0.
+def wave_eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
+    """Replay the closed-form wave eigenfunction list against the mu = 0
+    wave operator op and its certified spectrum spect.
 
     Claimed families: the second twisted column at eigenvalue 0, the first
     twisted column at -12, and the spinor matrix elements together with
@@ -831,11 +797,7 @@ def wave_eigenmode_catalog(C: ConjClass, mu=Fraction(0)) -> dict:
     part of the certified eigenspace; the completions name the missing
     characters and the second planar family.
     """
-    mu = Fraction(mu)
-    if mu != 0:
-        raise ValueError("the closed-form catalog is stated at mu = 0")
     group, spinor, twisted, reps = _catalog_context(C)
-    op = wave_operator(C, mu)
 
     def rho(k, l):
         return _vec_of(spinor.matrix_element(k - 1, l - 1))
@@ -871,8 +833,8 @@ def wave_eigenmode_catalog(C: ConjClass, mu=Fraction(0)) -> dict:
         (rat(-6), [(f"planar2[{k},{l}]", rho2(k, l))
                    for k in (1, 2) for l in (1, 2)]),
     ]
-    out = _assess(op, families, [rat(0), rat(-12), rat(-6)], completions)
-    out["mu"] = mu
+    out = _assess(op, spect, families, [rat(0), rat(-12), rat(-6)], completions)
+    out["mu"] = Fraction(0)
     # the conjugated elements are the originals with both indices reversed
     out["conjugates_coincide_reversed"] = all(
         rho_bar(k, l) == rho(3 - k, 3 - l) for k in (1, 2) for l in (1, 2))

@@ -11,7 +11,7 @@ e, r, r^2, ..., r^(n-1), s, sr, ..., sr^(n-1); several matrix displays
 downstream depend on exactly this ordering.
 
 A conjugacy class keeps its members in a canonical order: if the class is
-'cyclic' (see is_cyclic_class), the witness comes first and the rest follow
+'cyclic' (it has a cyclic_witness), the witness comes first and the rest follow
 its conjugation orbit; otherwise ascending element index.
 """
 
@@ -258,13 +258,6 @@ def _find_cyclic_witness(group: FiniteGroup, orbit: list[int]) -> int | None:
     return None
 
 
-def is_cyclic_class(cls: ConjClass) -> tuple[bool, int | None]:
-    """Whether the class is 'cyclic', together with the witness element."""
-    if cls.size < 2:
-        raise ValueError("cyclicity is defined for classes with at least 2 members")
-    return (cls.cyclic_witness is not None, cls.cyclic_witness)
-
-
 def ad_table(cls: ConjClass) -> list[list[int]]:
     """Conjugation table in class positions: entry [i][j] is the position
     of c_i c_j c_i^-1."""
@@ -283,10 +276,6 @@ def conjugacy_class(group: FiniteGroup, g) -> ConjClass:
     if isinstance(g, str):
         g = group.index(g)
     return group.conjugacy_class(g)
-
-
-def right_translation(group: FiniteGroup, a: int) -> Mat:
-    return group.right_translation(a)
 
 
 def dihedral(n: int) -> FiniteGroup:

@@ -281,20 +281,3 @@ def inverse(matrix: Mat) -> Mat:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return red.submatrix(range(n), range(n, 2 * n))
-
-
-def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:
-    """p(matrix) for p given by low-to-high coefficients."""
-    n = matrix.nrows
-    out = Mat.zeros(n, n)
-    power = Mat.identity(n)
-    for c in coeffs:
-        cs = as_scalar(c)
-        if cs:
-            out = out + power * cs
-        power = power @ matrix
-    return out
-
-
-def vec_is_zero(a: Sequence) -> bool:
-    return all(as_scalar(x).is_zero() for x in a)

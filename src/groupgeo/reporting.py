@@ -34,7 +34,6 @@ from .curvature import (
     ricci_flat_solve,
     wedge_of_tensor,
 )
-from .cyclotomic import Cyclotomic, rat
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, FiniteGroup, ad_table, class_product_table
 from .linalg import Mat, as_scalar
@@ -333,11 +332,12 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
         }
     except AsymmetricSpectrumError as exc:
         out["chirality"] = {"available": False, "reason": str(exc)}
-    try:
-        out["eigenmode_catalog"] = catalog_json(
-            spinops.eigenmode_catalog(rep, lc, cls, mu))
-    except (UnsupportedGroupError, ValueError):
-        pass
+    if mu == 0:
+        try:
+            out["eigenmode_catalog"] = catalog_json(
+                spinops.eigenmode_catalog(cls, op, spect))
+        except UnsupportedGroupError:
+            pass
     return out
 
 
@@ -356,11 +356,11 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         d0 = spinops.class_translation_sum(cls)
         out["translation_form"] = (
             op == d0 * 2 - Mat.identity(cls.group.order) * (2 * cls.size))
-    try:
-        out["eigenmode_catalog"] = catalog_json(
-            spinops.wave_eigenmode_catalog(cls, mu))
-    except (UnsupportedGroupError, ValueError):
-        pass
+        try:
+            out["eigenmode_catalog"] = catalog_json(
+                spinops.wave_eigenmode_catalog(cls, op, spect))
+        except UnsupportedGroupError:
+            pass
     return out
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from .cyclotomic import Cyclotomic, cyclo, rat
 from .errors import UnsupportedGroupError
 from .groups import FiniteGroup
-from .linalg import Mat, rank
+from .linalg import Mat
 
 _ZERO = rat(0)
 _ONE = rat(1)
@@ -200,18 +200,3 @@ def irreducibles(group: FiniteGroup) -> list[Representation]:
     for k in range(1, top + 1):
         out.append(Representation(group, _spinor_matrices(struct, k), name=f"planar{k}"))
     return out
-
-
-def peter_weyl_matrix(reps: list[Representation]) -> Mat:
-    """All matrix-element functions stacked as rows; full row rank means the
-    catalog spans every function on the group."""
-    rows = []
-    for rep in reps:
-        for i in range(rep.dim):
-            for j in range(rep.dim):
-                rows.append(rep.matrix_element(i, j))
-    return Mat(rows)
-
-
-def peter_weyl_rank(reps: list[Representation]) -> int:
-    return rank(peter_weyl_matrix(reps))

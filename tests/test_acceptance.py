@@ -157,7 +157,7 @@ def test_criterion_06_wave_operator_and_catalog_certification(
     assert wave0_d6 == d0 * 2 - Mat.identity(12) * 6
     spect = spectrum(wave0_d6, wave_candidates())
     assert spect.pairs == ((rat(-12), 2), (rat(-6), 8), (rat(0), 2))
-    catalog = wave_eigenmode_catalog(cls_d6)
+    catalog = wave_eigenmode_catalog(cls_d6, wave0_d6, spect)
     nonzero = 0
     for fam in catalog["families"]:
         claimed = fam["claimed_eigenvalue"]

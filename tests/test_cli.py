@@ -87,6 +87,34 @@ def test_negative_mu_needs_equals_form(capsys):
     assert "error(precondition)" in err
 
 
+@pytest.mark.parametrize("mu", ["1e5", "2.5e-3", "inf", "nan", "1/0", " 1/3", "5."])
+def test_mu_outside_plain_rational_syntax_exits_2(capsys, mu):
+    code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                        f"--mu={mu}", "--cmd", "calculus")
+    assert code == 2
+    assert err.startswith("error(usage): --mu must be a rational")
+
+
+@pytest.mark.parametrize("mu", ["0", "-2", "+1/3", "0.25", "-.5", "12/8"])
+def test_plain_rational_mu_accepted(capsys, mu):
+    code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                        f"--mu={mu}", "--cmd", "calculus")
+    assert (code, err) == (0, "")
+
+
+def test_mu_exponent_refused_before_expansion(monkeypatch, capsys):
+    # Fraction would build a 10^9-digit integer; it must never see the text,
+    # and the refusal comes before the group is built
+    def unreachable(*_args):
+        raise AssertionError("Fraction or the group builder ran")
+    monkeypatch.setattr(cli, "Fraction", unreachable)
+    monkeypatch.setattr(cli, "dihedral", unreachable)
+    code, _, err = _run(capsys, "--group", "dihedral:256", "--class", "sr",
+                        "--mu=1e999999999", "--cmd", "calculus")
+    assert code == 2
+    assert "--mu" in err
+
+
 def _forbid(monkeypatch, *names):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("called after the input should have been rejected")

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from groupgeo import dirac, reporting
+from groupgeo import connections, dirac, reporting
 from groupgeo.connections import levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
@@ -23,9 +23,7 @@ from groupgeo.dirac import (
     exp_taylor_coefficients,
     gamma_matrices,
     metric,
-    metric_tensor,
     minimal_polynomial,
-    minimal_polynomial_check,
     poly_from_roots,
     spectral_action,
     spectrum,
@@ -41,8 +39,9 @@ from groupgeo.errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from groupgeo.linalg import Mat
+from groupgeo.linalg import Mat, rank
 from groupgeo.representations import builtin_rep, irreducibles
+from oracles import metric_tensor, minimal_polynomial_check
 
 
 # -- metric -----------------------------------------------------------------
@@ -300,14 +299,30 @@ def test_wave_minimal_polynomial(wave0_d6):
 MUS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 5)]
 
 
+@pytest.fixture(scope="module")
+def krylov_d6(rep_d6, cal_d6, cls_d6):
+    """The D6 Dirac and wave operators at mu, each with its Krylov minimal
+    polynomial; computed once per mu for every test that uses them."""
+    cache = {}
+
+    def at(mu):
+        if mu not in cache:
+            ops = {"dirac": dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu),
+                   "wave": wave_operator(cls_d6, mu)}
+            cache[mu] = {name: (op, minimal_polynomial(op)) for name, op in ops.items()}
+        return cache[mu]
+
+    return at
+
+
 @pytest.mark.parametrize("mu", MUS, ids=str)
-def test_certified_roots_give_krylov_minimal_polynomial_d6(rep_d6, cal_d6, cls_d6, mu):
-    op = dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu)
+def test_certified_roots_give_krylov_minimal_polynomial_d6(krylov_d6, mu):
+    op, krylov = krylov_d6(mu)["dirac"]
     spect = spectrum(op, dirac_candidates(mu))
-    assert minimal_polynomial(op) == poly_from_roots(spect.eigenspaces)
-    op = wave_operator(cls_d6, mu)
+    assert krylov == poly_from_roots(spect.eigenspaces)
+    op, krylov = krylov_d6(mu)["wave"]
     spect = spectrum(op, wave_candidates(mu))
-    assert minimal_polynomial(op) == poly_from_roots(spect.eigenspaces)
+    assert krylov == poly_from_roots(spect.eigenspaces)
 
 
 @pytest.mark.parametrize("cal_name", ["cal_d3", "s3_cal"])
@@ -321,12 +336,9 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
 
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)], ids=str)
 def test_reports_reduce_each_candidate_once_and_skip_krylov(
-        monkeypatch, rep_d6, cal_d6, cls_d6, mu):
-    expected = {
-        "dirac": reporting.values_json(minimal_polynomial(
-            dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu))),
-        "wave": reporting.values_json(minimal_polynomial(wave_operator(cls_d6, mu))),
-    }
+        monkeypatch, krylov_d6, cal_d6, cls_d6, mu):
+    expected = {name: reporting.values_json(krylov)
+                for name, (_, krylov) in krylov_d6(mu).items()}
     reductions = []
 
     def counted(matrix):
@@ -360,13 +372,44 @@ def _summary(catalog, value):
 
 
 @pytest.fixture(scope="module")
-def dirac_catalog(rep_d6, lc_d6, cls_d6):
-    return eigenmode_catalog(rep_d6, lc_d6, cls_d6)
+def wave_spect0(wave0_d6):
+    return spectrum(wave0_d6, wave_candidates())
 
 
 @pytest.fixture(scope="module")
-def wave_catalog(cls_d6):
-    return wave_eigenmode_catalog(cls_d6)
+def dirac_catalog(cls_d6, dirac0_d6, spect0):
+    return eigenmode_catalog(cls_d6, dirac0_d6, spect0)
+
+
+@pytest.fixture(scope="module")
+def wave_catalog(cls_d6, wave0_d6, wave_spect0):
+    return wave_eigenmode_catalog(cls_d6, wave0_d6, wave_spect0)
+
+
+def _rank_multiplicity(op, value):
+    # the nullity the catalogs computed before they read the certified spectrum
+    return op.nrows - rank(op - Mat.identity(op.nrows) * value)
+
+
+def test_catalog_multiplicities_match_rank_oracle(
+        dirac_catalog, wave_catalog, dirac0_d6, wave0_d6):
+    for op, catalog in ((dirac0_d6, dirac_catalog), (wave0_d6, wave_catalog)):
+        assert len(catalog["eigenvalues"]) == 3
+        for s in catalog["eigenvalues"]:
+            assert s["multiplicity"] == _rank_multiplicity(op, s["value"])
+
+
+def test_catalogs_rebuild_no_operator_or_connection(
+        monkeypatch, cls_d6, dirac0_d6, wave0_d6, spect0, wave_spect0,
+        dirac_catalog, wave_catalog):
+    def rebuilt(*_args, **_kwargs):
+        raise AssertionError("a catalog rebuilt what the report already holds")
+
+    monkeypatch.setattr(dirac, "dirac_operator", rebuilt)
+    monkeypatch.setattr(dirac, "wave_operator", rebuilt)
+    monkeypatch.setattr(connections, "levi_civita", rebuilt)
+    assert eigenmode_catalog(cls_d6, dirac0_d6, spect0) == dirac_catalog
+    assert wave_eigenmode_catalog(cls_d6, wave0_d6, wave_spect0) == wave_catalog
 
 
 def test_dirac_catalog_family_statuses(dirac_catalog):
@@ -421,22 +464,6 @@ def test_dirac_catalog_structural_flags(dirac_catalog):
     assert all(dirac_catalog["component_identities"].values())
 
 
-def test_dirac_catalog_preconditions(rep_d6, lc_d6, cls_d6, d6):
-    with pytest.raises(ValueError, match="mu = 0"):
-        eigenmode_catalog(rep_d6, lc_d6, cls_d6, Fraction(1))
-    sign2 = builtin_rep(d6, "sign2")
-    with pytest.raises(UnsupportedGroupError, match="spinor"):
-        eigenmode_catalog(sign2, lc_d6, cls_d6)
-
-
-def test_dirac_catalog_requires_distinguished_connection(rep_d6, cal_d6, cls_d6):
-    from groupgeo.connections import Connection
-    other = Connection.from_chart(
-        cal_d6, cal_d6.constant(-1), cal_d6.constant(0), cal_d6.constant(0))
-    with pytest.raises(ValueError, match="distinguished"):
-        eigenmode_catalog(rep_d6, other, cls_d6)
-
-
 def test_wave_catalog_family_statuses(wave_catalog):
     assert _statuses(wave_catalog, "twisted second column") == [
         "zero_vector", "eigenmode"]
@@ -459,9 +486,47 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
     assert wave_catalog["conjugates_coincide_reversed"] is True
 
 
-def test_catalogs_unavailable_off_the_supported_group(s3_cls):
+def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
+    dirac_op = dirac_operator(builtin_rep(s3_cls.group, "spinor"),
+                              levi_civita(s3_cal), s3_cls)
+    dirac_spect = spectrum(dirac_op, dirac_candidates())
+    wave_op = wave_operator(s3_cls)
+    wave_spect = spectrum(wave_op, wave_candidates())
+
+    def built(*_args, **_kwargs):
+        raise AssertionError("a representation was built before the refusal")
+
+    # the refusal comes before any representation is built
+    monkeypatch.setattr(dirac, "builtin_rep", built)
+    monkeypatch.setattr(dirac, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
-        wave_eigenmode_catalog(s3_cls)
+        eigenmode_catalog(s3_cls, dirac_op, dirac_spect)
+    with pytest.raises(UnsupportedGroupError):
+        wave_eigenmode_catalog(s3_cls, wave_op, wave_spect)
+
+
+def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d6, cal_d3, cls_d6):
+    assert "eigenmode_catalog" not in reporting.dirac_report(cal_d3)
+    assert "eigenmode_catalog" not in reporting.wave_report(cal_d3.cls)
+
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("a catalog ran away from mu = 0")
+
+    monkeypatch.setattr(dirac, "eigenmode_catalog", unreachable)
+    monkeypatch.setattr(dirac, "wave_eigenmode_catalog", unreachable)
+    assert "eigenmode_catalog" not in reporting.dirac_report(cal_d6, Fraction(1))
+    assert "eigenmode_catalog" not in reporting.wave_report(cls_d6, Fraction(1))
+
+
+def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cal_d6, cls_d6):
+    def broken(*_args, **_kwargs):
+        raise ValueError("a bug inside the catalog")
+
+    monkeypatch.setattr(dirac, "_assess", broken)
+    with pytest.raises(ValueError, match="a bug inside the catalog"):
+        reporting.dirac_report(cal_d6)
+    with pytest.raises(ValueError, match="a bug inside the catalog"):
+        reporting.wave_report(cls_d6)
 
 
 # -- chirality --------------------------------------------------------------

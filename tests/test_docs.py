@@ -1,16 +1,57 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the package ships no
+public function that nothing calls."""
 
+import ast
 import os
 import re
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = os.path.join(ROOT, "README.md")
+PACKAGE = os.path.join(ROOT, "src", "groupgeo")
+
+
+def _readme_python_blocks():
+    with open(README, encoding="utf-8") as handle:
+        return re.findall(r"^```python\n(.*?)^```", handle.read(),
+                          re.MULTILINE | re.DOTALL)
 
 
 def test_readme_python_example_runs(capsys):
-    with open(README, encoding="utf-8") as handle:
-        blocks = re.findall(r"^```python\n(.*?)^```", handle.read(),
-                            re.MULTILINE | re.DOTALL)
+    blocks = _readme_python_blocks()
     assert blocks, "README has no python example"
     for source in blocks:
         exec(compile(source, "README.md", "exec"), {})
     assert "dim=24" in capsys.readouterr().out
+
+
+def _names(node) -> set:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.rpartition(".")[2])
+    return out
+
+
+def test_every_public_function_has_a_package_caller():
+    public = []
+    referenced = []  # (name, the statement it appears in)
+    for filename in sorted(os.listdir(PACKAGE)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                public.append((filename, node))
+            referenced += [(name, node) for name in _names(node)]
+    for source in _readme_python_blocks():
+        referenced += [(name, None) for name in _names(ast.parse(source))]
+    # a function's own body (recursion, its docstring) is not a caller
+    uncalled = [f"{filename}:{node.name}" for filename, node in public
+                if not any(name == node.name and where is not node
+                           for name, where in referenced)]
+    assert uncalled == []

@@ -12,8 +12,6 @@ from groupgeo.groups import (
     class_product_table,
     conjugacy_class,
     dihedral,
-    is_cyclic_class,
-    right_translation,
 )
 from groupgeo.linalg import Mat
 
@@ -68,14 +66,13 @@ def test_string_lookup_matches_index_lookup(d6, cls_d6):
 
 def test_other_reflection_class_is_cyclic_too(d6):
     cls = d6.conjugacy_class(d6.index("s"))
-    ok, witness = is_cyclic_class(cls)
-    assert ok and witness == d6.index("s")
+    assert cls.cyclic_witness == d6.index("s")
     assert cls.labels() == ("s", "sr2", "sr4")
 
 
 def test_rotation_class_is_not_cyclic(d6):
     cls = d6.conjugacy_class(d6.index("r"))
-    assert is_cyclic_class(cls) == (False, None)
+    assert cls.cyclic_witness is None
     with pytest.raises(NonCyclicClassError, match="not cyclic"):
         cls.require_calculus_admissible()
 
@@ -105,13 +102,13 @@ def test_class_product_table_values(cls_d6, d6):
 def test_right_translation_composition(d6):
     # (R_a f)(g) = f(ga), so matrices compose covariantly
     for a, b in [(1, 6), (7, 9), (3, 11)]:
-        ra, rb = right_translation(d6, a), right_translation(d6, b)
-        assert ra @ rb == right_translation(d6, d6.mul(a, b))
-    assert right_translation(d6, 0) == Mat.identity(12)
+        ra, rb = d6.right_translation(a), d6.right_translation(b)
+        assert ra @ rb == d6.right_translation(d6.mul(a, b))
+    assert d6.right_translation(0) == Mat.identity(12)
 
 
 def test_right_translation_is_permutation(d6):
-    m = right_translation(d6, 7)
+    m = d6.right_translation(7)
     for g in range(12):
         row = [m[g, h] for h in range(12)]
         assert sum(v.as_fraction() for v in row) == 1
