@@ -370,16 +370,3 @@ def differential_calculus(cls: ConjClass) -> Calculus:
     """Build the calculus; raises NonCyclicClassError for inadmissible classes."""
     return Calculus(cls)
 
-
-def wedge(left: OneForm, right: OneForm) -> TwoForm:
-    if left.calculus is not right.calculus:
-        raise ValueError("both forms must live over the same calculus")
-    return left.calculus.wedge(left, right)
-
-
-def d_function(calculus: Calculus, f: GroupFunction) -> OneForm:
-    return calculus.d_function(f)
-
-
-def d_one_form(alpha: OneForm) -> TwoForm:
-    return alpha.calculus.d_one_form(alpha)

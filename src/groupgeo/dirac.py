@@ -9,12 +9,14 @@ singular at mu = -1/4; both degenerate values raise SingularMetricError.
 A spinor operator is a plain exact matrix on W tensor (functions on G),
 laid out spinor-component-major: entry block (i, j) of the dim(W) x dim(W)
 grid is the |G| x |G| operator mapping the j-th spinor component into the
-i-th.  Spectra are certified, never approximated: a candidate eigenvalue
-keeps the exact kernel basis of (op - lambda id) as its eigenspace, and the
-multiplicities must add up to the full dimension or the computation refuses
-to answer (IncompleteSpectrumError).  A certified spectrum proves the
-operator diagonalisable, so chirality gradings and minimal polynomials are
-read off it without a second reduction.
+i-th.  Spectra are certified from the operator alone, never approximated:
+the eigenvalues are the rational roots of the minimal polynomials of unit
+vectors under the operator, each keeps the exact kernel basis of
+(op - lambda id) as its eigenspace, and the multiplicities must add up to
+the full dimension or the computation refuses to answer
+(IncompleteSpectrumError).  A certified spectrum proves the operator
+diagonalisable, so chirality gradings and minimal polynomials are read off
+it without a second reduction.
 
 The eigenmode catalogs replay a closed-form list of claimed eigenvectors
 against the operator a report has built and its certified spectrum, whose
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .connections import Connection
 from .cyclotomic import Cyclotomic, rat
@@ -136,34 +138,17 @@ def casimir(rep: Representation, C: ConjClass, mu=Fraction(0)) -> Mat:
     return total * rat(Fraction(1, 1 + 4 * mu))
 
 
-def gamma_matrices(rep: Representation, C: ConjClass, mu=Fraction(0),
-                   variant: str = "casimir") -> dict[int, Mat]:
+def gamma_matrices(rep: Representation, C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
     """One gamma matrix per class member, keyed by group element index.
 
-    variant "casimir" (the default, used by the Dirac operator) shifts the
-    translation part rho(a^-1) - id by 4 mu/(1 + 4 mu) times the identity;
-    variant "metric" contracts the translation parts with the inverse
-    metric instead, shifting by 3 mu/(1 + 3 mu) on a 3-member class.  The
-    two agree at mu = 0 and differ for generic mu.
+    The casimir convention of the Dirac operator: the translation part
+    rho(a^-1) - id shifted by 4 mu/(1 + 4 mu) times the identity.
     """
     mu = Fraction(mu)
     _require_gamma_admissible(C, mu)
-    group = rep.group
     ident = Mat.identity(rep.dim)
-    taus = {a: rep(group.inv(a)) - ident for a in C.members}
-    if variant == "casimir":
-        shift = rat(Fraction(4 * mu, 1 + 4 * mu))
-        return {a: taus[a] + ident * shift for a in C.members}
-    if variant == "metric":
-        eta_inv = metric(C, mu).eta_inv
-        out = {}
-        for apos, a in enumerate(C.members):
-            acc = Mat.zeros(rep.dim, rep.dim)
-            for bpos, b in enumerate(C.members):
-                acc = acc + taus[b] * eta_inv[apos, bpos]
-            out[a] = acc
-        return out
-    raise ValueError(f"unknown gamma variant {variant!r}")
+    shift = rat(Fraction(4 * mu, 1 + 4 * mu))
+    return {a: rep(rep.group.inv(a)) - ident + ident * shift for a in C.members}
 
 
 # ---------------------------------------------------------------------------
@@ -234,24 +219,6 @@ def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     return op
 
 
-def dirac_candidates(mu=Fraction(0)) -> list[Fraction]:
-    """Candidate Dirac eigenvalues for a 3-member involutive class with the
-    distinguished connection.
-
-    At mu = 0 the operator splits into translation blocks with eigenvalues
-    0 and +-3; away from zero it shifts by 4 mu/(1 + 4 mu) times the
-    centered class translation sum, which commutes with the free part, so
-    every eigenvalue is a sum from the two commuting spectra.
-    """
-    mu = Fraction(mu)
-    if 1 + 4 * mu == 0:
-        raise SingularMetricError(
-            "casimir normalisation 1/(1 + 4 mu) is singular at mu = -1/4")
-    c = Fraction(4 * mu, 1 + 4 * mu)
-    vals = {Fraction(s) + c * (l0 - 3) for s in (0, 3, -3) for l0 in (3, -3, 0)}
-    return sorted(vals)
-
-
 def wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
     """The scalar wave operator: minus the inverse-metric contraction of the
     second partial translations, as a |G| x |G| matrix.
@@ -272,21 +239,6 @@ def wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
             if w:
                 total = total + (partials[apos] @ partials[bpos]) * w
     return -total
-
-
-def wave_candidates(mu=Fraction(0)) -> list[Fraction]:
-    """Candidate wave eigenvalues for the 3-member involutive class.
-
-    The class translation sum has eigenvalues 3, 0, -3 on functions, and
-    the mu-dependence enters only through its square, scaled by
-    mu/(1 + 3 mu)."""
-    mu = Fraction(mu)
-    if 1 + 3 * mu == 0:
-        raise SingularMetricError(
-            "metric modulus mu = -1/3 is singular for a class of size 3")
-    m = Fraction(mu, 1 + 3 * mu)
-    vals = {Fraction(0), -6 + 9 * m, -12 + 36 * m}
-    return sorted(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +268,7 @@ class Spectrum:
         if total != dimension:
             raise IncompleteSpectrumError(
                 f"multiplicities sum to {total} but the operator dimension is "
-                f"{dimension}; the candidate list misses {dimension - total} dimensions")
+                f"{dimension}; the spectrum misses {dimension - total} dimensions")
         object.__setattr__(self, "eigenspaces", MappingProxyType(dict(spaces)))
         object.__setattr__(self, "dimension", dimension)
 
@@ -341,27 +293,33 @@ class Spectrum:
         return f"Spectrum({{{body}}}, dim={self.dimension})"
 
 
-def spectrum(op: Mat, candidates: Sequence | None = None) -> Spectrum:
-    """Certify the spectrum of an exact operator against candidate values.
+def spectrum(op: Mat) -> Spectrum:
+    """Certify the spectrum of an exact operator from the operator alone.
 
-    Each distinct candidate keeps the exact kernel basis of
-    (op - lambda id) as its eigenspace; candidates of nullity zero are
-    dropped.  If the multiplicities do not exhaust the dimension the
-    candidate list was incomplete and IncompleteSpectrumError is raised: no
-    eigenvalue is ever reported on numerical evidence.  Without candidates
-    the rational roots of the Krylov minimal polynomial are used.
+    The eigenvalues are the rational roots of the minimal polynomial of the
+    unit vector e_0 under op; while the eigenspaces found so far do not fill
+    the dimension, e_1, e_2, ... are tried in index order.  Each distinct
+    root keeps the exact kernel basis of (op - lambda id) as its eigenspace,
+    so the nullities, not the polynomial, decide the multiplicities.  If
+    they do not exhaust the dimension after every basis vector, the
+    operator is not diagonalisable and IncompleteSpectrumError is raised; a
+    vector polynomial that does not split over Q raises GroupGeoError.  No
+    eigenvalue is ever reported on numerical evidence.
     """
     n = op.nrows
     if n != op.ncols:
         raise ValueError("spectra are defined for square operators")
-    if candidates is None:
-        candidates = _rational_roots(minimal_polynomial(op))
     ident = Mat.identity(n)
-    spaces = {}
-    for v in dict.fromkeys(as_scalar(c) for c in candidates):
-        basis = kernel_basis(op - ident * v)
-        if basis:
-            spaces[v] = basis
+    spaces: dict[Cyclotomic, list] = {}
+    filled = 0
+    for start in range(n):
+        if filled == n:
+            break
+        for root in _rational_roots(_vector_minimal_polynomial(op, start)):
+            v = rat(root)
+            if v not in spaces:
+                spaces[v] = kernel_basis(op - ident * v)
+                filled += len(spaces[v])
     return Spectrum(spaces, n)
 
 
@@ -369,30 +327,30 @@ def spectrum(op: Mat, candidates: Sequence | None = None) -> Spectrum:
 # minimal polynomials
 
 
-def minimal_polynomial(op: Mat) -> list[Cyclotomic]:
-    """Monic minimal polynomial of an exact operator, low-to-high coeffs.
+def _vector_minimal_polynomial(op: Mat, start: int) -> list[Cyclotomic]:
+    """Monic minimal polynomial of the unit vector e_start under op,
+    low-to-high coefficients.
 
-    Krylov elimination on the flattened powers id, op, op^2, ...: each new
-    power is reduced against the pivots found so far while tracking the
-    combination that produced it; the first power that reduces to zero
-    yields the least annihilating polynomial.
+    Krylov elimination on e_start, op e_start, op^2 e_start, ... (see
+    Wiedemann, IEEE Trans. Inf. Theory 32, 1986): each new vector is
+    reduced against the pivots found so far while tracking the combination
+    of powers that produced it; the first vector that reduces to zero
+    gives the least p with p(op) e_start = 0.  Its roots are eigenvalues of
+    op, and every eigenvalue is a root for some start.
     """
     n = op.nrows
-    if n != op.ncols:
-        raise ValueError("minimal polynomials are defined for square operators")
+    power = [_ONE if i == start else _ZERO for i in range(n)]
     pivots: list[tuple[int, list[Cyclotomic], list[Cyclotomic]]] = []
-    power = Mat.identity(n)
     degree = 0
     while True:
-        vec = [x for row in power.rows for x in row]
+        vec = power
         combo = [_ZERO] * degree + [_ONE]
         for col, pvec, pcombo in pivots:
             f = vec[col]
             if f:
                 vec = [x - f * y for x, y in zip(vec, pvec)]
                 combo = [x - f * y for x, y in
-                         zip(combo + [_ZERO] * (len(pcombo) - len(combo)),
-                             pcombo + [_ZERO] * (len(combo) - len(pcombo)))]
+                         zip(combo, pcombo + [_ZERO] * (len(combo) - len(pcombo)))]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
             return combo
@@ -400,7 +358,7 @@ def minimal_polynomial(op: Mat) -> list[Cyclotomic]:
         pivots.append((lead,
                        [x * piv_inv for x in vec],
                        [x * piv_inv for x in combo]))
-        power = power @ op
+        power = op @ power
         degree += 1
 
 
@@ -415,78 +373,109 @@ def poly_from_roots(roots: Sequence) -> list[Cyclotomic]:
     return coeffs
 
 
-def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
-    """All roots of a monic exact polynomial, required rational.
+def _poly_text(coeffs: Sequence[Cyclotomic]) -> str:
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            coef = repr(c) if c.is_rational() else f"({c!r})"
+            power = "x" if k == 1 else f"x^{k}"
+            terms.append(coef if k == 0 else power if coef == "1" else f"{coef}*{power}")
+    return " + ".join(terms).replace("+ -", "- ")
 
-    Raises GroupGeoError when a coefficient is irrational or when the
-    polynomial does not split over the rationals; callers that know better
-    candidate sets should pass them explicitly instead.
+
+def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
+    """The distinct roots of a monic exact polynomial of degree >= 1,
+    required rational.
+
+    Raises GroupGeoError, naming the polynomial, when a coefficient is
+    irrational or when the polynomial does not split over the rationals:
+    the spectrum then has eigenvalues outside Q, which are not certified.
     """
     try:
         fracs = [c.as_fraction() for c in coeffs]
     except ValueError as exc:
         raise GroupGeoError(
-            "minimal polynomial has non-rational coefficients; "
-            "pass candidate eigenvalues explicitly") from exc
-    roots: list[Fraction] = []
-    cur = fracs
-    while len(cur) > 1:
-        while len(cur) > 1 and cur[0] == 0:
-            roots.append(Fraction(0))
-            cur = cur[1:]
-        if len(cur) == 1:
+            f"minimal polynomial {_poly_text(coeffs)} has non-rational "
+            "coefficients; eigenvalues outside Q are not certified") from exc
+    # y = den * x turns p into a monic integer polynomial, whose rational
+    # roots are integers
+    n = len(fracs) - 1
+    den = math.lcm(*(c.denominator for c in fracs))
+    ints = [int(c * den ** (n - k)) for k, c in enumerate(fracs)]
+    roots, distinct = _integer_roots(ints)
+    if len(roots) < distinct:
+        raise GroupGeoError(
+            f"minimal polynomial {_poly_text(coeffs)} does not split into "
+            "rational linear factors; eigenvalues outside Q are not certified")
+    return [Fraction(r, den) for r in roots]
+
+
+def _poly_rem(a: list[int], b: list[int]) -> list[Fraction]:
+    # remainder of a by b, low-to-high, with no zero leading coefficient
+    rem = [Fraction(c) for c in a]
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _sign_at_half(poly: list[int], m: int) -> int:
+    # the sign of poly((2m + 1)/2), read off 2^deg poly((2m + 1)/2)
+    acc, scale = 0, 1
+    for c in reversed(poly):
+        acc = acc * (2 * m + 1) + c * scale
+        scale *= 2
+    return (acc > 0) - (acc < 0)
+
+
+def _integer_roots(ints: list[int]) -> tuple[list[int], int]:
+    """The integer roots of a monic integer polynomial of degree >= 1, and
+    the number of its distinct complex roots.
+
+    The Sturm chain p, p', -rem(p, p'), ... (each member scaled by a
+    positive integer) counts the distinct real roots between two points
+    exactly, and its last member is gcd(p, p').  Every root lies inside
+    Fujiwara's bound, so bisecting integer intervals, with the counts taken
+    at half-integers (never roots), leaves one candidate integer per
+    interval that holds a root, which is checked exactly.  The cost grows
+    with the number of digits of the coefficients, not with their
+    divisors.
+    """
+    chain = [ints, [k * c for k, c in enumerate(ints)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
             break
-        den_lcm = math.lcm(*(c.denominator for c in cur))
-        ints = [int(c * den_lcm) for c in cur]
-        root = _find_rational_root(ints)
-        if root is None:
-            raise GroupGeoError(
-                "minimal polynomial does not split into rational linear factors; "
-                "pass candidate eigenvalues explicitly")
-        roots.append(root)
-        cur = _deflate(cur, root)
-    return roots
+        den = math.lcm(*(c.denominator for c in rem))
+        scaled = [int(c * den) for c in rem]
+        g = math.gcd(*scaled)
+        chain.append([-c // g for c in scaled])
 
+    def sign_changes(m: int) -> int:
+        signs = [s for s in (_sign_at_half(p, m) for p in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _find_rational_root(ints: list[int]) -> Fraction | None:
-    # rational root theorem on the integer-scaled polynomial
-    if ints[0] == 0:
-        return Fraction(0)
-    for q in _divisors(ints[-1]):
-        for p in _divisors(ints[0]):
-            for sign in (1, -1):
-                cand = Fraction(sign * p, q)
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    return cand
-    return None
-
-
-def _deflate(fracs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root), exact
-    out = [Fraction(0)] * (len(fracs) - 1)
-    carry = Fraction(0)
-    for i in range(len(fracs) - 1, 0, -1):
-        carry = fracs[i] + carry * root
-        out[i - 1] = carry
-    if fracs[0] + carry * root != 0:
-        raise GroupGeoError("synthetic division left a remainder; root was not exact")
-    return out
+    # |root| <= 2 max_k |c_{n-k}|^(1/k), rounded up to a power of two
+    bound = 2 ** (1 + max(-(-abs(c).bit_length() // k)
+                          for k, c in enumerate(reversed(ints[:-1]), 1)))
+    roots = []
+    todo = [(-bound - 1, bound)]  # the integers lo < r <= hi
+    while todo:
+        lo, hi = todo.pop()
+        if sign_changes(lo) == sign_changes(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(lo, mid), (mid, hi)]
+        elif sum(c * hi ** k for k, c in enumerate(ints)) == 0:
+            roots.append(hi)
+    return sorted(roots), len(ints) - len(chain[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -845,35 +834,25 @@ def wave_eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
 # spectral action
 
 
-def spectral_action(spect: Spectrum, f, lam) -> Cyclotomic:
-    """Sum of mult * f(lambda^2 / scale^2) over the certified spectrum.
+def spectral_action(spect: Spectrum, coeffs: Sequence, lam) -> Cyclotomic:
+    """Sum of mult * f(lambda^2 / lam^2) over the certified spectrum, for the
+    polynomial f with low-to-high coefficients coeffs.
 
-    f is either a callable on exact scalars or a low-to-high polynomial
-    coefficient sequence; scale lam must be a positive rational.  The
-    result is exact because the spectrum is.
+    The scale lam must be a positive rational.  The result is exact because
+    the spectrum is.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("the scale must be a positive rational")
-    if callable(f):
-        evaluate: Callable = f
-    else:
-        coeffs = [as_scalar(c) for c in f]
-
-        def evaluate(u):
-            acc = rat(0)
-            power = rat(1)
-            for c in coeffs:
-                if c:
-                    acc = acc + c * power
-                power = power * u
-            return acc
-
+    cs = [as_scalar(c) for c in coeffs]
     scale = rat(Fraction(1, lam * lam))
     out = rat(0)
     for value, mult in spect.pairs:
         u = value * value * scale
-        out = out + as_scalar(evaluate(u)) * rat(mult)
+        acc = rat(0)
+        for c in reversed(cs):
+            acc = acc * u + c
+        out = out + acc * rat(mult)
     return out
 
 

@@ -298,7 +298,7 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
         gamma_sum = gamma_sum + gammas[a]
-    spect = spinops.spectrum(op, spinops.dirac_candidates(mu))
+    spect = spinops.spectrum(op)
     met = spinops.metric(cls, mu)
     square = op @ op
     out = {
@@ -344,7 +344,7 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
 def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     op = spinops.wave_operator(cls, mu)
-    spect = spinops.spectrum(op, spinops.wave_candidates(mu))
+    spect = spinops.spectrum(op)
     out = {
         "mu": fraction_json(mu),
         "operator": matrix_json(op),
@@ -378,7 +378,7 @@ def spectral_action_report(cal: Calculus, mu=Fraction(0)) -> dict:
     rep = builtin_rep(cls.group, "spinor")
     lc = levi_civita(cal, mu)
     op = spinops.dirac_operator(rep, lc, cls, mu)
-    spect = spinops.spectrum(op, spinops.dirac_candidates(mu))
+    spect = spinops.spectrum(op)
     battery = []
     for name, coeffs in _ACTION_BATTERY:
         if coeffs is None:

@@ -2,8 +2,11 @@
 
 Each one is the direct, unoptimised form of something the package computes
 another way (the dense torsion system beside the Kronecker-factored solve,
-a polynomial evaluated on a matrix beside a certified spectrum) or a
-certificate the package does not need at run time (the Peter-Weyl rank).
+a polynomial evaluated on a matrix beside a certified spectrum, the matrix
+Krylov minimal polynomial beside the vector one), a closed form the package
+derives from the operator instead (the hand-derived eigenvalue candidates)
+or a certificate the package does not need at run time (the Peter-Weyl
+rank).
 """
 
 from __future__ import annotations
@@ -14,11 +17,14 @@ from typing import Sequence
 from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm
 from groupgeo.connections import Connection
 from groupgeo.curvature import TensorOneOne, connection_grid
-from groupgeo.cyclotomic import rat
-from groupgeo.dirac import minimal_polynomial, poly_from_roots
+from groupgeo.cyclotomic import Cyclotomic, rat
+from groupgeo.dirac import poly_from_roots
+from groupgeo.errors import SingularMetricError
 from groupgeo.linalg import Mat, as_scalar, rank
 from groupgeo.representations import Representation
 
+_ZERO = rat(0)
+_ONE = rat(1)
 
 # -- linear algebra ---------------------------------------------------------
 
@@ -176,6 +182,74 @@ def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
     grid = [[calculus.constant(Fraction(mu) + (1 if p == q else 0))
              for q in range(m)] for p in range(m)]
     return TensorOneOne(calculus, grid)
+
+
+def dirac_candidates(mu=Fraction(0)) -> list[Fraction]:
+    """Candidate Dirac eigenvalues for a 3-member involutive class with the
+    distinguished connection.
+
+    At mu = 0 the operator splits into translation blocks with eigenvalues
+    0 and +-3; away from zero it shifts by 4 mu/(1 + 4 mu) times the
+    centered class translation sum, which commutes with the free part, so
+    every eigenvalue is a sum from the two commuting spectra.
+    """
+    mu = Fraction(mu)
+    if 1 + 4 * mu == 0:
+        raise SingularMetricError(
+            "casimir normalisation 1/(1 + 4 mu) is singular at mu = -1/4")
+    c = Fraction(4 * mu, 1 + 4 * mu)
+    vals = {Fraction(s) + c * (l0 - 3) for s in (0, 3, -3) for l0 in (3, -3, 0)}
+    return sorted(vals)
+
+
+def wave_candidates(mu=Fraction(0)) -> list[Fraction]:
+    """Candidate wave eigenvalues for the 3-member involutive class.
+
+    The class translation sum has eigenvalues 3, 0, -3 on functions, and
+    the mu-dependence enters only through its square, scaled by
+    mu/(1 + 3 mu)."""
+    mu = Fraction(mu)
+    if 1 + 3 * mu == 0:
+        raise SingularMetricError(
+            "metric modulus mu = -1/3 is singular for a class of size 3")
+    m = Fraction(mu, 1 + 3 * mu)
+    vals = {Fraction(0), -6 + 9 * m, -12 + 36 * m}
+    return sorted(vals)
+
+
+def minimal_polynomial(op: Mat) -> list[Cyclotomic]:
+    """Monic minimal polynomial of an exact operator, low-to-high coeffs.
+
+    Krylov elimination on the flattened powers id, op, op^2, ...: each new
+    power is reduced against the pivots found so far while tracking the
+    combination that produced it; the first power that reduces to zero
+    yields the least annihilating polynomial.
+    """
+    n = op.nrows
+    if n != op.ncols:
+        raise ValueError("minimal polynomials are defined for square operators")
+    pivots: list[tuple[int, list[Cyclotomic], list[Cyclotomic]]] = []
+    power = Mat.identity(n)
+    degree = 0
+    while True:
+        vec = [x for row in power.rows for x in row]
+        combo = [_ZERO] * degree + [_ONE]
+        for col, pvec, pcombo in pivots:
+            f = vec[col]
+            if f:
+                vec = [x - f * y for x, y in zip(vec, pvec)]
+                combo = [x - f * y for x, y in
+                         zip(combo + [_ZERO] * (len(pcombo) - len(combo)),
+                             pcombo + [_ZERO] * (len(combo) - len(pcombo)))]
+        lead = next((i for i, x in enumerate(vec) if x), None)
+        if lead is None:
+            return combo
+        piv_inv = vec[lead].inverse()
+        pivots.append((lead,
+                       [x * piv_inv for x in vec],
+                       [x * piv_inv for x in combo]))
+        power = power @ op
+        degree += 1
 
 
 def minimal_polynomial_check(op: Mat, candidates: Sequence | None = None) -> bool:

@@ -10,8 +10,6 @@ import os
 import random
 from fractions import Fraction
 
-import pytest
-
 from groupgeo.calculus import GroupFunction, braiding
 from groupgeo.cli import main
 from groupgeo.connections import Connection, levi_civita, torsion_residual
@@ -20,21 +18,17 @@ from groupgeo.curvature import (
     curvature_forms,
     lift,
     relative_curvature,
-    ricci,
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.dirac import (
     chirality,
     class_translation_sum,
-    dirac_candidates,
     dirac_operator,
     spectral_action,
     spectrum,
     translation_block,
-    wave_candidates,
     wave_eigenmode_catalog,
-    wave_operator,
 )
 from groupgeo.groups import class_product_table
 from groupgeo.linalg import Mat
@@ -134,7 +128,7 @@ def test_criterion_04_curvature_lifts_and_ricci_flatness(
 
 
 def test_criterion_05_dirac_spectrum_and_block_form(dirac0_d6, rep_d6, cls_d6):
-    spect = spectrum(dirac0_d6, dirac_candidates())
+    spect = spectrum(dirac0_d6)
     assert spect.pairs == ((rat(-3), 8), (rat(0), 8), (rat(3), 8))
     assert dirac0_d6 @ dirac0_d6 @ dirac0_d6 == dirac0_d6 * 9
     assert dirac0_d6.trace() == rat(0)
@@ -155,7 +149,7 @@ def test_criterion_06_wave_operator_and_catalog_certification(
         wave0_d6, cls_d6):
     d0 = class_translation_sum(cls_d6)
     assert wave0_d6 == d0 * 2 - Mat.identity(12) * 6
-    spect = spectrum(wave0_d6, wave_candidates())
+    spect = spectrum(wave0_d6)
     assert spect.pairs == ((rat(-12), 2), (rat(-6), 8), (rat(0), 2))
     catalog = wave_eigenmode_catalog(cls_d6, wave0_d6, spect)
     nonzero = 0
@@ -177,7 +171,7 @@ def test_criterion_07_chirality_grading(dirac0_d6):
 
 
 def test_criterion_08_spectral_action_closed_form(dirac0_d6):
-    spect = spectrum(dirac0_d6, dirac_candidates())
+    spect = spectrum(dirac0_d6)
     rng = random.Random(88)
     polys = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
               for _ in range(rng.randint(1, 5))] for _ in range(12)]
@@ -214,7 +208,7 @@ def test_criterion_09_order_six_cross_check(s3_group, s3_cls, s3_cal, cls_d6):
         assert lc.components[pos] == s3_cal.basis_one_form(pos) - s3_cal.theta * third
     rep = builtin_rep(s3_group, "spinor")
     op = dirac_operator(rep, lc, s3_cls)
-    spect = spectrum(op, dirac_candidates())
+    spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
     # the antecedent construction reports nonzero magnitude 1 for this
     # group; we report the computed magnitude and the agreement flag

@@ -274,15 +274,35 @@ def test_exact_scalar_serialization(capsys):
 
 
 def test_incomplete_spectrum_exits_4(tmp_path, capsys):
-    # a valid table and class; the wave candidate formula assumes involutive
-    # class members, and the members of this class square to a^3
+    # a valid table and class whose members square to a^3, not to e: the
+    # wave operator has eigenvalues outside Q, so no spectrum is certified
     path = tmp_path / "dic3.json"
     path.write_text(json.dumps(dicyclic3().to_dict()))
     code, out, err = _run(capsys, "--cayley", str(path), "--class", "a0x1",
                           "--cmd", "wave")
     assert code == 4
     assert out == ""
-    assert err.startswith("error(precondition): multiplicities sum to 10")
+    assert err.startswith("error(precondition): minimal polynomial "
+                          "x^5 + 18*x^4 + 108*x^3 + 648*x^2 + 2592*x "
+                          "does not split into rational linear factors")
+
+
+@pytest.mark.parametrize("cmd", ["dirac", "spectral-action"])
+def test_singular_casimir_modulus_exits_4(capsys, cmd):
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                          "--cmd", cmd, "--mu=-1/4")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error(precondition):")
+    assert "1 + 4 mu" in err
+
+
+def test_singular_metric_modulus_on_wave_exits_4(capsys):
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                          "--cmd", "wave", "--mu=-1/3")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error(precondition): metric modulus mu = -1/3 is singular")
 
 
 def test_dihedral_over_the_cap_exits_2_before_building(monkeypatch, capsys):

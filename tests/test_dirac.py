@@ -17,31 +17,35 @@ from groupgeo.dirac import (
     casimir,
     chirality,
     class_translation_sum,
-    dirac_candidates,
     dirac_operator,
     eigenmode_catalog,
     exp_taylor_coefficients,
     gamma_matrices,
     metric,
-    minimal_polynomial,
     poly_from_roots,
     spectral_action,
     spectrum,
     spinor_blocks,
     translation_block,
-    wave_candidates,
     wave_eigenmode_catalog,
     wave_operator,
 )
 from groupgeo.errors import (
     AsymmetricSpectrumError,
+    GroupGeoError,
     IncompleteSpectrumError,
     SingularMetricError,
     UnsupportedGroupError,
 )
-from groupgeo.linalg import Mat, rank
+from groupgeo.linalg import Mat, kernel_basis, rank
 from groupgeo.representations import builtin_rep, irreducibles
-from oracles import metric_tensor, minimal_polynomial_check
+from oracles import (
+    dirac_candidates,
+    metric_tensor,
+    minimal_polynomial,
+    minimal_polynomial_check,
+    wave_candidates,
+)
 
 
 # -- metric -----------------------------------------------------------------
@@ -103,30 +107,20 @@ def test_casimir_singularities(rep_d6, cls_d6):
 
 
 def test_gamma_matrices_at_mu_zero(rep_d6, cls_d6, d6):
-    for variant in ("casimir", "metric"):
-        gam = gamma_matrices(rep_d6, cls_d6, variant=variant)
-        assert set(gam) == {7, 9, 11}
-        for a in cls_d6:
-            # class members are involutions: rho(a^-1) = rho(a)
-            assert gam[a] == rep_d6(a) - Mat.identity(2)
-        total = sum(gam.values(), Mat.zeros(2, 2))
-        assert total == Mat.identity(2) * -3
+    gam = gamma_matrices(rep_d6, cls_d6)
+    assert set(gam) == {7, 9, 11}
+    for a in cls_d6:
+        # class members are involutions: rho(a^-1) = rho(a)
+        assert gam[a] == rep_d6(a) - Mat.identity(2)
+    total = sum(gam.values(), Mat.zeros(2, 2))
+    assert total == Mat.identity(2) * -3
 
 
-def test_gamma_variants_differ_at_mu_one(rep_d6, cls_d6, d6):
+def test_gamma_matrices_at_mu_one(rep_d6, cls_d6, d6):
     t = d6.index("sr")
-    cas = gamma_matrices(rep_d6, cls_d6, Fraction(1), variant="casimir")
-    met = gamma_matrices(rep_d6, cls_d6, Fraction(1), variant="metric")
+    cas = gamma_matrices(rep_d6, cls_d6, Fraction(1))
     assert cas[t] == rep_d6(t) - Mat.identity(2) * Fraction(1, 5)
-    assert met[t] == rep_d6(t) - Mat.identity(2) * Fraction(1, 4)
-    assert cas[t] != met[t]
     assert sum(cas.values(), Mat.zeros(2, 2)) == Mat.identity(2) * Fraction(-3, 5)
-    assert sum(met.values(), Mat.zeros(2, 2)) == Mat.identity(2) * Fraction(-3, 4)
-
-
-def test_gamma_unknown_variant(rep_d6, cls_d6):
-    with pytest.raises(ValueError, match="unknown gamma variant"):
-        gamma_matrices(rep_d6, cls_d6, variant="mystery")
 
 
 # -- translation structure --------------------------------------------------
@@ -186,7 +180,7 @@ def test_dirac_algebraic_identities(dirac0_d6):
 
 
 def test_dirac_spectrum_at_mu_zero(dirac0_d6):
-    spect = spectrum(dirac0_d6, dirac_candidates())
+    spect = spectrum(dirac0_d6)
     assert spect.pairs == ((rat(-3), 8), (rat(0), 8), (rat(3), 8))
     assert spect.dimension == 24
     assert spect.multiplicity(3) == 8
@@ -211,7 +205,7 @@ def test_dirac_mu_shift_identity(dirac0_d6, dirac1_d6, cls_d6):
 
 
 def test_dirac_spectrum_at_mu_one(dirac1_d6):
-    spect = spectrum(dirac1_d6, dirac_candidates(Fraction(1)))
+    spect = spectrum(dirac1_d6)
     assert spect.pairs == (
         (rat(Fraction(-27, 5)), 4), (rat(-3), 4), (rat(Fraction(-12, 5)), 8),
         (rat(Fraction(-9, 5)), 4), (rat(Fraction(3, 5)), 4))
@@ -241,12 +235,61 @@ def test_spectrum_requires_exhaustion():
 
 
 def test_spectrum_certification_fails_on_short_candidates(dirac0_d6):
-    with pytest.raises(IncompleteSpectrumError):
-        spectrum(dirac0_d6, [0, 3])
+    ident = Mat.identity(24)
+    short = {v: kernel_basis(dirac0_d6 - ident * v) for v in (0, 3)}
+    with pytest.raises(IncompleteSpectrumError, match="misses 8 dimensions"):
+        Spectrum(short, 24)
+
+
+def test_spectrum_of_jordan_block_is_incomplete(monkeypatch):
+    starts = []
+
+    def recorded(op, start):
+        starts.append(start)
+        return vector_minimal_polynomial(op, start)
+
+    vector_minimal_polynomial = dirac._vector_minimal_polynomial
+    monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
+    # e_0 is an eigenvector; e_1 only finds the same root again
+    with pytest.raises(IncompleteSpectrumError, match="misses 1 dimensions"):
+        spectrum(Mat([[2, 1], [0, 2]]))
+    assert starts == [0, 1]
+
+
+def test_spectrum_refuses_eigenvalues_outside_q():
+    # x^2 - 2 has no rational root
+    with pytest.raises(GroupGeoError, match="x\\^2 - 2 does not split"):
+        spectrum(Mat([[0, 2], [1, 0]]))
+
+
+@pytest.mark.parametrize("roots", [
+    [0, 3, -3],
+    [Fraction(-164609052, 164609053), Fraction(329218107, 164609053), -3],
+    [Fraction(1, 2), Fraction(1, 2), Fraction(-7, 4)],
+], ids=["small", "large-denominators", "repeated"])
+def test_rational_roots_of_split_polynomials(roots):
+    expect = sorted(set(Fraction(r) for r in roots))
+    assert dirac._rational_roots(poly_from_roots(roots)) == expect
+
+
+@pytest.mark.parametrize("coeffs", [[1, 0, 1], [0, -2, 0, 1], [-4, 0, 0, 0, 1]],
+                         ids=["complex", "irrational", "quartic"])
+def test_rational_roots_refuse_polynomials_that_do_not_split(coeffs):
+    with pytest.raises(GroupGeoError, match="does not split"):
+        dirac._rational_roots([rat(c) for c in coeffs])
+
+
+def test_spectrum_at_a_modulus_with_large_denominators(cal_d3):
+    # the roots are found by bisection, not by listing divisors of the
+    # (here 45-digit) coefficients
+    mu = Fraction(123456789, 987654321)
+    cls = cal_d3.cls
+    op = dirac_operator(builtin_rep(cls.group, "spinor"), levi_civita(cal_d3, mu), cls, mu)
+    _certified_from_the_operator(op, minimal_polynomial(op), dirac_candidates(mu))
 
 
 def test_spectrum_iteration(dirac0_d6):
-    spect = spectrum(dirac0_d6, dirac_candidates())
+    spect = spectrum(dirac0_d6)
     assert len(spect) == 3
     assert [m for _, m in spect] == [8, 8, 8]
 
@@ -259,14 +302,14 @@ def test_wave_collapses_to_translation_sum(wave0_d6, cls_d6):
 
 
 def test_wave_spectrum_at_mu_zero(wave0_d6):
-    spect = spectrum(wave0_d6, wave_candidates())
+    spect = spectrum(wave0_d6)
     assert spect.pairs == ((rat(-12), 2), (rat(-6), 8), (rat(0), 2))
     assert wave0_d6.conj_transpose() == wave0_d6
 
 
 def test_wave_spectrum_at_mu_one(cls_d6):
     op = wave_operator(cls_d6, Fraction(1))
-    spect = spectrum(op, wave_candidates(Fraction(1)))
+    spect = spectrum(op)
     assert spect.pairs == (
         (rat(Fraction(-15, 4)), 8), (rat(-3), 2), (rat(0), 2))
 
@@ -315,49 +358,64 @@ def krylov_d6(rep_d6, cal_d6, cls_d6):
     return at
 
 
+def _certified_from_the_operator(op, krylov, candidates):
+    # the spectrum is found without candidates; the hand-derived closed
+    # forms and the matrix Krylov polynomial only check it
+    spect = spectrum(op)
+    assert set(spect.eigenspaces) <= {rat(c) for c in candidates}
+    assert krylov == poly_from_roots(spect.eigenspaces)
+
+
 @pytest.mark.parametrize("mu", MUS, ids=str)
 def test_certified_roots_give_krylov_minimal_polynomial_d6(krylov_d6, mu):
-    op, krylov = krylov_d6(mu)["dirac"]
-    spect = spectrum(op, dirac_candidates(mu))
-    assert krylov == poly_from_roots(spect.eigenspaces)
-    op, krylov = krylov_d6(mu)["wave"]
-    spect = spectrum(op, wave_candidates(mu))
-    assert krylov == poly_from_roots(spect.eigenspaces)
+    _certified_from_the_operator(*krylov_d6(mu)["dirac"], dirac_candidates(mu))
+    _certified_from_the_operator(*krylov_d6(mu)["wave"], wave_candidates(mu))
 
 
 @pytest.mark.parametrize("cal_name", ["cal_d3", "s3_cal"])
 def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name):
     cal = request.getfixturevalue(cal_name)
     cls = cal.cls
-    op = dirac_operator(builtin_rep(cls.group, "spinor"), levi_civita(cal), cls)
-    spect = spectrum(op, dirac_candidates())
-    assert minimal_polynomial(op) == poly_from_roots(spect.eigenspaces)
+    rep = builtin_rep(cls.group, "spinor")
+    for mu in MUS:
+        op = dirac_operator(rep, levi_civita(cal, mu), cls, mu)
+        _certified_from_the_operator(op, minimal_polynomial(op), dirac_candidates(mu))
 
 
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)], ids=str)
-def test_reports_reduce_each_candidate_once_and_skip_krylov(
+def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
         monkeypatch, krylov_d6, cal_d6, cls_d6, mu):
     expected = {name: reporting.values_json(krylov)
                 for name, (_, krylov) in krylov_d6(mu).items()}
     reductions = []
+    starts = []
 
     def counted(matrix):
         reductions.append(matrix)
         return kernel_basis(matrix)
 
-    def krylov(_op):
-        raise AssertionError("a report ran the Krylov minimal polynomial")
+    def recorded(op, start):
+        starts.append(start)
+        return vector_minimal_polynomial(op, start)
 
     kernel_basis = dirac.kernel_basis
+    vector_minimal_polynomial = dirac._vector_minimal_polynomial
     monkeypatch.setattr(dirac, "kernel_basis", counted)
-    monkeypatch.setattr(dirac, "minimal_polynomial", krylov)
+    monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
+    # the matrix Krylov minimal polynomial is a test oracle only
+    assert not hasattr(dirac, "minimal_polynomial")
     report = reporting.dirac_report(cal_d6, mu)
     assert report["minimal_polynomial"] == expected["dirac"]
-    assert len(reductions) == len(set(dirac_candidates(mu)))
+    assert len(reductions) == len(report["spectrum"]["pairs"])
+    assert len(reductions) == {Fraction(0): 3, Fraction(1, 2): 5}[mu]
+    # e_0 alone reaches every eigenvalue of the D6 operators
+    assert starts == [0]
     reductions.clear()
+    starts.clear()
     report = reporting.wave_report(cls_d6, mu)
     assert report["minimal_polynomial"] == expected["wave"]
-    assert len(reductions) == len(set(wave_candidates(mu)))
+    assert len(reductions) == len(report["spectrum"]["pairs"]) == 3
+    assert starts == [0]
 
 
 # -- eigenmode catalogs -----------------------------------------------------
@@ -373,7 +431,7 @@ def _summary(catalog, value):
 
 @pytest.fixture(scope="module")
 def wave_spect0(wave0_d6):
-    return spectrum(wave0_d6, wave_candidates())
+    return spectrum(wave0_d6)
 
 
 @pytest.fixture(scope="module")
@@ -489,9 +547,9 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
 def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
     dirac_op = dirac_operator(builtin_rep(s3_cls.group, "spinor"),
                               levi_civita(s3_cal), s3_cls)
-    dirac_spect = spectrum(dirac_op, dirac_candidates())
+    dirac_spect = spectrum(dirac_op)
     wave_op = wave_operator(s3_cls)
-    wave_spect = spectrum(wave_op, wave_candidates())
+    wave_spect = spectrum(wave_op)
 
     def built(*_args, **_kwargs):
         raise AssertionError("a representation was built before the refusal")
@@ -550,17 +608,20 @@ def test_chirality_kernel_sign_choices(dirac0_d6):
 
 def test_chirality_of_zero_operator():
     z = Mat.zeros(3, 3)
-    assert chirality(spectrum(z, candidates=[0])) == Mat.identity(3)
-    assert chirality(spectrum(z, candidates=[0]), kernel_sign=-1) == Mat.identity(3) * -1
+    assert chirality(spectrum(z)) == Mat.identity(3)
+    assert chirality(spectrum(z), kernel_sign=-1) == Mat.identity(3) * -1
 
 
 def test_chirality_rejects_asymmetric_spectrum(dirac1_d6):
     with pytest.raises(AsymmetricSpectrumError, match="-27/5"):
-        chirality(spectrum(dirac1_d6, dirac_candidates(Fraction(1))))
+        chirality(spectrum(dirac1_d6))
 
 
 def test_chirality_with_explicit_candidates(dirac0_d6):
-    g = chirality(spectrum(dirac0_d6, candidates=[0, 3, -3]))
+    # a spectrum assembled from the closed-form candidates grades alike
+    ident = Mat.identity(24)
+    spaces = {v: kernel_basis(dirac0_d6 - ident * v) for v in dirac_candidates()}
+    g = chirality(Spectrum(spaces, 24))
     assert g == chirality(spectrum(dirac0_d6))
 
 
@@ -568,7 +629,7 @@ def test_chirality_with_explicit_candidates(dirac0_d6):
 
 @pytest.fixture(scope="module")
 def spect0(dirac0_d6):
-    return spectrum(dirac0_d6, dirac_candidates())
+    return spectrum(dirac0_d6)
 
 
 def test_spectral_action_battery(spect0):
@@ -588,11 +649,6 @@ def test_spectral_action_exp_taylor(spect0):
     assert spectral_action(spect0, coeffs, 3) == rat(14)
 
 
-def test_spectral_action_callable_matches_coefficients(spect0):
-    assert spectral_action(spect0, lambda u: u * u + 1, 1) == \
-        spectral_action(spect0, [1, 0, 1], 1)
-
-
 def test_spectral_action_scale_validation(spect0):
     with pytest.raises(ValueError, match="positive"):
         spectral_action(spect0, [1], 0)
@@ -606,7 +662,7 @@ def test_s3_dirac_spectrum(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
     op = dirac_operator(rep, levi_civita(s3_cal), s3_cls)
-    spect = spectrum(op, dirac_candidates())
+    spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
     assert op.conj_transpose() == op
     assert (op @ op).trace() == rat(72)
@@ -614,7 +670,7 @@ def test_s3_dirac_spectrum(s3_group, s3_cls, s3_cal):
 
 def test_s3_wave_spectrum(s3_cls):
     op = wave_operator(s3_cls)
-    spect = spectrum(op, wave_candidates())
+    spect = spectrum(op)
     assert spect.pairs == ((rat(-12), 1), (rat(-6), 4), (rat(0), 1))
 
 

@@ -1,5 +1,6 @@
-"""The README's library example runs as written, and the package ships no
-public function that nothing calls."""
+"""The README's library example runs as written, the package ships no
+public function that nothing calls, and no module imports a name it never
+uses."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import re
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 README = os.path.join(ROOT, "README.md")
 PACKAGE = os.path.join(ROOT, "src", "groupgeo")
+TESTS = os.path.dirname(__file__)
 
 
 def _readme_python_blocks():
@@ -55,3 +57,30 @@ def test_every_public_function_has_a_package_caller():
                 if not any(name == node.name and where is not node
                            for name, where in referenced)]
     assert uncalled == []
+
+
+def _unused_imports(path: str) -> list:
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read(), path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    where = os.path.relpath(path, ROOT)
+    return [f"{where}:{line}: {name}" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_no_unused_imports():
+    unused = []
+    for directory in (PACKAGE, TESTS):
+        for filename in sorted(os.listdir(directory)):
+            # a package __init__ imports names to re-export them
+            if filename.endswith(".py") and filename != "__init__.py":
+                unused += _unused_imports(os.path.join(directory, filename))
+    assert unused == []
