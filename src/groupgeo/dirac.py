@@ -6,17 +6,24 @@ exactly at mu = -1/n.  Gamma matrices act on a chosen carrier representation
 W and come with the quadratic-casimir normalisation 1/(1 + 4 mu), which is
 singular at mu = -1/4; both degenerate values raise SingularMetricError.
 
-A spinor operator is a plain exact matrix on W tensor (functions on G),
-laid out spinor-component-major: entry block (i, j) of the dim(W) x dim(W)
-grid is the |G| x |G| operator mapping the j-th spinor component into the
-i-th.  Spectra are certified from the operator alone, never approximated:
-the eigenvalues are the rational roots of the minimal polynomials of unit
+A spinor operator is a group-algebra element sum_h M_h (x) R(h): constant
+dim(W) x dim(W) coefficients M_h times right translations, with every h in
+{e}, the class or its products, so inside H = <C>.  It is assembled
+straight from the coefficients into a plain exact matrix on W tensor
+(functions on G), laid out spinor-component-major: entry block (i, j) of
+the dim(W) x dim(W) grid is the |G| x |G| operator mapping the j-th spinor
+component into the i-th.  The same coefficients assembled on the elements
+of H give the block of which the operator is [G:H] copies.
+
+Spectra are certified from the operator alone, never approximated: the
+eigenvalues are the rational roots of the minimal polynomials of unit
 vectors under the operator, each keeps the exact kernel basis of
 (op - lambda id) as its eigenspace, and the multiplicities must add up to
 the full dimension or the computation refuses to answer
-(IncompleteSpectrumError).  A certified spectrum proves the operator
-diagonalisable, so chirality gradings and minimal polynomials are read off
-it without a second reduction.
+(IncompleteSpectrumError).  The reports certify the block and lift its
+eigenspaces to G by left translation.  A certified spectrum proves the
+operator diagonalisable, so chirality gradings and minimal polynomials are
+read off it without a second reduction.
 
 The eigenmode catalogs replay a closed-form list of claimed eigenvectors
 against the operator a report has built and its certified spectrum, whose
@@ -43,7 +50,7 @@ from .errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from .groups import ConjClass
+from .groups import ConjClass, FiniteGroup
 from .linalg import Mat, as_scalar, inverse, kernel_basis, rank
 from .representations import Representation, builtin_rep, irreducibles
 
@@ -152,16 +159,42 @@ def gamma_matrices(rep: Representation, C: ConjClass, mu=Fraction(0)) -> dict[in
 
 
 # ---------------------------------------------------------------------------
-# spinor operators
+# spinor operators as group-algebra elements
+
+
+def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
+             elements: Sequence[int] | None = None) -> Mat:
+    """The matrix of the group-algebra element sum_h coeffs[h] (x) R(h) on
+    W tensor (functions on elements, by default all of G), written entry by
+    entry.
+
+    R(h) is right translation, (R(h) f)(g) = f(gh), so entry ((i, g),
+    (j, gh)) is coeffs[h][i, j]; the layout is spinor-component-major.
+    elements must be closed under right multiplication by every h, such as
+    a subgroup holding every h.
+    """
+    if elements is None:
+        elements = range(group.order)
+    pos = {g: p for p, g in enumerate(elements)}
+    m = len(elements)
+    dim = next(iter(coeffs.values())).nrows
+    rows = [[_ZERO] * (dim * m) for _ in range(dim * m)]
+    for h, block in coeffs.items():
+        for p, g in enumerate(elements):
+            q = pos.get(group.mul(g, h))
+            if q is None:
+                raise ValueError("elements are not closed under right "
+                                 f"multiplication by {group.label(h)}")
+            for i, coeff_row in enumerate(block.rows):
+                row = rows[i * m + p]
+                for j, w in enumerate(coeff_row):
+                    row[j * m + q] = w
+    return Mat(rows)
 
 
 def class_translation_sum(C: ConjClass) -> Mat:
     """Sum of the right translation operators over the class members."""
-    group = C.group
-    total = Mat.zeros(group.order, group.order)
-    for a in C.members:
-        total = total + group.right_translation(a)
-    return total
+    return assemble({a: Mat([[1]]) for a in C.members}, C.group)
 
 
 def translation_block(rep: Representation, C: ConjClass, i: int, j: int) -> Mat:
@@ -170,13 +203,7 @@ def translation_block(rep: Representation, C: ConjClass, i: int, j: int) -> Mat:
     These are the blocks of the free part of the Dirac operator written in
     the spinor-component grid.
     """
-    group = C.group
-    total = Mat.zeros(group.order, group.order)
-    for a in C.members:
-        w = rep(a)[i, j]
-        if w:
-            total = total + group.right_translation(a) * w
-    return total
+    return assemble({a: Mat([[rep(a)[i, j]]]) for a in C.members}, C.group)
 
 
 def spinor_blocks(op: Mat, dim_w: int) -> list[list[Mat]]:
@@ -189,14 +216,19 @@ def spinor_blocks(op: Mat, dim_w: int) -> list[list[Mat]]:
 
 
 def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
-                   mu=Fraction(0)) -> Mat:
-    """The Dirac operator on W tensor functions, as one exact matrix.
+                   mu=Fraction(0), elements: Sequence[int] | None = None) -> Mat:
+    """The Dirac operator on W tensor (functions on elements), by default
+    on all of G, as one exact matrix.
 
     The free part couples each gamma matrix to the corresponding partial
     translation R_a - id; the connection part subtracts, for every pair of
-    class members, the gamma-weighted translation generator acting through
-    the coefficient function of the connection.  Layout is
-    spinor-component-major: kron(spinor factor, function factor).
+    class members, the gamma-weighted translation generator times the
+    coefficient of the connection.  With constant coefficients the
+    operator is the group-algebra element with coefficient gamma_a at each
+    class member a and the rest at the identity, so it maps functions on a
+    left coset of H = <C> to functions on the same coset, and elements may
+    be C.generated_subgroup().  Raises ValueError on a connection whose
+    coefficients vary over the group.
     """
     mu = Fraction(mu)
     group = rep.group
@@ -204,41 +236,46 @@ def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     if C.group != group or tuple(C.members) != tuple(cls.members):
         raise ValueError("representation, connection and class must share one group and class")
     gammas = gamma_matrices(rep, C, mu)
-    n = group.order
-    ident_n = Mat.identity(n)
-    op = Mat.zeros(rep.dim * n, rep.dim * n)
-    for a in C.members:
-        op = op + gammas[a].kron(group.right_translation(a) - ident_n)
     ident_w = Mat.identity(rep.dim)
+    coeffs = {0: Mat.zeros(rep.dim, rep.dim)}
+    for a in C.members:
+        coeffs[a] = gammas[a]
+        coeffs[0] = coeffs[0] - gammas[a]
     for apos, a in enumerate(C.members):
         tau = rep(group.inv(a)) - ident_w
         for bpos, b in enumerate(C.members):
-            coeff = A.coefficient(apos, bpos)
-            values = [coeff(g) for g in range(n)]
-            op = op - (gammas[b] @ tau).kron(Mat.diag(values))
-    return op
+            first, *rest = A.coefficient(apos, bpos).values
+            if any(v != first for v in rest):
+                raise ValueError(
+                    "the Dirac operator needs a connection with constant "
+                    f"coefficients; A_{group.label(a)} varies over the group "
+                    f"in its e_{group.label(b)} coefficient")
+            coeffs[0] = coeffs[0] - (gammas[b] @ tau) * first
+    return assemble(coeffs, group, elements)
 
 
-def wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
+def wave_operator(C: ConjClass, mu=Fraction(0),
+                  elements: Sequence[int] | None = None) -> Mat:
     """The scalar wave operator: minus the inverse-metric contraction of the
-    second partial translations, as a |G| x |G| matrix.
+    second partial translations, on the functions on elements (by default
+    all of G).
 
-    At mu = 0 on an involutive class this collapses to twice the class
-    translation sum minus twice the class size.
+    Each product (R_a - 1)(R_b - 1) expands to R_ab - R_a - R_b + 1, so the
+    operator is a group-algebra element supported on H = <C> and elements
+    may be C.generated_subgroup().  At mu = 0 on an involutive class it
+    collapses to twice the class translation sum minus twice the class
+    size.
     """
     mu = Fraction(mu)
     eta_inv = metric(C, mu).eta_inv
     group = C.group
-    n = group.order
-    ident = Mat.identity(n)
-    partials = [group.right_translation(a) - ident for a in C.members]
-    total = Mat.zeros(n, n)
-    for apos in range(C.size):
-        for bpos in range(C.size):
+    coeffs: dict[int, Cyclotomic] = {}
+    for apos, a in enumerate(C.members):
+        for bpos, b in enumerate(C.members):
             w = eta_inv[apos, bpos]
-            if w:
-                total = total + (partials[apos] @ partials[bpos]) * w
-    return -total
+            for h, sign in ((group.mul(a, b), -1), (a, 1), (b, 1), (0, -1)):
+                coeffs[h] = coeffs.get(h, _ZERO) + w * sign
+    return assemble({h: Mat([[c]]) for h, c in coeffs.items()}, group, elements)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +303,7 @@ class Spectrum:
                         key=lambda item: _sort_key(item[0]))
         total = sum(len(basis) for _, basis in spaces)
         if total != dimension:
-            raise IncompleteSpectrumError(
-                f"multiplicities sum to {total} but the operator dimension is "
-                f"{dimension}; the spectrum misses {dimension - total} dimensions")
+            raise IncompleteSpectrumError(total, dimension)
         object.__setattr__(self, "eigenspaces", MappingProxyType(dict(spaces)))
         object.__setattr__(self, "dimension", dimension)
 
@@ -321,6 +356,50 @@ def spectrum(op: Mat) -> Spectrum:
                 spaces[v] = kernel_basis(op - ident * v)
                 filled += len(spaces[v])
     return Spectrum(spaces, n)
+
+
+def reduced_spectrum(block: Mat, C: ConjClass) -> tuple[Spectrum, Spectrum]:
+    """The certified spectrum of a spinor operator's block on W tensor
+    (functions on H), H = C.generated_subgroup(), and the spectrum of the
+    operator on W tensor (functions on G) lifted from it.
+
+    block must be a group-algebra element supported on H, assembled on the
+    elements of H.  The operator commutes with left translation and keeps
+    each left coset gH to itself, so it is [G:H] copies of the block: each
+    block eigenvector, carried to every coset by left translation with the
+    coset's least element, is an eigenvector of the operator.  An
+    incomplete block spectrum is reported with the operator's numbers.
+    """
+    group = C.group
+    subgroup = C.generated_subgroup()
+    k = len(subgroup)
+    if block.nrows % k:
+        raise ValueError("block size is not a multiple of the subgroup order")
+    dim_w = block.nrows // k
+    cosets: list[int] = []
+    covered: set[int] = set()
+    for g in range(group.order):
+        if g not in covered:
+            cosets.append(g)
+            covered.update(group.mul(g, h) for h in subgroup)
+    try:
+        block_spect = spectrum(block)
+    except IncompleteSpectrumError as exc:
+        copies = len(cosets)
+        raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
+    n = group.order
+    spaces = {}
+    for value, basis in block_spect.eigenspaces.items():
+        lifted = []
+        for g in cosets:
+            for vec in basis:
+                full = [_ZERO] * (dim_w * n)
+                for i in range(dim_w):
+                    for p, h in enumerate(subgroup):
+                        full[i * n + group.mul(g, h)] = vec[i * k + p]
+                lifted.append(full)
+        spaces[value] = lifted
+    return block_spect, Spectrum(spaces, dim_w * n)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +561,18 @@ def _integer_roots(ints: list[int]) -> tuple[list[int], int]:
 # chirality
 
 
+def require_symmetric(spect: Spectrum) -> None:
+    """Raise AsymmetricSpectrumError, naming both multiplicities, unless
+    every nonzero eigenvalue has its mirror with the same multiplicity."""
+    for v, m in spect.pairs:
+        neg = -v
+        m_neg = spect.multiplicity(neg)
+        if not v.is_zero() and m_neg != m:
+            raise AsymmetricSpectrumError(
+                f"eigenvalue {v!r} has multiplicity {m} but {neg!r} has "
+                f"{m_neg}; no exact grading can pair them")
+
+
 def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
     """A grading that squares to the identity and anticommutes with the
     operator whose certified spectrum is given.
@@ -497,15 +588,8 @@ def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
     """
     if kernel_sign not in (1, -1):
         raise ValueError("kernel_sign must be +1 or -1")
+    require_symmetric(spect)
     spaces = spect.eigenspaces
-    # symmetry check first: every nonzero eigenvalue needs its mirror
-    for v, m in spect.pairs:
-        neg = -v
-        m_neg = spect.multiplicity(neg)
-        if not v.is_zero() and m_neg != m:
-            raise AsymmetricSpectrumError(
-                f"eigenvalue {v!r} has multiplicity {m} but {neg!r} has "
-                f"{m_neg}; no exact grading can pair them")
     # the grading sends sources[k] to images[k]: the i-th basis vector of
     # +lambda to the i-th of -lambda and back, kernel vectors to their sign
     sources: list[list[Cyclotomic]] = []
@@ -758,7 +842,7 @@ def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
     out = _assess(op, spect, families, [rat(0), rat(3), rat(-3)], completions)
     out["mu"] = Fraction(0)
 
-    parity_full = Mat.identity(spinor.dim).kron(parity_op)
+    parity_full = Mat.diag(chi * spinor.dim)
     out["sign_multiplication_anticommutes"] = (
         (op @ parity_full + parity_full @ op).is_zero()
         and parity_full @ parity_full == Mat.identity(spinor.dim * n))

@@ -34,7 +34,15 @@ class SingularMetricError(GroupGeoError):
 
 class IncompleteSpectrumError(GroupGeoError):
     """Exact eigenvalue search exhausted its candidate generators without
-    accounting for the full space."""
+    accounting for the full space: the certified multiplicities sum to
+    total, short of the operator dimension."""
+
+    def __init__(self, total: int, dimension: int):
+        super().__init__(
+            f"multiplicities sum to {total} but the operator dimension is "
+            f"{dimension}; the spectrum misses {dimension - total} dimensions")
+        self.total = total
+        self.dimension = dimension
 
 
 class AsymmetricSpectrumError(GroupGeoError):

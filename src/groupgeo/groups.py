@@ -2,9 +2,9 @@
 
 Elements are integer indices into a list of names; index 0 must be the
 identity.  The constructor checks the group axioms outright (identity,
-Latin-square invertibility, full associativity) and reports the first
-violation with the offending entries, so anything that gets past it is a
-genuine group.
+Latin-square invertibility, and associativity by Light's test over a
+generating set) and reports the first violation with the offending
+entries, so anything that gets past it is a genuine group.
 
 For the dihedral family the element order is fixed as
 e, r, r^2, ..., r^(n-1), s, sr, ..., sr^(n-1); several matrix displays
@@ -158,16 +158,50 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
         if len(set(col)) != n:
             raise CayleyValidationError(
                 f"invertibility axiom violated: column of {names[g]} is not a permutation")
-    for g in range(n):
-        for h in range(n):
+    for h in _right_generators(table):
+        row_h = table[h]
+        for g in range(n):
+            row_g, row_gh = table[g], table[table[g][h]]
+            if list(row_gh) != [row_g[x] for x in row_h]:
+                k = next(k for k in range(n) if row_gh[k] != row_g[row_h[k]])
+                raise CayleyValidationError(
+                    "associativity violated at triple "
+                    f"({names[g]}, {names[h]}, {names[k]}): "
+                    f"({names[g]}*{names[h]})*{names[k]} = {names[row_gh[k]]} but "
+                    f"{names[g]}*({names[h]}*{names[k]}) = {names[row_g[row_h[k]]]}")
+
+
+def _right_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Elements S, chosen greedily in index order, such that every element
+    is a left-to-right product (...((e s_1) s_2)...) s_k of members of S.
+
+    Light's associativity test needs (g h) k = g (h k) only for h in S: the
+    h that satisfy it for every g and k form a set closed under the
+    product, and it holds h = e, so it holds for all of the table.  In a
+    group each new member at least doubles the subgroup reached, so S has
+    at most log2(n) members and the check costs O(n^2 log n), not O(n^3).
+    """
+    gens: list[int] = []
+    reached = {0}
+    while len(reached) < len(table):
+        gens.append(next(g for g in range(len(table)) if g not in reached))
+        reached = _right_closure(table, gens)
+    return gens
+
+
+def _right_closure(table, gens: Sequence[int]) -> set[int]:
+    """The elements reached from the identity by right multiplications with
+    members of gens; in a group, the subgroup they generate."""
+    reached = {0}
+    todo = [0]
+    while todo:
+        g = todo.pop()
+        for h in gens:
             gh = table[g][h]
-            for k in range(n):
-                if table[gh][k] != table[g][table[h][k]]:
-                    raise CayleyValidationError(
-                        "associativity violated at triple "
-                        f"({names[g]}, {names[h]}, {names[k]}): "
-                        f"({names[g]}*{names[h]})*{names[k]} = {names[table[gh][k]]} but "
-                        f"{names[g]}*({names[h]}*{names[k]}) = {names[table[g][table[h][k]]]}")
+            if gh not in reached:
+                reached.add(gh)
+                todo.append(gh)
+    return reached
 
 
 class ConjClass:
@@ -208,6 +242,11 @@ class ConjClass:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self.group.label(a) for a in self.members)
+
+    def generated_subgroup(self) -> list[int]:
+        """The elements of H = <C> in ascending order, so the identity
+        comes first."""
+        return sorted(_right_closure(self.group.table, self.members))
 
     def position(self, element: int) -> int:
         """Index of a group element inside the class member order."""

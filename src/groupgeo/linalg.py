@@ -130,14 +130,6 @@ class Mat:
 
     __hash__ = None
 
-    def kron(self, other: "Mat") -> "Mat":
-        """Kronecker product, self's index varying slowest."""
-        out = []
-        for ra in self.rows:
-            for rb in other.rows:
-                out.append([a * b for a in ra for b in rb])
-        return Mat(out)
-
     def hstack(self, other: "Mat") -> "Mat":
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")

@@ -298,9 +298,11 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
         gamma_sum = gamma_sum + gammas[a]
-    spect = spinops.spectrum(op)
+    # op is [G:H] copies of its block on H = <C>: certify and square that
+    block = spinops.dirac_operator(rep, lc, cls, mu, cls.generated_subgroup())
+    block_spect, spect = spinops.reduced_spectrum(block, cls)
     met = spinops.metric(cls, mu)
-    square = op @ op
+    square = block @ block
     out = {
         "mu": fraction_json(mu),
         "metric": {"eta": matrix_json(met.eta), "eta_inv": matrix_json(met.eta_inv)},
@@ -309,9 +311,9 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
         "gamma_sum": matrix_json(gamma_sum),
         "spectrum": spectrum_json(spect),
         "trace": scalar_json(op.trace()),
-        "trace_of_square": scalar_json(square.trace()),
+        "trace_of_square": scalar_json(square.trace() * (op.nrows // block.nrows)),
         "hermitian": op.conj_transpose() == op,
-        "cube_equals_nine_times": square @ op == op * 9,
+        "cube_equals_nine_times": square @ block == block * 9,
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0 and rep.dim == 2:
@@ -323,12 +325,14 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
             blocks[0][0] == -d0 and blocks[1][1] == -d0
             and blocks[0][1] == d2 and blocks[1][0] == d1)
     try:
-        gam = spinops.chirality(spect)
-        ident = Mat.identity(op.nrows)
+        # the reason names the multiplicities of op, not of its block
+        spinops.require_symmetric(spect)
+        gam = spinops.chirality(block_spect)
+        ident = Mat.identity(block.nrows)
         out["chirality"] = {
             "available": True,
             "squares_to_identity": gam @ gam == ident,
-            "anticommutes_exactly": (gam @ op + op @ gam).is_zero(),
+            "anticommutes_exactly": (gam @ block + block @ gam).is_zero(),
         }
     except AsymmetricSpectrumError as exc:
         out["chirality"] = {"available": False, "reason": str(exc)}
@@ -344,7 +348,8 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
 def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     op = spinops.wave_operator(cls, mu)
-    spect = spinops.spectrum(op)
+    block = spinops.wave_operator(cls, mu, cls.generated_subgroup())
+    _, spect = spinops.reduced_spectrum(block, cls)
     out = {
         "mu": fraction_json(mu),
         "operator": matrix_json(op),
@@ -377,8 +382,8 @@ def spectral_action_report(cal: Calculus, mu=Fraction(0)) -> dict:
     cls = cal.cls
     rep = builtin_rep(cls.group, "spinor")
     lc = levi_civita(cal, mu)
-    op = spinops.dirac_operator(rep, lc, cls, mu)
-    spect = spinops.spectrum(op)
+    block = spinops.dirac_operator(rep, lc, cls, mu, cls.generated_subgroup())
+    _, spect = spinops.reduced_spectrum(block, cls)
     battery = []
     for name, coeffs in _ACTION_BATTERY:
         if coeffs is None:

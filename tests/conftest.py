@@ -130,6 +130,22 @@ def cal_d6_relabelled(d6):
     return differential_calculus(conjugacy_class(relabelled(d6, 12), "sr"))
 
 
+def direct_product_z2(group):
+    """group x Z2: the elements of group first (same names), then their
+    products with the central z, named f"{name}.z" ("z" for e.z)."""
+    n = group.order
+    names = list(group.names) + ["z" if a == "e" else f"{a}.z" for a in group.names]
+    table = [[((x // n + y // n) % 2) * n + group.mul(x % n, y % n)
+              for y in range(2 * n)] for x in range(2 * n)]
+    return FiniteGroup(names, table, name=f"{group.name}xZ2")
+
+
+@pytest.fixture(scope="session")
+def cls_d6z2(d6):
+    """The class of sr in D6 x Z2 (order 24), where H = <C> has index 4."""
+    return conjugacy_class(direct_product_z2(d6), "sr")
+
+
 def dicyclic3():
     """The dicyclic group of order 12 from x^2 = a^3, x a x^-1 = a^-1; the
     element a^i x^j is named f"a{i}x{j}" and sits at index 6*j + i."""

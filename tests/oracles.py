@@ -3,7 +3,10 @@
 Each one is the direct, unoptimised form of something the package computes
 another way (the dense torsion system beside the Kronecker-factored solve,
 a polynomial evaluated on a matrix beside a certified spectrum, the matrix
-Krylov minimal polynomial beside the vector one), a closed form the package
+Krylov minimal polynomial beside the vector one, the Dirac and wave
+operators summed from dense Kronecker and translation matrices beside
+their assembly from group-algebra coefficients, the full associativity
+scan beside Light's test), a closed form the package
 derives from the operator instead (the hand-derived eigenvalue candidates)
 or a certificate the package does not need at run time (the Peter-Weyl
 rank).
@@ -18,8 +21,9 @@ from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm
 from groupgeo.connections import Connection
 from groupgeo.curvature import TensorOneOne, connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.dirac import poly_from_roots
+from groupgeo.dirac import gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
+from groupgeo.groups import ConjClass
 from groupgeo.linalg import Mat, as_scalar, rank
 from groupgeo.representations import Representation
 
@@ -30,6 +34,11 @@ _ONE = rat(1)
 
 def vec_is_zero(a: Sequence) -> bool:
     return all(as_scalar(x).is_zero() for x in a)
+
+
+def kron(a: Mat, b: Mat) -> Mat:
+    """Kronecker product, a's index varying slowest."""
+    return Mat([[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows])
 
 
 def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:
@@ -184,6 +193,46 @@ def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
     return TensorOneOne(calculus, grid)
 
 
+def dense_dirac_operator(rep: Representation, A: Connection, C: ConjClass,
+                         mu=Fraction(0)) -> Mat:
+    """The Dirac operator summed from Kronecker products of the gamma
+    matrices with dense translation and multiplication matrices; the
+    connection coefficients may vary over the group."""
+    mu = Fraction(mu)
+    group = rep.group
+    gammas = gamma_matrices(rep, C, mu)
+    n = group.order
+    ident_n = Mat.identity(n)
+    op = Mat.zeros(rep.dim * n, rep.dim * n)
+    for a in C.members:
+        op = op + kron(gammas[a], group.right_translation(a) - ident_n)
+    ident_w = Mat.identity(rep.dim)
+    for apos, a in enumerate(C.members):
+        tau = rep(group.inv(a)) - ident_w
+        for bpos, b in enumerate(C.members):
+            coeff = A.coefficient(apos, bpos)
+            values = [coeff(g) for g in range(n)]
+            op = op - kron(gammas[b] @ tau, Mat.diag(values))
+    return op
+
+
+def dense_wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
+    """The wave operator summed from products of dense partial translation
+    matrices."""
+    eta_inv = metric(C, mu).eta_inv
+    group = C.group
+    n = group.order
+    ident = Mat.identity(n)
+    partials = [group.right_translation(a) - ident for a in C.members]
+    total = Mat.zeros(n, n)
+    for apos in range(C.size):
+        for bpos in range(C.size):
+            w = eta_inv[apos, bpos]
+            if w:
+                total = total + (partials[apos] @ partials[bpos]) * w
+    return -total
+
+
 def dirac_candidates(mu=Fraction(0)) -> list[Fraction]:
     """Candidate Dirac eigenvalues for a 3-member involutive class with the
     distinguished connection.
@@ -264,6 +313,21 @@ def minimal_polynomial_check(op: Mat, candidates: Sequence | None = None) -> boo
     else:
         coeffs = poly_from_roots(dict.fromkeys(as_scalar(c) for c in candidates))
     return eval_poly(op, coeffs).is_zero()
+
+
+# -- groups -----------------------------------------------------------------
+
+def associativity_violation(table: Sequence[Sequence[int]]) -> tuple | None:
+    """The first triple (g, h, k) in index order with (gh)k != g(hk), or
+    None: every triple of the table is checked."""
+    n = len(table)
+    for g in range(n):
+        for h in range(n):
+            gh = table[g][h]
+            for k in range(n):
+                if table[gh][k] != table[g][table[h][k]]:
+                    return g, h, k
+    return None
 
 
 # -- representations --------------------------------------------------------

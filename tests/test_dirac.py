@@ -8,12 +8,16 @@ asserted on floating point evidence.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import relabelled
 from groupgeo import connections, dirac, reporting
-from groupgeo.connections import levi_civita
+from groupgeo.calculus import GroupFunction, differential_calculus
+from groupgeo.connections import Connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
     Spectrum,
+    assemble,
     casimir,
     chirality,
     class_translation_sum,
@@ -23,6 +27,7 @@ from groupgeo.dirac import (
     gamma_matrices,
     metric,
     poly_from_roots,
+    reduced_spectrum,
     spectral_action,
     spectrum,
     spinor_blocks,
@@ -37,10 +42,14 @@ from groupgeo.errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
+from groupgeo.groups import conjugacy_class
 from groupgeo.linalg import Mat, kernel_basis, rank
 from groupgeo.representations import builtin_rep, irreducibles
 from oracles import (
+    dense_dirac_operator,
+    dense_wave_operator,
     dirac_candidates,
+    kron,
     metric_tensor,
     minimal_polynomial,
     minimal_polynomial_check,
@@ -167,7 +176,7 @@ def test_dirac_free_form_at_mu_zero(dirac0_d6, rep_d6, cls_d6, d6):
     gam = gamma_matrices(rep_d6, cls_d6)
     free = Mat.zeros(24, 24)
     for a in cls_d6:
-        free = free + gam[a].kron(d6.right_translation(a))
+        free = free + kron(gam[a], d6.right_translation(a))
     assert dirac0_d6 == free
 
 
@@ -200,7 +209,7 @@ def test_dirac_mu_shift_identity(dirac0_d6, dirac1_d6, cls_d6):
     # the entire mu dependence is a multiple of the centered translation sum
     c = Fraction(4, 5)
     d0 = class_translation_sum(cls_d6)
-    shift = Mat.identity(2).kron(d0 - Mat.identity(12) * 3)
+    shift = kron(Mat.identity(2), d0 - Mat.identity(12) * 3)
     assert dirac1_d6 == dirac0_d6 + shift * c
 
 
@@ -416,6 +425,135 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     assert report["minimal_polynomial"] == expected["wave"]
     assert len(reductions) == len(report["spectrum"]["pairs"]) == 3
     assert starts == [0]
+
+
+# -- group-algebra assembly and the reduction to H = <C> -------------------
+
+def _assert_block_certifies(op, block, cls):
+    """The lifted block spectrum is the dense spectrum of op, with every
+    multiplicity [G:H] times the block's and every lifted vector an
+    eigenvector of op."""
+    copies = cls.group.order // len(cls.generated_subgroup())
+    assert block.nrows * copies == op.nrows
+    block_spect, spect = reduced_spectrum(block, cls)
+    assert spect.dimension == op.nrows
+    assert spect.pairs == tuple((v, m * copies) for v, m in block_spect.pairs)
+    assert spect.pairs == spectrum(op).pairs
+    for value, basis in spect.eigenspaces.items():
+        for vec in basis:
+            assert op @ vec == [value * x for x in vec]
+
+
+@pytest.mark.parametrize("mu", MUS, ids=str)
+def test_assembled_operators_match_dense_oracles(oracle_cal, mu):
+    cls = oracle_cal.cls
+    rep = builtin_rep(cls.group, "spinor")
+    lc = levi_civita(oracle_cal, mu)
+    subgroup = cls.generated_subgroup()
+    op = dirac_operator(rep, lc, cls, mu)
+    assert op == dense_dirac_operator(rep, lc, cls, mu)
+    _assert_block_certifies(op, dirac_operator(rep, lc, cls, mu, subgroup), cls)
+    op = wave_operator(cls, mu)
+    assert op == dense_wave_operator(cls, mu)
+    _assert_block_certifies(op, wave_operator(cls, mu, subgroup), cls)
+
+
+@pytest.mark.parametrize("mu", MUS, ids=str)
+def test_wave_block_on_the_direct_product(cls_d6z2, mu):
+    assert cls_d6z2.group.order // len(cls_d6z2.generated_subgroup()) == 4
+    op = wave_operator(cls_d6z2, mu)
+    assert op == dense_wave_operator(cls_d6z2, mu)
+    _assert_block_certifies(op, wave_operator(cls_d6z2, mu, cls_d6z2.generated_subgroup()),
+                            cls_d6z2)
+
+
+def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6):
+    # a torsion-free chart connection whose first parameter is a delta
+    alpha = GroupFunction.delta(d6, 1)
+    conn = Connection.from_chart(cal_d6, alpha, cal_d6.constant(-1) - alpha,
+                                 cal_d6.constant(0))
+    with pytest.raises(ValueError, match="constant coefficients"):
+        dirac_operator(rep_d6, conn, cls_d6)
+
+
+def test_assembly_needs_elements_closed_under_the_support(cls_d6):
+    with pytest.raises(ValueError, match="not closed under right multiplication"):
+        wave_operator(cls_d6, 0, [0, 7])
+
+
+def test_incomplete_block_spectrum_states_the_operator_dimension(d6, cls_d6):
+    # a Jordan block on W at the identity: the block misses 6 of its 12
+    # dimensions, so the operator misses 12 of 24
+    block = assemble({0: Mat([[0, 1], [0, 0]])}, d6, cls_d6.generated_subgroup())
+    with pytest.raises(IncompleteSpectrumError, match="misses 6 dimensions"):
+        spectrum(block)
+    with pytest.raises(IncompleteSpectrumError) as info:
+        reduced_spectrum(block, cls_d6)
+    assert str(info.value) == (
+        "multiplicities sum to 12 but the operator dimension is 24; "
+        "the spectrum misses 12 dimensions")
+    assert (info.value.total, info.value.dimension) == (12, 24)
+
+
+@pytest.mark.parametrize("mu", MUS[1:], ids=str)
+def test_chirality_reason_states_the_operator_multiplicities(krylov_d6, cal_d6, mu):
+    op, _ = krylov_d6(mu)["dirac"]
+    with pytest.raises(AsymmetricSpectrumError) as info:
+        chirality(spectrum(op))
+    assert "multiplicity 4" in str(info.value)
+    assert reporting.dirac_report(cal_d6, mu)["chirality"] == {
+        "available": False, "reason": str(info.value)}
+
+
+def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6z2):
+    sizes = []
+    catalogs = []
+
+    def certified(op):
+        sizes.append(op.nrows)
+        return certify(op)
+
+    def catalog(C, op, spect):
+        catalogs.append((op.nrows, spect.dimension))
+        return replay(C, op, spect)
+
+    certify, replay = dirac.spectrum, dirac.eigenmode_catalog
+    monkeypatch.setattr(dirac, "spectrum", certified)
+    monkeypatch.setattr(dirac, "eigenmode_catalog", catalog)
+    reporting.dirac_report(cal_d6)
+    reporting.spectral_action_report(cal_d6, Fraction(1, 2))
+    assert sizes == [12, 12]
+    # the catalog replays against the full operator and lifted spectrum
+    assert catalogs == [(24, 24)]
+    sizes.clear()
+    report = reporting.wave_report(cls_d6z2, Fraction(1, 2))
+    assert sizes == [6]
+    assert report["spectrum"]["dimension"] == 24
+
+
+@pytest.fixture(scope="module")
+def d6_spectrum_tables(cal_d6):
+    cache = {}
+
+    def at(mu):
+        if mu not in cache:
+            cache[mu] = _spectrum_tables(cal_d6, mu)
+        return cache[mu]
+
+    return at
+
+
+def _spectrum_tables(cal, mu):
+    return {name: (report["spectrum"]["table"], report["spectrum"]["dimension"])
+            for name, report in (("dirac", reporting.dirac_report(cal, mu)),
+                                 ("wave", reporting.wave_report(cal.cls, mu)))}
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mu=st.sampled_from(MUS))
+def test_spectra_survive_relabelling(d6, d6_spectrum_tables, seed, mu):
+    cal = differential_calculus(conjugacy_class(relabelled(d6, seed), "sr"))
+    assert _spectrum_tables(cal, mu) == d6_spectrum_tables(mu)
 
 
 # -- eigenmode catalogs -----------------------------------------------------

@@ -2,9 +2,12 @@
 
 import itertools
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from groupgeo import groups
 from groupgeo.errors import CayleyValidationError, NonCyclicClassError
 from groupgeo.groups import (
     FiniteGroup,
@@ -14,6 +17,7 @@ from groupgeo.groups import (
     dihedral,
 )
 from groupgeo.linalg import Mat
+from oracles import associativity_violation
 
 
 def test_dihedral_6_structure(d6):
@@ -156,6 +160,52 @@ def test_cayley_rejects_nonassociative_loop():
     ]
     with pytest.raises(CayleyValidationError, match="associativity violated at triple"):
         FiniteGroup(["e", "a", "b", "c", "d"], table)
+
+
+def _intercalates(table):
+    # 2x2 subsquares [[u, v], [v, u]] off the identity row and column: swapping
+    # u and v inside one keeps the identity and Latin-square axioms
+    n = len(table)
+    return [(r1, r2, c1, c2)
+            for r1, r2 in itertools.combinations(range(1, n), 2)
+            for c1, c2 in itertools.combinations(range(1, n), 2)
+            if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), which=st.sampled_from([0, 1]), swaps=st.integers(0, 3))
+def test_light_test_rejects_exactly_what_the_full_scan_rejects(
+        d6, s3_group, data, which, swaps):
+    group = (d6, s3_group)[which]
+    table = [list(row) for row in group.table]
+    for _ in range(swaps):
+        r1, r2, c1, c2 = data.draw(st.sampled_from(_intercalates(table)))
+        table[r1][c1], table[r1][c2] = table[r1][c2], table[r1][c1]
+        table[r2][c1], table[r2][c2] = table[r2][c2], table[r2][c1]
+    if associativity_violation(table) is None:
+        assert FiniteGroup(group.names, table).table == tuple(map(tuple, table))
+        return
+    with pytest.raises(CayleyValidationError, match="associativity violated") as info:
+        FiniteGroup(group.names, table)
+    # the named triple really fails
+    g, h, k = (group.names.index(x) for x in re.search(
+        r"triple \(([^,]+), ([^,]+), ([^)]+)\)", str(info.value)).groups())
+    assert table[table[g][h]][k] != table[g][table[h][k]]
+
+
+def test_generated_subgroup(d6, cls_d6, cls_d6z2, s3_cls):
+    # ascending, so the identity is the first basis function of a block
+    assert [d6.label(g) for g in cls_d6.generated_subgroup()] == [
+        "e", "r2", "r4", "sr", "sr3", "sr5"]
+    assert [cls_d6z2.group.label(g) for g in cls_d6z2.generated_subgroup()] == [
+        "e", "r2", "r4", "sr", "sr3", "sr5"]
+    assert s3_cls.generated_subgroup() == list(range(6))
+
+
+def test_light_test_checks_a_small_generating_set():
+    assert groups._right_generators(dihedral(6).table) == [1, 6]
+    # r and s: two of the 512 elements instead of all of them
+    assert len(groups._right_generators(dihedral(256).table)) == 2
 
 
 def test_round_trip_through_dict(d6):
