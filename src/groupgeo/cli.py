@@ -36,7 +36,8 @@ USAGE_EXIT = 2
 VALIDATION_EXIT = 3
 PRECONDITION_EXIT = 4
 
-# largest builtin dihedral:N; its (2N)^2 table is validated in O(N^3)
+# largest builtin dihedral:N; its (2N)^2 table is validated by Light's
+# associativity test in O(N^2 log N)
 MAX_DIHEDRAL = 256
 
 # a plain rational or decimal; exponents are refused because Fraction

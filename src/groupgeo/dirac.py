@@ -842,10 +842,13 @@ def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
     out = _assess(op, spect, families, [rat(0), rat(3), rat(-3)], completions)
     out["mu"] = Fraction(0)
 
-    parity_full = Mat.diag(chi * spinor.dim)
+    # P = diag(p) repeats chi on each spinor component, so P op + op P has
+    # entries (p_i + p_j) op[i, j] and P^2 = 1 means p_i^2 = 1
+    parity = chi * spinor.dim
     out["sign_multiplication_anticommutes"] = (
-        (op @ parity_full + parity_full @ op).is_zero()
-        and parity_full @ parity_full == Mat.identity(spinor.dim * n))
+        all((pi + pj).is_zero() or x.is_zero()
+            for pi, row in zip(parity, op.rows) for pj, x in zip(parity, row))
+        and all(p * p == _ONE for p in parity))
     zero_block = Mat.zeros(n, n)
     out["component_identities"] = {
         "lower*lower": lower @ lower == zero_block,

@@ -4,7 +4,9 @@ Elements are integer indices into a list of names; index 0 must be the
 identity.  The constructor checks the group axioms outright (identity,
 Latin-square invertibility, and associativity by Light's test over a
 generating set) and reports the first violation with the offending
-entries, so anything that gets past it is a genuine group.
+entries, so anything that gets past it is a genuine group.  The group
+keeps that generating set as ``generators``: a representation is proved a
+homomorphism over it by the same closure argument.
 
 For the dihedral family the element order is fixed as
 e, r, r^2, ..., r^(n-1), s, sr, ..., sr^(n-1); several matrix displays
@@ -27,23 +29,17 @@ from .linalg import Mat
 class FiniteGroup:
     """A finite group given by names and a Cayley table of indices."""
 
-    __slots__ = ("names", "table", "name", "_inv", "_index")
+    __slots__ = ("names", "table", "name", "generators", "_inv", "_index")
 
     def __init__(self, names: Sequence[str], table: Sequence[Sequence[int]], name: str | None = None):
         names = tuple(str(x) for x in names)
         table = tuple(tuple(row) for row in table)
-        _validate_cayley(names, table)
+        generators = _validate_cayley(names, table)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "name", name or f"order{len(names)}")
-        n = len(names)
-        inv = [None] * n
-        for g in range(n):
-            for h in range(n):
-                if table[g][h] == 0:
-                    inv[g] = h
-                    break
-        object.__setattr__(self, "_inv", tuple(inv))
+        object.__setattr__(self, "_inv", tuple(row.index(0) for row in table))
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(names)})
 
     def __setattr__(self, *_):
@@ -128,7 +124,8 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {self.order})"
 
 
-def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> None:
+def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """Check the group axioms; return the generating set of Light's test."""
     n = len(names)
     if n == 0:
         raise CayleyValidationError("empty group: no elements")
@@ -158,7 +155,8 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
         if len(set(col)) != n:
             raise CayleyValidationError(
                 f"invertibility axiom violated: column of {names[g]} is not a permutation")
-    for h in _right_generators(table):
+    gens = tuple(_right_generators(table))
+    for h in gens:
         row_h = table[h]
         for g in range(n):
             row_g, row_gh = table[g], table[table[g][h]]
@@ -169,6 +167,7 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
                     f"({names[g]}, {names[h]}, {names[k]}): "
                     f"({names[g]}*{names[h]})*{names[k]} = {names[row_gh[k]]} but "
                     f"{names[g]}*({names[h]}*{names[k]}) = {names[row_g[row_h[k]]]}")
+    return gens
 
 
 def _right_generators(table: tuple[tuple[int, ...], ...]) -> list[int]:

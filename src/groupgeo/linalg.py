@@ -74,9 +74,6 @@ class Mat:
         i, j = pos
         return self.rows[i][j]
 
-    def col(self, j: int) -> Vector:
-        return [row[j] for row in self.rows]
-
     def __add__(self, other: "Mat") -> "Mat":
         return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 

@@ -29,7 +29,7 @@ class Representation:
 
     __slots__ = ("group", "dim", "matrices", "name")
 
-    def __init__(self, group: FiniteGroup, matrices, name: str = "rep", check: bool = True):
+    def __init__(self, group: FiniteGroup, matrices, name: str = "rep"):
         mats = tuple(matrices)
         if len(mats) != group.order:
             raise ValueError("need one matrix per group element")
@@ -37,21 +37,24 @@ class Representation:
         object.__setattr__(self, "dim", mats[0].nrows)
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "name", name)
-        if check:
-            self._check()
+        self._check()
 
     def __setattr__(self, *_):
         raise AttributeError("Representation is immutable")
 
     def _check(self):
+        """rho(e) = 1, rho(a) rho(s) = rho(as) for every a and every s in the
+        group's generators, and unitarity.  The h with rho(a) rho(h) = rho(ah)
+        for all a contain e and are closed under right multiplication by the
+        generators, so |S|.|G| products prove it for the whole group."""
         g = self.group
         if self.matrices[0] != Mat.identity(self.dim):
             raise ValueError(f"{self.name}: identity must map to the unit matrix")
-        for a in range(g.order):
-            for b in range(g.order):
-                if self.matrices[a] @ self.matrices[b] != self.matrices[g.mul(a, b)]:
+        for s in g.generators:
+            for a in range(g.order):
+                if self.matrices[a] @ self.matrices[s] != self.matrices[g.mul(a, s)]:
                     raise ValueError(
-                        f"{self.name}: not a homomorphism at ({g.label(a)}, {g.label(b)})")
+                        f"{self.name}: not a homomorphism at ({g.label(a)}, {g.label(s)})")
         for a in range(g.order):
             if self.matrices[a].conj_transpose() != self.matrices[g.inv(a)]:
                 raise ValueError(f"{self.name}: not unitary at {g.label(a)}")
@@ -68,7 +71,7 @@ class Representation:
 
     def conjugate(self) -> "Representation":
         return Representation(self.group, [m.conj() for m in self.matrices],
-                              name=f"{self.name}~conj", check=False)
+                              name=f"{self.name}~conj")
 
     def __repr__(self):
         return f"Representation({self.name}, dim {self.dim} over {self.group.name})"

@@ -6,10 +6,10 @@ a polynomial evaluated on a matrix beside a certified spectrum, the matrix
 Krylov minimal polynomial beside the vector one, the Dirac and wave
 operators summed from dense Kronecker and translation matrices beside
 their assembly from group-algebra coefficients, the full associativity
-scan beside Light's test), a closed form the package
-derives from the operator instead (the hand-derived eigenvalue candidates)
-or a certificate the package does not need at run time (the Peter-Weyl
-rank).
+and homomorphism scans beside the checks over a generating set), a
+closed form the package derives from the operator instead (the
+hand-derived eigenvalue candidates) or a certificate the package does not
+need at run time (the Peter-Weyl rank).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from groupgeo.curvature import TensorOneOne, connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.dirac import gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
-from groupgeo.groups import ConjClass
+from groupgeo.groups import ConjClass, FiniteGroup
 from groupgeo.linalg import Mat, as_scalar, rank
 from groupgeo.representations import Representation
 
@@ -331,6 +331,16 @@ def associativity_violation(table: Sequence[Sequence[int]]) -> tuple | None:
 
 
 # -- representations --------------------------------------------------------
+
+def homomorphism_violation(group: FiniteGroup, matrices: Sequence[Mat]) -> tuple | None:
+    """The first pair (a, b) in index order with rho(a) rho(b) != rho(ab),
+    or None: every pair of the group is checked."""
+    for a in range(group.order):
+        for b in range(group.order):
+            if matrices[a] @ matrices[b] != matrices[group.mul(a, b)]:
+                return a, b
+    return None
+
 
 def peter_weyl_matrix(reps: list[Representation]) -> Mat:
     """All matrix-element functions stacked as rows; full row rank means the

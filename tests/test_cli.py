@@ -5,7 +5,7 @@ import json
 import pytest
 
 from conftest import dicyclic3
-from groupgeo import cli, reporting
+from groupgeo import cli, connections, reporting
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
 
@@ -128,6 +128,29 @@ def test_singular_mu_rejected_before_torsion_solve(monkeypatch, capsys):
                         "--mu=-1/3", "--cmd", "connection")
     assert code == 4
     assert "error(precondition)" in err
+
+
+def test_connection_command_proves_each_residual_once(monkeypatch, capsys):
+    # levi_civita proves the three residuals; the report states its result
+    calls = {}
+
+    def spy(name):
+        real = getattr(connections, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        return counted
+
+    for name in ("torsion_residual", "cotorsion_residual", "is_regular"):
+        monkeypatch.setattr(connections, name, spy(name))
+    code, out, _ = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                        "--mu=1/2", "--cmd", "connection")
+    assert code == 0
+    assert calls == {"torsion_residual": 1, "cotorsion_residual": 1, "is_regular": 1}
+    lc = json.loads(out)["levi_civita"]
+    assert (lc["torsion_residual_zero"], lc["cotorsion_residual_zero"], lc["regular"]) == (
+        True, True, True)
 
 
 REPORT_BUILDERS = ("calculus_report", "connection_report", "curvature_report",

@@ -188,12 +188,11 @@ def test_dirac_algebraic_identities(dirac0_d6):
     assert cube == dirac0_d6 * 9
 
 
-def test_dirac_spectrum_at_mu_zero(dirac0_d6):
-    spect = spectrum(dirac0_d6)
-    assert spect.pairs == ((rat(-3), 8), (rat(0), 8), (rat(3), 8))
-    assert spect.dimension == 24
-    assert spect.multiplicity(3) == 8
-    assert spect.multiplicity(7) == 0
+def test_dirac_spectrum_at_mu_zero(spect0):
+    assert spect0.pairs == ((rat(-3), 8), (rat(0), 8), (rat(3), 8))
+    assert spect0.dimension == 24
+    assert spect0.multiplicity(3) == 8
+    assert spect0.multiplicity(7) == 0
 
 
 def test_dirac_minimal_polynomial(dirac0_d6):
@@ -213,8 +212,8 @@ def test_dirac_mu_shift_identity(dirac0_d6, dirac1_d6, cls_d6):
     assert dirac1_d6 == dirac0_d6 + shift * c
 
 
-def test_dirac_spectrum_at_mu_one(dirac1_d6):
-    spect = spectrum(dirac1_d6)
+def test_dirac_spectrum_at_mu_one(certified, dirac1_d6):
+    spect = certified(dirac1_d6)
     assert spect.pairs == (
         (rat(Fraction(-27, 5)), 4), (rat(-3), 4), (rat(Fraction(-12, 5)), 8),
         (rat(Fraction(-9, 5)), 4), (rat(Fraction(3, 5)), 4))
@@ -294,13 +293,12 @@ def test_spectrum_at_a_modulus_with_large_denominators(cal_d3):
     mu = Fraction(123456789, 987654321)
     cls = cal_d3.cls
     op = dirac_operator(builtin_rep(cls.group, "spinor"), levi_civita(cal_d3, mu), cls, mu)
-    _certified_from_the_operator(op, minimal_polynomial(op), dirac_candidates(mu))
+    _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
 
-def test_spectrum_iteration(dirac0_d6):
-    spect = spectrum(dirac0_d6)
-    assert len(spect) == 3
-    assert [m for _, m in spect] == [8, 8, 8]
+def test_spectrum_iteration(spect0):
+    assert len(spect0) == 3
+    assert [m for _, m in spect0] == [8, 8, 8]
 
 
 # -- the wave operator ------------------------------------------------------
@@ -310,15 +308,14 @@ def test_wave_collapses_to_translation_sum(wave0_d6, cls_d6):
     assert wave0_d6 == d0 * 2 - Mat.identity(12) * 6
 
 
-def test_wave_spectrum_at_mu_zero(wave0_d6):
-    spect = spectrum(wave0_d6)
-    assert spect.pairs == ((rat(-12), 2), (rat(-6), 8), (rat(0), 2))
+def test_wave_spectrum_at_mu_zero(wave0_d6, wave_spect0):
+    assert wave_spect0.pairs == ((rat(-12), 2), (rat(-6), 8), (rat(0), 2))
     assert wave0_d6.conj_transpose() == wave0_d6
 
 
-def test_wave_spectrum_at_mu_one(cls_d6):
+def test_wave_spectrum_at_mu_one(certified, cls_d6):
     op = wave_operator(cls_d6, Fraction(1))
-    spect = spectrum(op)
+    spect = certified(op)
     assert spect.pairs == (
         (rat(Fraction(-15, 4)), 8), (rat(-3), 2), (rat(0), 2))
 
@@ -352,6 +349,21 @@ MUS = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 5)]
 
 
 @pytest.fixture(scope="module")
+def certified():
+    """spectrum(op), certified once per operator for the whole module: the
+    dense 24x24 D6 Dirac spectra are the slowest certifications here, and
+    several tests read the same one."""
+    cache = {}
+
+    def of(op):
+        if op.rows not in cache:
+            cache[op.rows] = spectrum(op)
+        return cache[op.rows]
+
+    return of
+
+
+@pytest.fixture(scope="module")
 def krylov_d6(rep_d6, cal_d6, cls_d6):
     """The D6 Dirac and wave operators at mu, each with its Krylov minimal
     polynomial; computed once per mu for every test that uses them."""
@@ -367,18 +379,18 @@ def krylov_d6(rep_d6, cal_d6, cls_d6):
     return at
 
 
-def _certified_from_the_operator(op, krylov, candidates):
+def _certified_from_the_operator(spect, krylov, candidates):
     # the spectrum is found without candidates; the hand-derived closed
     # forms and the matrix Krylov polynomial only check it
-    spect = spectrum(op)
     assert set(spect.eigenspaces) <= {rat(c) for c in candidates}
     assert krylov == poly_from_roots(spect.eigenspaces)
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
-def test_certified_roots_give_krylov_minimal_polynomial_d6(krylov_d6, mu):
-    _certified_from_the_operator(*krylov_d6(mu)["dirac"], dirac_candidates(mu))
-    _certified_from_the_operator(*krylov_d6(mu)["wave"], wave_candidates(mu))
+def test_certified_roots_give_krylov_minimal_polynomial_d6(certified, krylov_d6, mu):
+    for name, candidates in (("dirac", dirac_candidates), ("wave", wave_candidates)):
+        op, krylov = krylov_d6(mu)[name]
+        _certified_from_the_operator(certified(op), krylov, candidates(mu))
 
 
 @pytest.mark.parametrize("cal_name", ["cal_d3", "s3_cal"])
@@ -388,7 +400,7 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
     rep = builtin_rep(cls.group, "spinor")
     for mu in MUS:
         op = dirac_operator(rep, levi_civita(cal, mu), cls, mu)
-        _certified_from_the_operator(op, minimal_polynomial(op), dirac_candidates(mu))
+        _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
 
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)], ids=str)
@@ -429,7 +441,7 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
 
 # -- group-algebra assembly and the reduction to H = <C> -------------------
 
-def _assert_block_certifies(op, block, cls):
+def _assert_block_certifies(op, block, cls, dense):
     """The lifted block spectrum is the dense spectrum of op, with every
     multiplicity [G:H] times the block's and every lifted vector an
     eigenvector of op."""
@@ -438,24 +450,25 @@ def _assert_block_certifies(op, block, cls):
     block_spect, spect = reduced_spectrum(block, cls)
     assert spect.dimension == op.nrows
     assert spect.pairs == tuple((v, m * copies) for v, m in block_spect.pairs)
-    assert spect.pairs == spectrum(op).pairs
+    assert spect.pairs == dense.pairs
     for value, basis in spect.eigenspaces.items():
         for vec in basis:
             assert op @ vec == [value * x for x in vec]
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
-def test_assembled_operators_match_dense_oracles(oracle_cal, mu):
+def test_assembled_operators_match_dense_oracles(certified, oracle_cal, mu):
     cls = oracle_cal.cls
     rep = builtin_rep(cls.group, "spinor")
     lc = levi_civita(oracle_cal, mu)
     subgroup = cls.generated_subgroup()
     op = dirac_operator(rep, lc, cls, mu)
     assert op == dense_dirac_operator(rep, lc, cls, mu)
-    _assert_block_certifies(op, dirac_operator(rep, lc, cls, mu, subgroup), cls)
+    _assert_block_certifies(op, dirac_operator(rep, lc, cls, mu, subgroup), cls,
+                            certified(op))
     op = wave_operator(cls, mu)
     assert op == dense_wave_operator(cls, mu)
-    _assert_block_certifies(op, wave_operator(cls, mu, subgroup), cls)
+    _assert_block_certifies(op, wave_operator(cls, mu, subgroup), cls, certified(op))
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
@@ -464,7 +477,7 @@ def test_wave_block_on_the_direct_product(cls_d6z2, mu):
     op = wave_operator(cls_d6z2, mu)
     assert op == dense_wave_operator(cls_d6z2, mu)
     _assert_block_certifies(op, wave_operator(cls_d6z2, mu, cls_d6z2.generated_subgroup()),
-                            cls_d6z2)
+                            cls_d6z2, spectrum(op))
 
 
 def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6):
@@ -496,10 +509,11 @@ def test_incomplete_block_spectrum_states_the_operator_dimension(d6, cls_d6):
 
 
 @pytest.mark.parametrize("mu", MUS[1:], ids=str)
-def test_chirality_reason_states_the_operator_multiplicities(krylov_d6, cal_d6, mu):
+def test_chirality_reason_states_the_operator_multiplicities(
+        certified, krylov_d6, cal_d6, mu):
     op, _ = krylov_d6(mu)["dirac"]
     with pytest.raises(AsymmetricSpectrumError) as info:
-        chirality(spectrum(op))
+        chirality(certified(op))
     assert "multiplicity 4" in str(info.value)
     assert reporting.dirac_report(cal_d6, mu)["chirality"] == {
         "available": False, "reason": str(info.value)}
@@ -568,8 +582,8 @@ def _summary(catalog, value):
 
 
 @pytest.fixture(scope="module")
-def wave_spect0(wave0_d6):
-    return spectrum(wave0_d6)
+def wave_spect0(certified, wave0_d6):
+    return certified(wave0_d6)
 
 
 @pytest.fixture(scope="module")
@@ -727,21 +741,21 @@ def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cal_d6, cl
 
 # -- chirality --------------------------------------------------------------
 
-def test_chirality_properties(dirac0_d6):
-    g = chirality(spectrum(dirac0_d6))
+def test_chirality_properties(dirac0_d6, spect0):
+    g = chirality(spect0)
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 
 
-def test_chirality_kernel_sign_choices(dirac0_d6):
-    plus = chirality(spectrum(dirac0_d6), kernel_sign=1)
-    minus = chirality(spectrum(dirac0_d6), kernel_sign=-1)
+def test_chirality_kernel_sign_choices(dirac0_d6, spect0):
+    plus = chirality(spect0, kernel_sign=1)
+    minus = chirality(spect0, kernel_sign=-1)
     assert plus != minus
     for g in (plus, minus):
         assert g @ g == Mat.identity(24)
         assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
     with pytest.raises(ValueError, match="kernel_sign"):
-        chirality(spectrum(dirac0_d6), kernel_sign=0)
+        chirality(spect0, kernel_sign=0)
 
 
 def test_chirality_of_zero_operator():
@@ -750,24 +764,24 @@ def test_chirality_of_zero_operator():
     assert chirality(spectrum(z), kernel_sign=-1) == Mat.identity(3) * -1
 
 
-def test_chirality_rejects_asymmetric_spectrum(dirac1_d6):
+def test_chirality_rejects_asymmetric_spectrum(certified, dirac1_d6):
     with pytest.raises(AsymmetricSpectrumError, match="-27/5"):
-        chirality(spectrum(dirac1_d6))
+        chirality(certified(dirac1_d6))
 
 
-def test_chirality_with_explicit_candidates(dirac0_d6):
+def test_chirality_with_explicit_candidates(dirac0_d6, spect0):
     # a spectrum assembled from the closed-form candidates grades alike
     ident = Mat.identity(24)
     spaces = {v: kernel_basis(dirac0_d6 - ident * v) for v in dirac_candidates()}
     g = chirality(Spectrum(spaces, 24))
-    assert g == chirality(spectrum(dirac0_d6))
+    assert g == chirality(spect0)
 
 
 # -- spectral action --------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def spect0(dirac0_d6):
-    return spectrum(dirac0_d6)
+def spect0(certified, dirac0_d6):
+    return certified(dirac0_d6)
 
 
 def test_spectral_action_battery(spect0):

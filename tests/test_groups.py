@@ -208,6 +208,21 @@ def test_light_test_checks_a_small_generating_set():
     assert len(groups._right_generators(dihedral(256).table)) == 2
 
 
+def test_validation_keeps_its_generating_set(monkeypatch):
+    calls = []
+
+    def recorded(table):
+        calls.append(len(table))
+        return right_generators(table)
+
+    right_generators = groups._right_generators
+    monkeypatch.setattr(groups, "_right_generators", recorded)
+    # computed once, by the associativity check, and kept for
+    # representations to prove their homomorphism over
+    assert dihedral(6).generators == (1, 6)
+    assert calls == [12]
+
+
 def test_round_trip_through_dict(d6):
     again = FiniteGroup.from_dict(d6.to_dict())
     assert again == d6

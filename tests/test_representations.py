@@ -1,7 +1,11 @@
 """Representations of dihedral-structured groups and their completeness."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import relabelled
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import dihedral
@@ -11,7 +15,7 @@ from groupgeo.representations import (
     builtin_rep,
     irreducibles,
 )
-from oracles import peter_weyl_matrix, peter_weyl_rank
+from oracles import homomorphism_violation, peter_weyl_matrix, peter_weyl_rank
 
 
 def test_spinor_matrices_pinned(d6, rep_d6):
@@ -98,6 +102,76 @@ def test_homomorphism_check_rejects_garbage(d6):
     mats = [Mat.identity(2)] * 11 + [Mat([[0, 1], [1, 0]])]
     with pytest.raises(ValueError, match="not a homomorphism"):
         Representation(d6, mats, name="broken")
+
+
+def _reps_to_perturb(group):
+    return [builtin_rep(group, "spinor"), builtin_rep(group, "sign2")] + [
+        rep for rep in irreducibles(group) if rep.name.startswith("planar")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["d6", "s3", "relabelled"]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       change=st.sampled_from(["swap", "conjugate", "identity", "negate coset"]))
+def test_generator_check_rejects_exactly_what_the_full_scan_rejects(
+        d6, s3_group, data, which, seed, change):
+    group = {"d6": d6, "s3": s3_group}.get(which) or relabelled(d6, seed)
+    rep = data.draw(st.sampled_from(_reps_to_perturb(group)))
+    mats = list(rep.matrices)
+    a = data.draw(st.integers(0, group.order - 1))
+    if change == "swap":
+        b = data.draw(st.integers(0, group.order - 1))
+        mats[a], mats[b] = mats[b], mats[a]
+    elif change == "conjugate":
+        mats[a] = mats[a].conj()
+    elif change == "identity":
+        mats[a] = Mat.identity(rep.dim)
+    else:
+        # negate rho on the left coset a<s> of one generator: this passes the
+        # products with s, so only the other generators can reject it
+        s = data.draw(st.sampled_from(group.generators))
+        x = a
+        while True:
+            mats[x] = mats[x] * -1
+            x = group.mul(x, s)
+            if x == a:
+                break
+    try:
+        Representation(group, mats)
+        rejected = None
+    except ValueError as exc:
+        # a unitarity failure means the homomorphism check passed
+        rejected = None if "not unitary" in str(exc) else str(exc)
+    assert (rejected is None) == (homomorphism_violation(group, mats) is None)
+    if rejected is None:
+        return
+    if "identity must map" in rejected:
+        assert mats[0] != Mat.identity(rep.dim)
+        return
+    # the named pair really fails
+    x, y = (group.index(name) for name in re.search(
+        r"not a homomorphism at \(([^,]+), ([^)]+)\)", rejected).groups())
+    assert y in group.generators
+    assert mats[x] @ mats[y] != mats[group.mul(x, y)]
+
+
+def test_homomorphism_check_costs_generators_times_order_products(monkeypatch, d6):
+    products = []
+    matmul = Mat.__matmul__
+
+    def counted(self, other):
+        if isinstance(other, Mat):
+            products.append((self.nrows, other.ncols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Mat, "__matmul__", counted)
+    rep = builtin_rep(d6, "spinor")
+    # S = (r, s): 2 x 12 products instead of all 144 pairs
+    assert len(products) == len(d6.generators) * d6.order == 24
+    # the conjugate representation runs the same check
+    products.clear()
+    rep.conjugate()
+    assert len(products) == 24
 
 
 def test_character_is_a_class_function(d6, rep_d6):
