@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, rat
-from .errors import NonCyclicClassError
+from .errors import InfeasibleSystemError, NonCyclicClassError
 from .groups import ConjClass, FiniteGroup, class_product_table
-from .linalg import Mat, as_scalar, kernel_basis, rank, rref, solve_affine
+from .linalg import Mat, as_scalar, kernel_basis, rref, solve_affine_columns
 
 
 class GroupFunction:
@@ -176,17 +176,18 @@ class Calculus:
             cols.append(v)
         for w in self.relation_basis:
             cols.append(list(w))
-        system = Mat(cols).transpose()
-        if rank(system) != len(pairs):
+        # one reduction for every monomial, the columns of the identity;
+        # an inconsistent column or a kernel means the chosen monomials and
+        # the relations are not a basis
+        try:
+            sols, kernel = solve_affine_columns(Mat(cols).transpose(),
+                                                Mat.identity(len(pairs)).rows)
+        except InfeasibleSystemError:
+            kernel = None
+        if kernel != []:
             raise NonCyclicClassError(
                 "chosen quotient monomials do not complement the relation space")
-        table = {}
-        for p in pairs:
-            target = [rat(0)] * len(pairs)
-            target[pair_pos[p]] = rat(1)
-            sol, _ = solve_affine(system, target)
-            table[p] = tuple(sol[:nb])
-        self.reduction = table
+        self.reduction = {p: tuple(sol[:nb]) for p, sol in zip(pairs, sols)}
 
     @property
     def quotient_dim(self) -> int:

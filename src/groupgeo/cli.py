@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 usage errors (including an --out path that is a
 directory, lies in a missing directory or cannot be written, and a
 ``dihedral:N`` above MAX_DIHEDRAL), 3 validation failures (bad Cayley table,
 unknown label, non-cyclic or otherwise unsupported class or group), 4
-mathematical failures on valid input (singular metric values, a candidate
-spectrum that misses dimensions, an infeasible exact system).
+mathematical failures on valid input (singular metric values, an operator
+whose certified spectrum misses dimensions or leaves Q, an infeasible exact
+system).
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
     if args.cmd == "ricci":
         return reporting.ricci_report(cal)
     if args.cmd == "dirac":
-        return reporting.dirac_report(cal, mu)
+        return reporting.dirac_report(reporting.certify_dirac(cal, mu))
     if args.cmd == "spectral-action":
-        return reporting.spectral_action_report(cal, mu)
+        return reporting.spectral_action_report(
+            reporting.certify_dirac(cal, mu).spectrum, mu)
     raise AssertionError(f"unhandled command {args.cmd}")
 
 

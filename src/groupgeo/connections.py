@@ -128,7 +128,7 @@ def cotorsion_residual(conn: Connection, mu=Fraction(0)) -> list[TwoForm]:
     be valid; violating that is a caller error.
     """
     cal = conn.calculus
-    _require_invertible_metric(mu, cal.n_members)
+    require_invertible_metric(cal.n_members, mu)
     if not conn.sum_form().is_zero():
         raise ValueError(
             "cotorsion residual requires a connection whose components sum to zero")
@@ -237,11 +237,12 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
 
 # -- distinguished connections ----------------------------------------------
 
-def _require_invertible_metric(mu, size: int):
+def require_invertible_metric(size: int, mu) -> None:
+    """Raise SingularMetricError at mu = -1/size, where the frame metric
+    delta_{ab} + mu of a class of that size degenerates."""
     if 1 + size * Fraction(mu) == 0:
         raise SingularMetricError(
-            f"metric parameter {Fraction(mu)} makes the braided metric singular "
-            f"for a {size}-member class")
+            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
 
 
 def levi_civita(calculus: Calculus, mu=Fraction(0)) -> Connection:
@@ -252,7 +253,7 @@ def levi_civita(calculus: Calculus, mu=Fraction(0)) -> Connection:
     residuals are recomputed and proved zero before returning.
     """
     _require_chart_class(calculus)
-    _require_invertible_metric(mu, calculus.n_members)
+    require_invertible_metric(calculus.n_members, mu)
     third = calculus.constant(rat(-1, 3))
     conn = Connection.from_chart(calculus, third, third, third)
     if any(not r.is_zero() for r in torsion_residual(conn)):

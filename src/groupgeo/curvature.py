@@ -255,15 +255,15 @@ def _chart_unchecked(cal: Calculus, alpha, beta, gamma) -> Connection:
     return Connection(cal, [cal.one_form(row) for row in rows])
 
 
-def ricci_system(calculus: Calculus, variant: str = "canonical",
-                 constrain_sum: bool = True) -> tuple[Mat, list]:
+def ricci_system(calculus: Calculus, variant: str = "canonical") -> tuple[Mat, list]:
     """The exact linear system in the chart parameters whose solutions are
     the Ricci-flat chart members.
 
     Unknown order: parameter i (alpha, beta, gamma) at group element h sits
     at column i*|G| + h.  Row order: Ricci coordinate (p, q) at group
-    element g sits at row (p*m + q)*|G| + g; with the chart constraint one
-    row alpha + beta + gamma = -1 per group element follows.
+    element g sits at row (p*m + q)*|G| + g; the chart constraint follows
+    as the last |G| rows, one row alpha + beta + gamma = -1 per group
+    element.
 
     Ricci is affine in the parameters and commutes with left translation:
     the exterior derivative uses only right translations, and the lift and
@@ -295,26 +295,24 @@ def ricci_system(calculus: Calculus, variant: str = "canonical",
     rows = [[col[blk + x] for col in cols for x in moved[g]]
             for blk in range(0, len(base), order) for g in range(order)]
     rhs = [-v for v in base]
-    if constrain_sum:
-        for g in range(order):
-            row = [rat(0)] * (3 * order)
-            for i in range(3):
-                row[i * order + g] = rat(1)
-            rows.append(row)
-            rhs.append(rat(-1))
+    for g in range(order):
+        row = [rat(0)] * (3 * order)
+        for i in range(3):
+            row[i * order + g] = rat(1)
+        rows.append(row)
+        rhs.append(rat(-1))
     return Mat(rows), rhs
 
 
-def ricci_flat_solve(calculus: Calculus, variant: str = "canonical",
-                     constrain_sum: bool = True):
+def ricci_flat_solve(calculus: Calculus, variant: str = "canonical"):
     """Solve for all chart parameter triples with vanishing Ricci.
 
     Ricci is affine in the three parameter functions, so this is an exact
     linear solve in 3|G| scalars, assembled by left translation in
-    ricci_system.  With the chart constraint included the expected outcome
-    for the supported classes is a single isolated triple; without it the
-    solution set picks up the constant shifts that leave the relative
-    curvature unchanged.
+    ricci_system, chart constraint included.  The expected outcome for the
+    supported classes is a single isolated triple; without the constraint
+    the solution set would pick up the constant shifts that leave the
+    relative curvature unchanged.
 
     Returns (particular, kernel) where particular is a parameter triple and
     kernel is a basis of homogeneous triples.
@@ -326,5 +324,5 @@ def ricci_flat_solve(calculus: Calculus, variant: str = "canonical",
         return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
                      for i in range(3))
 
-    particular, kern = solve_affine(*ricci_system(calculus, variant, constrain_sum))
+    particular, kern = solve_affine(*ricci_system(calculus, variant))
     return params_from_vec(particular), [params_from_vec(v) for v in kern]

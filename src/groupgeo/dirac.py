@@ -8,12 +8,13 @@ singular at mu = -1/4; both degenerate values raise SingularMetricError.
 
 A spinor operator is a group-algebra element sum_h M_h (x) R(h): constant
 dim(W) x dim(W) coefficients M_h times right translations, with every h in
-{e}, the class or its products, so inside H = <C>.  It is assembled
-straight from the coefficients into a plain exact matrix on W tensor
-(functions on G), laid out spinor-component-major: entry block (i, j) of
-the dim(W) x dim(W) grid is the |G| x |G| operator mapping the j-th spinor
-component into the i-th.  The same coefficients assembled on the elements
-of H give the block of which the operator is [G:H] copies.
+{e}, the class or its products, so inside H = <C>.  dirac_operator and
+wave_operator return the coefficients {h: M_h}, and assemble alone writes
+a matrix from them on W tensor (functions on G), laid out
+spinor-component-major: entry block (i, j) of the dim(W) x dim(W) grid is
+the |G| x |G| operator mapping the j-th spinor component into the i-th.
+The same coefficients assembled on the elements of H give the block of
+which the operator is [G:H] copies.
 
 Spectra are certified from the operator alone, never approximated: the
 eigenvalues are the rational roots of the minimal polynomials of unit
@@ -41,7 +42,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .connections import Connection
+from .connections import Connection, require_invertible_metric
 from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
@@ -97,9 +98,7 @@ def metric(cls: ConjClass, mu) -> Metric:
     """
     mu = Fraction(mu)
     n = cls.size
-    if 1 + n * mu == 0:
-        raise SingularMetricError(
-            f"metric modulus mu = {mu} is singular for a class of size {n}")
+    require_invertible_metric(n, mu)
     eta = Mat([[rat(mu) + (_ONE if i == j else _ZERO) for j in range(n)]
                for i in range(n)])
     # inverse of I + mu J in closed form: I - mu/(1 + n mu) J
@@ -115,10 +114,7 @@ def metric(cls: ConjClass, mu) -> Metric:
 
 
 def _require_gamma_admissible(cls: ConjClass, mu: Fraction) -> None:
-    n = cls.size
-    if 1 + n * mu == 0:
-        raise SingularMetricError(
-            f"metric modulus mu = {mu} is singular for a class of size {n}")
+    require_invertible_metric(cls.size, mu)
     if 1 + 4 * mu == 0:
         raise SingularMetricError(
             "casimir normalisation 1/(1 + 4 mu) is singular at mu = -1/4")
@@ -206,29 +202,18 @@ def translation_block(rep: Representation, C: ConjClass, i: int, j: int) -> Mat:
     return assemble({a: Mat([[rep(a)[i, j]]]) for a in C.members}, C.group)
 
 
-def spinor_blocks(op: Mat, dim_w: int) -> list[list[Mat]]:
-    """Slice a spinor operator into its dim_w x dim_w grid of group blocks."""
-    if op.nrows != op.ncols or op.nrows % dim_w:
-        raise ValueError("operator size is not a multiple of the spinor dimension")
-    n = op.nrows // dim_w
-    return [[op.submatrix(range(i * n, (i + 1) * n), range(j * n, (j + 1) * n))
-             for j in range(dim_w)] for i in range(dim_w)]
-
-
 def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
-                   mu=Fraction(0), elements: Sequence[int] | None = None) -> Mat:
-    """The Dirac operator on W tensor (functions on elements), by default
-    on all of G, as one exact matrix.
+                   mu=Fraction(0)) -> dict[int, Mat]:
+    """The Dirac operator as its group-algebra coefficients {h: M_h}.
 
     The free part couples each gamma matrix to the corresponding partial
     translation R_a - id; the connection part subtracts, for every pair of
     class members, the gamma-weighted translation generator times the
     coefficient of the connection.  With constant coefficients the
-    operator is the group-algebra element with coefficient gamma_a at each
-    class member a and the rest at the identity, so it maps functions on a
-    left coset of H = <C> to functions on the same coset, and elements may
-    be C.generated_subgroup().  Raises ValueError on a connection whose
-    coefficients vary over the group.
+    operator is the group-algebra element with coefficient M_a = gamma_a
+    at each class member a and the rest at the identity; assemble writes
+    its matrix on G or on H = <C>.  Raises ValueError on a connection
+    whose coefficients vary over the group.
     """
     mu = Fraction(mu)
     group = rep.group
@@ -251,18 +236,16 @@ def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
                     f"coefficients; A_{group.label(a)} varies over the group "
                     f"in its e_{group.label(b)} coefficient")
             coeffs[0] = coeffs[0] - (gammas[b] @ tau) * first
-    return assemble(coeffs, group, elements)
+    return coeffs
 
 
-def wave_operator(C: ConjClass, mu=Fraction(0),
-                  elements: Sequence[int] | None = None) -> Mat:
-    """The scalar wave operator: minus the inverse-metric contraction of the
-    second partial translations, on the functions on elements (by default
-    all of G).
+def wave_operator(C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
+    """The scalar wave operator, minus the inverse-metric contraction of the
+    second partial translations, as its group-algebra coefficients
+    {h: 1 x 1 matrix}.
 
     Each product (R_a - 1)(R_b - 1) expands to R_ab - R_a - R_b + 1, so the
-    operator is a group-algebra element supported on H = <C> and elements
-    may be C.generated_subgroup().  At mu = 0 on an involutive class it
+    operator is supported on H = <C>.  At mu = 0 on an involutive class it
     collapses to twice the class translation sum minus twice the class
     size.
     """
@@ -275,24 +258,20 @@ def wave_operator(C: ConjClass, mu=Fraction(0),
             w = eta_inv[apos, bpos]
             for h, sign in ((group.mul(a, b), -1), (a, 1), (b, 1), (0, -1)):
                 coeffs[h] = coeffs.get(h, _ZERO) + w * sign
-    return assemble({h: Mat([[c]]) for h, c in coeffs.items()}, group, elements)
+    return {h: Mat([[c]]) for h, c in coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
 # certified spectra
 
 
-def _sort_key(value: Cyclotomic):
-    z = complex(value)
-    return (round(z.real, 9), round(z.imag, 9))
-
-
 class Spectrum:
     """Exact eigenvalues with their eigenspace bases, whose dimensions
     provably exhaust the operator dimension.
 
-    eigenspaces maps each value to its basis vectors, ordered by real and
-    then imaginary part; pairs and multiplicities are read off it.
+    eigenspaces maps each value, which must be rational, to its basis
+    vectors, in increasing order of value; pairs and multiplicities are
+    read off it.
     """
 
     __slots__ = ("eigenspaces", "dimension")
@@ -300,7 +279,7 @@ class Spectrum:
     def __init__(self, eigenspaces: Mapping | Sequence[tuple], dimension: int):
         spaces = sorted(((as_scalar(v), tuple(basis))
                          for v, basis in dict(eigenspaces).items()),
-                        key=lambda item: _sort_key(item[0]))
+                        key=lambda item: item[0].as_fraction())
         total = sum(len(basis) for _, basis in spaces)
         if total != dimension:
             raise IncompleteSpectrumError(total, dimension)

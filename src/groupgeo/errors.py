@@ -33,9 +33,10 @@ class SingularMetricError(GroupGeoError):
 
 
 class IncompleteSpectrumError(GroupGeoError):
-    """Exact eigenvalue search exhausted its candidate generators without
-    accounting for the full space: the certified multiplicities sum to
-    total, short of the operator dimension."""
+    """Certified eigenspaces that do not fill the space: their dimensions
+    sum to total, short of the operator dimension.  When spectrum() raises
+    it, every start vector has been tried, so the operator is not
+    diagonalisable."""
 
     def __init__(self, total: int, dimension: int):
         super().__init__(

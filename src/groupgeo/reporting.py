@@ -11,6 +11,7 @@ report depends on time, paths or dictionary iteration order.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from mpmath import mp, mpf
 
@@ -34,7 +35,7 @@ from .curvature import (
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, FiniteGroup, ad_table, class_product_table
 from .linalg import Mat, as_scalar
-from .representations import builtin_rep
+from .representations import Representation, builtin_rep
 from . import dirac as spinops
 
 mp.dps = 30
@@ -284,43 +285,62 @@ def _certified_minimal_polynomial(spect: spinops.Spectrum) -> list:
     return values_json(spinops.poly_from_roots(spect.eigenspaces))
 
 
-def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
+class DiracCertificate(NamedTuple):
+    """The Dirac operator of the spinor representation and the distinguished
+    connection at mu, built and certified once for every section that
+    reads it: its coefficients {h: M_h}, their block on H = <C>, and the
+    block's certified spectrum with its lift to G."""
+
+    cls: ConjClass
+    mu: Fraction
+    rep: Representation
+    coeffs: dict
+    block: Mat
+    block_spectrum: spinops.Spectrum
+    spectrum: spinops.Spectrum
+
+
+def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
     mu = Fraction(mu)
     cls = cal.cls
+    rep = builtin_rep(cls.group, "spinor")
+    coeffs = spinops.dirac_operator(rep, levi_civita(cal, mu), cls, mu)
+    block = spinops.assemble(coeffs, cls.group, cls.generated_subgroup())
+    return DiracCertificate(cls, mu, rep, coeffs, block,
+                            *spinops.reduced_spectrum(block, cls))
+
+
+def dirac_report(dirac: DiracCertificate) -> dict:
+    cls, mu, rep, coeffs, block, block_spect, spect = dirac
     group = cls.group
-    rep = builtin_rep(group, "spinor")
-    lc = levi_civita(cal, mu)
-    op = spinops.dirac_operator(rep, lc, cls, mu)
-    gammas = spinops.gamma_matrices(rep, cls, mu)
+    # the operator on G is [G:H] copies of its block up to a permutation of
+    # the basis: traces scale by [G:H], hermiticity carries over
+    copies = group.order // len(cls.generated_subgroup())
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
-        gamma_sum = gamma_sum + gammas[a]
-    # op is [G:H] copies of its block on H = <C>: certify and square that
-    block = spinops.dirac_operator(rep, lc, cls, mu, cls.generated_subgroup())
-    block_spect, spect = spinops.reduced_spectrum(block, cls)
+        gamma_sum = gamma_sum + coeffs[a]
     met = spinops.metric(cls, mu)
     square = block @ block
     out = {
         "mu": fraction_json(mu),
         "metric": {"eta": matrix_json(met.eta), "eta_inv": matrix_json(met.eta_inv)},
         "casimir": matrix_json(spinops.casimir(rep, cls, mu)),
-        "gamma": {group.label(a): matrix_json(gammas[a]) for a in cls.members},
+        "gamma": {group.label(a): matrix_json(coeffs[a]) for a in cls.members},
         "gamma_sum": matrix_json(gamma_sum),
         "spectrum": spectrum_json(spect),
-        "trace": scalar_json(op.trace()),
-        "trace_of_square": scalar_json(square.trace() * (op.nrows // block.nrows)),
-        "hermitian": op.conj_transpose() == op,
+        "trace": scalar_json(block.trace() * copies),
+        "trace_of_square": scalar_json(square.trace() * copies),
+        "hermitian": block.conj_transpose() == block,
         "cube_equals_nine_times": square @ block == block * 9,
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0 and rep.dim == 2:
-        blocks = spinops.spinor_blocks(op, 2)
-        d0 = spinops.class_translation_sum(cls)
-        d1 = spinops.translation_block(rep, cls, 1, 0)
-        d2 = spinops.translation_block(rep, cls, 0, 1)
-        out["translation_block_form"] = (
-            blocks[0][0] == -d0 and blocks[1][1] == -d0
-            and blocks[0][1] == d2 and blocks[1][0] == d1)
+        # distinct h fill distinct entries, so the spinor blocks of the
+        # operator are -sum R_a on the diagonal and sum rho(a)_ij R_a off it
+        # exactly when the coefficients say so
+        out["translation_block_form"] = coeffs[0].is_zero() and all(
+            coeffs[a] == Mat([[-1, rep(a)[0, 1]], [rep(a)[1, 0], -1]])
+            for a in cls.members)
     try:
         # the reason names the multiplicities of op, not of its block
         spinops.require_symmetric(spect)
@@ -335,8 +355,8 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
         out["chirality"] = {"available": False, "reason": str(exc)}
     if mu == 0:
         try:
-            out["eigenmode_catalog"] = catalog_json(
-                spinops.eigenmode_catalog(cls, op, spect))
+            out["eigenmode_catalog"] = catalog_json(spinops.eigenmode_catalog(
+                cls, spinops.assemble(coeffs, group), spect))
         except UnsupportedGroupError:
             pass
     return out
@@ -344,9 +364,10 @@ def dirac_report(cal: Calculus, mu=Fraction(0)) -> dict:
 
 def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
-    op = spinops.wave_operator(cls, mu)
-    block = spinops.wave_operator(cls, mu, cls.generated_subgroup())
-    _, spect = spinops.reduced_spectrum(block, cls)
+    coeffs = spinops.wave_operator(cls, mu)
+    op = spinops.assemble(coeffs, cls.group)
+    _, spect = spinops.reduced_spectrum(
+        spinops.assemble(coeffs, cls.group, cls.generated_subgroup()), cls)
     out = {
         "mu": fraction_json(mu),
         "operator": matrix_json(op),
@@ -374,13 +395,7 @@ _ACTION_BATTERY = (
 )
 
 
-def spectral_action_report(cal: Calculus, mu=Fraction(0)) -> dict:
-    mu = Fraction(mu)
-    cls = cal.cls
-    rep = builtin_rep(cls.group, "spinor")
-    lc = levi_civita(cal, mu)
-    block = spinops.dirac_operator(rep, lc, cls, mu, cls.generated_subgroup())
-    _, spect = spinops.reduced_spectrum(block, cls)
+def spectral_action_report(spect: spinops.Spectrum, mu) -> dict:
     battery = []
     for name, coeffs in _ACTION_BATTERY:
         if coeffs is None:
@@ -416,7 +431,9 @@ def full_report(group: FiniteGroup, cls: ConjClass, mu=Fraction(0)) -> dict:
         "connection": connection_report(cal, mu),
         "curvature": curvature_report(cal),
         "ricci": ricci_report(cal),
-        "dirac": dirac_report(cal, mu),
+        # certified here, where the dirac section starts, so a failing
+        # input stops at the same point with the same error
+        "dirac": dirac_report(dirac := certify_dirac(cal, mu)),
         "wave": wave_report(cls, mu),
-        "spectral_action": spectral_action_report(cal, mu),
+        "spectral_action": spectral_action_report(dirac.spectrum, mu),
     }

@@ -18,7 +18,7 @@ from groupgeo.connections import (
     torsion_free_family,
 )
 from groupgeo.curvature import ricci, ricci_flat_solve
-from groupgeo.dirac import dirac_operator, wave_operator
+from groupgeo.dirac import assemble, dirac_operator, wave_operator
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.representations import builtin_rep
 
@@ -71,18 +71,18 @@ def ricci_solve_d6(cal_d6):
 
 
 @pytest.fixture(scope="session")
-def dirac0_d6(rep_d6, lc_d6, cls_d6):
-    return dirac_operator(rep_d6, lc_d6, cls_d6)
+def dirac0_d6(d6, rep_d6, lc_d6, cls_d6):
+    return assemble(dirac_operator(rep_d6, lc_d6, cls_d6), d6)
 
 
 @pytest.fixture(scope="session")
-def dirac1_d6(rep_d6, lc_d6, cls_d6):
-    return dirac_operator(rep_d6, lc_d6, cls_d6, mu=Fraction(1))
+def dirac1_d6(d6, rep_d6, lc_d6, cls_d6):
+    return assemble(dirac_operator(rep_d6, lc_d6, cls_d6, mu=Fraction(1)), d6)
 
 
 @pytest.fixture(scope="session")
-def wave0_d6(cls_d6):
-    return wave_operator(cls_d6)
+def wave0_d6(d6, cls_d6):
+    return assemble(wave_operator(cls_d6), d6)
 
 
 @pytest.fixture(scope="session")

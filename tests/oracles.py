@@ -5,11 +5,12 @@ another way (the dense torsion system beside the Kronecker-factored solve,
 a polynomial evaluated on a matrix beside a certified spectrum, the matrix
 Krylov minimal polynomial beside the vector one, the Dirac and wave
 operators summed from dense Kronecker and translation matrices beside
-their assembly from group-algebra coefficients, the full associativity
-and homomorphism scans beside the checks over a generating set), a
-closed form the package derives from the operator instead (the
-hand-derived eigenvalue candidates) or a certificate the package does not
-need at run time (the Peter-Weyl rank).
+their assembly from group-algebra coefficients, the spinor blocks sliced
+out of an assembled operator beside the coefficients the reports read,
+the full associativity and homomorphism scans beside the checks over a
+generating set), a closed form the package derives from the operator
+instead (the hand-derived eigenvalue candidates) or a certificate the
+package does not need at run time (the Peter-Weyl rank).
 """
 
 from __future__ import annotations
@@ -39,6 +40,15 @@ def vec_is_zero(a: Sequence) -> bool:
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product, a's index varying slowest."""
     return Mat([[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows])
+
+
+def spinor_blocks(op: Mat, dim_w: int) -> list[list[Mat]]:
+    """Slice a spinor operator into its dim_w x dim_w grid of group blocks."""
+    if op.nrows != op.ncols or op.nrows % dim_w:
+        raise ValueError("operator size is not a multiple of the spinor dimension")
+    n = op.nrows // dim_w
+    return [[op.submatrix(range(i * n, (i + 1) * n), range(j * n, (j + 1) * n))
+             for j in range(dim_w)] for i in range(dim_w)]
 
 
 def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:

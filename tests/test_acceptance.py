@@ -22,6 +22,7 @@ from groupgeo.curvature import (
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.dirac import (
+    assemble,
     chirality,
     class_translation_sum,
     dirac_operator,
@@ -207,7 +208,7 @@ def test_criterion_09_order_six_cross_check(s3_group, s3_cls, s3_cal, cls_d6):
     for pos in range(3):
         assert lc.components[pos] == s3_cal.basis_one_form(pos) - s3_cal.theta * third
     rep = builtin_rep(s3_group, "spinor")
-    op = dirac_operator(rep, lc, s3_cls)
+    op = assemble(dirac_operator(rep, lc, s3_cls), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
     # the antecedent construction reports nonzero magnitude 1 for this

@@ -9,8 +9,12 @@ used as the oracle for every dimension claim.
 import random
 from fractions import Fraction
 
-from groupgeo.calculus import GroupFunction, braiding
+import pytest
+
+from groupgeo import linalg
+from groupgeo.calculus import Calculus, GroupFunction, braiding
 from groupgeo.cyclotomic import rat
+from groupgeo.errors import NonCyclicClassError
 
 
 def _braiding_cycles(cls):
@@ -76,6 +80,35 @@ REDUCTION = {
 def test_monomial_reduction_table(cal_d6):
     for pair, coords in REDUCTION.items():
         assert cal_d6.reduction[pair] == tuple(rat(c) for c in coords)
+
+
+def test_reduction_table_takes_one_reduction(monkeypatch, cls_d6):
+    shapes = []
+
+    def counted(matrix):
+        shapes.append((matrix.nrows, matrix.ncols))
+        return rref(matrix)
+
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", counted)
+    cal = Calculus(cls_d6)
+    # the relation kernel, then the 9 x 9 system beside all nine monomials
+    assert shapes == [(9, 9), (9, 18)]
+    assert cal.reduction == {p: tuple(rat(c) for c in coords)
+                             for p, coords in REDUCTION.items()}
+
+
+@pytest.mark.parametrize("basis", [
+    # e_t (x) e_t is braiding-fixed, so a relation itself: some monomial
+    # has no coordinates
+    [(0, 0), (1, 0), (2, 1), (2, 0)],
+    # one monomial too many: every coordinate is ambiguous
+    [(1, 0), (2, 1), (2, 0), (1, 2), (0, 1)],
+], ids=["inconsistent", "kernel"])
+def test_quotient_monomials_must_complement_the_relations(monkeypatch, cls_d6, basis):
+    monkeypatch.setattr(Calculus, "_choose_quotient_basis", lambda self: basis)
+    with pytest.raises(NonCyclicClassError, match="do not complement"):
+        Calculus(cls_d6)
 
 
 def test_reduction_respects_cycle_relations(cal_d6, cls_d6):

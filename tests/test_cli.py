@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, determinism, serialization."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -127,7 +128,9 @@ def test_singular_mu_rejected_before_torsion_solve(monkeypatch, capsys):
     code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                         "--mu=-1/3", "--cmd", "connection")
     assert code == 4
-    assert "error(precondition)" in err
+    # the one singular-metric check, with the text the wave command gives
+    assert err == ("error(precondition): metric modulus mu = -1/3 is singular "
+                   "for a class of size 3\n")
 
 
 def test_connection_command_proves_each_residual_once(monkeypatch, capsys):
@@ -326,6 +329,19 @@ def test_singular_metric_modulus_on_wave_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert err.startswith("error(precondition): metric modulus mu = -1/3 is singular")
+
+
+@pytest.mark.parametrize("cmd, mu", [("dirac", "-0.24" + "9" * 400),
+                                     ("wave", "-0.33" + "3" * 400)], ids=["dirac", "wave"])
+def test_eigenvalues_beyond_float_range_are_ordered_exactly(capsys, cmd, mu):
+    # near the singular moduli the eigenvalues overflow a float
+    code, out, err = _run(capsys, "--group", "dihedral:3", "--class", "sr",
+                          "--cmd", cmd, f"--mu={mu}")
+    assert (code, err) == (0, "")
+    values = [e["value"] for e in json.loads(out)["spectrum"]["pairs"]]
+    fractions = [Fraction(v["num"], v["den"]) for v in values]
+    assert fractions == sorted(fractions)
+    assert max(abs(f) for f in fractions) > 10 ** 400
 
 
 def test_dihedral_over_the_cap_exits_2_before_building(monkeypatch, capsys):

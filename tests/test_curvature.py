@@ -15,14 +15,13 @@ from groupgeo.curvature import (
     lift,
     relative_curvature,
     ricci,
-    ricci_flat_solve,
     ricci_system,
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.groups import ad_table
 from oracles import curvature_of, riemann
-from groupgeo.linalg import Mat
+from groupgeo.linalg import Mat, solve_affine
 
 
 def _basis_two_form(cal, k):
@@ -129,8 +128,23 @@ def test_ricci_flat_solve_unique_with_constraint(ricci_solve_d6, cal_d6):
             assert func == cal_d6.constant(Fraction(-1, 3))
 
 
+def _unconstrained_ricci_flat_solve(cal, variant):
+    """The Ricci-flat solve without the chart constraint, whose |G| rows
+    ricci_system appends last."""
+    grp = cal.group
+    order = grp.order
+    matrix, rhs = ricci_system(cal, variant)
+    particular, kernel = solve_affine(Mat(matrix.rows[:-order]), rhs[:-order])
+
+    def params_from_vec(vec):
+        return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
+                     for i in range(3))
+
+    return params_from_vec(particular), [params_from_vec(v) for v in kernel]
+
+
 def test_ricci_flat_solve_unconstrained_kernel(cal_d6, d6):
-    particular, kernel = ricci_flat_solve(cal_d6, "canonical", constrain_sum=False)
+    particular, kernel = _unconstrained_ricci_flat_solve(cal_d6, "canonical")
     assert len(kernel) == 4
     r2 = d6.index("r2")
     for alpha, beta, gamma in kernel:
@@ -145,7 +159,7 @@ def test_ricci_flat_solve_unconstrained_kernel(cal_d6, d6):
 
 def test_unconstrained_kernel_directions_preserve_flatness(cal_d6, d6):
     from groupgeo.curvature import _chart_unchecked
-    particular, kernel = ricci_flat_solve(cal_d6, "canonical", constrain_sum=False)
+    particular, kernel = _unconstrained_ricci_flat_solve(cal_d6, "canonical")
     alpha, beta, gamma = kernel[0]
     shifted = _chart_unchecked(
         cal_d6, particular[0] + alpha, particular[1] + beta, particular[2] + gamma)
@@ -192,9 +206,11 @@ def _jacobian_by_evaluation(cal, variant):
 @pytest.mark.parametrize("variant", ["canonical", "braided"])
 def test_ricci_system_matches_evaluation_jacobian(oracle_cal, variant):
     rows, rhs = _jacobian_by_evaluation(oracle_cal, variant)
-    assert ricci_system(oracle_cal, variant, constrain_sum=False) == (Mat(rows), rhs)
     order = oracle_cal.group.order
+    matrix, full_rhs = ricci_system(oracle_cal, variant)
+    # the chart constraint comes last, one row per group element
+    assert (Mat(matrix.rows[:-order]), full_rhs[:-order]) == (Mat(rows), rhs)
     for g in range(order):
         rows.append([rat(1) if u % order == g else rat(0) for u in range(3 * order)])
         rhs.append(rat(-1))
-    assert ricci_system(oracle_cal, variant, constrain_sum=True) == (Mat(rows), rhs)
+    assert (matrix, full_rhs) == (Mat(rows), rhs)

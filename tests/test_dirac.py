@@ -30,7 +30,6 @@ from groupgeo.dirac import (
     reduced_spectrum,
     spectral_action,
     spectrum,
-    spinor_blocks,
     translation_block,
     wave_eigenmode_catalog,
     wave_operator,
@@ -53,6 +52,7 @@ from oracles import (
     metric_tensor,
     minimal_polynomial,
     minimal_polynomial_check,
+    spinor_blocks,
     wave_candidates,
 )
 
@@ -242,6 +242,14 @@ def test_spectrum_requires_exhaustion():
                             [rat(0), rat(1), rat(0), rat(0)]])], 4)
 
 
+def test_spectrum_orders_eigenvalues_exactly():
+    # 1 and 1 + 10^-12 are one float apart at nine digits; given in reverse
+    # order they still come out sorted
+    close = rat(1 + Fraction(1, 10 ** 12))
+    spect = Spectrum({close: [[rat(0), rat(1)]], rat(1): [[rat(1), rat(0)]]}, 2)
+    assert spect.pairs == ((rat(1), 1), (close, 1))
+
+
 def test_spectrum_certification_fails_on_short_candidates(dirac0_d6):
     ident = Mat.identity(24)
     short = {v: kernel_basis(dirac0_d6 - ident * v) for v in (0, 3)}
@@ -292,7 +300,8 @@ def test_spectrum_at_a_modulus_with_large_denominators(cal_d3):
     # (here 45-digit) coefficients
     mu = Fraction(123456789, 987654321)
     cls = cal_d3.cls
-    op = dirac_operator(builtin_rep(cls.group, "spinor"), levi_civita(cal_d3, mu), cls, mu)
+    op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
+                                 levi_civita(cal_d3, mu), cls, mu), cls.group)
     _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
 
@@ -313,8 +322,8 @@ def test_wave_spectrum_at_mu_zero(wave0_d6, wave_spect0):
     assert wave0_d6.conj_transpose() == wave0_d6
 
 
-def test_wave_spectrum_at_mu_one(certified, cls_d6):
-    op = wave_operator(cls_d6, Fraction(1))
+def test_wave_spectrum_at_mu_one(certified, d6, cls_d6):
+    op = assemble(wave_operator(cls_d6, Fraction(1)), d6)
     spect = certified(op)
     assert spect.pairs == (
         (rat(Fraction(-15, 4)), 8), (rat(-3), 2), (rat(0), 2))
@@ -364,15 +373,16 @@ def certified():
 
 
 @pytest.fixture(scope="module")
-def krylov_d6(rep_d6, cal_d6, cls_d6):
+def krylov_d6(d6, rep_d6, cal_d6, cls_d6):
     """The D6 Dirac and wave operators at mu, each with its Krylov minimal
     polynomial; computed once per mu for every test that uses them."""
     cache = {}
 
     def at(mu):
         if mu not in cache:
-            ops = {"dirac": dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu),
-                   "wave": wave_operator(cls_d6, mu)}
+            coeffs = {"dirac": dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu),
+                      "wave": wave_operator(cls_d6, mu)}
+            ops = {name: assemble(c, d6) for name, c in coeffs.items()}
             cache[mu] = {name: (op, minimal_polynomial(op)) for name, op in ops.items()}
         return cache[mu]
 
@@ -399,7 +409,7 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
     cls = cal.cls
     rep = builtin_rep(cls.group, "spinor")
     for mu in MUS:
-        op = dirac_operator(rep, levi_civita(cal, mu), cls, mu)
+        op = assemble(dirac_operator(rep, levi_civita(cal, mu), cls, mu), cls.group)
         _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
 
@@ -425,7 +435,7 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
     # the matrix Krylov minimal polynomial is a test oracle only
     assert not hasattr(dirac, "minimal_polynomial")
-    report = reporting.dirac_report(cal_d6, mu)
+    report = reporting.dirac_report(reporting.certify_dirac(cal_d6, mu))
     assert report["minimal_polynomial"] == expected["dirac"]
     assert len(reductions) == len(report["spectrum"]["pairs"])
     assert len(reductions) == {Fraction(0): 3, Fraction(1, 2): 5}[mu]
@@ -462,22 +472,52 @@ def test_assembled_operators_match_dense_oracles(certified, oracle_cal, mu):
     rep = builtin_rep(cls.group, "spinor")
     lc = levi_civita(oracle_cal, mu)
     subgroup = cls.generated_subgroup()
-    op = dirac_operator(rep, lc, cls, mu)
+    coeffs = dirac_operator(rep, lc, cls, mu)
+    op = assemble(coeffs, cls.group)
     assert op == dense_dirac_operator(rep, lc, cls, mu)
-    _assert_block_certifies(op, dirac_operator(rep, lc, cls, mu, subgroup), cls,
-                            certified(op))
-    op = wave_operator(cls, mu)
+    _assert_block_certifies(op, assemble(coeffs, cls.group, subgroup), cls, certified(op))
+    coeffs = wave_operator(cls, mu)
+    op = assemble(coeffs, cls.group)
     assert op == dense_wave_operator(cls, mu)
-    _assert_block_certifies(op, wave_operator(cls, mu, subgroup), cls, certified(op))
+    _assert_block_certifies(op, assemble(coeffs, cls.group, subgroup), cls, certified(op))
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
 def test_wave_block_on_the_direct_product(cls_d6z2, mu):
     assert cls_d6z2.group.order // len(cls_d6z2.generated_subgroup()) == 4
-    op = wave_operator(cls_d6z2, mu)
+    coeffs = wave_operator(cls_d6z2, mu)
+    op = assemble(coeffs, cls_d6z2.group)
     assert op == dense_wave_operator(cls_d6z2, mu)
-    _assert_block_certifies(op, wave_operator(cls_d6z2, mu, cls_d6z2.generated_subgroup()),
+    _assert_block_certifies(op, assemble(coeffs, cls_d6z2.group, cls_d6z2.generated_subgroup()),
                             cls_d6z2, spectrum(op))
+
+
+_ENTRIES = st.builds(lambda x, y: rat(x) + cyclo(4) * y,
+                     st.fractions(-3, 3, max_denominator=4), st.integers(-2, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dim=st.sampled_from([1, 2]), hermitian=st.booleans())
+def test_block_reads_hermiticity_and_trace_of_the_full_operator(
+        cls_d6, s3_cls, cal_d6_relabelled, data, dim, hermitian):
+    cls = data.draw(st.sampled_from([cls_d6, s3_cls, cal_d6_relabelled.cls]))
+    group = cls.group
+    subgroup = cls.generated_subgroup()
+    matrices = st.builds(Mat, st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim),
+                                       min_size=dim, max_size=dim))
+    coeffs = data.draw(st.dictionaries(st.sampled_from(subgroup), matrices, min_size=1))
+    if hermitian:
+        # op + op^dagger: op is hermitian exactly when M_{h^-1} = M_h^dagger
+        zero = Mat.zeros(dim, dim)
+        coeffs = {h: coeffs.get(h, zero) + coeffs.get(group.inv(h), zero).conj_transpose()
+                  for h in sorted({*coeffs, *map(group.inv, coeffs)})}
+    op = assemble(coeffs, group)
+    block = assemble(coeffs, group, subgroup)
+    copies = group.order // len(subgroup)
+    assert (block.conj_transpose() == block) == (op.conj_transpose() == op)
+    if hermitian:
+        assert op.conj_transpose() == op
+    assert block.trace() * copies == op.trace()
 
 
 def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6):
@@ -489,9 +529,9 @@ def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6)
         dirac_operator(rep_d6, conn, cls_d6)
 
 
-def test_assembly_needs_elements_closed_under_the_support(cls_d6):
+def test_assembly_needs_elements_closed_under_the_support(d6, cls_d6):
     with pytest.raises(ValueError, match="not closed under right multiplication"):
-        wave_operator(cls_d6, 0, [0, 7])
+        assemble(wave_operator(cls_d6, 0), d6, [0, 7])
 
 
 def test_incomplete_block_spectrum_states_the_operator_dimension(d6, cls_d6):
@@ -515,13 +555,14 @@ def test_chirality_reason_states_the_operator_multiplicities(
     with pytest.raises(AsymmetricSpectrumError) as info:
         chirality(certified(op))
     assert "multiplicity 4" in str(info.value)
-    assert reporting.dirac_report(cal_d6, mu)["chirality"] == {
+    assert reporting.dirac_report(reporting.certify_dirac(cal_d6, mu))["chirality"] == {
         "available": False, "reason": str(info.value)}
 
 
-def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6z2):
+def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
     sizes = []
     catalogs = []
+    calls = {"dirac_operator": 0, "levi_civita": 0}
 
     def certified(op):
         sizes.append(op.nrows)
@@ -531,12 +572,27 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6z2):
         catalogs.append((op.nrows, spect.dimension))
         return replay(C, op, spect)
 
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
     certify, replay = dirac.spectrum, dirac.eigenmode_catalog
     monkeypatch.setattr(dirac, "spectrum", certified)
     monkeypatch.setattr(dirac, "eigenmode_catalog", catalog)
-    reporting.dirac_report(cal_d6)
-    reporting.spectral_action_report(cal_d6, Fraction(1, 2))
-    assert sizes == [12, 12]
+    counted(dirac, "dirac_operator")
+    counted(reporting, "levi_civita")
+    report = reporting.full_report(cls_d6.group, cls_d6)
+    # one Dirac build and one certification of its 12 x 12 block, read by
+    # the dirac and spectral-action sections, and the 6 x 6 wave block;
+    # levi_civita once each for connection, curvature, ricci and dirac
+    assert sizes == [12, 6]
+    assert calls == {"dirac_operator": 1, "levi_civita": 4}
+    assert report["spectral_action"]["spectrum"] == report["dirac"]["spectrum"]
     # the catalog replays against the full operator and lifted spectrum
     assert catalogs == [(24, 24)]
     sizes.clear()
@@ -558,9 +614,10 @@ def d6_spectrum_tables(cal_d6):
 
 
 def _spectrum_tables(cal, mu):
+    reports = (("dirac", reporting.dirac_report(reporting.certify_dirac(cal, mu))),
+               ("wave", reporting.wave_report(cal.cls, mu)))
     return {name: (report["spectrum"]["table"], report["spectrum"]["dimension"])
-            for name, report in (("dirac", reporting.dirac_report(cal, mu)),
-                                 ("wave", reporting.wave_report(cal.cls, mu)))}
+            for name, report in reports}
 
 
 @settings(max_examples=3, deadline=None)
@@ -697,10 +754,10 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
 
 
 def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
-    dirac_op = dirac_operator(builtin_rep(s3_cls.group, "spinor"),
-                              levi_civita(s3_cal), s3_cls)
+    dirac_op = assemble(dirac_operator(builtin_rep(s3_cls.group, "spinor"),
+                                       levi_civita(s3_cal), s3_cls), s3_cls.group)
     dirac_spect = spectrum(dirac_op)
-    wave_op = wave_operator(s3_cls)
+    wave_op = assemble(wave_operator(s3_cls), s3_cls.group)
     wave_spect = spectrum(wave_op)
 
     def built(*_args, **_kwargs):
@@ -716,7 +773,7 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
 
 
 def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d6, cal_d3, cls_d6):
-    assert "eigenmode_catalog" not in reporting.dirac_report(cal_d3)
+    assert "eigenmode_catalog" not in reporting.dirac_report(reporting.certify_dirac(cal_d3, 0))
     assert "eigenmode_catalog" not in reporting.wave_report(cal_d3.cls)
 
     def unreachable(*_args, **_kwargs):
@@ -724,7 +781,8 @@ def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d6, cal_d3,
 
     monkeypatch.setattr(dirac, "eigenmode_catalog", unreachable)
     monkeypatch.setattr(dirac, "wave_eigenmode_catalog", unreachable)
-    assert "eigenmode_catalog" not in reporting.dirac_report(cal_d6, Fraction(1))
+    assert "eigenmode_catalog" not in reporting.dirac_report(
+        reporting.certify_dirac(cal_d6, Fraction(1)))
     assert "eigenmode_catalog" not in reporting.wave_report(cls_d6, Fraction(1))
 
 
@@ -734,7 +792,7 @@ def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cal_d6, cl
 
     monkeypatch.setattr(dirac, "_assess", broken)
     with pytest.raises(ValueError, match="a bug inside the catalog"):
-        reporting.dirac_report(cal_d6)
+        reporting.dirac_report(reporting.certify_dirac(cal_d6, 0))
     with pytest.raises(ValueError, match="a bug inside the catalog"):
         reporting.wave_report(cls_d6)
 
@@ -813,15 +871,15 @@ def test_spectral_action_scale_validation(spect0):
 def test_s3_dirac_spectrum(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
-    op = dirac_operator(rep, levi_civita(s3_cal), s3_cls)
+    op = assemble(dirac_operator(rep, levi_civita(s3_cal), s3_cls), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
     assert op.conj_transpose() == op
     assert (op @ op).trace() == rat(72)
 
 
-def test_s3_wave_spectrum(s3_cls):
-    op = wave_operator(s3_cls)
+def test_s3_wave_spectrum(s3_group, s3_cls):
+    op = assemble(wave_operator(s3_cls), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-12), 1), (rat(-6), 4), (rat(0), 1))
 
@@ -829,7 +887,7 @@ def test_s3_wave_spectrum(s3_cls):
 def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
-    op = dirac_operator(rep, levi_civita(s3_cal), s3_cls)
+    op = assemble(dirac_operator(rep, levi_civita(s3_cal), s3_cls), s3_group)
     g = chirality(spectrum(op))
     assert g @ g == Mat.identity(12)
     assert (g @ op + op @ g).is_zero()
