@@ -19,6 +19,7 @@ basis is the free columns of the row-reduced relation matrix.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, rat
@@ -28,23 +29,39 @@ from .linalg import Mat, as_scalar, kernel_basis, rref, solve_affine_columns
 
 
 class GroupFunction:
-    """An exact-valued function on the group; pointwise algebra."""
+    """An exact-valued function on the group; pointwise algebra.
 
-    __slots__ = ("group", "values")
+    A constant function holds its one value as constant_value, whichever
+    constructor built it, and every operation between constants costs one
+    scalar operation.  Left-invariant forms have constant coefficients, so
+    the calculus, connection, curvature and Ricci layers run on single
+    values.  A varying function holds one value per group element and its
+    constant_value is None; values lists every element's value in both
+    forms.
+    """
+
+    __slots__ = ("group", "constant_value", "_values")
 
     def __init__(self, group: FiniteGroup, values: Sequence):
         vals = tuple(as_scalar(v) for v in values)
         if len(vals) != group.order:
             raise ValueError("one value per group element required")
+        varies = any(v != vals[0] for v in vals)
+        self._hold(group, None if varies else vals[0], vals if varies else None)
+
+    def _hold(self, group, value, values):
         object.__setattr__(self, "group", group)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "constant_value", value)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, *_):
         raise AttributeError("GroupFunction is immutable")
 
     @classmethod
     def constant(cls, group: FiniteGroup, value) -> "GroupFunction":
-        return cls(group, [as_scalar(value)] * group.order)
+        f = object.__new__(cls)
+        f._hold(group, as_scalar(value), None)
+        return f
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "GroupFunction":
@@ -56,42 +73,65 @@ class GroupFunction:
         vals[g] = rat(1)
         return cls(group, vals)
 
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            return (self.constant_value,) * self.group.order
+        return self._values
+
     def __call__(self, g: int) -> Cyclotomic:
-        return self.values[g]
+        return self.constant_value if self._values is None else self._values[g]
+
+    def _pointwise(self, other: "GroupFunction", op) -> "GroupFunction":
+        if self._values is None and other._values is None:
+            return GroupFunction.constant(self.group, op(self.constant_value,
+                                                         other.constant_value))
+        return GroupFunction(self.group, [op(a, b) for a, b in zip(self.values, other.values)])
 
     def __add__(self, other: "GroupFunction") -> "GroupFunction":
-        return GroupFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+        return self._pointwise(other, operator.add)
 
     def __sub__(self, other: "GroupFunction") -> "GroupFunction":
-        return GroupFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
+        return self._pointwise(other, operator.sub)
 
     def __neg__(self) -> "GroupFunction":
-        return GroupFunction(self.group, [-a for a in self.values])
+        if self._values is None:
+            return GroupFunction.constant(self.group, -self.constant_value)
+        return GroupFunction(self.group, [-a for a in self._values])
 
     def __mul__(self, other):
-        if isinstance(other, GroupFunction):
-            return GroupFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
-        return GroupFunction(self.group, [a * as_scalar(other) for a in self.values])
+        if not isinstance(other, GroupFunction):
+            other = GroupFunction.constant(self.group, other)
+        return self._pointwise(other, operator.mul)
 
     __rmul__ = __mul__
 
     def translate(self, a: int) -> "GroupFunction":
         """R_a f with (R_a f)(g) = f(ga)."""
+        if self._values is None:
+            return self
         mul = self.group.mul
-        return GroupFunction(self.group, [self.values[mul(g, a)] for g in range(self.group.order)])
+        return GroupFunction(self.group, [self._values[mul(g, a)] for g in range(self.group.order)])
 
     def partial(self, a: int) -> "GroupFunction":
         """The finite difference R_a f - f."""
+        if self._values is None:
+            return GroupFunction.zero(self.group)
         return self.translate(a) - self
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self.values)
+        if self._values is None:
+            return self.constant_value.is_zero()
+        return all(v.is_zero() for v in self._values)
 
     def __eq__(self, other):
         if not isinstance(other, GroupFunction):
             return NotImplemented
-        return self.group is other.group and all(
-            a == b for a, b in zip(self.values, other.values))
+        if self.group is not other.group:
+            return False
+        if self._values is None and other._values is None:
+            return self.constant_value == other.constant_value
+        return all(a == b for a, b in zip(self.values, other.values))
 
     __hash__ = None
 

@@ -277,17 +277,19 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
     (a, b).  It is read off regularity_residual at (0, 0), (1, 0) and (0, 1);
     the residual has degree at most 2, so agreeing with that affine map at
     (1, 1), (2, 0) and (0, 2) proves it affine everywhere.  The resulting
-    rational linear system is solved exactly: no solution gives [], a line
+    rational linear system, one row per bucket and 2-form coordinate
+    whatever the group order, is solved exactly: no solution gives [], a line
     or plane of solutions is an error.
     """
     _require_chart_class(calculus)
-    order = calculus.group.order
 
     def residual(a, b) -> list:
         const = calculus.constant
         conn = Connection.from_chart(calculus, const(a), const(b), const(-1 - a - b))
-        return [f(h) for g, form in regularity_residual(conn).items() if g != 0
-                for f in form.coeffs for h in range(order)]
+        # constant parameters give a left-invariant residual: every
+        # coefficient is constant, so its value at e stands for the group
+        return [f(0) for g, form in regularity_residual(conn).items() if g != 0
+                for f in form.coeffs]
 
     r0 = residual(0, 0)
     da = [x - y for x, y in zip(residual(1, 0), r0)]

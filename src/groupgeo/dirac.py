@@ -229,13 +229,13 @@ def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     for apos, a in enumerate(C.members):
         tau = rep(group.inv(a)) - ident_w
         for bpos, b in enumerate(C.members):
-            first, *rest = A.coefficient(apos, bpos).values
-            if any(v != first for v in rest):
+            value = A.coefficient(apos, bpos).constant_value
+            if value is None:
                 raise ValueError(
                     "the Dirac operator needs a connection with constant "
                     f"coefficients; A_{group.label(a)} varies over the group "
                     f"in its e_{group.label(b)} coefficient")
-            coeffs[0] = coeffs[0] - (gammas[b] @ tau) * first
+            coeffs[0] = coeffs[0] - (gammas[b] @ tau) * value
     return coeffs
 
 

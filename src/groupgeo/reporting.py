@@ -84,7 +84,10 @@ def matrix_json(m: Mat) -> list:
 
 
 def function_json(f: GroupFunction) -> list:
-    return values_json(f.values)
+    if f.constant_value is None:
+        return values_json(f.values)
+    # a constant is rendered once and its dict repeated for every element
+    return [scalar_json(f.constant_value)] * f.group.order
 
 
 def one_form_json(alpha: OneForm) -> dict:
@@ -208,7 +211,10 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     # levi_civita rejects a singular mu; do that before the torsion solve
     lc = levi_civita(cal, mu)
     particular, kernel = torsion_free_family(cal)
-    members = [particular.components] + kernel
+    # kernel member i*|G| + h is factor-kernel vector i placed at element h;
+    # its component sum vanishes exactly when the vector's does, so the
+    # member at one element stands for all |G| placements
+    members = [particular.components] + kernel[::cal.group.order]
     sum_ok = all(
         Connection(cal, comps).sum_form().is_zero() for comps in members)
     return {

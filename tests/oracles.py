@@ -1,7 +1,9 @@
 """Test oracles: plain reference computations that only the tests call.
 
 Each one is the direct, unoptimised form of something the package computes
-another way (the dense torsion system beside the Kronecker-factored solve,
+another way (functions stored as one value per group element beside the
+one-value form of constants, the dense torsion system beside the
+Kronecker-factored solve,
 a polynomial evaluated on a matrix beside a certified spectrum, the matrix
 Krylov minimal polynomial beside the vector one, the Dirac and wave
 operators summed from dense Kronecker and translation matrices beside
@@ -15,6 +17,7 @@ package does not need at run time (the Peter-Weyl rank).
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 from typing import Sequence
 
@@ -62,6 +65,33 @@ def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:
             out = out + power * cs
         power = power @ matrix
     return out
+
+
+# -- functions on the group ------------------------------------------------
+
+@contextlib.contextmanager
+def expanded_functions():
+    """Inside the block every GroupFunction built holds one value per group
+    element, constants included, so each operation runs element by element:
+    the |G|-tuple path that the one-value form of constants replaces.
+    Objects cached before the block (a calculus's d e_a) keep their form;
+    build what is compared inside it."""
+    def init(self, group, values):
+        vals = tuple(as_scalar(v) for v in values)
+        if len(vals) != group.order:
+            raise ValueError("one value per group element required")
+        self._hold(group, None, vals)
+
+    def constant(cls, group, value):
+        return cls(group, [value] * group.order)
+
+    saved = GroupFunction.__dict__["__init__"], GroupFunction.__dict__["constant"]
+    GroupFunction.__init__ = init
+    GroupFunction.constant = classmethod(constant)
+    try:
+        yield
+    finally:
+        GroupFunction.__init__, GroupFunction.constant = saved
 
 
 # -- connections and curvature ----------------------------------------------

@@ -10,10 +10,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import relabelled
 from groupgeo import linalg
 from groupgeo.calculus import Calculus, GroupFunction, braiding
-from groupgeo.cyclotomic import rat
+from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import NonCyclicClassError
 
 
@@ -241,3 +243,77 @@ def test_delta_functions_and_arithmetic(d6):
     assert (f + g - g)(3) == rat(1)
     assert (-f)(3) == rat(-1)
     assert f.translate(d6.index("r"))(2) == rat(1)  # (R_r f)(r2) = f(r3)
+
+
+# -- the one-value form of constants, against plain tuple arithmetic ---------
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# rationals and elements of Q(zeta_12), which has degree 4
+_SCALARS = st.one_of(
+    st.builds(rat, _RATIONALS),
+    st.builds(lambda cs: Cyclotomic(12, cs), st.lists(_RATIONALS, min_size=4, max_size=4)))
+
+
+def _one_value_form(f: GroupFunction) -> bool:
+    return f.constant_value is not None
+
+
+def _constant_values(vals) -> bool:
+    return all(v == vals[0] for v in vals)
+
+
+@st.composite
+def _function_values(draw, n):
+    """|G| values: constant (its rationals sometimes written in Q(zeta_12),
+    an equal value in a wider field) or drawn element by element."""
+    if draw(st.booleans()):
+        c = draw(_SCALARS)
+        wide = c.to_order(12)
+        return [draw(st.sampled_from([c, wide])) for _ in range(n)]
+    return draw(st.lists(_SCALARS, min_size=n, max_size=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), which=st.sampled_from(["d6", "s3", "relabelled"]),
+       seed=st.integers(0, 10**6))
+def test_one_value_form_matches_tuple_arithmetic(d6, s3_group, data, which, seed):
+    group = {"d6": d6, "s3": s3_group}.get(which) or relabelled(d6, seed)
+    n = group.order
+    fv = data.draw(_function_values(n))
+    gv = data.draw(_function_values(n))
+    s = data.draw(_SCALARS)
+    a = data.draw(st.integers(0, n - 1))
+    f, g = GroupFunction(group, fv), GroupFunction(group, gv)
+    assert _one_value_form(f) == _constant_values(fv)
+    assert _one_value_form(g) == _constant_values(gv)
+
+    def same(h, expected):
+        expected = tuple(expected)
+        assert h.values == expected
+        assert [h(x) for x in range(n)] == list(expected)
+        assert _one_value_form(h) == _constant_values(expected)
+
+    same(f, fv)
+    same(f + g, (x + y for x, y in zip(fv, gv)))
+    same(f - g, (x - y for x, y in zip(fv, gv)))
+    same(-f, (-x for x in fv))
+    same(f * g, (x * y for x, y in zip(fv, gv)))
+    same(f * s, (x * s for x in fv))
+    same(s * f, (s * x for x in fv))
+    same(f.translate(a), (fv[group.mul(x, a)] for x in range(n)))
+    same(f.partial(a), (fv[group.mul(x, a)] - fv[x] for x in range(n)))
+    assert f.is_zero() == all(x.is_zero() for x in fv)
+    assert (f == g) == all(x == y for x, y in zip(fv, gv))
+    assert f == GroupFunction(group, list(fv))
+
+
+@settings(max_examples=30, deadline=None)
+@given(c=_SCALARS, which=st.sampled_from(["d6", "s3", "relabelled"]),
+       seed=st.integers(0, 10**6))
+def test_equal_values_build_the_constant(d6, s3_group, c, which, seed):
+    group = {"d6": d6, "s3": s3_group}.get(which) or relabelled(d6, seed)
+    listed = GroupFunction(group, [c] * group.order)
+    constant = GroupFunction.constant(group, c)
+    assert listed == constant
+    assert _one_value_form(listed) and _one_value_form(constant)
+    assert listed.constant_value == constant.constant_value == c

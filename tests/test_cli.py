@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dicyclic3
+from conftest import dicyclic3, direct_product_z2, relabelled
 from groupgeo import cli, connections, reporting
+from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
+from groupgeo.groups import conjugacy_class, dihedral
+from oracles import expanded_functions
 
 
 def _run(capsys, *argv):
@@ -376,3 +379,30 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "--cayley" in out
+
+
+_GEOMETRY_SECTIONS = ("calculus", "connection", "curvature", "ricci")
+
+
+def _geometry_bytes(group) -> dict:
+    cal = differential_calculus(conjugacy_class(group, "sr"))
+    return {name: render(getattr(reporting, f"{name}_report")(cal), False)
+            for name in _GEOMETRY_SECTIONS}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: dihedral(3),
+    lambda: dihedral(6),
+    lambda: relabelled(dihedral(6), 41),
+    lambda: direct_product_z2(dihedral(6)),
+], ids=["d3", "d6", "d6-relabelled", "d6xz2"])
+def test_geometry_sections_match_the_expanded_path(build):
+    # the one-value form of constants against every function held as |G|
+    # values, section by section
+    group = build()
+    fast = _geometry_bytes(group)
+    with expanded_functions():
+        assert differential_calculus(
+            conjugacy_class(group, "sr")).theta.coeffs[0].constant_value is None
+        slow = _geometry_bytes(group)
+    assert fast == slow

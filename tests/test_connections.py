@@ -1,15 +1,19 @@
 """Torsion-free connections, the distinguished one, and the parameter scan."""
 
+import contextlib
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from conftest import direct_product_z2
 from groupgeo import connections
-from groupgeo.calculus import GroupFunction
+from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import (
     Connection,
     constant_regular_scan,
@@ -20,10 +24,11 @@ from groupgeo.connections import (
     torsion_free_family,
     torsion_residual,
 )
-from groupgeo.cyclotomic import rat
+from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import GroupGeoError, SingularMetricError
+from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
-from oracles import torsion_system
+from oracles import expanded_functions, torsion_system
 
 
 def _const_chart(cal, a, b, c):
@@ -241,3 +246,53 @@ def test_connection_command_never_imports_sympy():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# -- left-invariant work does not grow with the group ------------------------
+
+@contextlib.contextmanager
+def _counting_arithmetic():
+    """Count Cyclotomic additions (subtraction adds the negation) and
+    multiplications made inside the block."""
+    counts = Counter()
+
+    def counted(kind, fn):
+        def wrapper(a, b):
+            counts[kind] += 1
+            return fn(a, b)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        for name, kind in (("__add__", "add"), ("__radd__", "add"),
+                           ("__mul__", "mul"), ("__rmul__", "mul")):
+            stack.enter_context(mock.patch.object(
+                Cyclotomic, name, counted(kind, getattr(Cyclotomic, name))))
+        yield counts
+
+
+def _geometry_counts() -> list:
+    """Arithmetic of one levi_civita and one constant_regular_scan call on a
+    fresh calculus of D3, D6 and D6 x Z2 (orders 6, 12 and 24)."""
+    out = []
+    for group in (dihedral(3), dihedral(6), direct_product_z2(dihedral(6))):
+        cal = differential_calculus(conjugacy_class(group, "sr"))
+        with _counting_arithmetic() as lc:
+            levi_civita(cal)
+        with _counting_arithmetic() as scan:
+            constant_regular_scan(cal)
+        out.append((dict(lc), dict(scan)))
+    return out
+
+
+def test_levi_civita_and_scan_arithmetic_is_independent_of_the_order():
+    counts = _geometry_counts()
+    assert counts[0][0]["add"] > 0 and counts[0][1]["mul"] > 0
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_the_order_check_sees_the_expanded_path():
+    # the same counts with every function held as |G| values grow with |G|,
+    # so the check above would fail on that path
+    with expanded_functions():
+        counts = _geometry_counts()
+    assert counts[0] != counts[1] != counts[2]

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from groupgeo.calculus import GroupFunction, TwoForm
-from groupgeo.connections import Connection
+from conftest import direct_product_z2, relabelled
+from groupgeo import reporting
+from groupgeo.calculus import GroupFunction, TwoForm, differential_calculus
+from groupgeo.connections import Connection, constant_regular_scan, levi_civita
 from groupgeo.curvature import (
     TensorOneOne,
     covariant_derivative,
@@ -15,11 +17,12 @@ from groupgeo.curvature import (
     lift,
     relative_curvature,
     ricci,
+    ricci_flat_solve,
     ricci_system,
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
-from groupgeo.groups import ad_table
+from groupgeo.groups import ad_table, conjugacy_class, dihedral
 from oracles import curvature_of, riemann
 from groupgeo.linalg import Mat, solve_affine
 
@@ -214,3 +217,42 @@ def test_ricci_system_matches_evaluation_jacobian(oracle_cal, variant):
         rows.append([rat(1) if u % order == g else rat(0) for u in range(3 * order)])
         rhs.append(rat(-1))
     assert (matrix, full_rhs) == (Mat(rows), rhs)
+
+
+# -- relabelling the group elements ------------------------------------------
+
+def _label_free_layers(group) -> dict:
+    """What the connection and Ricci layers compute on the class of sr, each
+    function read by element name so that renumbering the elements cannot
+    change it."""
+    cal = differential_calculus(conjugacy_class(group, "sr"))
+
+    def by_name(f):
+        return {group.names[g]: f(g) for g in range(group.order)}
+
+    report = reporting.connection_report(cal)
+    out = {
+        "levi_civita": [by_name(p) for p in levi_civita(cal).parameters],
+        "scan": constant_regular_scan(cal),
+        "family_dimension": report["torsion_free_family_dimension"],
+        "sum_of_components_vanishes": report["sum_of_components_vanishes"],
+    }
+    for variant in ("canonical", "braided"):
+        params, kernel = ricci_flat_solve(cal, variant)
+        out[variant] = ([by_name(p) for p in params], len(kernel))
+    return out
+
+
+@pytest.fixture(scope="module")
+def natural_layers():
+    d6 = dihedral(6)
+    return {"d6": _label_free_layers(d6),
+            "d6xz2": _label_free_layers(direct_product_z2(d6))}
+
+
+@pytest.mark.parametrize("base,seed", [("d6", 3), ("d6", 29), ("d6xz2", 8)])
+def test_connection_and_ricci_layers_survive_relabelling(natural_layers, base, seed):
+    group = dihedral(6) if base == "d6" else direct_product_z2(dihedral(6))
+    natural = natural_layers[base]
+    assert natural["scan"] and natural["sum_of_components_vanishes"]
+    assert _label_free_layers(relabelled(group, seed)) == natural

@@ -529,6 +529,19 @@ def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6)
         dirac_operator(rep_d6, conn, cls_d6)
 
 
+def test_dirac_operator_accepts_equal_values_listed_per_element(
+        rep_d6, cal_d6, cls_d6, family_d6):
+    # the torsion solve lists |G| values per coefficient of its particular
+    # solution; equal values are a constant however they were built
+    particular, _ = family_d6
+    by_constants = Connection(cal_d6, [
+        cal_d6.one_form([cal_d6.constant(particular.coefficient(a, b)(0))
+                         for b in range(3)])
+        for a in range(3)])
+    assert dirac_operator(rep_d6, particular, cls_d6) == dirac_operator(
+        rep_d6, by_constants, cls_d6)
+
+
 def test_assembly_needs_elements_closed_under_the_support(d6, cls_d6):
     with pytest.raises(ValueError, match="not closed under right multiplication"):
         assemble(wave_operator(cls_d6, 0), d6, [0, 7])
