@@ -20,16 +20,25 @@ two lifts are provided:
 Ricci contracts the lifted curvature relative to the flat background (the
 exterior derivatives of the basis forms themselves), which is the
 normalisation that makes the distinguished connection Ricci-flat.
+
+The Ricci-flat chart members solve an exact linear system that commutes
+with left translation and reads only structure constants inside
+H = <C>.  On G it is [G:H] copies, one per left coset gH, of the same
+system on the calculus of (H, C), so that small system is solved and its
+solution lifted over the cosets, then put in the basis the dense solve on
+G gives (see Serre, Linear Representations of Finite Groups, section 7,
+on restriction and induction).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .calculus import Calculus, GroupFunction, OneForm, TwoForm
+from .calculus import Calculus, GroupFunction, OneForm, TwoForm, differential_calculus
 from .connections import Connection, _chart_rows, _require_chart_class
 from .cyclotomic import rat
-from .linalg import solve_affine, Mat
+from .groups import FiniteGroup
+from .linalg import Mat, rref, solve_affine
 
 LIFT_VARIANTS = ("canonical", "braided")
 
@@ -271,6 +280,12 @@ def ricci_system(calculus: Calculus, variant: str = "canonical") -> tuple[Mat, l
     row (p, q, g) is the column of delta_e at row (p, q, h^-1 g), and four
     ricci evaluations (the zero chart and delta_e in each parameter)
     assemble the system instead of one per unknown.
+
+    The column of delta_e is supported on e and the inverses of the class
+    members, so row g meets only the unknowns at g and at g c for c in C,
+    all on the coset gH of H = <C>.  ricci_flat_solve therefore
+    calls this on subgroup_calculus(calculus) only; on the calculus of G it
+    is the dense oracle for that solve.
     """
     cal = calculus
     _require_chart_class(cal)
@@ -304,19 +319,82 @@ def ricci_system(calculus: Calculus, variant: str = "canonical") -> tuple[Mat, l
     return Mat(rows), rhs
 
 
+def subgroup_calculus(calculus: Calculus) -> Calculus:
+    """The calculus of (H, C) for H = <C>, with H a group of its own: the
+    elements of H in ascending order with their names, and the class of
+    the same members in the same order."""
+    cls = calculus.cls
+    group = cls.group
+    elements = cls.generated_subgroup()
+    pos = {g: p for p, g in enumerate(elements)}
+    sub = FiniteGroup([group.label(g) for g in elements],
+                      [[pos[group.mul(a, b)] for b in elements] for a in elements],
+                      name=f"<{', '.join(cls.labels())}>")
+    sub_cal = differential_calculus(sub.conjugacy_class(pos[cls.members[0]]))
+    # conjugation by the class alone orders the members and H keeps the
+    # ascending order of G, so the two orders agree
+    assert [elements[a] for a in sub_cal.cls.members] == list(cls.members)
+    return sub_cal
+
+
+def lift_solution(calculus: Calculus, particular, kernel) -> tuple[list, list]:
+    """Carry a solution of a system in the chart parameters of
+    subgroup_calculus(calculus), columns ordered as in ricci_system, to the
+    same system on G, in the form solve_affine gives there.
+
+    The system on G is one copy of the system on H per left coset gH:
+    left translation by the coset's least element g maps parameter i at h
+    to parameter i at g h.  So the particular solution fills every coset
+    and each kernel vector yields one vector per coset.  solve_affine's
+    kernel basis is the free-column basis of the dense RREF: column j is
+    free exactly when some kernel vector ends at j, so reducing the lifted
+    kernel with its columns reversed gives that basis, and subtracting it
+    clears the particular solution's free columns.
+    """
+    cosets = calculus.cls.left_cosets()
+    k = len(cosets[0])
+    n = calculus.group.order
+    zero = rat(0)
+
+    def spread(vec, over):
+        full = [zero] * (3 * n)
+        for coset in over:
+            for i in range(3):
+                for p, x in enumerate(coset):
+                    full[i * n + x] = vec[i * k + p]
+        return full
+
+    particular = spread(particular, cosets)
+    lifted = [spread(vec, [coset]) for vec in kernel for coset in cosets]
+    if not lifted:
+        return particular, []
+    red, pivots = rref(Mat([vec[::-1] for vec in lifted]))
+    basis = [list(row[::-1]) for row in reversed(red.rows[:len(pivots)])]
+    for col, vec in zip(reversed(pivots), basis):
+        c = particular[3 * n - 1 - col]
+        if c:
+            particular = [a - c * b for a, b in zip(particular, vec)]
+    return particular, basis
+
+
 def ricci_flat_solve(calculus: Calculus, variant: str = "canonical"):
     """Solve for all chart parameter triples with vanishing Ricci.
 
     Ricci is affine in the three parameter functions, so this is an exact
-    linear solve in 3|G| scalars, assembled by left translation in
-    ricci_system, chart constraint included.  The expected outcome for the
-    supported classes is a single isolated triple; without the constraint
-    the solution set would pick up the constant shifts that leave the
-    relative curvature unchanged.
+    linear solve in 3|G| scalars, chart constraint included.  Left
+    translation maps the system onto itself and every structure constant
+    it reads lies in H = <C>, so it is [G:H] copies of the system of
+    (H, C): that system, 10|H| rows by 3|H| unknowns, is solved by
+    ricci_system on subgroup_calculus and lifted over the cosets by
+    lift_solution, in the basis the dense solve of ricci_system on G gives.
+    The expected outcome for the supported classes is a single isolated
+    triple; without the constraint the solution set would pick up the
+    constant shifts that leave the relative curvature unchanged.
 
     Returns (particular, kernel) where particular is a parameter triple and
     kernel is a basis of homogeneous triples.
     """
+    _require_chart_class(calculus)
     grp = calculus.group
     order = grp.order
 
@@ -324,5 +402,6 @@ def ricci_flat_solve(calculus: Calculus, variant: str = "canonical"):
         return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
                      for i in range(3))
 
-    particular, kern = solve_affine(*ricci_system(calculus, variant))
+    block = ricci_system(subgroup_calculus(calculus), variant)
+    particular, kern = lift_solution(calculus, *solve_affine(*block))
     return params_from_vec(particular), [params_from_vec(v) for v in kern]

@@ -349,33 +349,26 @@ def reduced_spectrum(block: Mat, C: ConjClass) -> tuple[Spectrum, Spectrum]:
     coset's least element, is an eigenvector of the operator.  An
     incomplete block spectrum is reported with the operator's numbers.
     """
-    group = C.group
-    subgroup = C.generated_subgroup()
-    k = len(subgroup)
+    cosets = C.left_cosets()
+    k = len(cosets[0])
     if block.nrows % k:
         raise ValueError("block size is not a multiple of the subgroup order")
     dim_w = block.nrows // k
-    cosets: list[int] = []
-    covered: set[int] = set()
-    for g in range(group.order):
-        if g not in covered:
-            cosets.append(g)
-            covered.update(group.mul(g, h) for h in subgroup)
     try:
         block_spect = spectrum(block)
     except IncompleteSpectrumError as exc:
         copies = len(cosets)
         raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
-    n = group.order
+    n = C.group.order
     spaces = {}
     for value, basis in block_spect.eigenspaces.items():
         lifted = []
-        for g in cosets:
+        for coset in cosets:
             for vec in basis:
                 full = [_ZERO] * (dim_w * n)
                 for i in range(dim_w):
-                    for p, h in enumerate(subgroup):
-                        full[i * n + group.mul(g, h)] = vec[i * k + p]
+                    for p, x in enumerate(coset):
+                        full[i * n + x] = vec[i * k + p]
                 lifted.append(full)
         spaces[value] = lifted
     return block_spect, Spectrum(spaces, dim_w * n)

@@ -247,6 +247,22 @@ class ConjClass:
         comes first."""
         return sorted(_right_closure(self.group.table, self.members))
 
+    def left_cosets(self) -> list[tuple[int, ...]]:
+        """The left cosets gH of H = <C>, g the least element of its coset,
+        in ascending order of g.  Each coset lists g h for h in the order of
+        generated_subgroup(), so it starts with g, and position p of every
+        coset is the left translate of the subgroup's position p."""
+        group = self.group
+        subgroup = self.generated_subgroup()
+        cosets: list[tuple[int, ...]] = []
+        covered: set[int] = set()
+        for g in range(group.order):
+            if g not in covered:
+                coset = tuple(group.mul(g, h) for h in subgroup)
+                cosets.append(coset)
+                covered.update(coset)
+        return cosets
+
     def position(self, element: int) -> int:
         """Index of a group element inside the class member order."""
         return self.members.index(element)

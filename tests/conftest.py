@@ -130,20 +130,27 @@ def cal_d6_relabelled(d6):
     return differential_calculus(conjugacy_class(relabelled(d6, 12), "sr"))
 
 
-def direct_product_z2(group):
-    """group x Z2: the elements of group first (same names), then their
-    products with the central z, named f"{name}.z" ("z" for e.z)."""
+def direct_product_cyclic(group, m):
+    """group x Z_m with z generating Z_m: the elements of group first (same
+    names), then their products with z^k for k = 1 .. m-1, named
+    f"{name}.z" for k = 1 and f"{name}.z{k}" after ("z", "z2", ... for the
+    powers of z itself)."""
     n = group.order
-    names = list(group.names) + ["z" if a == "e" else f"{a}.z" for a in group.names]
-    table = [[((x // n + y // n) % 2) * n + group.mul(x % n, y % n)
-              for y in range(2 * n)] for x in range(2 * n)]
-    return FiniteGroup(names, table, name=f"{group.name}xZ2")
+
+    def name(a, k):
+        power = "z" if k == 1 else f"z{k}"
+        return a if k == 0 else power if a == "e" else f"{a}.{power}"
+
+    names = [name(a, k) for k in range(m) for a in group.names]
+    table = [[((x // n + y // n) % m) * n + group.mul(x % n, y % n)
+              for y in range(m * n)] for x in range(m * n)]
+    return FiniteGroup(names, table, name=f"{group.name}xZ{m}")
 
 
 @pytest.fixture(scope="session")
 def cls_d6z2(d6):
     """The class of sr in D6 x Z2 (order 24), where H = <C> has index 4."""
-    return conjugacy_class(direct_product_z2(d6), "sr")
+    return conjugacy_class(direct_product_cyclic(d6, 2), "sr")
 
 
 def dicyclic3():

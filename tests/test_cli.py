@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dicyclic3, direct_product_z2, relabelled
+from conftest import dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import cli, connections, reporting
 from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
@@ -394,7 +394,7 @@ def _geometry_bytes(group) -> dict:
     lambda: dihedral(3),
     lambda: dihedral(6),
     lambda: relabelled(dihedral(6), 41),
-    lambda: direct_product_z2(dihedral(6)),
+    lambda: direct_product_cyclic(dihedral(6), 2),
 ], ids=["d3", "d6", "d6-relabelled", "d6xz2"])
 def test_geometry_sections_match_the_expanded_path(build):
     # the one-value form of constants against every function held as |G|

@@ -11,7 +11,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import direct_product_z2
+from conftest import direct_product_cyclic
 from groupgeo import connections
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import (
@@ -274,7 +274,7 @@ def _geometry_counts() -> list:
     """Arithmetic of one levi_civita and one constant_regular_scan call on a
     fresh calculus of D3, D6 and D6 x Z2 (orders 6, 12 and 24)."""
     out = []
-    for group in (dihedral(3), dihedral(6), direct_product_z2(dihedral(6))):
+    for group in (dihedral(3), dihedral(6), direct_product_cyclic(dihedral(6), 2)):
         cal = differential_calculus(conjugacy_class(group, "sr"))
         with _counting_arithmetic() as lc:
             levi_civita(cal)

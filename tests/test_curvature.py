@@ -1,28 +1,33 @@
 """Curvature, the two lifts, and Ricci flatness of the distinguished
 connection."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import direct_product_z2, relabelled
-from groupgeo import reporting
+from conftest import dicyclic3, direct_product_cyclic, relabelled
+from groupgeo import curvature, linalg, reporting
 from groupgeo.calculus import GroupFunction, TwoForm, differential_calculus
 from groupgeo.connections import Connection, constant_regular_scan, levi_civita
 from groupgeo.curvature import (
+    LIFT_VARIANTS,
     TensorOneOne,
     covariant_derivative,
     curvature_forms,
     lift,
+    lift_solution,
     relative_curvature,
     ricci,
     ricci_flat_solve,
     ricci_system,
+    subgroup_calculus,
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
-from groupgeo.groups import ad_table, conjugacy_class, dihedral
+from groupgeo.errors import UnsupportedGroupError
+from groupgeo.groups import FiniteGroup, ad_table, conjugacy_class, dihedral
 from oracles import curvature_of, riemann
 from groupgeo.linalg import Mat, solve_affine
 
@@ -219,6 +224,135 @@ def test_ricci_system_matches_evaluation_jacobian(oracle_cal, variant):
     assert (matrix, full_rhs) == (Mat(rows), rhs)
 
 
+# -- the solve on H = <C> ---------------------------------------------------
+
+def _calculus_of(group, rep="sr"):
+    return differential_calculus(conjugacy_class(group, rep))
+
+
+# each case builds its calculus from the fixture getter
+H_BLOCK_CASES = {
+    "d3": lambda fixture: fixture("cal_d3"),
+    "d6": lambda fixture: fixture("cal_d6"),
+    "s3": lambda fixture: fixture("s3_cal"),
+    "dic3": lambda fixture: _calculus_of(dicyclic3(), "a0x1"),
+    "d6-relabelled-3": lambda fixture: _calculus_of(relabelled(dihedral(6), 3)),
+    "d6-relabelled-29": lambda fixture: _calculus_of(relabelled(dihedral(6), 29)),
+    "d6xz2": lambda fixture: differential_calculus(fixture("cls_d6z2")),
+    "d6xz2-relabelled-8": lambda fixture: _calculus_of(
+        relabelled(direct_product_cyclic(dihedral(6), 2), 8)),
+}
+
+
+@pytest.fixture(scope="module", params=list(H_BLOCK_CASES))
+def h_block_cal(request):
+    return H_BLOCK_CASES[request.param](request.getfixturevalue)
+
+
+def _flat(params):
+    return [x for f in params for x in f.values]
+
+
+def test_subgroup_calculus_keeps_the_class_order(h_block_cal):
+    cls = h_block_cal.cls
+    elements = cls.generated_subgroup()
+    sub = subgroup_calculus(h_block_cal)
+    assert sub.group.names == tuple(cls.group.label(g) for g in elements)
+    assert [elements[a] for a in sub.cls.members] == list(cls.members)
+    assert sub.quotient_pairs == h_block_cal.quotient_pairs
+
+
+@pytest.mark.parametrize("variant", LIFT_VARIANTS)
+def test_ricci_flat_solve_equals_dense_solve(h_block_cal, variant):
+    particular, kernel = ricci_flat_solve(h_block_cal, variant)
+    dense = solve_affine(*ricci_system(h_block_cal, variant))
+    assert (_flat(particular), [_flat(v) for v in kernel]) == dense
+
+
+def _unconstrained_h_block_solve(cal, variant):
+    """The Ricci-flat solve without the chart constraint on H, lifted to G."""
+    sub = subgroup_calculus(cal)
+    k = sub.group.order
+    matrix, rhs = ricci_system(sub, variant)
+    particular, kernel = solve_affine(Mat(matrix.rows[:-k]), rhs[:-k])
+    assert kernel
+    return lift_solution(cal, particular, kernel)
+
+
+@pytest.mark.parametrize("variant", LIFT_VARIANTS)
+def test_lift_solution_reduces_a_kernel_to_the_dense_basis(h_block_cal, variant):
+    # the lifted kernel matches the dense one vector for vector only after
+    # the free-column reduction
+    particular, kernel = _unconstrained_h_block_solve(h_block_cal, variant)
+    dense_particular, dense_kernel = _unconstrained_ricci_flat_solve(h_block_cal, variant)
+    assert particular == _flat(dense_particular)
+    assert kernel == [_flat(v) for v in dense_kernel]
+
+
+@pytest.mark.parametrize("build,kernel_dimension", [
+    (lambda: dihedral(6), 4),
+    (lambda: direct_product_cyclic(dihedral(6), 2), 8),
+], ids=["d6", "d6xz2"])
+def test_unconstrained_kernel_is_one_copy_per_coset(build, kernel_dimension):
+    # the kernel on H has dimension 2
+    cal = _calculus_of(build())
+    _, kernel = _unconstrained_h_block_solve(cal, "canonical")
+    assert len(kernel) == kernel_dimension == 2 * len(cal.cls.left_cosets())
+
+
+@pytest.mark.parametrize("build,rep", [
+    (lambda fixture: fixture("d6"), "sr"),
+    (lambda fixture: direct_product_cyclic(fixture("d6"), 2), "sr"),
+] + [
+    (lambda fixture, m=m: direct_product_cyclic(fixture("s3_group"), m), "u")
+    for m in range(1, 5)
+], ids=["d6", "d6xz2", "s3xz1", "s3xz2", "s3xz3", "s3xz4"])
+def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, build, rep):
+    cal = _calculus_of(build(request.getfixturevalue), rep)
+    shapes = []
+
+    def recording_rref(matrix):
+        shapes.append((matrix.nrows, matrix.ncols))
+        return real_rref(matrix)
+
+    real_rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(curvature, "rref", recording_rref)
+    for variant in LIFT_VARIANTS:
+        particular, kernel = ricci_flat_solve(cal, variant)
+        assert kernel == []
+        assert all(f == cal.constant(Fraction(-1, 3)) for f in particular)
+    # 10|H| rows by 3|H| unknowns and the right-hand side, |H| = 6
+    assert len(cal.cls.generated_subgroup()) == 6
+    assert max(rows for rows, _ in shapes) == 60
+    assert max(cols for _, cols in shapes) == 19
+
+
+def _alternating4():
+    perms = sorted(p for p in itertools.permutations(range(4))
+                   if sum(p[j] > p[i] for i in range(4) for j in range(i)) % 2 == 0)
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms]
+    return FiniteGroup(["".join(map(str, p)) for p in perms], table, name="A4")
+
+
+def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatch):
+    # the 3-cycles of A4: a cyclic class of 4 members, so a calculus exists
+    # but no connection chart
+    cal = _calculus_of(_alternating4(), "1203")
+    assert cal.n_members == 4
+
+    def unreachable(_):
+        raise AssertionError("H was built for a class that is not a chart class")
+
+    monkeypatch.setattr(curvature, "subgroup_calculus", unreachable)
+    for variant in LIFT_VARIANTS:
+        with pytest.raises(UnsupportedGroupError) as err:
+            ricci_flat_solve(cal, variant)
+        assert str(err.value) == (
+            "connection chart requires a 3-member class with circulant products")
+
+
 # -- relabelling the group elements ------------------------------------------
 
 def _label_free_layers(group) -> dict:
@@ -247,12 +381,12 @@ def _label_free_layers(group) -> dict:
 def natural_layers():
     d6 = dihedral(6)
     return {"d6": _label_free_layers(d6),
-            "d6xz2": _label_free_layers(direct_product_z2(d6))}
+            "d6xz2": _label_free_layers(direct_product_cyclic(d6, 2))}
 
 
 @pytest.mark.parametrize("base,seed", [("d6", 3), ("d6", 29), ("d6xz2", 8)])
 def test_connection_and_ricci_layers_survive_relabelling(natural_layers, base, seed):
-    group = dihedral(6) if base == "d6" else direct_product_z2(dihedral(6))
+    group = dihedral(6) if base == "d6" else direct_product_cyclic(dihedral(6), 2)
     natural = natural_layers[base]
     assert natural["scan"] and natural["sum_of_components_vanishes"]
     assert _label_free_layers(relabelled(group, seed)) == natural
