@@ -2,18 +2,20 @@
 
 Exact scalars survive serialization: a rational becomes {"num", "den"} and a
 general cyclotomic value {"zeta_order", "coeffs"} with rational coordinate
-pairs, each alongside a fixed-precision decimal rendering for human readers.
-The decimal strings come from mpmath at a pinned working precision, so the
-same input produces byte-identical reports on every platform; nothing in a
-report depends on time, paths or dictionary iteration order.
+pairs, each alongside a 12-digit decimal rendering for human readers.
+A rational's decimal is computed with integer arithmetic that reproduces
+mpmath's ``nstr`` at 30 digits byte for byte; mpmath itself is imported only
+for cyclotomic values and for rationals beyond 2**3500 or below 2**-3500,
+and always inside its own precision context, so the decimals depend neither
+on the platform nor on the caller's mpmath settings. Nothing in a report
+depends on time, paths or dictionary iteration order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
-
-from mpmath import mp, mpf
 
 from . import __version__
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm, differential_calculus
@@ -38,12 +40,86 @@ from .linalg import Mat, as_scalar
 from .representations import Representation, builtin_rep
 from . import dirac as spinops
 
-mp.dps = 30
+_DPS = 30
 _DIGITS = 12
+# the binary precision mpmath works at for _DPS digits (mp.prec)
+_PREC = 103
+# mpmath's to_digits_exp: the bits it carries for _DIGITS + 3 digits, and
+# the binary magnitude past which it first divides by a power of ten
+_LOG2_10 = math.log(10, 2)
+_DIGIT_BITS = int((_DIGITS + 3) * _LOG2_10) + 10
+_SCALED_MAGNITUDE = 3500
+# nstr prints fixed-point when min_fixed < decimal exponent < max_fixed
+_MIN_FIXED = -5
+_MAX_FIXED = _DIGITS
 
 
-def _decimal(x) -> str:
-    return mp.nstr(x, _DIGITS)
+def _round_quotient(p: int, q: int) -> tuple[int, int]:
+    """(man, exp) with man * 2**exp the positive p/q rounded to _PREC bits,
+    to nearest with ties to even."""
+    shift = _PREC + 1 - p.bit_length() + q.bit_length()
+    if shift >= 0:
+        man, rem = divmod(p << shift, q)
+    else:
+        man, rem = divmod(p, q << -shift)
+    # 2**(_PREC) <= p/q * 2**shift < 2**(_PREC + 2): one or two bits to drop
+    drop = man.bit_length() - _PREC
+    low = man & ((1 << drop) - 1)
+    half = 1 << (drop - 1)
+    man >>= drop
+    if low > half or (low == half and (rem or man & 1)):
+        man += 1
+    return man, drop - shift
+
+
+def _mpmath_decimal(num: int, den: int) -> str:
+    from mpmath import mp, mpf
+
+    with mp.workdps(_DPS):
+        return mp.nstr(mpf(num) / mpf(den), _DIGITS)
+
+
+def _rational_decimal(num: int, den: int) -> str:
+    """mp.nstr(mpf(num) / mpf(den), 12) at mp.dps = 30, in integers: num and
+    den each round to _PREC bits and so does their quotient (mpf_div is
+    correctly rounded), then libmpf.to_str's digit extraction and layout."""
+    if not num:
+        return "0.0"
+    a, ea = _round_quotient(abs(num), 1)
+    b, eb = _round_quotient(den, 1)
+    man, exp = _round_quotient(a, b)
+    exp += ea - eb
+    magnitude = exp + man.bit_length()
+    if abs(magnitude) > _SCALED_MAGNITUDE:
+        return _mpmath_decimal(num, den)
+    # to_digits_exp at _DIGITS + 3 digits, each step rounding down
+    fixprec = max(_DIGIT_BITS - magnitude, 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    offset = exp + fixprec
+    fixed = man << offset if offset >= 0 else man >> -offset
+    digits = str(fixed * 10 ** fixdps >> fixprec)
+    exponent = len(digits) - fixdps - 1
+    # to_str: round half up on the first dropped digit, carrying into the
+    # exponent when every kept digit was a 9
+    lead = int(digits[:_DIGITS]) + (digits[_DIGITS] in "56789")
+    if lead == 10 ** _DIGITS:
+        lead //= 10
+        exponent += 1
+    digits = str(lead)
+    if _MIN_FIXED < exponent < _MAX_FIXED:
+        if exponent < 0:
+            digits = "0" * -exponent + digits
+        split = max(exponent, 0) + 1
+        exponent = 0
+    else:
+        split = 1
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    sign = "-" if num < 0 else ""
+    if not exponent:
+        return sign + text
+    return f"{sign}{text}e{exponent:+d}"
 
 
 def fraction_json(value) -> dict:
@@ -51,8 +127,23 @@ def fraction_json(value) -> dict:
     return {
         "num": fr.numerator,
         "den": fr.denominator,
-        "decimal": _decimal(mpf(fr.numerator) / mpf(fr.denominator)),
+        "decimal": _rational_decimal(fr.numerator, fr.denominator),
     }
+
+
+def _cyclotomic_decimal(c) -> str:
+    from mpmath import mp, mpf
+
+    with mp.workdps(_DPS):
+        re = mpf(0)
+        im = mpf(0)
+        for j, coeff in enumerate(c.coeffs):
+            if coeff:
+                w = mpf(coeff.numerator) / mpf(coeff.denominator)
+                angle = mpf(2 * j) / mpf(c.order)
+                re += w * mp.cospi(angle)
+                im += w * mp.sinpi(angle)
+        return f"{mp.nstr(re, _DIGITS)} + {mp.nstr(im, _DIGITS)}i"
 
 
 def scalar_json(value) -> dict:
@@ -60,18 +151,10 @@ def scalar_json(value) -> dict:
     c = as_scalar(value)
     if c.is_rational():
         return fraction_json(c.as_fraction())
-    re = mpf(0)
-    im = mpf(0)
-    for j, coeff in enumerate(c.coeffs):
-        if coeff:
-            w = mpf(coeff.numerator) / mpf(coeff.denominator)
-            angle = mpf(2 * j) / mpf(c.order)
-            re += w * mp.cospi(angle)
-            im += w * mp.sinpi(angle)
     return {
         "zeta_order": c.order,
         "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
-        "decimal": f"{_decimal(re)} + {_decimal(im)}i",
+        "decimal": _cyclotomic_decimal(c),
     }
 
 

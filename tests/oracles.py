@@ -10,7 +10,8 @@ operators summed from dense Kronecker and translation matrices beside
 their assembly from group-algebra coefficients, the spinor blocks sliced
 out of an assembled operator beside the coefficients the reports read,
 the full associativity and homomorphism scans beside the checks over a
-generating set), a closed form the package derives from the operator
+generating set, mpmath's rendering of a rational's decimal beside the
+integer one), a closed form the package derives from the operator
 instead (the hand-derived eigenvalue candidates) or a certificate the
 package does not need at run time (the Peter-Weyl rank).
 """
@@ -20,6 +21,8 @@ from __future__ import annotations
 import contextlib
 from fractions import Fraction
 from typing import Sequence
+
+from mpmath import mp, mpf
 
 from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm
 from groupgeo.connections import Connection
@@ -33,6 +36,16 @@ from groupgeo.representations import Representation
 
 _ZERO = rat(0)
 _ONE = rat(1)
+
+# -- reporting --------------------------------------------------------------
+
+def mpmath_rational_decimal(num: int, den: int) -> str:
+    """The 12-digit decimal of num/den as mpmath prints it at 30 digits:
+    mpf(num) and mpf(den) each rounded to mp.prec bits, their quotient, and
+    nstr."""
+    with mp.workdps(30):
+        return mp.nstr(mpf(num) / mpf(den), 12)
+
 
 # -- linear algebra ---------------------------------------------------------
 

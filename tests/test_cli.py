@@ -1,6 +1,9 @@
 """Command line behaviour: exit codes, determinism, serialization."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,7 +14,7 @@ from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import conjugacy_class, dihedral
-from oracles import expanded_functions
+from oracles import expanded_functions, mpmath_rational_decimal
 
 
 def _run(capsys, *argv):
@@ -406,3 +409,77 @@ def test_geometry_sections_match_the_expanded_path(build):
             conjugacy_class(group, "sr")).theta.coeffs[0].constant_value is None
         slow = _geometry_bytes(group)
     assert fast == slow
+
+
+def _table_argv(tmp_path, group) -> list:
+    path = tmp_path / f"{group.name}.json"
+    path.write_text(json.dumps(group.to_dict()))
+    return ["--cayley", str(path)]
+
+
+_RENDER_INPUTS = {
+    "d3": lambda tmp_path: ["--group", "dihedral:3"],
+    "d6": lambda tmp_path: ["--group", "dihedral:6"],
+    "d6-relabelled": lambda tmp_path: _table_argv(
+        tmp_path, relabelled(dihedral(6), 41)),
+    "d6xz2": lambda tmp_path: _table_argv(
+        tmp_path, direct_product_cyclic(dihedral(6), 2)),
+}
+# the commands whose reports hold only rationals on D6 and D6 x Z2; the
+# others need a dihedral presentation, which D6 x Z2 lacks
+_RATIONAL_COMMANDS = ("calculus", "connection", "curvature", "ricci", "wave")
+# report-all is every other command's report side by side
+_RENDER_CASES = [
+    pytest.param(name, cmd, "0", id=f"{name}-{cmd}")
+    for name in ("d3", "d6", "d6-relabelled")
+    for cmd in cli.COMMANDS if cmd != "report-all"
+] + [
+    pytest.param("d6xz2", cmd, "0", id=f"d6xz2-{cmd}") for cmd in _RATIONAL_COMMANDS
+] + [
+    # past 2**3500 and below 2**-3500 the decimal of mu comes from mpmath
+    pytest.param("d3", "connection", "1" + "0" * 1200, id="d3-connection-huge-mu"),
+    pytest.param("d3", "connection", "0." + "0" * 1200 + "1",
+                 id="d3-connection-tiny-mu"),
+]
+
+
+@pytest.mark.parametrize("name, cmd, mu", _RENDER_CASES)
+def test_reports_render_as_with_mpmath_decimals(tmp_path, monkeypatch, capsys,
+                                                name, cmd, mu):
+    argv = _RENDER_INPUTS[name](tmp_path) + [
+        "--class", "sr", "--cmd", cmd, f"--mu={mu}"]
+    code, fast, _ = _run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setattr(reporting, "_rational_decimal", mpmath_rational_decimal)
+    assert _run(capsys, *argv) == (0, fast, "")
+
+
+_IMPORT_PROBE = """
+import json, sys
+import groupgeo.cli
+loaded = {"import": "mpmath" in sys.modules}
+for argv in json.loads(sys.argv[1]):
+    assert groupgeo.cli.main(argv + ["--out", sys.argv[2]]) == 0, argv
+    loaded[" ".join(argv)] = "mpmath" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_rational_commands_never_import_mpmath(tmp_path):
+    d6z2 = _table_argv(tmp_path, direct_product_cyclic(dihedral(6), 2))
+    runs = [source + ["--class", "sr", "--cmd", cmd]
+            for source in (["--group", "dihedral:6"], d6z2)
+            for cmd in _RATIONAL_COMMANDS]
+    # the Dirac report holds cyclotomic values, whose decimals need mpmath
+    runs.append(["--group", "dihedral:6", "--class", "sr", "--cmd", "dirac"])
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs),
+         str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    loaded = json.loads(probe.stdout)
+    assert loaded.pop(" ".join(runs.pop())) is True
+    assert loaded == dict.fromkeys(["import"] + [" ".join(r) for r in runs], False)

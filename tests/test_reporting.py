@@ -1,0 +1,134 @@
+"""Decimal annotations: the integer renderer of a rational against mpmath's
+nstr, and reports that do not depend on the caller's mpmath precision."""
+
+import os
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+from mpmath import mp
+
+from groupgeo.cli import main
+from groupgeo.reporting import fraction_json
+from oracles import mpmath_rational_decimal
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_d6_report.json")
+
+
+def _decimal(value: Fraction) -> str:
+    return fraction_json(value)["decimal"]
+
+
+def _check(value: Fraction):
+    assert _decimal(value) == mpmath_rational_decimal(
+        value.numerator, value.denominator), value
+
+
+def _scaled(mantissas, exponents):
+    """sign * m * 10**e, moved by at most 10**-28 of itself so that values
+    on a decimal tie and a few units of the 103-bit mantissa beside it both
+    occur."""
+    return st.builds(
+        lambda m, e, sign, nudge: sign * Fraction(m) * Fraction(10) ** e
+        * (1 + Fraction(nudge, 10 ** 40)),
+        mantissas, exponents, st.sampled_from([1, -1]),
+        st.integers(-10 ** 12, 10 ** 12) | st.integers(-3, 3))
+
+
+# 13 digits whose last one is 5: a tie at the 12th digit
+_TIES = st.integers(10 ** 11, 10 ** 12 - 1).map(lambda m: 10 * m + 5)
+# twelve 9s and a round-up digit: the carry bumps the decimal exponent
+_NINES = st.integers(1, 10 ** 6).map(lambda k: 10 ** 18 - k)
+_ANY_DIGITS = st.integers(1, 10 ** 20)
+# N * 10**26 for a 13-digit N ending in 5 is a 103-bit mantissa times 2**26
+# when N * 5**26 has 103 bits; halfway below it, ties to even round down
+# to a value whose 13th digit is 4, away from zero would round up to N
+_TIE_LO = -(-2 ** 102 // 5 ** 26)  # the least N with N * 5**26 of 103 bits
+_TIE_HI = (2 ** 103 - 1) // 5 ** 26
+_BINARY_TIES = st.integers((_TIE_LO + 4) // 10, (_TIE_HI - 5) // 10).map(
+    lambda k: (10 * k + 5) * 10 ** 26 - 2 ** 25)
+
+
+def test_small_fractions_match_mpmath():
+    for num in range(-60, 61):
+        for den in range(1, 61):
+            _check(Fraction(num, den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions())
+def test_arbitrary_fractions_match_mpmath(value):
+    _check(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(Fraction, st.integers(-2 ** 3600, 2 ** 3600),
+                 st.integers(1, 2 ** 3600)))
+def test_huge_and_tiny_fractions_match_mpmath(value):
+    _check(value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled(_TIES | _NINES, st.integers(-40, 40)))
+def test_ties_and_carries_match_mpmath(value):
+    _check(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TIES, st.integers(-40, 40), st.integers(2 ** 103, 2 ** 200))
+# two of the rare cases where rounding the denominator to 103 bits moves
+# the quotient across the tie
+@example(4716994378505, 12,
+         43119155660649004230245735858394502250720237370630905791451)
+@example(2726332289225, 11, 1068201392605930471718040750734402239504543778505788159)
+def test_ties_over_wide_denominators_match_mpmath(digits, exponent, den):
+    tie = Fraction(digits) * Fraction(10) ** (exponent - 13)
+    _check(Fraction(round(tie * den), den))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_BINARY_TIES, st.sampled_from([1, -1]))
+def test_binary_ties_round_to_even_like_mpmath(num, sign):
+    _check(Fraction(sign * num))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scaled(_ANY_DIGITS | _TIES | _NINES, st.integers(-28, -22)
+               | st.integers(-9, 0)))
+def test_fixed_and_exponent_switch_points_match_mpmath(value):
+    # m has up to 21 digits, so m * 10**e straddles 1e-5 .. 1e-4 and
+    # 1e11 .. 1e12, where nstr moves between fixed and exponent form
+    _check(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scaled(_ANY_DIGITS | _TIES | _NINES, st.integers(1040, 1100)
+               | st.integers(-1120, -1060)))
+def test_values_beyond_the_scaled_cut_match_mpmath(value):
+    # past 2**3500 either way mpmath divides by a power of ten first
+    _check(value)
+
+
+def test_layout_examples():
+    assert _decimal(Fraction(0)) == "0.0"
+    assert _decimal(Fraction(72)) == "72.0"
+    assert _decimal(Fraction(1, 3)) == "0.333333333333"
+    assert _decimal(Fraction(-2, 3)) == "-0.666666666667"
+    assert _decimal(Fraction(1, 10 ** 4)) == "0.0001"
+    assert _decimal(Fraction(1, 10 ** 5)) == "1.0e-5"
+    assert _decimal(Fraction(10 ** 11)) == "100000000000.0"
+    assert _decimal(Fraction(10 ** 12)) == "1.0e+12"
+    assert _decimal(Fraction(10 ** 12 - 1, 10)) == "99999999999.9"
+    assert _decimal(Fraction(10 ** 13 - 1, 100)) == "100000000000.0"
+
+
+def test_decimals_ignore_the_callers_mpmath_precision(monkeypatch, tmp_path,
+                                                       capsys):
+    monkeypatch.setattr(mp, "dps", 5)
+    assert _decimal(Fraction(1, 3)) == "0.333333333333"
+    fresh = tmp_path / "fresh.json"
+    assert main(["--group", "dihedral:6", "--class", "sr", "--cmd",
+                 "report-all", "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    with open(GOLDEN, "rb") as handle:
+        assert fresh.read_bytes() == handle.read()
+    assert mp.dps == 5
