@@ -6,12 +6,12 @@ rational metric modulus, and a command; the result is a deterministic JSON
 report on stdout or in a file.  Identical inputs give byte-identical bytes.
 
 Exit codes: 0 success, 2 usage errors (including an --out path that is a
-directory, lies in a missing directory or cannot be written, and a
-``dihedral:N`` above MAX_DIHEDRAL), 3 validation failures (bad Cayley table,
-unknown label, non-cyclic or otherwise unsupported class or group), 4
-mathematical failures on valid input (singular metric values, an operator
-whose certified spectrum misses dimensions or leaves Q, an infeasible exact
-system).
+directory, lies in a missing directory or cannot be written, a
+``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than MAX_MU_LENGTH), 3
+validation failures (bad Cayley table, unknown label, non-cyclic or
+otherwise unsupported class or group), 4 mathematical failures on valid
+input (singular metric values, an operator whose certified spectrum misses
+dimensions or leaves Q, an infeasible exact system).
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ PRECONDITION_EXIT = 4
 # largest builtin dihedral:N; its (2N)^2 table is validated by Light's
 # associativity test in O(N^2 log N)
 MAX_DIHEDRAL = 256
+
+# longest --mu text accepted; the report integers grow with its digits, and
+# dihedral:3 report-all at this length takes a few seconds
+MAX_MU_LENGTH = 2000
 
 # a plain rational or decimal; exponents are refused because Fraction
 # would expand "1e999999999" into a billion-digit integer first
@@ -130,6 +134,19 @@ def render(report: dict, pretty: bool) -> str:
 
 
 def main(argv=None) -> int:
+    # lift Python's 4300-digit int <-> str cap for report integers; a limit
+    # of 0 means none, as on Pythons before 3.10.7, which lack the functions
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -143,6 +160,10 @@ def main(argv=None) -> int:
     if args.out and os.path.isdir(args.out):
         print(f"error(usage): --out names a directory: {args.out!r}",
               file=sys.stderr)
+        return USAGE_EXIT
+    if len(args.mu) > MAX_MU_LENGTH:
+        print(f"error(usage): --mu has {len(args.mu)} characters, more than "
+              f"the limit of {MAX_MU_LENGTH}", file=sys.stderr)
         return USAGE_EXIT
     try:
         mu = _parse_mu(args.mu)

@@ -24,7 +24,7 @@ from .calculus import Calculus, GroupFunction, OneForm, TwoForm
 from .cyclotomic import rat
 from .errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
                      UnsupportedGroupError)
-from .linalg import Mat, solve_affine, solve_affine_columns
+from .linalg import Mat, solve_affine
 
 
 def _chart_rows(alpha, beta, gamma, one):
@@ -190,24 +190,20 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     component wedges to 2-forms on its own group element, so equation
     (a, k, g) and unknown (c, b, h) meet with the entry M[a*q + k][c*m + b]
     when g == h and not at all otherwise.  The small factor M, m*q rows by
-    m*m columns, is reduced once beside one right-hand side column per
-    group element.  The particular solution and kernel basis come out in
-    the dense column order (c*m + b)*|G| + h, free column slowest and
-    element fastest, equal vector for vector to solving the dense system.
+    m*m columns, is reduced once beside the one right-hand side column
+    that d e_a, being left-invariant, gives every group element, so the
+    particular solution is constant.  The kernel basis comes out in the
+    dense column order (c*m + b)*|G| + h, free column slowest and element
+    fastest; both equal, vector for vector, the dense system's.
     """
     cal = calculus
     cls = cal.cls
     grp = cls.group
     m = cal.n_members
     qdim = cal.quotient_dim
-    order = grp.order
     factor = [[rat(0)] * (m * m) for _ in range(m * qdim)]
-    rhs_columns = [[rat(0)] * (m * qdim) for _ in range(order)]
+    rhs = [-cal.d_basis(apos).coeffs[k](0) for apos in range(m) for k in range(qdim)]
     for apos, a in enumerate(cls.members):
-        de = cal.d_basis(apos)
-        for k in range(qdim):
-            for g in range(order):
-                rhs_columns[g][apos * qdim + k] = -de.coeffs[k](g)
         for cpos, c in enumerate(cls.members):
             conj_pos = cls.position(grp.conj(grp.inv(c), a))
             for bpos in range(m):
@@ -215,23 +211,18 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
                 minus = cal.reduction[(bpos, apos)]
                 for k in range(qdim):
                     factor[apos * qdim + k][cpos * m + bpos] = plus[k] - minus[k]
-    particulars, factor_kernel = solve_affine_columns(Mat(factor), rhs_columns)
+    particular, factor_kernel = solve_affine(Mat(factor), rhs)
 
-    def to_components(values) -> list[OneForm]:
-        # values[c*m + b] holds the |G| values of the coefficient of e_b in A_c
-        return [cal.one_form([GroupFunction(grp, values[cpos * m + bpos])
-                              for bpos in range(m)])
+    def to_components(functions) -> list[OneForm]:
+        # functions[c*m + b] is the coefficient of e_b in A_c
+        return [cal.one_form(functions[cpos * m:(cpos + 1) * m])
                 for cpos in range(m)]
 
-    zero = rat(0)
-    conn = Connection(cal, to_components(
-        [[x[col] for x in particulars] for col in range(m * m)]))
-    kernel = []
-    for v in factor_kernel:
-        for h in range(order):
-            kernel.append(to_components(
-                [[v[col] if g == h else zero for g in range(order)]
-                 for col in range(m * m)]))
+    conn = Connection(cal, to_components([cal.constant(x) for x in particular]))
+    zero = [rat(0)] * grp.order
+    kernel = [to_components([GroupFunction(grp, zero[:h] + [x] + zero[h + 1:])
+                             for x in v])
+              for v in factor_kernel for h in range(grp.order)]
     return conn, kernel
 
 

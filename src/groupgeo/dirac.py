@@ -37,13 +37,14 @@ not asserted away.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .connections import Connection, require_invertible_metric
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import Cyclotomic, _poly_divmod, rat
 from .errors import (
     AsymmetricSpectrumError,
     GroupGeoError,
@@ -462,71 +463,58 @@ def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
     return [Fraction(r, den) for r in roots]
 
 
-def _poly_rem(a: list[int], b: list[int]) -> list[Fraction]:
-    # remainder of a by b, low-to-high, with no zero leading coefficient
-    rem = [Fraction(c) for c in a]
-    while len(rem) >= len(b):
-        f = rem[-1] / b[-1]
-        shift = len(rem) - len(b)
-        for i, c in enumerate(b):
-            rem[shift + i] -= f * c
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
+def _primitive(poly: Sequence[Fraction]) -> list[int]:
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * den) for c in poly]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
 
 
-def _sign_at_half(poly: list[int], m: int) -> int:
-    # the sign of poly((2m + 1)/2), read off 2^deg poly((2m + 1)/2)
-    acc, scale = 0, 1
+def _value_mod(poly: Sequence[int], x: int, m: int) -> int:
+    acc = 0
     for c in reversed(poly):
-        acc = acc * (2 * m + 1) + c * scale
-        scale *= 2
-    return (acc > 0) - (acc < 0)
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _integer_roots(ints: list[int]) -> tuple[list[int], int]:
-    """The integer roots of a monic integer polynomial of degree >= 1, and
-    the number of its distinct complex roots.
+    """The integer roots of a monic integer polynomial p of degree >= 1, and
+    the number of its distinct complex roots, by p-adic lifting (Loos,
+    SIAM J. Comput. 12, 1983).
 
-    The Sturm chain p, p', -rem(p, p'), ... (each member scaled by a
-    positive integer) counts the distinct real roots between two points
-    exactly, and its last member is gcd(p, p').  Every root lies inside
-    Fujiwara's bound, so bisecting integer intervals, with the counts taken
-    at half-integers (never roots), leaves one candidate integer per
-    interval that holds a root, which is checked exactly.  The cost grows
-    with the number of digits of the coefficients, not with their
-    divisors.
+    q = p / gcd(p, p'), by Euclid over Q, has p's roots, each simple.  At
+    the smallest prime l that divides neither q's leading coefficient nor
+    q' at any root of q mod l, each of those roots is lifted by Newton's
+    step, which squares the modulus and carries 1/q'(r) by its own Newton
+    step, until the modulus exceeds twice Fujiwara's bound on |root|.  A
+    symmetric residue is kept only where q vanishes exactly.  The cost
+    follows the degree, not the digits.
     """
-    chain = [ints, [k * c for k, c in enumerate(ints)][1:]]
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        if not rem:
+    p = prev = [Fraction(c) for c in ints]
+    gcd = [k * c for k, c in enumerate(p)][1:]
+    while any(rem := _poly_divmod(prev, gcd)[1]):
+        prev, gcd = gcd, [Fraction(c) for c in _primitive(rem)]
+    q = _primitive(_poly_divmod(p, gcd)[0])
+    dq = [k * c for k, c in enumerate(q)][1:]
+    for ell in itertools.count(2):
+        starts = [r for r in range(ell) if _value_mod(q, r, ell) == 0]
+        if (q[-1] % ell and all(ell % d for d in range(2, math.isqrt(ell) + 1))
+                and all(_value_mod(dq, r, ell) for r in starts)):
             break
-        den = math.lcm(*(c.denominator for c in rem))
-        scaled = [int(c * den) for c in rem]
-        g = math.gcd(*scaled)
-        chain.append([-c // g for c in scaled])
-
-    def sign_changes(m: int) -> int:
-        signs = [s for s in (_sign_at_half(p, m) for p in chain) if s]
-        return sum(a != b for a, b in zip(signs, signs[1:]))
-
-    # |root| <= 2 max_k |c_{n-k}|^(1/k), rounded up to a power of two
+    # |root| <= 2 max_k |c_{n-k}|^(1/k) <= bound
     bound = 2 ** (1 + max(-(-abs(c).bit_length() // k)
                           for k, c in enumerate(reversed(ints[:-1]), 1)))
     roots = []
-    todo = [(-bound - 1, bound)]  # the integers lo < r <= hi
-    while todo:
-        lo, hi = todo.pop()
-        if sign_changes(lo) == sign_changes(hi):
-            continue
-        if hi - lo > 1:
-            mid = (lo + hi) // 2
-            todo += [(lo, mid), (mid, hi)]
-        elif sum(c * hi ** k for k, c in enumerate(ints)) == 0:
-            roots.append(hi)
-    return sorted(roots), len(ints) - len(chain[-1])
+    for r in starts:
+        mod, inv = ell, pow(_value_mod(dq, r, ell), -1, ell)
+        while mod <= 2 * bound:
+            mod *= mod
+            r = (r - _value_mod(q, r, mod) * inv) % mod
+            inv = inv * (2 - _value_mod(dq, r, mod) * inv) % mod
+        r -= mod if 2 * r > mod else 0
+        if sum(c * r ** k for k, c in enumerate(q)) == 0:
+            roots.append(r)
+    return sorted(roots), len(q) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,16 @@ their assembly from group-algebra coefficients, the spinor blocks sliced
 out of an assembled operator beside the coefficients the reports read,
 the full associativity and homomorphism scans beside the checks over a
 generating set, mpmath's rendering of a rational's decimal beside the
-integer one), a closed form the package derives from the operator
-instead (the hand-derived eigenvalue candidates) or a certificate the
-package does not need at run time (the Peter-Weyl rank).
+integer one, Sturm bisection beside p-adic lifting for integer roots), a
+closed form the package derives from the operator instead (the
+hand-derived eigenvalue candidates) or a certificate the package does not
+need at run time (the Peter-Weyl rank).
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -317,6 +319,72 @@ def wave_candidates(mu=Fraction(0)) -> list[Fraction]:
     m = Fraction(mu, 1 + 3 * mu)
     vals = {Fraction(0), -6 + 9 * m, -12 + 36 * m}
     return sorted(vals)
+
+
+def _poly_rem(a: list[int], b: list[int]) -> list[Fraction]:
+    # remainder of a by b, low-to-high, with no zero leading coefficient
+    rem = [Fraction(c) for c in a]
+    while len(rem) >= len(b):
+        f = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return rem
+
+
+def _sign_at_half(poly: list[int], m: int) -> int:
+    # the sign of poly((2m + 1)/2), read off 2^deg poly((2m + 1)/2)
+    acc, scale = 0, 1
+    for c in reversed(poly):
+        acc = acc * (2 * m + 1) + c * scale
+        scale *= 2
+    return (acc > 0) - (acc < 0)
+
+
+def sturm_integer_roots(ints: list[int]) -> tuple[list[int], int]:
+    """The integer roots of a monic integer polynomial of degree >= 1, and
+    the number of its distinct complex roots, by Sturm bisection.
+
+    The Sturm chain p, p', -rem(p, p'), ... (each member scaled by a
+    positive integer) counts the distinct real roots between two points
+    exactly, and its last member is gcd(p, p').  Every root lies inside
+    Fujiwara's bound, so bisecting integer intervals, with the counts taken
+    at half-integers (never roots), leaves one candidate integer per
+    interval that holds a root, which is checked exactly.  The cost grows
+    with the number of digits of the coefficients.
+    """
+    chain = [ints, [k * c for k, c in enumerate(ints)][1:]]
+    while len(chain[-1]) > 1:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        den = math.lcm(*(c.denominator for c in rem))
+        scaled = [int(c * den) for c in rem]
+        g = math.gcd(*scaled)
+        chain.append([-c // g for c in scaled])
+
+    def sign_changes(m: int) -> int:
+        signs = [s for s in (_sign_at_half(p, m) for p in chain) if s]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    # |root| <= 2 max_k |c_{n-k}|^(1/k), rounded up to a power of two
+    bound = 2 ** (1 + max(-(-abs(c).bit_length() // k)
+                          for k, c in enumerate(reversed(ints[:-1]), 1)))
+    roots = []
+    todo = [(-bound - 1, bound)]  # the integers lo < r <= hi
+    while todo:
+        lo, hi = todo.pop()
+        if sign_changes(lo) == sign_changes(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(lo, mid), (mid, hi)]
+        elif sum(c * hi ** k for k, c in enumerate(ints)) == 0:
+            roots.append(hi)
+    return sorted(roots), len(ints) - len(chain[-1])
 
 
 def minimal_polynomial(op: Mat) -> list[Cyclotomic]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -348,6 +349,31 @@ def test_eigenvalues_beyond_float_range_are_ordered_exactly(capsys, cmd, mu):
     fractions = [Fraction(v["num"], v["den"]) for v in values]
     assert fractions == sorted(fractions)
     assert max(abs(f) for f in fractions) > 10 ** 400
+
+
+def test_report_integers_past_the_int_str_digit_limit_render(capsys):
+    # near mu = -1/3 the spectral action holds integers of more than 4300
+    # digits, Python's default cap for int <-> str; main lifts it for the
+    # run and restores it afterwards
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, out, err = _run(capsys, "--group", "dihedral:3", "--class", "sr",
+                          "--cmd", "spectral-action", "--mu=-0." + "3" * 1200)
+    assert (code, err) == (0, "")
+    assert max(len(digits) for digits in re.findall(r"\d+", out)) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_mu_over_the_length_cap_exits_2_before_parsing(monkeypatch, capsys):
+    def unreachable(_text):
+        raise AssertionError("parsed a --mu over the cap")
+    monkeypatch.setattr(cli, "_parse_mu", unreachable)
+    mu = "-0." + "3" * (cli.MAX_MU_LENGTH - 2)
+    code, out, err = _run(capsys, "--group", "dihedral:3", "--class", "sr",
+                          "--cmd", "calculus", f"--mu={mu}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error(usage): --mu has")
+    assert str(cli.MAX_MU_LENGTH) in err
 
 
 def test_dihedral_over_the_cap_exits_2_before_building(monkeypatch, capsys):

@@ -5,6 +5,7 @@ Every numeric value here was frozen from an exact computation; nothing is
 asserted on floating point evidence.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,7 @@ from oracles import (
     minimal_polynomial,
     minimal_polynomial_check,
     spinor_blocks,
+    sturm_integer_roots,
     wave_candidates,
 )
 
@@ -295,8 +297,68 @@ def test_rational_roots_refuse_polynomials_that_do_not_split(coeffs):
         dirac._rational_roots([rat(c) for c in coeffs])
 
 
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _is_rational_square(q: Fraction) -> bool:
+    return q >= 0 and all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+
+
+_LARGE_ROOTS = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-2 ** 256, 2 ** 256),
+                        st.integers(1, 2 ** 64)),
+              st.integers(1, 3)),
+    min_size=1, max_size=3)
+_QUADRATICS = st.lists(
+    st.tuples(st.builds(Fraction, st.integers(-99, 99), st.integers(1, 9)),
+              st.builds(Fraction, st.integers(-99, 99), st.integers(1, 9)))
+    .filter(lambda bc: not _is_rational_square(bc[0] ** 2 - 4 * bc[1])),
+    max_size=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_LARGE_ROOTS, _QUADRATICS)
+def test_rational_roots_of_large_linear_times_irreducible_quadratic_factors(roots, quadratics):
+    # linear factors with roots of hundreds of bits, repeated up to three
+    # times, times monic quadratics with no rational root
+    poly = [Fraction(1)]
+    for r, times in roots:
+        for _ in range(times):
+            poly = _poly_mul(poly, [-r, Fraction(1)])
+    for b, c in quadratics:
+        poly = _poly_mul(poly, [c, b, Fraction(1)])
+    if quadratics:
+        with pytest.raises(GroupGeoError, match="does not split"):
+            dirac._rational_roots([rat(c) for c in poly])
+    else:
+        assert dirac._rational_roots([rat(c) for c in poly]) == sorted({r for r, _ in roots})
+    # the same integer polynomial _rational_roots hands to _integer_roots
+    n = len(poly) - 1
+    den = math.lcm(*(c.denominator for c in poly))
+    ints = [int(c * den ** (n - k)) for k, c in enumerate(poly)]
+    assert dirac._integer_roots(ints) == sturm_integer_roots(ints)
+
+
+def test_dirac_spectrum_near_a_singular_modulus(cal_d3):
+    # at mu = -0.33...3 (400 threes) the minimal polynomial's coefficients
+    # run to thousands of digits, and Sturm bisection from Fujiwara's bound
+    # (oracles.sturm_integer_roots) needs some 10^5 chain evaluations
+    mu = Fraction("-0." + "3" * 400)
+    cls = cal_d3.cls
+    op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
+                                 levi_civita(cal_d3, mu), cls, mu), cls.group)
+    spect = spectrum(op)
+    assert set(spect.eigenspaces) <= {rat(c) for c in dirac_candidates(mu)}
+    assert [m for _, m in spect.pairs] == [2, 2, 4, 2, 2]
+
+
 def test_spectrum_at_a_modulus_with_large_denominators(cal_d3):
-    # the roots are found by bisection, not by listing divisors of the
+    # the roots are lifted p-adically, not found by listing divisors of the
     # (here 45-digit) coefficients
     mu = Fraction(123456789, 987654321)
     cls = cal_d3.cls
