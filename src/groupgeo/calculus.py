@@ -339,13 +339,6 @@ class OneForm:
 
     __rmul__ = __mul__
 
-    def right_mul(self, func: GroupFunction) -> "OneForm":
-        """alpha . f, commuting f through each e_a by the bimodule rule."""
-        out = []
-        for pos, g in enumerate(self.coeffs):
-            out.append(g * func.translate(self.calculus.cls.members[pos]))
-        return OneForm(self.calculus, out)
-
     def is_zero(self) -> bool:
         return all(f.is_zero() for f in self.coeffs)
 

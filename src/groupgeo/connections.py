@@ -180,9 +180,12 @@ def is_regular(conn: Connection) -> bool:
 def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneForm]]]:
     """Solve the torsion condition exactly.
 
-    Returns a particular torsion-free connection and a basis of the
-    homogeneous solution space; differences of torsion-free connections
-    are spanned by the basis, so the family is particular + span.
+    Returns a particular torsion-free connection and its directions: one
+    list of component 1-forms with constant coefficients per kernel vector
+    of the factor M below.  The torsion-free connections on G are the
+    particular one plus the span of delta_h * direction over every
+    direction and every group element h, a family of dimension
+    len(directions) * |G|.
 
     The dense torsion system has unknown (c, b, h) at column
     (c*m + b)*|G| + h, equation (a, k, g) at row (a*q + k)*|G| + g and
@@ -192,9 +195,10 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     when g == h and not at all otherwise.  The small factor M, m*q rows by
     m*m columns, is reduced once beside the one right-hand side column
     that d e_a, being left-invariant, gives every group element, so the
-    particular solution is constant.  The kernel basis comes out in the
-    dense column order (c*m + b)*|G| + h, free column slowest and element
-    fastest; both equal, vector for vector, the dense system's.
+    particular solution is constant.  It is the system on K = {e}, and the
+    dense kernel basis is, vector for vector, each factor-kernel vector
+    lifted by groups.coset_lift over the single coset (h,) for h in
+    ascending order, factor vector slowest.
     """
     cal = calculus
     cls = cal.cls
@@ -213,17 +217,13 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
                     factor[apos * qdim + k][cpos * m + bpos] = plus[k] - minus[k]
     particular, factor_kernel = solve_affine(Mat(factor), rhs)
 
-    def to_components(functions) -> list[OneForm]:
-        # functions[c*m + b] is the coefficient of e_b in A_c
-        return [cal.one_form(functions[cpos * m:(cpos + 1) * m])
+    def to_components(values) -> list[OneForm]:
+        # values[c*m + b] is the constant coefficient of e_b in A_c
+        return [cal.one_form([cal.constant(x) for x in values[cpos * m:(cpos + 1) * m]])
                 for cpos in range(m)]
 
-    conn = Connection(cal, to_components([cal.constant(x) for x in particular]))
-    zero = [rat(0)] * grp.order
-    kernel = [to_components([GroupFunction(grp, zero[:h] + [x] + zero[h + 1:])
-                             for x in v])
-              for v in factor_kernel for h in range(grp.order)]
-    return conn, kernel
+    return (Connection(cal, to_components(particular)),
+            [to_components(v) for v in factor_kernel])
 
 
 # -- distinguished connections ----------------------------------------------

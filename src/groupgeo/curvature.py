@@ -37,7 +37,7 @@ from typing import Sequence
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm, differential_calculus
 from .connections import Connection, _chart_rows, _require_chart_class
 from .cyclotomic import rat
-from .groups import FiniteGroup
+from .groups import FiniteGroup, coset_lift
 from .linalg import Mat, rref, solve_affine
 
 LIFT_VARIANTS = ("canonical", "braided")
@@ -236,10 +236,14 @@ def ricci(conn: Connection, variant: str = "canonical") -> TensorOneOne:
     curvature itself vanishes there.
     """
     cal = conn.calculus
+    return _contract(cal, [lift(cal, g, variant) for g in relative_curvature(conn)])
+
+
+def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
+    # the contraction of ricci, given the lifted curvature of each component
     cls = cal.cls
     grp = cls.group
     m = cal.n_members
-    lifted = [lift(cal, g, variant) for g in relative_curvature(conn)]
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
     for cpos, c in enumerate(cls.members):
@@ -264,9 +268,10 @@ def _chart_unchecked(cal: Calculus, alpha, beta, gamma) -> Connection:
     return Connection(cal, [cal.one_form(row) for row in rows])
 
 
-def ricci_system(calculus: Calculus, variant: str = "canonical") -> tuple[Mat, list]:
-    """The exact linear system in the chart parameters whose solutions are
-    the Ricci-flat chart members.
+def ricci_system(calculus: Calculus) -> dict[str, tuple[Mat, list]]:
+    """The exact linear systems in the chart parameters whose solutions are
+    the Ricci-flat chart members, one per lift variant, keyed as in
+    LIFT_VARIANTS.
 
     Unknown order: parameter i (alpha, beta, gamma) at group element h sits
     at column i*|G| + h.  Row order: Ricci coordinate (p, q) at group
@@ -278,8 +283,10 @@ def ricci_system(calculus: Calculus, variant: str = "canonical") -> tuple[Mat, l
     the exterior derivative uses only right translations, and the lift and
     contraction have constant coefficients.  So the column of delta_h at
     row (p, q, g) is the column of delta_e at row (p, q, h^-1 g), and four
-    ricci evaluations (the zero chart and delta_e in each parameter)
-    assemble the system instead of one per unknown.
+    Ricci evaluations (the zero chart and delta_e in each parameter)
+    assemble the system instead of one per unknown.  The relative
+    curvature of those four charts does not depend on the lift, so it is
+    computed once and only lifted and contracted per variant.
 
     The column of delta_e is supported on e and the inverses of the class
     members, so row g meets only the unknowns at g and at g c for c in C,
@@ -292,31 +299,29 @@ def ricci_system(calculus: Calculus, variant: str = "canonical") -> tuple[Mat, l
     grp = cal.group
     order = grp.order
     m = cal.n_members
-
-    def flat_ricci(params) -> list:
-        t = ricci(_chart_unchecked(cal, *params), variant)
-        return [t.coords[p][q](g) for p in range(m) for q in range(m)
-                for g in range(order)]
-
     zero = cal.zero_function()
-    base = flat_ricci((zero, zero, zero))
     delta_e = GroupFunction.delta(grp, 0)
-    cols = []
-    for i in range(3):
-        params = [zero, zero, zero]
-        params[i] = delta_e
-        cols.append([a - b for a, b in zip(flat_ricci(params), base)])
+    charts = [(zero, zero, zero)] + [
+        tuple(delta_e if j == i else zero for j in range(3)) for i in range(3)]
+    curvatures = [relative_curvature(_chart_unchecked(cal, *params)) for params in charts]
     moved = [[grp.mul(grp.inv(h), g) for h in range(order)] for g in range(order)]
-    rows = [[col[blk + x] for col in cols for x in moved[g]]
-            for blk in range(0, len(base), order) for g in range(order)]
-    rhs = [-v for v in base]
-    for g in range(order):
-        row = [rat(0)] * (3 * order)
-        for i in range(3):
-            row[i * order + g] = rat(1)
-        rows.append(row)
-        rhs.append(rat(-1))
-    return Mat(rows), rhs
+    # alpha + beta + gamma = -1 at each element g
+    constraint = [[rat(1) if u % order == g else rat(0) for u in range(3 * order)]
+                  for g in range(order)]
+    systems = {}
+    for variant in LIFT_VARIANTS:
+        flat = []
+        for forms in curvatures:
+            t = _contract(cal, [lift(cal, f, variant) for f in forms])
+            flat.append([t.coords[p][q](g) for p in range(m) for q in range(m)
+                         for g in range(order)])
+        base = flat[0]
+        cols = [[a - b for a, b in zip(col, base)] for col in flat[1:]]
+        rows = [[col[blk + x] for col in cols for x in moved[g]]
+                for blk in range(0, len(base), order) for g in range(order)]
+        systems[variant] = (Mat(rows + constraint),
+                            [-v for v in base] + [rat(-1)] * order)
+    return systems
 
 
 def subgroup_calculus(calculus: Calculus) -> Calculus:
@@ -352,20 +357,9 @@ def lift_solution(calculus: Calculus, particular, kernel) -> tuple[list, list]:
     clears the particular solution's free columns.
     """
     cosets = calculus.cls.left_cosets()
-    k = len(cosets[0])
     n = calculus.group.order
-    zero = rat(0)
-
-    def spread(vec, over):
-        full = [zero] * (3 * n)
-        for coset in over:
-            for i in range(3):
-                for p, x in enumerate(coset):
-                    full[i * n + x] = vec[i * k + p]
-        return full
-
-    particular = spread(particular, cosets)
-    lifted = [spread(vec, [coset]) for vec in kernel for coset in cosets]
+    particular = coset_lift(particular, cosets, n)
+    lifted = [coset_lift(vec, [coset], n) for vec in kernel for coset in cosets]
     if not lifted:
         return particular, []
     red, pivots = rref(Mat([vec[::-1] for vec in lifted]))
@@ -377,22 +371,24 @@ def lift_solution(calculus: Calculus, particular, kernel) -> tuple[list, list]:
     return particular, basis
 
 
-def ricci_flat_solve(calculus: Calculus, variant: str = "canonical"):
-    """Solve for all chart parameter triples with vanishing Ricci.
+def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, list]]:
+    """Solve for all chart parameter triples with vanishing Ricci, once per
+    lift variant, keyed as in LIFT_VARIANTS.
 
     Ricci is affine in the three parameter functions, so this is an exact
     linear solve in 3|G| scalars, chart constraint included.  Left
     translation maps the system onto itself and every structure constant
     it reads lies in H = <C>, so it is [G:H] copies of the system of
-    (H, C): that system, 10|H| rows by 3|H| unknowns, is solved by
-    ricci_system on subgroup_calculus and lifted over the cosets by
-    lift_solution, in the basis the dense solve of ricci_system on G gives.
-    The expected outcome for the supported classes is a single isolated
-    triple; without the constraint the solution set would pick up the
-    constant shifts that leave the relative curvature unchanged.
+    (H, C): that system, 10|H| rows by 3|H| unknowns, is assembled for both
+    variants by one ricci_system call on subgroup_calculus, solved, and
+    lifted over the cosets by lift_solution, in the basis the dense solve
+    of ricci_system on G gives.  The expected outcome for the supported
+    classes is a single isolated triple; without the constraint the
+    solution set would pick up the constant shifts that leave the relative
+    curvature unchanged.
 
-    Returns (particular, kernel) where particular is a parameter triple and
-    kernel is a basis of homogeneous triples.
+    Each entry is (particular, kernel) where particular is a parameter
+    triple and kernel is a basis of homogeneous triples.
     """
     _require_chart_class(calculus)
     grp = calculus.group
@@ -402,6 +398,8 @@ def ricci_flat_solve(calculus: Calculus, variant: str = "canonical"):
         return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
                      for i in range(3))
 
-    block = ricci_system(subgroup_calculus(calculus), variant)
-    particular, kern = lift_solution(calculus, *solve_affine(*block))
-    return params_from_vec(particular), [params_from_vec(v) for v in kern]
+    solves = {}
+    for variant, block in ricci_system(subgroup_calculus(calculus)).items():
+        particular, kern = lift_solution(calculus, *solve_affine(*block))
+        solves[variant] = (params_from_vec(particular), [params_from_vec(v) for v in kern])
+    return solves

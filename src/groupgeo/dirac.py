@@ -52,7 +52,7 @@ from .errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from .groups import ConjClass, FiniteGroup
+from .groups import ConjClass, FiniteGroup, coset_lift
 from .linalg import Mat, as_scalar, inverse, kernel_basis, rank
 from .representations import Representation, builtin_rep, irreducibles
 
@@ -82,10 +82,6 @@ class Metric:
 
     def __setattr__(self, *_):
         raise AttributeError("Metric is immutable")
-
-    def coframe_coefficients(self, pos: int) -> list[Cyclotomic]:
-        """Coefficients expressing the pos-th coframe field in the frame."""
-        return list(self.eta.rows[pos])
 
     def __repr__(self):
         return f"Metric(mu={self.mu}, size={self.cls.size})"
@@ -361,17 +357,8 @@ def reduced_spectrum(block: Mat, C: ConjClass) -> tuple[Spectrum, Spectrum]:
         copies = len(cosets)
         raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
     n = C.group.order
-    spaces = {}
-    for value, basis in block_spect.eigenspaces.items():
-        lifted = []
-        for coset in cosets:
-            for vec in basis:
-                full = [_ZERO] * (dim_w * n)
-                for i in range(dim_w):
-                    for p, x in enumerate(coset):
-                        full[i * n + x] = vec[i * k + p]
-                lifted.append(full)
-        spaces[value] = lifted
+    spaces = {value: [coset_lift(vec, [coset], n) for coset in cosets for vec in basis]
+              for value, basis in block_spect.eigenspaces.items()}
     return block_spect, Spectrum(spaces, dim_w * n)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from typing import Sequence
 
+from .cyclotomic import rat
 from .errors import CayleyValidationError, NonCyclicClassError
 from .linalg import Mat
 
@@ -70,16 +71,6 @@ class FiniteGroup:
     def conjugacy_class(self, g: int) -> "ConjClass":
         return ConjClass(self, g)
 
-    def conjugacy_classes(self) -> list[tuple[int, ...]]:
-        seen: set[int] = set()
-        out = []
-        for g in range(self.order):
-            if g not in seen:
-                orbit = tuple(sorted({self.conj(h, g) for h in range(self.order)}))
-                seen.update(orbit)
-                out.append(orbit)
-        return out
-
     def right_translation(self, a: int) -> Mat:
         """Matrix of f -> R_a f, (R_a f)(g) = f(ga), in the delta basis."""
         n = self.order
@@ -87,10 +78,6 @@ class FiniteGroup:
         for g in range(n):
             rows[g][self.mul(g, a)] = 1
         return Mat(rows)
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "names": list(self.names),
-                "table": [list(row) for row in self.table]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteGroup":
@@ -289,6 +276,29 @@ class ConjClass:
 
     def __repr__(self):
         return f"ConjClass({', '.join(self.labels())})"
+
+
+def coset_lift(vec: Sequence, cosets: Sequence[Sequence[int]], order: int) -> list:
+    """Carry a vector on a subgroup K to the group of the given order by
+    left translation over the given left cosets of K.
+
+    vec holds blocks of |K| values, entry i*|K| + p at the p-th element of
+    K; each coset lists g k for k in K in that order.  The result holds the
+    same blocks of |G| values, with entry i*|G| + coset[p] = vec[i*|K| + p]
+    on every given coset and zero off them.  A system that commutes with
+    left translation and keeps each coset gK to itself is one copy of its
+    restriction to K per coset, so lifting a solution over one coset gives
+    a solution and over all of them the solution's induced copy (Serre,
+    Linear Representations of Finite Groups, section 7).
+    """
+    k = len(cosets[0])
+    out = [rat(0)] * (len(vec) // k * order)
+    for start in range(0, len(vec), k):
+        base = start // k * order
+        for coset in cosets:
+            for p, x in enumerate(coset):
+                out[base + x] = vec[start + p]
+    return out
 
 
 def _find_cyclic_witness(group: FiniteGroup, orbit: list[int]) -> int | None:

@@ -26,6 +26,7 @@ from .connections import (
     torsion_free_family,
 )
 from .curvature import (
+    LIFT_VARIANTS,
     TensorOneOne,
     covariant_derivative,
     curvature_forms,
@@ -293,16 +294,14 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     # levi_civita rejects a singular mu; do that before the torsion solve
     lc = levi_civita(cal, mu)
-    particular, kernel = torsion_free_family(cal)
-    # kernel member i*|G| + h is factor-kernel vector i placed at element h;
-    # its component sum vanishes exactly when the vector's does, so the
-    # member at one element stands for all |G| placements
-    members = [particular.components] + kernel[::cal.group.order]
-    sum_ok = all(
-        Connection(cal, comps).sum_form().is_zero() for comps in members)
+    particular, directions = torsion_free_family(cal)
+    # a member delta_h * direction has vanishing component sum exactly when
+    # its direction does, so the directions stand for every placement
+    sum_ok = all(Connection(cal, comps).sum_form().is_zero()
+                 for comps in [particular.components] + directions)
     return {
         "mu": fraction_json(mu),
-        "torsion_free_family_dimension": len(kernel),
+        "torsion_free_family_dimension": len(directions) * cal.group.order,
         "sum_of_components_vanishes": sum_ok,
         "constant_regular_scan": [
             [fraction_json(x) for x in triple]
@@ -329,7 +328,7 @@ def curvature_report(cal: Calculus) -> dict:
     forms = curvature_forms(lc)
     matches = all(forms[pos] == cal.d_basis(pos) for pos in range(cal.cls.size))
     lift_section = {}
-    for variant in ("canonical", "braided"):
+    for variant in LIFT_VARIANTS:
         ok = True
         for k in range(cal.quotient_dim):
             basis_form = TwoForm(cal, [
@@ -352,14 +351,15 @@ def curvature_report(cal: Calculus) -> dict:
 
 def ricci_report(cal: Calculus) -> dict:
     lc = levi_civita(cal)
+    solves = ricci_flat_solve(cal)
     out = {"levi_civita": {}, "flat_solve": {}}
-    for variant in ("canonical", "braided"):
+    for variant in LIFT_VARIANTS:
         tensor = ricci(lc, variant)
         out["levi_civita"][variant] = {
             "tensor": tensor_json(tensor),
             "zero": tensor.is_zero(),
         }
-        params, kernel = ricci_flat_solve(cal, variant)
+        params, kernel = solves[variant]
         out["flat_solve"][variant] = {
             "parameters": [function_json(p) for p in params],
             "kernel_dimension": len(kernel),
@@ -404,7 +404,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
     group = cls.group
     # the operator on G is [G:H] copies of its block up to a permutation of
     # the basis: traces scale by [G:H], hermiticity carries over
-    copies = group.order // len(cls.generated_subgroup())
+    copies = len(cls.left_cosets())
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
         gamma_sum = gamma_sum + coeffs[a]
@@ -507,6 +507,11 @@ def spectral_action_report(spect: spinops.Spectrum, mu) -> dict:
 def full_report(group: FiniteGroup, cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     cal = differential_calculus(cls)
+    # a singular mu stops at the connection section; a group without a
+    # dihedral presentation stops at the Dirac certificate, made before
+    # the curvature and Ricci sections so they are not computed in vain
+    connection = connection_report(cal, mu)
+    dirac = certify_dirac(cal, mu)
     return {
         "tool": {"name": "groupgeo", "version": __version__},
         "group": {
@@ -517,12 +522,10 @@ def full_report(group: FiniteGroup, cls: ConjClass, mu=Fraction(0)) -> dict:
         "class": list(cls.labels()),
         "mu": fraction_json(mu),
         "calculus": calculus_report(cal),
-        "connection": connection_report(cal, mu),
+        "connection": connection,
         "curvature": curvature_report(cal),
         "ricci": ricci_report(cal),
-        # certified here, where the dirac section starts, so a failing
-        # input stops at the same point with the same error
-        "dirac": dirac_report(dirac := certify_dirac(cal, mu)),
+        "dirac": dirac_report(dirac),
         "wave": wave_report(cls, mu),
         "spectral_action": spectral_action_report(dirac.spectrum, mu),
     }

@@ -62,16 +62,9 @@ class Representation:
     def __call__(self, element: int) -> Mat:
         return self.matrices[element]
 
-    def character(self) -> list[Cyclotomic]:
-        return [m.trace() for m in self.matrices]
-
     def matrix_element(self, i: int, j: int) -> list[Cyclotomic]:
         """The function g -> rho(g)[i][j] as a value vector in element order."""
         return [m[i, j] for m in self.matrices]
-
-    def conjugate(self) -> "Representation":
-        return Representation(self.group, [m.conj() for m in self.matrices],
-                              name=f"{self.name}~conj")
 
     def __repr__(self):
         return f"Representation({self.name}, dim {self.dim} over {self.group.name})"

@@ -67,7 +67,7 @@ def ricci_lc_d6(cal_d6, lc_d6):
 
 @pytest.fixture(scope="session")
 def ricci_solve_d6(cal_d6):
-    return {v: ricci_flat_solve(cal_d6, variant=v) for v in ("canonical", "braided")}
+    return ricci_flat_solve(cal_d6)
 
 
 @pytest.fixture(scope="session")

@@ -13,8 +13,12 @@ the full associativity and homomorphism scans beside the checks over a
 generating set, mpmath's rendering of a rational's decimal beside the
 integer one, Sturm bisection beside p-adic lifting for integer roots), a
 closed form the package derives from the operator instead (the
-hand-derived eigenvalue candidates) or a certificate the package does not
-need at run time (the Peter-Weyl rank).
+hand-derived eigenvalue candidates), the torsion-free family expanded to
+its |G|-length members beside the directions the package states it by, a
+certificate the package does not need at run time (the Peter-Weyl rank),
+or a helper only the tests use (conjugacy class lists, Cayley-table dicts,
+characters, conjugate representations, coframe coefficients and the right
+module action on 1-forms).
 """
 
 from __future__ import annotations
@@ -30,9 +34,9 @@ from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm
 from groupgeo.connections import Connection
 from groupgeo.curvature import TensorOneOne, connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.dirac import gamma_matrices, metric, poly_from_roots
+from groupgeo.dirac import Metric, gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
-from groupgeo.groups import ConjClass, FiniteGroup
+from groupgeo.groups import ConjClass, FiniteGroup, coset_lift
 from groupgeo.linalg import Mat, as_scalar, rank
 from groupgeo.representations import Representation
 
@@ -109,6 +113,13 @@ def expanded_functions():
         GroupFunction.__init__, GroupFunction.constant = saved
 
 
+def right_mul(alpha: OneForm, func: GroupFunction) -> OneForm:
+    """alpha . f, commuting f through each e_a by the bimodule rule."""
+    members = alpha.calculus.cls.members
+    return OneForm(alpha.calculus, [g * func.translate(members[pos])
+                                    for pos, g in enumerate(alpha.coeffs)])
+
+
 # -- connections and curvature ----------------------------------------------
 
 def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
@@ -151,6 +162,25 @@ def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
                     for h in range(order):
                         rows[(apos * qdim + k) * order + h][col_base + h] = coeff
     return Mat(rows), rhs
+
+
+def torsion_family_members(calculus: Calculus, directions) -> list[list[OneForm]]:
+    """The basis delta_h * direction of the torsion-free family on G that
+    torsion_free_family states by its directions, direction slowest and h
+    fastest: each direction's constant coefficients lifted by coset_lift
+    over the single coset (h,) of K = {e}."""
+    grp = calculus.group
+    n = grp.order
+    m = calculus.n_members
+    members = []
+    for direction in directions:
+        vec = [f(0) for comp in direction for f in comp.coeffs]
+        for coset in [(h,) for h in range(n)]:
+            full = coset_lift(vec, [coset], n)
+            members.append([calculus.one_form([
+                GroupFunction(grp, full[(c * m + b) * n:(c * m + b + 1) * n])
+                for b in range(m)]) for c in range(m)])
+    return members
 
 
 class TensorTwoOne:
@@ -234,6 +264,11 @@ def curvature_of(conn: Connection, alpha: OneForm) -> TensorTwoOne:
 
 
 # -- spinor geometry --------------------------------------------------------
+
+def coframe_coefficients(met: Metric, pos: int) -> list[Cyclotomic]:
+    """Coefficients expressing the pos-th coframe field in the frame."""
+    return list(met.eta.rows[pos])
+
 
 def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
     """The metric as a (1,1) tensor: sum of e_a x e_a plus mu theta x theta.
@@ -451,7 +486,35 @@ def associativity_violation(table: Sequence[Sequence[int]]) -> tuple | None:
     return None
 
 
+def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every conjugacy class as its ascending elements, in order of least
+    element."""
+    seen: set[int] = set()
+    out = []
+    for g in range(group.order):
+        if g not in seen:
+            orbit = tuple(sorted({group.conj(h, g) for h in range(group.order)}))
+            seen.update(orbit)
+            out.append(orbit)
+    return out
+
+
+def cayley_dict(group: FiniteGroup) -> dict:
+    """The group as the Cayley-table object FiniteGroup.from_dict reads."""
+    return {"name": group.name, "names": list(group.names),
+            "table": [list(row) for row in group.table]}
+
+
 # -- representations --------------------------------------------------------
+
+def character(rep: Representation) -> list[Cyclotomic]:
+    return [m.trace() for m in rep.matrices]
+
+
+def conjugate(rep: Representation) -> Representation:
+    return Representation(rep.group, [m.conj() for m in rep.matrices],
+                          name=f"{rep.name}~conj")
+
 
 def homomorphism_violation(group: FiniteGroup, matrices: Sequence[Mat]) -> tuple | None:
     """The first pair (a, b) in index order with rho(a) rho(b) != rho(ab),

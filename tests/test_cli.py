@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, determinism, serialization."""
 
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import conjugacy_class, dihedral
-from oracles import expanded_functions, mpmath_rational_decimal
+from oracles import cayley_dict, expanded_functions, mpmath_rational_decimal
 
 
 def _run(capsys, *argv):
@@ -310,7 +311,7 @@ def test_incomplete_spectrum_exits_4(tmp_path, capsys):
     # a valid table and class whose members square to a^3, not to e: the
     # wave operator has eigenvalues outside Q, so no spectrum is certified
     path = tmp_path / "dic3.json"
-    path.write_text(json.dumps(dicyclic3().to_dict()))
+    path.write_text(json.dumps(cayley_dict(dicyclic3())))
     code, out, err = _run(capsys, "--cayley", str(path), "--class", "a0x1",
                           "--cmd", "wave")
     assert code == 4
@@ -439,7 +440,7 @@ def test_geometry_sections_match_the_expanded_path(build):
 
 def _table_argv(tmp_path, group) -> list:
     path = tmp_path / f"{group.name}.json"
-    path.write_text(json.dumps(group.to_dict()))
+    path.write_text(json.dumps(cayley_dict(group)))
     return ["--cayley", str(path)]
 
 
@@ -509,3 +510,68 @@ def test_rational_commands_never_import_mpmath(tmp_path):
     loaded = json.loads(probe.stdout)
     assert loaded.pop(" ".join(runs.pop())) is True
     assert loaded == dict.fromkeys(["import"] + [" ".join(r) for r in runs], False)
+
+
+# -- report-all on tables with and without a dihedral presentation -----------
+
+_REPORT_ALL_INPUTS = {
+    "d3": (lambda fixture: dihedral(3), "sr"),
+    "s3xz3": (lambda fixture: direct_product_cyclic(fixture("s3_group"), 3), "u"),
+    "d3xz2": (lambda fixture: direct_product_cyclic(dihedral(3), 2), "sr"),
+    "dic3-a0x1": (lambda fixture: dicyclic3(), "a0x1"),
+    "dic3-a1x1": (lambda fixture: dicyclic3(), "a1x1"),
+    "d6xz2": (lambda fixture: direct_product_cyclic(dihedral(6), 2), "sr"),
+}
+_SINGULAR_METRIC = ("error(precondition): metric modulus mu = -1/3 is singular "
+                    "for a class of size 3\n")
+_SINGULAR_CASIMIR = ("error(precondition): casimir normalisation 1/(1 + 4 mu) "
+                     "is singular at mu = -1/4\n")
+
+
+def _no_dihedral(name, order):
+    return f"error(validation): group {name} of order {order} has no dihedral presentation\n"
+
+
+# exit code and stderr per input and mu; a successful report is pinned by
+# the sha256 of its bytes
+_REPORT_ALL_OUTCOMES = {
+    ("d3", "0"): (0, "a24934807d83c7d3224e69be5cc0ed356e2ee4e4dd8b6c63f4ed9fabd0feaf43"),
+    ("d3xz2", "0"): (0, "20ec28514fd4529e238db62728d72b0c536298be43a2911a7250141f5b2b773f"),
+    ("d3", "-1/4"): (4, _SINGULAR_CASIMIR),
+    ("d3xz2", "-1/4"): (4, _SINGULAR_CASIMIR),
+    ("s3xz3", "0"): (3, _no_dihedral("s3xZ3", 18)),
+    ("s3xz3", "-1/4"): (3, _no_dihedral("s3xZ3", 18)),
+    ("d6xz2", "0"): (3, _no_dihedral("dihedral:6xZ2", 24)),
+    ("d6xz2", "-1/4"): (3, _no_dihedral("dihedral:6xZ2", 24)),
+    **{(f"dic3-{cls}", mu): (3, _no_dihedral("dicyclic:3", 12))
+       for cls in ("a0x1", "a1x1") for mu in ("0", "-1/4")},
+    # the singular metric stops every input at the connection section
+    **{(name, "-1/3"): (4, _SINGULAR_METRIC) for name in _REPORT_ALL_INPUTS},
+}
+
+
+def _report_all(request, tmp_path, capsys, name, mu):
+    build, rep = _REPORT_ALL_INPUTS[name]
+    argv = _table_argv(tmp_path, build(request.getfixturevalue))
+    return _run(capsys, *argv, "--class", rep, "--cmd", "report-all", f"--mu={mu}")
+
+
+@pytest.mark.parametrize("name, mu", sorted(_REPORT_ALL_OUTCOMES),
+                         ids=[f"{n}-mu{m}" for n, m in sorted(_REPORT_ALL_OUTCOMES)])
+def test_report_all_outcome_per_input(request, tmp_path, capsys, name, mu):
+    code, out, err = _report_all(request, tmp_path, capsys, name, mu)
+    expect_code, expect = _REPORT_ALL_OUTCOMES[(name, mu)]
+    assert code == expect_code
+    if code == 0:
+        assert (err, hashlib.sha256(out.encode()).hexdigest()) == ("", expect)
+    else:
+        assert (out, err) == ("", expect)
+
+
+@pytest.mark.parametrize("name", ["dic3-a0x1", "d6xz2"])
+def test_report_all_rejects_a_table_without_dihedral_presentation_early(
+        request, tmp_path, monkeypatch, capsys, name):
+    # the Dirac certificate fails before curvature and Ricci are computed
+    _forbid(monkeypatch, "curvature_report", "ricci_report")
+    code, _, err = _report_all(request, tmp_path, capsys, name, "0")
+    assert (code, err) == _REPORT_ALL_OUTCOMES[(name, "0")]

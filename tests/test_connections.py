@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 
 from conftest import direct_product_cyclic
-from groupgeo import connections
+from groupgeo import connections, reporting
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import (
     Connection,
@@ -28,7 +28,7 @@ from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import GroupGeoError, SingularMetricError
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
-from oracles import expanded_functions, torsion_system
+from oracles import expanded_functions, torsion_family_members, torsion_system
 
 
 def _const_chart(cal, a, b, c):
@@ -73,13 +73,28 @@ def test_nonconstant_chart_parameters_allowed(cal_d6, d6):
 
 
 def test_torsion_free_family_dimension(family_d6, cal_d6):
-    particular, kernel = family_d6
-    assert len(kernel) == 24
+    particular, directions = family_d6
+    assert len(directions) == 2
+    assert len(torsion_family_members(cal_d6, directions)) == 24
     assert all(t.is_zero() for t in torsion_residual(particular))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_torsion_family_has_two_directions_on_s3_times_cyclic(s3_group, m):
+    cal = differential_calculus(conjugacy_class(direct_product_cyclic(s3_group, m), "u"))
+    _, directions = torsion_free_family(cal)
+    assert len(directions) == 2
+    # every direction holds constants, one value per coefficient
+    assert all(f.constant_value is not None
+               for direction in directions for comp in direction for f in comp.coeffs)
+    report = reporting.connection_report(cal)
+    assert report["torsion_free_family_dimension"] == 2 * cal.group.order == 12 * m
+    assert report["sum_of_components_vanishes"]
+
+
 def test_torsion_free_family_members_are_torsion_free(family_d6, cal_d6):
-    particular, kernel = family_d6
+    particular, directions = family_d6
+    kernel = torsion_family_members(cal_d6, directions)
     rng = random.Random(2718)
     for _ in range(4):
         comps = list(particular.components)
@@ -98,11 +113,30 @@ def _dense_vector(components, order):
 
 
 def test_factored_family_matches_dense_torsion_solve(oracle_cal):
-    conn, kernel = torsion_free_family(oracle_cal)
+    conn, directions = torsion_free_family(oracle_cal)
     particular, dense_kernel = solve_affine(*torsion_system(oracle_cal))
     order = oracle_cal.group.order
     assert _dense_vector(conn.components, order) == particular
-    assert [_dense_vector(k, order) for k in kernel] == dense_kernel
+    # the directions lifted over the cosets (h,) of K = {e}, vector for vector
+    members = torsion_family_members(oracle_cal, directions)
+    assert [_dense_vector(k, order) for k in members] == dense_kernel
+
+
+def test_torsion_free_family_builds_no_function_of_the_group_order(monkeypatch):
+    # the family is stated on its factor: every coefficient is a constant,
+    # and no function holding |G| values is built
+    cal = differential_calculus(conjugacy_class(direct_product_cyclic(dihedral(6), 2), "sr"))
+    built = []
+    init = GroupFunction.__init__
+
+    def counted(self, group, values):
+        built.append(group.order)
+        init(self, group, values)
+
+    monkeypatch.setattr(GroupFunction, "__init__", counted)
+    _, directions = torsion_free_family(cal)
+    assert built == []
+    assert len(directions) == 2
 
 
 def test_levi_civita_components(cal_d6, lc_d6):

@@ -3,6 +3,7 @@ connection."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -141,7 +142,7 @@ def _unconstrained_ricci_flat_solve(cal, variant):
     ricci_system appends last."""
     grp = cal.group
     order = grp.order
-    matrix, rhs = ricci_system(cal, variant)
+    matrix, rhs = ricci_system(cal)[variant]
     particular, kernel = solve_affine(Mat(matrix.rows[:-order]), rhs[:-order])
 
     def params_from_vec(vec):
@@ -215,7 +216,7 @@ def _jacobian_by_evaluation(cal, variant):
 def test_ricci_system_matches_evaluation_jacobian(oracle_cal, variant):
     rows, rhs = _jacobian_by_evaluation(oracle_cal, variant)
     order = oracle_cal.group.order
-    matrix, full_rhs = ricci_system(oracle_cal, variant)
+    matrix, full_rhs = ricci_system(oracle_cal)[variant]
     # the chart constraint comes last, one row per group element
     assert (Mat(matrix.rows[:-order]), full_rhs[:-order]) == (Mat(rows), rhs)
     for g in range(order):
@@ -264,8 +265,8 @@ def test_subgroup_calculus_keeps_the_class_order(h_block_cal):
 
 @pytest.mark.parametrize("variant", LIFT_VARIANTS)
 def test_ricci_flat_solve_equals_dense_solve(h_block_cal, variant):
-    particular, kernel = ricci_flat_solve(h_block_cal, variant)
-    dense = solve_affine(*ricci_system(h_block_cal, variant))
+    particular, kernel = ricci_flat_solve(h_block_cal)[variant]
+    dense = solve_affine(*ricci_system(h_block_cal)[variant])
     assert (_flat(particular), [_flat(v) for v in kernel]) == dense
 
 
@@ -273,7 +274,7 @@ def _unconstrained_h_block_solve(cal, variant):
     """The Ricci-flat solve without the chart constraint on H, lifted to G."""
     sub = subgroup_calculus(cal)
     k = sub.group.order
-    matrix, rhs = ricci_system(sub, variant)
+    matrix, rhs = ricci_system(sub)[variant]
     particular, kernel = solve_affine(Mat(matrix.rows[:-k]), rhs[:-k])
     assert kernel
     return lift_solution(cal, particular, kernel)
@@ -318,8 +319,9 @@ def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, bui
     real_rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", recording_rref)
     monkeypatch.setattr(curvature, "rref", recording_rref)
-    for variant in LIFT_VARIANTS:
-        particular, kernel = ricci_flat_solve(cal, variant)
+    solves = ricci_flat_solve(cal)
+    assert list(solves) == list(LIFT_VARIANTS)
+    for particular, kernel in solves.values():
         assert kernel == []
         assert all(f == cal.constant(Fraction(-1, 3)) for f in particular)
     # 10|H| rows by 3|H| unknowns and the right-hand side, |H| = 6
@@ -346,11 +348,29 @@ def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatc
         raise AssertionError("H was built for a class that is not a chart class")
 
     monkeypatch.setattr(curvature, "subgroup_calculus", unreachable)
-    for variant in LIFT_VARIANTS:
-        with pytest.raises(UnsupportedGroupError) as err:
-            ricci_flat_solve(cal, variant)
-        assert str(err.value) == (
-            "connection chart requires a 3-member class with circulant products")
+    with pytest.raises(UnsupportedGroupError) as err:
+        ricci_flat_solve(cal)
+    assert str(err.value) == (
+        "connection chart requires a 3-member class with circulant products")
+
+
+def test_ricci_report_assembles_the_curvature_once(monkeypatch, cal_d6):
+    # the distinguished connection's relative curvature once per lift
+    # variant, and the four charts of the system on H once for both
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(curvature, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    for name in ("relative_curvature", "subgroup_calculus"):
+        monkeypatch.setattr(curvature, name, counting(name))
+    reporting.ricci_report(cal_d6)
+    assert calls == {"relative_curvature": 6, "subgroup_calculus": 1}
 
 
 # -- relabelling the group elements ------------------------------------------
@@ -371,8 +391,7 @@ def _label_free_layers(group) -> dict:
         "family_dimension": report["torsion_free_family_dimension"],
         "sum_of_components_vanishes": report["sum_of_components_vanishes"],
     }
-    for variant in ("canonical", "braided"):
-        params, kernel = ricci_flat_solve(cal, variant)
+    for variant, (params, kernel) in ricci_flat_solve(cal).items():
         out[variant] = ([by_name(p) for p in params], len(kernel))
     return out
 

@@ -1,6 +1,6 @@
 """The README's library example runs as written, the package ships no
-public function that nothing calls, and no module imports a name it never
-uses."""
+public function or method that nothing calls, and no module imports a name
+it never uses."""
 
 import ast
 import os
@@ -47,13 +47,22 @@ def test_every_public_function_has_a_package_caller():
         with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
             tree = ast.parse(handle.read(), filename)
         for node in tree.body:
+            # a class's methods are statements of their own, named
+            # Class.method; the rest of the class (bases, slots) is one more
+            members = [sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+                       ] if isinstance(node, ast.ClassDef) else []
+            for sub in members:
+                if not sub.name.startswith("_"):
+                    public.append((f"{filename}:{node.name}.{sub.name}", sub))
+                referenced += [(name, sub) for name in _names(sub)]
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                public.append((filename, node))
-            referenced += [(name, node) for name in _names(node)]
+                public.append((f"{filename}:{node.name}", node))
+            rest = [n for n in ast.iter_child_nodes(node) if n not in members]
+            referenced += [(name, node) for name in set().union(*map(_names, rest))]
     for source in _readme_python_blocks():
         referenced += [(name, None) for name in _names(ast.parse(source))]
     # a function's own body (recursion, its docstring) is not a caller
-    uncalled = [f"{filename}:{node.name}" for filename, node in public
+    uncalled = [label for label, node in public
                 if not any(name == node.name and where is not node
                            for name, where in referenced)]
     assert uncalled == []
