@@ -9,30 +9,31 @@ singular at mu = -1/4; both degenerate values raise SingularMetricError.
 A spinor operator is a group-algebra element sum_h M_h (x) R(h): constant
 dim(W) x dim(W) coefficients M_h times right translations, with every h in
 {e}, the class or its products, so inside H = <C>.  dirac_operator and
-wave_operator return the coefficients {h: M_h}, and assemble alone writes
-a matrix from them on W tensor (functions on G), laid out
-spinor-component-major: entry block (i, j) of the dim(W) x dim(W) grid is
-the |G| x |G| operator mapping the j-th spinor component into the i-th.
-The same coefficients assembled on the elements of H give the block of
-which the operator is [G:H] copies.
+wave_operator return the coefficients {h: M_h}; the reports check the
+operator on them (is_hermitian, same_element) and apply it to vectors on
+G with them (apply).  assemble alone writes a matrix from them on
+W tensor (functions on G), laid out spinor-component-major: entry block
+(i, j) of the dim(W) x dim(W) grid is the |G| x |G| operator mapping the
+j-th spinor component into the i-th.  The same coefficients assembled on
+the elements of H give the block of which the operator is [G:H] copies.
 
 Spectra are certified from the operator alone, never approximated: the
 eigenvalues are the rational roots of the minimal polynomials of unit
 vectors under the operator, each keeps the exact kernel basis of
 (op - lambda id) as its eigenspace, and the multiplicities must add up to
 the full dimension or the computation refuses to answer
-(IncompleteSpectrumError).  The reports certify the block and lift its
-eigenspaces to G by left translation.  A certified spectrum proves the
+(IncompleteSpectrumError).  The reports certify the block and state the
+operator on G by its copy count.  A certified spectrum proves the
 operator diagonalisable, so chirality gradings and minimal polynomials are
 read off it without a second reduction.
 
 The eigenmode catalogs replay a closed-form list of claimed eigenvectors
-against the operator a report has built and its certified spectrum, whose
-multiplicities they read.  Candidates that are identically zero are
-reported as such, surviving candidates are verified exactly, and any gap
-between the span of the verified modes and the true multiplicity is
-reported together with explicit completion modes.  Shortfalls are reported,
-not asserted away.
+against the coefficients of the operator a report holds, by apply, and
+its certified spectrum, whose multiplicities they read.  Candidates that
+are identically zero are reported as such, surviving candidates are
+verified exactly, and any gap between the span of the verified modes and
+the true multiplicity is reported together with explicit completion
+modes.  Shortfalls are reported, not asserted away.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -52,7 +54,7 @@ from .errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from .groups import ConjClass, FiniteGroup, coset_lift
+from .groups import ConjClass, FiniteGroup
 from .linalg import Mat, as_scalar, inverse, kernel_basis, rank
 from .representations import Representation, builtin_rep, irreducibles
 
@@ -185,18 +187,43 @@ def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
     return Mat(rows)
 
 
-def class_translation_sum(C: ConjClass) -> Mat:
-    """Sum of the right translation operators over the class members."""
-    return assemble({a: Mat([[1]]) for a in C.members}, C.group)
+def apply(coeffs: Mapping[int, Mat], group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
+    """The image of vec under sum_h coeffs[h] (x) R(h) on W tensor
+    (functions on G), in assemble's spinor-component-major layout.
 
-
-def translation_block(rep: Representation, C: ConjClass, i: int, j: int) -> Mat:
-    """Sum over class members of rho(a)[i, j] times right translation by a.
-
-    These are the blocks of the free part of the Dirac operator written in
-    the spinor-component grid.
+    Entry (i, g) of the image is sum_h sum_j coeffs[h][i, j] vec[(j, gh)]:
+    dim(W)^2 products per element and per h, and no matrix on G.
     """
-    return assemble({a: Mat([[rep(a)[i, j]]]) for a in C.members}, C.group)
+    n = group.order
+    vec = [as_scalar(x) for x in vec]
+    if len(vec) != next(iter(coeffs.values())).ncols * n:
+        raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
+    out = [_ZERO] * len(vec)
+    for h, block in coeffs.items():
+        moved = [group.mul(g, h) for g in range(n)]
+        for j in range(block.ncols):
+            # the j-th spinor component of R(h) vec, where it is nonzero
+            col = [(g, vec[j * n + gh]) for g, gh in enumerate(moved) if vec[j * n + gh]]
+            for i in range(block.nrows):
+                w = block[i, j]
+                if w:
+                    for g, x in col:
+                        out[i * n + g] += w * x
+    return out
+
+
+def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:
+    """Whether two coefficient dicts are one group-algebra element: distinct
+    h fill distinct entries, so every coefficient must agree, an h missing
+    from a dict counting as a zero coefficient."""
+    return all(x[h] == y[h] if h in x and h in y else (x[h] if h in x else y[h]).is_zero()
+               for h in x.keys() | y.keys())
+
+
+def is_hermitian(coeffs: Mapping[int, Mat], group: FiniteGroup) -> bool:
+    """Whether sum_h M_h (x) R(h) equals its conjugate transpose
+    sum_h M_h^dagger (x) R(h^-1), that is M_{h^-1} = M_h^dagger for every h."""
+    return same_element(coeffs, {group.inv(h): m.conj_transpose() for h, m in coeffs.items()})
 
 
 def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
@@ -266,32 +293,35 @@ class Spectrum:
     """Exact eigenvalues with their eigenspace bases, whose dimensions
     provably exhaust the operator dimension.
 
-    eigenspaces maps each value, which must be rational, to its basis
-    vectors, in increasing order of value; pairs and multiplicities are
-    read off it.
+    The operator is copies copies of one block up to a permutation of the
+    basis.  eigenspaces maps each value, which must be rational, to its
+    basis vectors on the block, in increasing order of value; pairs,
+    multiplicities and dimension state the operator, every copy counted.
     """
 
-    __slots__ = ("eigenspaces", "dimension")
+    __slots__ = ("eigenspaces", "dimension", "copies")
 
-    def __init__(self, eigenspaces: Mapping | Sequence[tuple], dimension: int):
+    def __init__(self, eigenspaces: Mapping | Sequence[tuple], dimension: int,
+                 copies: int = 1):
         spaces = sorted(((as_scalar(v), tuple(basis))
                          for v, basis in dict(eigenspaces).items()),
                         key=lambda item: item[0].as_fraction())
-        total = sum(len(basis) for _, basis in spaces)
+        total = sum(len(basis) for _, basis in spaces) * copies
         if total != dimension:
             raise IncompleteSpectrumError(total, dimension)
         object.__setattr__(self, "eigenspaces", MappingProxyType(dict(spaces)))
         object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "copies", copies)
 
     def __setattr__(self, *_):
         raise AttributeError("Spectrum is immutable")
 
     @property
     def pairs(self) -> tuple[tuple[Cyclotomic, int], ...]:
-        return tuple((v, len(basis)) for v, basis in self.eigenspaces.items())
+        return tuple((v, len(basis) * self.copies) for v, basis in self.eigenspaces.items())
 
     def multiplicity(self, value) -> int:
-        return len(self.eigenspaces.get(as_scalar(value), ()))
+        return len(self.eigenspaces.get(as_scalar(value), ())) * self.copies
 
     def __iter__(self):
         return iter(self.pairs)
@@ -334,32 +364,28 @@ def spectrum(op: Mat) -> Spectrum:
     return Spectrum(spaces, n)
 
 
-def reduced_spectrum(block: Mat, C: ConjClass) -> tuple[Spectrum, Spectrum]:
-    """The certified spectrum of a spinor operator's block on W tensor
-    (functions on H), H = C.generated_subgroup(), and the spectrum of the
-    operator on W tensor (functions on G) lifted from it.
+def reduced_spectrum(block: Mat, C: ConjClass) -> Spectrum:
+    """The certified spectrum of a spinor operator on W tensor (functions
+    on G), from its block on W tensor (functions on H),
+    H = C.generated_subgroup().
 
     block must be a group-algebra element supported on H, assembled on the
     elements of H.  The operator commutes with left translation and keeps
-    each left coset gH to itself, so it is [G:H] copies of the block: each
-    block eigenvector, carried to every coset by left translation with the
-    coset's least element, is an eigenvector of the operator.  An
-    incomplete block spectrum is reported with the operator's numbers.
+    each left coset gH to itself, so it is [G:H] copies of the block (each
+    block eigenvector, carried to a coset by groups.coset_lift, is an
+    eigenvector of the operator).  The spectrum keeps the block's
+    eigenspaces and counts each [G:H] times; an incomplete block spectrum
+    is reported with the operator's numbers.
     """
-    cosets = C.left_cosets()
-    k = len(cosets[0])
+    k = len(C.generated_subgroup())
     if block.nrows % k:
         raise ValueError("block size is not a multiple of the subgroup order")
-    dim_w = block.nrows // k
+    copies = C.group.order // k
     try:
         block_spect = spectrum(block)
     except IncompleteSpectrumError as exc:
-        copies = len(cosets)
         raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
-    n = C.group.order
-    spaces = {value: [coset_lift(vec, [coset], n) for coset in cosets for vec in basis]
-              for value, basis in block_spect.eigenspaces.items()}
-    return block_spect, Spectrum(spaces, dim_w * n)
+    return Spectrum(block_spect.eigenspaces, block.nrows * copies, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +548,8 @@ def require_symmetric(spect: Spectrum) -> None:
 
 def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
     """A grading that squares to the identity and anticommutes with the
-    operator whose certified spectrum is given.
+    operator whose certified spectrum is given, or with one block of it
+    when the spectrum counts several copies.
 
     The +lambda and -lambda eigenspaces of the spectrum are paired
     blockwise through their deterministic kernel bases and the grading
@@ -558,33 +585,28 @@ def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
 # eigenmode catalogs
 
 
-def _vec_of(values: Sequence) -> list[Cyclotomic]:
-    return [as_scalar(v) for v in values]
+def _vec_of(*components: Sequence) -> list[Cyclotomic]:
+    """One vector from the values of its spinor components in turn."""
+    return [as_scalar(v) for comp in components for v in comp]
 
 
-def _spinor_vec(*components: Sequence) -> list[Cyclotomic]:
-    out: list[Cyclotomic] = []
-    for comp in components:
-        out.extend(as_scalar(v) for v in comp)
-    return out
+def _element(rep: Representation, k: int, l: int) -> list[Cyclotomic]:
+    """The matrix-element function g -> rep(g)[k, l], indices from 1."""
+    return _vec_of(rep.matrix_element(k - 1, l - 1))
 
 
-def _certified_eigenvalue(op: Mat, vec: list[Cyclotomic]):
-    """The exact eigenvalue of vec under op, or None if vec is not an
-    eigenvector.  vec must be nonzero."""
-    image = op @ vec
+def _certified_eigenvalue(coeffs: Mapping[int, Mat], group: FiniteGroup,
+                          vec: list[Cyclotomic]):
+    """The exact eigenvalue of vec under the operator with coefficients
+    coeffs, or None if vec is not an eigenvector.  vec must be nonzero."""
+    image = apply(coeffs, group, vec)
     lead = next(i for i, x in enumerate(vec) if x)
     lam = image[lead] / vec[lead]
-    for x, y in zip(image, vec):
-        if x != lam * y:
-            return None
-    return lam
+    return lam if all(x == lam * y for x, y in zip(image, vec)) else None
 
 
 def _span_dim(vectors: list[list[Cyclotomic]]) -> int:
-    if not vectors:
-        return 0
-    return rank(Mat(vectors))
+    return rank(Mat(vectors)) if vectors else 0
 
 
 def _catalog_context(C: ConjClass):
@@ -600,11 +622,11 @@ def _catalog_context(C: ConjClass):
     return group, spinor, twisted, reps
 
 
-def _assess(op: Mat, spect: Spectrum, families: list[dict],
-            claimed_values: list, completions: list[tuple]) -> dict:
+def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
+            families: list[dict], claimed_values: list, completions: list[tuple]) -> dict:
     """Shared scoring: statuses per candidate, spans and gaps per value.
 
-    Multiplicities are read off the certified spectrum of op.
+    Multiplicities are read off the certified spectrum of the operator.
     """
     verified: dict[Cyclotomic, list] = {}
     for fam in families:
@@ -612,15 +634,12 @@ def _assess(op: Mat, spect: Spectrum, families: list[dict],
         for cand in fam["candidates"]:
             vec = cand.pop("vector")
             if all(x.is_zero() for x in vec):
-                cand["status"] = "zero_vector"
-                cand["eigenvalue"] = None
+                cand["status"], cand["eigenvalue"] = "zero_vector", None
                 continue
-            lam = _certified_eigenvalue(op, vec)
+            lam = cand["eigenvalue"] = _certified_eigenvalue(coeffs, group, vec)
             if lam is None:
                 cand["status"] = "not_an_eigenmode"
-                cand["eigenvalue"] = None
                 continue
-            cand["eigenvalue"] = lam
             cand["status"] = ("eigenmode" if lam == as_scalar(claimed)
                               else "eigenvalue_mismatch")
             verified.setdefault(lam, []).append(vec)
@@ -636,7 +655,7 @@ def _assess(op: Mat, spect: Spectrum, families: list[dict],
             if as_scalar(cval) != v:
                 continue
             for label, cvec in named:
-                lam = _certified_eigenvalue(op, cvec)
+                lam = _certified_eigenvalue(coeffs, group, cvec)
                 ok = lam is not None and lam == v
                 comp_entries.append({"label": label, "verified": ok})
                 if ok:
@@ -661,10 +680,11 @@ def _assess(op: Mat, spect: Spectrum, families: list[dict],
     return {"families": families, "eigenvalues": summaries}
 
 
-def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
+def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
     """Replay the closed-form Dirac eigenvector list against the mu = 0
-    Dirac operator op of the spinor representation and the distinguished
-    connection, with its certified spectrum spect.
+    Dirac operator of the spinor representation and the distinguished
+    connection, given by its coefficients, with its certified spectrum
+    spect.
 
     Families: images of the off-diagonal translation blocks (claimed zero
     modes), the two columns of the twisted 2-dimensional representation
@@ -678,22 +698,15 @@ def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
     group, spinor, twisted, reps = _catalog_context(C)
     n = group.order
     zero_fn = [_ZERO] * n
+    rho, rho2, sig = (partial(_element, r) for r in (spinor, reps["planar2"], twisted))
 
-    def rho(k, l):
-        return _vec_of(spinor.matrix_element(k - 1, l - 1))
-
-    def rho2(k, l):
-        return _vec_of(reps["planar2"].matrix_element(k - 1, l - 1))
-
-    def sig(k, l):
-        return _vec_of(twisted.matrix_element(k - 1, l - 1))
-
-    lower = translation_block(spinor, C, 1, 0)
-    upper = translation_block(spinor, C, 0, 1)
-    diag = class_translation_sum(C)
+    # the translation blocks of the free part, and single translations
+    lower = {a: Mat([[spinor(a)[1, 0]]]) for a in C.members}
+    upper = {a: Mat([[spinor(a)[0, 1]]]) for a in C.members}
+    diag = {a: Mat([[1]]) for a in C.members}
     t, x = C.members[0], C.members[1]
-    r_t = group.right_translation(t)
-    r_x = group.right_translation(x)
+    r_t = {t: Mat([[1]])}
+    r_x = {x: Mat([[1]])}
     omega = spinor(t)[1, 0]
 
     families = []
@@ -703,37 +716,26 @@ def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
         for l in (1, 2):
             fam["candidates"].append(
                 {"label": f"(lower rho[{k},{l}], 0)",
-                 "vector": _spinor_vec(lower @ rho(k, l), zero_fn)})
+                 "vector": _vec_of(apply(lower, group, rho(k, l)), zero_fn)})
             fam["candidates"].append(
                 {"label": f"(0, upper rho[{k},{l}])",
-                 "vector": _spinor_vec(zero_fn, upper @ rho(k, l))})
+                 "vector": _vec_of(zero_fn, apply(upper, group, rho(k, l)))})
     families.append(fam)
 
-    fam = {"name": "twisted first column", "claimed_eigenvalue": rat(3),
-           "candidates": []}
-    for k in (1, 2):
-        fam["candidates"].append(
-            {"label": f"(sign2[{k},1], 0)", "vector": _spinor_vec(sig(k, 1), zero_fn)})
-        fam["candidates"].append(
-            {"label": f"(0, sign2[{k},1])", "vector": _spinor_vec(zero_fn, sig(k, 1))})
-    families.append(fam)
-
-    fam = {"name": "twisted second column", "claimed_eigenvalue": rat(-3),
-           "candidates": []}
-    for k in (1, 2):
-        fam["candidates"].append(
-            {"label": f"(sign2[{k},2], 0)", "vector": _spinor_vec(sig(k, 2), zero_fn)})
-        fam["candidates"].append(
-            {"label": f"(0, sign2[{k},2])", "vector": _spinor_vec(zero_fn, sig(k, 2))})
-    families.append(fam)
+    for l, name, value in ((1, "first", 3), (2, "second", -3)):
+        families.append({
+            "name": f"twisted {name} column", "claimed_eigenvalue": rat(value),
+            "candidates": [c for k in (1, 2) for c in (
+                {"label": f"(sign2[{k},{l}], 0)", "vector": _vec_of(sig(k, l), zero_fn)},
+                {"label": f"(0, sign2[{k},{l}])", "vector": _vec_of(zero_fn, sig(k, l))})]})
 
     fam = {"name": "rotation ansatz", "claimed_eigenvalue": rat(3),
            "candidates": []}
     rotated = []
     for k in (1, 2):
         phi = rho(k, 2)
-        second = [omega * v for v in (r_t @ phi)]
-        vec = _spinor_vec(phi, second)
+        second = [omega * v for v in apply(r_t, group, phi)]
+        vec = _vec_of(phi, second)
         rotated.append(vec)
         fam["candidates"].append({"label": f"rotation ansatz k={k}", "vector": vec})
     families.append(fam)
@@ -744,73 +746,72 @@ def eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
         phi = rho(k, 2)
         fam["candidates"].append(
             {"label": f"reflection ansatz k={k}",
-             "vector": _spinor_vec(phi, r_x @ phi)})
+             "vector": _vec_of(phi, apply(r_x, group, phi))})
     families.append(fam)
 
-    chi = _vec_of(reps["sign"].matrix_element(0, 0))
-    parity_op = Mat.diag(chi)
+    chi = _element(reps["sign"], 1, 1)
     fam = {"name": "parity images of the rotation ansatz",
            "claimed_eigenvalue": rat(-3), "candidates": []}
     for k, vec in zip((1, 2), rotated):
-        first, second = vec[:n], vec[n:]
+        # multiplication by chi on each spinor component
         fam["candidates"].append(
             {"label": f"parity image k={k}",
-             "vector": _spinor_vec(parity_op @ first, parity_op @ second)})
+             "vector": [c * v for c, v in zip(chi * spinor.dim, vec)]})
     families.append(fam)
 
-    phi_char = _vec_of(reps["rot-parity"].matrix_element(0, 0))
-    psi_char = _vec_of(reps["rot-parity*sign"].matrix_element(0, 0))
+    phi_char = _element(reps["rot-parity"], 1, 1)
+    psi_char = _element(reps["rot-parity*sign"], 1, 1)
     completions = [
         (rat(0), [
-            (f"(planar2[{k},2], 0)", _spinor_vec(rho2(k, 2), zero_fn))
+            (f"(planar2[{k},2], 0)", _vec_of(rho2(k, 2), zero_fn))
             for k in (1, 2)
         ] + [
-            (f"(0, planar2[{k},1])", _spinor_vec(zero_fn, rho2(k, 1)))
+            (f"(0, planar2[{k},1])", _vec_of(zero_fn, rho2(k, 1)))
             for k in (1, 2)
         ]),
         (rat(3), [
-            ("(rot-parity, 0)", _spinor_vec(phi_char, zero_fn)),
-            ("(0, rot-parity)", _spinor_vec(zero_fn, phi_char)),
+            ("(rot-parity, 0)", _vec_of(phi_char, zero_fn)),
+            ("(0, rot-parity)", _vec_of(zero_fn, phi_char)),
         ] + [
             (f"(planar2[{k},1], -planar2[{k},2])",
-             _spinor_vec(rho2(k, 1), [-v for v in rho2(k, 2)]))
+             _vec_of(rho2(k, 1), [-v for v in rho2(k, 2)]))
             for k in (1, 2)
         ]),
         (rat(-3), [
-            ("(rot-parity*sign, 0)", _spinor_vec(psi_char, zero_fn)),
-            ("(0, rot-parity*sign)", _spinor_vec(zero_fn, psi_char)),
+            ("(rot-parity*sign, 0)", _vec_of(psi_char, zero_fn)),
+            ("(0, rot-parity*sign)", _vec_of(zero_fn, psi_char)),
         ] + [
             (f"(planar2[{k},1], planar2[{k},2])",
-             _spinor_vec(rho2(k, 1), rho2(k, 2)))
+             _vec_of(rho2(k, 1), rho2(k, 2)))
             for k in (1, 2)
         ]),
     ]
 
-    out = _assess(op, spect, families, [rat(0), rat(3), rat(-3)], completions)
+    out = _assess(coeffs, group, spect, families, [rat(0), rat(3), rat(-3)], completions)
     out["mu"] = Fraction(0)
 
-    # P = diag(p) repeats chi on each spinor component, so P op + op P has
-    # entries (p_i + p_j) op[i, j] and P^2 = 1 means p_i^2 = 1
-    parity = chi * spinor.dim
+    # P = diag(chi) on each spinor component takes M_h (x) R(h) to
+    # chi(g) chi(gh) M_h (x) R(h), and chi(g) chi(gh) = chi(h) as chi is a
+    # character with chi^2 = 1: P op + op P = 0 exactly when chi(h) = -1
+    # wherever M_h != 0, and P^2 = 1 exactly when chi^2 = 1
     out["sign_multiplication_anticommutes"] = (
-        all((pi + pj).is_zero() or x.is_zero()
-            for pi, row in zip(parity, op.rows) for pj, x in zip(parity, row))
-        and all(p * p == _ONE for p in parity))
-    zero_block = Mat.zeros(n, n)
+        all(chi[h] == -_ONE for h, m in coeffs.items() if not m.is_zero())
+        and all(c * c == _ONE for c in chi))
+    # X delta_e is the function g -> x_{g^-1}, so XY = 0 exactly when
+    # X Y delta_e = 0
+    delta_e = [_ONE] + [_ZERO] * (n - 1)
+    blocks = {"lower": lower, "upper": upper, "diag": diag}
     out["component_identities"] = {
-        "lower*lower": lower @ lower == zero_block,
-        "upper*upper": upper @ upper == zero_block,
-        "diag*lower": diag @ lower == zero_block,
-        "lower*diag": lower @ diag == zero_block,
-        "diag*upper": diag @ upper == zero_block,
-        "upper*diag": upper @ diag == zero_block,
-    }
+        f"{x}*{y}": not any(apply(blocks[x], group, apply(blocks[y], group, delta_e)))
+        for x, y in (("lower", "lower"), ("upper", "upper"), ("diag", "lower"),
+                     ("lower", "diag"), ("diag", "upper"), ("upper", "diag"))}
     return out
 
 
-def wave_eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
+def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
     """Replay the closed-form wave eigenfunction list against the mu = 0
-    wave operator op and its certified spectrum spect.
+    wave operator, given by its coefficients, and its certified spectrum
+    spect.
 
     Claimed families: the second twisted column at eigenvalue 0, the first
     twisted column at -12, and the spinor matrix elements together with
@@ -821,18 +822,10 @@ def wave_eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
     characters and the second planar family.
     """
     group, spinor, twisted, reps = _catalog_context(C)
-
-    def rho(k, l):
-        return _vec_of(spinor.matrix_element(k - 1, l - 1))
+    rho, rho2, sig = (partial(_element, r) for r in (spinor, reps["planar2"], twisted))
 
     def rho_bar(k, l):
         return [v.conj() for v in rho(k, l)]
-
-    def rho2(k, l):
-        return _vec_of(reps["planar2"].matrix_element(k - 1, l - 1))
-
-    def sig(k, l):
-        return _vec_of(twisted.matrix_element(k - 1, l - 1))
 
     families = [
         {"name": "twisted second column", "claimed_eigenvalue": rat(0),
@@ -848,15 +841,15 @@ def wave_eigenmode_catalog(C: ConjClass, op: Mat, spect: Spectrum) -> dict:
              + [{"label": f"conj rho[{k},{l}]", "vector": rho_bar(k, l)}
                 for k in (1, 2) for l in (1, 2)]},
     ]
-    phi_char = _vec_of(reps["rot-parity"].matrix_element(0, 0))
-    psi_char = _vec_of(reps["rot-parity*sign"].matrix_element(0, 0))
+    phi_char = _element(reps["rot-parity"], 1, 1)
+    psi_char = _element(reps["rot-parity*sign"], 1, 1)
     completions = [
         (rat(0), [("rot-parity*sign", psi_char)]),
         (rat(-12), [("rot-parity", phi_char)]),
         (rat(-6), [(f"planar2[{k},{l}]", rho2(k, l))
                    for k in (1, 2) for l in (1, 2)]),
     ]
-    out = _assess(op, spect, families, [rat(0), rat(-12), rat(-6)], completions)
+    out = _assess(coeffs, group, spect, families, [rat(0), rat(-12), rat(-6)], completions)
     out["mu"] = Fraction(0)
     # the conjugated elements are the originals with both indices reversed
     out["conjugates_coincide_reversed"] = all(

@@ -24,7 +24,6 @@ from typing import Sequence
 
 from .cyclotomic import rat
 from .errors import CayleyValidationError, NonCyclicClassError
-from .linalg import Mat
 
 
 class FiniteGroup:
@@ -70,14 +69,6 @@ class FiniteGroup:
 
     def conjugacy_class(self, g: int) -> "ConjClass":
         return ConjClass(self, g)
-
-    def right_translation(self, a: int) -> Mat:
-        """Matrix of f -> R_a f, (R_a f)(g) = f(ga), in the delta basis."""
-        n = self.order
-        rows = [[0] * n for _ in range(n)]
-        for g in range(n):
-            rows[g][self.mul(g, a)] = 1
-        return Mat(rows)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteGroup":

@@ -378,14 +378,13 @@ class DiracCertificate(NamedTuple):
     """The Dirac operator of the spinor representation and the distinguished
     connection at mu, built and certified once for every section that
     reads it: its coefficients {h: M_h}, their block on H = <C>, and the
-    block's certified spectrum with its lift to G."""
+    certified spectrum of the operator on G, held as the block's."""
 
     cls: ConjClass
     mu: Fraction
     rep: Representation
     coeffs: dict
     block: Mat
-    block_spectrum: spinops.Spectrum
     spectrum: spinops.Spectrum
 
 
@@ -396,15 +395,12 @@ def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
     coeffs = spinops.dirac_operator(rep, levi_civita(cal, mu), cls, mu)
     block = spinops.assemble(coeffs, cls.group, cls.generated_subgroup())
     return DiracCertificate(cls, mu, rep, coeffs, block,
-                            *spinops.reduced_spectrum(block, cls))
+                            spinops.reduced_spectrum(block, cls))
 
 
 def dirac_report(dirac: DiracCertificate) -> dict:
-    cls, mu, rep, coeffs, block, block_spect, spect = dirac
+    cls, mu, rep, coeffs, block, spect = dirac
     group = cls.group
-    # the operator on G is [G:H] copies of its block up to a permutation of
-    # the basis: traces scale by [G:H], hermiticity carries over
-    copies = len(cls.left_cosets())
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
         gamma_sum = gamma_sum + coeffs[a]
@@ -417,9 +413,11 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         "gamma": {group.label(a): matrix_json(coeffs[a]) for a in cls.members},
         "gamma_sum": matrix_json(gamma_sum),
         "spectrum": spectrum_json(spect),
-        "trace": scalar_json(block.trace() * copies),
-        "trace_of_square": scalar_json(square.trace() * copies),
-        "hermitian": block.conj_transpose() == block,
+        # the operator on G is [G:H] copies of its block up to a
+        # permutation of the basis, so traces scale by [G:H]
+        "trace": scalar_json(block.trace() * spect.copies),
+        "trace_of_square": scalar_json(square.trace() * spect.copies),
+        "hermitian": spinops.is_hermitian(coeffs, group),
         "cube_equals_nine_times": square @ block == block * 9,
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
@@ -431,9 +429,9 @@ def dirac_report(dirac: DiracCertificate) -> dict:
             coeffs[a] == Mat([[-1, rep(a)[0, 1]], [rep(a)[1, 0], -1]])
             for a in cls.members)
     try:
-        # the reason names the multiplicities of op, not of its block
-        spinops.require_symmetric(spect)
-        gam = spinops.chirality(block_spect)
+        # the grading of the block; a refusal names the multiplicities of
+        # the operator on G
+        gam = spinops.chirality(spect)
         ident = Mat.identity(block.nrows)
         out["chirality"] = {
             "available": True,
@@ -444,8 +442,8 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         out["chirality"] = {"available": False, "reason": str(exc)}
     if mu == 0:
         try:
-            out["eigenmode_catalog"] = catalog_json(spinops.eigenmode_catalog(
-                cls, spinops.assemble(coeffs, group), spect))
+            out["eigenmode_catalog"] = catalog_json(
+                spinops.eigenmode_catalog(cls, coeffs, spect))
         except UnsupportedGroupError:
             pass
     return out
@@ -454,23 +452,22 @@ def dirac_report(dirac: DiracCertificate) -> dict:
 def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     coeffs = spinops.wave_operator(cls, mu)
-    op = spinops.assemble(coeffs, cls.group)
-    _, spect = spinops.reduced_spectrum(
+    spect = spinops.reduced_spectrum(
         spinops.assemble(coeffs, cls.group, cls.generated_subgroup()), cls)
     out = {
         "mu": fraction_json(mu),
-        "operator": matrix_json(op),
+        "operator": matrix_json(spinops.assemble(coeffs, cls.group)),
         "spectrum": spectrum_json(spect),
-        "hermitian": op.conj_transpose() == op,
+        "hermitian": spinops.is_hermitian(coeffs, cls.group),
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0:
-        d0 = spinops.class_translation_sum(cls)
-        out["translation_form"] = (
-            op == d0 * 2 - Mat.identity(cls.group.order) * (2 * cls.size))
+        # twice the class translation sum minus twice the class size
+        out["translation_form"] = spinops.same_element(
+            coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
             out["eigenmode_catalog"] = catalog_json(
-                spinops.wave_eigenmode_catalog(cls, op, spect))
+                spinops.wave_eigenmode_catalog(cls, coeffs, spect))
         except UnsupportedGroupError:
             pass
     return out

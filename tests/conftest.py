@@ -71,8 +71,13 @@ def ricci_solve_d6(cal_d6):
 
 
 @pytest.fixture(scope="session")
-def dirac0_d6(d6, rep_d6, lc_d6, cls_d6):
-    return assemble(dirac_operator(rep_d6, lc_d6, cls_d6), d6)
+def dirac0_coeffs_d6(rep_d6, lc_d6, cls_d6):
+    return dirac_operator(rep_d6, lc_d6, cls_d6)
+
+
+@pytest.fixture(scope="session")
+def dirac0_d6(d6, dirac0_coeffs_d6):
+    return assemble(dirac0_coeffs_d6, d6)
 
 
 @pytest.fixture(scope="session")
@@ -81,8 +86,13 @@ def dirac1_d6(d6, rep_d6, lc_d6, cls_d6):
 
 
 @pytest.fixture(scope="session")
-def wave0_d6(d6, cls_d6):
-    return assemble(wave_operator(cls_d6), d6)
+def wave0_coeffs_d6(cls_d6):
+    return wave_operator(cls_d6)
+
+
+@pytest.fixture(scope="session")
+def wave0_d6(d6, wave0_coeffs_d6):
+    return assemble(wave0_coeffs_d6, d6)
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,10 @@ a polynomial evaluated on a matrix beside a certified spectrum, the matrix
 Krylov minimal polynomial beside the vector one, the Dirac and wave
 operators summed from dense Kronecker and translation matrices beside
 their assembly from group-algebra coefficients, the spinor blocks sliced
-out of an assembled operator beside the coefficients the reports read,
+out of an assembled operator and the dense class translation sums beside
+the coefficients the reports read,
 the full associativity and homomorphism scans beside the checks over a
-generating set, mpmath's rendering of a rational's decimal beside the
+generating set, dense right translation matrices beside the group table, mpmath's rendering of a rational's decimal beside the
 integer one, Sturm bisection beside p-adic lifting for integer roots), a
 closed form the package derives from the operator instead (the
 hand-derived eigenvalue candidates), the torsion-free family expanded to
@@ -34,7 +35,7 @@ from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm
 from groupgeo.connections import Connection
 from groupgeo.curvature import TensorOneOne, connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.dirac import Metric, gamma_matrices, metric, poly_from_roots
+from groupgeo.dirac import Metric, assemble, gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup, coset_lift
 from groupgeo.linalg import Mat, as_scalar, rank
@@ -295,7 +296,7 @@ def dense_dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     ident_n = Mat.identity(n)
     op = Mat.zeros(rep.dim * n, rep.dim * n)
     for a in C.members:
-        op = op + kron(gammas[a], group.right_translation(a) - ident_n)
+        op = op + kron(gammas[a], right_translation(group, a) - ident_n)
     ident_w = Mat.identity(rep.dim)
     for apos, a in enumerate(C.members):
         tau = rep(group.inv(a)) - ident_w
@@ -306,6 +307,20 @@ def dense_dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     return op
 
 
+def class_translation_sum(C: ConjClass) -> Mat:
+    """Sum of the right translation operators over the class members."""
+    return assemble({a: Mat([[1]]) for a in C.members}, C.group)
+
+
+def translation_block(rep: Representation, C: ConjClass, i: int, j: int) -> Mat:
+    """Sum over class members of rho(a)[i, j] times right translation by a.
+
+    These are the blocks of the free part of the Dirac operator written in
+    the spinor-component grid.
+    """
+    return assemble({a: Mat([[rep(a)[i, j]]]) for a in C.members}, C.group)
+
+
 def dense_wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
     """The wave operator summed from products of dense partial translation
     matrices."""
@@ -313,7 +328,7 @@ def dense_wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
     group = C.group
     n = group.order
     ident = Mat.identity(n)
-    partials = [group.right_translation(a) - ident for a in C.members]
+    partials = [right_translation(group, a) - ident for a in C.members]
     total = Mat.zeros(n, n)
     for apos in range(C.size):
         for bpos in range(C.size):
@@ -497,6 +512,15 @@ def conjugacy_classes(group: FiniteGroup) -> list[tuple[int, ...]]:
             seen.update(orbit)
             out.append(orbit)
     return out
+
+
+def right_translation(group: FiniteGroup, a: int) -> Mat:
+    """Matrix of f -> R_a f, (R_a f)(g) = f(ga), in the delta basis."""
+    n = group.order
+    rows = [[0] * n for _ in range(n)]
+    for g in range(n):
+        rows[g][group.mul(g, a)] = 1
+    return Mat(rows)
 
 
 def cayley_dict(group: FiniteGroup) -> dict:

@@ -11,27 +11,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import relabelled
+from conftest import direct_product_cyclic, relabelled
 from groupgeo import connections, dirac, reporting
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import Connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
     Spectrum,
+    apply,
     assemble,
     casimir,
     chirality,
-    class_translation_sum,
     dirac_operator,
     eigenmode_catalog,
     exp_taylor_coefficients,
     gamma_matrices,
+    is_hermitian,
     metric,
     poly_from_roots,
     reduced_spectrum,
+    same_element,
     spectral_action,
     spectrum,
-    translation_block,
     wave_eigenmode_catalog,
     wave_operator,
 )
@@ -42,10 +43,11 @@ from groupgeo.errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from groupgeo.groups import conjugacy_class
+from groupgeo.groups import conjugacy_class, coset_lift
 from groupgeo.linalg import Mat, kernel_basis, rank
 from groupgeo.representations import builtin_rep, irreducibles
 from oracles import (
+    class_translation_sum,
     coframe_coefficients,
     dense_dirac_operator,
     dense_wave_operator,
@@ -54,8 +56,10 @@ from oracles import (
     metric_tensor,
     minimal_polynomial,
     minimal_polynomial_check,
+    right_translation,
     spinor_blocks,
     sturm_integer_roots,
+    translation_block,
     wave_candidates,
 )
 
@@ -141,7 +145,7 @@ def test_class_translation_sum(cls_d6, d6):
     d0 = class_translation_sum(cls_d6)
     expect = Mat.zeros(12, 12)
     for a in cls_d6:
-        expect = expect + d6.right_translation(a)
+        expect = expect + right_translation(d6, a)
     assert d0 == expect
     assert d0.transpose() == d0
 
@@ -151,7 +155,7 @@ def test_translation_block_exchange(rep_d6, cls_d6, d6):
     # into each other with a sixth-root factor
     d1 = translation_block(rep_d6, cls_d6, 1, 0)
     d2 = translation_block(rep_d6, cls_d6, 0, 1)
-    rt = d6.right_translation(d6.index("sr"))
+    rt = right_translation(d6, d6.index("sr"))
     assert rt @ d1 == (d2 @ rt) * cyclo(6, 2)
     assert rt @ d2 == (d1 @ rt) * cyclo(6, 4)
 
@@ -179,7 +183,7 @@ def test_dirac_free_form_at_mu_zero(dirac0_d6, rep_d6, cls_d6, d6):
     gam = gamma_matrices(rep_d6, cls_d6)
     free = Mat.zeros(24, 24)
     for a in cls_d6:
-        free = free + kron(gam[a], d6.right_translation(a))
+        free = free + kron(gam[a], right_translation(d6, a))
     assert dirac0_d6 == free
 
 
@@ -515,18 +519,36 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
 # -- group-algebra assembly and the reduction to H = <C> -------------------
 
 def _assert_block_certifies(op, block, cls, dense):
-    """The lifted block spectrum is the dense spectrum of op, with every
-    multiplicity [G:H] times the block's and every lifted vector an
-    eigenvector of op."""
+    """The reduced spectrum keeps the block's eigenspaces and is the dense
+    spectrum of op, with every multiplicity [G:H] times the block's; each
+    block eigenvector carried to every left coset by coset_lift is an
+    eigenvector of op, and the lifted vectors of each value are
+    independent."""
     copies = cls.group.order // len(cls.generated_subgroup())
     assert block.nrows * copies == op.nrows
-    block_spect, spect = reduced_spectrum(block, cls)
+    spect = reduced_spectrum(block, cls)
+    block_spect = spectrum(block)
     assert spect.dimension == op.nrows
+    assert dict(spect.eigenspaces) == dict(block_spect.eigenspaces)
     assert spect.pairs == tuple((v, m * copies) for v, m in block_spect.pairs)
     assert spect.pairs == dense.pairs
     for value, basis in spect.eigenspaces.items():
-        for vec in basis:
+        lifted = [coset_lift(vec, [coset], cls.group.order)
+                  for coset in cls.left_cosets() for vec in basis]
+        assert rank(Mat(lifted)) == len(lifted) == spect.multiplicity(value)
+        for vec in lifted:
             assert op @ vec == [value * x for x in vec]
+
+
+def _assert_coefficient_form(coeffs, group, op, vec):
+    """apply and is_hermitian on the coefficients agree with the matrix op
+    that assemble writes from them."""
+    assert apply(coeffs, group, vec) == op @ vec
+    assert is_hermitian(coeffs, group) == (op.conj_transpose() == op)
+
+
+def _test_vector(size):
+    return [rat(Fraction(i * i - 7, i + 1)) + cyclo(4) * (i % 3) for i in range(size)]
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
@@ -538,10 +560,12 @@ def test_assembled_operators_match_dense_oracles(certified, oracle_cal, mu):
     coeffs = dirac_operator(rep, lc, cls, mu)
     op = assemble(coeffs, cls.group)
     assert op == dense_dirac_operator(rep, lc, cls, mu)
+    _assert_coefficient_form(coeffs, cls.group, op, _test_vector(op.ncols))
     _assert_block_certifies(op, assemble(coeffs, cls.group, subgroup), cls, certified(op))
     coeffs = wave_operator(cls, mu)
     op = assemble(coeffs, cls.group)
     assert op == dense_wave_operator(cls, mu)
+    _assert_coefficient_form(coeffs, cls.group, op, _test_vector(op.ncols))
     _assert_block_certifies(op, assemble(coeffs, cls.group, subgroup), cls, certified(op))
 
 
@@ -551,6 +575,7 @@ def test_wave_block_on_the_direct_product(cls_d6z2, mu):
     coeffs = wave_operator(cls_d6z2, mu)
     op = assemble(coeffs, cls_d6z2.group)
     assert op == dense_wave_operator(cls_d6z2, mu)
+    _assert_coefficient_form(coeffs, cls_d6z2.group, op, _test_vector(op.ncols))
     _assert_block_certifies(op, assemble(coeffs, cls_d6z2.group, cls_d6z2.generated_subgroup()),
                             cls_d6z2, spectrum(op))
 
@@ -559,19 +584,29 @@ _ENTRIES = st.builds(lambda x, y: rat(x) + cyclo(4) * y,
                      st.fractions(-3, 3, max_denominator=4), st.integers(-2, 2))
 
 
+@pytest.fixture(scope="module")
+def coefficient_classes(cls_d6, s3_group, cal_d3, cal_d6_relabelled):
+    """D3, D6, relabelled D6 and S3 x Z_m for m <= 4, S3 x Z_1 = S3."""
+    return [cal_d3.cls, cls_d6, cal_d6_relabelled.cls] + [
+        conjugacy_class(direct_product_cyclic(s3_group, m), "u") for m in (1, 2, 3, 4)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), dim=st.sampled_from([1, 2]), hermitian=st.booleans())
 def test_block_reads_hermiticity_and_trace_of_the_full_operator(
-        cls_d6, s3_cls, cal_d6_relabelled, data, dim, hermitian):
-    cls = data.draw(st.sampled_from([cls_d6, s3_cls, cal_d6_relabelled.cls]))
+        coefficient_classes, data, dim, hermitian):
+    cls = data.draw(st.sampled_from(coefficient_classes))
     group = cls.group
     subgroup = cls.generated_subgroup()
-    matrices = st.builds(Mat, st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim),
-                                       min_size=dim, max_size=dim))
-    coeffs = data.draw(st.dictionaries(st.sampled_from(subgroup), matrices, min_size=1))
+    zero = Mat.zeros(dim, dim)
+    # explicit zero coefficients, and always one at a class member, an
+    # involution h = h^-1 in each of these classes
+    matrices = st.one_of(st.just(zero), st.builds(Mat, st.lists(
+        st.lists(_ENTRIES, min_size=dim, max_size=dim), min_size=dim, max_size=dim)))
+    coeffs = data.draw(st.dictionaries(st.sampled_from(subgroup), matrices))
+    coeffs.setdefault(cls.members[0], data.draw(matrices))
     if hermitian:
         # op + op^dagger: op is hermitian exactly when M_{h^-1} = M_h^dagger
-        zero = Mat.zeros(dim, dim)
         coeffs = {h: coeffs.get(h, zero) + coeffs.get(group.inv(h), zero).conj_transpose()
                   for h in sorted({*coeffs, *map(group.inv, coeffs)})}
     op = assemble(coeffs, group)
@@ -581,6 +616,15 @@ def test_block_reads_hermiticity_and_trace_of_the_full_operator(
     if hermitian:
         assert op.conj_transpose() == op
     assert block.trace() * copies == op.trace()
+    vec = data.draw(st.lists(_ENTRIES, min_size=op.ncols, max_size=op.ncols))
+    _assert_coefficient_form(coeffs, group, op, vec)
+    with pytest.raises(ValueError, match="does not fit the operator"):
+        apply(coeffs, group, vec[1:])
+    # a missing h counts as a zero coefficient, and only as that
+    assert same_element(coeffs, {h: m for h, m in coeffs.items() if not m.is_zero()})
+    dropped = data.draw(st.sampled_from(sorted(coeffs)))
+    assert same_element(coeffs, {h: m for h, m in coeffs.items() if h != dropped}) == (
+        coeffs[dropped].is_zero())
 
 
 def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6):
@@ -635,18 +679,20 @@ def test_chirality_reason_states_the_operator_multiplicities(
         "available": False, "reason": str(info.value)}
 
 
-def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
+def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
     sizes = []
-    catalogs = []
+    on_g = []
     calls = {"dirac_operator": 0, "levi_civita": 0}
 
     def certified(op):
         sizes.append(op.nrows)
         return certify(op)
 
-    def catalog(C, op, spect):
-        catalogs.append((op.nrows, spect.dimension))
-        return replay(C, op, spect)
+    def assembled(coeffs, group, elements=None):
+        op = build(coeffs, group, elements)
+        if elements is None or len(elements) == group.order:
+            on_g.append(op)
+        return op
 
     def counted(module, name):
         real = getattr(module, name)
@@ -657,9 +703,9 @@ def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
 
         monkeypatch.setattr(module, name, call)
 
-    certify, replay = dirac.spectrum, dirac.eigenmode_catalog
+    certify, build = dirac.spectrum, dirac.assemble
     monkeypatch.setattr(dirac, "spectrum", certified)
-    monkeypatch.setattr(dirac, "eigenmode_catalog", catalog)
+    monkeypatch.setattr(dirac, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(reporting, "levi_civita")
     report = reporting.full_report(cls_d6.group, cls_d6)
@@ -669,8 +715,12 @@ def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
     assert sizes == [12, 6]
     assert calls == {"dirac_operator": 1, "levi_civita": 4}
     assert report["spectral_action"]["spectrum"] == report["dirac"]["spectrum"]
-    # the catalog replays against the full operator and lifted spectrum
-    assert catalogs == [(24, 24)]
+    # the one matrix on G is the wave operator the report prints; the
+    # catalogs replay against the coefficients
+    assert [reporting.matrix_json(op) for op in on_g] == [report["wave"]["operator"]]
+    on_g.clear()
+    assert "eigenmode_catalog" in reporting.dirac_report(reporting.certify_dirac(cal_d6, 0))
+    assert on_g == []
     sizes.clear()
     report = reporting.wave_report(cls_d6z2, Fraction(1, 2))
     assert sizes == [6]
@@ -720,13 +770,13 @@ def wave_spect0(certified, wave0_d6):
 
 
 @pytest.fixture(scope="module")
-def dirac_catalog(cls_d6, dirac0_d6, spect0):
-    return eigenmode_catalog(cls_d6, dirac0_d6, spect0)
+def dirac_catalog(cls_d6, dirac0_coeffs_d6, spect0):
+    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, spect0)
 
 
 @pytest.fixture(scope="module")
-def wave_catalog(cls_d6, wave0_d6, wave_spect0):
-    return wave_eigenmode_catalog(cls_d6, wave0_d6, wave_spect0)
+def wave_catalog(cls_d6, wave0_coeffs_d6, wave_spect0):
+    return wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0)
 
 
 def _rank_multiplicity(op, value):
@@ -743,7 +793,7 @@ def test_catalog_multiplicities_match_rank_oracle(
 
 
 def test_catalogs_rebuild_no_operator_or_connection(
-        monkeypatch, cls_d6, dirac0_d6, wave0_d6, spect0, wave_spect0,
+        monkeypatch, cls_d6, dirac0_coeffs_d6, wave0_coeffs_d6, spect0, wave_spect0,
         dirac_catalog, wave_catalog):
     def rebuilt(*_args, **_kwargs):
         raise AssertionError("a catalog rebuilt what the report already holds")
@@ -751,8 +801,8 @@ def test_catalogs_rebuild_no_operator_or_connection(
     monkeypatch.setattr(dirac, "dirac_operator", rebuilt)
     monkeypatch.setattr(dirac, "wave_operator", rebuilt)
     monkeypatch.setattr(connections, "levi_civita", rebuilt)
-    assert eigenmode_catalog(cls_d6, dirac0_d6, spect0) == dirac_catalog
-    assert wave_eigenmode_catalog(cls_d6, wave0_d6, wave_spect0) == wave_catalog
+    assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, spect0) == dirac_catalog
+    assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0) == wave_catalog
 
 
 def test_dirac_catalog_family_statuses(dirac_catalog):
@@ -830,11 +880,11 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
 
 
 def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
-    dirac_op = assemble(dirac_operator(builtin_rep(s3_cls.group, "spinor"),
-                                       levi_civita(s3_cal), s3_cls), s3_cls.group)
-    dirac_spect = spectrum(dirac_op)
-    wave_op = assemble(wave_operator(s3_cls), s3_cls.group)
-    wave_spect = spectrum(wave_op)
+    dirac_coeffs = dirac_operator(builtin_rep(s3_cls.group, "spinor"),
+                                  levi_civita(s3_cal), s3_cls)
+    dirac_spect = spectrum(assemble(dirac_coeffs, s3_cls.group))
+    wave_coeffs = wave_operator(s3_cls)
+    wave_spect = spectrum(assemble(wave_coeffs, s3_cls.group))
 
     def built(*_args, **_kwargs):
         raise AssertionError("a representation was built before the refusal")
@@ -843,9 +893,9 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
     monkeypatch.setattr(dirac, "builtin_rep", built)
     monkeypatch.setattr(dirac, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
-        eigenmode_catalog(s3_cls, dirac_op, dirac_spect)
+        eigenmode_catalog(s3_cls, dirac_coeffs, dirac_spect)
     with pytest.raises(UnsupportedGroupError):
-        wave_eigenmode_catalog(s3_cls, wave_op, wave_spect)
+        wave_eigenmode_catalog(s3_cls, wave_coeffs, wave_spect)
 
 
 def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d6, cal_d3, cls_d6):

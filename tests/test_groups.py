@@ -17,7 +17,7 @@ from groupgeo.groups import (
     dihedral,
 )
 from groupgeo.linalg import Mat
-from oracles import associativity_violation, cayley_dict, conjugacy_classes
+from oracles import associativity_violation, cayley_dict, conjugacy_classes, right_translation
 
 
 def test_dihedral_6_structure(d6):
@@ -106,13 +106,13 @@ def test_class_product_table_values(cls_d6, d6):
 def test_right_translation_composition(d6):
     # (R_a f)(g) = f(ga), so matrices compose covariantly
     for a, b in [(1, 6), (7, 9), (3, 11)]:
-        ra, rb = d6.right_translation(a), d6.right_translation(b)
-        assert ra @ rb == d6.right_translation(d6.mul(a, b))
-    assert d6.right_translation(0) == Mat.identity(12)
+        ra, rb = right_translation(d6, a), right_translation(d6, b)
+        assert ra @ rb == right_translation(d6, d6.mul(a, b))
+    assert right_translation(d6, 0) == Mat.identity(12)
 
 
 def test_right_translation_is_permutation(d6):
-    m = d6.right_translation(7)
+    m = right_translation(d6, 7)
     for g in range(12):
         row = [m[g, h] for h in range(12)]
         assert sum(v.as_fraction() for v in row) == 1
