@@ -1,17 +1,24 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N).
 
-An element is a coordinate vector of rationals in the power basis
-1, z, z^2, ..., z^(d-1) of Q[x]/(Phi_N), where z = zeta_N = exp(2*pi*i/N)
-and Phi_N is the N-th cyclotomic polynomial of degree d = phi(N).  All
-products are reduced modulo Phi_N, so two elements are equal exactly when
-their coordinate tuples agree (after promotion to a common order).
+An element is a vector of integer coordinates ``nums`` over one positive
+common denominator ``den``, in the power basis 1, z, z^2, ..., z^(d-1) of
+Q[x]/(Phi_N), where z = zeta_N = exp(2*pi*i/N) and Phi_N is the N-th
+cyclotomic polynomial of degree d = phi(N) (the layout of FLINT's
+``fmpq_poly``).  The form is reduced: gcd(den, *nums) = 1.  Phi_N is monic
+with integer coefficients, so products reduce modulo Phi_N by an integer
+table, and the only division an operation makes is by that content gcd.
+Two elements are equal exactly when their reduced forms agree (after
+promotion to a common order).
 
-Rationals are the order-1 case (Phi_1 = x - 1, a single coordinate).
-Mixing orders promotes both operands to the least common multiple order
-via zeta_N = zeta_M ** (M // N).  Conjugation is the field automorphism
-zeta -> zeta ** (N - 1), i.e. complex conjugation on the standard embedding.
-Elements hash by their normalised trace Tr(x)/phi(N), which promotion
-leaves unchanged, so equal values hash equally whatever their order.
+Rationals are the order-1 case (Phi_1 = x - 1, a single coordinate), and
+arithmetic between two of them takes a path of its own.  Mixing orders
+promotes both operands to the least common multiple order via
+zeta_N = zeta_M ** (M // N).  Conjugation is the field automorphism
+zeta -> zeta ** (N - 1), i.e. complex conjugation on the standard
+embedding, and the inverse is the product of the other Galois conjugates
+over the norm.  Elements hash by their normalised trace Tr(x)/phi(N),
+which promotion leaves unchanged, so equal values hash equally whatever
+their order, and a rational hashes like its ``int`` or ``Fraction``.
 """
 
 from __future__ import annotations
@@ -19,59 +26,43 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-from typing import Union
-
-Rat = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of dense rational polynomials (low-to-high coeffs)."""
-    num = list(num)
-    q = [_ZERO] * max(1, len(num) - len(den) + 1)
-    dlead = den[-1]
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / dlead
-        if c:
-            q[k] = c
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    rem = num[: len(den) - 1] or [_ZERO]
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return q, rem
+from math import gcd, lcm
+from operator import add
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
-    """Coefficients of Phi_order, low to high, computed by exact division
-    of x^order - 1 by the cyclotomic polynomials of the proper divisors."""
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Integer coefficients of Phi_order, low to high, computed by exact
+    division of x^order - 1 by the (monic) cyclotomic polynomials of the
+    proper divisors."""
     if order < 1:
         raise ValueError(f"cyclotomic order must be a positive integer, got {order}")
-    poly = [_ZERO] * (order + 1)
-    poly[0], poly[order] = Fraction(-1), _ONE
+    poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly, rem = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert rem == [_ZERO], "x^n - 1 must factor through divisor cyclotomics"
+            div = cyclotomic_polynomial(d)
+            k = len(div) - 1
+            quot = [0] * (len(poly) - k)
+            for i in range(len(quot) - 1, -1, -1):
+                c = quot[i] = poly[i + k]
+                for j, dj in enumerate(div):
+                    poly[i + j] -= c * dj
+            assert not any(poly), "x^n - 1 must factor through divisor cyclotomics"
+            poly = quot
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
+def _power_table(order: int) -> tuple[tuple[int, ...], ...]:
     """x^j reduced mod Phi_order, for j = 0 .. max(order, 2*(d-1))."""
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    top = max(order, 2 * (d - 1)) + 1
-    rows: list[tuple[Fraction, ...]] = []
-    cur = [_ONE] + [_ZERO] * (d - 1)
-    for _ in range(top):
+    rows: list[tuple[int, ...]] = []
+    cur = [1] + [0] * (d - 1)
+    for _ in range(max(order, 2 * (d - 1)) + 1):
         rows.append(tuple(cur))
         spill = cur[-1]
-        cur = [_ZERO] + cur[:-1]
+        cur = [0] + cur[:-1]
         if spill:
             # x^d = -phi[:d] since phi is monic
             for j in range(d):
@@ -92,26 +83,57 @@ def _trace_weights(order: int) -> tuple[Fraction, ...]:
     weights = []
     for j in range(_degree(order)):
         phi = cyclotomic_polynomial(order // gcd(j, order))
-        weights.append(-phi[-2] / (len(phi) - 1))
+        weights.append(Fraction(-phi[-2], len(phi) - 1))
     return tuple(weights)
 
 
-class Cyclotomic:
-    """An element of Q(zeta_order), immutable."""
+def _images(nums, rows, d: int) -> tuple[int, ...]:
+    """sum_j nums[j] * rows[j], over d coordinates."""
+    out = [0] * d
+    for c, row in zip(nums, rows):
+        if c:
+            for t, r in enumerate(row):
+                if r:
+                    out[t] += c * r
+    return tuple(out)
 
-    __slots__ = ("order", "coeffs")
+
+def _product(order: int, an, bn) -> tuple[int, ...]:
+    """The integer coordinates of an * bn reduced mod Phi_order."""
+    prod = [0] * (2 * len(an) - 1)
+    for i, x in enumerate(an):
+        if x:
+            for j, y in enumerate(bn):
+                if y:
+                    prod[i + j] += x * y
+    return _images(prod, _power_table(order), len(an))
+
+
+class Cyclotomic:
+    """An element of Q(zeta_order), immutable: integer coordinates
+    ``nums`` over the positive denominator ``den``, in reduced form."""
+
+    __slots__ = ("_order", "_nums", "_den")
 
     def __init__(self, order: int, coeffs):
+        """From rational power-basis coordinates; missing ones are zero."""
         d = _degree(order)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > d:
             raise ValueError(f"expected at most {d} coordinates for order {order}")
-        cs += [_ZERO] * (d - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs] + [0] * (d - len(cs))
+        self._order, self._nums, self._den = order, tuple(nums), den
 
-    def __setattr__(self, *_):
-        raise AttributeError("Cyclotomic values are immutable")
+    # read-only views of the reduced form
+    order = property(lambda self: self._order)
+    nums = property(lambda self: self._nums)
+    den = property(lambda self: self._den)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The power-basis coordinates as ``Fraction``s."""
+        return tuple(Fraction(n, self._den) for n in self._nums)
 
     # -- coercion ---------------------------------------------------------
 
@@ -119,148 +141,125 @@ class Cyclotomic:
     def _wrap(value) -> "Cyclotomic":
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, (int, Fraction)):
-            return Cyclotomic(1, (Fraction(value),))
+        if isinstance(value, int):
+            return _make(1, (value,), 1)
+        if isinstance(value, Fraction):
+            return _make(1, (value.numerator,), value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
     def to_order(self, target: int) -> "Cyclotomic":
         """Rewrite in Q(zeta_target); target must be a multiple of self.order."""
-        if target == self.order:
+        if target == self._order:
             return self
-        if target % self.order:
-            raise ValueError(f"order {self.order} does not divide {target}")
-        step = target // self.order
+        if target % self._order:
+            raise ValueError(f"order {self._order} does not divide {target}")
+        if self._order == 1:
+            return _make(target, self._nums + (0,) * (_degree(target) - 1), self._den)
+        step = target // self._order
         table = _power_table(target)
-        d = _degree(target)
-        out = [_ZERO] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[j * step]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return Cyclotomic(target, out)
+        rows = [table[j * step] for j in range(len(self._nums))]
+        return _make(target, _images(self._nums, rows, len(table[0])), self._den)
 
-    @staticmethod
-    def _common(a: "Cyclotomic", b: "Cyclotomic"):
-        if a.order == b.order:
-            return a, b
-        m = a.order * b.order // gcd(a.order, b.order)
-        return a.to_order(m), b.to_order(m)
-
-    def _rational_part(self):
-        """The constant coordinate if every higher one vanishes, else None."""
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
+    def _galois(self, k: int) -> tuple[int, ...]:
+        """The numerators of the image under zeta -> zeta^k."""
+        order, table = self._order, _power_table(self._order)
+        rows = [table[j * k % order] for j in range(len(self._nums))]
+        return _images(self._nums, rows, len(self._nums))
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = self._wrap(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._common(self, o)
-        return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        if type(other) is not Cyclotomic:
+            try:
+                other = _wrap(other)
+            except TypeError:
+                return NotImplemented
+        if self._order == 1 == other._order:
+            (x,), (y,), ad, bd = self._nums, other._nums, self._den, other._den
+            if ad == bd:
+                return _make(1, (x + y,), ad)
+            return _make(1, (x * bd + y * ad,), ad * bd)
+        a, b = (self, other) if self._order == other._order else _common(self, other)
+        ad, bd = a._den, b._den
+        if ad == bd:
+            return _make(a._order, tuple(map(add, a._nums, b._nums)), ad)
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _make(a._order, tuple(x * sa + y * sb for x, y in zip(a._nums, b._nums)),
+                     ad * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-x for x in self.coeffs))
+        out = _new(Cyclotomic)
+        out._order, out._nums, out._den = self._order, tuple(-x for x in self._nums), self._den
+        return out
 
     def __sub__(self, other):
         try:
-            o = self._wrap(other)
+            o = _wrap(other)
         except TypeError:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        return self._wrap(other) - self
+        return _wrap(other) - self
 
     def __mul__(self, other):
-        try:
-            o = self._wrap(other)
-        except TypeError:
-            return NotImplemented
-        r = o._rational_part()
-        if r is not None:
-            return Cyclotomic(self.order, tuple(c * r for c in self.coeffs))
-        r = self._rational_part()
-        if r is not None:
-            return Cyclotomic(o.order, tuple(c * r for c in o.coeffs))
-        a, b = self._common(self, o)
-        d = _degree(a.order)
-        prod = [_ZERO] * (2 * d - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    if bj:
-                        prod[i + j] += ai * bj
-        table = _power_table(a.order)
-        out = list(prod[:d])
-        for k in range(d, 2 * d - 1):
-            if prod[k]:
-                row = table[k]
-                for t in range(d):
-                    if row[t]:
-                        out[t] += prod[k] * row[t]
-        return Cyclotomic(a.order, out)
+        if type(other) is not Cyclotomic:
+            try:
+                other = _wrap(other)
+            except TypeError:
+                return NotImplemented
+        an, bn = self._nums, other._nums
+        if self._order == 1 == other._order:
+            return _make(1, (an[0] * bn[0],), self._den * other._den)
+        if not any(bn[1:]):
+            return _scale(self, bn[0], other._den)
+        if not any(an[1:]):
+            return _scale(other, an[0], self._den)
+        a, b = (self, other) if self._order == other._order else _common(self, other)
+        return _make(a._order, _product(a._order, a._nums, b._nums), a._den * b._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclotomic":
-        """Multiplicative inverse via the extended Euclidean algorithm
-        against Phi_order (irreducible, so any nonzero residue is a unit)."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero in a cyclotomic field")
-        r = self._rational_part()
-        if r is not None:
-            return Cyclotomic(self.order, (1 / r,))
-        phi = list(cyclotomic_polynomial(self.order))
-        r0, r1 = phi, list(self.coeffs)
-        while len(r1) > 1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [_ZERO], [_ONE]
-        while any(c != 0 for c in r1) and len(r1) > 1:
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            qs1 = [_ZERO] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] += qi * sj
-            new = [a - b for a, b in zip(s0 + [_ZERO] * (len(qs1) - len(s0)), qs1)] \
-                if len(qs1) >= len(s0) else \
-                  [a - b for a, b in zip(s0, qs1 + [_ZERO] * (len(s0) - len(qs1)))]
-            s0, s1 = s1, new
-        if len(r1) == 1 and r1[0] != 0:
-            inv_lead = 1 / r1[0]
-            return Cyclotomic(self.order, [c * inv_lead for c in s1[: _degree(self.order)]]) \
-                if len(s1) <= _degree(self.order) else \
-                Cyclotomic(self.order, _reduce_long([c * inv_lead for c in s1], self.order))
-        raise ZeroDivisionError("inverse of zero in a cyclotomic field")
+        """Multiplicative inverse: with x = nums/den and P the product of
+        the conjugates sigma_k(nums) for 1 < k < order coprime to order,
+        nums * P is the rational norm N and 1/x = den * P / N."""
+        nums, order = self._nums, self._order
+        if not any(nums[1:]):
+            if not nums[0]:
+                raise ZeroDivisionError("inverse of zero in a cyclotomic field")
+            n = nums[0]
+            return _make(order, (self._den if n > 0 else -self._den,) + nums[1:], abs(n))
+        rest = (1,) + (0,) * (len(nums) - 1)
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                rest = _product(order, rest, self._galois(k))
+        norm = _product(order, nums, rest)[0]
+        return _scale(_make(order, rest, 1), self._den, norm)
 
     def __truediv__(self, other):
-        try:
-            o = self._wrap(other)
-        except TypeError:
-            return NotImplemented
-        r = o._rational_part()
-        if r is not None:
-            if r == 0:
+        if type(other) is not Cyclotomic:
+            try:
+                other = _wrap(other)
+            except TypeError:
+                return NotImplemented
+        on = other._nums
+        if not any(on[1:]):
+            if not on[0]:
                 raise ZeroDivisionError("division by zero")
-            return Cyclotomic(self.order, tuple(c / r for c in self.coeffs))
-        return self * o.inverse()
+            return _scale(self, other._den, on[0])
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._wrap(other) / self
+        return _wrap(other) / self
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        out = Cyclotomic(1, (_ONE,))
+        out = ONE
         base = self
         while exponent:
             if exponent & 1:
@@ -271,55 +270,48 @@ class Cyclotomic:
 
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: zeta -> zeta^(order-1)."""
-        table = _power_table(self.order)
-        d = _degree(self.order)
-        out = [_ZERO] * d
-        for j, c in enumerate(self.coeffs):
-            if c:
-                row = table[(self.order - j) % self.order]
-                for k in range(d):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return Cyclotomic(self.order, out)
+        return _make(self._order, self._galois(self._order - 1), self._den)
 
     # -- predicates and views ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._nums)
+
+    def __bool__(self):
+        return any(self._nums)
 
     def is_rational(self) -> bool:
-        return self._rational_part() is not None
+        return not any(self._nums[1:])
 
     def as_fraction(self) -> Fraction:
-        r = self._rational_part()
-        if r is None:
+        if any(self._nums[1:]):
             raise ValueError(f"{self!r} is not rational")
-        return r
+        return Fraction(self._nums[0], self._den)
 
     def __eq__(self, other):
-        try:
-            o = self._wrap(other)
-        except TypeError:
-            return NotImplemented
-        a, b = self._common(self, o)
-        return a.coeffs == b.coeffs
+        if type(other) is not Cyclotomic:
+            try:
+                other = _wrap(other)
+            except TypeError:
+                return NotImplemented
+        a, b = (self, other) if self._order == other._order else _common(self, other)
+        return a._nums == b._nums and a._den == b._den
 
     def __hash__(self):
         # the normalised trace is the same in every field containing the
         # value, and a rational's is the rational itself
-        return hash(sum(c * w for c, w in zip(self.coeffs, _trace_weights(self.order))))
-
-    def __bool__(self):
-        return not self.is_zero()
+        nums, den = self._nums, self._den
+        if not any(nums[1:]):
+            return hash(nums[0]) if den == 1 else hash(Fraction(nums[0], den))
+        return hash(sum(n * w for n, w in zip(nums, _trace_weights(self._order))) / den)
 
     def __complex__(self) -> complex:
-        z = cmath.exp(2j * cmath.pi / self.order)
-        return sum(float(c) * z**j for j, c in enumerate(self.coeffs))
+        z = cmath.exp(2j * cmath.pi / self._order)
+        return sum(n / self._den * z**j for j, n in enumerate(self._nums))
 
     def __repr__(self):
-        r = self._rational_part()
-        if r is not None:
-            return f"{r}"
+        if self.is_rational():
+            return f"{self.as_fraction()}"
         terms = []
         for j, c in enumerate(self.coeffs):
             if c == 0:
@@ -327,43 +319,53 @@ class Cyclotomic:
             if j == 0:
                 terms.append(f"{c}")
             else:
-                z = f"z{self.order}" if j == 1 else f"z{self.order}^{j}"
+                z = f"z{self._order}" if j == 1 else f"z{self._order}^{j}"
                 terms.append(z if c == 1 else f"-{z}" if c == -1 else f"{c}*{z}")
         return " + ".join(terms).replace("+ -", "- ")
 
 
-def _reduce_long(coeffs: list[Fraction], order: int) -> list[Fraction]:
-    table = _power_table(order)
-    d = _degree(order)
-    out = [_ZERO] * d
-    for j, c in enumerate(coeffs):
-        if c:
-            row = table[j]
-            for k in range(d):
-                out[k] += c * row[k]
+_new = object.__new__
+_wrap = Cyclotomic._wrap
+
+
+def _make(order: int, nums: tuple[int, ...], den: int) -> Cyclotomic:
+    """The element nums/den of Q(zeta_order), den > 0, in reduced form."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = tuple(n // g for n in nums)
+    out = _new(Cyclotomic)
+    out._order, out._nums, out._den = order, nums, den
     return out
+
+
+def _scale(x: Cyclotomic, num: int, den: int) -> Cyclotomic:
+    """x * num / den for integers num and den != 0, in x's order."""
+    if den < 0:
+        num, den = -num, -den
+    return _make(x._order, tuple(n * num for n in x._nums), x._den * den)
+
+
+def _common(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
+    m = lcm(a._order, b._order)
+    return a.to_order(m), b.to_order(m)
 
 
 def cyclo(order: int, power: int = 1) -> Cyclotomic:
     """zeta_order ** power as an exact field element."""
     if order < 1:
         raise ValueError(f"cyclotomic order must be a positive integer, got {order}")
-    table = _power_table(order)
-    return Cyclotomic(order, table[power % order])
+    return _make(order, _power_table(order)[power % order], 1)
 
 
-def rat(value: Rat, den: int | None = None) -> Cyclotomic:
+def rat(value: int | Fraction, den: int | None = None) -> Cyclotomic:
     """A rational number as an (order-1) cyclotomic element."""
     if den is not None:
         value = Fraction(value, den)
-    return Cyclotomic(1, (Fraction(value),))
+    elif not isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+    return _wrap(value)
 
 
-ZERO = rat(0)
 ONE = rat(1)
-
-# basic sanity of the reduction machinery
-assert cyclo(6, 1) ** 6 == 1
-assert cyclo(6, 3) == -1
-assert (cyclo(6, 1) + cyclo(6, 5)).is_rational()
-assert hash(cyclo(3, 1)) == hash(cyclo(6, 2))

@@ -46,7 +46,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .connections import Connection, require_invertible_metric
-from .cyclotomic import Cyclotomic, _poly_divmod, rat
+from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
     GroupGeoError,
@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import ConjClass, FiniteGroup
-from .linalg import Mat, as_scalar, inverse, kernel_basis, rank
+from .linalg import Mat, as_scalar, inverse, kernel_basis, rref
 from .representations import Representation, builtin_rep, irreducibles
 
 _ZERO = rat(0)
@@ -476,6 +476,23 @@ def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
     return [Fraction(r, den) for r in roots]
 
 
+def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of dense rational polynomials (low-to-high coeffs)."""
+    num = list(num)
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    dlead = den[-1]
+    for k in range(len(num) - len(den), -1, -1):
+        c = num[k + len(den) - 1] / dlead
+        if c:
+            q[k] = c
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+    rem = num[: len(den) - 1] or [Fraction(0)]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return q, rem
+
+
 def _primitive(poly: Sequence[Fraction]) -> list[int]:
     den = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * den) for c in poly]
@@ -605,8 +622,14 @@ def _certified_eigenvalue(coeffs: Mapping[int, Mat], group: FiniteGroup,
     return lam if all(x == lam * y for x, y in zip(image, vec)) else None
 
 
-def _span_dim(vectors: list[list[Cyclotomic]]) -> int:
-    return rank(Mat(vectors)) if vectors else 0
+def _spans(vectors: list[list[Cyclotomic]], first: int) -> tuple[int, int]:
+    """The dimensions of the spans of vectors[:first] and of all vectors,
+    from one reduction of the matrix with the vectors as its columns: the
+    pivots among its first columns span their prefix."""
+    if not vectors:
+        return 0, 0
+    pivots = rref(Mat(vectors).transpose())[1]
+    return sum(1 for p in pivots if p < first), len(pivots)
 
 
 def _catalog_context(C: ConjClass):
@@ -648,7 +671,6 @@ def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
         v = as_scalar(value)
         vecs = verified.get(v, [])
         mult = spect.multiplicity(v)
-        span = _span_dim(vecs)
         comp_entries = []
         comp_vecs = []
         for cval, named in completions:
@@ -660,7 +682,7 @@ def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
                 comp_entries.append({"label": label, "verified": ok})
                 if ok:
                     comp_vecs.append(cvec)
-        combined = _span_dim(vecs + comp_vecs)
+        span, combined = _spans(vecs + comp_vecs, len(vecs))
         summaries.append({
             "value": v,
             "claimed_candidates": sum(

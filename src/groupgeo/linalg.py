@@ -7,10 +7,8 @@ as pivot, so every reduction is deterministic and reproducible.
 
 Gauss-Jordan elimination updates each row only in the nonzero columns of
 the pivot row, which keeps the sparse systems of the torsion and Ricci
-solves cheap.  A matrix whose entries are all rational is eliminated over
-``Fraction`` and its reduced entries are wrapped back as order-1
-cyclotomic numbers, skipping the cyclotomic arithmetic the field does not
-need.
+solves cheap.  Rational entries need no branch of their own: order-1 scalars
+take the cyclotomic arithmetic's own rational path.
 
 Nothing here is floating point.  Rank, kernels and inverses are exact,
 which is what makes downstream eigenvalue certification possible.
@@ -18,7 +16,6 @@ which is what makes downstream eigenvalue certification possible.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cyclotomic import Cyclotomic, rat
@@ -152,14 +149,9 @@ def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
     Pivot choice is positional (first nonzero in the column), never by
-    magnitude, so the result is identical on every run.  A matrix whose
-    entries are all rational is eliminated over ``Fraction`` and wrapped
-    back afterwards; the loop is the same for both scalar types.
+    magnitude, so the result is identical on every run.
     """
     rows = [list(r) for r in matrix.rows]
-    rational = all(x.is_rational() for row in rows for x in row)
-    if rational:
-        rows = [[x.as_fraction() for x in row] for row in rows]
     nr, nc = len(rows), matrix.ncols
     pivots: list[int] = []
     r = 0
@@ -185,17 +177,7 @@ def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
                     row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
-    if rational:
-        # few distinct values survive elimination: wrap each one once, so
-        # every zero shares one rat(0)
-        wrapped: dict[Fraction, Cyclotomic] = {}
-        rows = [[wrapped[x] if x in wrapped else wrapped.setdefault(x, rat(x))
-                 for x in row] for row in rows]
     return Mat(rows), tuple(pivots)
-
-
-def rank(matrix: Mat) -> int:
-    return len(rref(matrix)[1])
 
 
 def _kernel_from_rref(red: Mat, pivots: Sequence[int], nc: int) -> list[Vector]:

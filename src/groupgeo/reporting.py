@@ -160,11 +160,22 @@ def scalar_json(value) -> dict:
 
 
 def values_json(values) -> list:
-    return [scalar_json(v) for v in values]
+    """scalar_json of each value, each distinct value rendered once: equal
+    entries share one dict."""
+    rendered: dict = {}
+    out = []
+    for value in values:
+        c = as_scalar(value)
+        key = (c.order, c.nums, c.den)
+        if key not in rendered:
+            rendered[key] = scalar_json(c)
+        out.append(rendered[key])
+    return out
 
 
 def matrix_json(m: Mat) -> list:
-    return [values_json(row) for row in m.rows]
+    flat, n = values_json([x for row in m.rows for x in row]), m.ncols
+    return [flat[i * n:(i + 1) * n] for i in range(m.nrows)]
 
 
 def function_json(f: GroupFunction) -> list:

@@ -12,12 +12,15 @@ out of an assembled operator and the dense class translation sums beside
 the coefficients the reports read,
 the full associativity and homomorphism scans beside the checks over a
 generating set, dense right translation matrices beside the group table, mpmath's rendering of a rational's decimal beside the
-integer one, Sturm bisection beside p-adic lifting for integer roots), a
+integer one, Sturm bisection beside p-adic lifting for integer roots,
+the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
+integer numerators over one denominator, each span ranked alone beside
+the spans read off one reduction), a
 closed form the package derives from the operator instead (the
 hand-derived eigenvalue candidates), the torsion-free family expanded to
 its |G|-length members beside the directions the package states it by, a
 certificate the package does not need at run time (the Peter-Weyl rank),
-or a helper only the tests use (conjugacy class lists, Cayley-table dicts,
+or a helper only the tests use (the rank of a matrix, conjugacy class lists, Cayley-table dicts,
 characters, conjugate representations, coframe coefficients and the right
 module action on 1-forms).
 """
@@ -25,6 +28,7 @@ module action on 1-forms).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -38,7 +42,7 @@ from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.dirac import Metric, assemble, gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup, coset_lift
-from groupgeo.linalg import Mat, as_scalar, rank
+from groupgeo.linalg import Mat, as_scalar, rref
 from groupgeo.representations import Representation
 
 _ZERO = rat(0)
@@ -54,7 +58,217 @@ def mpmath_rational_decimal(num: int, den: int) -> str:
         return mp.nstr(mpf(num) / mpf(den), 12)
 
 
+# -- scalars ------------------------------------------------------------------
+
+def _frac_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of dense rational polynomials (low-to-high coeffs)."""
+    num = list(num)
+    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+    for k in range(len(num) - len(den), -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        if c:
+            q[k] = c
+            for j, dj in enumerate(den):
+                num[k + j] -= c * dj
+    rem = num[: len(den) - 1] or [Fraction(0)]
+    while len(rem) > 1 and rem[-1] == 0:
+        rem.pop()
+    return q, rem
+
+
+@functools.lru_cache(maxsize=None)
+def fraction_cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
+    """Phi_order over Fraction: x^order - 1 divided by the cyclotomic
+    polynomials of the proper divisors."""
+    poly = [Fraction(-1)] + [Fraction(0)] * (order - 1) + [Fraction(1)]
+    for d in range(1, order):
+        if order % d == 0:
+            poly, rem = _frac_divmod(poly, list(fraction_cyclotomic_polynomial(d)))
+            assert rem == [0]
+    return tuple(poly)
+
+
+@functools.lru_cache(maxsize=None)
+def _frac_power_table(order: int) -> tuple[tuple[Fraction, ...], ...]:
+    """x^j reduced mod Phi_order, for j = 0 .. max(order, 2*(d-1))."""
+    phi = fraction_cyclotomic_polynomial(order)
+    d = len(phi) - 1
+    rows, cur = [], [Fraction(1)] + [Fraction(0)] * (d - 1)
+    for _ in range(max(order, 2 * (d - 1)) + 1):
+        rows.append(tuple(cur))
+        spill, cur = cur[-1], [Fraction(0)] + cur[:-1]
+        for j in range(d):
+            cur[j] -= spill * phi[j]
+    return tuple(rows)
+
+
+def _frac_reduce(coeffs: Sequence[Fraction], order: int) -> list[Fraction]:
+    """sum_j coeffs[j] x^j reduced mod Phi_order."""
+    table = _frac_power_table(order)
+    out = [Fraction(0)] * len(table[0])
+    for j, c in enumerate(coeffs):
+        for k, r in enumerate(table[j]):
+            out[k] += c * r
+    return out
+
+
+class FractionCyclotomic:
+    """An element of Q(zeta_order) as a tuple of ``Fraction`` power-basis
+    coordinates, with the same order rules as ``Cyclotomic``: sums and
+    products of two irrationals promote to the lcm order, a rational factor
+    keeps the other factor's order."""
+
+    def __init__(self, order: int, coeffs):
+        d = len(fraction_cyclotomic_polynomial(order)) - 1
+        cs = [Fraction(c) for c in coeffs]
+        assert len(cs) <= d
+        self.order = order
+        self.coeffs = tuple(cs + [Fraction(0)] * (d - len(cs)))
+
+    @staticmethod
+    def of(value) -> "FractionCyclotomic":
+        if isinstance(value, FractionCyclotomic):
+            return value
+        if isinstance(value, Cyclotomic):
+            return FractionCyclotomic(value.order, value.coeffs)
+        return FractionCyclotomic(1, [value])
+
+    def to_order(self, target: int) -> "FractionCyclotomic":
+        if target % self.order:
+            raise ValueError(f"order {self.order} does not divide {target}")
+        step = target // self.order
+        table = _frac_power_table(target)
+        out = [Fraction(0)] * len(table[0])
+        for j, c in enumerate(self.coeffs):
+            for k, r in enumerate(table[j * step]):
+                out[k] += c * r
+        return FractionCyclotomic(target, out)
+
+    def _common(self, other):
+        m = math.lcm(self.order, other.order)
+        return self.to_order(m), other.to_order(m)
+
+    def is_rational(self) -> bool:
+        return not any(self.coeffs[1:])
+
+    def as_fraction(self) -> Fraction:
+        if not self.is_rational():
+            raise ValueError(f"{self!r} is not rational")
+        return self.coeffs[0]
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __add__(self, other):
+        a, b = self._common(FractionCyclotomic.of(other))
+        return FractionCyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self):
+        return FractionCyclotomic(self.order, [-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -FractionCyclotomic.of(other)
+
+    def __mul__(self, other):
+        other = FractionCyclotomic.of(other)
+        if other.is_rational():
+            r = other.coeffs[0]
+            return FractionCyclotomic(self.order, [c * r for c in self.coeffs])
+        if self.is_rational():
+            return other * self
+        a, b = self._common(other)
+        prod = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                prod[i + j] += x * y
+        return FractionCyclotomic(a.order, _frac_reduce(prod, a.order))
+
+    def inverse(self) -> "FractionCyclotomic":
+        """By the extended Euclidean algorithm against Phi_order."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero in a cyclotomic field")
+        if self.is_rational():
+            return FractionCyclotomic(self.order, [1 / self.coeffs[0]])
+        r0, r1 = list(fraction_cyclotomic_polynomial(self.order)), list(self.coeffs)
+        while r1[-1] == 0:
+            r1.pop()
+        s0, s1 = [Fraction(0)], [Fraction(1)]
+        while len(r1) > 1:
+            q, rem = _frac_divmod(r0, r1)
+            r0, r1 = r1, rem
+            qs1 = [Fraction(0)] * (len(q) + len(s1) - 1)
+            for i, qi in enumerate(q):
+                for j, sj in enumerate(s1):
+                    qs1[i + j] += qi * sj
+            width = max(len(s0), len(qs1))
+            s0, s1 = s1, [a - b for a, b in zip(s0 + [0] * (width - len(s0)),
+                                                 qs1 + [0] * (width - len(qs1)))]
+        return FractionCyclotomic(self.order, _frac_reduce([c / r1[0] for c in s1], self.order))
+
+    def __truediv__(self, other):
+        other = FractionCyclotomic.of(other)
+        if other.is_rational():
+            if not other.coeffs[0]:
+                raise ZeroDivisionError("division by zero")
+            return FractionCyclotomic(self.order, [c / other.coeffs[0] for c in self.coeffs])
+        return self * other.inverse()
+
+    def conj(self) -> "FractionCyclotomic":
+        table = _frac_power_table(self.order)
+        out = [Fraction(0)] * len(self.coeffs)
+        for j, c in enumerate(self.coeffs):
+            for k, r in enumerate(table[(self.order - j) % self.order]):
+                out[k] += c * r
+        return FractionCyclotomic(self.order, out)
+
+    def __eq__(self, other):
+        a, b = self._common(FractionCyclotomic.of(other))
+        return a.coeffs == b.coeffs
+
+    def __hash__(self):
+        # the normalised trace: Tr(z^j)/phi(order) is mu(m)/phi(m) for the
+        # order m = order/gcd(j, order) of z^j
+        trace = Fraction(0)
+        for j, c in enumerate(self.coeffs):
+            phi = fraction_cyclotomic_polynomial(self.order // math.gcd(j, self.order))
+            trace += c * -phi[-2] / (len(phi) - 1)
+        return hash(trace)
+
+    def __repr__(self):
+        return f"FractionCyclotomic({self.order}, {self.coeffs})"
+
+
+def oracle_rref(rows: Sequence[Sequence]) -> tuple[list[list[FractionCyclotomic]], list[int]]:
+    """Gauss-Jordan over FractionCyclotomic with the package's positional
+    pivot rule (the first row with a nonzero entry), touching every column."""
+    rows = [[FractionCyclotomic.of(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        src = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
 # -- linear algebra ---------------------------------------------------------
+
+def rank(matrix: Mat) -> int:
+    return len(rref(matrix)[1])
+
+
+def span_dim(vectors: list[list[Cyclotomic]]) -> int:
+    """The dimension of the span of vectors, ranked on its own."""
+    return rank(Mat(vectors)) if vectors else 0
+
 
 def vec_is_zero(a: Sequence) -> bool:
     return all(as_scalar(x).is_zero() for x in a)

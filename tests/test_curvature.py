@@ -29,7 +29,7 @@ from groupgeo.curvature import (
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import FiniteGroup, ad_table, conjugacy_class, dihedral
-from oracles import curvature_of, riemann
+from oracles import curvature_of, rank, riemann
 from groupgeo.linalg import Mat, solve_affine
 
 
@@ -162,7 +162,6 @@ def test_ricci_flat_solve_unconstrained_kernel(cal_d6, d6):
         assert alpha.translate(r2) == alpha
     # the four directions span all r2-coset-invariant functions
     values = [[k[0](g) for g in range(12)] for k in kernel]
-    from groupgeo.linalg import Mat, rank
     assert rank(Mat(values)) == 4
 
 

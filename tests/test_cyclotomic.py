@@ -1,5 +1,7 @@
-"""Exact cyclotomic arithmetic, cross-checked against complex floats."""
+"""Exact cyclotomic arithmetic, cross-checked against complex floats and
+against the Fraction-tuple scalar in the oracles."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
+from oracles import FractionCyclotomic, fraction_cyclotomic_polynomial
+
+
+def test_reduction_machinery_sanity():
+    assert cyclo(6, 1) ** 6 == 1
+    assert cyclo(6, 3) == -1
+    assert (cyclo(6, 1) + cyclo(6, 5)).is_rational()
+    assert hash(cyclo(3, 1)) == hash(cyclo(6, 2))
 
 
 def test_sixth_root_basics():
@@ -171,3 +181,82 @@ def test_equal_values_share_a_dict_key():
     assert {cyclo(3, 1): 1}[cyclo(6, 2)] == 1
     assert {rat(-1): "minus one"}[cyclo(2)] == "minus one"
     assert len({cyclo(4), cyclo(12, 3), cyclo(4).to_order(8)}) == 1
+
+
+# -- against the Fraction-tuple oracle ----------------------------------------
+
+_ORDERS = (1, 3, 4, 6, 12)
+
+
+@st.composite
+def _pairs(draw, orders=_ORDERS):
+    """The same element as a Cyclotomic and as the oracle scalar: now and
+    then a rational of order > 1, whose order a product must not take."""
+    order = draw(st.sampled_from(orders))
+    degree = len(fraction_cyclotomic_polynomial(order)) - 1
+    coeffs = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                           min_size=degree, max_size=degree))
+    if draw(st.integers(0, 3)) == 0:
+        coeffs[1:] = [0] * (degree - 1)
+    return Cyclotomic(order, coeffs), FractionCyclotomic(order, coeffs)
+
+
+def _same(value, oracle):
+    """Same order, same coordinates, and the reduced integer form."""
+    assert isinstance(value, Cyclotomic)
+    assert (value.order, value.coeffs) == (oracle.order, oracle.coeffs)
+    assert value.den > 0 and math.gcd(value.den, *value.nums) == 1
+    assert value.coeffs == tuple(Fraction(n, value.den) for n in value.nums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs(), _pairs(), _pairs())
+def test_ring_operations_match_the_fraction_oracle(x, y, z):
+    (a, oa), (b, ob), (c, _) = x, y, z
+    _same(a + b, oa + ob)
+    _same(a - b, oa - ob)
+    _same(-a, -oa)
+    _same(a * b, oa * ob)
+    _same(a.conj(), oa.conj())
+    assert (a + b) + c == a + (b + c)
+    assert a * (b + c) == a * b + a * c
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a and a * b == b * a
+    if not ob.is_zero():
+        _same(b.inverse(), ob.inverse())
+        _same(a / b, oa / ob)
+        assert (a / b) * b == a
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pairs(), _pairs(), st.integers(1, 3))
+def test_views_equality_and_hash_match_the_fraction_oracle(x, y, k):
+    (a, oa), (b, ob) = x, y
+    _same(a, oa)
+    assert (a == b) == (oa == ob)
+    assert hash(a) == hash(oa)
+    assert a.is_rational() == oa.is_rational()
+    assert a.is_zero() == oa.is_zero() == (not a)
+    if oa.is_rational():
+        assert a.as_fraction() == oa.as_fraction()
+        assert hash(a) == hash(oa.as_fraction())
+    else:
+        with pytest.raises(ValueError):
+            a.as_fraction()
+    promoted = a.to_order(a.order * k)
+    _same(promoted, oa.to_order(a.order * k))
+    assert promoted == a and hash(promoted) == hash(a)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_pairs(orders=(6,)), _pairs(orders=(1,)), st.integers(-3, 3))
+def test_integer_and_fraction_operands_match_the_oracle(x, q, n):
+    (a, oa), (r, _) = x, q
+    f = r.as_fraction()
+    _same(a + n, oa + n)
+    _same(n - a, FractionCyclotomic.of(n) - oa)
+    _same(a * f, oa * f)
+    assert a == a + 0 and (r == f) and (rat(n) == n)

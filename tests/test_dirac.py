@@ -5,6 +5,7 @@ Every numeric value here was frozen from an exact computation; nothing is
 asserted on floating point evidence.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -44,7 +45,7 @@ from groupgeo.errors import (
     UnsupportedGroupError,
 )
 from groupgeo.groups import conjugacy_class, coset_lift
-from groupgeo.linalg import Mat, kernel_basis, rank
+from groupgeo.linalg import Mat, kernel_basis
 from groupgeo.representations import builtin_rep, irreducibles
 from oracles import (
     class_translation_sum,
@@ -56,8 +57,10 @@ from oracles import (
     metric_tensor,
     minimal_polynomial,
     minimal_polynomial_check,
+    rank,
     right_translation,
     spinor_blocks,
+    span_dim,
     sturm_integer_roots,
     translation_block,
     wave_candidates,
@@ -782,6 +785,29 @@ def wave_catalog(cls_d6, wave0_coeffs_d6, wave_spect0):
 def _rank_multiplicity(op, value):
     # the nullity the catalogs computed before they read the certified spectrum
     return op.nrows - rank(op - Mat.identity(op.nrows) * value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(_ENTRIES, min_size=4, max_size=4), max_size=6), st.data())
+def test_spans_from_one_reduction_match_ranking_each_set(vectors, data):
+    first = data.draw(st.integers(0, len(vectors)))
+    if len(vectors) > 2:
+        vectors.append([x + y for x, y in zip(vectors[0], vectors[-1])])
+    assert dirac._spans(vectors, first) == (span_dim(vectors[:first]), span_dim(vectors))
+
+
+def test_matrix_json_renders_like_each_entry_alone(coefficient_classes, monkeypatch):
+    """S3 x Z_m, m <= 4: the wave report's bytes are the same when every
+    entry is rendered on its own.  Equal values of different orders keep
+    their own rendering, and so do z_3 and z_6, whose coordinates agree."""
+    mixed = [cyclo(3), cyclo(6), cyclo(6, 2), rat(1, 2), cyclo(3), rat(1, 2).to_order(4)]
+    assert reporting.values_json(mixed) == [reporting.scalar_json(v) for v in mixed]
+    reports = [reporting.wave_report(cls) for cls in coefficient_classes[3:]]
+    monkeypatch.setattr(reporting, "values_json",
+                        lambda values: [reporting.scalar_json(v) for v in values])
+    for cls, report in zip(coefficient_classes[3:], reports):
+        assert json.dumps(report, sort_keys=True) == json.dumps(
+            reporting.wave_report(cls), sort_keys=True)
 
 
 def test_catalog_multiplicities_match_rank_oracle(

@@ -4,19 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from groupgeo.cyclotomic import cyclo, rat
+from groupgeo.cyclotomic import Cyclotomic, cyclo, rat
 from groupgeo.errors import InfeasibleSystemError
 from groupgeo.linalg import (
     Mat,
     inverse,
     kernel_basis,
-    rank,
     rref,
     solve_affine,
     solve_affine_columns,
 )
-from oracles import eval_poly, kron, vec_is_zero
+from oracles import FractionCyclotomic, eval_poly, kron, oracle_rref, rank, vec_is_zero
 
 
 def _random_mat(rng, n, m, order=6):
@@ -155,7 +155,7 @@ def test_trace_and_scalar_mul():
 
 def _dense_rref(matrix):
     """The elimination loop that rewrites the whole row at every step: the
-    oracle for the sparse, Fraction-aware rref."""
+    oracle for the sparse rref."""
     rows = [list(r) for r in matrix.rows]
     nr, nc = len(rows), matrix.ncols
     pivots = []
@@ -224,3 +224,38 @@ def test_submatrix_and_hstack():
     wide = a.hstack(a)
     assert wide.ncols == 6
     assert wide.submatrix([0, 1], [3, 4, 5]) == a
+
+
+_small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def _matrices(draw, order):
+    """Small matrices over Q (order 1) or Q(zeta_6), with many zeros and,
+    now and then, a row that repeats the sum of the first two."""
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    degree = 1 if order == 1 else 2
+    entry = st.lists(_small, min_size=degree, max_size=degree).map(
+        lambda cs: Cyclotomic(order, cs))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr > 2 and draw(st.booleans()):
+        rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
+    return Mat(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 6)).flatmap(_matrices))
+def test_rref_rank_and_kernel_match_elimination_over_the_oracle_scalar(a):
+    expected, pivots = oracle_rref(a.rows)
+    red, got = rref(a)
+    assert list(got) == pivots
+    assert rank(a) == len(pivots)
+    assert all(FractionCyclotomic.of(x) == y
+               for row, want in zip(red.rows, expected) for x, y in zip(row, want))
+    kernel = kernel_basis(a)
+    assert len(kernel) == a.ncols - len(pivots)
+    for v in kernel:
+        image = [sum((FractionCyclotomic.of(x) * FractionCyclotomic.of(y)
+                      for x, y in zip(row, v)), FractionCyclotomic(1, [0]))
+                 for row in a.rows]
+        assert all(x.is_zero() for x in image)

@@ -9,7 +9,7 @@ from conftest import relabelled
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import dihedral
-from groupgeo.linalg import Mat, rank
+from groupgeo.linalg import Mat
 from groupgeo.representations import (
     Representation,
     builtin_rep,
@@ -22,6 +22,7 @@ from oracles import (
     homomorphism_violation,
     peter_weyl_matrix,
     peter_weyl_rank,
+    rank,
 )
 
 
