@@ -5,16 +5,19 @@ The calculus is generated by Maurer-Cartan 1-forms e_a indexed by class
 members, with the bimodule rule e_a f = (R_a f) e_a as the single source of
 right multiplication, and d f = sum_a (R_a f - f) e_a.
 
-Degree 2 comes from the braiding  psi(e_a (x) e_b) = e_{a b a^-1} (x) e_a:
-the relation space is the exact kernel of (id - psi) on the tensor square
-and Omega^2 is the quotient.  When the class has 3 members whose products
+Degree 2 comes from the braiding  psi(e_a (x) e_b) = e_{a b a^-1} (x) e_a,
+which permutes the monomials: the relation space, the kernel of (id - psi)
+on the tensor square, is spanned by the sums over the braid orbits, and
+Omega^2 is the quotient.  When the class has 3 members whose products
 follow the circulant pattern (diagonal constant, two off-diagonal values
 each filling a broken diagonal), the quotient basis is fixed as
 
     e_x^e_t,  e_y^e_x,  e_y^e_t,  e_x^e_y     (class order t, x, y)
 
 so every downstream coordinate expression is reproducible; otherwise the
-basis is the free columns of the row-reduced relation matrix.
+basis is every monomial except the least one of its orbit.  Either way the
+one monomial of an orbit outside the basis reduces to minus the sum of the
+rest of its orbit, so no elimination is needed.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ import operator
 from typing import Sequence
 
 from .cyclotomic import Cyclotomic, rat
-from .errors import InfeasibleSystemError, NonCyclicClassError
+from .errors import NonCyclicClassError
 from .groups import ConjClass, FiniteGroup, class_product_table
-from .linalg import Mat, as_scalar, kernel_basis, rref, solve_affine_columns
+from .linalg import as_scalar
 
 
 class GroupFunction:
@@ -156,31 +159,32 @@ class Calculus:
         self.group = cls.group
         m = cls.size
         self.n_members = m
-
+        self.pairs = [(i, j) for i in range(m) for j in range(m)]
         # braiding as a permutation of the m^2 monomials, row-major (a, b)
-        perm = {}
-        for i in range(m):
-            for j in range(m):
-                perm[(i, j)] = braiding(cls, i, j)
-        self.braid_perm = perm
-
-        pairs = [(i, j) for i in range(m) for j in range(m)]
-        self.pairs = pairs
-        pair_pos = {p: k for k, p in enumerate(pairs)}
-        n2 = m * m
-        pmat = [[0] * n2 for _ in range(n2)]
-        for p in pairs:
-            # column p maps to row perm[p]
-            pmat[pair_pos[perm[p]]][pair_pos[p]] = 1
-        fix = Mat.identity(n2) - Mat(pmat)
-        self.relation_basis = kernel_basis(fix)
-
+        self.braid_perm = {p: braiding(cls, *p) for p in self.pairs}
+        self.orbits = self._braid_orbits()
+        self.circulant = self._circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
         self._theta = None
         self._de_cache: dict[int, TwoForm] = {}
 
     # -- quotient structure ------------------------------------------------
+
+    def _braid_orbits(self) -> list[tuple[tuple[int, int], ...]]:
+        """The orbits of the braiding on the monomials, walked from the
+        pairs in row-major order, so each starts at its least pair."""
+        seen, orbits = set(), []
+        for start in self.pairs:
+            if start in seen:
+                continue
+            orbit, p = [start], self.braid_perm[start]
+            while p != start:
+                orbit.append(p)
+                p = self.braid_perm[p]
+            seen.update(orbit)
+            orbits.append(tuple(orbit))
+        return orbits
 
     def _circulant_products(self) -> bool:
         """Class products follow the 3x3 pattern [[d,v,u],[u,d,v],[v,u,d]]
@@ -195,39 +199,32 @@ class Calculus:
         return pt == expect
 
     def _choose_quotient_basis(self) -> list[tuple[int, int]]:
-        if self._circulant_products():
+        if self.circulant:
             # (x,t), (y,x), (y,t), (x,y) in class positions
             return [(1, 0), (2, 1), (2, 0), (1, 2)]
-        red, pivots = rref(Mat(self.relation_basis))
-        pivot_set = set(pivots)
-        return [self.pairs[k] for k in range(len(self.pairs)) if k not in pivot_set]
+        least = {orbit[0] for orbit in self.orbits}
+        return [p for p in self.pairs if p not in least]
 
     def _build_reduction(self):
         """Coordinates of every monomial e_a (x) e_b in the quotient basis,
-        modulo the relation space: solve  monomial = sum c_k basis_k + w
-        with w in span(relations)."""
-        pairs = self.pairs
-        pair_pos = {p: k for k, p in enumerate(pairs)}
-        nb = len(self.quotient_pairs)
-        cols = []
-        for p in self.quotient_pairs:
-            v = [rat(0)] * len(pairs)
-            v[pair_pos[p]] = rat(1)
-            cols.append(v)
-        for w in self.relation_basis:
-            cols.append(list(w))
-        # one reduction for every monomial, the columns of the identity;
-        # an inconsistent column or a kernel means the chosen monomials and
-        # the relations are not a basis
-        try:
-            sols, kernel = solve_affine_columns(Mat(cols).transpose(),
-                                                Mat.identity(len(pairs)).rows)
-        except InfeasibleSystemError:
-            kernel = None
-        if kernel != []:
+        modulo the relation space.  The orbit sums span the relations, so
+        the basis complements them exactly when each orbit has one monomial
+        outside it; that monomial is minus the sum of the rest of its orbit
+        and every basis monomial is its own unit vector."""
+        index = {p: k for k, p in enumerate(self.quotient_pairs)}
+        outside = [[p for p in orbit if p not in index] for orbit in self.orbits]
+        if any(len(out) != 1 for out in outside):
             raise NonCyclicClassError(
                 "chosen quotient monomials do not complement the relation space")
-        self.reduction = {p: tuple(sol[:nb]) for p, sol in zip(pairs, sols)}
+        zero, one, minus_one = rat(0), rat(1), rat(-1)
+        coords = {p: [zero] * len(index) for p in self.pairs}
+        for p, k in index.items():
+            coords[p][k] = one
+        for orbit, (q,) in zip(self.orbits, outside):
+            for p in orbit:
+                if p != q:
+                    coords[q][index[p]] = minus_one
+        self.reduction = {p: tuple(c) for p, c in coords.items()}
 
     @property
     def quotient_dim(self) -> int:
@@ -235,7 +232,7 @@ class Calculus:
 
     @property
     def relation_dim(self) -> int:
-        return len(self.relation_basis)
+        return len(self.orbits)
 
     # -- form constructors -------------------------------------------------
 
@@ -310,32 +307,31 @@ class Calculus:
         return out
 
 
-class OneForm:
-    """A 1-form in left-module coordinates: sum_a coeffs[a] . e_a."""
+class _Form:
+    """Coefficient functions over a basis of forms, immutable, with the
+    linear operations that 1-forms and 2-forms share."""
 
     __slots__ = ("calculus", "coeffs")
 
     def __init__(self, calculus: Calculus, coeffs: Sequence[GroupFunction]):
-        if len(coeffs) != calculus.n_members:
-            raise ValueError("one coefficient function per class member")
         object.__setattr__(self, "calculus", calculus)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, *_):
-        raise AttributeError("OneForm is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def __add__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.calculus, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+    def __add__(self, other):
+        return type(self)(self.calculus, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other: "OneForm") -> "OneForm":
-        return OneForm(self.calculus, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+    def __sub__(self, other):
+        return type(self)(self.calculus, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "OneForm":
-        return OneForm(self.calculus, [-a for a in self.coeffs])
+    def __neg__(self):
+        return type(self)(self.calculus, [-a for a in self.coeffs])
 
-    def __mul__(self, scalar) -> "OneForm":
+    def __mul__(self, scalar):
         """Left multiplication by a function or exact scalar."""
-        return OneForm(self.calculus, [f * scalar for f in self.coeffs])
+        return type(self)(self.calculus, [f * scalar for f in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -343,11 +339,22 @@ class OneForm:
         return all(f.is_zero() for f in self.coeffs)
 
     def __eq__(self, other):
-        if not isinstance(other, OneForm):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     __hash__ = None
+
+
+class OneForm(_Form):
+    """A 1-form in left-module coordinates: sum_a coeffs[a] . e_a."""
+
+    __slots__ = ()
+
+    def __init__(self, calculus: Calculus, coeffs: Sequence[GroupFunction]):
+        if len(coeffs) != calculus.n_members:
+            raise ValueError("one coefficient function per class member")
+        super().__init__(calculus, coeffs)
 
     def __repr__(self):
         labels = self.calculus.cls.labels()
@@ -355,43 +362,15 @@ class OneForm:
         return " + ".join(parts) if parts else "0"
 
 
-class TwoForm:
+class TwoForm(_Form):
     """A 2-form in coordinates over the fixed quotient basis."""
 
-    __slots__ = ("calculus", "coeffs")
+    __slots__ = ()
 
     def __init__(self, calculus: Calculus, coeffs: Sequence[GroupFunction]):
         if len(coeffs) != calculus.quotient_dim:
             raise ValueError("one coefficient function per quotient basis monomial")
-        object.__setattr__(self, "calculus", calculus)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TwoForm is immutable")
-
-    def __add__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.calculus, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TwoForm") -> "TwoForm":
-        return TwoForm(self.calculus, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "TwoForm":
-        return TwoForm(self.calculus, [-a for a in self.coeffs])
-
-    def __mul__(self, scalar) -> "TwoForm":
-        return TwoForm(self.calculus, [f * scalar for f in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for f in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
+        super().__init__(calculus, coeffs)
 
     def __repr__(self):
         labels = self.calculus.cls.labels()

@@ -95,7 +95,7 @@ class Connection:
 
 
 def _require_chart_class(calculus: Calculus):
-    if calculus.n_members != 3 or not calculus._circulant_products():
+    if not calculus.circulant:
         raise UnsupportedGroupError(
             "connection chart requires a 3-member class with circulant products")
 

@@ -60,12 +60,6 @@ class TensorOneOne:
     def __setattr__(self, *_):
         raise AttributeError("TensorOneOne is immutable")
 
-    @classmethod
-    def zero(cls, calculus: Calculus) -> "TensorOneOne":
-        z = calculus.zero_function()
-        m = calculus.n_members
-        return cls(calculus, [[z] * m for _ in range(m)])
-
     def __add__(self, other: "TensorOneOne") -> "TensorOneOne":
         return TensorOneOne(self.calculus, [
             [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.coords, other.coords)])

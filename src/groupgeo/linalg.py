@@ -53,12 +53,6 @@ class Mat:
         z, o = rat(0), rat(1)
         return cls([[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def diag(cls, entries: Sequence) -> "Mat":
-        z = rat(0)
-        es = [as_scalar(e) for e in entries]
-        return cls([[es[i] if i == j else z for j in range(len(es))] for i in range(len(es))])
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
@@ -102,9 +96,6 @@ class Mat:
 
     def conj_transpose(self) -> "Mat":
         return Mat([[a.conj() for a in row] for row in zip(*self.rows)]) if self.rows else Mat([])
-
-    def conj(self) -> "Mat":
-        return Mat([[a.conj() for a in row] for row in self.rows])
 
     def trace(self) -> Cyclotomic:
         t = rat(0)
@@ -205,43 +196,26 @@ def kernel_basis(matrix: Mat) -> list[Vector]:
 
 
 def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[Vector, list[Vector]]:
-    """All solutions of ``matrix @ x = rhs`` as particular + span(kernel).
+    """All solutions of ``matrix @ x = rhs`` as particular + span(kernel),
+    from one reduction of ``[matrix | rhs]``.
 
+    The right-hand side comes last, so it never changes the pivots among
+    the matrix's own columns and the kernel is read off the same reduction.
     The particular solution sets every free variable to zero.  Raises
     InfeasibleSystemError when the system is inconsistent.
     """
-    (particular,), kernel = solve_affine_columns(matrix, [rhs])
-    return particular, kernel
-
-
-def solve_affine_columns(matrix: Mat, rhs_columns: Sequence[Sequence]
-                         ) -> tuple[list[Vector], list[Vector]]:
-    """Solve ``matrix @ x = b`` for every column ``b`` from one reduction of
-    ``[matrix | b_1 ... b_k]``: one particular solution per column, each
-    with every free variable zero, and the shared kernel basis.
-
-    The right-hand side columns come last, so they never change the pivots
-    among the matrix's own columns and the kernel is read off the same
-    reduction.  Raises InfeasibleSystemError when some column is
-    inconsistent.
-    """
-    cols = [[as_scalar(x) for x in b] for b in rhs_columns]
-    if any(len(b) != matrix.nrows for b in cols):
+    b = [as_scalar(x) for x in rhs]
+    if len(b) != matrix.nrows:
         raise ValueError("right hand side length does not match row count")
-    red, pivots = rref(Mat([list(row) + [b[i] for b in cols]
-                            for i, row in enumerate(matrix.rows)]))
+    red, pivots = rref(Mat([list(row) + [b[i]] for i, row in enumerate(matrix.rows)]))
     nc = matrix.ncols
-    if pivots and pivots[-1] >= nc:
-        bad = next(r_i for r_i, pc in enumerate(pivots) if pc >= nc)
+    if pivots and pivots[-1] == nc:
         raise InfeasibleSystemError(
-            f"inconsistent system: row {bad} of the reduced form reads 0 = 1")
-    particulars = []
-    for j in range(nc, nc + len(cols)):
-        x = [rat(0)] * nc
-        for r_i, pc in enumerate(pivots):
-            x[pc] = red.rows[r_i][j]
-        particulars.append(x)
-    return particulars, _kernel_from_rref(red, pivots, nc)
+            f"inconsistent system: row {len(pivots) - 1} of the reduced form reads 0 = 1")
+    particular = [rat(0)] * nc
+    for r_i, pc in enumerate(pivots):
+        particular[pc] = red.rows[r_i][nc]
+    return particular, _kernel_from_rref(red, pivots, nc)
 
 
 def inverse(matrix: Mat) -> Mat:

@@ -5,6 +5,7 @@ once per session and reused across test modules, including the acceptance
 suite.  All fixtures return exact objects; nothing here touches floats.
 """
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -175,6 +176,17 @@ def dicyclic3():
     names = [f"a{i}x{j}" for j in range(2) for i in range(6)]
     table = [[mul(p, q) for q in range(12)] for p in range(12)]
     return FiniteGroup(names, table, name="dicyclic:3")
+
+
+def alternating4():
+    """The alternating group A4 as even permutations of 0..3 in ascending
+    order, each named by its images, e.g. "1203"; composition (a b)(i) =
+    a(b(i))."""
+    perms = sorted(p for p in itertools.permutations(range(4))
+                   if sum(p[j] > p[i] for i in range(4) for j in range(i)) % 2 == 0)
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms]
+    return FiniteGroup(["".join(map(str, p)) for p in perms], table, name="A4")
 
 
 @pytest.fixture(scope="session", params=["a0x1", "a1x1"])

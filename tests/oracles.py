@@ -15,12 +15,14 @@ generating set, dense right translation matrices beside the group table, mpmath'
 integer one, Sturm bisection beside p-adic lifting for integer roots,
 the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
 integer numerators over one denominator, each span ranked alone beside
-the spans read off one reduction), a
+the spans read off one reduction, the degree-2 quotient by elimination
+beside the braid orbits), a
 closed form the package derives from the operator instead (the
 hand-derived eigenvalue candidates), the torsion-free family expanded to
 its |G|-length members beside the directions the package states it by, a
 certificate the package does not need at run time (the Peter-Weyl rank),
-or a helper only the tests use (the rank of a matrix, conjugacy class lists, Cayley-table dicts,
+or a helper only the tests use (the rank of a matrix, diagonal and
+entrywise conjugate matrices, conjugacy class lists, Cayley-table dicts,
 characters, conjugate representations, coframe coefficients and the right
 module action on 1-forms).
 """
@@ -35,14 +37,14 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm
+from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm, braiding
 from groupgeo.connections import Connection
 from groupgeo.curvature import TensorOneOne, connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.dirac import Metric, assemble, gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup, coset_lift
-from groupgeo.linalg import Mat, as_scalar, rref
+from groupgeo.linalg import Mat, as_scalar, kernel_basis, rref, solve_affine
 from groupgeo.representations import Representation
 
 _ZERO = rat(0)
@@ -274,6 +276,18 @@ def vec_is_zero(a: Sequence) -> bool:
     return all(as_scalar(x).is_zero() for x in a)
 
 
+def diagonal(entries: Sequence) -> Mat:
+    """The square matrix with the given diagonal and zeros elsewhere."""
+    es = [as_scalar(e) for e in entries]
+    return Mat([[es[i] if i == j else _ZERO for j in range(len(es))]
+                for i in range(len(es))])
+
+
+def conj_entries(matrix: Mat) -> Mat:
+    """Complex conjugate of every entry, without transposing."""
+    return Mat([[a.conj() for a in row] for row in matrix.rows])
+
+
 def kron(a: Mat, b: Mat) -> Mat:
     """Kronecker product, a's index varying slowest."""
     return Mat([[x * y for x in ra for y in rb] for ra in a.rows for rb in b.rows])
@@ -326,6 +340,38 @@ def expanded_functions():
         yield
     finally:
         GroupFunction.__init__, GroupFunction.constant = saved
+
+
+# -- the degree-2 quotient -----------------------------------------------------
+
+def eliminated_quotient(calculus: Calculus) -> tuple[list, int, dict]:
+    """The quotient basis, the relation dimension and the reduction table
+    found by elimination: the kernel of id - P for the braiding permutation
+    P of the m^2 monomials (row-major), the free columns of the row-reduced
+    kernel basis (the paper's fixed basis on a circulant class), and one
+    solve per monomial against the basis monomials and the relations."""
+    cls = calculus.cls
+    m = cls.size
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    pos = {p: k for k, p in enumerate(pairs)}
+    n2 = len(pairs)
+    perm = [[0] * n2 for _ in range(n2)]
+    for p in pairs:
+        perm[pos[braiding(cls, *p)]][pos[p]] = 1
+    relations = kernel_basis(Mat.identity(n2) - Mat(perm))
+    if calculus.circulant:
+        basis = [(1, 0), (2, 1), (2, 0), (1, 2)]
+    else:
+        _, pivots = rref(Mat(relations))
+        basis = [p for k, p in enumerate(pairs) if k not in pivots]
+    unit = Mat.identity(n2).rows
+    system = Mat([unit[pos[p]] for p in basis] + relations).transpose()
+    reduction = {}
+    for p in pairs:
+        solution, kernel = solve_affine(system, unit[pos[p]])
+        assert kernel == [], "the basis and the relations are dependent"
+        reduction[p] = tuple(solution[:len(basis)])
+    return basis, len(relations), reduction
 
 
 def right_mul(alpha: OneForm, func: GroupFunction) -> OneForm:
@@ -517,7 +563,7 @@ def dense_dirac_operator(rep: Representation, A: Connection, C: ConjClass,
         for bpos, b in enumerate(C.members):
             coeff = A.coefficient(apos, bpos)
             values = [coeff(g) for g in range(n)]
-            op = op - kron(gammas[b] @ tau, Mat.diag(values))
+            op = op - kron(gammas[b] @ tau, diagonal(values))
     return op
 
 
@@ -750,7 +796,7 @@ def character(rep: Representation) -> list[Cyclotomic]:
 
 
 def conjugate(rep: Representation) -> Representation:
-    return Representation(rep.group, [m.conj() for m in rep.matrices],
+    return Representation(rep.group, [conj_entries(m) for m in rep.matrices],
                           name=f"{rep.name}~conj")
 
 

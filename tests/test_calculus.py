@@ -12,12 +12,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import relabelled
+from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import linalg
 from groupgeo.calculus import Calculus, GroupFunction, braiding
 from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import NonCyclicClassError
-from oracles import right_mul
+from groupgeo.groups import conjugacy_class, dihedral
+from oracles import conjugacy_classes, eliminated_quotient, right_mul
 
 
 def _braiding_cycles(cls):
@@ -53,14 +54,14 @@ def test_relation_dimension_equals_cycle_count(cal_d6, cls_d6):
 
 
 def test_relation_vectors_are_braiding_fixed(cal_d6):
-    pairs = cal_d6.pairs
-    pos = {p: k for k, p in enumerate(pairs)}
-    for v in cal_d6.relation_basis:
-        pushed = [rat(0)] * len(pairs)
-        for k, p in enumerate(pairs):
-            image = cal_d6.braid_perm[p]
-            pushed[pos[image]] = pushed[pos[image]] + v[k]
-        assert list(pushed) == list(v)
+    # the relations are the orbit sums, fixed by the braiding because the
+    # orbits partition the monomials and each is closed under it: the
+    # braiding cycles an orbit from its least pair
+    orbits = cal_d6.orbits
+    assert sorted(p for orbit in orbits for p in orbit) == sorted(cal_d6.pairs)
+    for orbit in orbits:
+        assert orbit[0] == min(orbit)
+        assert [cal_d6.braid_perm[p] for p in orbit] == list(orbit[1:] + orbit[:1])
 
 
 def test_quotient_basis_choice(cal_d6):
@@ -95,8 +96,8 @@ def test_reduction_table_takes_one_reduction(monkeypatch, cls_d6):
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", counted)
     cal = Calculus(cls_d6)
-    # the relation kernel, then the 9 x 9 system beside all nine monomials
-    assert shapes == [(9, 9), (9, 18)]
+    # the relations and the reduction are read off the braid orbits
+    assert shapes == []
     assert cal.reduction == {p: tuple(rat(c) for c in coords)
                              for p, coords in REDUCTION.items()}
 
@@ -112,6 +113,47 @@ def test_quotient_monomials_must_complement_the_relations(monkeypatch, cls_d6, b
     monkeypatch.setattr(Calculus, "_choose_quotient_basis", lambda self: basis)
     with pytest.raises(NonCyclicClassError, match="do not complement"):
         Calculus(cls_d6)
+
+
+def _cyclic_classes(group):
+    """Every conjugacy class of the group that has a calculus."""
+    out = []
+    for members in conjugacy_classes(group):
+        cls = conjugacy_class(group, members[0])
+        try:
+            cls.require_calculus_admissible()
+        except NonCyclicClassError:
+            continue
+        out.append(cls)
+    return out
+
+
+def _assert_matches_elimination(cal):
+    basis, relation_dim, reduction = eliminated_quotient(cal)
+    assert cal.quotient_pairs == basis
+    assert cal.relation_dim == relation_dim
+    assert list(cal.reduction) == cal.pairs
+    assert cal.reduction == reduction
+
+
+@pytest.mark.parametrize("build,count", [
+    (lambda: dihedral(3), 1),
+    (lambda: dihedral(6), 2),
+    (lambda: direct_product_cyclic(dihedral(6), 2), 4),
+    (dicyclic3, 2),
+    (alternating4, 2),
+], ids=["d3", "d6", "d6xz2", "dic3", "a4"])
+def test_orbit_quotient_matches_elimination(build, count):
+    classes = _cyclic_classes(build())
+    assert len(classes) == count
+    for cls in classes:
+        _assert_matches_elimination(Calculus(cls))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10**6), label=st.sampled_from(["sr", "s"]))
+def test_orbit_quotient_matches_elimination_after_relabelling(d6, seed, label):
+    _assert_matches_elimination(Calculus(conjugacy_class(relabelled(d6, seed), label)))
 
 
 def test_reduction_respects_cycle_relations(cal_d6, cls_d6):

@@ -1,14 +1,13 @@
 """Curvature, the two lifts, and Ricci flatness of the distinguished
 connection."""
 
-import itertools
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import dicyclic3, direct_product_cyclic, relabelled
+from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import curvature, linalg, reporting
 from groupgeo.calculus import GroupFunction, TwoForm, differential_calculus
 from groupgeo.connections import Connection, constant_regular_scan, levi_civita
@@ -28,7 +27,7 @@ from groupgeo.curvature import (
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import UnsupportedGroupError
-from groupgeo.groups import FiniteGroup, ad_table, conjugacy_class, dihedral
+from groupgeo.groups import ad_table, conjugacy_class, dihedral
 from oracles import curvature_of, rank, riemann
 from groupgeo.linalg import Mat, solve_affine
 
@@ -329,18 +328,10 @@ def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, bui
     assert max(cols for _, cols in shapes) == 19
 
 
-def _alternating4():
-    perms = sorted(p for p in itertools.permutations(range(4))
-                   if sum(p[j] > p[i] for i in range(4) for j in range(i)) % 2 == 0)
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(a[b[i]] for i in range(4))] for b in perms] for a in perms]
-    return FiniteGroup(["".join(map(str, p)) for p in perms], table, name="A4")
-
-
 def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatch):
     # the 3-cycles of A4: a cyclic class of 4 members, so a calculus exists
     # but no connection chart
-    cal = _calculus_of(_alternating4(), "1203")
+    cal = _calculus_of(alternating4(), "1203")
     assert cal.n_members == 4
 
     def unreachable(_):

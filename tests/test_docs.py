@@ -26,11 +26,22 @@ def test_readme_python_example_runs(capsys):
     assert "dim=24" in capsys.readouterr().out
 
 
-def _names(node) -> set:
+def _bound(node) -> set:
+    """The names a function binds itself, its arguments and assignment
+    targets: inside it they are locals, never a package function."""
+    if not isinstance(node, ast.FunctionDef):
+        return set()
+    return {sub.arg for sub in ast.walk(node) if isinstance(sub, ast.arg)} | {
+        sub.id for sub in ast.walk(node)
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)}
+
+
+def _names(node, bound=frozenset()) -> set:
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            if sub.id not in bound:
+                out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
         elif isinstance(sub, ast.alias):
@@ -54,11 +65,13 @@ def test_every_public_function_has_a_package_caller():
             for sub in members:
                 if not sub.name.startswith("_"):
                     public.append((f"{filename}:{node.name}.{sub.name}", sub))
-                referenced += [(name, sub) for name in _names(sub)]
+                referenced += [(name, sub) for name in _names(sub, _bound(sub))]
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 public.append((f"{filename}:{node.name}", node))
             rest = [n for n in ast.iter_child_nodes(node) if n not in members]
-            referenced += [(name, node) for name in set().union(*map(_names, rest))]
+            bound = _bound(node)
+            referenced += [(name, node) for name in set().union(
+                *(_names(n, bound) for n in rest))]
     for source in _readme_python_blocks():
         referenced += [(name, None) for name in _names(ast.parse(source))]
     # a function's own body (recursion, its docstring) is not a caller

@@ -14,7 +14,6 @@ from groupgeo.linalg import (
     kernel_basis,
     rref,
     solve_affine,
-    solve_affine_columns,
 )
 from oracles import FractionCyclotomic, eval_poly, kron, oracle_rref, rank, vec_is_zero
 
@@ -83,16 +82,6 @@ def test_solve_affine_particular_plus_kernel():
         x0, ker = solve_affine(mat, rhs)
         assert list(mat @ x0) == [rat(b) for b in rhs]
         assert ker == kernel_basis(mat)
-
-
-def test_solve_affine_columns_shares_one_reduction():
-    a = Mat([[1, 2, 0, 1], [0, 0, 1, 1]])
-    cols = [[1, 2], [0, 3], [4, 0]]
-    particulars, ker = solve_affine_columns(a, cols)
-    for b, x0 in zip(cols, particulars):
-        assert (x0, ker) == solve_affine(a, b)
-    with pytest.raises(InfeasibleSystemError):
-        solve_affine_columns(Mat([[1, 1], [1, 1]]), [[1, 1], [0, 1]])
 
 
 def test_solve_affine_infeasible():

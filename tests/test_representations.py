@@ -17,6 +17,7 @@ from groupgeo.representations import (
 )
 from oracles import (
     character,
+    conj_entries,
     conjugacy_classes,
     conjugate,
     homomorphism_violation,
@@ -131,7 +132,7 @@ def test_generator_check_rejects_exactly_what_the_full_scan_rejects(
         b = data.draw(st.integers(0, group.order - 1))
         mats[a], mats[b] = mats[b], mats[a]
     elif change == "conjugate":
-        mats[a] = mats[a].conj()
+        mats[a] = conj_entries(mats[a])
     elif change == "identity":
         mats[a] = Mat.identity(rep.dim)
     else:
@@ -192,7 +193,7 @@ def test_character_is_a_class_function(d6, rep_d6):
 def test_conjugate_representation(rep_d6):
     conj = conjugate(rep_d6)
     for g in range(12):
-        assert conj(g) == rep_d6(g).conj()
+        assert conj(g) == conj_entries(rep_d6(g))
 
 
 def test_matrix_element_functions(rep_d6, d6):
