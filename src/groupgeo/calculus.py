@@ -309,7 +309,7 @@ class Calculus:
 
 class _Form:
     """Coefficient functions over a basis of forms, immutable, with the
-    linear operations that 1-forms and 2-forms share."""
+    linear operations that 1-forms, 2-forms and tensors share."""
 
     __slots__ = ("calculus", "coeffs")
 
@@ -317,21 +317,28 @@ class _Form:
         object.__setattr__(self, "calculus", calculus)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
+    def _like(self, coeffs) -> "_Form":
+        # a result of the same type and calculus; its coefficients line up
+        # with this form's, so they are not validated again
+        out = object.__new__(type(self))
+        _Form.__init__(out, self.calculus, coeffs)
+        return out
+
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __add__(self, other):
-        return type(self)(self.calculus, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        return type(self)(self.calculus, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._like([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self):
-        return type(self)(self.calculus, [-a for a in self.coeffs])
+        return self._like([-a for a in self.coeffs])
 
     def __mul__(self, scalar):
         """Left multiplication by a function or exact scalar."""
-        return type(self)(self.calculus, [f * scalar for f in self.coeffs])
+        return self._like([f * scalar for f in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -376,6 +383,31 @@ class TwoForm(_Form):
         labels = self.calculus.cls.labels()
         names = [f"e_{labels[i]}^e_{labels[j]}" for i, j in self.calculus.quotient_pairs]
         parts = [f"({f!r}){names[k]}" for k, f in enumerate(self.coeffs) if not f.is_zero()]
+        return " + ".join(parts) if parts else "0"
+
+
+class TensorOneOne(_Form):
+    """An element of the tensor square of 1-forms in left-normal
+    coordinates, sum_{p,q} coords[p][q] e_p (x) e_q, built from that grid
+    and stored row-major: coeffs[p*m + q] = coords[p][q]."""
+
+    __slots__ = ()
+
+    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[GroupFunction]]):
+        m = calculus.n_members
+        if len(coords) != m or any(len(row) != m for row in coords):
+            raise ValueError("square grid of coefficient functions required")
+        super().__init__(calculus, [f for row in coords for f in row])
+
+    @property
+    def coords(self) -> tuple[tuple[GroupFunction, ...], ...]:
+        m = self.calculus.n_members
+        return tuple(self.coeffs[p * m:(p + 1) * m] for p in range(m))
+
+    def __repr__(self):
+        labels = self.calculus.cls.labels()
+        parts = [f"({f!r})e_{labels[p]}(x)e_{labels[q]}"
+                 for (p, q), f in zip(self.calculus.pairs, self.coeffs) if not f.is_zero()]
         return " + ".join(parts) if parts else "0"
 
 

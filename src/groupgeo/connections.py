@@ -13,6 +13,10 @@ form a chart: a symmetric coefficient pattern in three parameter functions
 alpha, beta, gamma constrained by alpha + beta + gamma = -1.  The unique
 connection with all three residuals zero is e_a - theta/3 in every case
 handled here; levi_civita builds it and proves the residuals vanish.
+
+The layer reads only the 2-form relations and the class products.  The
+metric enters with the Dirac operator, which checks its modulus
+(dirac.require_invertible_metric).
 """
 
 from __future__ import annotations
@@ -22,19 +26,8 @@ from typing import Optional, Sequence
 
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
 from .cyclotomic import rat
-from .errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
-                     UnsupportedGroupError)
+from .errors import GroupGeoError, InfeasibleSystemError, UnsupportedGroupError
 from .linalg import Mat, solve_affine
-
-
-def _chart_rows(alpha, beta, gamma, one):
-    """The shared 3x3 coefficient pattern of the connection chart; works for
-    any ring elements supporting + (parameter functions)."""
-    return [
-        [one + alpha, gamma, beta],
-        [gamma, one + beta, alpha],
-        [beta, alpha, one + gamma],
-    ]
 
 
 class Connection:
@@ -63,13 +56,11 @@ class Connection:
         every chart member is torsion-free and every torsion-free connection
         on such a class is a chart member.
         """
-        _require_chart_class(calculus)
+        require_chart_class(calculus)
         csum = alpha + beta + gamma + calculus.constant(1)
         if not csum.is_zero():
             raise ValueError("chart parameters must sum to -1 pointwise")
-        rows = _chart_rows(alpha, beta, gamma, calculus.constant(1))
-        comps = [calculus.one_form(row) for row in rows]
-        return cls(calculus, comps, parameters=(alpha, beta, gamma))
+        return chart_connection(calculus, alpha, beta, gamma)
 
     def coefficient(self, a: int, b: int) -> GroupFunction:
         """The function multiplying e_b inside A_a."""
@@ -94,7 +85,24 @@ class Connection:
         return "Connection(\n  " + "\n  ".join(lines) + "\n)"
 
 
-def _require_chart_class(calculus: Calculus):
+def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFunction,
+                     gamma: GroupFunction) -> Connection:
+    """The chart pattern: A_a has coefficient row a of
+    [[1 + alpha, gamma, beta], [gamma, 1 + beta, alpha], [beta, alpha, 1 + gamma]]
+    over the basis 1-forms in class order.
+
+    The constraint alpha + beta + gamma = -1 is not imposed, so linear
+    systems in the chart parameters can state it as equations of their own;
+    Connection.from_chart is the checked chart."""
+    one = calculus.constant(1)
+    rows = [[one + alpha, gamma, beta], [gamma, one + beta, alpha], [beta, alpha, one + gamma]]
+    return Connection(calculus, [calculus.one_form(row) for row in rows],
+                      parameters=(alpha, beta, gamma))
+
+
+def require_chart_class(calculus: Calculus) -> None:
+    """Raise UnsupportedGroupError unless the class has the 3 members with
+    circulant products that the connection chart is stated for."""
     if not calculus.circulant:
         raise UnsupportedGroupError(
             "connection chart requires a 3-member class with circulant products")
@@ -118,17 +126,15 @@ def torsion_residual(conn: Connection) -> list[TwoForm]:
     return out
 
 
-def cotorsion_residual(conn: Connection, mu=Fraction(0)) -> list[TwoForm]:
+def cotorsion_residual(conn: Connection) -> list[TwoForm]:
     """One 2-form per class member: de_a + sum_b e_{b a b^-1} ^ A_b.
 
     The condition is stated for the coframing of the one-parameter metric,
-    but the metric drops out after simplification, so the residual itself
-    does not depend on mu beyond the non-singularity requirement.  The
-    component sum of the connection must vanish for the simplification to
-    be valid; violating that is a caller error.
+    but the metric drops out after simplification, so the residual does not
+    depend on it.  The component sum of the connection must vanish for the
+    simplification to be valid; violating that is a caller error.
     """
     cal = conn.calculus
-    require_invertible_metric(cal.n_members, mu)
     if not conn.sum_form().is_zero():
         raise ValueError(
             "cotorsion residual requires a connection whose components sum to zero")
@@ -228,28 +234,18 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
 
 # -- distinguished connections ----------------------------------------------
 
-def require_invertible_metric(size: int, mu) -> None:
-    """Raise SingularMetricError at mu = -1/size, where the frame metric
-    delta_{ab} + mu of a class of that size degenerates."""
-    if 1 + size * Fraction(mu) == 0:
-        raise SingularMetricError(
-            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
-
-
-def levi_civita(calculus: Calculus, mu=Fraction(0)) -> Connection:
+def levi_civita(calculus: Calculus) -> Connection:
     """The unique torsion-free, cotorsion-free, regular connection:
-    A_a = e_a - theta/3, independent of the metric parameter.
+    A_a = e_a - theta/3, the same at every metric modulus.
 
-    The metric parameter is validated for non-singularity and the three
-    residuals are recomputed and proved zero before returning.
+    The three residuals are recomputed and proved zero before returning.
     """
-    _require_chart_class(calculus)
-    require_invertible_metric(calculus.n_members, mu)
+    require_chart_class(calculus)
     third = calculus.constant(rat(-1, 3))
     conn = Connection.from_chart(calculus, third, third, third)
     if any(not r.is_zero() for r in torsion_residual(conn)):
         raise GroupGeoError("distinguished connection failed the torsion check")
-    if any(not r.is_zero() for r in cotorsion_residual(conn, mu)):
+    if any(not r.is_zero() for r in cotorsion_residual(conn)):
         raise GroupGeoError("distinguished connection failed the cotorsion check")
     if not is_regular(conn):
         raise GroupGeoError("distinguished connection failed the regularity check")
@@ -272,7 +268,7 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
     whatever the group order, is solved exactly: no solution gives [], a line
     or plane of solutions is an error.
     """
-    _require_chart_class(calculus)
+    require_chart_class(calculus)
 
     def residual(a, b) -> list:
         const = calculus.constant

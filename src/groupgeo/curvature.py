@@ -34,65 +34,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .calculus import Calculus, GroupFunction, OneForm, TwoForm, differential_calculus
-from .connections import Connection, _chart_rows, _require_chart_class
+from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
+                       differential_calculus)
+from .connections import Connection, chart_connection, require_chart_class
 from .cyclotomic import rat
 from .groups import FiniteGroup, coset_lift
 from .linalg import Mat, rref, solve_affine
 
 LIFT_VARIANTS = ("canonical", "braided")
-
-
-class TensorOneOne:
-    """An element of the tensor square of 1-forms in left-normal
-    coordinates: sum coords[p][q] e_p (x) e_q."""
-
-    __slots__ = ("calculus", "coords")
-
-    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[GroupFunction]]):
-        m = calculus.n_members
-        grid = tuple(tuple(row) for row in coords)
-        if len(grid) != m or any(len(row) != m for row in grid):
-            raise ValueError("square grid of coefficient functions required")
-        object.__setattr__(self, "calculus", calculus)
-        object.__setattr__(self, "coords", grid)
-
-    def __setattr__(self, *_):
-        raise AttributeError("TensorOneOne is immutable")
-
-    def __add__(self, other: "TensorOneOne") -> "TensorOneOne":
-        return TensorOneOne(self.calculus, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.coords, other.coords)])
-
-    def __sub__(self, other: "TensorOneOne") -> "TensorOneOne":
-        return TensorOneOne(self.calculus, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "TensorOneOne":
-        return TensorOneOne(self.calculus, [[-a for a in row] for row in self.coords])
-
-    def __mul__(self, scalar) -> "TensorOneOne":
-        return TensorOneOne(self.calculus, [[a * scalar for a in row] for row in self.coords])
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(f.is_zero() for row in self.coords for f in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorOneOne):
-            return NotImplemented
-        return all(a == b for ra, rb in zip(self.coords, other.coords)
-                   for a, b in zip(ra, rb))
-
-    __hash__ = None
-
-    def __repr__(self):
-        labels = self.calculus.cls.labels()
-        parts = [f"({f!r})e_{labels[p]}(x)e_{labels[q]}"
-                 for p, row in enumerate(self.coords)
-                 for q, f in enumerate(row) if not f.is_zero()]
-        return " + ".join(parts) if parts else "0"
 
 
 # -- the connection action --------------------------------------------------
@@ -189,10 +138,10 @@ def _lift_table(cal: Calculus, variant: str) -> list[dict]:
     return table
 
 
-def lift(calculus: Calculus, omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
+def lift(omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
     """Lift a 2-form into the tensor square; the canonical variant is a
     section of the wedge, the braided one is well defined but not."""
-    cal = calculus
+    cal = omega.calculus
     m = cal.n_members
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
@@ -209,11 +158,9 @@ def wedge_of_tensor(t: TensorOneOne) -> TwoForm:
     """Project a tensor-square element back down through the wedge."""
     cal = t.calculus
     out = cal.zero_two_form()
-    for p, row in enumerate(t.coords):
-        for q, f in enumerate(row):
-            if f.is_zero():
-                continue
-            out = out + TwoForm(cal, [f * c for c in cal.reduction[(p, q)]])
+    for pair, f in zip(cal.pairs, t.coeffs):
+        if not f.is_zero():
+            out = out + TwoForm(cal, [f * c for c in cal.reduction[pair]])
     return out
 
 
@@ -230,7 +177,7 @@ def ricci(conn: Connection, variant: str = "canonical") -> TensorOneOne:
     curvature itself vanishes there.
     """
     cal = conn.calculus
-    return _contract(cal, [lift(cal, g, variant) for g in relative_curvature(conn)])
+    return _contract(cal, [lift(g, variant) for g in relative_curvature(conn)])
 
 
 def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
@@ -241,25 +188,18 @@ def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
     for cpos, c in enumerate(cls.members):
-        h = lifted[cpos].coords
+        h = lifted[cpos].coeffs
         for apos, a in enumerate(cls.members):
             conj_pos = cls.position(grp.conj(grp.inv(c), a))
             if conj_pos == apos:
                 continue
             for b in range(m):
-                f = h[apos][b]
+                f = h[apos * m + b]
                 if f.is_zero():
                     continue
                 coords[b][conj_pos] = coords[b][conj_pos] + f
                 coords[b][apos] = coords[b][apos] - f
     return TensorOneOne(cal, coords)
-
-
-def _chart_unchecked(cal: Calculus, alpha, beta, gamma) -> Connection:
-    # bypasses the sum constraint: used to assemble linear systems in the
-    # chart parameters where the constraint enters as separate equations
-    rows = _chart_rows(alpha, beta, gamma, cal.constant(1))
-    return Connection(cal, [cal.one_form(row) for row in rows])
 
 
 def ricci_system(calculus: Calculus) -> dict[str, tuple[Mat, list]]:
@@ -289,15 +229,14 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[Mat, list]]:
     is the dense oracle for that solve.
     """
     cal = calculus
-    _require_chart_class(cal)
+    require_chart_class(cal)
     grp = cal.group
     order = grp.order
-    m = cal.n_members
     zero = cal.zero_function()
     delta_e = GroupFunction.delta(grp, 0)
     charts = [(zero, zero, zero)] + [
         tuple(delta_e if j == i else zero for j in range(3)) for i in range(3)]
-    curvatures = [relative_curvature(_chart_unchecked(cal, *params)) for params in charts]
+    curvatures = [relative_curvature(chart_connection(cal, *params)) for params in charts]
     moved = [[grp.mul(grp.inv(h), g) for h in range(order)] for g in range(order)]
     # alpha + beta + gamma = -1 at each element g
     constraint = [[rat(1) if u % order == g else rat(0) for u in range(3 * order)]
@@ -306,9 +245,8 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[Mat, list]]:
     for variant in LIFT_VARIANTS:
         flat = []
         for forms in curvatures:
-            t = _contract(cal, [lift(cal, f, variant) for f in forms])
-            flat.append([t.coords[p][q](g) for p in range(m) for q in range(m)
-                         for g in range(order)])
+            t = _contract(cal, [lift(f, variant) for f in forms])
+            flat.append([f(g) for f in t.coeffs for g in range(order)])
         base = flat[0]
         cols = [[a - b for a, b in zip(col, base)] for col in flat[1:]]
         rows = [[col[blk + x] for col in cols for x in moved[g]]
@@ -384,7 +322,7 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, list]]:
     Each entry is (particular, kernel) where particular is a parameter
     triple and kernel is a basis of homogeneous triples.
     """
-    _require_chart_class(calculus)
+    require_chart_class(calculus)
     grp = calculus.group
     order = grp.order
 

@@ -22,10 +22,12 @@ eigenvalues are the rational roots of the minimal polynomials of unit
 vectors under the operator, each keeps the exact kernel basis of
 (op - lambda id) as its eigenspace, and the multiplicities must add up to
 the full dimension or the computation refuses to answer
-(IncompleteSpectrumError).  The reports certify the block and state the
-operator on G by its copy count.  A certified spectrum proves the
-operator diagonalisable, so chirality gradings and minimal polynomials are
-read off it without a second reduction.
+(IncompleteSpectrumError).  certify assembles a spinor operator's block
+on H from its coefficients and certifies the block, stating the operator
+on G by its copy count [G:H]; the reports certify every operator that
+way.  A certified spectrum proves the operator diagonalisable, so
+chirality gradings and minimal polynomials are read off it without a
+second reduction.
 
 The eigenmode catalogs replay a closed-form list of claimed eigenvectors
 against the coefficients of the operator a report holds, by apply, and
@@ -45,7 +47,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .connections import Connection, require_invertible_metric
+from .connections import Connection
 from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
@@ -87,6 +89,14 @@ class Metric:
 
     def __repr__(self):
         return f"Metric(mu={self.mu}, size={self.cls.size})"
+
+
+def require_invertible_metric(size: int, mu) -> None:
+    """Raise SingularMetricError at mu = -1/size, where the frame metric
+    delta_{ab} + mu of a class of that size degenerates."""
+    if 1 + size * Fraction(mu) == 0:
+        raise SingularMetricError(
+            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
 
 
 def metric(cls: ConjClass, mu) -> Metric:
@@ -226,8 +236,7 @@ def is_hermitian(coeffs: Mapping[int, Mat], group: FiniteGroup) -> bool:
     return same_element(coeffs, {group.inv(h): m.conj_transpose() for h, m in coeffs.items()})
 
 
-def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
-                   mu=Fraction(0)) -> dict[int, Mat]:
+def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[int, Mat]:
     """The Dirac operator as its group-algebra coefficients {h: M_h}.
 
     The free part couples each gamma matrix to the corresponding partial
@@ -236,14 +245,15 @@ def dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     coefficient of the connection.  With constant coefficients the
     operator is the group-algebra element with coefficient M_a = gamma_a
     at each class member a and the rest at the identity; assemble writes
-    its matrix on G or on H = <C>.  Raises ValueError on a connection
-    whose coefficients vary over the group.
+    its matrix on G or on H = <C>, C the class of the connection's
+    calculus.  Raises ValueError on a representation of another group and
+    on a connection whose coefficients vary over the group.
     """
     mu = Fraction(mu)
     group = rep.group
-    cls = A.calculus.cls
-    if C.group != group or tuple(C.members) != tuple(cls.members):
-        raise ValueError("representation, connection and class must share one group and class")
+    C = A.calculus.cls
+    if C.group != group:
+        raise ValueError("the representation and the connection must share one group")
     gammas = gamma_matrices(rep, C, mu)
     ident_w = Mat.identity(rep.dim)
     coeffs = {0: Mat.zeros(rep.dim, rep.dim)}
@@ -364,28 +374,26 @@ def spectrum(op: Mat) -> Spectrum:
     return Spectrum(spaces, n)
 
 
-def reduced_spectrum(block: Mat, C: ConjClass) -> Spectrum:
-    """The certified spectrum of a spinor operator on W tensor (functions
-    on G), from its block on W tensor (functions on H),
-    H = C.generated_subgroup().
+def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
+    """The block on W tensor (functions on H), H = <C>, of the spinor
+    operator sum_h coeffs[h] (x) R(h) on W tensor (functions on G), and
+    the certified spectrum of that operator.
 
-    block must be a group-algebra element supported on H, assembled on the
-    elements of H.  The operator commutes with left translation and keeps
-    each left coset gH to itself, so it is [G:H] copies of the block (each
-    block eigenvector, carried to a coset by groups.coset_lift, is an
+    Every h must lie in H.  The operator commutes with left translation and
+    keeps each left coset gH to itself, so it is [G:H] copies of the block
+    (each block eigenvector, carried to a coset by groups.coset_lift, is an
     eigenvector of the operator).  The spectrum keeps the block's
     eigenspaces and counts each [G:H] times; an incomplete block spectrum
     is reported with the operator's numbers.
     """
-    k = len(C.generated_subgroup())
-    if block.nrows % k:
-        raise ValueError("block size is not a multiple of the subgroup order")
-    copies = C.group.order // k
+    subgroup = C.generated_subgroup()
+    block = assemble(coeffs, C.group, subgroup)
+    copies = C.group.order // len(subgroup)
     try:
         block_spect = spectrum(block)
     except IncompleteSpectrumError as exc:
         raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
-    return Spectrum(block_spect.eigenspaces, block.nrows * copies, copies)
+    return block, Spectrum(block_spect.eigenspaces, block.nrows * copies, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +571,24 @@ def require_symmetric(spect: Spectrum) -> None:
                 f"{m_neg}; no exact grading can pair them")
 
 
-def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
+def chirality(spect: Spectrum) -> Mat:
     """A grading that squares to the identity and anticommutes with the
     operator whose certified spectrum is given, or with one block of it
     when the spectrum counts several copies.
 
     The +lambda and -lambda eigenspaces of the spectrum are paired
     blockwise through their deterministic kernel bases and the grading
-    swaps the pair, acting as kernel_sign times the identity on the
-    kernel.  Both kernel signs give valid gradings, which is exactly the
+    swaps the pair, acting as the identity on the kernel.  Minus the
+    identity there gives another valid grading, which is exactly the
     non-uniqueness on a spectrum with zero modes.
 
     Raises AsymmetricSpectrumError when some multiplicity of +lambda and
     -lambda disagree, since then no pairing exists.
     """
-    if kernel_sign not in (1, -1):
-        raise ValueError("kernel_sign must be +1 or -1")
     require_symmetric(spect)
     spaces = spect.eigenspaces
     # the grading sends sources[k] to images[k]: the i-th basis vector of
-    # +lambda to the i-th of -lambda and back, kernel vectors to their sign
+    # +lambda to the i-th of -lambda and back, kernel vectors to themselves
     sources: list[list[Cyclotomic]] = []
     images: list[list[Cyclotomic]] = []
     mirrors = set()
@@ -592,9 +598,9 @@ def chirality(spect: Spectrum, kernel_sign: int = 1) -> Mat:
             minus = spaces[-v]
             sources += plus + minus
             images += minus + plus
-    for vec in spaces.get(_ZERO, ()):
-        sources.append(vec)
-        images.append([x * kernel_sign for x in vec])
+    kernel = spaces.get(_ZERO, ())
+    sources += kernel
+    images += kernel
     return Mat(images).transpose() @ inverse(Mat(sources).transpose())
 
 

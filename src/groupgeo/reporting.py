@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import __version__
-from .calculus import Calculus, GroupFunction, OneForm, TwoForm, differential_calculus
+from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
+                       differential_calculus)
 from .connections import (
     Connection,
     constant_regular_scan,
@@ -27,7 +28,6 @@ from .connections import (
 )
 from .curvature import (
     LIFT_VARIANTS,
-    TensorOneOne,
     covariant_derivative,
     curvature_forms,
     lift,
@@ -35,6 +35,7 @@ from .curvature import (
     ricci_flat_solve,
     wedge_of_tensor,
 )
+from .cyclotomic import Cyclotomic
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, FiniteGroup, ad_table, class_product_table
 from .linalg import Mat, as_scalar
@@ -203,9 +204,8 @@ def two_form_json(omega: TwoForm) -> dict:
 
 def tensor_json(t: TensorOneOne) -> dict:
     labels = t.calculus.cls.labels()
-    return {labels[p]: {labels[q]: function_json(t.coords[p][q])
-                        for q in range(len(labels))}
-            for p in range(len(labels))}
+    return {labels[p]: {labels[q]: function_json(f) for q, f in enumerate(row)}
+            for p, row in enumerate(t.coords)}
 
 
 def spectrum_json(spect: spinops.Spectrum) -> dict:
@@ -222,42 +222,18 @@ def spectrum_json(spect: spinops.Spectrum) -> dict:
 
 
 def catalog_json(cat: dict) -> dict:
-    out = {
-        "mu": fraction_json(cat["mu"]),
-        "families": [
-            {
-                "name": fam["name"],
-                "claimed_eigenvalue": scalar_json(fam["claimed_eigenvalue"]),
-                "candidates": [
-                    {"label": c["label"], "status": c["status"],
-                     "eigenvalue": None if c["eigenvalue"] is None
-                     else scalar_json(c["eigenvalue"])}
-                    for c in fam["candidates"]
-                ],
-            }
-            for fam in cat["families"]
-        ],
-        "eigenvalues": [
-            {
-                "value": scalar_json(s["value"]),
-                "claimed_candidates": s["claimed_candidates"],
-                "zero_vectors": s["zero_vectors"],
-                "verified": s["verified"],
-                "claimed_span": s["claimed_span"],
-                "multiplicity": s["multiplicity"],
-                "gap": s["gap"],
-                "completions": s["completions"],
-                "completed_span": s["completed_span"],
-                "complete": s["complete"],
-            }
-            for s in cat["eigenvalues"]
-        ],
-    }
-    for key in ("sign_multiplication_anticommutes", "component_identities",
-                "conjugates_coincide_reversed"):
-        if key in cat:
-            out[key] = cat[key]
-    return out
+    """An eigenmode catalog with every exact scalar in its JSON form."""
+    return _exact_json(cat)
+
+
+def _exact_json(node):
+    if isinstance(node, dict):
+        return {key: _exact_json(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_exact_json(value) for value in node]
+    if isinstance(node, (Cyclotomic, Fraction)):
+        return scalar_json(node)
+    return node
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +279,9 @@ def calculus_report(cal: Calculus) -> dict:
 
 def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
-    # levi_civita rejects a singular mu; do that before the torsion solve
-    lc = levi_civita(cal, mu)
+    lc = levi_civita(cal)
+    # reject a singular mu after the chart check and before the torsion solve
+    spinops.require_invertible_metric(cal.n_members, mu)
     particular, directions = torsion_free_family(cal)
     # a member delta_h * direction has vanishing component sum exactly when
     # its direction does, so the directions stand for every placement
@@ -344,7 +321,7 @@ def curvature_report(cal: Calculus) -> dict:
         for k in range(cal.quotient_dim):
             basis_form = TwoForm(cal, [
                 cal.constant(1 if i == k else 0) for i in range(cal.quotient_dim)])
-            ok = ok and wedge_of_tensor(lift(cal, basis_form, variant)) == basis_form
+            ok = ok and wedge_of_tensor(lift(basis_form, variant)) == basis_form
         lift_section[variant] = ok
     return {
         "covariant_derivatives": {
@@ -403,10 +380,8 @@ def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
     mu = Fraction(mu)
     cls = cal.cls
     rep = builtin_rep(cls.group, "spinor")
-    coeffs = spinops.dirac_operator(rep, levi_civita(cal, mu), cls, mu)
-    block = spinops.assemble(coeffs, cls.group, cls.generated_subgroup())
-    return DiracCertificate(cls, mu, rep, coeffs, block,
-                            spinops.reduced_spectrum(block, cls))
+    coeffs = spinops.dirac_operator(rep, levi_civita(cal), mu)
+    return DiracCertificate(cls, mu, rep, coeffs, *spinops.certify(coeffs, cls))
 
 
 def dirac_report(dirac: DiracCertificate) -> dict:
@@ -463,8 +438,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
 def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
     coeffs = spinops.wave_operator(cls, mu)
-    spect = spinops.reduced_spectrum(
-        spinops.assemble(coeffs, cls.group, cls.generated_subgroup()), cls)
+    spect = spinops.certify(coeffs, cls)[1]
     out = {
         "mu": fraction_json(mu),
         "operator": matrix_json(spinops.assemble(coeffs, cls.group)),

@@ -72,8 +72,8 @@ def ricci_solve_d6(cal_d6):
 
 
 @pytest.fixture(scope="session")
-def dirac0_coeffs_d6(rep_d6, lc_d6, cls_d6):
-    return dirac_operator(rep_d6, lc_d6, cls_d6)
+def dirac0_coeffs_d6(rep_d6, lc_d6):
+    return dirac_operator(rep_d6, lc_d6)
 
 
 @pytest.fixture(scope="session")
@@ -82,8 +82,8 @@ def dirac0_d6(d6, dirac0_coeffs_d6):
 
 
 @pytest.fixture(scope="session")
-def dirac1_d6(d6, rep_d6, lc_d6, cls_d6):
-    return assemble(dirac_operator(rep_d6, lc_d6, cls_d6, mu=Fraction(1)), d6)
+def dirac1_d6(d6, rep_d6, lc_d6):
+    return assemble(dirac_operator(rep_d6, lc_d6, mu=Fraction(1)), d6)
 
 
 @pytest.fixture(scope="session")

@@ -37,9 +37,9 @@ from typing import Sequence
 
 from mpmath import mp, mpf
 
-from groupgeo.calculus import Calculus, GroupFunction, OneForm, TwoForm, braiding
+from groupgeo.calculus import Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm, braiding
 from groupgeo.connections import Connection
-from groupgeo.curvature import TensorOneOne, connection_grid
+from groupgeo.curvature import connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.dirac import Metric, assemble, gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError

@@ -96,8 +96,7 @@ def test_criterion_03_torsion_free_family_and_distinguished_connection(
     assert member.sum_form().is_zero()
     assert scan_d6 == [(Fraction(-1, 3),) * 3]
     from groupgeo.connections import cotorsion_residual, is_regular
-    for mu in (Fraction(0), Fraction(1)):
-        assert all(t.is_zero() for t in cotorsion_residual(lc_d6, mu))
+    assert all(t.is_zero() for t in cotorsion_residual(lc_d6))
     assert all(t.is_zero() for t in torsion_residual(lc_d6))
     assert is_regular(lc_d6)
 
@@ -121,7 +120,7 @@ def test_criterion_04_curvature_lifts_and_ricci_flatness(
     for k in range(4):
         om = TwoForm(cal_d6, [cal_d6.constant(1 if i == k else 0)
                               for i in range(4)])
-        assert wedge_of_tensor(lift(cal_d6, om, "canonical")) == om
+        assert wedge_of_tensor(lift(om, "canonical")) == om
     for variant in ("canonical", "braided"):
         assert ricci_lc_d6[variant].is_zero()
         particular, kernel = ricci_solve_d6[variant]
@@ -209,7 +208,7 @@ def test_criterion_09_order_six_cross_check(s3_group, s3_cls, s3_cal, cls_d6):
     for pos in range(3):
         assert lc.components[pos] == s3_cal.basis_one_form(pos) - s3_cal.theta * third
     rep = builtin_rep(s3_group, "spinor")
-    op = assemble(dirac_operator(rep, lc, s3_cls), s3_group)
+    op = assemble(dirac_operator(rep, lc), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
     # the antecedent construction reports nonzero magnitude 1 for this

@@ -11,11 +11,12 @@ from unittest import mock
 
 import pytest
 
-from conftest import direct_product_cyclic
+from conftest import alternating4, direct_product_cyclic
 from groupgeo import connections, reporting
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import (
     Connection,
+    chart_connection,
     constant_regular_scan,
     cotorsion_residual,
     is_regular,
@@ -25,7 +26,7 @@ from groupgeo.connections import (
     torsion_residual,
 )
 from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.errors import GroupGeoError, SingularMetricError
+from groupgeo.errors import GroupGeoError, SingularMetricError, UnsupportedGroupError
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
 from oracles import expanded_functions, torsion_family_members, torsion_system
@@ -36,14 +37,10 @@ def _const_chart(cal, a, b, c):
 
 
 def test_chart_rows_layout(cal_d6):
-    third = Fraction(1, 3)
-    conn = _const_chart(cal_d6, -third, -third, -third)
+    # the pattern holds off the constraint alpha + beta + gamma = -1 too
+    conn = chart_connection(cal_d6, *(cal_d6.constant(x) for x in (2, 3, 5)))
     # rows (1+alpha, gamma, beta), (gamma, 1+beta, alpha), (beta, alpha, 1+gamma)
-    expect = [
-        (Fraction(2, 3), -third, -third),
-        (-third, Fraction(2, 3), -third),
-        (-third, -third, Fraction(2, 3)),
-    ]
+    expect = [(3, 5, 3), (5, 4, 2), (3, 2, 6)]
     for i in range(3):
         for j in range(3):
             assert conn.coefficient(i, j) == cal_d6.constant(expect[i][j])
@@ -149,27 +146,21 @@ def test_levi_civita_components(cal_d6, lc_d6):
         assert p == cal_d6.constant(-third)
 
 
-def test_levi_civita_mu_independent(cal_d6, lc_d6):
-    assert levi_civita(cal_d6, Fraction(1)) == lc_d6
-    assert levi_civita(cal_d6, Fraction(2, 7)) == lc_d6
-
-
 def test_levi_civita_residuals(cal_d6, lc_d6):
     assert all(t.is_zero() for t in torsion_residual(lc_d6))
-    for mu in (Fraction(0), Fraction(1)):
-        assert all(t.is_zero() for t in cotorsion_residual(lc_d6, mu))
+    assert all(t.is_zero() for t in cotorsion_residual(lc_d6))
     assert is_regular(lc_d6)
     assert all(w.is_zero() for w in regularity_residual(lc_d6).values())
 
 
 def test_levi_civita_singular_metric(cal_d6):
     with pytest.raises(SingularMetricError, match="-1/3"):
-        levi_civita(cal_d6, Fraction(-1, 3))
-
-
-def test_cotorsion_singular_metric(cal_d6, lc_d6):
-    with pytest.raises(SingularMetricError):
-        cotorsion_residual(lc_d6, Fraction(-1, 3))
+        reporting.connection_report(cal_d6, Fraction(-1, 3))
+    # mu = -1/4 is singular for the 4-member class of A4, but the chart
+    # check comes first
+    a4 = differential_calculus(conjugacy_class(alternating4(), "1203"))
+    with pytest.raises(UnsupportedGroupError, match="connection chart requires"):
+        reporting.connection_report(a4, Fraction(-1, 4))
 
 
 def test_generic_chart_member_is_not_regular(cal_d6):

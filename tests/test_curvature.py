@@ -9,11 +9,11 @@ import pytest
 
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import curvature, linalg, reporting
-from groupgeo.calculus import GroupFunction, TwoForm, differential_calculus
-from groupgeo.connections import Connection, constant_regular_scan, levi_civita
+from groupgeo.calculus import GroupFunction, TensorOneOne, TwoForm, differential_calculus
+from groupgeo.connections import (Connection, chart_connection, constant_regular_scan,
+                                  levi_civita)
 from groupgeo.curvature import (
     LIFT_VARIANTS,
-    TensorOneOne,
     covariant_derivative,
     curvature_forms,
     lift,
@@ -88,12 +88,12 @@ def test_curvature_of_is_left_linear(cal_d6, lc_d6):
 def test_canonical_lift_is_a_section(cal_d6):
     for k in range(4):
         om = _basis_two_form(cal_d6, k)
-        assert wedge_of_tensor(lift(cal_d6, om, "canonical")) == om
+        assert wedge_of_tensor(lift(om, "canonical")) == om
 
 
 def test_canonical_lift_of_first_monomial(cal_d6):
     # the three ordered pairs multiplying to the same rotation share the weight
-    t = lift(cal_d6, _basis_two_form(cal_d6, 0), "canonical")
+    t = lift(_basis_two_form(cal_d6, 0), "canonical")
     half = Fraction(1, 2)
     expect = {(1, 0): half, (2, 1): -half, (0, 2): -half}
     for p in range(3):
@@ -105,7 +105,7 @@ def test_braided_lift_is_not_a_section(cal_d6):
     # id minus braiding on a representative: well defined, wedge-distorting
     images = {0: (1, -1, 0, 0), 1: (1, 2, 0, 0), 2: (0, 0, 1, -1), 3: (0, 0, 1, 2)}
     for k, coords in images.items():
-        back = wedge_of_tensor(lift(cal_d6, _basis_two_form(cal_d6, k), "braided"))
+        back = wedge_of_tensor(lift(_basis_two_form(cal_d6, k), "braided"))
         for i in range(4):
             assert back.coeffs[i] == cal_d6.constant(coords[i])
     assert any(images[k] != tuple(1 if i == k else 0 for i in range(4))
@@ -114,7 +114,7 @@ def test_braided_lift_is_not_a_section(cal_d6):
 
 def test_unknown_lift_variant(cal_d6):
     with pytest.raises(ValueError, match="unknown lift variant"):
-        lift(cal_d6, _basis_two_form(cal_d6, 0), "mystery")
+        lift(_basis_two_form(cal_d6, 0), "mystery")
 
 
 def test_distinguished_connection_is_ricci_flat(ricci_lc_d6):
@@ -165,10 +165,9 @@ def test_ricci_flat_solve_unconstrained_kernel(cal_d6, d6):
 
 
 def test_unconstrained_kernel_directions_preserve_flatness(cal_d6, d6):
-    from groupgeo.curvature import _chart_unchecked
     particular, kernel = _unconstrained_ricci_flat_solve(cal_d6, "canonical")
     alpha, beta, gamma = kernel[0]
-    shifted = _chart_unchecked(
+    shifted = chart_connection(
         cal_d6, particular[0] + alpha, particular[1] + beta, particular[2] + gamma)
     assert ricci(shifted, "canonical").is_zero()
 
@@ -183,7 +182,6 @@ def test_s3_ricci_flat(s3_cal):
 def _jacobian_by_evaluation(cal, variant):
     """The unconstrained Ricci system assembled from one ricci evaluation
     per unknown: the oracle for the left-translation assembly."""
-    from groupgeo.curvature import _chart_unchecked
     grp = cal.group
     order = grp.order
     m = cal.n_members
@@ -198,7 +196,7 @@ def _jacobian_by_evaluation(cal, variant):
                 for g in range(order)]
 
     def ricci_at(vec):
-        return flatten(ricci(_chart_unchecked(cal, *params_from_vec(vec)), variant))
+        return flatten(ricci(chart_connection(cal, *params_from_vec(vec)), variant))
 
     base = ricci_at([rat(0)] * nunk)
     cols = []

@@ -29,8 +29,8 @@ from groupgeo.dirac import (
     gamma_matrices,
     is_hermitian,
     metric,
+    certify,
     poly_from_roots,
-    reduced_spectrum,
     same_element,
     spectral_action,
     spectrum,
@@ -238,10 +238,10 @@ def test_dirac_candidate_values():
         dirac_candidates(Fraction(-1, 4))
 
 
-def test_dirac_operator_validates_inputs(rep_d6, lc_d6, d6):
-    other = d6.conjugacy_class(d6.index("s"))
-    with pytest.raises(ValueError, match="share one group and class"):
-        dirac_operator(rep_d6, lc_d6, other)
+def test_dirac_operator_validates_inputs(cal_d3, lc_d6):
+    rep_d3 = builtin_rep(cal_d3.group, "spinor")
+    with pytest.raises(ValueError, match="share one group"):
+        dirac_operator(rep_d3, lc_d6)
 
 
 # -- Spectrum type ----------------------------------------------------------
@@ -359,7 +359,7 @@ def test_dirac_spectrum_near_a_singular_modulus(cal_d3):
     mu = Fraction("-0." + "3" * 400)
     cls = cal_d3.cls
     op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
-                                 levi_civita(cal_d3, mu), cls, mu), cls.group)
+                                 levi_civita(cal_d3), mu), cls.group)
     spect = spectrum(op)
     assert set(spect.eigenspaces) <= {rat(c) for c in dirac_candidates(mu)}
     assert [m for _, m in spect.pairs] == [2, 2, 4, 2, 2]
@@ -371,7 +371,7 @@ def test_spectrum_at_a_modulus_with_large_denominators(cal_d3):
     mu = Fraction(123456789, 987654321)
     cls = cal_d3.cls
     op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
-                                 levi_civita(cal_d3, mu), cls, mu), cls.group)
+                                 levi_civita(cal_d3), mu), cls.group)
     _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
 
@@ -450,7 +450,7 @@ def krylov_d6(d6, rep_d6, cal_d6, cls_d6):
 
     def at(mu):
         if mu not in cache:
-            coeffs = {"dirac": dirac_operator(rep_d6, levi_civita(cal_d6, mu), cls_d6, mu),
+            coeffs = {"dirac": dirac_operator(rep_d6, levi_civita(cal_d6), mu),
                       "wave": wave_operator(cls_d6, mu)}
             ops = {name: assemble(c, d6) for name, c in coeffs.items()}
             cache[mu] = {name: (op, minimal_polynomial(op)) for name, op in ops.items()}
@@ -479,7 +479,7 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
     cls = cal.cls
     rep = builtin_rep(cls.group, "spinor")
     for mu in MUS:
-        op = assemble(dirac_operator(rep, levi_civita(cal, mu), cls, mu), cls.group)
+        op = assemble(dirac_operator(rep, levi_civita(cal), mu), cls.group)
         _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
 
@@ -521,15 +521,17 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
 
 # -- group-algebra assembly and the reduction to H = <C> -------------------
 
-def _assert_block_certifies(op, block, cls, dense):
-    """The reduced spectrum keeps the block's eigenspaces and is the dense
-    spectrum of op, with every multiplicity [G:H] times the block's; each
-    block eigenvector carried to every left coset by coset_lift is an
-    eigenvector of op, and the lifted vectors of each value are
-    independent."""
-    copies = cls.group.order // len(cls.generated_subgroup())
+def _assert_block_certifies(op, coeffs, cls, dense):
+    """certify assembles the coefficients on H; its spectrum keeps the
+    block's eigenspaces and is the dense spectrum of op, with every
+    multiplicity [G:H] times the block's; each block eigenvector carried to
+    every left coset by coset_lift is an eigenvector of op, and the lifted
+    vectors of each value are independent."""
+    subgroup = cls.generated_subgroup()
+    copies = cls.group.order // len(subgroup)
+    block, spect = certify(coeffs, cls)
+    assert block == assemble(coeffs, cls.group, subgroup)
     assert block.nrows * copies == op.nrows
-    spect = reduced_spectrum(block, cls)
     block_spect = spectrum(block)
     assert spect.dimension == op.nrows
     assert dict(spect.eigenspaces) == dict(block_spect.eigenspaces)
@@ -558,18 +560,17 @@ def _test_vector(size):
 def test_assembled_operators_match_dense_oracles(certified, oracle_cal, mu):
     cls = oracle_cal.cls
     rep = builtin_rep(cls.group, "spinor")
-    lc = levi_civita(oracle_cal, mu)
-    subgroup = cls.generated_subgroup()
-    coeffs = dirac_operator(rep, lc, cls, mu)
+    lc = levi_civita(oracle_cal)
+    coeffs = dirac_operator(rep, lc, mu)
     op = assemble(coeffs, cls.group)
     assert op == dense_dirac_operator(rep, lc, cls, mu)
     _assert_coefficient_form(coeffs, cls.group, op, _test_vector(op.ncols))
-    _assert_block_certifies(op, assemble(coeffs, cls.group, subgroup), cls, certified(op))
+    _assert_block_certifies(op, coeffs, cls, certified(op))
     coeffs = wave_operator(cls, mu)
     op = assemble(coeffs, cls.group)
     assert op == dense_wave_operator(cls, mu)
     _assert_coefficient_form(coeffs, cls.group, op, _test_vector(op.ncols))
-    _assert_block_certifies(op, assemble(coeffs, cls.group, subgroup), cls, certified(op))
+    _assert_block_certifies(op, coeffs, cls, certified(op))
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
@@ -579,8 +580,7 @@ def test_wave_block_on_the_direct_product(cls_d6z2, mu):
     op = assemble(coeffs, cls_d6z2.group)
     assert op == dense_wave_operator(cls_d6z2, mu)
     _assert_coefficient_form(coeffs, cls_d6z2.group, op, _test_vector(op.ncols))
-    _assert_block_certifies(op, assemble(coeffs, cls_d6z2.group, cls_d6z2.generated_subgroup()),
-                            cls_d6z2, spectrum(op))
+    _assert_block_certifies(op, coeffs, cls_d6z2, spectrum(op))
 
 
 _ENTRIES = st.builds(lambda x, y: rat(x) + cyclo(4) * y,
@@ -630,17 +630,17 @@ def test_block_reads_hermiticity_and_trace_of_the_full_operator(
         coeffs[dropped].is_zero())
 
 
-def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, cls_d6, d6):
+def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, d6):
     # a torsion-free chart connection whose first parameter is a delta
     alpha = GroupFunction.delta(d6, 1)
     conn = Connection.from_chart(cal_d6, alpha, cal_d6.constant(-1) - alpha,
                                  cal_d6.constant(0))
     with pytest.raises(ValueError, match="constant coefficients"):
-        dirac_operator(rep_d6, conn, cls_d6)
+        dirac_operator(rep_d6, conn)
 
 
 def test_dirac_operator_accepts_equal_values_listed_per_element(
-        rep_d6, cal_d6, cls_d6, family_d6):
+        rep_d6, cal_d6, family_d6):
     # the torsion solve lists |G| values per coefficient of its particular
     # solution; equal values are a constant however they were built
     particular, _ = family_d6
@@ -648,8 +648,7 @@ def test_dirac_operator_accepts_equal_values_listed_per_element(
         cal_d6.one_form([cal_d6.constant(particular.coefficient(a, b)(0))
                          for b in range(3)])
         for a in range(3)])
-    assert dirac_operator(rep_d6, particular, cls_d6) == dirac_operator(
-        rep_d6, by_constants, cls_d6)
+    assert dirac_operator(rep_d6, particular) == dirac_operator(rep_d6, by_constants)
 
 
 def test_assembly_needs_elements_closed_under_the_support(d6, cls_d6):
@@ -660,11 +659,11 @@ def test_assembly_needs_elements_closed_under_the_support(d6, cls_d6):
 def test_incomplete_block_spectrum_states_the_operator_dimension(d6, cls_d6):
     # a Jordan block on W at the identity: the block misses 6 of its 12
     # dimensions, so the operator misses 12 of 24
-    block = assemble({0: Mat([[0, 1], [0, 0]])}, d6, cls_d6.generated_subgroup())
+    jordan = {0: Mat([[0, 1], [0, 0]])}
     with pytest.raises(IncompleteSpectrumError, match="misses 6 dimensions"):
-        spectrum(block)
+        spectrum(assemble(jordan, d6, cls_d6.generated_subgroup()))
     with pytest.raises(IncompleteSpectrumError) as info:
-        reduced_spectrum(block, cls_d6)
+        certify(jordan, cls_d6)
     assert str(info.value) == (
         "multiplicities sum to 12 but the operator dimension is 24; "
         "the spectrum misses 12 dimensions")
@@ -906,8 +905,7 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
 
 
 def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
-    dirac_coeffs = dirac_operator(builtin_rep(s3_cls.group, "spinor"),
-                                  levi_civita(s3_cal), s3_cls)
+    dirac_coeffs = dirac_operator(builtin_rep(s3_cls.group, "spinor"), levi_civita(s3_cal))
     dirac_spect = spectrum(assemble(dirac_coeffs, s3_cls.group))
     wave_coeffs = wave_operator(s3_cls)
     wave_spect = spectrum(assemble(wave_coeffs, s3_cls.group))
@@ -958,20 +956,22 @@ def test_chirality_properties(dirac0_d6, spect0):
 
 
 def test_chirality_kernel_sign_choices(dirac0_d6, spect0):
-    plus = chirality(spect0, kernel_sign=1)
-    minus = chirality(spect0, kernel_sign=-1)
+    # the spectrum is {-3, 0, 3}, so I - D^2/9 is exactly the projection
+    # onto the kernel, and flipping the grading there gives the other one
+    ident = Mat.identity(24)
+    assert [v for v, _ in spect0] == [rat(-3), rat(0), rat(3)]
+    kernel_projection = ident - dirac0_d6 @ dirac0_d6 * rat(Fraction(1, 9))
+    plus = chirality(spect0)
+    minus = plus - kernel_projection * 2
     assert plus != minus
     for g in (plus, minus):
-        assert g @ g == Mat.identity(24)
+        assert g @ g == ident
         assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
-    with pytest.raises(ValueError, match="kernel_sign"):
-        chirality(spect0, kernel_sign=0)
 
 
 def test_chirality_of_zero_operator():
     z = Mat.zeros(3, 3)
     assert chirality(spectrum(z)) == Mat.identity(3)
-    assert chirality(spectrum(z), kernel_sign=-1) == Mat.identity(3) * -1
 
 
 def test_chirality_rejects_asymmetric_spectrum(certified, dirac1_d6):
@@ -1023,7 +1023,7 @@ def test_spectral_action_scale_validation(spect0):
 def test_s3_dirac_spectrum(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
-    op = assemble(dirac_operator(rep, levi_civita(s3_cal), s3_cls), s3_group)
+    op = assemble(dirac_operator(rep, levi_civita(s3_cal)), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
     assert op.conj_transpose() == op
@@ -1039,7 +1039,7 @@ def test_s3_wave_spectrum(s3_group, s3_cls):
 def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
-    op = assemble(dirac_operator(rep, levi_civita(s3_cal), s3_cls), s3_group)
+    op = assemble(dirac_operator(rep, levi_civita(s3_cal)), s3_group)
     g = chirality(spectrum(op))
     assert g @ g == Mat.identity(12)
     assert (g @ op + op @ g).is_zero()

@@ -1,6 +1,6 @@
 """The README's library example runs as written, the package ships no
-public function or method that nothing calls, and no module imports a name
-it never uses."""
+public function or method that nothing calls, no module imports a name
+it never uses, and no package module imports another's private name."""
 
 import ast
 import os
@@ -106,3 +106,23 @@ def test_no_unused_imports():
             if filename.endswith(".py") and filename != "__init__.py":
                 unused += _unused_imports(os.path.join(directory, filename))
     assert unused == []
+
+
+def _private_imports(directory: str) -> list:
+    """Every name with a leading underscore, dunders aside, that a module
+    in directory imports from a sibling module (from .x import _y)."""
+    found = []
+    for filename in sorted(os.listdir(directory)):
+        if not filename.endswith(".py"):
+            continue
+        with open(os.path.join(directory, filename), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{filename}:{node.lineno}: {alias.name}" for alias in node.names
+                          if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return found
+
+
+def test_no_private_cross_module_imports():
+    assert _private_imports(PACKAGE) == []
