@@ -107,7 +107,7 @@ def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
     if args.cmd == "report-all":
-        return reporting.full_report(group, cls, mu)
+        return reporting.full_report(cls, mu)
     if args.cmd == "wave":
         return reporting.wave_report(cls, mu)
     cal = differential_calculus(cls)

@@ -156,12 +156,7 @@ def lift(omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
 
 def wedge_of_tensor(t: TensorOneOne) -> TwoForm:
     """Project a tensor-square element back down through the wedge."""
-    cal = t.calculus
-    out = cal.zero_two_form()
-    for pair, f in zip(cal.pairs, t.coeffs):
-        if not f.is_zero():
-            out = out + TwoForm(cal, [f * c for c in cal.reduction[pair]])
-    return out
+    return t.calculus.reduce_tensor(dict(zip(t.calculus.pairs, t.coeffs)))
 
 
 # -- Ricci ------------------------------------------------------------------

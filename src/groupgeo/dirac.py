@@ -29,13 +29,14 @@ way.  A certified spectrum proves the operator diagonalisable, so
 chirality gradings and minimal polynomials are read off it without a
 second reduction.
 
-The eigenmode catalogs replay a closed-form list of claimed eigenvectors
-against the coefficients of the operator a report holds, by apply, and
-its certified spectrum, whose multiplicities they read.  Candidates that
-are identically zero are reported as such, surviving candidates are
-verified exactly, and any gap between the span of the verified modes and
-the true multiplicity is reported together with explicit completion
-modes.  Shortfalls are reported, not asserted away.
+The eigenmode catalogs declare a closed-form list of claimed eigenvectors
+as a table, and one scorer replays it against the coefficients of the
+operator a report holds, by apply, and its certified spectrum, whose
+multiplicities it reads.  Candidates that are identically zero are
+reported as such, surviving candidates are verified exactly, and any gap
+between the span of the verified modes and the true multiplicity is
+reported together with explicit completion modes.  Shortfalls are
+reported, not asserted away.
 """
 
 from __future__ import annotations
@@ -68,29 +69,6 @@ _ONE = rat(1)
 # metric
 
 
-class Metric:
-    """The exact frame metric of a conjugacy class at modulus mu.
-
-    eta and eta_inv are matrices indexed by class position; the coframe of
-    the a-th basis 1-form has coefficient row eta[b][a] over b, which for
-    this symmetric family is just the a-th row again.
-    """
-
-    __slots__ = ("cls", "mu", "eta", "eta_inv")
-
-    def __init__(self, cls: ConjClass, mu, eta: Mat, eta_inv: Mat):
-        object.__setattr__(self, "cls", cls)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "eta_inv", eta_inv)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Metric is immutable")
-
-    def __repr__(self):
-        return f"Metric(mu={self.mu}, size={self.cls.size})"
-
-
 def require_invertible_metric(size: int, mu) -> None:
     """Raise SingularMetricError at mu = -1/size, where the frame metric
     delta_{ab} + mu of a class of that size degenerates."""
@@ -99,10 +77,13 @@ def require_invertible_metric(size: int, mu) -> None:
             f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
 
 
-def metric(cls: ConjClass, mu) -> Metric:
-    """The pairing eta^{ab} = delta_{ab} + mu with its exact inverse.
+def metric(cls: ConjClass, mu) -> tuple[Mat, Mat]:
+    """The pairing eta^{ab} = delta_{ab} + mu and its exact inverse, as
+    matrices indexed by class position.
 
-    Raises SingularMetricError at mu = -1/n where the all-ones perturbation
+    The coframe of the a-th basis 1-form has coefficient row eta[b][a] over
+    b, which for this symmetric family is just the a-th row again.  Raises
+    SingularMetricError at mu = -1/n where the all-ones perturbation
     cancels the identity on the diagonal sum.
     """
     mu = Fraction(mu)
@@ -115,7 +96,7 @@ def metric(cls: ConjClass, mu) -> Metric:
     eta_inv = Mat([[rat(-c) + (_ONE if i == j else _ZERO) for j in range(n)]
                    for i in range(n)])
     assert eta @ eta_inv == Mat.identity(n)
-    return Metric(cls, mu, eta, eta_inv)
+    return eta, eta_inv
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +265,7 @@ def wave_operator(C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
     size.
     """
     mu = Fraction(mu)
-    eta_inv = metric(C, mu).eta_inv
+    eta_inv = metric(C, mu)[1]
     group = C.group
     coeffs: dict[int, Cyclotomic] = {}
     for apos, a in enumerate(C.members):
@@ -652,51 +633,52 @@ def _catalog_context(C: ConjClass):
 
 
 def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
-            families: list[dict], claimed_values: list, completions: list[tuple]) -> dict:
-    """Shared scoring: statuses per candidate, spans and gaps per value.
+            families: Sequence[tuple], completions: Mapping) -> dict:
+    """Score a declared catalog against the operator with coefficients
+    coeffs and its certified spectrum spect: a status per candidate, and
+    spans and gaps per claimed value.
 
-    Multiplicities are read off the certified spectrum of the operator.
+    families lists (name, claimed value, [(label, vector)]); completions
+    maps each claimed value to summarise, in report order, to its
+    [(label, vector)].  Multiplicities are read off the spectrum.
     """
     verified: dict[Cyclotomic, list] = {}
-    for fam in families:
-        claimed = fam["claimed_eigenvalue"]
-        for cand in fam["candidates"]:
-            vec = cand.pop("vector")
-            if all(x.is_zero() for x in vec):
-                cand["status"], cand["eigenvalue"] = "zero_vector", None
-                continue
-            lam = cand["eigenvalue"] = _certified_eigenvalue(coeffs, group, vec)
-            if lam is None:
-                cand["status"] = "not_an_eigenmode"
-                continue
-            cand["status"] = ("eigenmode" if lam == as_scalar(claimed)
-                              else "eigenvalue_mismatch")
-            verified.setdefault(lam, []).append(vec)
+    scored = []
+    for name, claimed, candidates in families:
+        claimed = as_scalar(claimed)
+        rows = []
+        for label, vec in candidates:
+            if not any(vec):
+                status, lam = "zero_vector", None
+            else:
+                lam = _certified_eigenvalue(coeffs, group, vec)
+                if lam is None:
+                    status = "not_an_eigenmode"
+                else:
+                    status = "eigenmode" if lam == claimed else "eigenvalue_mismatch"
+                    verified.setdefault(lam, []).append(vec)
+            rows.append({"label": label, "status": status, "eigenvalue": lam})
+        scored.append({"name": name, "claimed_eigenvalue": claimed, "candidates": rows})
     summaries = []
-    for value in claimed_values:
+    for value, named in completions.items():
         v = as_scalar(value)
         vecs = verified.get(v, [])
         mult = spect.multiplicity(v)
         comp_entries = []
         comp_vecs = []
-        for cval, named in completions:
-            if as_scalar(cval) != v:
-                continue
-            for label, cvec in named:
-                lam = _certified_eigenvalue(coeffs, group, cvec)
-                ok = lam is not None and lam == v
-                comp_entries.append({"label": label, "verified": ok})
-                if ok:
-                    comp_vecs.append(cvec)
+        for label, cvec in named:
+            lam = _certified_eigenvalue(coeffs, group, cvec)
+            ok = lam is not None and lam == v
+            comp_entries.append({"label": label, "verified": ok})
+            if ok:
+                comp_vecs.append(cvec)
         span, combined = _spans(vecs + comp_vecs, len(vecs))
+        claimed_rows = [c for fam in scored if fam["claimed_eigenvalue"] == v
+                        for c in fam["candidates"]]
         summaries.append({
             "value": v,
-            "claimed_candidates": sum(
-                1 for fam in families if as_scalar(fam["claimed_eigenvalue"]) == v
-                for _ in fam["candidates"]),
-            "zero_vectors": sum(
-                1 for fam in families if as_scalar(fam["claimed_eigenvalue"]) == v
-                for c in fam["candidates"] if c["status"] == "zero_vector"),
+            "claimed_candidates": len(claimed_rows),
+            "zero_vectors": sum(c["status"] == "zero_vector" for c in claimed_rows),
             "verified": len(vecs),
             "claimed_span": span,
             "multiplicity": mult,
@@ -705,7 +687,7 @@ def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
             "completed_span": combined,
             "complete": combined == mult,
         })
-    return {"families": families, "eigenvalues": summaries}
+    return {"families": scored, "eigenvalues": summaries}
 
 
 def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
@@ -736,86 +718,50 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) 
     r_t = {t: Mat([[1]])}
     r_x = {x: Mat([[1]])}
     omega = spinor(t)[1, 0]
-
-    families = []
-    fam = {"name": "translation-block images", "claimed_eigenvalue": rat(0),
-           "candidates": []}
-    for k in (1, 2):
-        for l in (1, 2):
-            fam["candidates"].append(
-                {"label": f"(lower rho[{k},{l}], 0)",
-                 "vector": _vec_of(apply(lower, group, rho(k, l)), zero_fn)})
-            fam["candidates"].append(
-                {"label": f"(0, upper rho[{k},{l}])",
-                 "vector": _vec_of(zero_fn, apply(upper, group, rho(k, l)))})
-    families.append(fam)
-
-    for l, name, value in ((1, "first", 3), (2, "second", -3)):
-        families.append({
-            "name": f"twisted {name} column", "claimed_eigenvalue": rat(value),
-            "candidates": [c for k in (1, 2) for c in (
-                {"label": f"(sign2[{k},{l}], 0)", "vector": _vec_of(sig(k, l), zero_fn)},
-                {"label": f"(0, sign2[{k},{l}])", "vector": _vec_of(zero_fn, sig(k, l))})]})
-
-    fam = {"name": "rotation ansatz", "claimed_eigenvalue": rat(3),
-           "candidates": []}
-    rotated = []
-    for k in (1, 2):
-        phi = rho(k, 2)
-        second = [omega * v for v in apply(r_t, group, phi)]
-        vec = _vec_of(phi, second)
-        rotated.append(vec)
-        fam["candidates"].append({"label": f"rotation ansatz k={k}", "vector": vec})
-    families.append(fam)
-
-    fam = {"name": "reflection ansatz", "claimed_eigenvalue": rat(-3),
-           "candidates": []}
-    for k in (1, 2):
-        phi = rho(k, 2)
-        fam["candidates"].append(
-            {"label": f"reflection ansatz k={k}",
-             "vector": _vec_of(phi, apply(r_x, group, phi))})
-    families.append(fam)
-
+    phis = [rho(1, 2), rho(2, 2)]
+    rotated = [_vec_of(phi, [omega * v for v in apply(r_t, group, phi)]) for phi in phis]
     chi = _element(reps["sign"], 1, 1)
-    fam = {"name": "parity images of the rotation ansatz",
-           "claimed_eigenvalue": rat(-3), "candidates": []}
-    for k, vec in zip((1, 2), rotated):
-        # multiplication by chi on each spinor component
-        fam["candidates"].append(
-            {"label": f"parity image k={k}",
-             "vector": [c * v for c, v in zip(chi * spinor.dim, vec)]})
-    families.append(fam)
-
     phi_char = _element(reps["rot-parity"], 1, 1)
     psi_char = _element(reps["rot-parity*sign"], 1, 1)
-    completions = [
-        (rat(0), [
-            (f"(planar2[{k},2], 0)", _vec_of(rho2(k, 2), zero_fn))
-            for k in (1, 2)
-        ] + [
-            (f"(0, planar2[{k},1])", _vec_of(zero_fn, rho2(k, 1)))
-            for k in (1, 2)
-        ]),
-        (rat(3), [
-            ("(rot-parity, 0)", _vec_of(phi_char, zero_fn)),
-            ("(0, rot-parity)", _vec_of(zero_fn, phi_char)),
-        ] + [
-            (f"(planar2[{k},1], -planar2[{k},2])",
-             _vec_of(rho2(k, 1), [-v for v in rho2(k, 2)]))
-            for k in (1, 2)
-        ]),
-        (rat(-3), [
-            ("(rot-parity*sign, 0)", _vec_of(psi_char, zero_fn)),
-            ("(0, rot-parity*sign)", _vec_of(zero_fn, psi_char)),
-        ] + [
-            (f"(planar2[{k},1], planar2[{k},2])",
-             _vec_of(rho2(k, 1), rho2(k, 2)))
-            for k in (1, 2)
-        ]),
-    ]
 
-    out = _assess(coeffs, group, spect, families, [rat(0), rat(3), rat(-3)], completions)
+    def twisted_column(l):
+        return [entry for k in (1, 2) for entry in (
+            (f"(sign2[{k},{l}], 0)", _vec_of(sig(k, l), zero_fn)),
+            (f"(0, sign2[{k},{l}])", _vec_of(zero_fn, sig(k, l))))]
+
+    families = [
+        ("translation-block images", 0, [
+            entry for k in (1, 2) for l in (1, 2) for entry in (
+                (f"(lower rho[{k},{l}], 0)",
+                 _vec_of(apply(lower, group, rho(k, l)), zero_fn)),
+                (f"(0, upper rho[{k},{l}])",
+                 _vec_of(zero_fn, apply(upper, group, rho(k, l)))))]),
+        ("twisted first column", 3, twisted_column(1)),
+        ("twisted second column", -3, twisted_column(2)),
+        ("rotation ansatz", 3, [
+            (f"rotation ansatz k={k}", vec) for k, vec in zip((1, 2), rotated)]),
+        ("reflection ansatz", -3, [
+            (f"reflection ansatz k={k}", _vec_of(phi, apply(r_x, group, phi)))
+            for k, phi in zip((1, 2), phis)]),
+        # multiplication by chi on each spinor component
+        ("parity images of the rotation ansatz", -3, [
+            (f"parity image k={k}", [c * v for c, v in zip(chi * spinor.dim, vec)])
+            for k, vec in zip((1, 2), rotated)]),
+    ]
+    completions = {
+        0: [(f"(planar2[{k},2], 0)", _vec_of(rho2(k, 2), zero_fn)) for k in (1, 2)]
+        + [(f"(0, planar2[{k},1])", _vec_of(zero_fn, rho2(k, 1))) for k in (1, 2)],
+        3: [("(rot-parity, 0)", _vec_of(phi_char, zero_fn)),
+            ("(0, rot-parity)", _vec_of(zero_fn, phi_char))]
+        + [(f"(planar2[{k},1], -planar2[{k},2])",
+            _vec_of(rho2(k, 1), [-v for v in rho2(k, 2)])) for k in (1, 2)],
+        -3: [("(rot-parity*sign, 0)", _vec_of(psi_char, zero_fn)),
+             ("(0, rot-parity*sign)", _vec_of(zero_fn, psi_char))]
+        + [(f"(planar2[{k},1], planar2[{k},2])", _vec_of(rho2(k, 1), rho2(k, 2)))
+           for k in (1, 2)],
+    }
+
+    out = _assess(coeffs, group, spect, families, completions)
     out["mu"] = Fraction(0)
 
     # P = diag(chi) on each spinor component takes M_h (x) R(h) to
@@ -856,28 +802,18 @@ def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spect
         return [v.conj() for v in rho(k, l)]
 
     families = [
-        {"name": "twisted second column", "claimed_eigenvalue": rat(0),
-         "candidates": [
-             {"label": f"sign2[{k},2]", "vector": sig(k, 2)} for k in (1, 2)]},
-        {"name": "twisted first column", "claimed_eigenvalue": rat(-12),
-         "candidates": [
-             {"label": f"sign2[{k},1]", "vector": sig(k, 1)} for k in (1, 2)]},
-        {"name": "spinor matrix elements", "claimed_eigenvalue": rat(-6),
-         "candidates":
-             [{"label": f"rho[{k},{l}]", "vector": rho(k, l)}
-              for k in (1, 2) for l in (1, 2)]
-             + [{"label": f"conj rho[{k},{l}]", "vector": rho_bar(k, l)}
-                for k in (1, 2) for l in (1, 2)]},
+        ("twisted second column", 0, [(f"sign2[{k},2]", sig(k, 2)) for k in (1, 2)]),
+        ("twisted first column", -12, [(f"sign2[{k},1]", sig(k, 1)) for k in (1, 2)]),
+        ("spinor matrix elements", -6,
+         [(f"rho[{k},{l}]", rho(k, l)) for k in (1, 2) for l in (1, 2)]
+         + [(f"conj rho[{k},{l}]", rho_bar(k, l)) for k in (1, 2) for l in (1, 2)]),
     ]
-    phi_char = _element(reps["rot-parity"], 1, 1)
-    psi_char = _element(reps["rot-parity*sign"], 1, 1)
-    completions = [
-        (rat(0), [("rot-parity*sign", psi_char)]),
-        (rat(-12), [("rot-parity", phi_char)]),
-        (rat(-6), [(f"planar2[{k},{l}]", rho2(k, l))
-                   for k in (1, 2) for l in (1, 2)]),
-    ]
-    out = _assess(coeffs, group, spect, families, [rat(0), rat(-12), rat(-6)], completions)
+    completions = {
+        0: [("rot-parity*sign", _element(reps["rot-parity*sign"], 1, 1))],
+        -12: [("rot-parity", _element(reps["rot-parity"], 1, 1))],
+        -6: [(f"planar2[{k},{l}]", rho2(k, l)) for k in (1, 2) for l in (1, 2)],
+    }
+    out = _assess(coeffs, group, spect, families, completions)
     out["mu"] = Fraction(0)
     # the conjugated elements are the originals with both indices reversed
     out["conjugates_coincide_reversed"] = all(

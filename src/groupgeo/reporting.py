@@ -37,7 +37,7 @@ from .curvature import (
 )
 from .cyclotomic import Cyclotomic
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
-from .groups import ConjClass, FiniteGroup, ad_table, class_product_table
+from .groups import ConjClass, ad_table, class_product_table
 from .linalg import Mat, as_scalar
 from .representations import Representation, builtin_rep
 from . import dirac as spinops
@@ -390,11 +390,11 @@ def dirac_report(dirac: DiracCertificate) -> dict:
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
         gamma_sum = gamma_sum + coeffs[a]
-    met = spinops.metric(cls, mu)
+    eta, eta_inv = spinops.metric(cls, mu)
     square = block @ block
     out = {
         "mu": fraction_json(mu),
-        "metric": {"eta": matrix_json(met.eta), "eta_inv": matrix_json(met.eta_inv)},
+        "metric": {"eta": matrix_json(eta), "eta_inv": matrix_json(eta_inv)},
         "casimir": matrix_json(spinops.casimir(rep, cls, mu)),
         "gamma": {group.label(a): matrix_json(coeffs[a]) for a in cls.members},
         "gamma_sum": matrix_json(gamma_sum),
@@ -407,7 +407,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         "cube_equals_nine_times": square @ block == block * 9,
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
-    if mu == 0 and rep.dim == 2:
+    if mu == 0:
         # distinct h fill distinct entries, so the spinor blocks of the
         # operator are -sum R_a on the diagonal and sum rho(a)_ij R_a off it
         # exactly when the coefficients say so
@@ -462,15 +462,13 @@ _ACTION_BATTERY = (
     ("1", [Fraction(1)]),
     ("u", [Fraction(0), Fraction(1)]),
     ("u^2", [Fraction(0), Fraction(0), Fraction(1)]),
-    ("exp-taylor-4", None),  # filled at call time
+    ("exp-taylor-4", spinops.exp_taylor_coefficients(4)),
 )
 
 
 def spectral_action_report(spect: spinops.Spectrum, mu) -> dict:
     battery = []
     for name, coeffs in _ACTION_BATTERY:
-        if coeffs is None:
-            coeffs = spinops.exp_taylor_coefficients(4)
         for scale in (Fraction(1), Fraction(3)):
             value = spinops.spectral_action(spect, coeffs, scale)
             battery.append({
@@ -486,8 +484,9 @@ def spectral_action_report(spect: spinops.Spectrum, mu) -> dict:
     }
 
 
-def full_report(group: FiniteGroup, cls: ConjClass, mu=Fraction(0)) -> dict:
+def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     mu = Fraction(mu)
+    group = cls.group
     cal = differential_calculus(cls)
     # a singular mu stops at the connection section; a group without a
     # dihedral presentation stops at the Dirac certificate, made before

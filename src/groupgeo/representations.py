@@ -4,8 +4,8 @@ The built-in catalog covers groups with dihedral structure: an index-2
 cyclic subgroup generated by some element of maximal order together with a
 reflection.  The detection is structural, not name-based, so a group loaded
 from a Cayley-table file (an S3 for instance) gets the same catalog as the
-built-in construction.  This is the documented extension point: any other
-group would need its own catalog registered here.
+built-in construction.  A group without that structure has no catalog:
+builtin_rep and irreducibles raise UnsupportedGroupError for it.
 
 The two named spinor-side representations are
   spinor: dimension 2, rotation -> diag(z, z^-1) with z = zeta_(subgroup order),
@@ -70,32 +70,6 @@ class Representation:
         return f"Representation({self.name}, dim {self.dim} over {self.group.name})"
 
 
-class DihedralStructure:
-    """A choice of rotation generator and reflection exhibiting the group as
-    dihedral of order 2n; elements decompose as r^i or s r^i."""
-
-    __slots__ = ("group", "n", "rotation", "reflection", "decomp")
-
-    def __init__(self, group: FiniteGroup, rotation: int, reflection: int):
-        n = group.order // 2
-        decomp = [None] * group.order
-        cur = 0
-        for i in range(n):
-            decomp[cur] = (0, i)
-            decomp[group.mul(reflection, cur)] = (1, i)
-            cur = group.mul(cur, rotation)
-        if any(d is None for d in decomp):
-            raise ValueError("rotation/reflection pair does not decompose the group")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "reflection", reflection)
-        object.__setattr__(self, "decomp", tuple(decomp))
-
-    def __setattr__(self, *_):
-        raise AttributeError("DihedralStructure is immutable")
-
-
 def _element_order(group: FiniteGroup, g: int) -> int:
     k, cur = 1, g
     while cur != 0:
@@ -104,10 +78,12 @@ def _element_order(group: FiniteGroup, g: int) -> int:
     return k
 
 
-def dihedral_structure(group: FiniteGroup) -> DihedralStructure:
-    """Detect dihedral structure: the first element r of order |G|/2 and the
-    first involution s outside <r> with s r s^-1 = r^-1.  Raises
-    UnsupportedGroupError when the group has no such presentation."""
+def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
+    """Detect dihedral structure: the first element r of order n = |G|/2 and
+    the first involution s outside <r> with s r s^-1 = r^-1.  Returns the
+    decomposition of the group by them, in element order: (0, i) for r^i
+    and (1, i) for s r^i.  Raises UnsupportedGroupError when the group has
+    no such presentation."""
     order = group.order
     if order % 2 or order < 2:
         raise UnsupportedGroupError(
@@ -127,18 +103,31 @@ def dihedral_structure(group: FiniteGroup) -> DihedralStructure:
             if s in subgroup or group.mul(s, s) != 0:
                 continue
             if group.conj(s, r) == group.inv(r):
-                return DihedralStructure(group, r, s)
+                return _decomposition(group, r, s)
     raise UnsupportedGroupError(
         f"group {group.name} of order {order} has no dihedral presentation")
 
 
-def _spinor_matrices(struct: DihedralStructure, k: int) -> list[Mat]:
+def _decomposition(group: FiniteGroup, rotation: int,
+                   reflection: int) -> tuple[tuple[int, int], ...]:
+    n = group.order // 2
+    decomp = [None] * group.order
+    cur = 0
+    for i in range(n):
+        decomp[cur] = (0, i)
+        decomp[group.mul(reflection, cur)] = (1, i)
+        cur = group.mul(cur, rotation)
+    assert None not in decomp, "rotation/reflection pair does not decompose the group"
+    return tuple(decomp)
+
+
+def _spinor_matrices(decomp, k: int) -> list[Mat]:
     """rho_k: rotation^i -> diag(z^(ki), z^(-ki)), reflection shifts to the
     antidiagonal; z = zeta_n (or zeta_2n would be redundant: k indexes the
     2-dimensional irreducible family)."""
-    n = struct.n
+    n = len(decomp) // 2
     out = []
-    for flip, i in struct.decomp:
+    for flip, i in decomp:
         zp = cyclo(n, k * i)
         zm = cyclo(n, -k * i)
         if flip:
@@ -148,9 +137,9 @@ def _spinor_matrices(struct: DihedralStructure, k: int) -> list[Mat]:
     return out
 
 
-def _one_dim(struct: DihedralStructure, sign_r: int, sign_s: int) -> list[Mat]:
+def _one_dim(decomp, sign_r: int, sign_s: int) -> list[Mat]:
     vals = []
-    for flip, i in struct.decomp:
+    for flip, i in decomp:
         v = (sign_r ** i) * (sign_s ** flip)
         vals.append(Mat([[rat(v)]]))
     return vals
@@ -162,12 +151,12 @@ def builtin_rep(group: FiniteGroup, name: str) -> Representation:
     spinor is faithful on the rotation subgroup; sign2 factors through the
     rotation/reflection parity.
     """
-    struct = dihedral_structure(group)
+    decomp = dihedral_structure(group)
     if name == "spinor":
-        return Representation(group, _spinor_matrices(struct, 1), name="spinor")
+        return Representation(group, _spinor_matrices(decomp, 1), name="spinor")
     if name == "sign2":
         mats = []
-        for flip, _ in struct.decomp:
+        for flip, _ in decomp:
             if flip:
                 mats.append(Mat([[rat(-1), _ZERO], [_ZERO, _ONE]]))
             else:
@@ -185,14 +174,14 @@ def irreducibles(group: FiniteGroup) -> list[Representation]:
     classification; the test suite certifies sum-of-squares and character
     orthogonality exactly.
     """
-    struct = dihedral_structure(group)
-    n = struct.n
-    out = [Representation(group, _one_dim(struct, 1, 1), name="trivial"),
-           Representation(group, _one_dim(struct, 1, -1), name="sign")]
+    decomp = dihedral_structure(group)
+    n = group.order // 2
+    out = [Representation(group, _one_dim(decomp, 1, 1), name="trivial"),
+           Representation(group, _one_dim(decomp, 1, -1), name="sign")]
     if n % 2 == 0:
-        out.append(Representation(group, _one_dim(struct, -1, 1), name="rot-parity"))
-        out.append(Representation(group, _one_dim(struct, -1, -1), name="rot-parity*sign"))
+        out.append(Representation(group, _one_dim(decomp, -1, 1), name="rot-parity"))
+        out.append(Representation(group, _one_dim(decomp, -1, -1), name="rot-parity*sign"))
     top = (n - 1) // 2 if n % 2 else n // 2 - 1
     for k in range(1, top + 1):
-        out.append(Representation(group, _spinor_matrices(struct, k), name=f"planar{k}"))
+        out.append(Representation(group, _spinor_matrices(decomp, k), name=f"planar{k}"))
     return out

@@ -41,7 +41,7 @@ from groupgeo.calculus import Calculus, GroupFunction, OneForm, TensorOneOne, Tw
 from groupgeo.connections import Connection
 from groupgeo.curvature import connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.dirac import Metric, assemble, gamma_matrices, metric, poly_from_roots
+from groupgeo.dirac import assemble, gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup, coset_lift
 from groupgeo.linalg import Mat, as_scalar, kernel_basis, rref, solve_affine
@@ -526,9 +526,9 @@ def curvature_of(conn: Connection, alpha: OneForm) -> TensorTwoOne:
 
 # -- spinor geometry --------------------------------------------------------
 
-def coframe_coefficients(met: Metric, pos: int) -> list[Cyclotomic]:
+def coframe_coefficients(eta: Mat, pos: int) -> list[Cyclotomic]:
     """Coefficients expressing the pos-th coframe field in the frame."""
-    return list(met.eta.rows[pos])
+    return list(eta.rows[pos])
 
 
 def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
@@ -584,7 +584,7 @@ def translation_block(rep: Representation, C: ConjClass, i: int, j: int) -> Mat:
 def dense_wave_operator(C: ConjClass, mu=Fraction(0)) -> Mat:
     """The wave operator summed from products of dense partial translation
     matrices."""
-    eta_inv = metric(C, mu).eta_inv
+    eta_inv = metric(C, mu)[1]
     group = C.group
     n = group.order
     ident = Mat.identity(n)

@@ -5,6 +5,7 @@ Every numeric value here was frozen from an exact computation; nothing is
 asserted on floating point evidence.
 """
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -70,13 +71,13 @@ from oracles import (
 # -- metric -----------------------------------------------------------------
 
 def test_metric_values_at_mu_one(cls_d6):
-    m = metric(cls_d6, 1)
-    assert m.eta == Mat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
+    eta, eta_inv = metric(cls_d6, 1)
+    assert eta == Mat([[2, 1, 1], [1, 2, 1], [1, 1, 2]])
     quarter = Fraction(1, 4)
-    assert m.eta_inv == Mat([[1 - quarter, -quarter, -quarter],
-                             [-quarter, 1 - quarter, -quarter],
-                             [-quarter, -quarter, 1 - quarter]])
-    assert m.eta @ m.eta_inv == Mat.identity(3)
+    assert eta_inv == Mat([[1 - quarter, -quarter, -quarter],
+                           [-quarter, 1 - quarter, -quarter],
+                           [-quarter, -quarter, 1 - quarter]])
+    assert eta @ eta_inv == Mat.identity(3)
 
 
 def test_metric_singular(cls_d6):
@@ -85,19 +86,19 @@ def test_metric_singular(cls_d6):
 
 
 def test_metric_is_conjugation_invariant(cls_d6, d6):
-    m = metric(cls_d6, Fraction(2, 7))
+    eta = metric(cls_d6, Fraction(2, 7))[0]
     for g in range(12):
         for apos, a in enumerate(cls_d6.members):
             for bpos, b in enumerate(cls_d6.members):
-                left = m.eta[cls_d6.position(d6.conj(d6.inv(g), a)), bpos]
-                right = m.eta[apos, cls_d6.position(d6.conj(g, b))]
+                left = eta[cls_d6.position(d6.conj(d6.inv(g), a)), bpos]
+                right = eta[apos, cls_d6.position(d6.conj(g, b))]
                 assert left == right
 
 
 def test_coframe_coefficients(cls_d6):
-    m = metric(cls_d6, 1)
-    assert coframe_coefficients(m, 0) == [rat(2), rat(1), rat(1)]
-    assert coframe_coefficients(m, 2) == [rat(1), rat(1), rat(2)]
+    eta = metric(cls_d6, 1)[0]
+    assert coframe_coefficients(eta, 0) == [rat(2), rat(1), rat(1)]
+    assert coframe_coefficients(eta, 2) == [rat(1), rat(1), rat(2)]
 
 
 def test_metric_tensor_wedge_vanishes(cal_d6):
@@ -710,7 +711,7 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
     monkeypatch.setattr(dirac, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(reporting, "levi_civita")
-    report = reporting.full_report(cls_d6.group, cls_d6)
+    report = reporting.full_report(cls_d6)
     # one Dirac build and one certification of its 12 x 12 block, read by
     # the dirac and spectral-action sections, and the 6 x 6 wave block;
     # levi_civita once each for connection, curvature, ricci and dirac
@@ -947,6 +948,95 @@ def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cal_d6, cl
         reporting.wave_report(cls_d6)
 
 
+@pytest.fixture(scope="module")
+def s_class_catalogs(d6):
+    """Both catalogs on the other reflection class of D6, the class of s."""
+    cls = conjugacy_class(d6, "s")
+    dirac_cert = reporting.certify_dirac(differential_calculus(cls), 0)
+    wave = wave_operator(cls)
+    return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.spectrum),
+            wave_eigenmode_catalog(cls, wave, certify(wave, cls)[1]))
+
+
+def _summary_row(catalog, value):
+    s = _summary(catalog, value)
+    return (s["claimed_candidates"], s["zero_vectors"], s["verified"], s["claimed_span"],
+            s["multiplicity"], s["gap"], [c["verified"] for c in s["completions"]],
+            s["completed_span"], s["complete"])
+
+
+def test_dirac_catalog_on_the_class_of_s(s_class_catalogs):
+    # the reflection ansatz fails there, and so do the +3 and -3 completions
+    catalog = s_class_catalogs[0]
+    assert _statuses(catalog, "translation-block images") == [
+        "zero_vector", "eigenmode", "eigenmode", "zero_vector",
+        "zero_vector", "eigenmode", "eigenmode", "zero_vector"]
+    assert _statuses(catalog, "twisted first column") == [
+        "eigenmode", "eigenmode", "zero_vector", "zero_vector"]
+    assert _statuses(catalog, "twisted second column") == [
+        "zero_vector", "zero_vector", "eigenmode", "eigenmode"]
+    assert _statuses(catalog, "rotation ansatz") == ["eigenmode"] * 2
+    assert _statuses(catalog, "reflection ansatz") == ["not_an_eigenmode"] * 2
+    assert _statuses(catalog, "parity images of the rotation ansatz") == ["eigenmode"] * 2
+    assert [c["eigenvalue"] for fam in catalog["families"] for c in fam["candidates"]
+            if c["status"] == "not_an_eigenmode"] == [None, None]
+    assert [s["value"] for s in catalog["eigenvalues"]] == [rat(0), rat(3), rat(-3)]
+    assert _summary_row(catalog, 0) == (8, 4, 4, 4, 8, 4, [True] * 4, 8, True)
+    assert _summary_row(catalog, 3) == (6, 2, 4, 4, 8, 4, [False] * 4, 4, False)
+    assert _summary_row(catalog, -3) == (8, 2, 4, 4, 8, 4, [False] * 4, 4, False)
+    assert catalog["sign_multiplication_anticommutes"] is True
+    assert all(catalog["component_identities"].values())
+
+
+def test_wave_catalog_on_the_class_of_s(s_class_catalogs):
+    catalog = s_class_catalogs[1]
+    assert _statuses(catalog, "twisted second column") == ["zero_vector", "eigenmode"]
+    assert _statuses(catalog, "twisted first column") == ["eigenmode", "zero_vector"]
+    assert _statuses(catalog, "spinor matrix elements") == ["eigenmode"] * 8
+    assert [s["value"] for s in catalog["eigenvalues"]] == [rat(0), rat(-12), rat(-6)]
+    assert _summary_row(catalog, 0) == (2, 1, 1, 1, 2, 1, [False], 1, False)
+    assert _summary_row(catalog, -12) == (2, 1, 1, 1, 2, 1, [False], 1, False)
+    assert _summary_row(catalog, -6) == (8, 0, 8, 4, 8, 4, [True] * 4, 8, True)
+    assert catalog["conjugates_coincide_reversed"] is True
+
+
+def test_assess_scores_a_declared_table(d6, dirac0_coeffs_d6, spect0):
+    """A hand-made table against the D6 mu = 0 Dirac operator reaches every
+    status, a true eigenvector claimed at the wrong value among them, and
+    leaves its inputs as they were."""
+    plus, plus2 = spect0.eigenspaces[rat(3)][:2]
+    minus = spect0.eigenspaces[rat(-3)][0]
+    kernel = spect0.eigenspaces[rat(0)][0]
+    families = [
+        ("true modes", 3, [("plus", plus), ("zero", [rat(0)] * 24)]),
+        ("wrong value", 0, [("plus at 0", plus)]),
+        ("mixed", -3, [("plus + minus", [x + y for x, y in zip(plus, minus)])]),
+    ]
+    completions = {3: [("plus2", plus2), ("minus", minus)], 0: [("kernel", kernel)]}
+    snapshot = copy.deepcopy((families, completions))
+    out = dirac._assess(dirac0_coeffs_d6, d6, spect0, families, completions)
+    assert (families, completions) == snapshot
+    assert dirac._assess(dirac0_coeffs_d6, d6, spect0, families, completions) == out
+    assert [(c["label"], c["status"], c["eigenvalue"])
+            for fam in out["families"] for c in fam["candidates"]] == [
+        ("plus", "eigenmode", rat(3)), ("zero", "zero_vector", None),
+        ("plus at 0", "eigenvalue_mismatch", rat(3)),
+        ("plus + minus", "not_an_eigenmode", None)]
+    assert [fam["claimed_eigenvalue"] for fam in out["families"]] == [rat(3), rat(0), rat(-3)]
+    # the mismatched candidate counts as verified at its true eigenvalue
+    assert out["eigenvalues"] == [
+        {"value": rat(3), "claimed_candidates": 2, "zero_vectors": 1, "verified": 2,
+         "claimed_span": 1, "multiplicity": 8, "gap": 7,
+         "completions": [{"label": "plus2", "verified": True},
+                         {"label": "minus", "verified": False}],
+         "completed_span": 2, "complete": False},
+        {"value": rat(0), "claimed_candidates": 1, "zero_vectors": 0, "verified": 0,
+         "claimed_span": 0, "multiplicity": 8, "gap": 8,
+         "completions": [{"label": "kernel", "verified": True}],
+         "completed_span": 1, "complete": False},
+    ]
+
+
 # -- chirality --------------------------------------------------------------
 
 def test_chirality_properties(dirac0_d6, spect0):
@@ -1034,6 +1124,34 @@ def test_s3_wave_spectrum(s3_group, s3_cls):
     op = assemble(wave_operator(s3_cls), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-12), 1), (rat(-6), 4), (rat(0), 1))
+
+
+@pytest.fixture(scope="module")
+def s3_wave_spectra(s3_cls):
+    cache = {}
+
+    def at(mu):
+        if mu not in cache:
+            cache[mu] = reporting.wave_report(s3_cls, mu)["spectrum"]
+        return cache[mu]
+
+    return at
+
+
+@settings(max_examples=10, deadline=None)
+@given(m=st.integers(1, 5),
+       mu=st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2, 5),
+                           Fraction(-1, 2)]))
+def test_s3_times_cyclic_wave_spectrum_is_m_copies(s3_group, s3_wave_spectra, m, mu):
+    """On S3 x Z_m the wave spectrum has the values of S3's, each m times as
+    often; the dense operator on the whole group agrees."""
+    cls = conjugacy_class(direct_product_cyclic(s3_group, m), "u")
+    report = reporting.wave_report(cls, mu)["spectrum"]
+    s3 = s3_wave_spectra(mu)
+    assert report["dimension"] == 6 * m
+    assert report["table"] == {value: m * mult for value, mult in s3["table"].items()}
+    assert spectrum(dense_wave_operator(cls, mu)).pairs == tuple(
+        (rat(Fraction(value)), mult) for value, mult in report["table"].items())
 
 
 def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
