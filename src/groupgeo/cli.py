@@ -23,7 +23,6 @@ import re
 import sys
 from fractions import Fraction
 
-from .calculus import differential_calculus
 from .errors import (
     CayleyValidationError,
     GroupGeoError,
@@ -31,7 +30,6 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import FiniteGroup, conjugacy_class, dihedral
-from . import reporting
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -106,6 +104,11 @@ def _parse_mu(text: str) -> Fraction:
 def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
+    # the layers load only for an accepted class, and each report loads
+    # only the layers it runs
+    from .calculus import differential_calculus
+    from . import reporting
+
     if args.cmd == "report-all":
         return reporting.full_report(cls, mu)
     if args.cmd == "wave":

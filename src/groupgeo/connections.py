@@ -15,8 +15,9 @@ connection with all three residuals zero is e_a - theta/3 in every case
 handled here; levi_civita builds it and proves the residuals vanish.
 
 The layer reads only the 2-form relations and the class products.  The
-metric enters with the Dirac operator, which checks its modulus
-(dirac.require_invertible_metric).
+metric enters with the Dirac and wave operators; require_invertible_metric
+states the one modulus it cannot take, and the connection report checks it
+before the torsion solve.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from typing import Optional, Sequence
 
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
 from .cyclotomic import rat
-from .errors import GroupGeoError, InfeasibleSystemError, UnsupportedGroupError
+from .errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
+                     UnsupportedGroupError)
 from .linalg import Mat, solve_affine
 
 
@@ -230,6 +232,16 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
 
     return (Connection(cal, to_components(particular)),
             [to_components(v) for v in factor_kernel])
+
+
+# -- the metric modulus ------------------------------------------------------
+
+def require_invertible_metric(size: int, mu) -> None:
+    """Raise SingularMetricError at mu = -1/size, where the frame metric
+    delta_{ab} + mu of a class of that size degenerates."""
+    if 1 + size * Fraction(mu) == 0:
+        raise SingularMetricError(
+            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
 
 
 # -- distinguished connections ----------------------------------------------

@@ -46,9 +46,9 @@ import math
 from fractions import Fraction
 from functools import partial
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .connections import Connection
+from .connections import Connection, require_invertible_metric
 from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
@@ -59,7 +59,9 @@ from .errors import (
 )
 from .groups import ConjClass, FiniteGroup
 from .linalg import Mat, as_scalar, inverse, kernel_basis, rref
-from .representations import Representation, builtin_rep, irreducibles
+
+if TYPE_CHECKING:
+    from .representations import Representation
 
 _ZERO = rat(0)
 _ONE = rat(1)
@@ -67,14 +69,6 @@ _ONE = rat(1)
 
 # ---------------------------------------------------------------------------
 # metric
-
-
-def require_invertible_metric(size: int, mu) -> None:
-    """Raise SingularMetricError at mu = -1/size, where the frame metric
-    delta_{ab} + mu of a class of that size degenerates."""
-    if 1 + size * Fraction(mu) == 0:
-        raise SingularMetricError(
-            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
 
 
 def metric(cls: ConjClass, mu) -> tuple[Mat, Mat]:
@@ -626,6 +620,8 @@ def _catalog_context(C: ConjClass):
         raise UnsupportedGroupError(
             "the closed-form eigenmode catalog is stated for the 12-element "
             "dihedral group with its 3-member reflection class")
+    from .representations import builtin_rep, irreducibles
+
     reps = {r.name: r for r in irreducibles(group)}
     spinor = builtin_rep(group, "spinor")
     twisted = builtin_rep(group, "sign2")

@@ -4,43 +4,35 @@ Exact scalars survive serialization: a rational becomes {"num", "den"} and a
 general cyclotomic value {"zeta_order", "coeffs"} with rational coordinate
 pairs, each alongside a 12-digit decimal rendering for human readers.
 A rational's decimal is computed with integer arithmetic that reproduces
-mpmath's ``nstr`` at 30 digits byte for byte; mpmath itself is imported only
-for cyclotomic values and for rationals beyond 2**3500 or below 2**-3500,
-and always inside its own precision context, so the decimals depend neither
+mpmath's ``nstr`` at 30 digits byte for byte, and a cyclotomic value's is
+read off exact enclosures of its parts (_cyclotomic_decimal).  mpmath is
+only the fallback, for rationals beyond 2**3500 or below 2**-3500 and for
+cyclotomic parts an enclosure cannot decide; it is imported there alone and
+always runs inside its own precision context, so the decimals depend neither
 on the platform nor on the caller's mpmath settings. Nothing in a report
 depends on time, paths or dictionary iteration order.
+
+Each report imports the layers it runs inside its own body, so a command
+compiles only the modules it needs.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
 from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
                        differential_calculus)
-from .connections import (
-    Connection,
-    constant_regular_scan,
-    levi_civita,
-    torsion_free_family,
-)
-from .curvature import (
-    LIFT_VARIANTS,
-    covariant_derivative,
-    curvature_forms,
-    lift,
-    ricci,
-    ricci_flat_solve,
-    wedge_of_tensor,
-)
 from .cyclotomic import Cyclotomic
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, ad_table, class_product_table
 from .linalg import Mat, as_scalar
-from .representations import Representation, builtin_rep
-from . import dirac as spinops
+
+if TYPE_CHECKING:
+    from .dirac import Spectrum
+    from .representations import Representation
 
 _DPS = 30
 _DIGITS = 12
@@ -54,6 +46,12 @@ _SCALED_MAGNITUDE = 3500
 # nstr prints fixed-point when min_fixed < decimal exponent < max_fixed
 _MIN_FIXED = -5
 _MAX_FIXED = _DIGITS
+# the bits of the fixed-point roots of unity a cyclotomic decimal is summed
+# from, and the enclosure around each sum: (1 + sum|w_j|) 2**-_SLACK_BITS
+# bounds mpmath's error for fewer than _MAX_TERMS terms
+_FIXED = 256
+_SLACK_BITS = 85
+_MAX_TERMS = 1 << 17
 
 
 def _round_quotient(p: int, q: int) -> tuple[int, int]:
@@ -133,7 +131,7 @@ def fraction_json(value) -> dict:
     }
 
 
-def _cyclotomic_decimal(c) -> str:
+def _mpmath_cyclotomic_decimal(c) -> str:
     from mpmath import mp, mpf
 
     with mp.workdps(_DPS):
@@ -148,6 +146,67 @@ def _cyclotomic_decimal(c) -> str:
         return f"{mp.nstr(re, _DIGITS)} + {mp.nstr(im, _DIGITS)}i"
 
 
+def _arctan_inverse(m: int, one: int) -> int:
+    """atan(1/m) times one, for an integer m > 1, every term rounded down."""
+    power = total = one // m
+    k, sign = 1, 1
+    while power:
+        power //= m * m
+        k += 2
+        sign = -sign
+        total += sign * (power // k)
+    return total
+
+
+def _unit_root(j: int, n: int) -> tuple[int, int]:
+    """cos and sin of 2 pi j/n times 2**_FIXED, each within 2**16 of the
+    exact value: pi from Machin's formula, then the Taylor series at the
+    angle taken into (-pi, pi], every term rounded down."""
+    one = 1 << _FIXED
+    pi = 4 * (4 * _arctan_inverse(5, one) - _arctan_inverse(239, one))
+    turn = j if 2 * j <= n else j - n
+    x = 2 * pi * abs(turn) // n
+    parts = [0, 0]
+    term, k = one, 0
+    while term:
+        parts[k % 2] += -term if k % 4 >= 2 else term
+        k += 1
+        term = term * x // (k * one)
+    cos, sin = parts
+    return cos, sin if turn >= 0 else -sin
+
+
+def _cyclotomic_decimal(c) -> str:
+    """mpmath's 12-digit rendering of c's real and imaginary parts
+    (_mpmath_cyclotomic_decimal), read off exact enclosures where it can.
+
+    Each part sum_j w_j cos(2 pi j/n), or sin, is summed exactly from the
+    _FIXED-bit roots of unity and widened by (1 + sum|w_j|) 2**-_SLACK_BITS.
+    mpmath's _PREC-bit sum of k nonzero terms lies within
+    (12 + k) sum|w_j| 2**-_PREC of the exact part, inside that interval
+    while k < _MAX_TERMS, and nstr is monotone: when both ends render alike,
+    so does the sum.  Otherwise mpmath renders it: a part on or near a
+    12-digit tie, or an interval about 0, whose ends differ in sign (an
+    exact zero part is one).
+    """
+    nums = c.nums
+    if len(nums) >= _MAX_TERMS:
+        return _mpmath_cyclotomic_decimal(c)
+    re = im = 0
+    for j, x in enumerate(nums):
+        if x:
+            cos, sin = _unit_root(j, c.order)
+            re += x * cos
+            im += x * sin
+    den = c.den << _FIXED
+    radius = (c.den + sum(map(abs, nums))) << (_FIXED - _SLACK_BITS)
+    lo_re, hi_re, lo_im, hi_im = (_rational_decimal(part + side * radius, den)
+                                  for part in (re, im) for side in (-1, 1))
+    if lo_re != hi_re or lo_im != hi_im:
+        return _mpmath_cyclotomic_decimal(c)
+    return f"{lo_re} + {lo_im}i"
+
+
 def scalar_json(value) -> dict:
     """Exact JSON form of a rational or cyclotomic scalar."""
     c = as_scalar(value)
@@ -160,17 +219,23 @@ def scalar_json(value) -> dict:
     }
 
 
-def values_json(values) -> list:
+def values_json(values: Sequence) -> list:
     """scalar_json of each value, each distinct value rendered once: equal
-    entries share one dict."""
+    entries share one dict.  An entry is looked up first by its identity,
+    which the sequence keeps alive, then by its reduced form."""
+    by_id: dict = {}
     rendered: dict = {}
     out = []
     for value in values:
-        c = as_scalar(value)
-        key = (c.order, c.nums, c.den)
-        if key not in rendered:
-            rendered[key] = scalar_json(c)
-        out.append(rendered[key])
+        entry = by_id.get(id(value))
+        if entry is None:
+            c = as_scalar(value)
+            key = (c.order, c.nums, c.den)
+            entry = rendered.get(key)
+            if entry is None:
+                entry = rendered[key] = scalar_json(c)
+            by_id[id(value)] = entry
+        out.append(entry)
     return out
 
 
@@ -208,7 +273,7 @@ def tensor_json(t: TensorOneOne) -> dict:
             for p, row in enumerate(t.coords)}
 
 
-def spectrum_json(spect: spinops.Spectrum) -> dict:
+def spectrum_json(spect: Spectrum) -> dict:
     table = {}
     for value, mult in spect.pairs:
         key = str(value.as_fraction()) if value.is_rational() else repr(value)
@@ -278,10 +343,13 @@ def calculus_report(cal: Calculus) -> dict:
 
 
 def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
+    from .connections import (Connection, constant_regular_scan, levi_civita,
+                              require_invertible_metric, torsion_free_family)
+
     mu = Fraction(mu)
     lc = levi_civita(cal)
     # reject a singular mu after the chart check and before the torsion solve
-    spinops.require_invertible_metric(cal.n_members, mu)
+    require_invertible_metric(cal.n_members, mu)
     particular, directions = torsion_free_family(cal)
     # a member delta_h * direction has vanishing component sum exactly when
     # its direction does, so the directions stand for every placement
@@ -311,6 +379,10 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
 
 
 def curvature_report(cal: Calculus) -> dict:
+    from .connections import levi_civita
+    from .curvature import (LIFT_VARIANTS, covariant_derivative, curvature_forms,
+                            lift, wedge_of_tensor)
+
     lc = levi_civita(cal)
     labels = cal.cls.labels()
     forms = curvature_forms(lc)
@@ -338,6 +410,9 @@ def curvature_report(cal: Calculus) -> dict:
 
 
 def ricci_report(cal: Calculus) -> dict:
+    from .connections import levi_civita
+    from .curvature import LIFT_VARIANTS, ricci, ricci_flat_solve
+
     lc = levi_civita(cal)
     solves = ricci_flat_solve(cal)
     out = {"levi_civita": {}, "flat_solve": {}}
@@ -356,10 +431,12 @@ def ricci_report(cal: Calculus) -> dict:
     return out
 
 
-def _certified_minimal_polynomial(spect: spinops.Spectrum) -> list:
+def _certified_minimal_polynomial(spect: Spectrum) -> list:
+    from .dirac import poly_from_roots
+
     # the eigenspaces fill the space, so the operator is diagonalisable and
     # its minimal polynomial has exactly the certified eigenvalues as roots
-    return values_json(spinops.poly_from_roots(spect.eigenspaces))
+    return values_json(poly_from_roots(spect.eigenspaces))
 
 
 class DiracCertificate(NamedTuple):
@@ -373,18 +450,27 @@ class DiracCertificate(NamedTuple):
     rep: Representation
     coeffs: dict
     block: Mat
-    spectrum: spinops.Spectrum
+    spectrum: Spectrum
 
 
 def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
+    from .representations import builtin_rep
+
     mu = Fraction(mu)
     cls = cal.cls
+    # a group without a dihedral presentation stops here, before the
+    # spinor layer is imported
     rep = builtin_rep(cls.group, "spinor")
+    from .connections import levi_civita
+    from . import dirac as spinops
+
     coeffs = spinops.dirac_operator(rep, levi_civita(cal), mu)
     return DiracCertificate(cls, mu, rep, coeffs, *spinops.certify(coeffs, cls))
 
 
 def dirac_report(dirac: DiracCertificate) -> dict:
+    from . import dirac as spinops
+
     cls, mu, rep, coeffs, block, spect = dirac
     group = cls.group
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
@@ -436,6 +522,8 @@ def dirac_report(dirac: DiracCertificate) -> dict:
 
 
 def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
+    from . import dirac as spinops
+
     mu = Fraction(mu)
     coeffs = spinops.wave_operator(cls, mu)
     spect = spinops.certify(coeffs, cls)[1]
@@ -458,19 +546,19 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     return out
 
 
-_ACTION_BATTERY = (
-    ("1", [Fraction(1)]),
-    ("u", [Fraction(0), Fraction(1)]),
-    ("u^2", [Fraction(0), Fraction(0), Fraction(1)]),
-    ("exp-taylor-4", spinops.exp_taylor_coefficients(4)),
-)
+def spectral_action_report(spect: Spectrum, mu) -> dict:
+    from .dirac import exp_taylor_coefficients, spectral_action
 
-
-def spectral_action_report(spect: spinops.Spectrum, mu) -> dict:
+    functions = (
+        ("1", [Fraction(1)]),
+        ("u", [Fraction(0), Fraction(1)]),
+        ("u^2", [Fraction(0), Fraction(0), Fraction(1)]),
+        ("exp-taylor-4", exp_taylor_coefficients(4)),
+    )
     battery = []
-    for name, coeffs in _ACTION_BATTERY:
+    for name, coeffs in functions:
         for scale in (Fraction(1), Fraction(3)):
-            value = spinops.spectral_action(spect, coeffs, scale)
+            value = spectral_action(spect, coeffs, scale)
             battery.append({
                 "function": name,
                 "coefficients": [fraction_json(c) for c in coeffs],

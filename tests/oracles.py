@@ -12,7 +12,7 @@ out of an assembled operator and the dense class translation sums beside
 the coefficients the reports read,
 the full associativity and homomorphism scans beside the checks over a
 generating set, dense right translation matrices beside the group table, mpmath's rendering of a rational's decimal beside the
-integer one, Sturm bisection beside p-adic lifting for integer roots,
+integer one and of a cyclotomic value's beside its exact enclosure, Sturm bisection beside p-adic lifting for integer roots,
 the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
 integer numerators over one denominator, each span ranked alone beside
 the spans read off one reduction, the degree-2 quotient by elimination
@@ -58,6 +58,22 @@ def mpmath_rational_decimal(num: int, den: int) -> str:
     nstr."""
     with mp.workdps(30):
         return mp.nstr(mpf(num) / mpf(den), 12)
+
+
+def mpmath_cyclotomic_decimal(c: Cyclotomic) -> str:
+    """The real and imaginary parts of c as mpmath prints them at 30 digits:
+    each coordinate w_j of zeta**j, its numerator and denominator rounded
+    to mp.prec bits, times cospi and sinpi of 2j/order, summed in mpmath,
+    then nstr."""
+    with mp.workdps(30):
+        re = im = mpf(0)
+        for j, w in enumerate(c.coeffs):
+            if w:
+                angle = mpf(2 * j) / mpf(c.order)
+                w = mpf(w.numerator) / mpf(w.denominator)
+                re += w * mp.cospi(angle)
+                im += w * mp.sinpi(angle)
+        return f"{mp.nstr(re, 12)} + {mp.nstr(im, 12)}i"
 
 
 # -- scalars ------------------------------------------------------------------

@@ -16,7 +16,8 @@ from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import conjugacy_class, dihedral
-from oracles import cayley_dict, expanded_functions, mpmath_rational_decimal
+from oracles import (cayley_dict, expanded_functions, mpmath_cyclotomic_decimal,
+                     mpmath_rational_decimal)
 
 
 def _run(capsys, *argv):
@@ -124,15 +125,15 @@ def test_mu_exponent_refused_before_expansion(monkeypatch, capsys):
     assert "--mu" in err
 
 
-def _forbid(monkeypatch, *names):
+def _forbid(monkeypatch, module, *names):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("called after the input should have been rejected")
     for name in names:
-        monkeypatch.setattr(reporting, name, unreachable)
+        monkeypatch.setattr(module, name, unreachable)
 
 
 def test_singular_mu_rejected_before_torsion_solve(monkeypatch, capsys):
-    _forbid(monkeypatch, "torsion_free_family")
+    _forbid(monkeypatch, connections, "torsion_free_family")
     code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                         "--mu=-1/3", "--cmd", "connection")
     assert code == 4
@@ -170,7 +171,7 @@ REPORT_BUILDERS = ("calculus_report", "connection_report", "curvature_report",
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
-    _forbid(monkeypatch, *REPORT_BUILDERS)
+    _forbid(monkeypatch, reporting, *REPORT_BUILDERS)
     target = tmp_path / "missing" / "r.json"
     code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                           "--cmd", "calculus", "--out", str(target))
@@ -182,7 +183,7 @@ def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
 
 
 def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
-    _forbid(monkeypatch, *REPORT_BUILDERS)
+    _forbid(monkeypatch, reporting, *REPORT_BUILDERS)
     code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                           "--cmd", "calculus", "--out", str(tmp_path))
     assert code == 2
@@ -478,38 +479,78 @@ def test_reports_render_as_with_mpmath_decimals(tmp_path, monkeypatch, capsys,
     code, fast, _ = _run(capsys, *argv)
     assert code == 0
     monkeypatch.setattr(reporting, "_rational_decimal", mpmath_rational_decimal)
+    monkeypatch.setattr(reporting, "_cyclotomic_decimal", mpmath_cyclotomic_decimal)
     assert _run(capsys, *argv) == (0, fast, "")
 
 
 _IMPORT_PROBE = """
 import json, sys
-import groupgeo.cli
-loaded = {"import": "mpmath" in sys.modules}
+loaded = []
 for argv in json.loads(sys.argv[1]):
-    assert groupgeo.cli.main(argv + ["--out", sys.argv[2]]) == 0, argv
-    loaded[" ".join(argv)] = "mpmath" in sys.modules
+    # each command starts from a fresh import of the package, as in its own
+    # process; mpmath stays loaded once any command has imported it
+    for name in [m for m in sys.modules if m.split(".")[0] == "groupgeo"]:
+        del sys.modules[name]
+    import groupgeo.cli
+    code = groupgeo.cli.main(argv + ["--out", sys.argv[2]])
+    layers = sorted(m[len("groupgeo."):] for m in sys.modules
+                    if m.startswith("groupgeo."))
+    loaded.append([code, layers, "mpmath" in sys.modules])
 print(json.dumps(loaded))
 """
 
+# the modules every command loads before it resolves its class
+_FRONT = {"cli", "cyclotomic", "errors", "groups"}
+_REPORT = _FRONT | {"calculus", "linalg", "reporting"}
+_SPINOR = _REPORT | {"connections", "dirac", "representations"}
+# exit code and groupgeo modules per command on D6
+_D6_LOADS = {
+    "calculus": (0, _REPORT),
+    "connection": (0, _REPORT | {"connections"}),
+    "curvature": (0, _REPORT | {"connections", "curvature"}),
+    "ricci": (0, _REPORT | {"connections", "curvature"}),
+    "dirac": (0, _SPINOR),
+    "wave": (0, _SPINOR),
+    "spectral-action": (0, _SPINOR),
+    "report-all": (0, _SPINOR | {"curvature"}),
+}
+# off order 12 the wave report states no catalog, so it builds no
+# representation; on D6 x Z2 the spinor commands stop at the missing
+# dihedral presentation, before the spinor layer
+_D3_LOADS = {**_D6_LOADS, "wave": (0, _SPINOR - {"representations"})}
+_D6Z2_LOADS = {
+    **_D3_LOADS,
+    "dirac": (3, _REPORT | {"representations"}),
+    "spectral-action": (3, _REPORT | {"representations"}),
+    "report-all": (3, _REPORT | {"connections", "representations"}),
+}
 
-def test_rational_commands_never_import_mpmath(tmp_path):
-    d6z2 = _table_argv(tmp_path, direct_product_cyclic(dihedral(6), 2))
-    runs = [source + ["--class", "sr", "--cmd", cmd]
-            for source in (["--group", "dihedral:6"], d6z2)
-            for cmd in _RATIONAL_COMMANDS]
-    # the Dirac report holds cyclotomic values, whose decimals need mpmath
-    runs.append(["--group", "dihedral:6", "--class", "sr", "--cmd", "dirac"])
+
+def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"names": ["e", "a"], "table": [[0, 1], [1, 1]]}')
+    sources = ((["--group", "dihedral:3"], _D3_LOADS),
+               (["--group", "dihedral:6"], _D6_LOADS),
+               (_table_argv(tmp_path, direct_product_cyclic(dihedral(6), 2)),
+                _D6Z2_LOADS))
+    runs = [(source + ["--class", "sr", "--cmd", cmd], code, layers)
+            for source, loads in sources for cmd, (code, layers) in loads.items()]
+    # usage errors and table rejects stop before the calculus
+    runs += [(argv + ["--cmd", "ricci"], code, _FRONT) for argv, code in (
+        (["--group", "dihedral:6", "--class", "sr", "--mu=1e5"], 2),
+        (["--cayley", str(broken), "--class", "sr"], 3),
+        (["--group", "dihedral:6", "--class", "q"], 3))]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs),
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([r[0] for r in runs]),
          str(tmp_path / "report.json")],
         env=env, capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
-    loaded = json.loads(probe.stdout)
-    assert loaded.pop(" ".join(runs.pop())) is True
-    assert loaded == dict.fromkeys(["import"] + [" ".join(r) for r in runs], False)
+    # no command imports mpmath: every decimal is read off an enclosure
+    assert dict(zip((" ".join(r[0]) for r in runs), json.loads(probe.stdout))) == {
+        " ".join(argv): [code, sorted(layers), False] for argv, code, layers in runs}
 
 
 # -- report-all on tables with and without a dihedral presentation -----------
@@ -572,6 +613,6 @@ def test_report_all_outcome_per_input(request, tmp_path, capsys, name, mu):
 def test_report_all_rejects_a_table_without_dihedral_presentation_early(
         request, tmp_path, monkeypatch, capsys, name):
     # the Dirac certificate fails before curvature and Ricci are computed
-    _forbid(monkeypatch, "curvature_report", "ricci_report")
+    _forbid(monkeypatch, reporting, "curvature_report", "ricci_report")
     code, _, err = _report_all(request, tmp_path, capsys, name, "0")
     assert (code, err) == _REPORT_ALL_OUTCOMES[(name, "0")]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import direct_product_cyclic, relabelled
-from groupgeo import connections, dirac, reporting
+from groupgeo import connections, dirac, reporting, representations
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import Connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
@@ -710,7 +710,7 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
     monkeypatch.setattr(dirac, "spectrum", certified)
     monkeypatch.setattr(dirac, "assemble", assembled)
     counted(dirac, "dirac_operator")
-    counted(reporting, "levi_civita")
+    counted(connections, "levi_civita")
     report = reporting.full_report(cls_d6)
     # one Dirac build and one certification of its 12 x 12 block, read by
     # the dirac and spectral-action sections, and the 6 x 6 wave block;
@@ -915,8 +915,8 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
         raise AssertionError("a representation was built before the refusal")
 
     # the refusal comes before any representation is built
-    monkeypatch.setattr(dirac, "builtin_rep", built)
-    monkeypatch.setattr(dirac, "irreducibles", built)
+    monkeypatch.setattr(representations, "builtin_rep", built)
+    monkeypatch.setattr(representations, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
         eigenmode_catalog(s3_cls, dirac_coeffs, dirac_spect)
     with pytest.raises(UnsupportedGroupError):

@@ -1,15 +1,19 @@
-"""Decimal annotations: the integer renderer of a rational against mpmath's
-nstr, and reports that do not depend on the caller's mpmath precision."""
+"""Decimal annotations: the integer renderer of a rational and the exact
+enclosure of a cyclotomic value against mpmath's nstr, and reports that do
+not depend on the caller's mpmath precision."""
 
 import os
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
+from groupgeo import reporting
 from groupgeo.cli import main
+from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 from groupgeo.reporting import fraction_json
-from oracles import mpmath_rational_decimal
+from oracles import mpmath_cyclotomic_decimal, mpmath_rational_decimal
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_d6_report.json")
 
@@ -132,3 +136,69 @@ def test_decimals_ignore_the_callers_mpmath_precision(monkeypatch, tmp_path,
     with open(GOLDEN, "rb") as handle:
         assert fresh.read_bytes() == handle.read()
     assert mp.dps == 5
+
+
+# -- cyclotomic values ------------------------------------------------------
+
+_NUMERATORS = st.integers(-12, 12) | st.integers(-10 ** 40, 10 ** 40)
+
+
+@st.composite
+def _cyclotomics(draw):
+    """An element of Q(zeta_n), n <= 24, as integer coordinates over one
+    denominator, small or wide."""
+    order = draw(st.integers(1, 24))
+    degree = len(cyclotomic_polynomial(order)) - 1
+    nums = draw(st.lists(_NUMERATORS, min_size=degree, max_size=degree))
+    den = draw(st.integers(1, 12) | st.integers(1, 10 ** 40))
+    return Cyclotomic(order, [Fraction(x, den) for x in nums])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cyclotomics())
+def test_cyclotomic_decimals_match_mpmath(c):
+    assert reporting._cyclotomic_decimal(c) == mpmath_cyclotomic_decimal(c)
+
+
+def test_unit_roots_in_fixed_point_are_within_their_bound():
+    # 2**16 units of 2**-256, checked at 120 digits
+    with mp.workdps(120):
+        for n in range(1, 49):
+            for j in range(n):
+                cos, sin = reporting._unit_root(j, n)
+                angle = mp.mpf(2 * j) / n
+                assert abs(cos - mp.cospi(angle) * 2 ** 256) < 2 ** 16
+                assert abs(sin - mp.sinpi(angle) * 2 ** 256) < 2 ** 16
+
+
+@pytest.mark.parametrize("value", [
+    # a real part that is exactly zero
+    cyclo(4),
+    cyclo(3) - cyclo(3, 2),
+    # a real part on a 12-digit tie: 1000000000.125 is exact in binary
+    rat(Fraction(8000000001, 8)) + cyclo(4),
+], ids=["zeta4", "zeta3-minus-square", "tie"])
+def test_undecided_enclosures_fall_back_to_mpmath(monkeypatch, value):
+    fallback = []
+    real = reporting._mpmath_cyclotomic_decimal
+
+    def recorded(c):
+        fallback.append(c)
+        return real(c)
+
+    expected = mpmath_cyclotomic_decimal(value)
+    monkeypatch.setattr(reporting, "_mpmath_cyclotomic_decimal", recorded)
+    # the fallback keeps its own precision, whatever the caller's
+    monkeypatch.setattr(mp, "dps", 5)
+    assert reporting._cyclotomic_decimal(value) == expected
+    assert fallback == [value]
+    assert mp.dps == 5
+
+
+def test_decided_enclosures_need_no_mpmath(monkeypatch):
+    def unreachable(c):
+        raise AssertionError(f"{c!r} fell back to mpmath")
+
+    monkeypatch.setattr(reporting, "_mpmath_cyclotomic_decimal", unreachable)
+    for value in (cyclo(12), cyclo(3) + rat(Fraction(1, 3)), cyclo(24, 5) * rat(10 ** 40)):
+        assert reporting._cyclotomic_decimal(value) == mpmath_cyclotomic_decimal(value)
