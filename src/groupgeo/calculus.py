@@ -46,7 +46,7 @@ class GroupFunction:
     __slots__ = ("group", "constant_value", "_values")
 
     def __init__(self, group: FiniteGroup, values: Sequence):
-        vals = tuple(as_scalar(v) for v in values)
+        vals = tuple([v if type(v) is Cyclotomic else as_scalar(v) for v in values])
         if len(vals) != group.order:
             raise ValueError("one value per group element required")
         varies = any(v != vals[0] for v in vals)
@@ -63,7 +63,7 @@ class GroupFunction:
     @classmethod
     def constant(cls, group: FiniteGroup, value) -> "GroupFunction":
         f = object.__new__(cls)
-        f._hold(group, as_scalar(value), None)
+        f._hold(group, value if type(value) is Cyclotomic else as_scalar(value), None)
         return f
 
     @classmethod

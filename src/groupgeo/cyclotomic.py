@@ -10,15 +10,26 @@ table, and the only division an operation makes is by that content gcd.
 Two elements are equal exactly when their reduced forms agree (after
 promotion to a common order).
 
-Rationals are the order-1 case (Phi_1 = x - 1, a single coordinate), and
-arithmetic between two of them takes a path of its own.  Mixing orders
-promotes both operands to the least common multiple order via
-zeta_N = zeta_M ** (M // N).  Conjugation is the field automorphism
-zeta -> zeta ** (N - 1), i.e. complex conjugation on the standard
-embedding, and the inverse is the product of the other Galois conjugates
-over the norm.  Elements hash by their normalised trace Tr(x)/phi(N),
-which promotion leaves unchanged, so equal values hash equally whatever
-their order, and a rational hashes like its ``int`` or ``Fraction``.
+Rationals are the order-1 case (Phi_1 = x - 1, a single coordinate):
+arithmetic between two of them takes a path of its own, and every order-1
+result comes from one constructor that reduces by a single gcd of two
+integers.  Mixing orders promotes both operands to the least common
+multiple order via zeta_N = zeta_M ** (M // N).  Conjugation is the field
+automorphism zeta -> zeta ** (N - 1), i.e. complex conjugation on the
+standard embedding, and the inverse is the product of the other Galois
+conjugates over the norm.  Elements hash by their normalised trace
+Tr(x)/phi(N), which promotion leaves unchanged, so equal values hash
+equally whatever their order, and a rational hashes like its ``int`` or
+``Fraction``.
+
+Subtraction has its own body, shaped like addition, and builds no
+negated copy of its operand.  Two fused kernels serve elimination and
+matrix products: ``submul(a, f, b)`` is a - f*b, built directly when all
+three are rationals, and ``dot(xs, ys)`` sums the products of rational
+pairs as integers over a common denominator, adds the other nonzero
+products as elements and reduces once.  Each returns the reduced form,
+in the order, that the operators it stands for would (for ``dot``,
+adding the nonzero products one at a time).
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 
 
 @lru_cache(maxsize=None)
@@ -142,9 +153,9 @@ class Cyclotomic:
         if isinstance(value, Cyclotomic):
             return value
         if isinstance(value, int):
-            return _make(1, (value,), 1)
+            return _rational(value, 1)
         if isinstance(value, Fraction):
-            return _make(1, (value.numerator,), value.denominator)
+            return _rational(value.numerator, value.denominator)
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
     def to_order(self, target: int) -> "Cyclotomic":
@@ -177,8 +188,8 @@ class Cyclotomic:
         if self._order == 1 == other._order:
             (x,), (y,), ad, bd = self._nums, other._nums, self._den, other._den
             if ad == bd:
-                return _make(1, (x + y,), ad)
-            return _make(1, (x * bd + y * ad,), ad * bd)
+                return _rational(x + y, ad)
+            return _rational(x * bd + y * ad, ad * bd)
         a, b = (self, other) if self._order == other._order else _common(self, other)
         ad, bd = a._den, b._den
         if ad == bd:
@@ -196,11 +207,24 @@ class Cyclotomic:
         return out
 
     def __sub__(self, other):
-        try:
-            o = _wrap(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is not Cyclotomic:
+            try:
+                other = _wrap(other)
+            except TypeError:
+                return NotImplemented
+        if self._order == 1 == other._order:
+            (x,), (y,), ad, bd = self._nums, other._nums, self._den, other._den
+            if ad == bd:
+                return _rational(x - y, ad)
+            return _rational(x * bd - y * ad, ad * bd)
+        a, b = (self, other) if self._order == other._order else _common(self, other)
+        ad, bd = a._den, b._den
+        if ad == bd:
+            return _make(a._order, tuple(map(sub, a._nums, b._nums)), ad)
+        g = gcd(ad, bd)
+        sa, sb = bd // g, ad // g
+        return _make(a._order, tuple(x * sa - y * sb for x, y in zip(a._nums, b._nums)),
+                     ad * sa)
 
     def __rsub__(self, other):
         return _wrap(other) - self
@@ -213,7 +237,7 @@ class Cyclotomic:
                 return NotImplemented
         an, bn = self._nums, other._nums
         if self._order == 1 == other._order:
-            return _make(1, (an[0] * bn[0],), self._den * other._den)
+            return _rational(an[0] * bn[0], self._den * other._den)
         if not any(bn[1:]):
             return _scale(self, bn[0], other._den)
         if not any(an[1:]):
@@ -278,7 +302,7 @@ class Cyclotomic:
         return not any(self._nums)
 
     def __bool__(self):
-        return any(self._nums)
+        return self._nums[0] != 0 if self._order == 1 else any(self._nums)
 
     def is_rational(self) -> bool:
         return not any(self._nums[1:])
@@ -330,6 +354,8 @@ _wrap = Cyclotomic._wrap
 
 def _make(order: int, nums: tuple[int, ...], den: int) -> Cyclotomic:
     """The element nums/den of Q(zeta_order), den > 0, in reduced form."""
+    if order == 1:
+        return _rational(nums[0], den)
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
@@ -337,6 +363,18 @@ def _make(order: int, nums: tuple[int, ...], den: int) -> Cyclotomic:
             nums = tuple(n // g for n in nums)
     out = _new(Cyclotomic)
     out._order, out._nums, out._den = order, nums, den
+    return out
+
+
+def _rational(num: int, den: int) -> Cyclotomic:
+    """The rational num/den, den > 0, as a reduced order-1 element."""
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+    out = _new(Cyclotomic)
+    out._order, out._nums, out._den = 1, (num,), den
     return out
 
 
@@ -350,6 +388,39 @@ def _scale(x: Cyclotomic, num: int, den: int) -> Cyclotomic:
 def _common(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
     m = lcm(a._order, b._order)
     return a.to_order(m), b.to_order(m)
+
+
+def submul(a: Cyclotomic, f: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
+    """a - f * b, one object when all three are rationals."""
+    if a._order == 1 == f._order == b._order:
+        (x,), ad = a._nums, a._den
+        pn, pd = f._nums[0] * b._nums[0], f._den * b._den
+        if ad == pd:
+            return _rational(x - pn, ad)
+        return _rational(x * pd - pn * ad, ad * pd)
+    return a - f * b
+
+
+def dot(xs, ys) -> Cyclotomic:
+    """The sum of x * y over two sequences of elements: products of two
+    rationals add up as integers over a common denominator, the others as
+    elements, and the rational total is reduced once."""
+    num, den, rest = 0, 1, None
+    for x, y in zip(xs, ys):
+        if x._order == 1 == y._order:
+            p = x._nums[0] * y._nums[0]
+            if p:
+                d = x._den * y._den
+                if den % d == 0:
+                    num += p * (den // d)
+                else:
+                    g = gcd(den, d)
+                    num, den = num * (d // g) + p * (den // g), den // g * d
+        elif x and y:
+            rest = x * y if rest is None else rest + x * y
+    if rest is None:
+        return _rational(num, den)
+    return rest + _rational(num, den) if num else rest
 
 
 def cyclo(order: int, power: int = 1) -> Cyclotomic:

@@ -49,7 +49,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .connections import Connection, require_invertible_metric
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import Cyclotomic, dot, rat
 from .errors import (
     AsymmetricSpectrumError,
     GroupGeoError,
@@ -177,13 +177,14 @@ def apply(coeffs: Mapping[int, Mat], group: FiniteGroup, vec: Sequence) -> list[
     (functions on G), in assemble's spinor-component-major layout.
 
     Entry (i, g) of the image is sum_h sum_j coeffs[h][i, j] vec[(j, gh)]:
-    dim(W)^2 products per element and per h, and no matrix on G.
+    dim(W)^2 products per element and per h, and no matrix on G.  The
+    nonzero factors of each entry are gathered first and summed by one dot.
     """
     n = group.order
-    vec = [as_scalar(x) for x in vec]
+    vec = [x if type(x) is Cyclotomic else as_scalar(x) for x in vec]
     if len(vec) != next(iter(coeffs.values())).ncols * n:
         raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
-    out = [_ZERO] * len(vec)
+    terms = [([], []) for _ in vec]
     for h, block in coeffs.items():
         moved = [group.mul(g, h) for g in range(n)]
         for j in range(block.ncols):
@@ -193,8 +194,10 @@ def apply(coeffs: Mapping[int, Mat], group: FiniteGroup, vec: Sequence) -> list[
                 w = block[i, j]
                 if w:
                     for g, x in col:
-                        out[i * n + g] += w * x
-    return out
+                        ws, xs = terms[i * n + g]
+                        ws.append(w)
+                        xs.append(x)
+    return [dot(ws, xs) for ws, xs in terms]
 
 
 def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:

@@ -79,6 +79,13 @@ class FiniteGroup:
             raise CayleyValidationError("Cayley 'names' and 'table' must be lists")
         if not all(isinstance(row, list) for row in table):
             raise CayleyValidationError("every Cayley table row must be a list")
+        for i, label in enumerate(names):
+            if not isinstance(label, str):
+                raise CayleyValidationError(
+                    f"Cayley 'names'[{i}] must be a string, got {type(label).__name__}")
+        if "name" in data and not isinstance(data["name"], str):
+            raise CayleyValidationError(
+                f"Cayley 'name' must be a string, got {type(data['name']).__name__}")
         return cls(names, table, name=data.get("name"))
 
     @classmethod

@@ -7,8 +7,11 @@ as pivot, so every reduction is deterministic and reproducible.
 
 Gauss-Jordan elimination updates each row only in the nonzero columns of
 the pivot row, which keeps the sparse systems of the torsion and Ricci
-solves cheap.  Rational entries need no branch of their own: order-1 scalars
-take the cyclotomic arithmetic's own rational path.
+solves cheap.  Each update is one fused ``submul`` and each entry of a
+product one fused ``dot``, from the cyclotomic module: on rational entries,
+which the torsion and Ricci systems are throughout, they build one scalar
+per step and sum a row-by-column product as integers before reducing once.
+The constructor keeps entries that are already Cyclotomic as they are.
 
 Nothing here is floating point.  Rank, kernels and inverses are exact,
 which is what makes downstream eigenvalue certification possible.
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import Cyclotomic, dot, rat, submul
 from .errors import InfeasibleSystemError
 
 Scalar = Cyclotomic
@@ -35,7 +38,8 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple(as_scalar(x) for x in row) for row in rows)
+        rs = tuple(tuple([x if type(x) is Cyclotomic else as_scalar(x) for x in row])
+                   for row in rows)
         if rs and any(len(r) != len(rs[0]) for r in rs):
             raise ValueError("ragged rows in matrix constructor")
         object.__setattr__(self, "rows", rs)
@@ -85,11 +89,11 @@ class Mat:
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
             cols = list(zip(*other.rows)) if other.rows else []
-            return Mat([[_dot(row, c) for c in cols] for row in self.rows])
+            return Mat([[dot(row, c) for c in cols] for row in self.rows])
         vec = [as_scalar(x) for x in other]
         if self.ncols != len(vec):
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ vector[{len(vec)}]")
-        return [_dot(row, vec) for row in self.rows]
+        return [dot(row, vec) for row in self.rows]
 
     def transpose(self) -> "Mat":
         return Mat(list(zip(*self.rows))) if self.rows else Mat([])
@@ -128,14 +132,6 @@ class Mat:
         return f"Mat {self.nrows}x{self.ncols}\n{body}"
 
 
-def _dot(a: Sequence[Cyclotomic], b: Sequence[Cyclotomic]) -> Cyclotomic:
-    t = rat(0)
-    for x, y in zip(a, b):
-        if x and y:
-            t = t + x * y
-    return t
-
-
 def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices.
 
@@ -165,7 +161,7 @@ def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
             f = row[c]
             if i != r and f:
                 for j in nonzero:
-                    row[j] = row[j] - f * prow[j]
+                    row[j] = submul(row[j], f, prow[j])
         pivots.append(c)
         r += 1
     return Mat(rows), tuple(pivots)

@@ -14,7 +14,8 @@ the full associativity and homomorphism scans beside the checks over a
 generating set, dense right translation matrices beside the group table, mpmath's rendering of a rational's decimal beside the
 integer one and of a cyclotomic value's beside its exact enclosure, Sturm bisection beside p-adic lifting for integer roots,
 the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
-integer numerators over one denominator, each span ranked alone beside
+integer numerators over one denominator, the row update as a product and
+a subtraction beside the fused multiply-subtract, each span ranked alone beside
 the spans read off one reduction, the degree-2 quotient by elimination
 beside the braid orbits), a
 closed form the package derives from the operator instead (the
@@ -275,6 +276,36 @@ def oracle_rref(rows: Sequence[Sequence]) -> tuple[list[list[FractionCyclotomic]
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def unfused_rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """rref's elimination with each update written as row[j] - f * prow[j]:
+    the same pivots and sparse column walk, two scalar operations a cell."""
+    rows = [list(r) for r in matrix.rows]
+    nr, nc = len(rows), matrix.ncols
+    pivots: list[int] = []
+    r = 0
+    for c in range(nc):
+        if r >= nr:
+            break
+        src = next((i for i in range(r, nr) if rows[i][c]), None)
+        if src is None:
+            continue
+        rows[r], rows[src] = rows[src], rows[r]
+        prow = rows[r]
+        inv = 1 / prow[c]
+        nonzero = [j for j in range(c, nc) if prow[j]]
+        for j in nonzero:
+            prow[j] = prow[j] * inv
+        for i in range(nr):
+            row = rows[i]
+            f = row[c]
+            if i != r and f:
+                for j in nonzero:
+                    row[j] = row[j] - f * prow[j]
+        pivots.append(c)
+        r += 1
+    return Mat(rows), tuple(pivots)
 
 
 # -- linear algebra ---------------------------------------------------------

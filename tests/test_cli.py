@@ -267,6 +267,32 @@ def test_invalid_cayley_table_exits_3(tmp_path, capsys, content, fragment):
     assert fragment in err
 
 
+_Z2 = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("data, fragment", [
+    pytest.param({"names": ["e", None], "table": _Z2}, "'names'[1] must be a string, got NoneType",
+                 id="null-name"),
+    pytest.param({"names": ["e", 1], "table": _Z2}, "'names'[1] must be a string, got int",
+                 id="int-name"),
+    pytest.param({"names": [["e"], "a"], "table": _Z2}, "'names'[0] must be a string, got list",
+                 id="list-name"),
+    pytest.param({"name": ["z2"], "names": ["e", "a"], "table": _Z2},
+                 "'name' must be a string, got list", id="list-group-name"),
+    pytest.param({"name": {"n": 2}, "names": ["e", "a"], "table": _Z2},
+                 "'name' must be a string, got dict", id="object-group-name"),
+    pytest.param({"name": 2, "names": ["e", "a"], "table": _Z2},
+                 "'name' must be a string, got int", id="int-group-name"),
+])
+def test_non_string_cayley_names_exit_3(tmp_path, capsys, data, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "--cayley", str(bad), "--class", "a", "--cmd", "calculus")
+    assert (code, out) == (3, "")
+    assert err.startswith("error(validation)")
+    assert fragment in err
+
+
 def test_cayley_group_end_to_end(s3_path, capsys):
     code, out, _ = _run(capsys, "--cayley", s3_path, "--class", "u",
                         "--cmd", "dirac")

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic, cross-checked against complex floats and
-against the Fraction-tuple scalar in the oracles."""
+against the Fraction-tuple scalar in the oracles; the direct subtraction
+and the fused kernels against the operators they stand for."""
 
 import math
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
+from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, dot, rat, submul
 from oracles import FractionCyclotomic, fraction_cyclotomic_polynomial
 
 
@@ -260,3 +261,72 @@ def test_integer_and_fraction_operands_match_the_oracle(x, q, n):
     _same(n - a, FractionCyclotomic.of(n) - oa)
     _same(a * f, oa * f)
     assert a == a + 0 and (r == f) and (rat(n) == n)
+
+
+# -- direct subtraction and the fused kernels against composed operators -----
+
+_small_ints = st.integers(-4, 4)
+
+
+def _elements():
+    """Elements of order 1, 3, 4, 6 or 12, zeros, negatives and rationals
+    of order > 1 included."""
+    return _pairs().map(lambda pair: pair[0])
+
+
+def _exactly(value, composed):
+    """Same order and reduced form as the composed result, hence the same
+    hash; the form is reduced with a positive denominator."""
+    assert isinstance(value, Cyclotomic)
+    assert (value.order, value.nums, value.den) == (composed.order, composed.nums, composed.den)
+    assert value.den > 0 and math.gcd(value.den, *value.nums) == 1
+    assert hash(value) == hash(composed)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_elements(), _elements(), st.one_of(_small_ints, _fractions))
+def test_subtraction_is_adding_the_negation(a, b, q):
+    _exactly(a - b, a + (-b))
+    _exactly(a - a, a + (-a))
+    _exactly(a - q, a + (-rat(q)))
+    _exactly(q - a, rat(q) + (-a))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_elements(), _elements(), _elements())
+def test_submul_is_subtracting_the_product(a, f, b):
+    _exactly(submul(a, f, b), a - f * b)
+    _exactly(submul(a, a, rat(1)), a - a)
+    _exactly(submul(a, f, rat(0)), a - f * rat(0))
+
+
+def _skipping_dot(xs, ys):
+    """The sum of products over the nonzero pairs, one addition at a time."""
+    total = rat(0)
+    for x, y in zip(xs, ys):
+        if x and y:
+            total = total + x * y
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_elements(), _elements()), max_size=6))
+def test_dot_is_the_sum_of_products(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    got = dot(xs, ys)
+    _exactly(got, _skipping_dot(xs, ys))
+    plain = sum((x * y for x, y in pairs), rat(0))
+    assert got == plain and hash(got) == hash(plain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_small_ints, st.integers(1, 6), _small_ints, st.integers(1, 6)),
+                max_size=12))
+def test_dot_of_rationals_matches_fractions(terms):
+    xs = [rat(n, d) for n, d, _, _ in terms]
+    ys = [rat(n, d) for _, _, n, d in terms]
+    got = dot(xs, ys)
+    assert got.order == 1
+    assert got.as_fraction() == sum((Fraction(a, b) * Fraction(c, d) for a, b, c, d in terms),
+                                    Fraction(0))
+    _exactly(got, _skipping_dot(xs, ys))

@@ -15,7 +15,8 @@ from groupgeo.linalg import (
     rref,
     solve_affine,
 )
-from oracles import FractionCyclotomic, eval_poly, kron, oracle_rref, rank, vec_is_zero
+from oracles import (FractionCyclotomic, eval_poly, kron, oracle_rref, rank,
+                     unfused_rref, vec_is_zero)
 
 
 def _random_mat(rng, n, m, order=6):
@@ -248,3 +249,33 @@ def test_rref_rank_and_kernel_match_elimination_over_the_oracle_scalar(a):
                       for x, y in zip(row, v)), FractionCyclotomic(1, [0]))
                  for row in a.rows]
         assert all(x.is_zero() for x in image)
+
+
+@st.composite
+def _dependent_matrices(draw, order):
+    """Small matrices over Q (order 1) or Q(zeta_12) with many zeros; now
+    and then the last row is a combination of two others, or a column is a
+    multiple of another, so the rank falls short."""
+    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    degree = 1 if order == 1 else 4
+    entry = st.lists(st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))),
+                     min_size=degree, max_size=degree).map(lambda cs: Cyclotomic(order, cs))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+    if nr > 2 and draw(st.booleans()):
+        f = draw(entry)
+        rows[-1] = [x + f * y for x, y in zip(rows[0], rows[1])]
+    if nc > 1 and draw(st.booleans()):
+        f = draw(entry)
+        for row in rows:
+            row[-1] = f * row[0]
+    return Mat(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((1, 12)).flatmap(_dependent_matrices))
+def test_fused_rref_matches_the_unfused_update(a):
+    red, pivots = rref(a)
+    want, want_pivots = unfused_rref(a)
+    assert pivots == want_pivots
+    assert [[(x.order, x.nums, x.den) for x in row] for row in red.rows] == \
+        [[(x.order, x.nums, x.den) for x in row] for row in want.rows]

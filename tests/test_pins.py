@@ -1,0 +1,73 @@
+"""Whole-pipeline pins on figures that do not depend on timing: the report
+digests the benchmark records in ``perfbench/expected.json`` (read here,
+never written), and the number of cyclotomic scalars one D6 ``report-all``
+allocates."""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from conftest import direct_product_cyclic
+from groupgeo import cyclotomic
+from groupgeo.cli import main
+from groupgeo.groups import dihedral
+from oracles import cayley_dict
+
+EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "expected.json")
+with open(EXPECTED, encoding="utf-8") as _fh:
+    DIGESTS = json.load(_fh)["sha256"]
+
+
+@pytest.fixture(scope="module")
+def d6z2_table(tmp_path_factory):
+    path = tmp_path_factory.mktemp("d6z2") / "d6z2.json"
+    path.write_text(json.dumps(cayley_dict(direct_product_cyclic(dihedral(6), 2))))
+    return str(path)
+
+
+def _argv(key: str, d6z2_table: str) -> list[str]:
+    """``d6z2:<cmd>`` runs on the natural D6 x Z2 table at mu = 0;
+    ``dihedral:<n>:<cmd>@<mu>`` on the built-in dihedral group."""
+    if key.startswith("d6z2:"):
+        group, cmd, mu = ["--cayley", d6z2_table], key.split(":")[1], "0"
+    else:
+        _, n, rest = key.split(":")
+        cmd, mu = rest.split("@")
+        group = ["--group", f"dihedral:{n}"]
+    return group + ["--class", "sr", f"--mu={mu}", "--cmd", cmd]
+
+
+def test_digests_cover_the_spinor_sweep_and_the_d6z2_commands():
+    assert len([k for k in DIGESTS if k.startswith("dihedral:")]) == 15
+    assert len([k for k in DIGESTS if k.startswith("d6z2:")]) == 5
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS))
+def test_report_matches_the_recorded_digest(key, d6z2_table, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(_argv(key, d6z2_table) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[key]
+
+
+# Scalars one in-process D6 report-all allocates, about a tenth above the
+# measured count; every Cyclotomic the package builds comes from
+# cyclotomic._new, so counting its calls counts them all.
+D6_REPORT_ALL_SCALARS = 46_000
+
+
+def test_d6_report_all_allocates_a_bounded_number_of_scalars(monkeypatch, tmp_path):
+    count = 0
+    new = cyclotomic._new
+
+    def counted(cls):
+        nonlocal count
+        count += 1
+        return new(cls)
+
+    monkeypatch.setattr(cyclotomic, "_new", counted)
+    argv = ["--group", "dihedral:6", "--class", "sr", "--cmd", "report-all"]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    # the hook sees the arithmetic, and the arithmetic stays under the ceiling
+    assert 1000 < count <= D6_REPORT_ALL_SCALARS
