@@ -23,11 +23,13 @@ normalisation that makes the distinguished connection Ricci-flat.
 
 The Ricci-flat chart members solve an exact linear system that commutes
 with left translation and reads only structure constants inside
-H = <C>.  On G it is [G:H] copies, one per left coset gH, of the same
-system on the calculus of (H, C), so that small system is solved and its
-solution lifted over the cosets, then put in the basis the dense solve on
-G gives (see Serre, Linear Representations of Finite Groups, section 7,
-on restriction and induction).
+H = <C>: a group-algebra element in the coefficient form of linalg.  On G
+it is [G:H] copies, one per left coset gH, of the same system on the
+calculus of (H, C), so ricci_system builds its coefficients on that
+calculus and linalg.solve_lifted solves the block and lifts the solution
+over the cosets, in the basis the dense solve on G gives (see Serre,
+Linear Representations of Finite Groups, section 7, on restriction and
+induction).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
                        differential_calculus)
 from .connections import Connection, chart_connection, require_chart_class
 from .cyclotomic import rat
-from .groups import FiniteGroup, coset_lift
-from .linalg import Mat, rref, solve_affine
+from .groups import FiniteGroup
+from .linalg import Mat, solve_lifted
 
 LIFT_VARIANTS = ("canonical", "braided")
 
@@ -197,57 +199,48 @@ def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
     return TensorOneOne(cal, coords)
 
 
-def ricci_system(calculus: Calculus) -> dict[str, tuple[Mat, list]]:
+def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     """The exact linear systems in the chart parameters whose solutions are
     the Ricci-flat chart members, one per lift variant, keyed as in
-    LIFT_VARIANTS.
-
-    Unknown order: parameter i (alpha, beta, gamma) at group element h sits
-    at column i*|G| + h.  Row order: Ricci coordinate (p, q) at group
-    element g sits at row (p*m + q)*|G| + g; the chart constraint follows
-    as the last |G| rows, one row alpha + beta + gamma = -1 per group
-    element.
+    LIFT_VARIANTS: coefficients {h: M_h} in linalg's form and a constant
+    right-hand side, which every element repeats.
 
     Ricci is affine in the parameters and commutes with left translation:
     the exterior derivative uses only right translations, and the lift and
-    contraction have constant coefficients.  So the column of delta_h at
-    row (p, q, g) is the column of delta_e at row (p, q, h^-1 g), and four
-    Ricci evaluations (the zero chart and delta_e in each parameter)
-    assemble the system instead of one per unknown.  The relative
-    curvature of those four charts does not depend on the lift, so it is
-    computed once and only lifted and contracted per variant.
+    contraction have constant coefficients.  So the system is
+    sum_h M_h (x) R(h), from the parameters (alpha, beta, gamma) to the
+    Ricci coordinates (p, q), row p*m + q, and the chart constraint, row 9.
+    Column i of M_{k^-1} holds the Ricci coordinates at k of delta_e in
+    parameter i less the zero chart's, which the right-hand side negates;
+    row 9 is alpha + beta + gamma = -1, (1, 1, 1) in M_e.  Four Ricci
+    evaluations give the system, and the relative curvature of those
+    charts, which does not depend on the lift, is computed once and only
+    lifted and contracted per variant.
 
     The column of delta_e is supported on e and the inverses of the class
-    members, so row g meets only the unknowns at g and at g c for c in C,
-    all on the coset gH of H = <C>.  ricci_flat_solve therefore
-    calls this on subgroup_calculus(calculus) only; on the calculus of G it
-    is the dense oracle for that solve.
+    members, so the keys are e and the class members, all in H = <C>.
+    ricci_flat_solve calls this on subgroup_calculus(calculus) only;
+    assembled on the calculus of G it is the dense oracle for that solve.
     """
     cal = calculus
     require_chart_class(cal)
     grp = cal.group
-    order = grp.order
     zero = cal.zero_function()
     delta_e = GroupFunction.delta(grp, 0)
     charts = [(zero, zero, zero)] + [
         tuple(delta_e if j == i else zero for j in range(3)) for i in range(3)]
     curvatures = [relative_curvature(chart_connection(cal, *params)) for params in charts]
-    moved = [[grp.mul(grp.inv(h), g) for h in range(order)] for g in range(order)]
-    # alpha + beta + gamma = -1 at each element g
-    constraint = [[rat(1) if u % order == g else rat(0) for u in range(3 * order)]
-                  for g in range(order)]
     systems = {}
     for variant in LIFT_VARIANTS:
-        flat = []
-        for forms in curvatures:
-            t = _contract(cal, [lift(f, variant) for f in forms])
-            flat.append([f(g) for f in t.coeffs for g in range(order)])
-        base = flat[0]
-        cols = [[a - b for a, b in zip(col, base)] for col in flat[1:]]
-        rows = [[col[blk + x] for col in cols for x in moved[g]]
-                for blk in range(0, len(base), order) for g in range(order)]
-        systems[variant] = (Mat(rows + constraint),
-                            [-v for v in base] + [rat(-1)] * order)
+        base, *deltas = [_contract(cal, [lift(f, variant) for f in forms]).coeffs
+                         for forms in curvatures]
+        coeffs = {}
+        for k in range(grp.order):
+            block = Mat([[d[r](k) - f(k) for d in deltas] for r, f in enumerate(base)]
+                        + [[int(k == 0)] * 3])
+            if not block.is_zero():
+                coeffs[grp.inv(k)] = block
+        systems[variant] = (coeffs, [-f(0) for f in base] + [rat(-1)])
     return systems
 
 
@@ -269,47 +262,17 @@ def subgroup_calculus(calculus: Calculus) -> Calculus:
     return sub_cal
 
 
-def lift_solution(calculus: Calculus, particular, kernel) -> tuple[list, list]:
-    """Carry a solution of a system in the chart parameters of
-    subgroup_calculus(calculus), columns ordered as in ricci_system, to the
-    same system on G, in the form solve_affine gives there.
-
-    The system on G is one copy of the system on H per left coset gH:
-    left translation by the coset's least element g maps parameter i at h
-    to parameter i at g h.  So the particular solution fills every coset
-    and each kernel vector yields one vector per coset.  solve_affine's
-    kernel basis is the free-column basis of the dense RREF: column j is
-    free exactly when some kernel vector ends at j, so reducing the lifted
-    kernel with its columns reversed gives that basis, and subtracting it
-    clears the particular solution's free columns.
-    """
-    cosets = calculus.cls.left_cosets()
-    n = calculus.group.order
-    particular = coset_lift(particular, cosets, n)
-    lifted = [coset_lift(vec, [coset], n) for vec in kernel for coset in cosets]
-    if not lifted:
-        return particular, []
-    red, pivots = rref(Mat([vec[::-1] for vec in lifted]))
-    basis = [list(row[::-1]) for row in reversed(red.rows[:len(pivots)])]
-    for col, vec in zip(reversed(pivots), basis):
-        c = particular[3 * n - 1 - col]
-        if c:
-            particular = [a - c * b for a, b in zip(particular, vec)]
-    return particular, basis
-
-
 def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, list]]:
     """Solve for all chart parameter triples with vanishing Ricci, once per
     lift variant, keyed as in LIFT_VARIANTS.
 
     Ricci is affine in the three parameter functions, so this is an exact
-    linear solve in 3|G| scalars, chart constraint included.  Left
-    translation maps the system onto itself and every structure constant
-    it reads lies in H = <C>, so it is [G:H] copies of the system of
-    (H, C): that system, 10|H| rows by 3|H| unknowns, is assembled for both
-    variants by one ricci_system call on subgroup_calculus, solved, and
-    lifted over the cosets by lift_solution, in the basis the dense solve
-    of ricci_system on G gives.  The expected outcome for the supported
+    linear solve in 3|G| scalars, chart constraint included.  Every
+    structure constant it reads lies in H = <C>, so the coefficients of
+    both variants come from one ricci_system call on subgroup_calculus,
+    re-keyed by the elements of H in G, and linalg.solve_lifted solves
+    their block, 10|H| rows by 3|H| unknowns, and lifts it to G in the
+    basis the dense solve gives.  The expected outcome for the supported
     classes is a single isolated triple; without the constraint the
     solution set would pick up the constant shifts that leave the relative
     curvature unchanged.
@@ -318,15 +281,18 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, list]]:
     triple and kernel is a basis of homogeneous triples.
     """
     require_chart_class(calculus)
-    grp = calculus.group
+    cls = calculus.cls
+    grp = cls.group
     order = grp.order
+    elements = cls.generated_subgroup()
 
     def params_from_vec(vec):
         return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
                      for i in range(3))
 
     solves = {}
-    for variant, block in ricci_system(subgroup_calculus(calculus)).items():
-        particular, kern = lift_solution(calculus, *solve_affine(*block))
+    for variant, (coeffs, rhs) in ricci_system(subgroup_calculus(calculus)).items():
+        particular, kern = solve_lifted({elements[h]: m for h, m in coeffs.items()},
+                                        rhs, cls)
         solves[variant] = (params_from_vec(particular), [params_from_vec(v) for v in kern])
     return solves

@@ -6,16 +6,12 @@ exactly at mu = -1/n.  Gamma matrices act on a chosen carrier representation
 W and come with the quadratic-casimir normalisation 1/(1 + 4 mu), which is
 singular at mu = -1/4; both degenerate values raise SingularMetricError.
 
-A spinor operator is a group-algebra element sum_h M_h (x) R(h): constant
-dim(W) x dim(W) coefficients M_h times right translations, with every h in
-{e}, the class or its products, so inside H = <C>.  dirac_operator and
-wave_operator return the coefficients {h: M_h}; the reports check the
-operator on them (is_hermitian, same_element) and apply it to vectors on
-G with them (apply).  assemble alone writes a matrix from them on
-W tensor (functions on G), laid out spinor-component-major: entry block
-(i, j) of the dim(W) x dim(W) grid is the |G| x |G| operator mapping the
-j-th spinor component into the i-th.  The same coefficients assembled on
-the elements of H give the block of which the operator is [G:H] copies.
+A spinor operator is a group-algebra element sum_h M_h (x) R(h) in the
+coefficient form of linalg: constant dim(W) x dim(W) coefficients M_h,
+every h in {e}, the class or its products, so inside H = <C>, and the
+spinor components as the components of linalg's layout.  dirac_operator
+and wave_operator return the coefficients {h: M_h}, which linalg
+assembles, applies and compares.
 
 Spectra are certified from the operator alone, never approximated: the
 eigenvalues are the rational roots of the minimal polynomials of unit
@@ -49,7 +45,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .connections import Connection, require_invertible_metric
-from .cyclotomic import Cyclotomic, dot, rat
+from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
     GroupGeoError,
@@ -58,7 +54,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import ConjClass, FiniteGroup
-from .linalg import Mat, as_scalar, inverse, kernel_basis, rref
+from .linalg import Mat, apply, as_scalar, assemble, inverse, kernel_basis, rref
 
 if TYPE_CHECKING:
     from .representations import Representation
@@ -140,78 +136,6 @@ def gamma_matrices(rep: Representation, C: ConjClass, mu=Fraction(0)) -> dict[in
 
 # ---------------------------------------------------------------------------
 # spinor operators as group-algebra elements
-
-
-def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
-             elements: Sequence[int] | None = None) -> Mat:
-    """The matrix of the group-algebra element sum_h coeffs[h] (x) R(h) on
-    W tensor (functions on elements, by default all of G), written entry by
-    entry.
-
-    R(h) is right translation, (R(h) f)(g) = f(gh), so entry ((i, g),
-    (j, gh)) is coeffs[h][i, j]; the layout is spinor-component-major.
-    elements must be closed under right multiplication by every h, such as
-    a subgroup holding every h.
-    """
-    if elements is None:
-        elements = range(group.order)
-    pos = {g: p for p, g in enumerate(elements)}
-    m = len(elements)
-    dim = next(iter(coeffs.values())).nrows
-    rows = [[_ZERO] * (dim * m) for _ in range(dim * m)]
-    for h, block in coeffs.items():
-        for p, g in enumerate(elements):
-            q = pos.get(group.mul(g, h))
-            if q is None:
-                raise ValueError("elements are not closed under right "
-                                 f"multiplication by {group.label(h)}")
-            for i, coeff_row in enumerate(block.rows):
-                row = rows[i * m + p]
-                for j, w in enumerate(coeff_row):
-                    row[j * m + q] = w
-    return Mat(rows)
-
-
-def apply(coeffs: Mapping[int, Mat], group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
-    """The image of vec under sum_h coeffs[h] (x) R(h) on W tensor
-    (functions on G), in assemble's spinor-component-major layout.
-
-    Entry (i, g) of the image is sum_h sum_j coeffs[h][i, j] vec[(j, gh)]:
-    dim(W)^2 products per element and per h, and no matrix on G.  The
-    nonzero factors of each entry are gathered first and summed by one dot.
-    """
-    n = group.order
-    vec = [x if type(x) is Cyclotomic else as_scalar(x) for x in vec]
-    if len(vec) != next(iter(coeffs.values())).ncols * n:
-        raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
-    terms = [([], []) for _ in vec]
-    for h, block in coeffs.items():
-        moved = [group.mul(g, h) for g in range(n)]
-        for j in range(block.ncols):
-            # the j-th spinor component of R(h) vec, where it is nonzero
-            col = [(g, vec[j * n + gh]) for g, gh in enumerate(moved) if vec[j * n + gh]]
-            for i in range(block.nrows):
-                w = block[i, j]
-                if w:
-                    for g, x in col:
-                        ws, xs = terms[i * n + g]
-                        ws.append(w)
-                        xs.append(x)
-    return [dot(ws, xs) for ws, xs in terms]
-
-
-def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:
-    """Whether two coefficient dicts are one group-algebra element: distinct
-    h fill distinct entries, so every coefficient must agree, an h missing
-    from a dict counting as a zero coefficient."""
-    return all(x[h] == y[h] if h in x and h in y else (x[h] if h in x else y[h]).is_zero()
-               for h in x.keys() | y.keys())
-
-
-def is_hermitian(coeffs: Mapping[int, Mat], group: FiniteGroup) -> bool:
-    """Whether sum_h M_h (x) R(h) equals its conjugate transpose
-    sum_h M_h^dagger (x) R(h^-1), that is M_{h^-1} = M_h^dagger for every h."""
-    return same_element(coeffs, {group.inv(h): m.conj_transpose() for h, m in coeffs.items()})
 
 
 def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[int, Mat]:
@@ -359,7 +283,7 @@ def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
 
     Every h must lie in H.  The operator commutes with left translation and
     keeps each left coset gH to itself, so it is [G:H] copies of the block
-    (each block eigenvector, carried to a coset by groups.coset_lift, is an
+    (each block eigenvector, carried to a coset by linalg.coset_lift, is an
     eigenvector of the operator).  The spectrum keeps the block's
     eigenspaces and counts each [G:H] times; an incomplete block spectrum
     is reported with the operator's numbers.

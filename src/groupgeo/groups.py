@@ -14,15 +14,18 @@ downstream depend on exactly this ordering.
 
 A conjugacy class keeps its members in a canonical order: if the class is
 'cyclic' (it has a cyclic_witness), the witness comes first and the rest follow
-its conjugation orbit; otherwise ascending element index.
+its conjugation orbit; otherwise ascending element index.  It also gives the
+subgroup H = <C> it generates and the left cosets of H, the element sets on
+which linalg assembles a left-covariant operator's block and lifts its
+solutions.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import Sequence
 
-from .cyclotomic import rat
 from .errors import CayleyValidationError, NonCyclicClassError
 
 
@@ -114,8 +117,9 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
     n = len(names)
     if n == 0:
         raise CayleyValidationError("empty group: no elements")
-    if len(set(names)) != n:
-        dup = next(x for x in names if names.count(x) > 1)
+    counts = Counter(names)
+    if len(counts) != n:
+        dup = next(x for x in names if counts[x] > 1)
         raise CayleyValidationError(f"element names must be unique: {dup!r} repeats")
     if len(table) != n or any(len(row) != n for row in table):
         raise CayleyValidationError(f"table must be {n}x{n} to match the {n} names")
@@ -274,29 +278,6 @@ class ConjClass:
 
     def __repr__(self):
         return f"ConjClass({', '.join(self.labels())})"
-
-
-def coset_lift(vec: Sequence, cosets: Sequence[Sequence[int]], order: int) -> list:
-    """Carry a vector on a subgroup K to the group of the given order by
-    left translation over the given left cosets of K.
-
-    vec holds blocks of |K| values, entry i*|K| + p at the p-th element of
-    K; each coset lists g k for k in K in that order.  The result holds the
-    same blocks of |G| values, with entry i*|G| + coset[p] = vec[i*|K| + p]
-    on every given coset and zero off them.  A system that commutes with
-    left translation and keeps each coset gK to itself is one copy of its
-    restriction to K per coset, so lifting a solution over one coset gives
-    a solution and over all of them the solution's induced copy (Serre,
-    Linear Representations of Finite Groups, section 7).
-    """
-    k = len(cosets[0])
-    out = [rat(0)] * (len(vec) // k * order)
-    for start in range(0, len(vec), k):
-        base = start // k * order
-        for coset in cosets:
-            for p, x in enumerate(coset):
-                out[base + x] = vec[start + p]
-    return out
 
 
 def _find_cyclic_witness(group: FiniteGroup, orbit: list[int]) -> int | None:

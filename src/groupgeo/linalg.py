@@ -15,14 +15,24 @@ The constructor keeps entries that are already Cyclotomic as they are.
 
 Nothing here is floating point.  Rank, kernels and inverses are exact,
 which is what makes downstream eigenvalue certification possible.
+
+The Ricci system and the Dirac and wave operators are group-algebra
+elements sum_h M_h (x) R(h), constant nrows x ncols coefficients times
+right translations, and this module alone knows their coefficient form
+{h: M_h} and its layout: on functions on K, the p-th element of K in
+component i is index i*|K| + p.  With every h in H = <C> such an operator
+is [G:H] copies of its block on H, one per left coset; coset_lift and
+solve_lifted carry the block's solutions to G (induction: Serre, Linear
+Representations of Finite Groups, section 7).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic, dot, rat, submul
 from .errors import InfeasibleSystemError
+from .groups import ConjClass, FiniteGroup
 
 Scalar = Cyclotomic
 Vector = list
@@ -222,3 +232,121 @@ def inverse(matrix: Mat) -> Mat:
     if len(pivots) != n or any(p >= n for p in pivots):
         raise ValueError("matrix is singular")
     return red.submatrix(range(n), range(n, 2 * n))
+
+
+# -- left-covariant operators in coefficient form ----------------------------
+
+def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
+             elements: Sequence[int] | None = None) -> Mat:
+    """The matrix of sum_h coeffs[h] (x) R(h), each coeffs[h] nrows x ncols,
+    on the functions on elements (by default all of G), written entry by
+    entry: entry ((i, g), (j, gh)) is coeffs[h][i, j].  elements must be
+    closed under right multiplication by every h, such as a subgroup
+    holding every h.
+    """
+    if elements is None:
+        elements = range(group.order)
+    pos = {g: p for p, g in enumerate(elements)}
+    m = len(elements)
+    shape = next(iter(coeffs.values()))
+    rows = [[rat(0)] * (shape.ncols * m) for _ in range(shape.nrows * m)]
+    for h, block in coeffs.items():
+        for p, g in enumerate(elements):
+            q = pos.get(group.mul(g, h))
+            if q is None:
+                raise ValueError("elements are not closed under right "
+                                 f"multiplication by {group.label(h)}")
+            for i, coeff_row in enumerate(block.rows):
+                row = rows[i * m + p]
+                for j, w in enumerate(coeff_row):
+                    row[j * m + q] = w
+    return Mat(rows)
+
+
+def apply(coeffs: Mapping[int, Mat], group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
+    """The image of vec under sum_h coeffs[h] (x) R(h) on the functions on
+    G, with no matrix: entry (i, g) is sum_h sum_j coeffs[h][i, j]
+    vec[(j, gh)], its nonzero factors gathered first and summed by one dot.
+    """
+    n = group.order
+    vec = [x if type(x) is Cyclotomic else as_scalar(x) for x in vec]
+    shape = next(iter(coeffs.values()))
+    if len(vec) != shape.ncols * n:
+        raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
+    terms = [([], []) for _ in range(shape.nrows * n)]
+    for h, block in coeffs.items():
+        moved = [group.mul(g, h) for g in range(n)]
+        for j in range(block.ncols):
+            # the j-th component of R(h) vec, where it is nonzero
+            col = [(g, vec[j * n + gh]) for g, gh in enumerate(moved) if vec[j * n + gh]]
+            for i in range(block.nrows):
+                w = block[i, j]
+                if w:
+                    for g, x in col:
+                        ws, xs = terms[i * n + g]
+                        ws.append(w)
+                        xs.append(x)
+    return [dot(ws, xs) for ws, xs in terms]
+
+
+def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:
+    """Whether two coefficient dicts are one group-algebra element: distinct
+    h fill distinct entries, so every coefficient must agree, an h missing
+    from a dict counting as a zero coefficient."""
+    return all(x[h] == y[h] if h in x and h in y else (x[h] if h in x else y[h]).is_zero()
+               for h in x.keys() | y.keys())
+
+
+def is_hermitian(coeffs: Mapping[int, Mat], group: FiniteGroup) -> bool:
+    """Whether sum_h M_h (x) R(h) equals its conjugate transpose
+    sum_h M_h^dagger (x) R(h^-1), that is M_{h^-1} = M_h^dagger for every h."""
+    return same_element(coeffs, {group.inv(h): m.conj_transpose() for h, m in coeffs.items()})
+
+
+def coset_lift(vec: Sequence, cosets: Sequence[Sequence[int]], order: int) -> list:
+    """Carry a vector on a subgroup K to the group of the given order by
+    left translation over the given left cosets of K, each listing g k for
+    k in K in order: entry i*|G| + coset[p] of the result is
+    vec[i*|K| + p] on every given coset, and zero off them.  A solution of
+    a left-covariant system lifted over one coset is a solution, and over
+    all of them its induced copy.
+    """
+    k = len(cosets[0])
+    out = [rat(0)] * (len(vec) // k * order)
+    for start in range(0, len(vec), k):
+        base = start // k * order
+        for coset in cosets:
+            for p, x in enumerate(coset):
+                out[base + x] = vec[start + p]
+    return out
+
+
+def solve_lifted(coeffs: Mapping[int, Mat], rhs: Sequence,
+                 cls: ConjClass) -> tuple[Vector, list[Vector]]:
+    """All solutions of assemble(coeffs, G) x = b, b holding rhs[i] at
+    every element in row component i, in the form solve_affine gives on G,
+    from the system's block on H = <C>; every h must lie in H.
+
+    The block's particular solution is lifted over every coset, and each
+    kernel vector over each coset.  solve_affine's kernel basis on G is
+    the free-column basis of the dense RREF: column j is free exactly when
+    some kernel vector ends at j, so reducing the lifted kernel with its
+    columns reversed gives that basis, and subtracting it clears the
+    particular solution's free columns.
+    """
+    subgroup = cls.generated_subgroup()
+    cosets = cls.left_cosets()
+    n = cls.group.order
+    particular, kernel = solve_affine(assemble(coeffs, cls.group, subgroup),
+                                      [b for b in rhs for _ in subgroup])
+    particular = coset_lift(particular, cosets, n)
+    lifted = [coset_lift(vec, [coset], n) for vec in kernel for coset in cosets]
+    if not lifted:
+        return particular, []
+    red, pivots = rref(Mat([vec[::-1] for vec in lifted]))
+    basis = [list(row[::-1]) for row in reversed(red.rows[:len(pivots)])]
+    for col, vec in zip(reversed(pivots), basis):
+        c = particular[-1 - col]
+        if c:
+            particular = [a - c * b for a, b in zip(particular, vec)]
+    return particular, basis

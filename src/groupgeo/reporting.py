@@ -28,7 +28,7 @@ from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
 from .cyclotomic import Cyclotomic
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, ad_table, class_product_table
-from .linalg import Mat, as_scalar
+from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
     from .dirac import Spectrum
@@ -489,7 +489,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         # permutation of the basis, so traces scale by [G:H]
         "trace": scalar_json(block.trace() * spect.copies),
         "trace_of_square": scalar_json(square.trace() * spect.copies),
-        "hermitian": spinops.is_hermitian(coeffs, group),
+        "hermitian": is_hermitian(coeffs, group),
         "cube_equals_nine_times": square @ block == block * 9,
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
@@ -529,14 +529,14 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     spect = spinops.certify(coeffs, cls)[1]
     out = {
         "mu": fraction_json(mu),
-        "operator": matrix_json(spinops.assemble(coeffs, cls.group)),
+        "operator": matrix_json(assemble(coeffs, cls.group)),
         "spectrum": spectrum_json(spect),
-        "hermitian": spinops.is_hermitian(coeffs, cls.group),
+        "hermitian": is_hermitian(coeffs, cls.group),
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0:
         # twice the class translation sum minus twice the class size
-        out["translation_form"] = spinops.same_element(
+        out["translation_form"] = same_element(
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
             out["eigenmode_catalog"] = catalog_json(

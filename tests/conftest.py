@@ -19,8 +19,9 @@ from groupgeo.connections import (
     torsion_free_family,
 )
 from groupgeo.curvature import ricci, ricci_flat_solve
-from groupgeo.dirac import assemble, dirac_operator, wave_operator
+from groupgeo.dirac import dirac_operator, wave_operator
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
+from groupgeo.linalg import assemble
 from groupgeo.representations import builtin_rep
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")

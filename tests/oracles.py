@@ -3,7 +3,8 @@
 Each one is the direct, unoptimised form of something the package computes
 another way (functions stored as one value per group element beside the
 one-value form of constants, the dense torsion system beside the
-Kronecker-factored solve,
+Kronecker-factored solve, a group-algebra system assembled on G beside
+its solve on H = <C>,
 a polynomial evaluated on a matrix beside a certified spectrum, the matrix
 Krylov minimal polynomial beside the vector one, the Dirac and wave
 operators summed from dense Kronecker and translation matrices beside
@@ -42,10 +43,11 @@ from groupgeo.calculus import Calculus, GroupFunction, OneForm, TensorOneOne, Tw
 from groupgeo.connections import Connection
 from groupgeo.curvature import connection_grid
 from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.dirac import assemble, gamma_matrices, metric, poly_from_roots
+from groupgeo.dirac import gamma_matrices, metric, poly_from_roots
 from groupgeo.errors import SingularMetricError
-from groupgeo.groups import ConjClass, FiniteGroup, coset_lift
-from groupgeo.linalg import Mat, as_scalar, kernel_basis, rref, solve_affine
+from groupgeo.groups import ConjClass, FiniteGroup
+from groupgeo.linalg import (Mat, as_scalar, assemble, coset_lift, kernel_basis, rref,
+                            solve_affine)
 from groupgeo.representations import Representation
 
 _ZERO = rat(0)
@@ -470,6 +472,13 @@ def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
                     for h in range(order):
                         rows[(apos * qdim + k) * order + h][col_base + h] = coeff
     return Mat(rows), rhs
+
+
+def dense_system(coeffs, rhs, group: FiniteGroup) -> tuple[Mat, list]:
+    """The system assemble(coeffs, group) x = b on all of G, b holding the
+    constant rhs[i] at every element in row component i: what
+    linalg.solve_lifted solves from its block on H."""
+    return assemble(coeffs, group), [as_scalar(b) for b in rhs for _ in range(group.order)]
 
 
 def torsion_family_members(calculus: Calculus, directions) -> list[list[OneForm]]:

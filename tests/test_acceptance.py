@@ -22,7 +22,6 @@ from groupgeo.curvature import (
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.dirac import (
-    assemble,
     chirality,
     dirac_operator,
     spectral_action,
@@ -31,7 +30,7 @@ from groupgeo.dirac import (
     wave_operator,
 )
 from groupgeo.groups import class_product_table
-from groupgeo.linalg import Mat
+from groupgeo.linalg import Mat, assemble
 from groupgeo.representations import builtin_rep
 from oracles import class_translation_sum, right_mul, torsion_family_members, translation_block
 

@@ -17,7 +17,6 @@ from groupgeo.curvature import (
     covariant_derivative,
     curvature_forms,
     lift,
-    lift_solution,
     relative_curvature,
     ricci,
     ricci_flat_solve,
@@ -28,8 +27,8 @@ from groupgeo.curvature import (
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import ad_table, conjugacy_class, dihedral
-from oracles import curvature_of, rank, riemann
-from groupgeo.linalg import Mat, solve_affine
+from oracles import curvature_of, dense_system, rank, riemann
+from groupgeo.linalg import Mat, same_element, solve_affine, solve_lifted
 
 
 def _basis_two_form(cal, k):
@@ -136,13 +135,18 @@ def test_ricci_flat_solve_unique_with_constraint(ricci_solve_d6, cal_d6):
             assert func == cal_d6.constant(Fraction(-1, 3))
 
 
+def _unconstrained(system):
+    """A Ricci system without the chart constraint, its last row component."""
+    coeffs, rhs = system
+    return {h: Mat(m.rows[:-1]) for h, m in coeffs.items()}, rhs[:-1]
+
+
 def _unconstrained_ricci_flat_solve(cal, variant):
-    """The Ricci-flat solve without the chart constraint, whose |G| rows
-    ricci_system appends last."""
+    """The Ricci-flat solve without the chart constraint, dense on G."""
     grp = cal.group
     order = grp.order
-    matrix, rhs = ricci_system(cal)[variant]
-    particular, kernel = solve_affine(Mat(matrix.rows[:-order]), rhs[:-order])
+    unconstrained = _unconstrained(ricci_system(cal)[variant])
+    particular, kernel = solve_affine(*dense_system(*unconstrained, grp))
 
     def params_from_vec(vec):
         return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
@@ -211,14 +215,15 @@ def _jacobian_by_evaluation(cal, variant):
 @pytest.mark.parametrize("variant", ["canonical", "braided"])
 def test_ricci_system_matches_evaluation_jacobian(oracle_cal, variant):
     rows, rhs = _jacobian_by_evaluation(oracle_cal, variant)
-    order = oracle_cal.group.order
-    matrix, full_rhs = ricci_system(oracle_cal)[variant]
+    group = oracle_cal.group
+    order = group.order
+    system = ricci_system(oracle_cal)[variant]
+    assert dense_system(*_unconstrained(system), group) == (Mat(rows), rhs)
     # the chart constraint comes last, one row per group element
-    assert (Mat(matrix.rows[:-order]), full_rhs[:-order]) == (Mat(rows), rhs)
     for g in range(order):
         rows.append([rat(1) if u % order == g else rat(0) for u in range(3 * order)])
         rhs.append(rat(-1))
-    assert (matrix, full_rhs) == (Mat(rows), rhs)
+    assert dense_system(*system, group) == (Mat(rows), rhs)
 
 
 # -- the solve on H = <C> ---------------------------------------------------
@@ -259,21 +264,35 @@ def test_subgroup_calculus_keeps_the_class_order(h_block_cal):
     assert sub.quotient_pairs == h_block_cal.quotient_pairs
 
 
+def test_ricci_system_is_keyed_by_e_and_the_class(h_block_cal):
+    # and the system of (H, C), re-keyed by the elements of H in G, is the
+    # same group-algebra element
+    cls = h_block_cal.cls
+    elements = cls.generated_subgroup()
+    on_h = ricci_system(subgroup_calculus(h_block_cal))
+    for variant, (coeffs, rhs) in ricci_system(h_block_cal).items():
+        assert set(coeffs) == {0, *cls.members}
+        assert {(m.nrows, m.ncols) for m in coeffs.values()} == {(10, 3)}
+        assert len(rhs) == 10
+        h_coeffs, h_rhs = on_h[variant]
+        assert same_element({elements[h]: m for h, m in h_coeffs.items()}, coeffs)
+        assert h_rhs == rhs
+
+
 @pytest.mark.parametrize("variant", LIFT_VARIANTS)
 def test_ricci_flat_solve_equals_dense_solve(h_block_cal, variant):
     particular, kernel = ricci_flat_solve(h_block_cal)[variant]
-    dense = solve_affine(*ricci_system(h_block_cal)[variant])
+    dense = solve_affine(*dense_system(*ricci_system(h_block_cal)[variant], h_block_cal.group))
     assert (_flat(particular), [_flat(v) for v in kernel]) == dense
 
 
 def _unconstrained_h_block_solve(cal, variant):
     """The Ricci-flat solve without the chart constraint on H, lifted to G."""
-    sub = subgroup_calculus(cal)
-    k = sub.group.order
-    matrix, rhs = ricci_system(sub)[variant]
-    particular, kernel = solve_affine(Mat(matrix.rows[:-k]), rhs[:-k])
+    elements = cal.cls.generated_subgroup()
+    coeffs, rhs = _unconstrained(ricci_system(subgroup_calculus(cal))[variant])
+    particular, kernel = solve_lifted({elements[h]: m for h, m in coeffs.items()}, rhs, cal.cls)
     assert kernel
-    return lift_solution(cal, particular, kernel)
+    return particular, kernel
 
 
 @pytest.mark.parametrize("variant", LIFT_VARIANTS)
@@ -314,7 +333,6 @@ def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, bui
 
     real_rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", recording_rref)
-    monkeypatch.setattr(curvature, "rref", recording_rref)
     solves = ricci_flat_solve(cal)
     assert list(solves) == list(LIFT_VARIANTS)
     for particular, kernel in solves.values():

@@ -14,25 +14,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import direct_product_cyclic, relabelled
-from groupgeo import connections, dirac, reporting, representations
+from groupgeo import connections, dirac, linalg, reporting, representations
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import Connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
     Spectrum,
-    apply,
-    assemble,
     casimir,
     chirality,
     dirac_operator,
     eigenmode_catalog,
     exp_taylor_coefficients,
     gamma_matrices,
-    is_hermitian,
     metric,
     certify,
     poly_from_roots,
-    same_element,
     spectral_action,
     spectrum,
     wave_eigenmode_catalog,
@@ -45,8 +41,9 @@ from groupgeo.errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from groupgeo.groups import conjugacy_class, coset_lift
-from groupgeo.linalg import Mat, kernel_basis
+from groupgeo.groups import conjugacy_class
+from groupgeo.linalg import (Mat, apply, assemble, coset_lift, is_hermitian, kernel_basis,
+                            same_element)
 from groupgeo.representations import builtin_rep, irreducibles
 from oracles import (
     class_translation_sum,
@@ -706,9 +703,11 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
 
         monkeypatch.setattr(module, name, call)
 
-    certify, build = dirac.spectrum, dirac.assemble
+    certify, build = dirac.spectrum, linalg.assemble
     monkeypatch.setattr(dirac, "spectrum", certified)
-    monkeypatch.setattr(dirac, "assemble", assembled)
+    # linalg.assemble, where each module that assembles holds it
+    for module in (dirac, reporting):
+        monkeypatch.setattr(module, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(connections, "levi_civita")
     report = reporting.full_report(cls_d6)

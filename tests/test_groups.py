@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +123,21 @@ def test_right_translation_is_permutation(d6):
 def test_cayley_rejects_duplicate_names():
     with pytest.raises(CayleyValidationError, match="unique"):
         FiniteGroup(["e", "a", "a"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+
+
+def test_duplicate_name_message_names_the_first_repeated_name_in_list_order():
+    # "b" repeats first, but "a" comes first in the list
+    with pytest.raises(CayleyValidationError,
+                       match=re.escape("element names must be unique: 'a' repeats")):
+        FiniteGroup(["e", "a", "b", "b", "a"], [])
+
+
+def test_duplicate_names_are_found_in_one_pass():
+    names = [f"g{i}" for i in range(50_000)] + ["g49999"]
+    start = time.perf_counter()
+    with pytest.raises(CayleyValidationError, match="'g49999' repeats"):
+        FiniteGroup.from_dict({"names": names, "table": []})
+    assert time.perf_counter() - start < 5
 
 
 def test_cayley_rejects_bad_shape():

@@ -6,16 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dicyclic3, direct_product_cyclic
 from groupgeo.cyclotomic import Cyclotomic, cyclo, rat
 from groupgeo.errors import InfeasibleSystemError
+from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import (
     Mat,
+    apply,
+    assemble,
     inverse,
     kernel_basis,
     rref,
     solve_affine,
+    solve_lifted,
 )
-from oracles import (FractionCyclotomic, eval_poly, kron, oracle_rref, rank,
+from oracles import (FractionCyclotomic, dense_system, eval_poly, kron, oracle_rref, rank,
                      unfused_rref, vec_is_zero)
 
 
@@ -279,3 +284,69 @@ def test_fused_rref_matches_the_unfused_update(a):
     assert pivots == want_pivots
     assert [[(x.order, x.nums, x.den) for x in row] for row in red.rows] == \
         [[(x.order, x.nums, x.den) for x in row] for row in want.rows]
+
+
+# -- group-algebra coefficients ---------------------------------------------
+
+# H = <C> of index 1, 2, 1 and 4
+CLASSES = [conjugacy_class(dihedral(3), "sr"), conjugacy_class(dihedral(6), "sr"),
+           conjugacy_class(dicyclic3(), "a0x1"),
+           conjugacy_class(direct_product_cyclic(dihedral(6), 2), "sr")]
+
+_RATIONALS = st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+_ENTRIES = st.builds(lambda x, y: rat(x) + cyclo(4) * y, _RATIONALS, st.integers(-1, 1))
+
+
+def _matrices(nrows, ncols, entries=_ENTRIES):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(Mat)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), nrows=st.integers(1, 3), ncols=st.integers(1, 3))
+def test_assemble_at_the_identity_is_a_kronecker_product(data, nrows, ncols):
+    group = data.draw(st.sampled_from(CLASSES)).group
+    m = data.draw(_matrices(nrows, ncols))
+    assert assemble({0: m}, group) == kron(m, Mat.identity(group.order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), nrows=st.integers(1, 3), ncols=st.integers(1, 3))
+def test_block_on_h_is_the_operator_on_g_restricted(data, nrows, ncols):
+    cls = data.draw(st.sampled_from(CLASSES))
+    group, subgroup = cls.group, cls.generated_subgroup()
+    n = group.order
+    coeffs = data.draw(st.dictionaries(st.sampled_from(subgroup), _matrices(nrows, ncols),
+                                       min_size=1))
+    op = assemble(coeffs, group)
+    assert (op.nrows, op.ncols) == (nrows * n, ncols * n)
+    assert assemble(coeffs, group, subgroup) == op.submatrix(
+        [i * n + g for i in range(nrows) for g in subgroup],
+        [j * n + g for j in range(ncols) for g in subgroup])
+    vec = data.draw(st.lists(_ENTRIES, min_size=op.ncols, max_size=op.ncols))
+    assert apply(coeffs, group, vec) == op @ vec
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), nrows=st.integers(1, 3), ncols=st.integers(1, 3),
+       consistent=st.booleans())
+def test_solve_lifted_matches_the_dense_solve(data, nrows, ncols, consistent):
+    cls = data.draw(st.sampled_from(CLASSES))
+    coeffs = data.draw(st.dictionaries(st.sampled_from(cls.generated_subgroup()),
+                                       _matrices(nrows, ncols, _RATIONALS), min_size=1))
+    if consistent:
+        # a constant x is carried to the constant (sum_h M_h) x
+        total = Mat.zeros(nrows, ncols)
+        for m in coeffs.values():
+            total = total + m
+        rhs = total @ data.draw(st.lists(_RATIONALS, min_size=ncols, max_size=ncols))
+    else:
+        rhs = data.draw(st.lists(_RATIONALS, min_size=nrows, max_size=nrows))
+    try:
+        dense = solve_affine(*dense_system(coeffs, rhs, cls.group))
+    except InfeasibleSystemError:
+        assert not consistent
+        with pytest.raises(InfeasibleSystemError):
+            solve_lifted(coeffs, rhs, cls)
+        return
+    assert solve_lifted(coeffs, rhs, cls) == dense
