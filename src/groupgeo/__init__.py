@@ -11,7 +11,6 @@ Most objects are plain classes holding exact matrices; the command line
 entry point (``groupgeo``) serializes every result deterministically.
 """
 
-from .cyclotomic import Cyclotomic, cyclo, rat
 from .errors import (
     AsymmetricSpectrumError,
     CayleyValidationError,
@@ -42,3 +41,15 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# the scalar type loads on first use, so a command that refuses its input
+# before any arithmetic never compiles it
+_SCALARS = ("Cyclotomic", "cyclo", "rat")
+
+
+def __getattr__(name):
+    if name in _SCALARS:
+        from . import cyclotomic
+
+        return getattr(cyclotomic, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

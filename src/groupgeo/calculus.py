@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .cyclotomic import Cyclotomic, rat
 from .errors import NonCyclicClassError
-from .groups import ConjClass, FiniteGroup, class_product_table
+from .groups import ConjClass, FiniteGroup
 from .linalg import as_scalar
 
 
@@ -163,7 +163,7 @@ class Calculus:
         # braiding as a permutation of the m^2 monomials, row-major (a, b)
         self.braid_perm = {p: braiding(cls, *p) for p in self.pairs}
         self.orbits = self._braid_orbits()
-        self.circulant = self._circulant_products()
+        self.circulant = cls.circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
         self._theta = None
@@ -186,18 +186,6 @@ class Calculus:
             orbits.append(tuple(orbit))
         return orbits
 
-    def _circulant_products(self) -> bool:
-        """Class products follow the 3x3 pattern [[d,v,u],[u,d,v],[v,u,d]]
-        with u, v off the class; the pattern behind the fixed basis choice."""
-        if self.n_members != 3:
-            return False
-        pt = class_product_table(self.cls)
-        d, u, v = pt[0][0], pt[1][0], pt[2][0]
-        if len({d, u, v}) != 3:
-            return False
-        expect = [[d, v, u], [u, d, v], [v, u, d]]
-        return pt == expect
-
     def _choose_quotient_basis(self) -> list[tuple[int, int]]:
         if self.circulant:
             # (x,t), (y,x), (y,t), (x,y) in class positions
@@ -210,7 +198,16 @@ class Calculus:
         modulo the relation space.  The orbit sums span the relations, so
         the basis complements them exactly when each orbit has one monomial
         outside it; that monomial is minus the sum of the rest of its orbit
-        and every basis monomial is its own unit vector."""
+        and every basis monomial is its own unit vector.
+
+        The bases _choose_quotient_basis picks always pass: the general
+        one leaves out exactly the first pair of each orbit, and on a
+        circulant class no two distinct members commute (c_i c_j and
+        c_j c_i are distinct entries of the pattern), so c_i c_j c_i^-1 is
+        the third member, the braiding fixes (i, i) and has the two
+        3-cycles (0,1) -> (2,0) -> (1,2) and (1,0) -> (2,1) -> (0,2), and
+        the fixed basis leaves out (i, i), (0, 1) and (0, 2), one of each
+        orbit.  So an admissible class never fails here."""
         index = {p: k for k, p in enumerate(self.quotient_pairs)}
         outside = [[p for p in orbit if p not in index] for orbit in self.orbits]
         if any(len(out) != 1 for out in outside):

@@ -12,6 +12,12 @@ validation failures (bad Cayley table, unknown label, non-cyclic or
 otherwise unsupported class or group), 4 mathematical failures on valid
 input (singular metric values, an operator whose certified spectrum misses
 dimensions or leaves Q, an infeasible exact system).
+
+The front (this module, groups and errors) reads the input and runs every
+check that needs nothing else, PRECONDITIONS per command, in the order the
+command's layers would raise them.  Only an input that passes imports
+reporting and the layers the command runs, so a refusal compiles no
+layer and gives the exit code and message the layer itself would.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ from .errors import (
     NonCyclicClassError,
     UnsupportedGroupError,
 )
-from .groups import FiniteGroup, conjugacy_class, dihedral
+from .groups import (FiniteGroup, conjugacy_class, dihedral, dihedral_structure,
+                     require_chart_class, require_invertible_metric)
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -49,6 +56,25 @@ _MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
 COMMANDS = ("calculus", "connection", "curvature", "ricci", "dirac", "wave",
             "spectral-action", "report-all")
+
+# the checks each command's layers make of the input alone, in the order
+# they make them; an input one of them refuses is refused before any layer
+# is imported, with the layer's own error
+_CHECKS = {
+    "chart": lambda cls, mu: require_chart_class(cls),
+    "metric": lambda cls, mu: require_invertible_metric(cls.size, mu),
+    "dihedral": lambda cls, mu: dihedral_structure(cls.group),
+}
+PRECONDITIONS = {
+    "calculus": (),
+    "connection": ("chart", "metric"),
+    "curvature": ("chart",),
+    "ricci": ("chart",),
+    "dirac": ("dihedral", "chart", "metric"),
+    "wave": ("metric",),
+    "spectral-action": ("dihedral", "chart", "metric"),
+    "report-all": ("chart", "metric", "dihedral"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,15 +130,18 @@ def _parse_mu(text: str) -> Fraction:
 def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
-    # the layers load only for an accepted class, and each report loads
+    for check in PRECONDITIONS[args.cmd]:
+        _CHECKS[check](cls, mu)
+    # the layers load only for an accepted input, and each report loads
     # only the layers it runs
-    from .calculus import differential_calculus
     from . import reporting
 
     if args.cmd == "report-all":
         return reporting.full_report(cls, mu)
     if args.cmd == "wave":
         return reporting.wave_report(cls, mu)
+    from .calculus import differential_calculus
+
     cal = differential_calculus(cls)
     if args.cmd == "calculus":
         return reporting.calculus_report(cal)

@@ -15,9 +15,10 @@ connection with all three residuals zero is e_a - theta/3 in every case
 handled here; levi_civita builds it and proves the residuals vanish.
 
 The layer reads only the 2-form relations and the class products.  The
-metric enters with the Dirac and wave operators; require_invertible_metric
-states the one modulus it cannot take, and the connection report checks it
-before the torsion solve.
+metric enters with the Dirac and wave operators;
+groups.require_invertible_metric states the one modulus it cannot take, and
+the connection report checks it before the torsion solve.  The chart check,
+groups.require_chart_class, reads the class alone.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Optional, Sequence
 
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
 from .cyclotomic import rat
-from .errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
-                     UnsupportedGroupError)
+from .errors import GroupGeoError, InfeasibleSystemError
+from .groups import require_chart_class
 from .linalg import Mat, solve_affine
 
 
@@ -58,7 +59,7 @@ class Connection:
         every chart member is torsion-free and every torsion-free connection
         on such a class is a chart member.
         """
-        require_chart_class(calculus)
+        require_chart_class(calculus.cls)
         csum = alpha + beta + gamma + calculus.constant(1)
         if not csum.is_zero():
             raise ValueError("chart parameters must sum to -1 pointwise")
@@ -100,14 +101,6 @@ def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFuncti
     rows = [[one + alpha, gamma, beta], [gamma, one + beta, alpha], [beta, alpha, one + gamma]]
     return Connection(calculus, [calculus.one_form(row) for row in rows],
                       parameters=(alpha, beta, gamma))
-
-
-def require_chart_class(calculus: Calculus) -> None:
-    """Raise UnsupportedGroupError unless the class has the 3 members with
-    circulant products that the connection chart is stated for."""
-    if not calculus.circulant:
-        raise UnsupportedGroupError(
-            "connection chart requires a 3-member class with circulant products")
 
 
 # -- residuals --------------------------------------------------------------
@@ -234,16 +227,6 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
             [to_components(v) for v in factor_kernel])
 
 
-# -- the metric modulus ------------------------------------------------------
-
-def require_invertible_metric(size: int, mu) -> None:
-    """Raise SingularMetricError at mu = -1/size, where the frame metric
-    delta_{ab} + mu of a class of that size degenerates."""
-    if 1 + size * Fraction(mu) == 0:
-        raise SingularMetricError(
-            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
-
-
 # -- distinguished connections ----------------------------------------------
 
 def levi_civita(calculus: Calculus) -> Connection:
@@ -252,7 +235,7 @@ def levi_civita(calculus: Calculus) -> Connection:
 
     The three residuals are recomputed and proved zero before returning.
     """
-    require_chart_class(calculus)
+    require_chart_class(calculus.cls)
     third = calculus.constant(rat(-1, 3))
     conn = Connection.from_chart(calculus, third, third, third)
     if any(not r.is_zero() for r in torsion_residual(conn)):
@@ -280,7 +263,7 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
     whatever the group order, is solved exactly: no solution gives [], a line
     or plane of solutions is an error.
     """
-    require_chart_class(calculus)
+    require_chart_class(calculus.cls)
 
     def residual(a, b) -> list:
         const = calculus.constant

@@ -38,9 +38,9 @@ from typing import Sequence
 
 from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
                        differential_calculus)
-from .connections import Connection, chart_connection, require_chart_class
+from .connections import Connection, chart_connection
 from .cyclotomic import rat
-from .groups import FiniteGroup
+from .groups import FiniteGroup, require_chart_class
 from .linalg import Mat, solve_lifted
 
 LIFT_VARIANTS = ("canonical", "braided")
@@ -223,7 +223,7 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     assembled on the calculus of G it is the dense oracle for that solve.
     """
     cal = calculus
-    require_chart_class(cal)
+    require_chart_class(cal.cls)
     grp = cal.group
     zero = cal.zero_function()
     delta_e = GroupFunction.delta(grp, 0)
@@ -280,7 +280,7 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, list]]:
     Each entry is (particular, kernel) where particular is a parameter
     triple and kernel is a basis of homogeneous triples.
     """
-    require_chart_class(calculus)
+    require_chart_class(calculus.cls)
     cls = calculus.cls
     grp = cls.group
     order = grp.order

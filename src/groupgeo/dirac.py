@@ -44,7 +44,6 @@ from functools import partial
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .connections import Connection, require_invertible_metric
 from .cyclotomic import Cyclotomic, rat
 from .errors import (
     AsymmetricSpectrumError,
@@ -53,10 +52,11 @@ from .errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from .groups import ConjClass, FiniteGroup
+from .groups import ConjClass, FiniteGroup, require_invertible_metric
 from .linalg import Mat, apply, as_scalar, assemble, inverse, kernel_basis, rref
 
 if TYPE_CHECKING:
+    from .connections import Connection
     from .representations import Representation
 
 _ZERO = rat(0)

@@ -18,15 +18,36 @@ its conjugation orbit; otherwise ascending element index.  It also gives the
 subgroup H = <C> it generates and the left cosets of H, the element sets on
 which linalg assembles a left-covariant operator's block and lifts its
 solutions.
+
+Preconditions.  Every refusal that depends on the input alone is stated
+here, so the command line can run it before it imports a layer: a calculus
+needs require_calculus_admissible, the connection chart a 3-member class
+with circulant products (require_chart_class), the frame metric
+mu != -1/|C| (require_invertible_metric) and the spinor representations a
+dihedral presentation (dihedral_structure).  The layers call the same
+functions.  Each command meets them in this order, after the calculus
+check:
+
+    calculus                  none
+    connection                chart, metric
+    curvature, ricci          chart
+    dirac, spectral-action    dihedral presentation, chart, metric
+    wave                      metric
+    report-all                chart, metric, dihedral presentation
+
+The casimir normalisation mu != -1/4 is checked by dirac alone; it comes
+after these for every command that needs it.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
+from fractions import Fraction
 from typing import Sequence
 
-from .errors import CayleyValidationError, NonCyclicClassError
+from .errors import (CayleyValidationError, NonCyclicClassError, SingularMetricError,
+                     UnsupportedGroupError)
 
 
 class FiniteGroup:
@@ -276,6 +297,19 @@ class ConjClass:
                 "cyclically permutes the others with a -> a t a^-1 onto the class")
         return self.cyclic_witness
 
+    def circulant_products(self) -> bool:
+        """Class products follow the 3x3 pattern [[d,v,u],[u,d,v],[v,u,d]]
+        with u, v off the class; the pattern behind the calculus's fixed
+        2-form basis and the connection chart."""
+        if self.size != 3:
+            return False
+        pt = class_product_table(self)
+        d, u, v = pt[0][0], pt[1][0], pt[2][0]
+        if len({d, u, v}) != 3:
+            return False
+        expect = [[d, v, u], [u, d, v], [v, u, d]]
+        return pt == expect
+
     def __repr__(self):
         return f"ConjClass({', '.join(self.labels())})"
 
@@ -319,6 +353,75 @@ def conjugacy_class(group: FiniteGroup, g) -> ConjClass:
     if isinstance(g, str):
         g = group.index(g)
     return group.conjugacy_class(g)
+
+
+# -- preconditions that read only the input --------------------------------
+
+def require_chart_class(cls: ConjClass) -> None:
+    """Raise UnsupportedGroupError unless the class has the 3 members with
+    circulant products that the connection chart is stated for."""
+    if not cls.circulant_products():
+        raise UnsupportedGroupError(
+            "connection chart requires a 3-member class with circulant products")
+
+
+def require_invertible_metric(size: int, mu) -> None:
+    """Raise SingularMetricError at mu = -1/size, where the frame metric
+    delta_{ab} + mu of a class of that size degenerates."""
+    if 1 + size * Fraction(mu) == 0:
+        raise SingularMetricError(
+            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
+
+
+def _element_order(group: FiniteGroup, g: int) -> int:
+    k, cur = 1, g
+    while cur != 0:
+        cur = group.mul(cur, g)
+        k += 1
+    return k
+
+
+def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
+    """Detect dihedral structure: the first element r of order n = |G|/2 and
+    the first involution s outside <r> with s r s^-1 = r^-1.  Returns the
+    decomposition of the group by them, in element order: (0, i) for r^i
+    and (1, i) for s r^i.  Raises UnsupportedGroupError when the group has
+    no such presentation."""
+    order = group.order
+    if order % 2 or order < 2:
+        raise UnsupportedGroupError(
+            f"group {group.name} of order {order} has no dihedral presentation")
+    n = order // 2
+    for r in range(order) if n > 1 else [0]:
+        if _element_order(group, r) != n and n > 1:
+            continue
+        subgroup = set()
+        cur = 0
+        for _ in range(n):
+            subgroup.add(cur)
+            cur = group.mul(cur, r)
+        if len(subgroup) != n:
+            continue
+        for s in range(order):
+            if s in subgroup or group.mul(s, s) != 0:
+                continue
+            if group.conj(s, r) == group.inv(r):
+                return _decomposition(group, r, s)
+    raise UnsupportedGroupError(
+        f"group {group.name} of order {order} has no dihedral presentation")
+
+
+def _decomposition(group: FiniteGroup, rotation: int,
+                   reflection: int) -> tuple[tuple[int, int], ...]:
+    n = group.order // 2
+    decomp = [None] * group.order
+    cur = 0
+    for i in range(n):
+        decomp[cur] = (0, i)
+        decomp[group.mul(reflection, cur)] = (1, i)
+        cur = group.mul(cur, rotation)
+    assert None not in decomp, "rotation/reflection pair does not decompose the group"
+    return tuple(decomp)
 
 
 def dihedral(n: int) -> FiniteGroup:

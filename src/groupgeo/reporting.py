@@ -12,8 +12,11 @@ always runs inside its own precision context, so the decimals depend neither
 on the platform nor on the caller's mpmath settings. Nothing in a report
 depends on time, paths or dictionary iteration order.
 
-Each report imports the layers it runs inside its own body, so a command
-compiles only the modules it needs.
+Each report imports the layers it runs inside its own body, the calculus
+among them, so a command compiles only the modules it needs: the wave
+report, which reads the class alone, loads neither calculus nor
+connections.  The reports keep the layers' checks; the command line runs
+the same input-only checks (groups) before it imports this module.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import __version__
-from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
-                       differential_calculus)
 from .cyclotomic import Cyclotomic
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
-from .groups import ConjClass, ad_table, class_product_table
+from .groups import (ConjClass, ad_table, class_product_table,
+                     require_invertible_metric)
 from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
+    from .calculus import Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm
     from .dirac import Spectrum
     from .representations import Representation
 
@@ -344,7 +347,7 @@ def calculus_report(cal: Calculus) -> dict:
 
 def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     from .connections import (Connection, constant_regular_scan, levi_civita,
-                              require_invertible_metric, torsion_free_family)
+                              torsion_free_family)
 
     mu = Fraction(mu)
     lc = levi_civita(cal)
@@ -379,6 +382,7 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
 
 
 def curvature_report(cal: Calculus) -> dict:
+    from .calculus import TwoForm
     from .connections import levi_civita
     from .curvature import (LIFT_VARIANTS, covariant_derivative, curvature_forms,
                             lift, wedge_of_tensor)
@@ -573,6 +577,8 @@ def spectral_action_report(spect: Spectrum, mu) -> dict:
 
 
 def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
+    from .calculus import differential_calculus
+
     mu = Fraction(mu)
     group = cls.group
     cal = differential_calculus(cls)

@@ -2,10 +2,12 @@
 
 The built-in catalog covers groups with dihedral structure: an index-2
 cyclic subgroup generated by some element of maximal order together with a
-reflection.  The detection is structural, not name-based, so a group loaded
-from a Cayley-table file (an S3 for instance) gets the same catalog as the
-built-in construction.  A group without that structure has no catalog:
-builtin_rep and irreducibles raise UnsupportedGroupError for it.
+reflection.  The detection, groups.dihedral_structure, is structural, not
+name-based, so a group loaded from a Cayley-table file (an S3 for
+instance) gets the same catalog as the built-in construction.  A group
+without that structure has no catalog: builtin_rep and irreducibles raise
+UnsupportedGroupError for it, and the command line refuses such a group
+with the same check before it imports this module.
 
 The two named spinor-side representations are
   spinor: dimension 2, rotation -> diag(z, z^-1) with z = zeta_(subgroup order),
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 from .cyclotomic import Cyclotomic, cyclo, rat
 from .errors import UnsupportedGroupError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, dihedral_structure
 from .linalg import Mat
 
 _ZERO = rat(0)
@@ -68,57 +70,6 @@ class Representation:
 
     def __repr__(self):
         return f"Representation({self.name}, dim {self.dim} over {self.group.name})"
-
-
-def _element_order(group: FiniteGroup, g: int) -> int:
-    k, cur = 1, g
-    while cur != 0:
-        cur = group.mul(cur, g)
-        k += 1
-    return k
-
-
-def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
-    """Detect dihedral structure: the first element r of order n = |G|/2 and
-    the first involution s outside <r> with s r s^-1 = r^-1.  Returns the
-    decomposition of the group by them, in element order: (0, i) for r^i
-    and (1, i) for s r^i.  Raises UnsupportedGroupError when the group has
-    no such presentation."""
-    order = group.order
-    if order % 2 or order < 2:
-        raise UnsupportedGroupError(
-            f"group {group.name} of order {order} has no dihedral presentation")
-    n = order // 2
-    for r in range(order) if n > 1 else [0]:
-        if _element_order(group, r) != n and n > 1:
-            continue
-        subgroup = set()
-        cur = 0
-        for _ in range(n):
-            subgroup.add(cur)
-            cur = group.mul(cur, r)
-        if len(subgroup) != n:
-            continue
-        for s in range(order):
-            if s in subgroup or group.mul(s, s) != 0:
-                continue
-            if group.conj(s, r) == group.inv(r):
-                return _decomposition(group, r, s)
-    raise UnsupportedGroupError(
-        f"group {group.name} of order {order} has no dihedral presentation")
-
-
-def _decomposition(group: FiniteGroup, rotation: int,
-                   reflection: int) -> tuple[tuple[int, int], ...]:
-    n = group.order // 2
-    decomp = [None] * group.order
-    cur = 0
-    for i in range(n):
-        decomp[cur] = (0, i)
-        decomp[group.mul(reflection, cur)] = (1, i)
-        cur = group.mul(cur, rotation)
-    assert None not in decomp, "rotation/reflection pair does not decompose the group"
-    return tuple(decomp)
 
 
 def _spinor_matrices(decomp, k: int) -> list[Mat]:

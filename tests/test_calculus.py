@@ -150,6 +150,27 @@ def test_orbit_quotient_matches_elimination(build, count):
         _assert_matches_elimination(Calculus(cls))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: dihedral(3),
+    lambda: dihedral(6),
+    lambda: direct_product_cyclic(dihedral(6), 2),
+    lambda: direct_product_cyclic(dihedral(3), 4),
+    dicyclic3,
+    alternating4,
+], ids=["d3", "d6", "d6xz2", "d3xz4", "dic3", "a4"])
+def test_an_admissible_class_always_has_a_calculus(build):
+    # the command line checks require_calculus_admissible alone before it
+    # builds a calculus: the quotient basis of every admissible class
+    # complements the relations, so _build_reduction never refuses one;
+    # A4's classes take the general basis, the others the fixed one
+    classes = _cyclic_classes(build())
+    assert classes
+    for cls in classes:
+        cal = Calculus(cls)
+        assert cal.circulant is cls.circulant_products()
+        assert cal.quotient_dim == cal.n_members ** 2 - cal.relation_dim
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6), label=st.sampled_from(["sr", "s"]))
 def test_orbit_quotient_matches_elimination_after_relabelling(d6, seed, label):

@@ -10,12 +10,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import dicyclic3, direct_product_cyclic, relabelled
-from groupgeo import cli, connections, reporting
+import groupgeo
+from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
+from groupgeo import cli, connections, groups, reporting
 from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
-from groupgeo.errors import UnsupportedGroupError
-from groupgeo.groups import conjugacy_class, dihedral
+from groupgeo.cyclotomic import rat
+from groupgeo.errors import CayleyValidationError, SingularMetricError, UnsupportedGroupError
+from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from oracles import (cayley_dict, expanded_functions, mpmath_cyclotomic_decimal,
                      mpmath_rational_decimal)
 
@@ -525,31 +527,67 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
-# the modules every command loads before it resolves its class
-_FRONT = {"cli", "cyclotomic", "errors", "groups"}
-_REPORT = _FRONT | {"calculus", "linalg", "reporting"}
+# the modules every command loads before its input is accepted
+_FRONT = {"cli", "errors", "groups"}
+_REPORT = _FRONT | {"calculus", "cyclotomic", "linalg", "reporting"}
 _SPINOR = _REPORT | {"connections", "dirac", "representations"}
-# exit code and groupgeo modules per command on D6
+# exit code and groupgeo modules per command on D6; the wave report reads
+# the class alone, so it builds no calculus and no connection
 _D6_LOADS = {
     "calculus": (0, _REPORT),
     "connection": (0, _REPORT | {"connections"}),
     "curvature": (0, _REPORT | {"connections", "curvature"}),
     "ricci": (0, _REPORT | {"connections", "curvature"}),
     "dirac": (0, _SPINOR),
-    "wave": (0, _SPINOR),
+    "wave": (0, _SPINOR - {"calculus", "connections"}),
     "spectral-action": (0, _SPINOR),
     "report-all": (0, _SPINOR | {"curvature"}),
 }
 # off order 12 the wave report states no catalog, so it builds no
-# representation; on D6 x Z2 the spinor commands stop at the missing
-# dihedral presentation, before the spinor layer
-_D3_LOADS = {**_D6_LOADS, "wave": (0, _SPINOR - {"representations"})}
+# representation; on D6 x Z2 the spinor commands and report-all stop at the
+# missing dihedral presentation, which the front checks
+_D3_LOADS = {**_D6_LOADS,
+             "wave": (0, _SPINOR - {"calculus", "connections", "representations"})}
 _D6Z2_LOADS = {
     **_D3_LOADS,
-    "dirac": (3, _REPORT | {"representations"}),
-    "spectral-action": (3, _REPORT | {"representations"}),
-    "report-all": (3, _REPORT | {"connections", "representations"}),
+    "dirac": (3, _FRONT),
+    "spectral-action": (3, _FRONT),
+    "report-all": (3, _FRONT),
 }
+
+_NAMES = ["e", "a", "b", "c", "d"]
+# tables that break one axiom each; the validator names the first broken one
+_CORRUPT_TABLES = {
+    "identity-row": [[0, 2, 1], [1, 2, 0], [2, 0, 1]],
+    "identity-column": [[0, 1, 2], [2, 1, 0], [1, 2, 0]],
+    "row-not-permutation": [[0, 1, 2], [1, 1, 0], [2, 0, 1]],
+    "column-not-permutation": [[0, 1, 2], [1, 2, 0], [2, 1, 0]],
+    "out-of-range": [[0, 1], [1, 2]],
+    "true-entry": [[0, 1], [1, True]],
+    "not-square": [[0, 1], [1]],
+    # a Latin square with identity, a loop of order 5; the only group of
+    # that order is cyclic and has no involution, and here a * a = e
+    "not-associative": [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                        [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+}
+
+
+def _source_env() -> dict:
+    """This environment with the package source first on PYTHONPATH, for a
+    fresh interpreter."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _corrupt_tables(tmp_path) -> list:
+    """The Cayley argv of each corrupted table of _CORRUPT_TABLES."""
+    out = []
+    for name, table in _CORRUPT_TABLES.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"names": _NAMES[:len(table)], "table": table}))
+        out.append(["--cayley", str(path)])
+    return out
 
 
 def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
@@ -561,22 +599,129 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
                 _D6Z2_LOADS))
     runs = [(source + ["--class", "sr", "--cmd", cmd], code, layers)
             for source, loads in sources for cmd, (code, layers) in loads.items()]
-    # usage errors and table rejects stop before the calculus
+    # usage errors, table rejects and inputs that fail a precondition of
+    # the command stop in the front
     runs += [(argv + ["--cmd", "ricci"], code, _FRONT) for argv, code in (
         (["--group", "dihedral:6", "--class", "sr", "--mu=1e5"], 2),
         (["--cayley", str(broken), "--class", "sr"], 3),
         (["--group", "dihedral:6", "--class", "q"], 3))]
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs += [(argv + ["--class", "a", "--cmd", "calculus"], 3, _FRONT)
+             for argv in _corrupt_tables(tmp_path)]
+    runs += [(["--group", "dihedral:6", "--class", "sr", "--mu=-1/3", "--cmd", cmd],
+              4, _FRONT) for cmd in ("connection", "wave")]
+    runs += [(_table_argv(tmp_path, alternating4()) + [
+        "--class", "1203", "--cmd", "connection"], 3, _FRONT)]
     probe = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps([r[0] for r in runs]),
          str(tmp_path / "report.json")],
-        env=env, capture_output=True, text=True)
+        env=_source_env(), capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     # no command imports mpmath: every decimal is read off an enclosure
     assert dict(zip((" ".join(r[0]) for r in runs), json.loads(probe.stdout))) == {
         " ".join(argv): [code, sorted(layers), False] for argv, code, layers in runs}
+
+
+def test_package_root_loads_the_scalars_on_first_use():
+    probe = subprocess.run([sys.executable, "-c", (
+        "import sys, groupgeo\n"
+        "print('groupgeo.cyclotomic' in sys.modules)\n"
+        "print(repr(groupgeo.rat(1, 2)), groupgeo.rat is groupgeo.cyclotomic.rat)\n"
+        "print(groupgeo.Cyclotomic.__name__, groupgeo.cyclo(4, 1).order)")],
+        env=_source_env(), capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.splitlines() == [
+        "False", f"{rat(1, 2)!r} True", "Cyclotomic 4"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        groupgeo.no_such_name
+
+
+# -- the front refuses with the error of the layer ---------------------------
+
+def test_groups_docstring_states_the_precondition_order():
+    names = {"chart": "chart", "metric": "metric", "dihedral": "dihedral presentation"}
+    table = {}
+    for line in groups.__doc__.split("after the calculus\ncheck:")[1].splitlines():
+        if "  " in line.strip():
+            cmds, checks = re.split(r"\s{2,}", line.strip())
+            for cmd in cmds.split(", "):
+                table[cmd] = checks
+    assert table == {cmd: ", ".join(names[c] for c in checks) or "none"
+                     for cmd, checks in cli.PRECONDITIONS.items()}
+
+
+def _library_error(build, exc_type) -> str:
+    """The stderr cli gives for the error the library raises, checked to
+    be of the expected type."""
+    with pytest.raises(exc_type) as err:
+        build()
+    kind = "precondition" if err.type is SingularMetricError else "validation"
+    return f"error({kind}): {err.value}\n"
+
+
+def _d6z2():
+    return direct_product_cyclic(dihedral(6), 2)
+
+
+def _layer(cmd):
+    """The library call behind a command, on a class and a modulus."""
+    return {
+        "connection": lambda cls, mu: reporting.connection_report(
+            differential_calculus(cls), mu),
+        "curvature": lambda cls, mu: reporting.curvature_report(differential_calculus(cls)),
+        "ricci": lambda cls, mu: reporting.ricci_report(differential_calculus(cls)),
+        "dirac": lambda cls, mu: reporting.certify_dirac(differential_calculus(cls), mu),
+        "spectral-action": lambda cls, mu: reporting.certify_dirac(
+            differential_calculus(cls), mu),
+        "report-all": reporting.full_report,
+    }[cmd]
+
+
+@pytest.mark.parametrize("build, label, cmd, mu, code, exc_type, fragment", [
+    # no dihedral presentation and a singular metric: the spinor layer
+    # refuses the group first
+    (_d6z2, "sr", "dirac", "-1/3", 3, UnsupportedGroupError, "no dihedral presentation"),
+    (_d6z2, "sr", "spectral-action", "-1/3", 3, UnsupportedGroupError,
+     "no dihedral presentation"),
+    # report-all reaches the connection section first
+    (_d6z2, "sr", "report-all", "-1/3", 4, SingularMetricError, "metric modulus"),
+    # a 4-member class at mu = -1/4: no chart, and a singular metric
+    (alternating4, "1203", "connection", "-1/4", 3, UnsupportedGroupError, "chart"),
+    (alternating4, "1203", "curvature", "-1/4", 3, UnsupportedGroupError, "chart"),
+    (alternating4, "1203", "ricci", "-1/4", 3, UnsupportedGroupError, "chart"),
+    # the casimir check is the dirac layer's own, and comes last
+    (lambda: dihedral(3), "sr", "dirac", "-1/4", 4, SingularMetricError, "casimir"),
+], ids=["d6xz2-dirac", "d6xz2-spectral-action", "d6xz2-report-all", "a4-connection",
+        "a4-curvature", "a4-ricci", "d3-dirac-casimir"])
+def test_front_refuses_with_the_error_of_the_layer(tmp_path, capsys, build, label, cmd,
+                                                   mu, code, exc_type, fragment):
+    group = build()
+    cls = conjugacy_class(group, label)
+    expect = _library_error(lambda: _layer(cmd)(cls, Fraction(mu)), exc_type)
+    assert fragment in expect
+    argv = _table_argv(tmp_path, group) + ["--class", label, "--cmd", cmd, f"--mu={mu}"]
+    assert _run(capsys, *argv) == (code, "", expect)
+
+
+@pytest.mark.parametrize("name, fragment", [
+    ("identity-row", "identity axiom violated: e*a"),
+    ("identity-column", "identity axiom violated: a*e"),
+    ("row-not-permutation", "row of a is not a permutation"),
+    ("column-not-permutation", "column of a is not a permutation"),
+    ("out-of-range", "= 2 is not an element index"),
+    ("true-entry", "= True is not an element index"),
+    ("not-square", "table must be 2x2"),
+    ("not-associative", "associativity violated"),
+])
+def test_corrupted_table_exits_3_with_the_validator_message(tmp_path, capsys, name,
+                                                            fragment):
+    table = _CORRUPT_TABLES[name]
+    expect = _library_error(lambda: FiniteGroup(_NAMES[:len(table)], table),
+                            CayleyValidationError)
+    assert fragment in expect
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"names": _NAMES[:len(table)], "table": table}))
+    assert _run(capsys, "--cayley", str(path), "--class", "a", "--cmd", "calculus") == (
+        3, "", expect)
 
 
 # -- report-all on tables with and without a dihedral presentation -----------

@@ -4,18 +4,24 @@ import itertools
 import json
 import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupgeo import groups
-from groupgeo.errors import CayleyValidationError, NonCyclicClassError
+from conftest import alternating4, direct_product_cyclic
+from groupgeo.errors import (CayleyValidationError, NonCyclicClassError,
+                             SingularMetricError, UnsupportedGroupError)
 from groupgeo.groups import (
     FiniteGroup,
     ad_table,
     class_product_table,
     conjugacy_class,
     dihedral,
+    dihedral_structure,
+    require_chart_class,
+    require_invertible_metric,
 )
 from groupgeo.linalg import Mat
 from oracles import associativity_violation, cayley_dict, conjugacy_classes, right_translation
@@ -281,3 +287,60 @@ def test_s3_class_of_u(s3_cls, s3_group):
     table = class_product_table(s3_cls)
     assert [[s3_group.label(v) for v in row] for row in table] == [
         ["e", "uv", "vu"], ["vu", "e", "uv"], ["uv", "vu", "e"]]
+
+
+# -- the preconditions that read only the input ------------------------------
+
+@pytest.mark.parametrize("build, label, circulant", [
+    (lambda: dihedral(6), "sr", True),
+    (lambda: dihedral(6), "s", True),
+    (lambda: dihedral(3), "sr", True),
+    (lambda: direct_product_cyclic(dihedral(6), 2), "sr", True),
+    # two members, and four
+    (lambda: dihedral(6), "r", False),
+    (alternating4, "1203", False),
+], ids=["d6-sr", "d6-s", "d3-sr", "d6xz2-sr", "d6-r", "a4"])
+def test_chart_class_is_the_circulant_pattern(build, label, circulant):
+    cls = conjugacy_class(build(), label)
+    products = class_product_table(cls)
+    if cls.size == 3:
+        d, u, v = products[0][0], products[1][0], products[2][0]
+        assert circulant == (len({d, u, v}) == 3 and products == [
+            [d, v, u], [u, d, v], [v, u, d]])
+    assert cls.circulant_products() is circulant
+    if circulant:
+        require_chart_class(cls)
+    else:
+        with pytest.raises(UnsupportedGroupError, match="^connection chart requires"):
+            require_chart_class(cls)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 7])
+def test_metric_is_singular_only_at_minus_one_over_the_size(size):
+    for mu in (0, Fraction(1, 2), Fraction(-1, size + 1), Fraction(1, size), Fraction(-2, size)):
+        require_invertible_metric(size, mu)
+    with pytest.raises(SingularMetricError) as err:
+        require_invertible_metric(size, Fraction(-1, size))
+    assert str(err.value) == (f"metric modulus mu = {Fraction(-1, size)} is singular "
+                              f"for a class of size {size}")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dihedral_structure_of_the_builtin_family(n):
+    # the builtin order e, r, ..., r^(n-1), s, sr, ..., sr^(n-1) is the
+    # decomposition itself
+    assert dihedral_structure(dihedral(n)) == tuple(
+        (flip, i) for flip in range(2) for i in range(n))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: direct_product_cyclic(dihedral(6), 2),
+    alternating4,
+    lambda: FiniteGroup(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], name="z3"),
+], ids=["d6xz2", "a4", "z3"])
+def test_dihedral_structure_refuses_other_groups(build):
+    group = build()
+    with pytest.raises(UnsupportedGroupError) as err:
+        dihedral_structure(group)
+    assert str(err.value) == (
+        f"group {group.name} of order {group.order} has no dihedral presentation")

@@ -1,9 +1,13 @@
 """Print the size of the package source: its line count and its AST node
-count, every module, class and function docstring blanked.
+count, every module, class and function docstring blanked.  Then, for each
+command on dihedral:6 at mu = 0 and mu = -1/3, the package modules the
+command loads and their summed line count, the package __init__ included.
 
 The line count is that of the files as they stand.  The node count is
 taken after each docstring's text is emptied, so a docstring weighs one
-node whatever it says, and the figure measures code.
+node whatever it says, and the figure measures code.  Each command runs in
+a fresh interpreter, as a CLI process would, with its report written to
+the null device.
 
 Run from the repository root:
 
@@ -13,8 +17,23 @@ The default package directory is src/groupgeo next to this script.
 """
 
 import ast
+import json
 import os
+import subprocess
 import sys
+
+COMMANDS = ("calculus", "connection", "curvature", "ricci", "dirac", "wave",
+            "spectral-action", "report-all")
+MUS = ("0", "-1/3")
+
+# run one command and print its exit code and the package modules loaded
+_PROBE = """
+import json, os, sys
+import groupgeo.cli
+code = groupgeo.cli.main(sys.argv[1:] + ["--out", os.devnull])
+print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
+                               if m.startswith("groupgeo."))]))
+"""
 
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -41,12 +60,35 @@ def source_size(package: str) -> tuple[int, int]:
     return lines, nodes
 
 
+def line_count(path: str) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return len(fh.read().splitlines())
+
+
+def command_loads(package: str, cmd: str, mu: str) -> tuple[int, list[str]]:
+    """The exit code of a command on dihedral:6 and the package modules it
+    loads, from a fresh interpreter that imports the package in package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(package)))
+    argv = ["--group", "dihedral:6", "--class", "sr", "--cmd", cmd, f"--mu={mu}"]
+    out = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    code, modules = json.loads(out)
+    return code, modules
+
+
 def main(argv: list[str]) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     package = argv[0] if argv else os.path.join(here, os.pardir, "src", "groupgeo")
     lines, nodes = source_size(package)
     print(f"lines {lines}")
     print(f"ast_nodes {nodes}")
+    for mu in MUS:
+        for cmd in COMMANDS:
+            code, modules = command_loads(package, cmd, mu)
+            loaded = sum(line_count(os.path.join(package, f"{name}.py"))
+                         for name in ["__init__"] + modules)
+            print(f"loads dihedral:6 mu={mu} {cmd} exit {code} lines {loaded} "
+                  f"modules {' '.join(modules)}")
     return 0
 
 
