@@ -54,9 +54,6 @@ MAX_MU_LENGTH = 2000
 # would expand "1e999999999" into a billion-digit integer first
 _MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
 
-COMMANDS = ("calculus", "connection", "curvature", "ricci", "dirac", "wave",
-            "spectral-action", "report-all")
-
 # the checks each command's layers make of the input alone, in the order
 # they make them; an input one of them refuses is refused before any layer
 # is imported, with the layer's own error
@@ -75,6 +72,7 @@ PRECONDITIONS = {
     "spectral-action": ("dihedral", "chart", "metric"),
     "report-all": ("chart", "metric", "dihedral"),
 }
+COMMANDS = tuple(PRECONDITIONS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,9 +158,10 @@ def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
 
 
 def render(report: dict, pretty: bool) -> str:
-    if pretty:
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
-    return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    from .reporting import to_json
+
+    layout = {"indent": 2} if pretty else {"separators": (",", ":")}
+    return json.dumps(to_json(report), sort_keys=True, **layout) + "\n"
 
 
 def main(argv=None) -> int:

@@ -235,7 +235,6 @@ def levi_civita(calculus: Calculus) -> Connection:
 
     The three residuals are recomputed and proved zero before returning.
     """
-    require_chart_class(calculus.cls)
     third = calculus.constant(rat(-1, 3))
     conn = Connection.from_chart(calculus, third, third, third)
     if any(not r.is_zero() for r in torsion_residual(conn)):
@@ -263,7 +262,6 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
     whatever the group order, is solved exactly: no solution gives [], a line
     or plane of solutions is an error.
     """
-    require_chart_class(calculus.cls)
 
     def residual(a, b) -> list:
         const = calculus.constant

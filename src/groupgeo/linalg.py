@@ -79,10 +79,17 @@ class Mat:
         i, j = pos
         return self.rows[i][j]
 
+    def _same_shape(self, other: "Mat", op: str) -> None:
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} {op} "
+                             f"{other.nrows}x{other.ncols}")
+
     def __add__(self, other: "Mat") -> "Mat":
+        self._same_shape(other, "+")
         return Mat([[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other: "Mat") -> "Mat":
+        self._same_shape(other, "-")
         return Mat([[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)])
 
     def __neg__(self) -> "Mat":

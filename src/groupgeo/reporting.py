@@ -1,6 +1,10 @@
 """Deterministic JSON reports for every computation the package exposes.
 
-Exact scalars survive serialization: a rational becomes {"num", "den"} and a
+Each report is a record of exact values: its scalar leaves are Cyclotomic
+and Fraction values, alone or in the tuples of a Mat's rows and a
+GroupFunction's values, beside ints, bools, strings and None.  to_json
+writes a report for json.dumps (cli.render calls it) in one walk, which
+renders each distinct scalar once: a rational becomes {"num", "den"} and a
 general cyclotomic value {"zeta_order", "coeffs"} with rational coordinate
 pairs, each alongside a 12-digit decimal rendering for human readers.
 A rational's decimal is computed with integer arithmetic that reproduces
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 from .cyclotomic import Cyclotomic
@@ -33,7 +37,7 @@ from .groups import (ConjClass, ad_table, class_product_table,
 from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
-    from .calculus import Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm
+    from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
     from .dirac import Spectrum
     from .representations import Representation
 
@@ -125,15 +129,6 @@ def _rational_decimal(num: int, den: int) -> str:
     return f"{sign}{text}e{exponent:+d}"
 
 
-def fraction_json(value) -> dict:
-    fr = Fraction(value)
-    return {
-        "num": fr.numerator,
-        "den": fr.denominator,
-        "decimal": _rational_decimal(fr.numerator, fr.denominator),
-    }
-
-
 def _mpmath_cyclotomic_decimal(c) -> str:
     from mpmath import mp, mpf
 
@@ -210,11 +205,16 @@ def _cyclotomic_decimal(c) -> str:
     return f"{lo_re} + {lo_im}i"
 
 
-def scalar_json(value) -> dict:
-    """Exact JSON form of a rational or cyclotomic scalar."""
+def _scalar_json(value) -> dict:
+    """The JSON form of one rational or cyclotomic scalar."""
     c = as_scalar(value)
     if c.is_rational():
-        return fraction_json(c.as_fraction())
+        fr = c.as_fraction()
+        return {
+            "num": fr.numerator,
+            "den": fr.denominator,
+            "decimal": _rational_decimal(fr.numerator, fr.denominator),
+        }
     return {
         "zeta_order": c.order,
         "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
@@ -222,41 +222,50 @@ def scalar_json(value) -> dict:
     }
 
 
-def values_json(values: Sequence) -> list:
-    """scalar_json of each value, each distinct value rendered once: equal
-    entries share one dict.  An entry is looked up first by its identity,
-    which the sequence keeps alive, then by its reduced form."""
+def _rendered_once(render):
+    """render, called once per distinct scalar: equal scalars share one
+    dict.  A scalar is looked up first by its identity, which the report
+    keeps alive, then by its reduced form."""
     by_id: dict = {}
-    rendered: dict = {}
-    out = []
-    for value in values:
+    by_form: dict = {}
+
+    def scalar(value) -> dict:
         entry = by_id.get(id(value))
         if entry is None:
             c = as_scalar(value)
             key = (c.order, c.nums, c.den)
-            entry = rendered.get(key)
+            entry = by_form.get(key)
             if entry is None:
-                entry = rendered[key] = scalar_json(c)
+                entry = by_form[key] = render(c)
             by_id[id(value)] = entry
-        out.append(entry)
-    return out
+        return entry
+
+    return scalar
 
 
-def matrix_json(m: Mat) -> list:
-    flat, n = values_json([x for row in m.rows for x in row]), m.ncols
-    return [flat[i * n:(i + 1) * n] for i in range(m.nrows)]
+def to_json(report):
+    """The report with every Cyclotomic or Fraction leaf in its exact JSON
+    form, each distinct scalar rendered once, and every tuple a list; other
+    leaves pass through unchanged."""
+    scalar = _rendered_once(_scalar_json)
 
+    def walk(node):
+        if isinstance(node, (Cyclotomic, Fraction)):
+            return scalar(node)
+        if isinstance(node, (list, tuple)):
+            # a row of scalars skips a walk frame per entry
+            return [scalar(value) if type(value) is Cyclotomic else walk(value)
+                    for value in node]
+        if isinstance(node, dict):
+            return {key: walk(value) for key, value in node.items()}
+        return node
 
-def function_json(f: GroupFunction) -> list:
-    if f.constant_value is None:
-        return values_json(f.values)
-    # a constant is rendered once and its dict repeated for every element
-    return [scalar_json(f.constant_value)] * f.group.order
+    return walk(report)
 
 
 def one_form_json(alpha: OneForm) -> dict:
     labels = alpha.calculus.cls.labels()
-    return {labels[pos]: function_json(f) for pos, f in enumerate(alpha.coeffs)}
+    return {labels[pos]: f.values for pos, f in enumerate(alpha.coeffs)}
 
 
 def _pair_label(cal: Calculus, pair) -> str:
@@ -266,42 +275,22 @@ def _pair_label(cal: Calculus, pair) -> str:
 
 def two_form_json(omega: TwoForm) -> dict:
     cal = omega.calculus
-    return {_pair_label(cal, pair): function_json(f)
+    return {_pair_label(cal, pair): f.values
             for pair, f in zip(cal.quotient_pairs, omega.coeffs)}
 
 
 def tensor_json(t: TensorOneOne) -> dict:
     labels = t.calculus.cls.labels()
-    return {labels[p]: {labels[q]: function_json(f) for q, f in enumerate(row)}
+    return {labels[p]: {labels[q]: f.values for q, f in enumerate(row)}
             for p, row in enumerate(t.coords)}
 
 
 def spectrum_json(spect: Spectrum) -> dict:
-    table = {}
-    for value, mult in spect.pairs:
-        key = str(value.as_fraction()) if value.is_rational() else repr(value)
-        table[key] = mult
     return {
         "dimension": spect.dimension,
-        "table": table,
-        "pairs": [{"value": scalar_json(v), "multiplicity": m}
-                  for v, m in spect.pairs],
+        "table": {repr(v): m for v, m in spect.pairs},
+        "pairs": [{"value": v, "multiplicity": m} for v, m in spect.pairs],
     }
-
-
-def catalog_json(cat: dict) -> dict:
-    """An eigenmode catalog with every exact scalar in its JSON form."""
-    return _exact_json(cat)
-
-
-def _exact_json(node):
-    if isinstance(node, dict):
-        return {key: _exact_json(value) for key, value in node.items()}
-    if isinstance(node, list):
-        return [_exact_json(value) for value in node]
-    if isinstance(node, (Cyclotomic, Fraction)):
-        return scalar_json(node)
-    return node
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +321,7 @@ def calculus_report(cal: Calculus) -> dict:
             "agrees": cal.quotient_dim == 6,
         },
         "quotient_basis": [_pair_label(cal, p) for p in cal.quotient_pairs],
-        "reduction": {_pair_label(cal, pair): values_json(coords)
+        "reduction": {_pair_label(cal, pair): coords
                       for pair, coords in sorted(cal.reduction.items())},
         "background_differentials": {
             cls.labels()[pos]: two_form_json(cal.d_basis(pos))
@@ -359,16 +348,13 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     sum_ok = all(Connection(cal, comps).sum_form().is_zero()
                  for comps in [particular.components] + directions)
     return {
-        "mu": fraction_json(mu),
+        "mu": mu,
         "torsion_free_family_dimension": len(directions) * cal.group.order,
         "sum_of_components_vanishes": sum_ok,
-        "constant_regular_scan": [
-            [fraction_json(x) for x in triple]
-            for triple in constant_regular_scan(cal)
-        ],
+        "constant_regular_scan": constant_regular_scan(cal),
         "levi_civita": {
             "parameters": None if lc.parameters is None else [
-                function_json(p) for p in lc.parameters],
+                p.values for p in lc.parameters],
             "components": {
                 cal.cls.labels()[pos]: one_form_json(comp)
                 for pos, comp in enumerate(lc.components)
@@ -428,7 +414,7 @@ def ricci_report(cal: Calculus) -> dict:
         }
         params, kernel = solves[variant]
         out["flat_solve"][variant] = {
-            "parameters": [function_json(p) for p in params],
+            "parameters": [p.values for p in params],
             "kernel_dimension": len(kernel),
             "unique": len(kernel) == 0,
         }
@@ -440,7 +426,7 @@ def _certified_minimal_polynomial(spect: Spectrum) -> list:
 
     # the eigenspaces fill the space, so the operator is diagonalisable and
     # its minimal polynomial has exactly the certified eigenvalues as roots
-    return values_json(poly_from_roots(spect.eigenspaces))
+    return poly_from_roots(spect.eigenspaces)
 
 
 class DiracCertificate(NamedTuple):
@@ -483,16 +469,16 @@ def dirac_report(dirac: DiracCertificate) -> dict:
     eta, eta_inv = spinops.metric(cls, mu)
     square = block @ block
     out = {
-        "mu": fraction_json(mu),
-        "metric": {"eta": matrix_json(eta), "eta_inv": matrix_json(eta_inv)},
-        "casimir": matrix_json(spinops.casimir(rep, cls, mu)),
-        "gamma": {group.label(a): matrix_json(coeffs[a]) for a in cls.members},
-        "gamma_sum": matrix_json(gamma_sum),
+        "mu": mu,
+        "metric": {"eta": eta.rows, "eta_inv": eta_inv.rows},
+        "casimir": spinops.casimir(rep, cls, mu).rows,
+        "gamma": {group.label(a): coeffs[a].rows for a in cls.members},
+        "gamma_sum": gamma_sum.rows,
         "spectrum": spectrum_json(spect),
         # the operator on G is [G:H] copies of its block up to a
         # permutation of the basis, so traces scale by [G:H]
-        "trace": scalar_json(block.trace() * spect.copies),
-        "trace_of_square": scalar_json(square.trace() * spect.copies),
+        "trace": block.trace() * spect.copies,
+        "trace_of_square": square.trace() * spect.copies,
         "hermitian": is_hermitian(coeffs, group),
         "cube_equals_nine_times": square @ block == block * 9,
         "minimal_polynomial": _certified_minimal_polynomial(spect),
@@ -518,8 +504,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         out["chirality"] = {"available": False, "reason": str(exc)}
     if mu == 0:
         try:
-            out["eigenmode_catalog"] = catalog_json(
-                spinops.eigenmode_catalog(cls, coeffs, spect))
+            out["eigenmode_catalog"] = spinops.eigenmode_catalog(cls, coeffs, spect)
         except UnsupportedGroupError:
             pass
     return out
@@ -532,8 +517,8 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     coeffs = spinops.wave_operator(cls, mu)
     spect = spinops.certify(coeffs, cls)[1]
     out = {
-        "mu": fraction_json(mu),
-        "operator": matrix_json(assemble(coeffs, cls.group)),
+        "mu": mu,
+        "operator": assemble(coeffs, cls.group).rows,
         "spectrum": spectrum_json(spect),
         "hermitian": is_hermitian(coeffs, cls.group),
         "minimal_polynomial": _certified_minimal_polynomial(spect),
@@ -543,8 +528,8 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         out["translation_form"] = same_element(
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
-            out["eigenmode_catalog"] = catalog_json(
-                spinops.wave_eigenmode_catalog(cls, coeffs, spect))
+            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(
+                cls, coeffs, spect)
         except UnsupportedGroupError:
             pass
     return out
@@ -553,6 +538,7 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
 def spectral_action_report(spect: Spectrum, mu) -> dict:
     from .dirac import exp_taylor_coefficients, spectral_action
 
+    mu = Fraction(mu)
     functions = (
         ("1", [Fraction(1)]),
         ("u", [Fraction(0), Fraction(1)]),
@@ -565,12 +551,12 @@ def spectral_action_report(spect: Spectrum, mu) -> dict:
             value = spectral_action(spect, coeffs, scale)
             battery.append({
                 "function": name,
-                "coefficients": [fraction_json(c) for c in coeffs],
-                "scale": fraction_json(scale),
-                "value": scalar_json(value),
+                "coefficients": coeffs,
+                "scale": scale,
+                "value": value,
             })
     return {
-        "mu": fraction_json(mu),
+        "mu": mu,
         "spectrum": spectrum_json(spect),
         "battery": battery,
     }
@@ -595,7 +581,7 @@ def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
             "elements": list(group.names),
         },
         "class": list(cls.labels()),
-        "mu": fraction_json(mu),
+        "mu": mu,
         "calculus": calculus_report(cal),
         "connection": connection,
         "curvature": curvature_report(cal),

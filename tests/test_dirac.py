@@ -484,8 +484,7 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)], ids=str)
 def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
         monkeypatch, krylov_d6, cal_d6, cls_d6, mu):
-    expected = {name: reporting.values_json(krylov)
-                for name, (_, krylov) in krylov_d6(mu).items()}
+    expected = {name: krylov for name, (_, krylov) in krylov_d6(mu).items()}
     reductions = []
     starts = []
 
@@ -719,7 +718,7 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
     assert report["spectral_action"]["spectrum"] == report["dirac"]["spectrum"]
     # the one matrix on G is the wave operator the report prints; the
     # catalogs replay against the coefficients
-    assert [reporting.matrix_json(op) for op in on_g] == [report["wave"]["operator"]]
+    assert [op.rows for op in on_g] == [report["wave"]["operator"]]
     on_g.clear()
     assert "eigenmode_catalog" in reporting.dirac_report(reporting.certify_dirac(cal_d6, 0))
     assert on_g == []
@@ -800,13 +799,13 @@ def test_matrix_json_renders_like_each_entry_alone(coefficient_classes, monkeypa
     entry is rendered on its own.  Equal values of different orders keep
     their own rendering, and so do z_3 and z_6, whose coordinates agree."""
     mixed = [cyclo(3), cyclo(6), cyclo(6, 2), rat(1, 2), cyclo(3), rat(1, 2).to_order(4)]
-    assert reporting.values_json(mixed) == [reporting.scalar_json(v) for v in mixed]
-    reports = [reporting.wave_report(cls) for cls in coefficient_classes[3:]]
-    monkeypatch.setattr(reporting, "values_json",
-                        lambda values: [reporting.scalar_json(v) for v in values])
+    assert reporting.to_json(mixed) == [reporting.to_json(v) for v in mixed]
+    reports = [reporting.to_json(reporting.wave_report(cls)) for cls in coefficient_classes[3:]]
+    # the walk without its cache renders every entry on its own
+    monkeypatch.setattr(reporting, "_rendered_once", lambda render: render)
     for cls, report in zip(coefficient_classes[3:], reports):
         assert json.dumps(report, sort_keys=True) == json.dumps(
-            reporting.wave_report(cls), sort_keys=True)
+            reporting.to_json(reporting.wave_report(cls)), sort_keys=True)
 
 
 def test_catalog_multiplicities_match_rank_oracle(

@@ -1,6 +1,7 @@
 """Exact linear algebra over cyclotomic fields."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,17 @@ def test_matmul_and_vector_action():
     # matrix times sequence gives a tuple of scalars
     v = a @ [1, 1]
     assert list(v) == [rat(3), rat(7)]
+
+
+@pytest.mark.parametrize("other", [
+    Mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]), Mat([[1, 2]]), Mat([[1], [2]]), Mat([])])
+def test_sum_and_difference_refuse_a_shape_mismatch(other):
+    a = Mat([[1, 2], [3, 4]])
+    for op, combine in (("+", Mat.__add__), ("-", Mat.__sub__)):
+        message = f"shape mismatch 2x2 {op} {other.nrows}x{other.ncols}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            combine(a, other)
+    assert a + a == a * 2 and (a - a).is_zero()
 
 
 def test_rref_idempotent_and_rank():

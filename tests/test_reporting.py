@@ -2,6 +2,7 @@
 enclosure of a cyclotomic value against mpmath's nstr, and reports that do
 not depend on the caller's mpmath precision."""
 
+import json
 import os
 from fractions import Fraction
 
@@ -12,14 +13,14 @@ from mpmath import mp
 from groupgeo import reporting
 from groupgeo.cli import main
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
-from groupgeo.reporting import fraction_json
+from groupgeo.reporting import to_json
 from oracles import mpmath_cyclotomic_decimal, mpmath_rational_decimal
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_d6_report.json")
 
 
 def _decimal(value: Fraction) -> str:
-    return fraction_json(value)["decimal"]
+    return to_json(value)["decimal"]
 
 
 def _check(value: Fraction):
@@ -202,3 +203,55 @@ def test_decided_enclosures_need_no_mpmath(monkeypatch):
     monkeypatch.setattr(reporting, "_mpmath_cyclotomic_decimal", unreachable)
     for value in (cyclo(12), cyclo(3) + rat(Fraction(1, 3)), cyclo(24, 5) * rat(10 ** 40)):
         assert reporting._cyclotomic_decimal(value) == mpmath_cyclotomic_decimal(value)
+
+
+# -- the report walk --------------------------------------------------------
+
+_POOL = (cyclo(3), cyclo(6), cyclo(6, 2), cyclo(4) + rat(1, 3), rat(1, 2),
+         rat(1, 2).to_order(4), rat(-3), Fraction(1, 2))
+
+_LEAVES = st.one_of(
+    st.sampled_from(_POOL), _cyclotomics(), st.fractions(max_denominator=10 ** 6),
+    st.fractions(max_denominator=12).map(rat), st.integers(), st.booleans(),
+    st.none(), st.text(max_size=4))
+
+_TREES = st.recursive(
+    _LEAVES, lambda kids: st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=3), kids, max_size=4), max_leaves=24)
+
+
+def _standalone(c: Cyclotomic) -> dict:
+    if c.is_rational():
+        fr = c.as_fraction()
+        return {"num": fr.numerator, "den": fr.denominator,
+                "decimal": mpmath_rational_decimal(fr.numerator, fr.denominator)}
+    return {"zeta_order": c.order, "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
+            "decimal": mpmath_cyclotomic_decimal(c)}
+
+
+def _compare(node, out, shared: dict):
+    if isinstance(node, dict):
+        assert type(out) is dict and list(out) == list(node)
+        for key, value in node.items():
+            _compare(value, out[key], shared)
+    elif isinstance(node, (list, tuple)):
+        assert type(out) is list and len(out) == len(node)
+        for value, rendered in zip(node, out):
+            _compare(value, rendered, shared)
+    elif isinstance(node, (Cyclotomic, Fraction)):
+        c = rat(node) if isinstance(node, Fraction) else node
+        assert out == _standalone(c)
+        # one dict for every leaf of the same reduced form, wherever it sits
+        assert shared.setdefault((c.order, c.nums, c.den), out) is out
+    else:
+        assert out is node
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TREES)
+# z_3 and z_6 have the same coordinates; 1/2 is at order 1 and at order 4
+@example((cyclo(3), [cyclo(6), Fraction(1, 2)], {"a": rat(1, 2).to_order(4), "b": rat(1, 2)}))
+def test_to_json_renders_each_scalar_as_it_renders_alone(tree):
+    out = to_json(tree)
+    _compare(tree, out, {})
+    json.dumps(out)

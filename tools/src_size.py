@@ -1,7 +1,8 @@
 """Print the size of the package source: its line count and its AST node
 count, every module, class and function docstring blanked.  Then, for each
-command on dihedral:6 at mu = 0 and mu = -1/3, the package modules the
-command loads and their summed line count, the package __init__ included.
+command the package's cli lists (cli.COMMANDS) on dihedral:6 at mu = 0 and
+mu = -1/3, the package modules the command loads and their summed line
+count, the package __init__ included.
 
 The line count is that of the files as they stand.  The node count is
 taken after each docstring's text is emptied, so a docstring weighs one
@@ -22,8 +23,6 @@ import os
 import subprocess
 import sys
 
-COMMANDS = ("calculus", "connection", "curvature", "ricci", "dirac", "wave",
-            "spectral-action", "report-all")
 MUS = ("0", "-1/3")
 
 # run one command and print its exit code and the package modules loaded
@@ -34,6 +33,9 @@ code = groupgeo.cli.main(sys.argv[1:] + ["--out", os.devnull])
 print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
                                if m.startswith("groupgeo."))]))
 """
+
+# the package's own command list
+_COMMANDS = "import json, groupgeo.cli; print(json.dumps(groupgeo.cli.COMMANDS))"
 
 _DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -65,14 +67,20 @@ def line_count(path: str) -> int:
         return len(fh.read().splitlines())
 
 
+def _fresh(package: str, code: str, *argv: str):
+    """The JSON that code prints in a fresh interpreter importing the
+    package in package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(package)))
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
 def command_loads(package: str, cmd: str, mu: str) -> tuple[int, list[str]]:
     """The exit code of a command on dihedral:6 and the package modules it
-    loads, from a fresh interpreter that imports the package in package."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.abspath(package)))
-    argv = ["--group", "dihedral:6", "--class", "sr", "--cmd", cmd, f"--mu={mu}"]
-    out = subprocess.run([sys.executable, "-c", _PROBE, *argv], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    code, modules = json.loads(out)
+    loads, from a fresh interpreter."""
+    code, modules = _fresh(package, _PROBE, "--group", "dihedral:6", "--class", "sr",
+                           "--cmd", cmd, f"--mu={mu}")
     return code, modules
 
 
@@ -82,8 +90,9 @@ def main(argv: list[str]) -> int:
     lines, nodes = source_size(package)
     print(f"lines {lines}")
     print(f"ast_nodes {nodes}")
+    commands = _fresh(package, _COMMANDS)
     for mu in MUS:
-        for cmd in COMMANDS:
+        for cmd in commands:
             code, modules = command_loads(package, cmd, mu)
             loaded = sum(line_count(os.path.join(package, f"{name}.py"))
                          for name in ["__init__"] + modules)
@@ -93,4 +102,9 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        raise SystemExit(main(sys.argv[1:]))
+    except BrokenPipeError:
+        # the reader (head, say) stopped early: drop what is left unwritten
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
