@@ -146,8 +146,7 @@ class GroupFunction:
 
 def braiding(cls: ConjClass, a: int, b: int) -> tuple[int, int]:
     """The braiding on index pairs of class members: (a, b) -> (a b a^-1, a)."""
-    g = cls.group
-    return (cls.position(g.conj(cls.members[a], cls.members[b])), a)
+    return (cls.ad[a][b], a)
 
 
 class Calculus:

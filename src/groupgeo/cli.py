@@ -105,10 +105,14 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     if not sep or not param:
         raise ValueError(f"group spec {spec!r} must look like name:param")
     if name == "dihedral":
-        try:
-            n = int(param)
-        except ValueError:
-            raise ValueError(f"dihedral parameter {param!r} is not an integer")
+        # int() would also read spaces, signs, underscores and non-ASCII digits
+        if not (param.isascii() and param.isdigit()):
+            raise ValueError(f"dihedral parameter {param!r} is not in ASCII digits")
+        if len(param) > MAX_DIHEDRAL:
+            # refused unconverted and not echoed: it could be any length
+            raise ValueError(f"dihedral parameter of {len(param)} digits exceeds "
+                             f"the limit of {MAX_DIHEDRAL}")
+        n = int(param)
         if n < 1:
             raise ValueError(f"dihedral parameter must be positive, got {n}")
         if n > MAX_DIHEDRAL:

@@ -14,11 +14,13 @@ alpha, beta, gamma constrained by alpha + beta + gamma = -1.  The unique
 connection with all three residuals zero is e_a - theta/3 in every case
 handled here; levi_civita builds it and proves the residuals vanish.
 
-The layer reads only the 2-form relations and the class products.  The
-metric enters with the Dirac and wave operators;
-groups.require_invertible_metric states the one modulus it cannot take, and
-the connection report checks it before the torsion solve.  The chart check,
-groups.require_chart_class, reads the class alone.
+The layer reads only the 2-form relations and the class's conjugation
+and product tables (ConjClass.ad and ConjClass.products).  The metric
+enters with the Dirac and wave operators; groups.require_invertible_metric
+states the one modulus it cannot take, and the connection report checks it
+before the torsion solve.  chart_connection is the one chart constructor;
+the chart check, groups.require_chart_class, reads the class alone, and
+levi_civita and constant_regular_scan make it before any other work.
 """
 
 from __future__ import annotations
@@ -50,21 +52,6 @@ class Connection:
     def __setattr__(self, *_):
         raise AttributeError("Connection is immutable")
 
-    @classmethod
-    def from_chart(cls, calculus: Calculus, alpha: GroupFunction,
-                   beta: GroupFunction, gamma: GroupFunction) -> "Connection":
-        """Build the chart connection for a 3-member circulant class.
-
-        The parameters must satisfy alpha + beta + gamma = -1 pointwise;
-        every chart member is torsion-free and every torsion-free connection
-        on such a class is a chart member.
-        """
-        require_chart_class(calculus.cls)
-        csum = alpha + beta + gamma + calculus.constant(1)
-        if not csum.is_zero():
-            raise ValueError("chart parameters must sum to -1 pointwise")
-        return chart_connection(calculus, alpha, beta, gamma)
-
     def coefficient(self, a: int, b: int) -> GroupFunction:
         """The function multiplying e_b inside A_a."""
         return self.components[a].coeffs[b]
@@ -94,9 +81,12 @@ def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFuncti
     [[1 + alpha, gamma, beta], [gamma, 1 + beta, alpha], [beta, alpha, 1 + gamma]]
     over the basis 1-forms in class order.
 
-    The constraint alpha + beta + gamma = -1 is not imposed, so linear
-    systems in the chart parameters can state it as equations of their own;
-    Connection.from_chart is the checked chart."""
+    The chart is stated for a 3-member class with circulant products
+    (groups.require_chart_class, which callers check first) and parameters
+    with alpha + beta + gamma = -1 pointwise: every such member is
+    torsion-free and every torsion-free connection on the class is one.
+    The constraint is not imposed, so linear systems in the chart
+    parameters can state it as equations of their own."""
     one = calculus.constant(1)
     rows = [[one + alpha, gamma, beta], [gamma, one + beta, alpha], [beta, alpha, one + gamma]]
     return Connection(calculus, [calculus.one_form(row) for row in rows],
@@ -108,16 +98,12 @@ def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFuncti
 def torsion_residual(conn: Connection) -> list[TwoForm]:
     """One 2-form per class member: de_a + sum_b A_b ^ (e_{b^-1 a b} - e_a)."""
     cal = conn.calculus
-    cls = cal.cls
-    grp = cls.group
-    out = []
-    for apos, a in enumerate(cls.members):
-        res = cal.d_basis(apos)
-        for bpos, b in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(grp.inv(b), a))
+    out = [cal.d_basis(apos) for apos in range(cal.n_members)]
+    # conj_pos = b^-1 a b runs over the class as a = b conj_pos b^-1 does
+    for bpos, row in enumerate(cal.cls.ad):
+        for conj_pos, apos in enumerate(row):
             diff = cal.basis_one_form(conj_pos) - cal.basis_one_form(apos)
-            res = res + cal.wedge(conn.components[bpos], diff)
-        out.append(res)
+            out[apos] = out[apos] + cal.wedge(conn.components[bpos], diff)
     return out
 
 
@@ -133,14 +119,12 @@ def cotorsion_residual(conn: Connection) -> list[TwoForm]:
     if not conn.sum_form().is_zero():
         raise ValueError(
             "cotorsion residual requires a connection whose components sum to zero")
-    cls = cal.cls
-    grp = cls.group
+    ad = cal.cls.ad
     out = []
-    for apos, a in enumerate(cls.members):
+    for apos in range(cal.n_members):
         res = cal.d_basis(apos)
-        for bpos, b in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(b, a))
-            res = res + cal.wedge(cal.basis_one_form(conj_pos), conn.components[bpos])
+        for bpos, comp in enumerate(conn.components):
+            res = res + cal.wedge(cal.basis_one_form(ad[bpos][apos]), comp)
         out.append(res)
     return out
 
@@ -155,11 +139,9 @@ def regularity_residual(conn: Connection) -> dict[int, TwoForm]:
     """
     cal = conn.calculus
     cls = cal.cls
-    grp = cls.group
     buckets: dict[int, TwoForm] = {}
-    for i, a in enumerate(cls.members):
-        for j, b in enumerate(cls.members):
-            g = grp.mul(a, b)
+    for i, row in enumerate(cls.products):
+        for j, g in enumerate(row):
             if g in cls:
                 continue
             term = cal.wedge(conn.components[i], conn.components[j])
@@ -202,15 +184,13 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     ascending order, factor vector slowest.
     """
     cal = calculus
-    cls = cal.cls
-    grp = cls.group
     m = cal.n_members
     qdim = cal.quotient_dim
     factor = [[rat(0)] * (m * m) for _ in range(m * qdim)]
     rhs = [-cal.d_basis(apos).coeffs[k](0) for apos in range(m) for k in range(qdim)]
-    for apos, a in enumerate(cls.members):
-        for cpos, c in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(grp.inv(c), a))
+    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
+    for cpos, row in enumerate(cal.cls.ad):
+        for conj_pos, apos in enumerate(row):
             for bpos in range(m):
                 plus = cal.reduction[(bpos, conj_pos)]
                 minus = cal.reduction[(bpos, apos)]
@@ -235,8 +215,9 @@ def levi_civita(calculus: Calculus) -> Connection:
 
     The three residuals are recomputed and proved zero before returning.
     """
+    require_chart_class(calculus.cls)
     third = calculus.constant(rat(-1, 3))
-    conn = Connection.from_chart(calculus, third, third, third)
+    conn = chart_connection(calculus, third, third, third)
     if any(not r.is_zero() for r in torsion_residual(conn)):
         raise GroupGeoError("distinguished connection failed the torsion check")
     if any(not r.is_zero() for r in cotorsion_residual(conn)):
@@ -263,9 +244,11 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
     or plane of solutions is an error.
     """
 
+    require_chart_class(calculus.cls)
+
     def residual(a, b) -> list:
         const = calculus.constant
-        conn = Connection.from_chart(calculus, const(a), const(b), const(-1 - a - b))
+        conn = chart_connection(calculus, const(a), const(b), const(-1 - a - b))
         # constant parameters give a left-invariant residual: every
         # coefficient is constant, so its value at e stands for the group
         return [f(0) for g, form in regularity_residual(conn).items() if g != 0

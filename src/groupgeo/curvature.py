@@ -51,14 +51,11 @@ LIFT_VARIANTS = ("canonical", "braided")
 def connection_grid(conn: Connection) -> list[list[OneForm]]:
     """1-form entries V[a][q] with nabla e_a = sum_q V[a][q] (x) e_q."""
     cal = conn.calculus
-    cls = cal.cls
-    grp = cls.group
     m = cal.n_members
     grid = [[cal.zero_one_form() for _ in range(m)] for _ in range(m)]
-    for apos, a in enumerate(cls.members):
-        for cpos, c in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(grp.inv(c), a))
-            comp = conn.components[cpos]
+    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
+    for comp, row in zip(conn.components, cal.cls.ad):
+        for conj_pos, apos in enumerate(row):
             grid[apos][conj_pos] = grid[apos][conj_pos] - comp
             grid[apos][apos] = grid[apos][apos] + comp
     return grid
@@ -92,13 +89,12 @@ def curvature_forms(conn: Connection) -> list[TwoForm]:
     F_a = dA_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c)."""
     cal = conn.calculus
     cls = cal.cls
-    grp = cls.group
     out = []
     for apos, a in enumerate(cls.members):
         f = cal.d_one_form(conn.components[apos])
-        for cpos, c in enumerate(cls.members):
-            for dpos, d in enumerate(cls.members):
-                if grp.mul(c, d) == a:
+        for cpos, row in enumerate(cls.products):
+            for dpos, cd in enumerate(row):
+                if cd == a:
                     f = f + cal.wedge(conn.components[cpos], conn.components[dpos])
             f = f - cal.wedge(conn.components[cpos], conn.components[apos])
             f = f - cal.wedge(conn.components[apos], conn.components[cpos])
@@ -121,17 +117,16 @@ def _lift_table(cal: Calculus, variant: str) -> list[dict]:
     """For each quotient basis monomial, its lift as a pair -> rational map."""
     if variant not in LIFT_VARIANTS:
         raise ValueError(f"unknown lift variant {variant!r}; use one of {LIFT_VARIANTS}")
-    cls = cal.cls
-    grp = cls.group
+    products = cal.cls.products
     table = []
     for (p, q) in cal.quotient_pairs:
         entry: dict = {(p, q): rat(1)}
         if variant == "canonical":
-            prod = grp.mul(cls.members[p], cls.members[q])
+            prod = products[p][q]
             half = rat(1, 2)
-            for c in range(cal.n_members):
-                for d in range(cal.n_members):
-                    if c != d and grp.mul(cls.members[c], cls.members[d]) == prod:
+            for c, row in enumerate(products):
+                for d, cd in enumerate(row):
+                    if c != d and cd == prod:
                         entry[(c, d)] = entry.get((c, d), rat(0)) - half
         else:
             img = cal.braid_perm[(p, q)]
@@ -179,15 +174,13 @@ def ricci(conn: Connection, variant: str = "canonical") -> TensorOneOne:
 
 def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
     # the contraction of ricci, given the lifted curvature of each component
-    cls = cal.cls
-    grp = cls.group
     m = cal.n_members
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
-    for cpos, c in enumerate(cls.members):
-        h = lifted[cpos].coeffs
-        for apos, a in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(grp.inv(c), a))
+    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
+    for lift_c, row in zip(lifted, cal.cls.ad):
+        h = lift_c.coeffs
+        for conj_pos, apos in enumerate(row):
             if conj_pos == apos:
                 continue
             for b in range(m):

@@ -14,10 +14,13 @@ downstream depend on exactly this ordering.
 
 A conjugacy class keeps its members in a canonical order: if the class is
 'cyclic' (it has a cyclic_witness), the witness comes first and the rest follow
-its conjugation orbit; otherwise ascending element index.  It also gives the
-subgroup H = <C> it generates and the left cosets of H, the element sets on
-which linalg assembles a left-covariant operator's block and lifts its
-solutions.
+its conjugation orbit; otherwise ascending element index.  Beside that
+order it builds, once, the two tables every layer reads: ad[i][j], the
+position of c_i c_j c_i^-1, and products[i][j], the element c_i c_j.  A
+conjugate x = c^-1 a c is read as a = ad[c][x], so no inverse is needed.
+It also gives the subgroup H = <C> it generates and the left cosets of H,
+the element sets on which linalg assembles a left-covariant operator's
+block and lifts its solutions.
 
 Preconditions.  Every refusal that depends on the input alone is stated
 here, so the command line can run it before it imports a layer: a calculus
@@ -218,10 +221,12 @@ class ConjClass:
 
     For cyclic classes the order is witness first, then the witness's
     conjugation orbit; the dihedral(6) class of sr comes out as
-    (sr, sr3, sr5), the ordering every table downstream assumes.
+    (sr, sr3, sr5), the ordering every table downstream assumes.  In that
+    order, ad[i][j] is the position of c_i c_j c_i^-1 and products[i][j]
+    the element c_i c_j.
     """
 
-    __slots__ = ("group", "members", "cyclic_witness")
+    __slots__ = ("group", "members", "cyclic_witness", "ad", "products")
 
     def __init__(self, group: FiniteGroup, representative: int):
         orbit = sorted({group.conj(h, representative) for h in range(group.order)})
@@ -241,6 +246,11 @@ class ConjClass:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "cyclic_witness", witness)
+        position = {a: i for i, a in enumerate(members)}
+        object.__setattr__(self, "ad", tuple(
+            tuple(position[group.conj(a, b)] for b in members) for a in members))
+        object.__setattr__(self, "products", tuple(
+            tuple(group.mul(a, b) for b in members) for a in members))
 
     def __setattr__(self, *_):
         raise AttributeError("ConjClass is immutable")
@@ -273,10 +283,6 @@ class ConjClass:
                 covered.update(coset)
         return cosets
 
-    def position(self, element: int) -> int:
-        """Index of a group element inside the class member order."""
-        return self.members.index(element)
-
     def __contains__(self, element: int) -> bool:
         return element in self.members
 
@@ -303,12 +309,9 @@ class ConjClass:
         2-form basis and the connection chart."""
         if self.size != 3:
             return False
-        pt = class_product_table(self)
+        pt = self.products
         d, u, v = pt[0][0], pt[1][0], pt[2][0]
-        if len({d, u, v}) != 3:
-            return False
-        expect = [[d, v, u], [u, d, v], [v, u, d]]
-        return pt == expect
+        return len({d, u, v}) == 3 and pt == ((d, v, u), (u, d, v), (v, u, d))
 
     def __repr__(self):
         return f"ConjClass({', '.join(self.labels())})"
@@ -333,19 +336,6 @@ def _find_cyclic_witness(group: FiniteGroup, orbit: list[int]) -> int | None:
         if image == cls:
             return t
     return None
-
-
-def ad_table(cls: ConjClass) -> list[list[int]]:
-    """Conjugation table in class positions: entry [i][j] is the position
-    of c_i c_j c_i^-1."""
-    g = cls.group
-    return [[cls.position(g.conj(a, b)) for b in cls.members] for a in cls.members]
-
-
-def class_product_table(cls: ConjClass) -> list[list[int]]:
-    """Group products of class members: entry [i][j] is the element c_i c_j."""
-    g = cls.group
-    return [[g.mul(a, b) for b in cls.members] for a in cls.members]
 
 
 def conjugacy_class(group: FiniteGroup, g) -> ConjClass:

@@ -32,8 +32,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .cyclotomic import Cyclotomic
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
-from .groups import (ConjClass, ad_table, class_product_table,
-                     require_invertible_metric)
+from .groups import ConjClass, require_invertible_metric
 from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
@@ -300,7 +299,6 @@ def spectrum_json(spect: Spectrum) -> dict:
 def calculus_report(cal: Calculus) -> dict:
     cls = cal.cls
     group = cls.group
-    products = class_product_table(cls)
     theta = cal.theta
     d_theta = cal.d_one_form(theta)
     theta_sq = cal.wedge(theta, theta)
@@ -311,8 +309,8 @@ def calculus_report(cal: Calculus) -> dict:
             "cyclic_witness": group.label(cls.cyclic_witness)
             if cls.cyclic_witness is not None else None,
         },
-        "ad_table": ad_table(cls),
-        "product_table": [[group.label(g) for g in row] for row in products],
+        "ad_table": cls.ad,
+        "product_table": [[group.label(g) for g in row] for row in cls.products],
         "relation_dimension": cal.relation_dim,
         "two_form_dimension": cal.quotient_dim,
         "dimension_discrepancy": {

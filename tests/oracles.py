@@ -458,7 +458,7 @@ def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
             for g in range(order):
                 rhs[(apos * qdim + k) * order + g] = -de.coeffs[k](g)
         for cpos, c in enumerate(cls.members):
-            conj_pos = cls.position(grp.conj(grp.inv(c), a))
+            conj_pos = cls.members.index(grp.conj(grp.inv(c), a))
             for bpos in range(m):
                 # A_c = delta_h e_b wedges to delta_h (e_b^e_conj - e_b^e_a);
                 # the delta keeps each group element in its own row block.

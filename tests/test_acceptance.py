@@ -29,7 +29,6 @@ from groupgeo.dirac import (
     wave_eigenmode_catalog,
     wave_operator,
 )
-from groupgeo.groups import class_product_table
 from groupgeo.linalg import Mat, assemble
 from groupgeo.representations import builtin_rep
 from oracles import class_translation_sum, right_mul, torsion_family_members, translation_block
@@ -193,8 +192,8 @@ def test_criterion_08_spectral_action_closed_form(dirac0_d6):
 def test_criterion_09_order_six_cross_check(s3_group, s3_cls, s3_cal, cls_d6):
     assert s3_cls.labels() == ("u", "v", "uvu")
     # same circulant product pattern as the order-12 class
-    table = class_product_table(s3_cls)
-    d6_table = class_product_table(cls_d6)
+    table = s3_cls.products
+    d6_table = cls_d6.products
     for i in range(3):
         for j in range(3):
             same_d6 = [(a, b) for a in range(3) for b in range(3)

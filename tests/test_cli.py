@@ -416,13 +416,36 @@ def test_dihedral_over_the_cap_exits_2_before_building(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error(usage):")
     assert str(cli.MAX_DIHEDRAL) in err
-    with pytest.raises(ValueError, match="exceeds the limit"):
+    with pytest.raises(ValueError, match="^dihedral parameter 100000 exceeds the limit of 256$"):
         parse_group_spec("dihedral:100000")
+
+
+@pytest.mark.parametrize("param", ["", " 6", "6 ", "\u0666", "1_2", "+6", "-3", "6.0", "0x6"])
+def test_dihedral_parameter_is_ascii_digits_only(param, capsys):
+    code, out, err = _run(capsys, "--group", f"dihedral:{param}", "--class", "sr",
+                          "--cmd", "calculus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error(usage): ")
+
+
+def test_overlong_dihedral_parameter_is_refused_unconverted(monkeypatch, capsys):
+    def unreachable(_text):
+        raise AssertionError("converted an overlong parameter")
+    monkeypatch.setattr(cli, "int", unreachable, raising=False)
+    digits = "1" * 100_000
+    code, out, err = _run(capsys, "--group", f"dihedral:{digits}", "--class", "sr",
+                          "--cmd", "calculus")
+    assert (code, out) == (2, "")
+    assert err == (f"error(usage): dihedral parameter of 100000 digits exceeds the "
+                   f"limit of {cli.MAX_DIHEDRAL}\n")
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        parse_group_spec("dihedral:" + "0" * (cli.MAX_DIHEDRAL + 1))
 
 
 def test_parse_group_spec_direct():
     assert parse_group_spec("dihedral:3").order == 6
-    with pytest.raises(ValueError, match="positive"):
+    assert parse_group_spec("dihedral:006").name == "dihedral:6"
+    with pytest.raises(ValueError, match="^dihedral parameter must be positive, got 0$"):
         parse_group_spec("dihedral:0")
     with pytest.raises(UnsupportedGroupError):
         parse_group_spec("sporadic:1")

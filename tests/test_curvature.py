@@ -10,8 +10,7 @@ import pytest
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import curvature, linalg, reporting
 from groupgeo.calculus import GroupFunction, TensorOneOne, TwoForm, differential_calculus
-from groupgeo.connections import (Connection, chart_connection, constant_regular_scan,
-                                  levi_civita)
+from groupgeo.connections import chart_connection, constant_regular_scan, levi_civita
 from groupgeo.curvature import (
     LIFT_VARIANTS,
     covariant_derivative,
@@ -26,7 +25,7 @@ from groupgeo.curvature import (
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import UnsupportedGroupError
-from groupgeo.groups import ad_table, conjugacy_class, dihedral
+from groupgeo.groups import conjugacy_class, dihedral
 from oracles import curvature_of, dense_system, rank, riemann
 from groupgeo.linalg import Mat, same_element, solve_affine, solve_lifted
 
@@ -69,7 +68,7 @@ def test_component_curvature_is_background(cal_d6, lc_d6):
 
 
 def test_riemann_follows_conjugation_pattern(cal_d6, cls_d6, lc_d6):
-    ad = ad_table(cls_d6)
+    ad = cls_d6.ad
     rie = riemann(lc_d6)
     for a in range(3):
         for q in range(3):
@@ -122,7 +121,7 @@ def test_distinguished_connection_is_ricci_flat(ricci_lc_d6):
 
 
 def test_off_distinguished_chart_is_not_ricci_flat(cal_d6):
-    conn = Connection.from_chart(
+    conn = chart_connection(
         cal_d6, cal_d6.constant(-1), cal_d6.constant(0), cal_d6.constant(0))
     assert not ricci(conn, "canonical").is_zero()
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import direct_product_cyclic, relabelled
 from groupgeo import connections, dirac, linalg, reporting, representations
 from groupgeo.calculus import GroupFunction, differential_calculus
-from groupgeo.connections import Connection, levi_civita
+from groupgeo.connections import Connection, chart_connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
     Spectrum,
@@ -87,8 +87,8 @@ def test_metric_is_conjugation_invariant(cls_d6, d6):
     for g in range(12):
         for apos, a in enumerate(cls_d6.members):
             for bpos, b in enumerate(cls_d6.members):
-                left = eta[cls_d6.position(d6.conj(d6.inv(g), a)), bpos]
-                right = eta[apos, cls_d6.position(d6.conj(g, b))]
+                left = eta[cls_d6.members.index(d6.conj(d6.inv(g), a)), bpos]
+                right = eta[apos, cls_d6.members.index(d6.conj(g, b))]
                 assert left == right
 
 
@@ -630,8 +630,8 @@ def test_block_reads_hermiticity_and_trace_of_the_full_operator(
 def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, d6):
     # a torsion-free chart connection whose first parameter is a delta
     alpha = GroupFunction.delta(d6, 1)
-    conn = Connection.from_chart(cal_d6, alpha, cal_d6.constant(-1) - alpha,
-                                 cal_d6.constant(0))
+    conn = chart_connection(cal_d6, alpha, cal_d6.constant(-1) - alpha,
+                            cal_d6.constant(0))
     with pytest.raises(ValueError, match="constant coefficients"):
         dirac_operator(rep_d6, conn)
 

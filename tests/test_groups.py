@@ -9,14 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ledger
 from groupgeo import groups
 from conftest import alternating4, direct_product_cyclic
 from groupgeo.errors import (CayleyValidationError, NonCyclicClassError,
                              SingularMetricError, UnsupportedGroupError)
 from groupgeo.groups import (
     FiniteGroup,
-    ad_table,
-    class_product_table,
     conjugacy_class,
     dihedral,
     dihedral_structure,
@@ -62,7 +61,7 @@ def test_reflection_class_ordering(cls_d6, d6):
     assert cls_d6.labels() == ("sr", "sr3", "sr5")
     assert cls_d6.cyclic_witness == 7
     assert cls_d6.size == 3
-    assert cls_d6.position(9) == 1
+    assert cls_d6.members.index(9) == 1
     assert 9 in cls_d6 and 1 not in cls_d6
     assert list(cls_d6) == [7, 9, 11]
     # all members are involutions
@@ -95,12 +94,12 @@ def test_identity_class_rejected(d6):
 
 
 def test_ad_table_values(cls_d6):
-    assert ad_table(cls_d6) == [[0, 2, 1], [2, 1, 0], [1, 0, 2]]
+    assert cls_d6.ad == ((0, 2, 1), (2, 1, 0), (1, 0, 2))
 
 
 def test_class_product_table_values(cls_d6, d6):
     r2, r4 = d6.index("r2"), d6.index("r4")
-    table = class_product_table(cls_d6)
+    table = cls_d6.products
     assert [[d6.label(v) for v in row] for row in table] == [
         ["e", "r2", "r4"], ["r4", "e", "r2"], ["r2", "r4", "e"]]
     # products of distinct members avoid e and land in the rotation subgroup
@@ -108,6 +107,19 @@ def test_class_product_table_values(cls_d6, d6):
         for j in range(3):
             if i != j:
                 assert table[i][j] in (r2, r4)
+
+
+@pytest.mark.parametrize("name", sorted(ledger.TABLES))
+def test_class_tables_follow_the_group_table(name):
+    # every class of the ledger's tables, the identity and non-cyclic ones too
+    group = ledger.TABLES[name]()
+    classes = {cls.members: cls for cls in map(group.conjugacy_class, range(group.order))}
+    assert any(cls.cyclic_witness is None and cls.size > 1 for cls in classes.values())
+    for members, cls in classes.items():
+        assert cls.ad == tuple(tuple(members.index(group.conj(a, b)) for b in members)
+                               for a in members)
+        assert cls.products == tuple(tuple(group.mul(a, b) for b in members)
+                                     for a in members)
 
 
 def test_right_translation_composition(d6):
@@ -284,7 +296,7 @@ def test_loaded_s3_is_isomorphic_to_dihedral_3(s3_group):
 def test_s3_class_of_u(s3_cls, s3_group):
     assert s3_cls.labels() == ("u", "v", "uvu")
     assert s3_cls.cyclic_witness == s3_group.index("u")
-    table = class_product_table(s3_cls)
+    table = s3_cls.products
     assert [[s3_group.label(v) for v in row] for row in table] == [
         ["e", "uv", "vu"], ["vu", "e", "uv"], ["uv", "vu", "e"]]
 
@@ -302,7 +314,7 @@ def test_s3_class_of_u(s3_cls, s3_group):
 ], ids=["d6-sr", "d6-s", "d3-sr", "d6xz2-sr", "d6-r", "a4"])
 def test_chart_class_is_the_circulant_pattern(build, label, circulant):
     cls = conjugacy_class(build(), label)
-    products = class_product_table(cls)
+    products = [[cls.group.mul(a, b) for b in cls] for a in cls]
     if cls.size == 3:
         d, u, v = products[0][0], products[1][0], products[2][0]
         assert circulant == (len({d, u, v}) == 3 and products == [
