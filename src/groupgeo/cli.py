@@ -99,15 +99,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _quoted(text: str) -> str:
+    """repr(text), or for a text that could be any length its start and length."""
+    return repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
+
+
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Resolve a builtin group spec of the form name:param."""
     name, sep, param = spec.partition(":")
     if not sep or not param:
-        raise ValueError(f"group spec {spec!r} must look like name:param")
+        raise ValueError(f"group spec {_quoted(spec)} must look like name:param")
     if name == "dihedral":
         # int() would also read spaces, signs, underscores and non-ASCII digits
         if not (param.isascii() and param.isdigit()):
-            raise ValueError(f"dihedral parameter {param!r} is not in ASCII digits")
+            raise ValueError(f"dihedral parameter {_quoted(param)} is not in ASCII digits")
         if len(param) > MAX_DIHEDRAL:
             # refused unconverted and not echoed: it could be any length
             raise ValueError(f"dihedral parameter of {len(param)} digits exceeds "
@@ -119,7 +124,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
             raise ValueError(
                 f"dihedral parameter {n} exceeds the limit of {MAX_DIHEDRAL}")
         return dihedral(n)
-    raise UnsupportedGroupError(f"no builtin group family named {name!r}")
+    raise UnsupportedGroupError(f"no builtin group family named {_quoted(name)}")
 
 
 def _parse_mu(text: str) -> Fraction:
@@ -181,6 +186,13 @@ def main(argv=None) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+def _refused(code: int, message: str) -> int:
+    """Print message as the error of exit code `code` and return the code."""
+    kind = {USAGE_EXIT: "usage", VALIDATION_EXIT: "validation"}.get(code, "precondition")
+    print(f"error({kind}): {message}", file=sys.stderr)
+    return code
+
+
 def _run(argv) -> int:
     parser = build_parser()
     try:
@@ -189,56 +201,43 @@ def _run(argv) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        print(f"error(usage): --out directory does not exist: {args.out!r}",
-              file=sys.stderr)
-        return USAGE_EXIT
+        return _refused(USAGE_EXIT, f"--out directory does not exist: {args.out!r}")
     if args.out and os.path.isdir(args.out):
-        print(f"error(usage): --out names a directory: {args.out!r}",
-              file=sys.stderr)
-        return USAGE_EXIT
+        return _refused(USAGE_EXIT, f"--out names a directory: {args.out!r}")
     if len(args.mu) > MAX_MU_LENGTH:
-        print(f"error(usage): --mu has {len(args.mu)} characters, more than "
-              f"the limit of {MAX_MU_LENGTH}", file=sys.stderr)
-        return USAGE_EXIT
+        return _refused(USAGE_EXIT, f"--mu has {len(args.mu)} characters, more than "
+                                    f"the limit of {MAX_MU_LENGTH}")
     try:
         mu = _parse_mu(args.mu)
     except (ValueError, ZeroDivisionError):
-        print(f"error(usage): --mu must be a rational like 1/3, got "
-              f"{args.mu!r}", file=sys.stderr)
-        return USAGE_EXIT
+        return _refused(USAGE_EXIT, f"--mu must be a rational like 1/3, got {args.mu!r}")
     try:
         if args.group is not None:
             try:
                 group = parse_group_spec(args.group)
             except ValueError as exc:
-                print(f"error(usage): {exc}", file=sys.stderr)
-                return USAGE_EXIT
+                return _refused(USAGE_EXIT, str(exc))
         else:
             group = FiniteGroup.from_json_file(args.cayley)
         try:
             group.index(args.class_label)
         except KeyError:
-            print(f"error(validation): no element named {args.class_label!r} "
-                  f"in group {group.name}", file=sys.stderr)
-            return VALIDATION_EXIT
+            return _refused(VALIDATION_EXIT, f"no element named {_quoted(args.class_label)} "
+                                             f"in group {group.name}")
         report = _build_report(args, group, mu)
     except (CayleyValidationError, NonCyclicClassError, UnsupportedGroupError,
             OSError) as exc:
-        print(f"error(validation): {exc}", file=sys.stderr)
-        return VALIDATION_EXIT
+        return _refused(VALIDATION_EXIT, str(exc))
     except GroupGeoError as exc:
         # the input is valid; the mathematics refuses it
-        print(f"error(precondition): {exc}", file=sys.stderr)
-        return PRECONDITION_EXIT
+        return _refused(PRECONDITION_EXIT, str(exc))
     text = render(report, args.pretty)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error(usage): cannot write --out {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return USAGE_EXIT
+            return _refused(USAGE_EXIT, f"cannot write --out {args.out!r}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -6,13 +6,13 @@ class member.  Three residuals classify a connection:
 
   * torsion:    de_a + sum_b A_b ^ (e_{b^-1 a b} - e_a)
   * cotorsion:  de_a + sum_b e_{b a b^-1} ^ A_b   (needs sum_a A_a = 0)
-  * regularity: sum_{ab=g} A_a ^ A_b for products g off the class
+  * regularity: sum_{ab=g} A_a ^ A_b for g off the class and not e
 
 For a 3-member class with circulant products the torsion-free connections
 form a chart: a symmetric coefficient pattern in three parameter functions
-alpha, beta, gamma constrained by alpha + beta + gamma = -1.  The unique
-connection with all three residuals zero is e_a - theta/3 in every case
-handled here; levi_civita builds it and proves the residuals vanish.
+alpha, beta, gamma constrained by alpha + beta + gamma = -1.  levi_civita
+finds the one regular constant chart member, once per calculus, and proves
+the three residuals zero there.
 
 The layer reads only the 2-form relations and the class's conjugation
 and product tables (ConjClass.ad and ConjClass.products).  The metric
@@ -20,12 +20,12 @@ enters with the Dirac and wave operators; groups.require_invertible_metric
 states the one modulus it cannot take, and the connection report checks it
 before the torsion solve.  chart_connection is the one chart constructor;
 the chart check, groups.require_chart_class, reads the class alone, and
-levi_civita and constant_regular_scan make it before any other work.
+levi_civita makes it before any other work.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 from typing import Optional, Sequence
 
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
@@ -130,19 +130,15 @@ def cotorsion_residual(conn: Connection) -> list[TwoForm]:
 
 
 def regularity_residual(conn: Connection) -> dict[int, TwoForm]:
-    """The quadratic products sum_{ab=g} A_a ^ A_b, keyed by the group
-    element g, for every g off the class with at least one factor pair.
-
-    The regularity condition asks these to vanish for g neither in the
-    class nor the identity; the identity component is still returned so
-    callers can inspect it separately.
-    """
+    """The quadratic products sum_{ab=g} A_a ^ A_b that regularity asks to
+    vanish, keyed by the group element g, for every g off the class and not
+    the identity with at least one factor pair."""
     cal = conn.calculus
     cls = cal.cls
     buckets: dict[int, TwoForm] = {}
     for i, row in enumerate(cls.products):
         for j, g in enumerate(row):
-            if g in cls:
+            if g == 0 or g in cls:
                 continue
             term = cal.wedge(conn.components[i], conn.components[j])
             if g in buckets:
@@ -154,8 +150,7 @@ def regularity_residual(conn: Connection) -> dict[int, TwoForm]:
 
 def is_regular(conn: Connection) -> bool:
     """All off-class, off-identity quadratic components vanish."""
-    return all(res.is_zero() for g, res in regularity_residual(conn).items()
-               if g != 0)
+    return all(res.is_zero() for res in regularity_residual(conn).values())
 
 
 # -- the torsion-free family ------------------------------------------------
@@ -210,26 +205,16 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
 # -- distinguished connections ----------------------------------------------
 
 def levi_civita(calculus: Calculus) -> Connection:
-    """The unique torsion-free, cotorsion-free, regular connection:
-    A_a = e_a - theta/3, the same at every metric modulus.
-
-    The three residuals are recomputed and proved zero before returning.
-    """
+    """The unique torsion-free, cotorsion-free, regular constant chart
+    member, the same at every metric modulus."""
     require_chart_class(calculus.cls)
-    third = calculus.constant(rat(-1, 3))
-    conn = chart_connection(calculus, third, third, third)
-    if any(not r.is_zero() for r in torsion_residual(conn)):
-        raise GroupGeoError("distinguished connection failed the torsion check")
-    if any(not r.is_zero() for r in cotorsion_residual(conn)):
-        raise GroupGeoError("distinguished connection failed the cotorsion check")
-    if not is_regular(conn):
-        raise GroupGeoError("distinguished connection failed the regularity check")
-    return conn
+    return _regular_chart_member(calculus)
 
 
-def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """All constant rational chart parameters (alpha, beta, gamma) giving a
-    regular connection.
+@functools.cache
+def _regular_chart_member(calculus: Calculus) -> Connection:
+    """The one constant chart member that is regular, with its three
+    residuals proved zero.
 
     Chart members are torsion-free by construction and constant chart members
     are automatically cotorsion-free, so regularity is the only condition
@@ -240,18 +225,18 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
     the residual has degree at most 2, so agreeing with that affine map at
     (1, 1), (2, 0) and (0, 2) proves it affine everywhere.  The resulting
     rational linear system, one row per bucket and 2-form coordinate
-    whatever the group order, is solved exactly: no solution gives [], a line
-    or plane of solutions is an error.
+    whatever the group order, is solved exactly; anything but one solution
+    is an error.
     """
+    const = calculus.constant
 
-    require_chart_class(calculus.cls)
+    def chart(a, b) -> Connection:
+        return chart_connection(calculus, const(a), const(b), const(-1 - a - b))
 
     def residual(a, b) -> list:
-        const = calculus.constant
-        conn = chart_connection(calculus, const(a), const(b), const(-1 - a - b))
         # constant parameters give a left-invariant residual: every
         # coefficient is constant, so its value at e stands for the group
-        return [f(0) for g, form in regularity_residual(conn).items() if g != 0
+        return [f(0) for form in regularity_residual(chart(a, b)).values()
                 for f in form.coeffs]
 
     r0 = residual(0, 0)
@@ -266,9 +251,16 @@ def constant_regular_scan(calculus: Calculus) -> list[tuple[Fraction, Fraction, 
         (va, vb), kernel = solve_affine(Mat([[x, y] for x, y in zip(da, db)]),
                                         [-x for x in r0])
     except InfeasibleSystemError:
-        return []
+        raise InfeasibleSystemError(
+            "regular constant scan: no constant chart member is regular") from None
     if kernel:
         raise GroupGeoError(
             "regular constant scan found a positive-dimensional solution set")
-    fa, fb = va.as_fraction(), vb.as_fraction()
-    return [(fa, fb, -1 - fa - fb)]
+    conn = chart(va, vb)
+    if any(not r.is_zero() for r in torsion_residual(conn)):
+        raise GroupGeoError("distinguished connection failed the torsion check")
+    if any(not r.is_zero() for r in cotorsion_residual(conn)):
+        raise GroupGeoError("distinguished connection failed the cotorsion check")
+    if not is_regular(conn):
+        raise GroupGeoError("distinguished connection failed the regularity check")
+    return conn

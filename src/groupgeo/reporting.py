@@ -333,8 +333,7 @@ def calculus_report(cal: Calculus) -> dict:
 
 
 def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
-    from .connections import (Connection, constant_regular_scan, levi_civita,
-                              torsion_free_family)
+    from .connections import Connection, levi_civita, torsion_free_family
 
     mu = Fraction(mu)
     lc = levi_civita(cal)
@@ -349,7 +348,7 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
         "mu": mu,
         "torsion_free_family_dimension": len(directions) * cal.group.order,
         "sum_of_components_vanishes": sum_ok,
-        "constant_regular_scan": constant_regular_scan(cal),
+        "constant_regular_scan": [tuple(p(0) for p in lc.parameters)],
         "levi_civita": {
             "parameters": None if lc.parameters is None else [
                 p.values for p in lc.parameters],

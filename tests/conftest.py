@@ -13,11 +13,7 @@ from fractions import Fraction
 import pytest
 
 from groupgeo.calculus import differential_calculus
-from groupgeo.connections import (
-    constant_regular_scan,
-    levi_civita,
-    torsion_free_family,
-)
+from groupgeo.connections import levi_civita, torsion_free_family
 from groupgeo.curvature import ricci, ricci_flat_solve
 from groupgeo.dirac import dirac_operator, wave_operator
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
@@ -57,9 +53,15 @@ def family_d6(cal_d6):
     return torsion_free_family(cal_d6)
 
 
+def regular_constants(cal):
+    """levi_civita's chart parameters (alpha, beta, gamma) at e, as the
+    one-hit list the connection report prints under constant_regular_scan."""
+    return [tuple(p(0).as_fraction() for p in levi_civita(cal).parameters)]
+
+
 @pytest.fixture(scope="session")
 def scan_d6(cal_d6):
-    return constant_regular_scan(cal_d6)
+    return regular_constants(cal_d6)
 
 
 @pytest.fixture(scope="session")
@@ -190,6 +192,17 @@ def alternating4():
     return FiniteGroup(["".join(map(str, p)) for p in perms], table, name="A4")
 
 
+def affine_group(p):
+    """AGL(1, p) for a prime p: the maps x -> a x + b over Z/p, a != 0, named
+    f"{a}x+{b}", the identity first and then (a, b) ascending; composition
+    (f g)(x) = f(g(x)).  The class of x -> g x, for g a generator of
+    (Z/p)^x, has p members and is cyclic."""
+    maps = [(1, 0)] + [(a, b) for a in range(1, p) for b in range(p) if (a, b) != (1, 0)]
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[(a * c % p, (a * d + b) % p)] for c, d in maps] for a, b in maps]
+    return FiniteGroup([f"{a}x+{b}" for a, b in maps], table, name=f"affine:{p}")
+
+
 @pytest.fixture(scope="session", params=["a0x1", "a1x1"])
 def cal_dic3(request):
     """Both 3-member classes of the dicyclic group of order 12; the square
@@ -197,7 +210,17 @@ def cal_dic3(request):
     return differential_calculus(conjugacy_class(dicyclic3(), request.param))
 
 
-@pytest.fixture(params=["cal_d3", "cal_d6", "s3_cal", "cal_d6_relabelled"])
+@pytest.fixture(scope="session")
+def cal_a4():
+    """The 4-member class of A4: off the chart, where the torsion solve
+    still runs."""
+    return differential_calculus(conjugacy_class(alternating4(), "1203"))
+
+
+ORACLE_CALS = ["cal_d3", "cal_d6", "s3_cal", "cal_d6_relabelled"]
+
+
+@pytest.fixture(params=ORACLE_CALS)
 def oracle_cal(request):
     """Calculi on which each structured solve is checked against its dense
     oracle: D3, D6, the S3 table and a relabelled D6 table."""

@@ -371,8 +371,9 @@ def expanded_functions():
     """Inside the block every GroupFunction built holds one value per group
     element, constants included, so each operation runs element by element:
     the |G|-tuple path that the one-value form of constants replaces.
-    Objects cached before the block (a calculus's d e_a) keep their form;
-    build what is compared inside it."""
+    Objects cached before the block (a calculus's d e_a, the connection
+    levi_civita derives once per calculus) keep their form; build what is
+    compared inside it, and derive no shared calculus's connection in it."""
     def init(self, group, values):
         vals = tuple(as_scalar(v) for v in values)
         if len(vals) != group.order:

@@ -442,6 +442,27 @@ def test_overlong_dihedral_parameter_is_refused_unconverted(monkeypatch, capsys)
         parse_group_spec("dihedral:" + "0" * (cli.MAX_DIHEDRAL + 1))
 
 
+@pytest.mark.parametrize("spec,code,fragment", [
+    ("x" * 100_000 + ":1", 3, "error(validation): no builtin group family named 'xxx"),
+    ("dihedral:" + "x" * 100_000, 2, "error(usage): dihedral parameter 'xxx"),
+    ("x" * 100_000, 2, "error(usage): group spec 'xxx"),
+], ids=["family", "dihedral-parameter", "no-colon"])
+def test_overlong_group_spec_is_quoted_by_its_start_and_length(spec, code, fragment, capsys):
+    got, out, err = _run(capsys, "--group", spec, "--class", "sr", "--cmd", "calculus")
+    assert (got, out) == (code, "")
+    # the quoted part, whether name, parameter or spec, is 100,000 characters
+    assert err.startswith(fragment)
+    assert "(100000 characters)" in err and len(err) < 200
+
+
+def test_overlong_class_label_is_quoted_by_its_start_and_length(capsys):
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "q" * 100_000,
+                          "--cmd", "calculus")
+    assert (code, out) == (3, "")
+    assert err.startswith("error(validation): no element named 'qqq")
+    assert "(100000 characters)" in err and len(err) < 200
+
+
 def test_parse_group_spec_direct():
     assert parse_group_spec("dihedral:3").order == 6
     assert parse_group_spec("dihedral:006").name == "dihedral:6"

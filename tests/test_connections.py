@@ -1,23 +1,23 @@
-"""Torsion-free connections, the distinguished one, and the parameter scan."""
+"""Torsion-free connections and the distinguished one, derived by the
+regularity scan."""
 
 import contextlib
 import os
 import random
 import subprocess
 import sys
-from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 
-from conftest import alternating4, direct_product_cyclic
-from groupgeo import connections, reporting
+from conftest import (ORACLE_CALS, affine_group, alternating4, direct_product_cyclic,
+                      regular_constants)
+from groupgeo import connections, cyclotomic, reporting
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import (
     Connection,
     chart_connection,
-    constant_regular_scan,
     cotorsion_residual,
     is_regular,
     levi_civita,
@@ -25,8 +25,9 @@ from groupgeo.connections import (
     torsion_free_family,
     torsion_residual,
 )
-from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.errors import GroupGeoError, SingularMetricError, UnsupportedGroupError
+from groupgeo.cyclotomic import rat
+from groupgeo.errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
+                             UnsupportedGroupError)
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
 from oracles import expanded_functions, torsion_family_members, torsion_system
@@ -104,14 +105,29 @@ def _dense_vector(components, order):
     return [f(h) for comp in components for f in comp.coeffs for h in range(order)]
 
 
-def test_factored_family_matches_dense_torsion_solve(oracle_cal):
-    conn, directions = torsion_free_family(oracle_cal)
-    particular, dense_kernel = solve_affine(*torsion_system(oracle_cal))
-    order = oracle_cal.group.order
+@pytest.mark.parametrize("name", ORACLE_CALS + ["cal_a4"])
+def test_factored_family_matches_dense_torsion_solve(name, request):
+    cal = request.getfixturevalue(name)
+    conn, directions = torsion_free_family(cal)
+    particular, dense_kernel = solve_affine(*torsion_system(cal))
+    order = cal.group.order
     assert _dense_vector(conn.components, order) == particular
     # the directions lifted over the cosets (h,) of K = {e}, vector for vector
-    members = torsion_family_members(oracle_cal, directions)
+    members = torsion_family_members(cal, directions)
     assert [_dense_vector(k, order) for k in members] == dense_kernel
+    if name == "cal_a4":
+        # a 4-member class: three directions, placed at each of 12 elements
+        assert len(directions) == 3 and len(dense_kernel) == 36
+
+
+def test_affine_group_of_order_20_has_no_torsion_free_connection():
+    # the class of x -> 2x in AGL(1, 5): five members, 2 generating (Z/5)^x
+    cal = differential_calculus(conjugacy_class(affine_group(5), "2x+0"))
+    assert cal.n_members == 5
+    with pytest.raises(InfeasibleSystemError):
+        torsion_free_family(cal)
+    with pytest.raises(InfeasibleSystemError):
+        solve_affine(*torsion_system(cal))
 
 
 def test_torsion_free_family_builds_no_function_of_the_group_order(monkeypatch):
@@ -141,11 +157,23 @@ def test_levi_civita_components(cal_d6, lc_d6):
         assert p == cal_d6.constant(-third)
 
 
+def _identity_bucket(conn):
+    """sum_{ab=e} A_a ^ A_b, which regularity_residual leaves out."""
+    cal = conn.calculus
+    total = cal.zero_two_form()
+    for i, row in enumerate(cal.cls.products):
+        for j, g in enumerate(row):
+            if g == 0:
+                total = total + cal.wedge(conn.components[i], conn.components[j])
+    return total
+
+
 def test_levi_civita_residuals(cal_d6, lc_d6):
     assert all(t.is_zero() for t in torsion_residual(lc_d6))
     assert all(t.is_zero() for t in cotorsion_residual(lc_d6))
     assert is_regular(lc_d6)
     assert all(w.is_zero() for w in regularity_residual(lc_d6).values())
+    assert _identity_bucket(lc_d6).is_zero()
 
 
 def test_levi_civita_singular_metric(cal_d6):
@@ -163,10 +191,11 @@ def test_generic_chart_member_is_not_regular(cal_d6):
     assert not is_regular(conn)
     res = regularity_residual(conn)
     assert any(not w.is_zero() for w in res.values())
-    # residuals are indexed by products of class members: e from the
-    # involutive diagonal plus the two off-class rotations
+    # residuals are indexed by products of class members: the two off-class
+    # rotations; e, from the involutive diagonal, is not a regularity bucket
     labels = {cal_d6.group.label(g) for g in res}
-    assert labels == {"e", "r2", "r4"}
+    assert labels == {"r2", "r4"}
+    assert not _identity_bucket(conn).is_zero()
 
 
 def test_constant_regular_scan_unique(scan_d6):
@@ -191,14 +220,14 @@ def test_s3_levi_civita(s3_cal):
 
 def test_s3_scan_matches(s3_cal):
     third = Fraction(-1, 3)
-    assert constant_regular_scan(s3_cal) == [(third, third, third)]
+    assert regular_constants(s3_cal) == [(third, third, third)]
 
 
 def _sympy_scan(cal):
     """The regularity scan derived symbolically: every off-class,
     off-identity product bucket of the chart in constants (a, b, -1-a-b),
-    expanded and handed to sympy.solve.  The oracle for
-    constant_regular_scan."""
+    expanded and handed to sympy.solve.  The oracle for the scan that
+    levi_civita runs."""
     sympy = pytest.importorskip("sympy")
     cls, grp = cal.cls, cal.group
     a, b = sympy.symbols("a b")
@@ -226,7 +255,7 @@ def _sympy_scan(cal):
 
 
 def test_scan_matches_sympy_oracle(oracle_cal):
-    assert constant_regular_scan(oracle_cal) == _sympy_scan(oracle_cal)
+    assert regular_constants(oracle_cal) == _sympy_scan(oracle_cal)
 
 
 def test_dicyclic_scan_matches_sympy_oracle(cal_dic3):
@@ -235,23 +264,55 @@ def test_dicyclic_scan_matches_sympy_oracle(cal_dic3):
     assert all(grp.mul(c, c) not in cal_dic3.cls and grp.mul(c, c) != 0
                for c in cal_dic3.cls.members)
     third = Fraction(-1, 3)
-    assert constant_regular_scan(cal_dic3) == _sympy_scan(cal_dic3) == [
+    assert regular_constants(cal_dic3) == _sympy_scan(cal_dic3) == [
         (third, third, third)]
 
 
-def test_scan_rejects_non_affine_residual(cal_d6, monkeypatch):
+def test_scan_rejects_non_affine_residual(monkeypatch):
     original = connections.regularity_residual
 
     def with_square(conn):
         out = original(conn)
         alpha = conn.parameters[0](0)
-        g = next(g for g in out if g != 0)
+        g = next(iter(out))
         out[g] = out[g] + conn.calculus.d_basis(0) * (alpha * alpha)
         return out
 
     monkeypatch.setattr(connections, "regularity_residual", with_square)
+    # a fresh calculus: levi_civita answers a derived one from its memo
+    cal = differential_calculus(conjugacy_class(dihedral(6), "sr"))
     with pytest.raises(GroupGeoError, match="not affine"):
-        constant_regular_scan(cal_d6)
+        levi_civita(cal)
+
+
+@pytest.mark.parametrize("value,error,match", [
+    (0, GroupGeoError, "positive-dimensional"),
+    (1, InfeasibleSystemError, "no constant chart member is regular"),
+], ids=["every-member-regular", "no-member-regular"])
+def test_scan_requires_exactly_one_regular_member(monkeypatch, value, error, match):
+    # a residual that does not move with the chart constants: zero at every
+    # member, or nonzero at every member
+    def constant_residual(conn):
+        return {1: conn.calculus.d_basis(0) * rat(value)}
+
+    monkeypatch.setattr(connections, "regularity_residual", constant_residual)
+    cal = differential_calculus(conjugacy_class(dihedral(6), "sr"))
+    with pytest.raises(error, match=match):
+        levi_civita(cal)
+
+
+def test_report_all_derives_the_connection_once(monkeypatch):
+    calls = []
+    original = connections.regularity_residual
+
+    def counted(conn):
+        calls.append(conn)
+        return original(conn)
+
+    monkeypatch.setattr(connections, "regularity_residual", counted)
+    reporting.full_report(conjugacy_class(dihedral(6), "sr"))
+    # six scan points and one proof, though four sections read levi_civita
+    assert len(calls) == 7
 
 
 def test_connection_command_never_imports_sympy():
@@ -271,42 +332,39 @@ def test_connection_command_never_imports_sympy():
 # -- left-invariant work does not grow with the group ------------------------
 
 @contextlib.contextmanager
-def _counting_arithmetic():
-    """Count Cyclotomic additions (subtraction adds the negation) and
-    multiplications made inside the block."""
-    counts = Counter()
+def _counting_scalars():
+    """Count the Cyclotomic scalars allocated inside the block; each comes
+    from cyclotomic._new."""
+    count = [0]
+    new = cyclotomic._new
 
-    def counted(kind, fn):
-        def wrapper(a, b):
-            counts[kind] += 1
-            return fn(a, b)
-        return wrapper
+    def counted(cls):
+        count[0] += 1
+        return new(cls)
 
-    with contextlib.ExitStack() as stack:
-        for name, kind in (("__add__", "add"), ("__radd__", "add"),
-                           ("__mul__", "mul"), ("__rmul__", "mul")):
-            stack.enter_context(mock.patch.object(
-                Cyclotomic, name, counted(kind, getattr(Cyclotomic, name))))
-        yield counts
+    with mock.patch.object(cyclotomic, "_new", counted):
+        yield count
 
 
 def _geometry_counts() -> list:
-    """Arithmetic of one levi_civita and one constant_regular_scan call on a
-    fresh calculus of D3, D6 and D6 x Z2 (orders 6, 12 and 24)."""
+    """Scalars allocated by a first and a second levi_civita call on a fresh
+    calculus of D3, D6 and D6 x Z2 (orders 6, 12 and 24).  Each calculus is
+    built here, so no shared calculus is derived inside expanded_functions."""
     out = []
     for group in (dihedral(3), dihedral(6), direct_product_cyclic(dihedral(6), 2)):
         cal = differential_calculus(conjugacy_class(group, "sr"))
-        with _counting_arithmetic() as lc:
+        with _counting_scalars() as first:
             levi_civita(cal)
-        with _counting_arithmetic() as scan:
-            constant_regular_scan(cal)
-        out.append((dict(lc), dict(scan)))
+        with _counting_scalars() as second:
+            levi_civita(cal)
+        out.append((first[0], second[0]))
     return out
 
 
 def test_levi_civita_and_scan_arithmetic_is_independent_of_the_order():
     counts = _geometry_counts()
-    assert counts[0][0]["add"] > 0 and counts[0][1]["mul"] > 0
+    # the scan and proof run once per calculus; a second call allocates none
+    assert counts[0][0] > 0 and counts[0][1] == 0
     assert counts[0] == counts[1] == counts[2]
 
 

@@ -10,7 +10,7 @@ import pytest
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import curvature, linalg, reporting
 from groupgeo.calculus import GroupFunction, TensorOneOne, TwoForm, differential_calculus
-from groupgeo.connections import chart_connection, constant_regular_scan, levi_civita
+from groupgeo.connections import chart_connection, levi_civita
 from groupgeo.curvature import (
     LIFT_VARIANTS,
     covariant_derivative,
@@ -392,7 +392,7 @@ def _label_free_layers(group) -> dict:
     report = reporting.connection_report(cal)
     out = {
         "levi_civita": [by_name(p) for p in levi_civita(cal).parameters],
-        "scan": constant_regular_scan(cal),
+        "scan": report["constant_regular_scan"],
         "family_dimension": report["torsion_free_family_dimension"],
         "sum_of_components_vanishes": report["sum_of_components_vanishes"],
     }
