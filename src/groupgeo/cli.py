@@ -5,9 +5,10 @@ or a Cayley-table JSON file), a conjugacy class by representative label, a
 rational metric modulus, and a command; the result is a deterministic JSON
 report on stdout or in a file.  Identical inputs give byte-identical bytes.
 
-Exit codes: 0 success, 2 usage errors (including an --out path that is a
-directory, lies in a missing directory or cannot be written, a
-``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than MAX_MU_LENGTH), 3
+Exit codes: 0 success, 2 usage errors (including an --out path longer than
+MAX_OUT_LENGTH, that is a directory, lies in a missing directory or cannot
+be written, a ``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than
+MAX_MU_LENGTH), 3
 validation failures (bad Cayley table, unknown label, non-cyclic or
 otherwise unsupported class or group), 4 mathematical failures on valid
 input (singular metric values, an operator whose certified spectrum misses
@@ -49,6 +50,10 @@ MAX_DIHEDRAL = 256
 # longest --mu text accepted; the report integers grow with its digits, and
 # dihedral:3 report-all at this length takes a few seconds
 MAX_MU_LENGTH = 2000
+
+# longest --out path accepted, Linux's PATH_MAX; a longer one is refused by
+# its length before the file system is asked about it
+MAX_OUT_LENGTH = 4096
 
 # a plain rational or decimal; exponents are refused because Fraction
 # would expand "1e999999999" into a billion-digit integer first
@@ -200,6 +205,9 @@ def _run(argv) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
+    if args.out and len(args.out) > MAX_OUT_LENGTH:
+        return _refused(USAGE_EXIT, f"--out has {len(args.out)} characters, more than "
+                                    f"the limit of {MAX_OUT_LENGTH}")
     if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
         return _refused(USAGE_EXIT, f"--out directory does not exist: {args.out!r}")
     if args.out and os.path.isdir(args.out):

@@ -11,28 +11,34 @@ coefficient form of linalg: constant dim(W) x dim(W) coefficients M_h,
 every h in {e}, the class or its products, so inside H = <C>, and the
 spinor components as the components of linalg's layout.  dirac_operator
 and wave_operator return the coefficients {h: M_h}, which linalg
-assembles, applies and compares.
+assembles and compares.
 
 Spectra are certified from the operator alone, never approximated: the
 eigenvalues are the rational roots of the minimal polynomials of unit
-vectors under the operator, each keeps the exact kernel basis of
-(op - lambda id) as its eigenspace, and the multiplicities must add up to
-the full dimension or the computation refuses to answer
-(IncompleteSpectrumError).  certify assembles a spinor operator's block
-on H from its coefficients and certifies the block, stating the operator
-on G by its copy count [G:H]; the reports certify every operator that
-way.  A certified spectrum proves the operator diagonalisable, so
-chirality gradings and minimal polynomials are read off it without a
-second reduction.
+vectors under the operator, each multiplicity is the exact nullity of
+(op - lambda id), and the multiplicities must add up to the full dimension
+or the computation refuses to answer (IncompleteSpectrumError).  A
+Spectrum keeps the values and their multiplicities, no eigenvectors.
+certify assembles an operator's block on H from its coefficients and
+certifies the block, stating the operator on G by its copy count [G:H];
+the wave report certifies its operator that way.  certify_blocks
+certifies an operator on a group with known irreducibles from its
+Peter-Weyl blocks B_rho = sum_h M_h (x) rho(h), each of size
+dim(W) dim(rho), at most 4 x 4 for the dihedral spinor (Serre, Linear
+Representations of Finite Groups, section 2.6; Diaconis, Group
+Representations in Probability and Statistics, ch. 2); the Dirac reports
+certify their operator that way.  A certified spectrum proves the operator
+diagonalisable, so chirality gradings and minimal polynomials are read off
+it and its blocks without a second certification.
 
 The eigenmode catalogs declare a closed-form list of claimed eigenvectors
-as a table, and one scorer replays it against the coefficients of the
-operator a report holds, by apply, and its certified spectrum, whose
-multiplicities it reads.  Candidates that are identically zero are
-reported as such, surviving candidates are verified exactly, and any gap
-between the span of the verified modes and the true multiplicity is
-reported together with explicit completion modes.  Shortfalls are
-reported, not asserted away.
+as a table in block coordinates (BlockForm), and one scorer replays it
+against the blocks of the operator a report holds, one block product per
+candidate, and its certified spectrum, whose multiplicities it reads.
+Candidates that are identically zero are reported as such, surviving
+candidates are verified exactly, and any gap between the span of the
+verified modes and the true multiplicity is reported together with
+explicit completion modes.  Shortfalls are reported, not asserted away.
 """
 
 from __future__ import annotations
@@ -40,11 +46,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import Cyclotomic, dot, rat
 from .errors import (
     AsymmetricSpectrumError,
     GroupGeoError,
@@ -53,7 +58,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import ConjClass, FiniteGroup, require_invertible_metric
-from .linalg import Mat, apply, as_scalar, assemble, inverse, kernel_basis, rref
+from .linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref
 
 if TYPE_CHECKING:
     from .connections import Connection
@@ -202,44 +207,39 @@ def wave_operator(C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
 
 
 class Spectrum:
-    """Exact eigenvalues with their eigenspace bases, whose dimensions
-    provably exhaust the operator dimension.
+    """Exact eigenvalues with multiplicities that provably exhaust the
+    operator dimension.
 
-    The operator is copies copies of one block up to a permutation of the
-    basis.  eigenspaces maps each value, which must be rational, to its
-    basis vectors on the block, in increasing order of value; pairs,
-    multiplicities and dimension state the operator, every copy counted.
+    multiplicities maps each value, which must be rational, to its
+    multiplicity, in increasing order of value; pairs lists the same.
     """
 
-    __slots__ = ("eigenspaces", "dimension", "copies")
+    __slots__ = ("multiplicities", "dimension")
 
-    def __init__(self, eigenspaces: Mapping | Sequence[tuple], dimension: int,
-                 copies: int = 1):
-        spaces = sorted(((as_scalar(v), tuple(basis))
-                         for v, basis in dict(eigenspaces).items()),
-                        key=lambda item: item[0].as_fraction())
-        total = sum(len(basis) for _, basis in spaces) * copies
+    def __init__(self, multiplicities: Mapping | Sequence[tuple], dimension: int):
+        pairs = sorted(((as_scalar(v), m) for v, m in dict(multiplicities).items()),
+                       key=lambda item: item[0].as_fraction())
+        total = sum(m for _, m in pairs)
         if total != dimension:
             raise IncompleteSpectrumError(total, dimension)
-        object.__setattr__(self, "eigenspaces", MappingProxyType(dict(spaces)))
+        object.__setattr__(self, "multiplicities", MappingProxyType(dict(pairs)))
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "copies", copies)
 
     def __setattr__(self, *_):
         raise AttributeError("Spectrum is immutable")
 
     @property
     def pairs(self) -> tuple[tuple[Cyclotomic, int], ...]:
-        return tuple((v, len(basis) * self.copies) for v, basis in self.eigenspaces.items())
+        return tuple(self.multiplicities.items())
 
     def multiplicity(self, value) -> int:
-        return len(self.eigenspaces.get(as_scalar(value), ())) * self.copies
+        return self.multiplicities.get(as_scalar(value), 0)
 
     def __iter__(self):
         return iter(self.pairs)
 
     def __len__(self):
-        return len(self.eigenspaces)
+        return len(self.multiplicities)
 
     def __repr__(self):
         body = ", ".join(f"{v!r}: {m}" for v, m in self.pairs)
@@ -250,30 +250,30 @@ def spectrum(op: Mat) -> Spectrum:
     """Certify the spectrum of an exact operator from the operator alone.
 
     The eigenvalues are the rational roots of the minimal polynomial of the
-    unit vector e_0 under op; while the eigenspaces found so far do not fill
-    the dimension, e_1, e_2, ... are tried in index order.  Each distinct
-    root keeps the exact kernel basis of (op - lambda id) as its eigenspace,
-    so the nullities, not the polynomial, decide the multiplicities.  If
-    they do not exhaust the dimension after every basis vector, the
-    operator is not diagonalisable and IncompleteSpectrumError is raised; a
-    vector polynomial that does not split over Q raises GroupGeoError.  No
-    eigenvalue is ever reported on numerical evidence.
+    unit vector e_0 under op; while the multiplicities found so far do not
+    fill the dimension, e_1, e_2, ... are tried in index order.  Each
+    distinct root's multiplicity is the nullity of (op - lambda id), from
+    one exact reduction, so the nullities, not the polynomial, decide the
+    multiplicities.  If they do not exhaust the dimension after every basis
+    vector, the operator is not diagonalisable and IncompleteSpectrumError
+    is raised; a vector polynomial that does not split over Q raises
+    GroupGeoError.  No eigenvalue is ever reported on numerical evidence.
     """
     n = op.nrows
     if n != op.ncols:
         raise ValueError("spectra are defined for square operators")
     ident = Mat.identity(n)
-    spaces: dict[Cyclotomic, list] = {}
+    counts: dict[Cyclotomic, int] = {}
     filled = 0
     for start in range(n):
         if filled == n:
             break
         for root in _rational_roots(_vector_minimal_polynomial(op, start)):
             v = rat(root)
-            if v not in spaces:
-                spaces[v] = kernel_basis(op - ident * v)
-                filled += len(spaces[v])
-    return Spectrum(spaces, n)
+            if v not in counts:
+                counts[v] = n - len(rref(op - ident * v)[1])
+                filled += counts[v]
+    return Spectrum(counts, n)
 
 
 def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
@@ -284,9 +284,9 @@ def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
     Every h must lie in H.  The operator commutes with left translation and
     keeps each left coset gH to itself, so it is [G:H] copies of the block
     (each block eigenvector, carried to a coset by linalg.coset_lift, is an
-    eigenvector of the operator).  The spectrum keeps the block's
-    eigenspaces and counts each [G:H] times; an incomplete block spectrum
-    is reported with the operator's numbers.
+    eigenvector of the operator).  The spectrum counts each of the block's
+    multiplicities [G:H] times; an incomplete block spectrum is reported
+    with the operator's numbers.
     """
     subgroup = C.generated_subgroup()
     block = assemble(coeffs, C.group, subgroup)
@@ -295,7 +295,84 @@ def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
         block_spect = spectrum(block)
     except IncompleteSpectrumError as exc:
         raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
-    return block, Spectrum(block_spect.eigenspaces, block.nrows * copies, copies)
+    return block, Spectrum({v: m * copies for v, m in block_spect.pairs},
+                           block.nrows * copies)
+
+
+# ---------------------------------------------------------------------------
+# Peter-Weyl blocks
+
+
+class BlockForm(NamedTuple):
+    """A spinor operator sum_h M_h (x) R(h) on W (x) C[G] by its blocks
+    B_rho = sum_h M_h (x) rho(h), one per irreducible rho of G, and their
+    certified spectra.
+
+    The matrix coefficients rho_kl: g -> rho(g)[k, l] of a complete list of
+    irreducibles are a basis of the functions on G (Peter-Weyl), and
+    R(h) rho_kl = sum_m rho(h)[m, l] rho_km.  So for each row k the
+    functions W (x) {rho_k1, ..., rho_kd} are kept by the operator, which
+    acts on their coordinates, component index slowest as in
+    irreducible_blocks, by B_rho: the operator is, up to that change of
+    basis, the direct sum of the copies, dim rho copies (rho, k) of each
+    B_rho.  A vector of one copy is a mode: ((rho's name, row k), its
+    dim(W) dim(rho) coordinates).
+    """
+
+    irreps: tuple
+    blocks: tuple
+    spectra: tuple
+
+    def copy_blocks(self) -> list[Mat]:
+        """The block of each copy, the copies of each irreducible in turn."""
+        return [block for rho, block in zip(self.irreps, self.blocks) for _ in range(rho.dim)]
+
+
+def irreducible_blocks(coeffs: Mapping[int, Mat], irreps: Sequence[Representation]) -> list[Mat]:
+    """B_rho = sum_h coeffs[h] (x) rho(h) for each irreducible rho, the
+    coefficient's index slowest: entry (i dim(rho) + k, j dim(rho) + l) is
+    sum_h coeffs[h][i, j] rho(h)[k, l], one dot each."""
+    hs = list(coeffs)
+    shape = coeffs[hs[0]]
+    weights = {(i, j): [coeffs[h][i, j] for h in hs]
+               for i in range(shape.nrows) for j in range(shape.ncols)}
+    out = []
+    for rho in irreps:
+        d = rho.dim
+        images = [rho(h) for h in hs]
+        out.append(Mat([[dot(weights[i, j], [m[k, l] for m in images])
+                         for j in range(shape.ncols) for l in range(d)]
+                        for i in range(shape.nrows) for k in range(d)]))
+    return out
+
+
+def certify_blocks(coeffs: Mapping[int, Mat],
+                   irreps: Sequence[Representation]) -> tuple[BlockForm, Spectrum]:
+    """The blocks of sum_h coeffs[h] (x) R(h) on W (x) C[G] for the given
+    irreducibles of G, each block's certified spectrum, and the certified
+    spectrum of the operator: the multiplicity of lambda is
+    sum_rho dim(rho) nullity(B_rho - lambda).
+
+    The operator's dimension is dim(W) |G|, so the multiplicities fill it
+    only if the irreducibles are complete.  An incomplete block spectrum
+    is reported with the operator's numbers.
+    """
+    blocks = irreducible_blocks(coeffs, irreps)
+    dimension = blocks[0].nrows // irreps[0].dim * irreps[0].group.order
+    spectra, missing = [], 0
+    for rho, block in zip(irreps, blocks):
+        try:
+            spectra.append(spectrum(block))
+        except IncompleteSpectrumError as exc:
+            missing += rho.dim * (exc.dimension - exc.total)
+    if missing:
+        raise IncompleteSpectrumError(dimension - missing, dimension)
+    counts: dict[Cyclotomic, int] = {}
+    for rho, spect in zip(irreps, spectra):
+        for v, m in spect.pairs:
+            counts[v] = counts.get(v, 0) + rho.dim * m
+    form = BlockForm(tuple(irreps), tuple(blocks), tuple(spectra))
+    return form, Spectrum(counts, dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -473,61 +550,102 @@ def require_symmetric(spect: Spectrum) -> None:
                 f"{m_neg}; no exact grading can pair them")
 
 
-def chirality(spect: Spectrum) -> Mat:
-    """A grading that squares to the identity and anticommutes with the
-    operator whose certified spectrum is given, or with one block of it
-    when the spectrum counts several copies.
+def chirality(form: BlockForm, spect: Spectrum) -> dict[tuple[int, int], Mat]:
+    """A grading of the operator with the given block form and certified
+    spectrum: it squares to the identity and anticommutes with the
+    operator, given as its blocks gamma[a, b] from copy b to copy a, the
+    copies numbered as BlockForm.copy_blocks lists them.
 
-    The +lambda and -lambda eigenspaces of the spectrum are paired
-    blockwise through their deterministic kernel bases and the grading
-    swaps the pair, acting as the identity on the kernel.  Minus the
-    identity there gives another valid grading, which is exactly the
-    non-uniqueness on a spectrum with zero modes.
+    Each copy's eigenvectors are the kernel bases of its block at the
+    block's certified values.  The i-th +lambda eigenvector over all copies
+    in order is paired with the i-th -lambda one, often of another copy: at
+    mu = 0 on D6 the trivial and rot-parity*sign blocks are -3 times the
+    identity and the sign and rot-parity blocks +3 times it, so no grading
+    keeps every copy.  The grading swaps each pair and fixes the kernel; a
+    vector's coordinates in its copy's eigenvectors are read off the rows
+    of the inverse eigenvector matrix of its block, one inverse of at most
+    4 x 4 per irreducible.  Minus the identity on the kernel gives another
+    valid grading, which is exactly the non-uniqueness on a spectrum with
+    zero modes.
 
     Raises AsymmetricSpectrumError when some multiplicity of +lambda and
     -lambda disagree, since then no pairing exists.
     """
     require_symmetric(spect)
-    spaces = spect.eigenspaces
-    # the grading sends sources[k] to images[k]: the i-th basis vector of
-    # +lambda to the i-th of -lambda and back, kernel vectors to themselves
-    sources: list[list[Cyclotomic]] = []
-    images: list[list[Cyclotomic]] = []
-    mirrors = set()
-    for v, plus in spaces.items():
-        if v and v not in mirrors:
-            mirrors.add(-v)
-            minus = spaces[-v]
-            sources += plus + minus
-            images += minus + plus
-    kernel = spaces.get(_ZERO, ())
-    sources += kernel
-    images += kernel
-    return Mat(images).transpose() @ inverse(Mat(sources).transpose())
+    # value -> [(copy, eigenvector, its row of the inverse eigenvector matrix)]
+    modes: dict[Cyclotomic, list] = {}
+    copy = 0
+    for rho, block, block_spect in zip(*form):
+        ident = Mat.identity(block.nrows)
+        values, vectors = [], []
+        for v, _ in block_spect.pairs:
+            basis = kernel_basis(block - ident * v)
+            values += [v] * len(basis)
+            vectors += basis
+        duals = inverse(Mat(vectors).transpose()).rows
+        for _ in range(rho.dim):
+            for v, vec, dual in zip(values, vectors, duals):
+                modes.setdefault(v, []).append((copy, vec, dual))
+            copy += 1
+    # the grading sends each source vector to its image: the term
+    # image (x) dual of the source, summed per pair of copies
+    terms: dict[tuple[int, int], tuple[list, list]] = {}
+
+    def send(source, image):
+        images, duals = terms.setdefault((image[0], source[0]), ([], []))
+        images.append(image[1])
+        duals.append(source[2])
+
+    for v, plus in modes.items():
+        if v.as_fraction() > 0:
+            for x, y in zip(plus, modes[-v]):
+                send(x, y)
+                send(y, x)
+        elif v.is_zero():
+            for x in plus:
+                send(x, x)
+    return {key: Mat(images).transpose() @ Mat(duals)
+            for key, (images, duals) in terms.items()}
 
 
 # ---------------------------------------------------------------------------
 # eigenmode catalogs
 
 
-def _vec_of(*components: Sequence) -> list[Cyclotomic]:
-    """One vector from the values of its spinor components in turn."""
-    return [as_scalar(v) for comp in components for v in comp]
+def _unit(d: int, l: int) -> list[Cyclotomic]:
+    """The l-th unit vector of length d, l from 1."""
+    return [_ONE if i == l - 1 else _ZERO for i in range(d)]
 
 
-def _element(rep: Representation, k: int, l: int) -> list[Cyclotomic]:
-    """The matrix-element function g -> rep(g)[k, l], indices from 1."""
-    return _vec_of(rep.matrix_element(k - 1, l - 1))
+def _mode(name: str, k: int, *components: Sequence) -> tuple:
+    """The mode of copy (name, row k), k from 1, from the coordinates of its
+    spinor components in turn; the unit vector of l is the matrix
+    coefficient name[k, l]."""
+    return (name, k - 1), [as_scalar(v) for comp in components for v in comp]
 
 
-def _certified_eigenvalue(coeffs: Mapping[int, Mat], group: FiniteGroup,
-                          vec: list[Cyclotomic]):
-    """The exact eigenvalue of vec under the operator with coefficients
-    coeffs, or None if vec is not an eigenvector.  vec must be nonzero."""
-    image = apply(coeffs, group, vec)
-    lead = next(i for i, x in enumerate(vec) if x)
-    lam = image[lead] / vec[lead]
-    return lam if all(x == lam * y for x, y in zip(image, vec)) else None
+def _column(m: Mat, l: int) -> list[Cyclotomic]:
+    """Column l of m, l from 1: the coordinates of R(h) rho_kl for m = rho(h)."""
+    return [row[l - 1] for row in m.rows]
+
+
+def _twisted(k: int, l: int, component: int, dim_w: int) -> tuple:
+    """The twisted coefficient sign2[k, l] in the given spinor component:
+    sign2 is rotation -> id, reflection -> diag(-1, 1), the sum of the sign
+    and trivial characters, so sign2[k, l] is sign for k = l = 1, trivial
+    for k = l = 2 and identically zero off the diagonal."""
+    name = ("sign", "trivial")[k - 1]
+    value = _ONE if k == l else _ZERO
+    return _mode(name, 1, *([value if j == component else _ZERO] for j in range(dim_w)))
+
+
+def _sign_image(mode: tuple) -> tuple:
+    """The sign character chi times a mode of a planar copy.  On the
+    dihedral planar irreducibles chi(g) rho(g) = D rho(g) D for
+    D = diag(1, -1), rotations being diagonal and reflections
+    antidiagonal, so chi rho_kl = (-1)^(k + l) rho_kl."""
+    (name, row), vec = mode
+    return (name, row), [-v if (row + i) % 2 else v for i, v in enumerate(vec)]
 
 
 def _spans(vectors: list[list[Cyclotomic]], first: int) -> tuple[int, int]:
@@ -540,69 +658,85 @@ def _spans(vectors: list[list[Cyclotomic]], first: int) -> tuple[int, int]:
     return sum(1 for p in pivots if p < first), len(pivots)
 
 
-def _catalog_context(C: ConjClass):
-    group = C.group
-    # refuse before any representation is built
-    if group.order != 12 or C.size != 3:
+def _mode_spans(modes: list[tuple], first: int) -> tuple[int, int]:
+    """_spans of modes: the copies are independent summands, so each
+    copy's vectors are ranked alone and the dimensions add up."""
+    span = combined = 0
+    for copy in dict.fromkeys(c for c, _ in modes):
+        head = [vec for c, vec in modes[:first] if c == copy]
+        tail = [vec for c, vec in modes[first:] if c == copy]
+        s, t = _spans(head + tail, len(head))
+        span, combined = span + s, combined + t
+    return span, combined
+
+
+def _require_catalog_class(C: ConjClass) -> FiniteGroup:
+    if C.group.order != 12 or C.size != 3:
         raise UnsupportedGroupError(
             "the closed-form eigenmode catalog is stated for the 12-element "
             "dihedral group with its 3-member reflection class")
-    from .representations import builtin_rep, irreducibles
-
-    reps = {r.name: r for r in irreducibles(group)}
-    spinor = builtin_rep(group, "spinor")
-    twisted = builtin_rep(group, "sign2")
-    return group, spinor, twisted, reps
+    return C.group
 
 
-def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
+def _assess(irreps: Sequence[Representation], blocks: Sequence[Mat], spect: Spectrum,
             families: Sequence[tuple], completions: Mapping) -> dict:
-    """Score a declared catalog against the operator with coefficients
-    coeffs and its certified spectrum spect: a status per candidate, and
-    spans and gaps per claimed value.
+    """Score a catalog declared in block coordinates against the operator
+    with the given irreducible blocks and its certified spectrum spect: a
+    status per candidate, and spans and gaps per claimed value.
 
-    families lists (name, claimed value, [(label, vector)]); completions
+    families lists (name, claimed value, [(label, mode)]); completions
     maps each claimed value to summarise, in report order, to its
-    [(label, vector)].  Multiplicities are read off the spectrum.
+    [(label, mode)].  A mode's eigenvalue is read off one product with its
+    copy's block.  Multiplicities are read off the spectrum.
     """
+    block_of = {rho.name: block for rho, block in zip(irreps, blocks)}
+
+    def eigenvalue(mode):
+        """The exact eigenvalue of a nonzero mode, or None."""
+        (name, _), vec = mode
+        image = block_of[name] @ vec
+        lead = next(i for i, x in enumerate(vec) if x)
+        lam = image[lead] / vec[lead]
+        return lam if all(x == lam * y for x, y in zip(image, vec)) else None
+
     verified: dict[Cyclotomic, list] = {}
     scored = []
     for name, claimed, candidates in families:
         claimed = as_scalar(claimed)
         rows = []
-        for label, vec in candidates:
-            if not any(vec):
+        for label, mode in candidates:
+            if not any(mode[1]):
                 status, lam = "zero_vector", None
             else:
-                lam = _certified_eigenvalue(coeffs, group, vec)
+                lam = eigenvalue(mode)
                 if lam is None:
                     status = "not_an_eigenmode"
                 else:
                     status = "eigenmode" if lam == claimed else "eigenvalue_mismatch"
-                    verified.setdefault(lam, []).append(vec)
+                    verified.setdefault(lam, []).append(mode)
             rows.append({"label": label, "status": status, "eigenvalue": lam})
         scored.append({"name": name, "claimed_eigenvalue": claimed, "candidates": rows})
     summaries = []
     for value, named in completions.items():
         v = as_scalar(value)
-        vecs = verified.get(v, [])
+        modes = verified.get(v, [])
         mult = spect.multiplicity(v)
         comp_entries = []
-        comp_vecs = []
-        for label, cvec in named:
-            lam = _certified_eigenvalue(coeffs, group, cvec)
+        comp_modes = []
+        for label, mode in named:
+            lam = eigenvalue(mode)
             ok = lam is not None and lam == v
             comp_entries.append({"label": label, "verified": ok})
             if ok:
-                comp_vecs.append(cvec)
-        span, combined = _spans(vecs + comp_vecs, len(vecs))
+                comp_modes.append(mode)
+        span, combined = _mode_spans(modes + comp_modes, len(modes))
         claimed_rows = [c for fam in scored if fam["claimed_eigenvalue"] == v
                         for c in fam["candidates"]]
         summaries.append({
             "value": v,
             "claimed_candidates": len(claimed_rows),
             "zero_vectors": sum(c["status"] == "zero_vector" for c in claimed_rows),
-            "verified": len(vecs),
+            "verified": len(modes),
             "claimed_span": span,
             "multiplicity": mult,
             "gap": mult - span,
@@ -613,11 +747,12 @@ def _assess(coeffs: Mapping[int, Mat], group: FiniteGroup, spect: Spectrum,
     return {"families": scored, "eigenvalues": summaries}
 
 
-def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
+def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm,
+                      spect: Spectrum) -> dict:
     """Replay the closed-form Dirac eigenvector list against the mu = 0
     Dirac operator of the spinor representation and the distinguished
-    connection, given by its coefficients, with its certified spectrum
-    spect.
+    connection, given by its coefficients and its block form, with its
+    certified spectrum spect.
 
     Families: images of the off-diagonal translation blocks (claimed zero
     modes), the two columns of the twisted 2-dimensional representation
@@ -626,89 +761,87 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) 
     rotation ansatz.  Some claimed candidates are identically zero and some
     families only span part of the certified eigenspace; the catalog
     reports those shortfalls and exhibits explicit completion modes from
-    the irreducible matrix elements.
+    the irreducible matrix elements.  Every candidate is declared in block
+    coordinates: rho is the spinor representation, which is the planar1
+    irreducible, and a right translation R(h) acts on the coordinates of a
+    copy of rho by rho(h).
     """
-    group, spinor, twisted, reps = _catalog_context(C)
-    n = group.order
-    zero_fn = [_ZERO] * n
-    rho, rho2, sig = (partial(_element, r) for r in (spinor, reps["planar2"], twisted))
-
-    # the translation blocks of the free part, and single translations
-    lower = {a: Mat([[spinor(a)[1, 0]]]) for a in C.members}
-    upper = {a: Mat([[spinor(a)[0, 1]]]) for a in C.members}
-    diag = {a: Mat([[1]]) for a in C.members}
+    _require_catalog_class(C)
+    reps = {r.name: r for r in form.irreps}
+    rho = reps["planar1"]
+    zero = [_ZERO] * rho.dim
+    # the translation blocks of the free part, as group-algebra elements
+    elements = {name: {a: Mat([[w(rho(a))]]) for a in C.members} for name, w in (
+        ("lower", lambda m: m[1, 0]), ("upper", lambda m: m[0, 1]), ("diag", lambda m: _ONE))}
+    fourier = {name: irreducible_blocks(x, form.irreps) for name, x in elements.items()}
+    lower, upper = (fourier[name][form.irreps.index(rho)] for name in ("lower", "upper"))
     t, x = C.members[0], C.members[1]
-    r_t = {t: Mat([[1]])}
-    r_x = {x: Mat([[1]])}
-    omega = spinor(t)[1, 0]
-    phis = [rho(1, 2), rho(2, 2)]
-    rotated = [_vec_of(phi, [omega * v for v in apply(r_t, group, phi)]) for phi in phis]
-    chi = _element(reps["sign"], 1, 1)
-    phi_char = _element(reps["rot-parity"], 1, 1)
-    psi_char = _element(reps["rot-parity*sign"], 1, 1)
+    omega = rho(t)[1, 0]
+    # phi_k = rho[k, 2], and phi_k beside omega R_t phi_k
+    rotated = [_mode("planar1", k, _unit(2, 2), [omega * v for v in _column(rho(t), 2)])
+               for k in (1, 2)]
 
     def twisted_column(l):
         return [entry for k in (1, 2) for entry in (
-            (f"(sign2[{k},{l}], 0)", _vec_of(sig(k, l), zero_fn)),
-            (f"(0, sign2[{k},{l}])", _vec_of(zero_fn, sig(k, l))))]
+            (f"(sign2[{k},{l}], 0)", _twisted(k, l, 0, 2)),
+            (f"(0, sign2[{k},{l}])", _twisted(k, l, 1, 2)))]
 
     families = [
         ("translation-block images", 0, [
             entry for k in (1, 2) for l in (1, 2) for entry in (
-                (f"(lower rho[{k},{l}], 0)",
-                 _vec_of(apply(lower, group, rho(k, l)), zero_fn)),
-                (f"(0, upper rho[{k},{l}])",
-                 _vec_of(zero_fn, apply(upper, group, rho(k, l)))))]),
+                (f"(lower rho[{k},{l}], 0)", _mode("planar1", k, _column(lower, l), zero)),
+                (f"(0, upper rho[{k},{l}])", _mode("planar1", k, zero, _column(upper, l))))]),
         ("twisted first column", 3, twisted_column(1)),
         ("twisted second column", -3, twisted_column(2)),
         ("rotation ansatz", 3, [
-            (f"rotation ansatz k={k}", vec) for k, vec in zip((1, 2), rotated)]),
+            (f"rotation ansatz k={k}", mode) for k, mode in zip((1, 2), rotated)]),
         ("reflection ansatz", -3, [
-            (f"reflection ansatz k={k}", _vec_of(phi, apply(r_x, group, phi)))
-            for k, phi in zip((1, 2), phis)]),
+            (f"reflection ansatz k={k}", _mode("planar1", k, _unit(2, 2), _column(rho(x), 2)))
+            for k in (1, 2)]),
         # multiplication by chi on each spinor component
         ("parity images of the rotation ansatz", -3, [
-            (f"parity image k={k}", [c * v for c, v in zip(chi * spinor.dim, vec)])
-            for k, vec in zip((1, 2), rotated)]),
+            (f"parity image k={k}", _sign_image(mode)) for k, mode in zip((1, 2), rotated)]),
     ]
+
     completions = {
-        0: [(f"(planar2[{k},2], 0)", _vec_of(rho2(k, 2), zero_fn)) for k in (1, 2)]
-        + [(f"(0, planar2[{k},1])", _vec_of(zero_fn, rho2(k, 1))) for k in (1, 2)],
-        3: [("(rot-parity, 0)", _vec_of(phi_char, zero_fn)),
-            ("(0, rot-parity)", _vec_of(zero_fn, phi_char))]
+        0: [(f"(planar2[{k},2], 0)", _mode("planar2", k, _unit(2, 2), zero)) for k in (1, 2)]
+        + [(f"(0, planar2[{k},1])", _mode("planar2", k, zero, _unit(2, 1))) for k in (1, 2)],
+        3: [("(rot-parity, 0)", _mode("rot-parity", 1, [_ONE], [_ZERO])),
+            ("(0, rot-parity)", _mode("rot-parity", 1, [_ZERO], [_ONE]))]
         + [(f"(planar2[{k},1], -planar2[{k},2])",
-            _vec_of(rho2(k, 1), [-v for v in rho2(k, 2)])) for k in (1, 2)],
-        -3: [("(rot-parity*sign, 0)", _vec_of(psi_char, zero_fn)),
-             ("(0, rot-parity*sign)", _vec_of(zero_fn, psi_char))]
-        + [(f"(planar2[{k},1], planar2[{k},2])", _vec_of(rho2(k, 1), rho2(k, 2)))
+            _mode("planar2", k, _unit(2, 1), [-v for v in _unit(2, 2)])) for k in (1, 2)],
+        -3: [("(rot-parity*sign, 0)", _mode("rot-parity*sign", 1, [_ONE], [_ZERO])),
+             ("(0, rot-parity*sign)", _mode("rot-parity*sign", 1, [_ZERO], [_ONE]))]
+        + [(f"(planar2[{k},1], planar2[{k},2])", _mode("planar2", k, _unit(2, 1), _unit(2, 2)))
            for k in (1, 2)],
     }
 
-    out = _assess(coeffs, group, spect, families, completions)
+    out = _assess(form.irreps, form.blocks, spect, families, completions)
     out["mu"] = Fraction(0)
 
     # P = diag(chi) on each spinor component takes M_h (x) R(h) to
     # chi(g) chi(gh) M_h (x) R(h), and chi(g) chi(gh) = chi(h) as chi is a
     # character with chi^2 = 1: P op + op P = 0 exactly when chi(h) = -1
     # wherever M_h != 0, and P^2 = 1 exactly when chi^2 = 1
+    chi = [m[0, 0] for m in reps["sign"].matrices]
     out["sign_multiplication_anticommutes"] = (
         all(chi[h] == -_ONE for h, m in coeffs.items() if not m.is_zero())
         and all(c * c == _ONE for c in chi))
-    # X delta_e is the function g -> x_{g^-1}, so XY = 0 exactly when
-    # X Y delta_e = 0
-    delta_e = [_ONE] + [_ZERO] * (n - 1)
-    blocks = {"lower": lower, "upper": upper, "diag": diag}
+    # XY = 0 in the group algebra exactly when every irreducible block of
+    # XY, the product of the blocks of X and Y, vanishes
     out["component_identities"] = {
-        f"{x}*{y}": not any(apply(blocks[x], group, apply(blocks[y], group, delta_e)))
+        f"{x}*{y}": all((p @ q).is_zero() for p, q in zip(fourier[x], fourier[y]))
         for x, y in (("lower", "lower"), ("upper", "upper"), ("diag", "lower"),
                      ("lower", "diag"), ("diag", "upper"), ("upper", "diag"))}
     return out
 
 
-def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
+def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum,
+                           irreps: Sequence[Representation] | None = None) -> dict:
     """Replay the closed-form wave eigenfunction list against the mu = 0
     wave operator, given by its coefficients, and its certified spectrum
-    spect.
+    spect, in the blocks of the operator for the irreducibles of the
+    group (built here unless given).
 
     Claimed families: the second twisted column at eigenvalue 0, the first
     twisted column at -12, and the spinor matrix elements together with
@@ -718,29 +851,37 @@ def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spect
     part of the certified eigenspace; the completions name the missing
     characters and the second planar family.
     """
-    group, spinor, twisted, reps = _catalog_context(C)
-    rho, rho2, sig = (partial(_element, r) for r in (spinor, reps["planar2"], twisted))
+    group = _require_catalog_class(C)
+    if irreps is None:
+        from .representations import irreducibles
 
-    def rho_bar(k, l):
-        return [v.conj() for v in rho(k, l)]
+        irreps = irreducibles(group)
+    reps = {r.name: r for r in irreps}
+    rho = reps["planar1"]
 
+    def element(name, k, l):
+        return _mode(name, k, _unit(reps[name].dim, l))
+
+    # conj rho = J rho J for the swap J, as conjugates_coincide_reversed
+    # states, so conj rho[k, l] is declared as rho[3 - k, 3 - l]
     families = [
-        ("twisted second column", 0, [(f"sign2[{k},2]", sig(k, 2)) for k in (1, 2)]),
-        ("twisted first column", -12, [(f"sign2[{k},1]", sig(k, 1)) for k in (1, 2)]),
+        ("twisted second column", 0, [(f"sign2[{k},2]", _twisted(k, 2, 0, 1)) for k in (1, 2)]),
+        ("twisted first column", -12, [(f"sign2[{k},1]", _twisted(k, 1, 0, 1)) for k in (1, 2)]),
         ("spinor matrix elements", -6,
-         [(f"rho[{k},{l}]", rho(k, l)) for k in (1, 2) for l in (1, 2)]
-         + [(f"conj rho[{k},{l}]", rho_bar(k, l)) for k in (1, 2) for l in (1, 2)]),
+         [(f"rho[{k},{l}]", element("planar1", k, l)) for k in (1, 2) for l in (1, 2)]
+         + [(f"conj rho[{k},{l}]", element("planar1", 3 - k, 3 - l))
+            for k in (1, 2) for l in (1, 2)]),
     ]
     completions = {
-        0: [("rot-parity*sign", _element(reps["rot-parity*sign"], 1, 1))],
-        -12: [("rot-parity", _element(reps["rot-parity"], 1, 1))],
-        -6: [(f"planar2[{k},{l}]", rho2(k, l)) for k in (1, 2) for l in (1, 2)],
+        0: [("rot-parity*sign", element("rot-parity*sign", 1, 1))],
+        -12: [("rot-parity", element("rot-parity", 1, 1))],
+        -6: [(f"planar2[{k},{l}]", element("planar2", k, l)) for k in (1, 2) for l in (1, 2)],
     }
-    out = _assess(coeffs, group, spect, families, completions)
+    out = _assess(irreps, irreducible_blocks(coeffs, irreps), spect, families, completions)
     out["mu"] = Fraction(0)
     # the conjugated elements are the originals with both indices reversed
     out["conjugates_coincide_reversed"] = all(
-        rho_bar(k, l) == rho(3 - k, 3 - l) for k in (1, 2) for l in (1, 2))
+        m[k, l].conj() == m[1 - k, 1 - l] for m in rho.matrices for k in (0, 1) for l in (0, 1))
     return out
 
 

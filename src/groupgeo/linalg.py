@@ -18,12 +18,14 @@ which is what makes downstream eigenvalue certification possible.
 
 The Ricci system and the Dirac and wave operators are group-algebra
 elements sum_h M_h (x) R(h), constant nrows x ncols coefficients times
-right translations, and this module alone knows their coefficient form
-{h: M_h} and its layout: on functions on K, the p-th element of K in
-component i is index i*|K| + p.  With every h in H = <C> such an operator
-is [G:H] copies of its block on H, one per left coset; coset_lift and
-solve_lifted carry the block's solutions to G (induction: Serre, Linear
-Representations of Finite Groups, section 7).
+right translations, and this module alone knows the layout of their
+coefficient form {h: M_h} on functions: on functions on K, the p-th
+element of K in component i is index i*|K| + p (dirac.irreducible_blocks
+reads the same coefficients in the coordinates of matrix coefficients).
+With every h in H = <C> such an operator is [G:H] copies of its block on
+H, one per left coset; coset_lift and solve_lifted carry the block's
+solutions to G (induction: Serre, Linear Representations of Finite
+Groups, section 7).
 """
 
 from __future__ import annotations
@@ -268,32 +270,6 @@ def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
                 for j, w in enumerate(coeff_row):
                     row[j * m + q] = w
     return Mat(rows)
-
-
-def apply(coeffs: Mapping[int, Mat], group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
-    """The image of vec under sum_h coeffs[h] (x) R(h) on the functions on
-    G, with no matrix: entry (i, g) is sum_h sum_j coeffs[h][i, j]
-    vec[(j, gh)], its nonzero factors gathered first and summed by one dot.
-    """
-    n = group.order
-    vec = [x if type(x) is Cyclotomic else as_scalar(x) for x in vec]
-    shape = next(iter(coeffs.values()))
-    if len(vec) != shape.ncols * n:
-        raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
-    terms = [([], []) for _ in range(shape.nrows * n)]
-    for h, block in coeffs.items():
-        moved = [group.mul(g, h) for g in range(n)]
-        for j in range(block.ncols):
-            # the j-th component of R(h) vec, where it is nonzero
-            col = [(g, vec[j * n + gh]) for g, gh in enumerate(moved) if vec[j * n + gh]]
-            for i in range(block.nrows):
-                w = block[i, j]
-                if w:
-                    for g, x in col:
-                        ws, xs = terms[i * n + g]
-                        ws.append(w)
-                        xs.append(x)
-    return [dot(ws, xs) for ws, xs in terms]
 
 
 def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:

@@ -25,6 +25,7 @@ the same input-only checks (groups) before it imports this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -37,7 +38,7 @@ from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
     from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
-    from .dirac import Spectrum
+    from .dirac import BlockForm, Spectrum
     from .representations import Representation
 
 _DPS = 30
@@ -155,12 +156,20 @@ def _arctan_inverse(m: int, one: int) -> int:
     return total
 
 
+@functools.cache
+def _fixed_pi() -> int:
+    """pi times 2**_FIXED by Machin's formula, computed once per process."""
+    one = 1 << _FIXED
+    return 4 * (4 * _arctan_inverse(5, one) - _arctan_inverse(239, one))
+
+
+@functools.cache
 def _unit_root(j: int, n: int) -> tuple[int, int]:
     """cos and sin of 2 pi j/n times 2**_FIXED, each within 2**16 of the
-    exact value: pi from Machin's formula, then the Taylor series at the
-    angle taken into (-pi, pi], every term rounded down."""
+    exact value: the Taylor series at the angle taken into (-pi, pi],
+    every term rounded down.  Each (j, n) is summed once per process."""
     one = 1 << _FIXED
-    pi = 4 * (4 * _arctan_inverse(5, one) - _arctan_inverse(239, one))
+    pi = _fixed_pi()
     turn = j if 2 * j <= n else j - n
     x = 2 * pi * abs(turn) // n
     parts = [0, 0]
@@ -421,27 +430,28 @@ def ricci_report(cal: Calculus) -> dict:
 def _certified_minimal_polynomial(spect: Spectrum) -> list:
     from .dirac import poly_from_roots
 
-    # the eigenspaces fill the space, so the operator is diagonalisable and
-    # its minimal polynomial has exactly the certified eigenvalues as roots
-    return poly_from_roots(spect.eigenspaces)
+    # the multiplicities fill the space, so the operator is diagonalisable
+    # and its minimal polynomial has exactly the certified eigenvalues as roots
+    return poly_from_roots(spect.multiplicities)
 
 
 class DiracCertificate(NamedTuple):
     """The Dirac operator of the spinor representation and the distinguished
     connection at mu, built and certified once for every section that
-    reads it: its coefficients {h: M_h}, their block on H = <C>, and the
-    certified spectrum of the operator on G, held as the block's."""
+    reads it: its coefficients {h: M_h}, its blocks for the irreducibles
+    of G with their certified spectra, and the certified spectrum of the
+    operator on G."""
 
     cls: ConjClass
     mu: Fraction
     rep: Representation
     coeffs: dict
-    block: Mat
+    form: BlockForm
     spectrum: Spectrum
 
 
 def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
-    from .representations import builtin_rep
+    from .representations import builtin_rep, irreducibles
 
     mu = Fraction(mu)
     cls = cal.cls
@@ -452,19 +462,48 @@ def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
     from . import dirac as spinops
 
     coeffs = spinops.dirac_operator(rep, levi_civita(cal), mu)
-    return DiracCertificate(cls, mu, rep, coeffs, *spinops.certify(coeffs, cls))
+    return DiracCertificate(cls, mu, rep, coeffs,
+                            *spinops.certify_blocks(coeffs, irreducibles(cls.group)))
+
+
+def _weighted_trace(form: BlockForm, blocks) -> Cyclotomic:
+    """The trace on G of the operator with the given blocks, dim rho copies
+    of each."""
+    total = as_scalar(0)
+    for rho, block in zip(form.irreps, blocks):
+        total = total + block.trace() * rho.dim
+    return total
+
+
+def _grading_checks(form: BlockForm, gam: dict) -> tuple[bool, bool]:
+    """Whether the block grading squares to the identity and anticommutes
+    with the operator, block by block: (gam^2)[a, c] is the sum over b of
+    gam[a, b] gam[b, c], and (gam op + op gam)[a, b] is
+    gam[a, b] B_b + B_a gam[a, b] for the blocks B of the copies."""
+    blocks = form.copy_blocks()
+    square: dict = {}
+    for (a, b), x in gam.items():
+        for (c, d), y in gam.items():
+            if b == c:
+                term = x @ y
+                square[a, d] = square[a, d] + term if (a, d) in square else term
+    squares = all(
+        square.get((a, a)) == Mat.identity(block.nrows) for a, block in enumerate(blocks)
+    ) and all(m.is_zero() for (a, c), m in square.items() if a != c)
+    anticommutes = all((x @ blocks[b] + blocks[a] @ x).is_zero() for (a, b), x in gam.items())
+    return squares, anticommutes
 
 
 def dirac_report(dirac: DiracCertificate) -> dict:
     from . import dirac as spinops
 
-    cls, mu, rep, coeffs, block, spect = dirac
+    cls, mu, rep, coeffs, form, spect = dirac
     group = cls.group
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
         gamma_sum = gamma_sum + coeffs[a]
     eta, eta_inv = spinops.metric(cls, mu)
-    square = block @ block
+    squares = [block @ block for block in form.blocks]
     out = {
         "mu": mu,
         "metric": {"eta": eta.rows, "eta_inv": eta_inv.rows},
@@ -472,12 +511,14 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         "gamma": {group.label(a): coeffs[a].rows for a in cls.members},
         "gamma_sum": gamma_sum.rows,
         "spectrum": spectrum_json(spect),
-        # the operator on G is [G:H] copies of its block up to a
-        # permutation of the basis, so traces scale by [G:H]
-        "trace": block.trace() * spect.copies,
-        "trace_of_square": square.trace() * spect.copies,
+        # the operator on G is dim rho copies of each block B_rho up to a
+        # change of basis, so traces add up with those weights, and it is
+        # 9 times its cube exactly when every block is
+        "trace": _weighted_trace(form, form.blocks),
+        "trace_of_square": _weighted_trace(form, squares),
         "hermitian": is_hermitian(coeffs, group),
-        "cube_equals_nine_times": square @ block == block * 9,
+        "cube_equals_nine_times": all(
+            square @ block == block * 9 for square, block in zip(squares, form.blocks)),
         "minimal_polynomial": _certified_minimal_polynomial(spect),
     }
     if mu == 0:
@@ -488,26 +529,27 @@ def dirac_report(dirac: DiracCertificate) -> dict:
             coeffs[a] == Mat([[-1, rep(a)[0, 1]], [rep(a)[1, 0], -1]])
             for a in cls.members)
     try:
-        # the grading of the block; a refusal names the multiplicities of
-        # the operator on G
-        gam = spinops.chirality(spect)
-        ident = Mat.identity(block.nrows)
+        # a refusal names the multiplicities of the operator on G
+        squares_ok, anticommutes = _grading_checks(form, spinops.chirality(form, spect))
         out["chirality"] = {
             "available": True,
-            "squares_to_identity": gam @ gam == ident,
-            "anticommutes_exactly": (gam @ block + block @ gam).is_zero(),
+            "squares_to_identity": squares_ok,
+            "anticommutes_exactly": anticommutes,
         }
     except AsymmetricSpectrumError as exc:
         out["chirality"] = {"available": False, "reason": str(exc)}
     if mu == 0:
         try:
-            out["eigenmode_catalog"] = spinops.eigenmode_catalog(cls, coeffs, spect)
+            out["eigenmode_catalog"] = spinops.eigenmode_catalog(cls, coeffs, form, spect)
         except UnsupportedGroupError:
             pass
     return out
 
 
-def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
+def wave_report(cls: ConjClass, mu=Fraction(0), irreps=None) -> dict:
+    """The wave operator at mu, certified on H = <C>; at mu = 0 its
+    eigenmode catalog, read in the blocks of the given irreducibles of G
+    (built for the catalog unless given)."""
     from . import dirac as spinops
 
     mu = Fraction(mu)
@@ -526,7 +568,7 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
             out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(
-                cls, coeffs, spect)
+                cls, coeffs, spect, irreps)
         except UnsupportedGroupError:
             pass
     return out
@@ -584,6 +626,6 @@ def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         "curvature": curvature_report(cal),
         "ricci": ricci_report(cal),
         "dirac": dirac_report(dirac),
-        "wave": wave_report(cls, mu),
+        "wave": wave_report(cls, mu, dirac.form.irreps),
         "spectral_action": spectral_action_report(dirac.spectrum, mu),
     }

@@ -13,11 +13,14 @@ The two named spinor-side representations are
   spinor: dimension 2, rotation -> diag(z, z^-1) with z = zeta_(subgroup order),
   sign2:  dimension 2, rotation -> id, reflection -> diag(-1, 1),
 matching the matrices used in the Dirac and wave-operator constructions.
+spinor has the matrices of the irreducible planar1 and sign2 is the sum of
+the sign and trivial characters; the eigenmode catalogs declare their
+candidates in the irreducibles' coordinates by these identities.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import Cyclotomic, cyclo, rat
+from .cyclotomic import cyclo, rat
 from .errors import UnsupportedGroupError
 from .groups import FiniteGroup, dihedral_structure
 from .linalg import Mat
@@ -63,10 +66,6 @@ class Representation:
 
     def __call__(self, element: int) -> Mat:
         return self.matrices[element]
-
-    def matrix_element(self, i: int, j: int) -> list[Cyclotomic]:
-        """The function g -> rho(g)[i][j] as a value vector in element order."""
-        return [m[i, j] for m in self.matrices]
 
     def __repr__(self):
         return f"Representation({self.name}, dim {self.dim} over {self.group.name})"

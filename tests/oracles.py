@@ -18,15 +18,19 @@ the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
 integer numerators over one denominator, the row update as a product and
 a subtraction beside the fused multiply-subtract, each span ranked alone beside
 the spans read off one reduction, the degree-2 quotient by elimination
-beside the braid orbits), a
+beside the braid orbits, the chirality grading from the dense
+eigenvectors and the Peter-Weyl basis that carries block gradings to G
+beside the grading built on the irreducible blocks, the eigenmode
+catalogs declared on |G|-valued functions and scored by apply beside
+their declaration and scoring in block coordinates), a
 closed form the package derives from the operator instead (the
 hand-derived eigenvalue candidates), the torsion-free family expanded to
 its |G|-length members beside the directions the package states it by, a
 certificate the package does not need at run time (the Peter-Weyl rank),
 or a helper only the tests use (the rank of a matrix, diagonal and
 entrywise conjugate matrices, conjugacy class lists, Cayley-table dicts,
-characters, conjugate representations, coframe coefficients and the right
-module action on 1-forms).
+characters, matrix-element functions, conjugate representations, coframe
+coefficients and the right module action on 1-forms).
 """
 
 from __future__ import annotations
@@ -42,13 +46,13 @@ from mpmath import mp, mpf
 from groupgeo.calculus import Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm, braiding
 from groupgeo.connections import Connection
 from groupgeo.curvature import connection_grid
-from groupgeo.cyclotomic import Cyclotomic, rat
-from groupgeo.dirac import gamma_matrices, metric, poly_from_roots
+from groupgeo.cyclotomic import Cyclotomic, dot, rat
+from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup
-from groupgeo.linalg import (Mat, as_scalar, assemble, coset_lift, kernel_basis, rref,
+from groupgeo.linalg import (Mat, as_scalar, assemble, coset_lift, inverse, kernel_basis, rref,
                             solve_affine)
-from groupgeo.representations import Representation
+from groupgeo.representations import Representation, builtin_rep, irreducibles
 
 _ZERO = rat(0)
 _ONE = rat(1)
@@ -475,6 +479,31 @@ def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
     return Mat(rows), rhs
 
 
+def apply(coeffs, group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
+    """The image of vec under sum_h coeffs[h] (x) R(h) on the functions on
+    G, with no matrix: entry (i, g) is sum_h sum_j coeffs[h][i, j]
+    vec[(j, gh)], its nonzero factors gathered first and summed by one dot."""
+    n = group.order
+    vec = [as_scalar(x) for x in vec]
+    shape = next(iter(coeffs.values()))
+    if len(vec) != shape.ncols * n:
+        raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
+    terms = [([], []) for _ in range(shape.nrows * n)]
+    for h, block in coeffs.items():
+        moved = [group.mul(g, h) for g in range(n)]
+        for j in range(block.ncols):
+            # the j-th component of R(h) vec, where it is nonzero
+            col = [(g, vec[j * n + gh]) for g, gh in enumerate(moved) if vec[j * n + gh]]
+            for i in range(block.nrows):
+                w = block[i, j]
+                if w:
+                    for g, x in col:
+                        ws, xs = terms[i * n + g]
+                        ws.append(w)
+                        xs.append(x)
+    return [dot(ws, xs) for ws, xs in terms]
+
+
 def dense_system(coeffs, rhs, group: FiniteGroup) -> tuple[Mat, list]:
     """The system assemble(coeffs, group) x = b on all of G, b holding the
     constant rhs[i] at every element in row component i: what
@@ -803,6 +832,253 @@ def minimal_polynomial_check(op: Mat, candidates: Sequence | None = None) -> boo
     return eval_poly(op, coeffs).is_zero()
 
 
+def dense_chirality(op: Mat) -> Mat:
+    """The grading of a diagonalisable operator with a symmetric rational
+    spectrum from its dense eigenvectors: the kernel bases of
+    (op - lambda id), the i-th basis vector of +lambda sent to the i-th of
+    -lambda and back and the kernel fixed, as
+    (images as columns) (sources as columns)^-1.  Raises
+    AsymmetricSpectrumError as the package's grading does."""
+    spect = spectrum(op)
+    require_symmetric(spect)
+    ident = Mat.identity(op.nrows)
+    spaces = {v: kernel_basis(op - ident * v) for v in spect.multiplicities}
+    sources, images, mirrors = [], [], set()
+    for v, plus in spaces.items():
+        if v and v not in mirrors:
+            mirrors.add(-v)
+            sources += plus + spaces[-v]
+            images += spaces[-v] + plus
+    kernel = spaces.get(_ZERO, [])
+    sources += kernel
+    images += kernel
+    return Mat(images).transpose() @ inverse(Mat(sources).transpose())
+
+
+def peter_weyl_basis(irreps: Sequence[Representation], dim_w: int) -> Mat:
+    """The change of basis from block coordinates to W (x) C[G]: column
+    (copy (rho, k), coordinate j dim(rho) + l) is the vector whose spinor
+    component j is the matrix coefficient g -> rho(g)[k, l], the copies in
+    dirac.BlockForm order."""
+    columns = []
+    for rho in irreps:
+        for k in range(rho.dim):
+            for j in range(dim_w):
+                for l in range(rho.dim):
+                    coeff = matrix_element(rho, k, l)
+                    columns.append([x if i == j else _ZERO for i in range(dim_w) for x in coeff])
+    return Mat(columns).transpose()
+
+
+def block_diagonal(blocks: Sequence[Mat]) -> Mat:
+    """The square matrix with the given square blocks along its diagonal."""
+    n = sum(b.nrows for b in blocks)
+    rows, at = [], 0
+    for b in blocks:
+        for row in b.rows:
+            rows.append([_ZERO] * at + list(row) + [_ZERO] * (n - at - b.nrows))
+        at += b.nrows
+    return Mat(rows)
+
+
+def block_matrix(blocks: dict, sizes: Sequence[int]) -> Mat:
+    """The square matrix with block (a, b) of the given dict, copy sizes
+    sizes, and zeros where the dict has none."""
+    offsets = [sum(sizes[:a]) for a in range(len(sizes))]
+    rows = [[_ZERO] * sum(sizes) for _ in range(sum(sizes))]
+    for (a, b), m in blocks.items():
+        for i, row in enumerate(m.rows):
+            rows[offsets[a] + i][offsets[b]:offsets[b] + len(row)] = row
+    return Mat(rows)
+
+
+def grading_on_group(form, gam: dict) -> Mat:
+    """A block grading (dirac.chirality) carried to W (x) C[G] by the
+    Peter-Weyl basis: U gam U^-1."""
+    basis = peter_weyl_basis(form.irreps, form.blocks[0].nrows // form.irreps[0].dim)
+    sizes = [b.nrows for b in form.copy_blocks()]
+    return basis @ block_matrix(gam, sizes) @ inverse(basis)
+
+
+# -- eigenmode catalogs on functions ------------------------------------------
+# The catalogs as they were declared before their block coordinates: each
+# candidate a vector of |G| values per spinor component, built from the
+# representations' matrix-element functions, and scored by linalg.apply.
+
+def _vec_of(*components: Sequence) -> list[Cyclotomic]:
+    return [as_scalar(v) for comp in components for v in comp]
+
+
+def _element(rep: Representation, k: int, l: int) -> list[Cyclotomic]:
+    """The matrix-element function g -> rep(g)[k, l], indices from 1."""
+    return _vec_of(matrix_element(rep, k - 1, l - 1))
+
+
+def _certified_eigenvalue(coeffs, group: FiniteGroup, vec: list[Cyclotomic]):
+    image = apply(coeffs, group, vec)
+    lead = next(i for i, x in enumerate(vec) if x)
+    lam = image[lead] / vec[lead]
+    return lam if all(x == lam * y for x, y in zip(image, vec)) else None
+
+
+def function_assess(coeffs, group: FiniteGroup, spect, families, completions) -> dict:
+    """The catalog scorer on functions: each candidate's image by apply,
+    each span ranked alone."""
+    verified: dict = {}
+    scored = []
+    for name, claimed, candidates in families:
+        claimed = as_scalar(claimed)
+        rows = []
+        for label, vec in candidates:
+            if not any(vec):
+                status, lam = "zero_vector", None
+            else:
+                lam = _certified_eigenvalue(coeffs, group, vec)
+                if lam is None:
+                    status = "not_an_eigenmode"
+                else:
+                    status = "eigenmode" if lam == claimed else "eigenvalue_mismatch"
+                    verified.setdefault(lam, []).append(vec)
+            rows.append({"label": label, "status": status, "eigenvalue": lam})
+        scored.append({"name": name, "claimed_eigenvalue": claimed, "candidates": rows})
+    summaries = []
+    for value, named in completions.items():
+        v = as_scalar(value)
+        vecs = verified.get(v, [])
+        mult = spect.multiplicity(v)
+        entries, comp_vecs = [], []
+        for label, cvec in named:
+            lam = _certified_eigenvalue(coeffs, group, cvec)
+            ok = lam is not None and lam == v
+            entries.append({"label": label, "verified": ok})
+            if ok:
+                comp_vecs.append(cvec)
+        span = span_dim(vecs)
+        combined = span_dim(vecs + comp_vecs)
+        claimed_rows = [c for fam in scored if fam["claimed_eigenvalue"] == v
+                        for c in fam["candidates"]]
+        summaries.append({
+            "value": v,
+            "claimed_candidates": len(claimed_rows),
+            "zero_vectors": sum(c["status"] == "zero_vector" for c in claimed_rows),
+            "verified": len(vecs),
+            "claimed_span": span,
+            "multiplicity": mult,
+            "gap": mult - span,
+            "completions": entries,
+            "completed_span": combined,
+            "complete": combined == mult,
+        })
+    return {"families": scored, "eigenvalues": summaries}
+
+
+def _function_catalog_context(C: ConjClass):
+    group = C.group
+    reps = {r.name: r for r in irreducibles(group)}
+    return group, builtin_rep(group, "spinor"), builtin_rep(group, "sign2"), reps
+
+
+def function_eigenmode_catalog(C: ConjClass, coeffs, spect) -> dict:
+    """dirac.eigenmode_catalog on functions: the same families and
+    completions, each candidate the |G|-valued functions it names."""
+    group, spinor, twisted, reps = _function_catalog_context(C)
+    n = group.order
+    zero_fn = [_ZERO] * n
+    rho, rho2, sig = (functools.partial(_element, r)
+                      for r in (spinor, reps["planar2"], twisted))
+    lower = {a: Mat([[spinor(a)[1, 0]]]) for a in C.members}
+    upper = {a: Mat([[spinor(a)[0, 1]]]) for a in C.members}
+    diag = {a: Mat([[1]]) for a in C.members}
+    t, x = C.members[0], C.members[1]
+    r_t = {t: Mat([[1]])}
+    r_x = {x: Mat([[1]])}
+    omega = spinor(t)[1, 0]
+    phis = [rho(1, 2), rho(2, 2)]
+    rotated = [_vec_of(phi, [omega * v for v in apply(r_t, group, phi)]) for phi in phis]
+    chi = _element(reps["sign"], 1, 1)
+    phi_char = _element(reps["rot-parity"], 1, 1)
+    psi_char = _element(reps["rot-parity*sign"], 1, 1)
+
+    def twisted_column(l):
+        return [entry for k in (1, 2) for entry in (
+            (f"(sign2[{k},{l}], 0)", _vec_of(sig(k, l), zero_fn)),
+            (f"(0, sign2[{k},{l}])", _vec_of(zero_fn, sig(k, l))))]
+
+    families = [
+        ("translation-block images", 0, [
+            entry for k in (1, 2) for l in (1, 2) for entry in (
+                (f"(lower rho[{k},{l}], 0)",
+                 _vec_of(apply(lower, group, rho(k, l)), zero_fn)),
+                (f"(0, upper rho[{k},{l}])",
+                 _vec_of(zero_fn, apply(upper, group, rho(k, l)))))]),
+        ("twisted first column", 3, twisted_column(1)),
+        ("twisted second column", -3, twisted_column(2)),
+        ("rotation ansatz", 3, [
+            (f"rotation ansatz k={k}", vec) for k, vec in zip((1, 2), rotated)]),
+        ("reflection ansatz", -3, [
+            (f"reflection ansatz k={k}", _vec_of(phi, apply(r_x, group, phi)))
+            for k, phi in zip((1, 2), phis)]),
+        ("parity images of the rotation ansatz", -3, [
+            (f"parity image k={k}", [c * v for c, v in zip(chi * spinor.dim, vec)])
+            for k, vec in zip((1, 2), rotated)]),
+    ]
+    completions = {
+        0: [(f"(planar2[{k},2], 0)", _vec_of(rho2(k, 2), zero_fn)) for k in (1, 2)]
+        + [(f"(0, planar2[{k},1])", _vec_of(zero_fn, rho2(k, 1))) for k in (1, 2)],
+        3: [("(rot-parity, 0)", _vec_of(phi_char, zero_fn)),
+            ("(0, rot-parity)", _vec_of(zero_fn, phi_char))]
+        + [(f"(planar2[{k},1], -planar2[{k},2])",
+            _vec_of(rho2(k, 1), [-v for v in rho2(k, 2)])) for k in (1, 2)],
+        -3: [("(rot-parity*sign, 0)", _vec_of(psi_char, zero_fn)),
+             ("(0, rot-parity*sign)", _vec_of(zero_fn, psi_char))]
+        + [(f"(planar2[{k},1], planar2[{k},2])", _vec_of(rho2(k, 1), rho2(k, 2)))
+           for k in (1, 2)],
+    }
+    out = function_assess(coeffs, group, spect, families, completions)
+    out["mu"] = Fraction(0)
+    out["sign_multiplication_anticommutes"] = (
+        all(chi[h] == -_ONE for h, m in coeffs.items() if not m.is_zero())
+        and all(c * c == _ONE for c in chi))
+    # X delta_e is the function g -> x_{g^-1}, so XY = 0 exactly when
+    # X Y delta_e = 0
+    delta_e = [_ONE] + [_ZERO] * (n - 1)
+    blocks = {"lower": lower, "upper": upper, "diag": diag}
+    out["component_identities"] = {
+        f"{x}*{y}": not any(apply(blocks[x], group, apply(blocks[y], group, delta_e)))
+        for x, y in (("lower", "lower"), ("upper", "upper"), ("diag", "lower"),
+                     ("lower", "diag"), ("diag", "upper"), ("upper", "diag"))}
+    return out
+
+
+def function_wave_eigenmode_catalog(C: ConjClass, coeffs, spect) -> dict:
+    """dirac.wave_eigenmode_catalog on functions, the conjugated matrix
+    elements computed entry by entry."""
+    group, spinor, twisted, reps = _function_catalog_context(C)
+    rho, rho2, sig = (functools.partial(_element, r)
+                      for r in (spinor, reps["planar2"], twisted))
+
+    def rho_bar(k, l):
+        return [v.conj() for v in rho(k, l)]
+
+    families = [
+        ("twisted second column", 0, [(f"sign2[{k},2]", sig(k, 2)) for k in (1, 2)]),
+        ("twisted first column", -12, [(f"sign2[{k},1]", sig(k, 1)) for k in (1, 2)]),
+        ("spinor matrix elements", -6,
+         [(f"rho[{k},{l}]", rho(k, l)) for k in (1, 2) for l in (1, 2)]
+         + [(f"conj rho[{k},{l}]", rho_bar(k, l)) for k in (1, 2) for l in (1, 2)]),
+    ]
+    completions = {
+        0: [("rot-parity*sign", _element(reps["rot-parity*sign"], 1, 1))],
+        -12: [("rot-parity", _element(reps["rot-parity"], 1, 1))],
+        -6: [(f"planar2[{k},{l}]", rho2(k, l)) for k in (1, 2) for l in (1, 2)],
+    }
+    out = function_assess(coeffs, group, spect, families, completions)
+    out["mu"] = Fraction(0)
+    out["conjugates_coincide_reversed"] = all(
+        rho_bar(k, l) == rho(3 - k, 3 - l) for k in (1, 2) for l in (1, 2))
+    return out
+
+
 # -- groups -----------------------------------------------------------------
 
 def associativity_violation(table: Sequence[Sequence[int]]) -> tuple | None:
@@ -848,6 +1124,11 @@ def cayley_dict(group: FiniteGroup) -> dict:
 
 # -- representations --------------------------------------------------------
 
+def matrix_element(rep: Representation, i: int, j: int) -> list[Cyclotomic]:
+    """The function g -> rep(g)[i][j] as a value vector in element order."""
+    return [m[i, j] for m in rep.matrices]
+
+
 def character(rep: Representation) -> list[Cyclotomic]:
     return [m.trace() for m in rep.matrices]
 
@@ -874,7 +1155,7 @@ def peter_weyl_matrix(reps: list[Representation]) -> Mat:
     for rep in reps:
         for i in range(rep.dim):
             for j in range(rep.dim):
-                rows.append(rep.matrix_element(i, j))
+                rows.append(matrix_element(rep, i, j))
     return Mat(rows)
 
 

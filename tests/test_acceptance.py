@@ -22,6 +22,7 @@ from groupgeo.curvature import (
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.dirac import (
+    certify_blocks,
     chirality,
     dirac_operator,
     spectral_action,
@@ -30,8 +31,9 @@ from groupgeo.dirac import (
     wave_operator,
 )
 from groupgeo.linalg import Mat, assemble
-from groupgeo.representations import builtin_rep
-from oracles import class_translation_sum, right_mul, torsion_family_members, translation_block
+from groupgeo.representations import builtin_rep, irreducibles
+from oracles import (class_translation_sum, grading_on_group, right_mul, torsion_family_members,
+                     translation_block)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -163,8 +165,10 @@ def test_criterion_06_wave_operator_and_catalog_certification(
     assert nonzero == 10
 
 
-def test_criterion_07_chirality_grading(dirac0_d6):
-    g = chirality(spectrum(dirac0_d6))
+def test_criterion_07_chirality_grading(d6, dirac0_coeffs_d6, dirac0_d6):
+    # the grading built on the irreducible blocks, carried to G
+    form, spect = certify_blocks(dirac0_coeffs_d6, irreducibles(d6))
+    g = grading_on_group(form, chirality(form, spect))
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 

@@ -208,6 +208,33 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("length", [4097, 100_000])
+def test_overlong_out_exits_2_before_touching_the_file_system(monkeypatch, capsys, length):
+    def unreachable(*_args, **_kwargs):
+        raise AssertionError("asked the file system about an --out over the cap")
+    _forbid(monkeypatch, reporting, *REPORT_BUILDERS)
+    monkeypatch.setattr(cli.os.path, "isdir", unreachable)
+    monkeypatch.setattr(cli, "open", unreachable, raising=False)
+    target = "/nonexistent/" + "x" * (length - 20) + "/r.json"
+    assert len(target) == length
+    code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                          "--cmd", "calculus", "--out", target)
+    assert code == 2
+    assert out == ""
+    # the length, not the path
+    assert err == (f"error(usage): --out has {length} characters, more than the "
+                   f"limit of {cli.MAX_OUT_LENGTH}\n")
+    assert len(err) < 200
+
+
+def test_out_at_the_length_cap_keeps_its_message(capsys):
+    target = "/nonexistent/" + "x" * (cli.MAX_OUT_LENGTH - 20) + "/r.json"
+    assert len(target) == cli.MAX_OUT_LENGTH
+    code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                        "--cmd", "calculus", "--out", target)
+    assert (code, err) == (2, f"error(usage): --out directory does not exist: {target!r}\n")
+
+
 def test_unknown_family_exits_3(capsys):
     code, _, err = _run(capsys, "--group", "cyclic:5", "--class", "a",
                         "--cmd", "calculus")

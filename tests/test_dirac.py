@@ -21,13 +21,15 @@ from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
     Spectrum,
     casimir,
+    certify,
+    certify_blocks,
     chirality,
     dirac_operator,
     eigenmode_catalog,
     exp_taylor_coefficients,
     gamma_matrices,
+    irreducible_blocks,
     metric,
-    certify,
     poly_from_roots,
     spectral_action,
     spectrum,
@@ -41,20 +43,28 @@ from groupgeo.errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from groupgeo.groups import conjugacy_class
-from groupgeo.linalg import (Mat, apply, assemble, coset_lift, is_hermitian, kernel_basis,
-                            same_element)
+from groupgeo.groups import conjugacy_class, dihedral
+from groupgeo.linalg import Mat, assemble, coset_lift, is_hermitian, kernel_basis, same_element
 from groupgeo.representations import builtin_rep, irreducibles
 from oracles import (
+    apply,
+    block_diagonal,
+    block_matrix,
     class_translation_sum,
     coframe_coefficients,
+    dense_chirality,
     dense_dirac_operator,
     dense_wave_operator,
     dirac_candidates,
+    function_eigenmode_catalog,
+    function_wave_eigenmode_catalog,
+    grading_on_group,
     kron,
+    matrix_element,
     metric_tensor,
     minimal_polynomial,
     minimal_polynomial_check,
+    peter_weyl_basis,
     rank,
     right_translation,
     spinor_blocks,
@@ -246,21 +256,20 @@ def test_dirac_operator_validates_inputs(cal_d3, lc_d6):
 
 def test_spectrum_requires_exhaustion():
     with pytest.raises(IncompleteSpectrumError, match="misses 2 dimensions"):
-        Spectrum([(rat(1), [[rat(1), rat(0), rat(0), rat(0)],
-                            [rat(0), rat(1), rat(0), rat(0)]])], 4)
+        Spectrum([(rat(1), 2)], 4)
 
 
 def test_spectrum_orders_eigenvalues_exactly():
     # 1 and 1 + 10^-12 are one float apart at nine digits; given in reverse
     # order they still come out sorted
     close = rat(1 + Fraction(1, 10 ** 12))
-    spect = Spectrum({close: [[rat(0), rat(1)]], rat(1): [[rat(1), rat(0)]]}, 2)
+    spect = Spectrum({close: 1, rat(1): 1}, 2)
     assert spect.pairs == ((rat(1), 1), (close, 1))
 
 
 def test_spectrum_certification_fails_on_short_candidates(dirac0_d6):
     ident = Mat.identity(24)
-    short = {v: kernel_basis(dirac0_d6 - ident * v) for v in (0, 3)}
+    short = {v: len(kernel_basis(dirac0_d6 - ident * v)) for v in (0, 3)}
     with pytest.raises(IncompleteSpectrumError, match="misses 8 dimensions"):
         Spectrum(short, 24)
 
@@ -301,6 +310,17 @@ def test_rational_roots_of_split_polynomials(roots):
 def test_rational_roots_refuse_polynomials_that_do_not_split(coeffs):
     with pytest.raises(GroupGeoError, match="does not split"):
         dirac._rational_roots([rat(c) for c in coeffs])
+
+
+def test_rational_roots_refuse_a_non_rational_coefficient():
+    # x^2 + i x: the vector polynomials of an operator with an entry outside
+    # Q can have such a coefficient
+    with pytest.raises(GroupGeoError) as info:
+        dirac._rational_roots([rat(0), cyclo(4), rat(1)])
+    assert str(info.value) == (
+        "minimal polynomial x^2 + (z4)*x has non-rational coefficients; "
+        "eigenvalues outside Q are not certified")
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def _poly_mul(a, b):
@@ -359,7 +379,7 @@ def test_dirac_spectrum_near_a_singular_modulus(cal_d3):
     op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
                                  levi_civita(cal_d3), mu), cls.group)
     spect = spectrum(op)
-    assert set(spect.eigenspaces) <= {rat(c) for c in dirac_candidates(mu)}
+    assert set(spect.multiplicities) <= {rat(c) for c in dirac_candidates(mu)}
     assert [m for _, m in spect.pairs] == [2, 2, 4, 2, 2]
 
 
@@ -410,7 +430,7 @@ def test_wave_annihilates_constants(wave0_d6):
 
 
 def test_wave_on_sign_character(wave0_d6, d6):
-    chi = irreducibles(d6)[1].matrix_element(0, 0)
+    chi = matrix_element(irreducibles(d6)[1], 0, 0)
     out = wave0_d6 @ [v for v in chi]
     assert list(out) == [v * rat(-12) for v in chi]
 
@@ -460,8 +480,8 @@ def krylov_d6(d6, rep_d6, cal_d6, cls_d6):
 def _certified_from_the_operator(spect, krylov, candidates):
     # the spectrum is found without candidates; the hand-derived closed
     # forms and the matrix Krylov polynomial only check it
-    assert set(spect.eigenspaces) <= {rat(c) for c in candidates}
-    assert krylov == poly_from_roots(spect.eigenspaces)
+    assert set(spect.multiplicities) <= {rat(c) for c in candidates}
+    assert krylov == poly_from_roots(spect.multiplicities)
 
 
 @pytest.mark.parametrize("mu", MUS, ids=str)
@@ -489,41 +509,46 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     starts = []
 
     def counted(matrix):
-        reductions.append(matrix)
-        return kernel_basis(matrix)
+        reductions.append(matrix.nrows)
+        return rref(matrix)
 
     def recorded(op, start):
-        starts.append(start)
+        starts.append((op.nrows, start))
         return vector_minimal_polynomial(op, start)
 
-    kernel_basis = dirac.kernel_basis
+    rref = dirac.rref
     vector_minimal_polynomial = dirac._vector_minimal_polynomial
-    monkeypatch.setattr(dirac, "kernel_basis", counted)
+    monkeypatch.setattr(dirac, "rref", counted)
     monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
     # the matrix Krylov minimal polynomial is a test oracle only
     assert not hasattr(dirac, "minimal_polynomial")
-    report = reporting.dirac_report(reporting.certify_dirac(cal_d6, mu))
-    assert report["minimal_polynomial"] == expected["dirac"]
-    assert len(reductions) == len(report["spectrum"]["pairs"])
-    assert len(reductions) == {Fraction(0): 3, Fraction(1, 2): 5}[mu]
-    # e_0 alone reaches every eigenvalue of the D6 operators
-    assert starts == [0]
+    cert = reporting.certify_dirac(cal_d6, mu)
+    # one reduction per eigenvalue of each irreducible block: 2 x 2 for the
+    # four characters, 4 x 4 for the two planar irreducibles
+    assert reductions == [b.nrows for b, s in zip(cert.form.blocks, cert.form.spectra)
+                          for _ in s.pairs]
+    assert len(reductions) == 10
+    # e_0 reaches every eigenvalue of a character block, e_0 and e_1 those
+    # of a planar one
+    assert starts == [(2, 0)] * 4 + [(4, 0), (4, 1)] * 2
     reductions.clear()
     starts.clear()
-    report = reporting.wave_report(cls_d6, mu)
-    assert report["minimal_polynomial"] == expected["wave"]
-    assert len(reductions) == len(report["spectrum"]["pairs"]) == 3
-    assert starts == [0]
+    spect = certify(wave_operator(cls_d6, mu), cls_d6)[1]
+    assert reductions == [6] * len(spect) == [6] * 3
+    assert starts == [(6, 0)]
+    monkeypatch.undo()
+    assert reporting.dirac_report(cert)["minimal_polynomial"] == expected["dirac"]
+    assert reporting.wave_report(cls_d6, mu)["minimal_polynomial"] == expected["wave"]
 
 
 # -- group-algebra assembly and the reduction to H = <C> -------------------
 
 def _assert_block_certifies(op, coeffs, cls, dense):
-    """certify assembles the coefficients on H; its spectrum keeps the
-    block's eigenspaces and is the dense spectrum of op, with every
-    multiplicity [G:H] times the block's; each block eigenvector carried to
-    every left coset by coset_lift is an eigenvector of op, and the lifted
-    vectors of each value are independent."""
+    """certify assembles the coefficients on H; its spectrum is the dense
+    spectrum of op, with every multiplicity [G:H] times the block's; each
+    block eigenvector carried to every left coset by coset_lift is an
+    eigenvector of op, and the lifted vectors of each value are
+    independent."""
     subgroup = cls.generated_subgroup()
     copies = cls.group.order // len(subgroup)
     block, spect = certify(coeffs, cls)
@@ -531,10 +556,10 @@ def _assert_block_certifies(op, coeffs, cls, dense):
     assert block.nrows * copies == op.nrows
     block_spect = spectrum(block)
     assert spect.dimension == op.nrows
-    assert dict(spect.eigenspaces) == dict(block_spect.eigenspaces)
     assert spect.pairs == tuple((v, m * copies) for v, m in block_spect.pairs)
     assert spect.pairs == dense.pairs
-    for value, basis in spect.eigenspaces.items():
+    for value in spect.multiplicities:
+        basis = kernel_basis(block - Mat.identity(block.nrows) * value)
         lifted = [coset_lift(vec, [coset], cls.group.order)
                   for coset in cls.left_cosets() for vec in basis]
         assert rank(Mat(lifted)) == len(lifted) == spect.multiplicity(value)
@@ -578,6 +603,68 @@ def test_wave_block_on_the_direct_product(cls_d6z2, mu):
     assert op == dense_wave_operator(cls_d6z2, mu)
     _assert_coefficient_form(coeffs, cls_d6z2.group, op, _test_vector(op.ncols))
     _assert_block_certifies(op, coeffs, cls_d6z2, spectrum(op))
+
+
+# the moduli of the behaviour ledger at which the metric and the casimir
+# normalisation are invertible
+LEDGER_MUS = [Fraction(0), Fraction(-1, 2), Fraction(1, 2), Fraction(2, 5)]
+
+
+@pytest.fixture(scope="module")
+def cal_d6_s(d6):
+    """The calculus of the other reflection class of D6, the class of s."""
+    return differential_calculus(conjugacy_class(d6, "s"))
+
+
+@pytest.mark.parametrize("mu", LEDGER_MUS, ids=str)
+@pytest.mark.parametrize("cal_name", ["cal_d3", "cal_d6", "cal_d6_s", "cal_d6_relabelled",
+                                      "s3_cal"])
+def test_irreducible_blocks_certify_the_dirac_operator(request, cal_name, mu):
+    """The Peter-Weyl basis takes the operator on G to the block diagonal of
+    the copies of its irreducible blocks; the block multiplicities are the
+    dense H-block certificate's, value for value; the block grading squares
+    to the identity and anticommutes with the copies, as the report's
+    blockwise checks say, and an asymmetric spectrum is refused with the
+    dense grading's text."""
+    cal = request.getfixturevalue(cal_name)
+    cls = cal.cls
+    group = cls.group
+    rep = builtin_rep(group, "spinor")
+    coeffs = dirac_operator(rep, levi_civita(cal), mu)
+    irreps = irreducibles(group)
+    form, spect = certify_blocks(coeffs, irreps)
+    assert spect.pairs == certify(coeffs, cls)[1].pairs
+    assert spect.dimension == rep.dim * group.order
+    assert form.irreps == tuple(irreps)
+    assert list(form.blocks) == irreducible_blocks(coeffs, irreps)
+    assert [s.pairs for s in form.spectra] == [spectrum(b).pairs for b in form.blocks]
+    assert max(b.nrows for b in form.blocks) == 4
+    op = assemble(coeffs, group)
+    basis = peter_weyl_basis(irreps, rep.dim)
+    copies = block_diagonal(form.copy_blocks())
+    assert rank(basis) == op.nrows
+    assert op @ basis == basis @ copies
+    try:
+        dense = dense_chirality(op)
+    except AsymmetricSpectrumError as exc:
+        with pytest.raises(AsymmetricSpectrumError) as info:
+            chirality(form, spect)
+        assert str(info.value) == str(exc)
+        return
+    assert mu == 0
+    ident = Mat.identity(op.nrows)
+    assert dense @ dense == ident and (dense @ op + op @ dense).is_zero()
+    gam = chirality(form, spect)
+    full = block_matrix(gam, [b.nrows for b in form.copy_blocks()])
+    assert full @ full == ident
+    assert (full @ copies + copies @ full).is_zero()
+    assert reporting._grading_checks(form, gam) == (True, True)
+    # a block grading that is not an involution, or that commutes with the
+    # blocks, fails the report's checks
+    doubled = {key: m * 2 for key, m in gam.items()}
+    assert reporting._grading_checks(form, doubled) == (False, True)
+    identity = {(c, c): Mat.identity(b.nrows) for c, b in enumerate(form.copy_blocks())}
+    assert reporting._grading_checks(form, identity) == (True, False)
 
 
 _ENTRIES = st.builds(lambda x, y: rat(x) + cyclo(4) * y,
@@ -665,14 +752,18 @@ def test_incomplete_block_spectrum_states_the_operator_dimension(d6, cls_d6):
         "multiplicities sum to 12 but the operator dimension is 24; "
         "the spectrum misses 12 dimensions")
     assert (info.value.total, info.value.dimension) == (12, 24)
+    # each irreducible block is the Jordan block (x) the identity, and
+    # misses half of itself in each of its copies
+    with pytest.raises(IncompleteSpectrumError) as blocks:
+        certify_blocks(jordan, irreducibles(d6))
+    assert str(blocks.value) == str(info.value)
 
 
 @pytest.mark.parametrize("mu", MUS[1:], ids=str)
-def test_chirality_reason_states_the_operator_multiplicities(
-        certified, krylov_d6, cal_d6, mu):
+def test_chirality_reason_states_the_operator_multiplicities(krylov_d6, cal_d6, mu):
     op, _ = krylov_d6(mu)["dirac"]
     with pytest.raises(AsymmetricSpectrumError) as info:
-        chirality(certified(op))
+        dense_chirality(op)
     assert "multiplicity 4" in str(info.value)
     assert reporting.dirac_report(reporting.certify_dirac(cal_d6, mu))["chirality"] == {
         "available": False, "reason": str(info.value)}
@@ -710,10 +801,12 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
     counted(dirac, "dirac_operator")
     counted(connections, "levi_civita")
     report = reporting.full_report(cls_d6)
-    # one Dirac build and one certification of its 12 x 12 block, read by
-    # the dirac and spectral-action sections, and the 6 x 6 wave block;
-    # levi_civita once each for connection, curvature, ricci and dirac
-    assert sizes == [12, 6]
+    # one Dirac build and one certification of each of its irreducible
+    # blocks, 2 x 2 for the four characters and 4 x 4 for the two planar
+    # irreducibles, read by the dirac and spectral-action sections, and the
+    # 6 x 6 wave block; levi_civita once each for connection, curvature,
+    # ricci and dirac
+    assert sizes == [2, 2, 2, 2, 4, 4, 6]
     assert calls == {"dirac_operator": 1, "levi_civita": 4}
     assert report["spectral_action"]["spectrum"] == report["dirac"]["spectrum"]
     # the one matrix on G is the wave operator the report prints; the
@@ -771,8 +864,14 @@ def wave_spect0(certified, wave0_d6):
 
 
 @pytest.fixture(scope="module")
-def dirac_catalog(cls_d6, dirac0_coeffs_d6, spect0):
-    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, spect0)
+def dirac0_form(d6, dirac0_coeffs_d6):
+    """The D6 mu = 0 Dirac operator's irreducible blocks and its spectrum."""
+    return certify_blocks(dirac0_coeffs_d6, irreducibles(d6))
+
+
+@pytest.fixture(scope="module")
+def dirac_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form):
+    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, *dirac0_form)
 
 
 @pytest.fixture(scope="module")
@@ -817,16 +916,21 @@ def test_catalog_multiplicities_match_rank_oracle(
 
 
 def test_catalogs_rebuild_no_operator_or_connection(
-        monkeypatch, cls_d6, dirac0_coeffs_d6, wave0_coeffs_d6, spect0, wave_spect0,
+        monkeypatch, cls_d6, dirac0_coeffs_d6, wave0_coeffs_d6, dirac0_form, wave_spect0,
         dirac_catalog, wave_catalog):
     def rebuilt(*_args, **_kwargs):
         raise AssertionError("a catalog rebuilt what the report already holds")
 
+    irreps = dirac0_form[0].irreps
     monkeypatch.setattr(dirac, "dirac_operator", rebuilt)
     monkeypatch.setattr(dirac, "wave_operator", rebuilt)
+    monkeypatch.setattr(dirac, "certify_blocks", rebuilt)
     monkeypatch.setattr(connections, "levi_civita", rebuilt)
-    assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, spect0) == dirac_catalog
-    assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0) == wave_catalog
+    # given the irreducibles, neither catalog builds a representation
+    monkeypatch.setattr(representations, "builtin_rep", rebuilt)
+    monkeypatch.setattr(representations, "irreducibles", rebuilt)
+    assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, *dirac0_form) == dirac_catalog
+    assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0, irreps) == wave_catalog
 
 
 def test_dirac_catalog_family_statuses(dirac_catalog):
@@ -905,7 +1009,7 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
 
 def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
     dirac_coeffs = dirac_operator(builtin_rep(s3_cls.group, "spinor"), levi_civita(s3_cal))
-    dirac_spect = spectrum(assemble(dirac_coeffs, s3_cls.group))
+    dirac_form = certify_blocks(dirac_coeffs, irreducibles(s3_cls.group))
     wave_coeffs = wave_operator(s3_cls)
     wave_spect = spectrum(assemble(wave_coeffs, s3_cls.group))
 
@@ -916,7 +1020,7 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
     monkeypatch.setattr(representations, "builtin_rep", built)
     monkeypatch.setattr(representations, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
-        eigenmode_catalog(s3_cls, dirac_coeffs, dirac_spect)
+        eigenmode_catalog(s3_cls, dirac_coeffs, *dirac_form)
     with pytest.raises(UnsupportedGroupError):
         wave_eigenmode_catalog(s3_cls, wave_coeffs, wave_spect)
 
@@ -952,7 +1056,7 @@ def s_class_catalogs(d6):
     cls = conjugacy_class(d6, "s")
     dirac_cert = reporting.certify_dirac(differential_calculus(cls), 0)
     wave = wave_operator(cls)
-    return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.spectrum),
+    return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.form, dirac_cert.spectrum),
             wave_eigenmode_catalog(cls, wave, certify(wave, cls)[1]))
 
 
@@ -998,36 +1102,50 @@ def test_wave_catalog_on_the_class_of_s(s_class_catalogs):
     assert catalog["conjugates_coincide_reversed"] is True
 
 
-def test_assess_scores_a_declared_table(d6, dirac0_coeffs_d6, spect0):
-    """A hand-made table against the D6 mu = 0 Dirac operator reaches every
-    status, a true eigenvector claimed at the wrong value among them, and
-    leaves its inputs as they were."""
-    plus, plus2 = spect0.eigenspaces[rat(3)][:2]
-    minus = spect0.eigenspaces[rat(-3)][0]
-    kernel = spect0.eigenspaces[rat(0)][0]
+def test_assess_scores_a_declared_table(dirac0_form):
+    """A hand-made table in block coordinates against the D6 mu = 0 Dirac
+    operator reaches every status, a true eigenvector claimed at the wrong
+    value among them, counts one vector in two copies twice, and leaves its
+    inputs as they were."""
+    form, spect = dirac0_form
+    blocks = {rho.name: block for rho, block in zip(form.irreps, form.blocks)}
+
+    def eigenvector(name, value):
+        block = blocks[name]
+        return kernel_basis(block - Mat.identity(block.nrows) * value)[0]
+
+    plus = (("planar1", 0), eigenvector("planar1", 3))
+    plus2 = (("planar1", 1), plus[1])
+    minus = (("planar1", 0), eigenvector("planar1", -3))
+    sign_plus = (("sign", 0), eigenvector("sign", 3))
+    kernel = (("planar2", 0), eigenvector("planar2", 0))
     families = [
-        ("true modes", 3, [("plus", plus), ("zero", [rat(0)] * 24)]),
+        ("true modes", 3, [("plus", plus), ("zero", (("planar1", 0), [rat(0)] * 4))]),
         ("wrong value", 0, [("plus at 0", plus)]),
-        ("mixed", -3, [("plus + minus", [x + y for x, y in zip(plus, minus)])]),
+        ("mixed", -3, [("plus + minus",
+                        (("planar1", 0), [x + y for x, y in zip(plus[1], minus[1])]))]),
     ]
-    completions = {3: [("plus2", plus2), ("minus", minus)], 0: [("kernel", kernel)]}
+    completions = {3: [("plus2", plus2), ("minus", minus), ("sign plus", sign_plus)],
+                   0: [("kernel", kernel)]}
     snapshot = copy.deepcopy((families, completions))
-    out = dirac._assess(dirac0_coeffs_d6, d6, spect0, families, completions)
+    out = dirac._assess(form.irreps, form.blocks, spect, families, completions)
     assert (families, completions) == snapshot
-    assert dirac._assess(dirac0_coeffs_d6, d6, spect0, families, completions) == out
+    assert dirac._assess(form.irreps, form.blocks, spect, families, completions) == out
     assert [(c["label"], c["status"], c["eigenvalue"])
             for fam in out["families"] for c in fam["candidates"]] == [
         ("plus", "eigenmode", rat(3)), ("zero", "zero_vector", None),
         ("plus at 0", "eigenvalue_mismatch", rat(3)),
         ("plus + minus", "not_an_eigenmode", None)]
     assert [fam["claimed_eigenvalue"] for fam in out["families"]] == [rat(3), rat(0), rat(-3)]
-    # the mismatched candidate counts as verified at its true eigenvalue
+    # the mismatched candidate counts as verified at its true eigenvalue;
+    # plus2 is plus in the other copy of planar1, so it adds to the span
     assert out["eigenvalues"] == [
         {"value": rat(3), "claimed_candidates": 2, "zero_vectors": 1, "verified": 2,
          "claimed_span": 1, "multiplicity": 8, "gap": 7,
          "completions": [{"label": "plus2", "verified": True},
-                         {"label": "minus", "verified": False}],
-         "completed_span": 2, "complete": False},
+                         {"label": "minus", "verified": False},
+                         {"label": "sign plus", "verified": True}],
+         "completed_span": 3, "complete": False},
         {"value": rat(0), "claimed_candidates": 1, "zero_vectors": 0, "verified": 0,
          "claimed_span": 0, "multiplicity": 8, "gap": 8,
          "completions": [{"label": "kernel", "verified": True}],
@@ -1035,21 +1153,68 @@ def test_assess_scores_a_declared_table(d6, dirac0_coeffs_d6, spect0):
     ]
 
 
+@pytest.mark.parametrize("cal_name", ["cal_d6", "cal_d6_s", "cal_d6_relabelled"])
+def test_block_catalogs_score_as_the_function_oracles(request, cal_name):
+    """Each catalog in block coordinates gives the report its function-level
+    oracle gives: every status, eigenvalue, span, gap, completion and flag,
+    on both reflection classes of D6 and on a relabelled table."""
+    cls = request.getfixturevalue(cal_name).cls
+    cert = reporting.certify_dirac(request.getfixturevalue(cal_name), 0)
+    assert eigenmode_catalog(cls, cert.coeffs, cert.form, cert.spectrum) == (
+        function_eigenmode_catalog(cls, cert.coeffs, cert.spectrum))
+    wave = wave_operator(cls)
+    spect = certify(wave, cls)[1]
+    assert wave_eigenmode_catalog(cls, wave, spect) == (
+        function_wave_eigenmode_catalog(cls, wave, spect))
+
+
+@pytest.mark.parametrize("group", [dihedral(n) for n in (3, 4, 5, 6, 8)] + [
+    relabelled(dihedral(6), 5)], ids=lambda g: g.name)
+def test_block_coordinates_of_the_catalog_representations(group):
+    """The identities the catalogs declare their candidates by: the spinor
+    representation is planar1 and sign2 is diag(sign, trivial); on every
+    planar irreducible the sign character acts as conjugation by
+    D = diag(1, -1), chi(g) rho(g) = D rho(g) D, and complex conjugation as
+    conjugation by the swap J, conj rho(g) = J rho(g) J."""
+    reps = {r.name: r for r in irreducibles(group)}
+    chi = reps["sign"]
+    d = Mat([[1, 0], [0, -1]])
+    j = Mat([[0, 1], [1, 0]])
+    assert builtin_rep(group, "spinor").matrices == reps["planar1"].matrices
+    sign2 = builtin_rep(group, "sign2")
+    for g in range(group.order):
+        assert sign2(g) == Mat([[chi(g)[0, 0], 0], [0, 1]])
+    planar = [r for r in reps.values() if r.dim == 2]
+    assert planar
+    for rho in planar:
+        for g in range(group.order):
+            assert rho(g) * chi(g)[0, 0] == d @ rho(g) @ d
+            assert Mat([[x.conj() for x in row] for row in rho(g).rows]) == j @ rho(g) @ j
+
+
 # -- chirality --------------------------------------------------------------
 
-def test_chirality_properties(dirac0_d6, spect0):
-    g = chirality(spect0)
+@pytest.fixture(scope="module")
+def grading0_d6(dirac0_form):
+    """The grading of the D6 mu = 0 Dirac operator, carried from its blocks
+    to G by the Peter-Weyl basis."""
+    form, spect = dirac0_form
+    return grading_on_group(form, chirality(form, spect))
+
+
+def test_chirality_properties(dirac0_d6, grading0_d6):
+    g = grading0_d6
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 
 
-def test_chirality_kernel_sign_choices(dirac0_d6, spect0):
+def test_chirality_kernel_sign_choices(dirac0_d6, spect0, grading0_d6):
     # the spectrum is {-3, 0, 3}, so I - D^2/9 is exactly the projection
     # onto the kernel, and flipping the grading there gives the other one
     ident = Mat.identity(24)
     assert [v for v, _ in spect0] == [rat(-3), rat(0), rat(3)]
     kernel_projection = ident - dirac0_d6 @ dirac0_d6 * rat(Fraction(1, 9))
-    plus = chirality(spect0)
+    plus = grading0_d6
     minus = plus - kernel_projection * 2
     assert plus != minus
     for g in (plus, minus):
@@ -1058,21 +1223,25 @@ def test_chirality_kernel_sign_choices(dirac0_d6, spect0):
 
 
 def test_chirality_of_zero_operator():
-    z = Mat.zeros(3, 3)
-    assert chirality(spectrum(z)) == Mat.identity(3)
+    form, spect = certify_blocks({0: Mat.zeros(2, 2)}, irreducibles(dihedral(3)))
+    assert spect.pairs == ((rat(0), 12),)
+    assert chirality(form, spect) == {
+        (c, c): Mat.identity(block.nrows) for c, block in enumerate(form.copy_blocks())}
 
 
-def test_chirality_rejects_asymmetric_spectrum(certified, dirac1_d6):
+def test_chirality_rejects_asymmetric_spectrum(d6, rep_d6, lc_d6):
+    form, spect = certify_blocks(dirac_operator(rep_d6, lc_d6, mu=Fraction(1)),
+                                 irreducibles(d6))
     with pytest.raises(AsymmetricSpectrumError, match="-27/5"):
-        chirality(certified(dirac1_d6))
+        chirality(form, spect)
 
 
-def test_chirality_with_explicit_candidates(dirac0_d6, spect0):
+def test_chirality_with_explicit_candidates(dirac0_d6, dirac0_form):
     # a spectrum assembled from the closed-form candidates grades alike
     ident = Mat.identity(24)
-    spaces = {v: kernel_basis(dirac0_d6 - ident * v) for v in dirac_candidates()}
-    g = chirality(Spectrum(spaces, 24))
-    assert g == chirality(spect0)
+    counts = {v: len(kernel_basis(dirac0_d6 - ident * v)) for v in dirac_candidates()}
+    form, spect = dirac0_form
+    assert chirality(form, Spectrum(counts, 24)) == chirality(form, spect)
 
 
 # -- spectral action --------------------------------------------------------
@@ -1155,7 +1324,9 @@ def test_s3_times_cyclic_wave_spectrum_is_m_copies(s3_group, s3_wave_spectra, m,
 def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
     rep = builtin_rep(s3_group, "spinor")
-    op = assemble(dirac_operator(rep, levi_civita(s3_cal)), s3_group)
-    g = chirality(spectrum(op))
-    assert g @ g == Mat.identity(12)
-    assert (g @ op + op @ g).is_zero()
+    coeffs = dirac_operator(rep, levi_civita(s3_cal))
+    op = assemble(coeffs, s3_group)
+    form, spect = certify_blocks(coeffs, irreducibles(s3_group))
+    for g in (dense_chirality(op), grading_on_group(form, chirality(form, spect))):
+        assert g @ g == Mat.identity(12)
+        assert (g @ op + op @ g).is_zero()

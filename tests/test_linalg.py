@@ -7,21 +7,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dicyclic3, direct_product_cyclic
+from conftest import dicyclic3, direct_product_cyclic, relabelled
 from groupgeo.cyclotomic import Cyclotomic, cyclo, rat
 from groupgeo.errors import InfeasibleSystemError
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import (
     Mat,
-    apply,
     assemble,
+    coset_lift,
     inverse,
     kernel_basis,
     rref,
     solve_affine,
     solve_lifted,
 )
-from oracles import (FractionCyclotomic, dense_system, eval_poly, kron, oracle_rref, rank,
+from oracles import (FractionCyclotomic, apply, dense_system, eval_poly, kron, oracle_rref, rank,
                      unfused_rref, vec_is_zero)
 
 
@@ -362,3 +362,23 @@ def test_solve_lifted_matches_the_dense_solve(data, nrows, ncols, consistent):
             solve_lifted(coeffs, rhs, cls)
         return
     assert solve_lifted(coeffs, rhs, cls) == dense
+
+
+def test_solve_lifted_re_reduces_the_kernel_over_an_unordered_coset():
+    """A left-covariant system whose block on H has a kernel, on a D6 table
+    that lists the second coset of H out of index order: the lifted kernel
+    is re-reduced to solve_affine's free-column basis on G, and the lifted
+    particular solution has its free columns cleared."""
+    group = relabelled(dihedral(6), 0)
+    cls = conjugacy_class(group, "sr")
+    assert any(list(coset) != sorted(coset) for coset in cls.left_cosets())
+    coeffs = {group.index("sr"): Mat([[-1, 0]]), group.index("sr3"): Mat([[1, 0]]),
+              0: Mat([[0, 2]])}
+    subgroup = cls.generated_subgroup()
+    block_particular, block_kernel = solve_affine(assemble(coeffs, group, subgroup),
+                                                  [rat(-1)] * len(subgroup))
+    assert len(block_kernel) == 6
+    particular, kernel = solve_lifted(coeffs, [-1], cls)
+    assert (particular, kernel) == solve_affine(*dense_system(coeffs, [-1], group))
+    assert len(kernel) == 12
+    assert coset_lift(block_particular, cls.left_cosets(), group.order) != particular

@@ -54,7 +54,7 @@ def test_report_matches_the_recorded_digest(key, d6z2_table, tmp_path):
 # Scalars one in-process D6 report-all allocates, about a tenth above the
 # measured count; every Cyclotomic the package builds comes from
 # cyclotomic._new, so counting its calls counts them all.
-D6_REPORT_ALL_SCALARS = 42_700
+D6_REPORT_ALL_SCALARS = 26_600
 
 
 def test_d6_report_all_allocates_a_bounded_number_of_scalars(monkeypatch, tmp_path):

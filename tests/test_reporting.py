@@ -172,6 +172,25 @@ def test_unit_roots_in_fixed_point_are_within_their_bound():
                 assert abs(sin - mp.sinpi(angle) * 2 ** 256) < 2 ** 16
 
 
+def test_pi_is_summed_once_per_process(monkeypatch):
+    calls = []
+    real = reporting._arctan_inverse
+
+    def counted(m, one):
+        calls.append(m)
+        return real(m, one)
+
+    monkeypatch.setattr(reporting, "_arctan_inverse", counted)
+    reporting._fixed_pi.cache_clear()
+    reporting._unit_root.cache_clear()
+    first = [reporting._unit_root(j, n) for n in (3, 6, 12, 7) for j in range(n)]
+    assert first == [reporting._unit_root(j, n) for n in (3, 6, 12, 7) for j in range(n)]
+    assert reporting.to_json(cyclo(12) + cyclo(7))["decimal"] == mpmath_cyclotomic_decimal(
+        cyclo(12) + cyclo(7))
+    # Machin's two arctangents, once
+    assert calls == [5, 239]
+
+
 @pytest.mark.parametrize("value", [
     # a real part that is exactly zero
     cyclo(4),

@@ -21,6 +21,7 @@ from oracles import (
     conjugacy_classes,
     conjugate,
     homomorphism_violation,
+    matrix_element,
     peter_weyl_matrix,
     peter_weyl_rank,
     rank,
@@ -198,7 +199,7 @@ def test_conjugate_representation(rep_d6):
 
 def test_matrix_element_functions(rep_d6, d6):
     # row k column l of the spinor, evaluated across the group
-    f = rep_d6.matrix_element(1, 0)
+    f = matrix_element(rep_d6, 1, 0)
     assert f[d6.index("r")] == rat(0)
     assert f[d6.index("sr")] == cyclo(6)
     assert f[0] == rat(0)
