@@ -15,21 +15,21 @@ assembles and compares.
 
 Spectra are certified from the operator alone, never approximated: the
 eigenvalues are the rational roots of the minimal polynomials of unit
-vectors under the operator, each multiplicity is the exact nullity of
-(op - lambda id), and the multiplicities must add up to the full dimension
-or the computation refuses to answer (IncompleteSpectrumError).  A
-Spectrum keeps the values and their multiplicities, no eigenvectors.
-certify assembles an operator's block on H from its coefficients and
-certifies the block, stating the operator on G by its copy count [G:H];
-the wave report certifies its operator that way.  certify_blocks
-certifies an operator on a group with known irreducibles from its
-Peter-Weyl blocks B_rho = sum_h M_h (x) rho(h), each of size
-dim(W) dim(rho), at most 4 x 4 for the dihedral spinor (Serre, Linear
-Representations of Finite Groups, section 2.6; Diaconis, Group
-Representations in Probability and Statistics, ch. 2); the Dirac reports
-certify their operator that way.  A certified spectrum proves the operator
-diagonalisable, so chirality gradings and minimal polynomials are read off
-it and its blocks without a second certification.
+vectors under the operator, each eigenspace is the exact kernel of
+(op - lambda id), and the eigenspaces must fill the full dimension or the
+computation refuses to answer (IncompleteSpectrumError).  A Spectrum keeps
+the values and their multiplicities, no eigenvectors.  certify assembles
+an operator's block on H from its coefficients and certifies the block,
+stating the operator on G by its copy count [G:H]; the wave report
+certifies its operator that way.  certify_blocks certifies an operator on
+a group with known irreducibles from its Peter-Weyl blocks
+B_rho = sum_h M_h (x) rho(h), each of size dim(W) dim(rho), at most 4 x 4
+for the dihedral spinor (Serre, Linear Representations of Finite Groups,
+section 2.6; Diaconis, Group Representations in Probability and
+Statistics, ch. 2), and its BlockForm keeps each block's eigenspaces; the
+Dirac reports certify their operator that way.  A certified spectrum
+proves the operator diagonalisable, so chirality gradings and minimal
+polynomials are read off it and its blocks without a second reduction.
 
 The eigenmode catalogs declare a closed-form list of claimed eigenvectors
 as a table in block coordinates (BlockForm), and one scorer replays it
@@ -246,14 +246,15 @@ class Spectrum:
         return f"Spectrum({{{body}}}, dim={self.dimension})"
 
 
-def spectrum(op: Mat) -> Spectrum:
-    """Certify the spectrum of an exact operator from the operator alone.
+def eigenspaces(op: Mat) -> dict[Cyclotomic, list[list[Cyclotomic]]]:
+    """Certify the eigenspaces of an exact operator from the operator alone:
+    each eigenvalue, in increasing order, with a basis of its kernel.
 
     The eigenvalues are the rational roots of the minimal polynomial of the
-    unit vector e_0 under op; while the multiplicities found so far do not
+    unit vector e_0 under op; while the eigenspaces found so far do not
     fill the dimension, e_1, e_2, ... are tried in index order.  Each
-    distinct root's multiplicity is the nullity of (op - lambda id), from
-    one exact reduction, so the nullities, not the polynomial, decide the
+    distinct root's eigenspace is the kernel of (op - lambda id), from one
+    exact reduction, so the kernels, not the polynomial, decide the
     multiplicities.  If they do not exhaust the dimension after every basis
     vector, the operator is not diagonalisable and IncompleteSpectrumError
     is raised; a vector polynomial that does not split over Q raises
@@ -263,17 +264,25 @@ def spectrum(op: Mat) -> Spectrum:
     if n != op.ncols:
         raise ValueError("spectra are defined for square operators")
     ident = Mat.identity(n)
-    counts: dict[Cyclotomic, int] = {}
+    spaces: dict[Cyclotomic, list[list[Cyclotomic]]] = {}
     filled = 0
     for start in range(n):
         if filled == n:
             break
         for root in _rational_roots(_vector_minimal_polynomial(op, start)):
             v = rat(root)
-            if v not in counts:
-                counts[v] = n - len(rref(op - ident * v)[1])
-                filled += counts[v]
-    return Spectrum(counts, n)
+            if v not in spaces:
+                spaces[v] = kernel_basis(op - ident * v)
+                filled += len(spaces[v])
+    if filled != n:
+        raise IncompleteSpectrumError(filled, n)
+    return dict(sorted(spaces.items(), key=lambda item: item[0].as_fraction()))
+
+
+def spectrum(op: Mat) -> Spectrum:
+    """The certified spectrum of an exact operator: the dimension of each
+    of its eigenspaces."""
+    return Spectrum({v: len(basis) for v, basis in eigenspaces(op).items()}, op.nrows)
 
 
 def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
@@ -306,7 +315,7 @@ def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
 class BlockForm(NamedTuple):
     """A spinor operator sum_h M_h (x) R(h) on W (x) C[G] by its blocks
     B_rho = sum_h M_h (x) rho(h), one per irreducible rho of G, and their
-    certified spectra.
+    certified eigenspaces.
 
     The matrix coefficients rho_kl: g -> rho(g)[k, l] of a complete list of
     irreducibles are a basis of the functions on G (Peter-Weyl), and
@@ -316,16 +325,42 @@ class BlockForm(NamedTuple):
     irreducible_blocks, by B_rho: the operator is, up to that change of
     basis, the direct sum of the copies, dim rho copies (rho, k) of each
     B_rho.  A vector of one copy is a mode: ((rho's name, row k), its
-    dim(W) dim(rho) coordinates).
+    dim(W) dim(rho) coordinates).  eigenspaces holds, per block, each of
+    its eigenvalues with a kernel basis of B_rho - lambda, as from
+    dirac.eigenspaces.
     """
 
     irreps: tuple
     blocks: tuple
-    spectra: tuple
+    eigenspaces: tuple
 
     def copy_blocks(self) -> list[Mat]:
         """The block of each copy, the copies of each irreducible in turn."""
         return [block for rho, block in zip(self.irreps, self.blocks) for _ in range(rho.dim)]
+
+    def spectrum(self) -> Spectrum:
+        """The certified spectrum of the operator on W (x) C[G]: the
+        multiplicity of lambda is sum_rho dim(rho) nullity(B_rho - lambda).
+        The multiplicities fill the dimension dim(W) |G| only if the
+        irreducibles are complete (IncompleteSpectrumError otherwise)."""
+        counts: dict[Cyclotomic, int] = {}
+        for rho, spaces in zip(self.irreps, self.eigenspaces):
+            for v, basis in spaces.items():
+                counts[v] = counts.get(v, 0) + rho.dim * len(basis)
+        return Spectrum(counts, self.dimension())
+
+    def dimension(self) -> int:
+        """dim(W) |G|, the dimension of the operator's space."""
+        rho = self.irreps[0]
+        return self.blocks[0].nrows // rho.dim * rho.group.order
+
+    def trace(self, blocks: Sequence[Mat]) -> Cyclotomic:
+        """The trace on W (x) C[G] of the operator whose blocks, in this
+        form's layout, are the given ones: dim rho copies of each."""
+        total = _ZERO
+        for rho, block in zip(self.irreps, blocks):
+            total = total + block.trace() * rho.dim
+        return total
 
 
 def irreducible_blocks(coeffs: Mapping[int, Mat], irreps: Sequence[Representation]) -> list[Mat]:
@@ -349,30 +384,22 @@ def irreducible_blocks(coeffs: Mapping[int, Mat], irreps: Sequence[Representatio
 def certify_blocks(coeffs: Mapping[int, Mat],
                    irreps: Sequence[Representation]) -> tuple[BlockForm, Spectrum]:
     """The blocks of sum_h coeffs[h] (x) R(h) on W (x) C[G] for the given
-    irreducibles of G, each block's certified spectrum, and the certified
-    spectrum of the operator: the multiplicity of lambda is
-    sum_rho dim(rho) nullity(B_rho - lambda).
+    irreducibles of G with their certified eigenspaces, and the certified
+    spectrum of the operator (BlockForm.spectrum).
 
-    The operator's dimension is dim(W) |G|, so the multiplicities fill it
-    only if the irreducibles are complete.  An incomplete block spectrum
-    is reported with the operator's numbers.
+    An incomplete block spectrum is reported with the operator's numbers.
     """
     blocks = irreducible_blocks(coeffs, irreps)
-    dimension = blocks[0].nrows // irreps[0].dim * irreps[0].group.order
-    spectra, missing = [], 0
+    spaces, missing = [], 0
     for rho, block in zip(irreps, blocks):
         try:
-            spectra.append(spectrum(block))
+            spaces.append(eigenspaces(block))
         except IncompleteSpectrumError as exc:
             missing += rho.dim * (exc.dimension - exc.total)
+    form = BlockForm(tuple(irreps), tuple(blocks), tuple(spaces))
     if missing:
-        raise IncompleteSpectrumError(dimension - missing, dimension)
-    counts: dict[Cyclotomic, int] = {}
-    for rho, spect in zip(irreps, spectra):
-        for v, m in spect.pairs:
-            counts[v] = counts.get(v, 0) + rho.dim * m
-    form = BlockForm(tuple(irreps), tuple(blocks), tuple(spectra))
-    return form, Spectrum(counts, dimension)
+        raise IncompleteSpectrumError(form.dimension() - missing, form.dimension())
+    return form, form.spectrum()
 
 
 # ---------------------------------------------------------------------------
@@ -550,38 +577,34 @@ def require_symmetric(spect: Spectrum) -> None:
                 f"{m_neg}; no exact grading can pair them")
 
 
-def chirality(form: BlockForm, spect: Spectrum) -> dict[tuple[int, int], Mat]:
-    """A grading of the operator with the given block form and certified
-    spectrum: it squares to the identity and anticommutes with the
-    operator, given as its blocks gamma[a, b] from copy b to copy a, the
-    copies numbered as BlockForm.copy_blocks lists them.
+def chirality(form: BlockForm) -> dict[tuple[int, int], Mat]:
+    """A grading of the operator with the given block form: it squares to
+    the identity and anticommutes with the operator, given as its blocks
+    gamma[a, b] from copy b to copy a, the copies numbered as
+    BlockForm.copy_blocks lists them.
 
-    Each copy's eigenvectors are the kernel bases of its block at the
-    block's certified values.  The i-th +lambda eigenvector over all copies
-    in order is paired with the i-th -lambda one, often of another copy: at
-    mu = 0 on D6 the trivial and rot-parity*sign blocks are -3 times the
-    identity and the sign and rot-parity blocks +3 times it, so no grading
-    keeps every copy.  The grading swaps each pair and fixes the kernel; a
-    vector's coordinates in its copy's eigenvectors are read off the rows
-    of the inverse eigenvector matrix of its block, one inverse of at most
-    4 x 4 per irreducible.  Minus the identity on the kernel gives another
-    valid grading, which is exactly the non-uniqueness on a spectrum with
-    zero modes.
+    Each copy's eigenvectors are its block's certified kernel bases.  The
+    i-th +lambda eigenvector over all copies in order is paired with the
+    i-th -lambda one, often of another copy: at mu = 0 on D6 the trivial
+    and rot-parity*sign blocks are -3 times the identity and the sign and
+    rot-parity blocks +3 times it, so no grading keeps every copy.  The
+    grading swaps each pair and fixes the kernel; a vector's coordinates in
+    its copy's eigenvectors are read off the rows of the inverse
+    eigenvector matrix of its block, one inverse of at most 4 x 4 per
+    irreducible.  Minus the identity on the kernel gives another valid
+    grading, which is exactly the non-uniqueness on a spectrum with zero
+    modes.
 
     Raises AsymmetricSpectrumError when some multiplicity of +lambda and
-    -lambda disagree, since then no pairing exists.
+    -lambda on W (x) C[G] disagree, since then no pairing exists.
     """
-    require_symmetric(spect)
+    require_symmetric(form.spectrum())
     # value -> [(copy, eigenvector, its row of the inverse eigenvector matrix)]
     modes: dict[Cyclotomic, list] = {}
     copy = 0
-    for rho, block, block_spect in zip(*form):
-        ident = Mat.identity(block.nrows)
-        values, vectors = [], []
-        for v, _ in block_spect.pairs:
-            basis = kernel_basis(block - ident * v)
-            values += [v] * len(basis)
-            vectors += basis
+    for rho, spaces in zip(form.irreps, form.eigenspaces):
+        values = [v for v, basis in spaces.items() for _ in basis]
+        vectors = [vec for basis in spaces.values() for vec in basis]
         duals = inverse(Mat(vectors).transpose()).rows
         for _ in range(rho.dim):
             for v, vec, dual in zip(values, vectors, duals):
@@ -606,6 +629,26 @@ def chirality(form: BlockForm, spect: Spectrum) -> dict[tuple[int, int], Mat]:
                 send(x, x)
     return {key: Mat(images).transpose() @ Mat(duals)
             for key, (images, duals) in terms.items()}
+
+
+def grading_checks(form: BlockForm, gamma: Mapping[tuple[int, int], Mat]) -> tuple[bool, bool]:
+    """Whether a block grading in chirality's layout squares to the
+    identity and whether it anticommutes with the operator, block by block:
+    (gamma^2)[a, c] is the sum over b of gamma[a, b] gamma[b, c], and
+    (gamma op + op gamma)[a, b] is gamma[a, b] B_b + B_a gamma[a, b] for the
+    blocks B of the copies."""
+    blocks = form.copy_blocks()
+    square: dict[tuple[int, int], Mat] = {}
+    for (a, b), x in gamma.items():
+        for (c, d), y in gamma.items():
+            if b == c:
+                term = x @ y
+                square[a, d] = square[a, d] + term if (a, d) in square else term
+    squares = all(
+        square.get((a, a)) == Mat.identity(block.nrows) for a, block in enumerate(blocks)
+    ) and all(m.is_zero() for (a, c), m in square.items() if a != c)
+    anticommutes = all((x @ blocks[b] + blocks[a] @ x).is_zero() for (a, b), x in gamma.items())
+    return squares, anticommutes
 
 
 # ---------------------------------------------------------------------------
@@ -747,12 +790,10 @@ def _assess(irreps: Sequence[Representation], blocks: Sequence[Mat], spect: Spec
     return {"families": scored, "eigenvalues": summaries}
 
 
-def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm,
-                      spect: Spectrum) -> dict:
+def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) -> dict:
     """Replay the closed-form Dirac eigenvector list against the mu = 0
     Dirac operator of the spinor representation and the distinguished
-    connection, given by its coefficients and its block form, with its
-    certified spectrum spect.
+    connection, given by its coefficients and its certified block form.
 
     Families: images of the off-diagonal translation blocks (claimed zero
     modes), the two columns of the twisted 2-dimensional representation
@@ -816,7 +857,7 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm,
            for k in (1, 2)],
     }
 
-    out = _assess(form.irreps, form.blocks, spect, families, completions)
+    out = _assess(form.irreps, form.blocks, form.spectrum(), families, completions)
     out["mu"] = Fraction(0)
 
     # P = diag(chi) on each spinor component takes M_h (x) R(h) to
@@ -836,12 +877,11 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm,
     return out
 
 
-def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum,
-                           irreps: Sequence[Representation] | None = None) -> dict:
+def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
     """Replay the closed-form wave eigenfunction list against the mu = 0
     wave operator, given by its coefficients, and its certified spectrum
     spect, in the blocks of the operator for the irreducibles of the
-    group (built here unless given).
+    group.
 
     Claimed families: the second twisted column at eigenvalue 0, the first
     twisted column at -12, and the spinor matrix elements together with
@@ -852,10 +892,9 @@ def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spect
     characters and the second planar family.
     """
     group = _require_catalog_class(C)
-    if irreps is None:
-        from .representations import irreducibles
+    from .representations import irreducibles
 
-        irreps = irreducibles(group)
+    irreps = irreducibles(group)
     reps = {r.name: r for r in irreps}
     rho = reps["planar1"]
 

@@ -439,7 +439,7 @@ class DiracCertificate(NamedTuple):
     """The Dirac operator of the spinor representation and the distinguished
     connection at mu, built and certified once for every section that
     reads it: its coefficients {h: M_h}, its blocks for the irreducibles
-    of G with their certified spectra, and the certified spectrum of the
+    of G with their certified eigenspaces, and the certified spectrum of the
     operator on G."""
 
     cls: ConjClass
@@ -466,34 +466,6 @@ def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
                             *spinops.certify_blocks(coeffs, irreducibles(cls.group)))
 
 
-def _weighted_trace(form: BlockForm, blocks) -> Cyclotomic:
-    """The trace on G of the operator with the given blocks, dim rho copies
-    of each."""
-    total = as_scalar(0)
-    for rho, block in zip(form.irreps, blocks):
-        total = total + block.trace() * rho.dim
-    return total
-
-
-def _grading_checks(form: BlockForm, gam: dict) -> tuple[bool, bool]:
-    """Whether the block grading squares to the identity and anticommutes
-    with the operator, block by block: (gam^2)[a, c] is the sum over b of
-    gam[a, b] gam[b, c], and (gam op + op gam)[a, b] is
-    gam[a, b] B_b + B_a gam[a, b] for the blocks B of the copies."""
-    blocks = form.copy_blocks()
-    square: dict = {}
-    for (a, b), x in gam.items():
-        for (c, d), y in gam.items():
-            if b == c:
-                term = x @ y
-                square[a, d] = square[a, d] + term if (a, d) in square else term
-    squares = all(
-        square.get((a, a)) == Mat.identity(block.nrows) for a, block in enumerate(blocks)
-    ) and all(m.is_zero() for (a, c), m in square.items() if a != c)
-    anticommutes = all((x @ blocks[b] + blocks[a] @ x).is_zero() for (a, b), x in gam.items())
-    return squares, anticommutes
-
-
 def dirac_report(dirac: DiracCertificate) -> dict:
     from . import dirac as spinops
 
@@ -514,8 +486,8 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         # the operator on G is dim rho copies of each block B_rho up to a
         # change of basis, so traces add up with those weights, and it is
         # 9 times its cube exactly when every block is
-        "trace": _weighted_trace(form, form.blocks),
-        "trace_of_square": _weighted_trace(form, squares),
+        "trace": form.trace(form.blocks),
+        "trace_of_square": form.trace(squares),
         "hermitian": is_hermitian(coeffs, group),
         "cube_equals_nine_times": all(
             square @ block == block * 9 for square, block in zip(squares, form.blocks)),
@@ -530,7 +502,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
             for a in cls.members)
     try:
         # a refusal names the multiplicities of the operator on G
-        squares_ok, anticommutes = _grading_checks(form, spinops.chirality(form, spect))
+        squares_ok, anticommutes = spinops.grading_checks(form, spinops.chirality(form))
         out["chirality"] = {
             "available": True,
             "squares_to_identity": squares_ok,
@@ -540,16 +512,13 @@ def dirac_report(dirac: DiracCertificate) -> dict:
         out["chirality"] = {"available": False, "reason": str(exc)}
     if mu == 0:
         try:
-            out["eigenmode_catalog"] = spinops.eigenmode_catalog(cls, coeffs, form, spect)
+            out["eigenmode_catalog"] = spinops.eigenmode_catalog(cls, coeffs, form)
         except UnsupportedGroupError:
             pass
     return out
 
 
-def wave_report(cls: ConjClass, mu=Fraction(0), irreps=None) -> dict:
-    """The wave operator at mu, certified on H = <C>; at mu = 0 its
-    eigenmode catalog, read in the blocks of the given irreducibles of G
-    (built for the catalog unless given)."""
+def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
     from . import dirac as spinops
 
     mu = Fraction(mu)
@@ -567,8 +536,7 @@ def wave_report(cls: ConjClass, mu=Fraction(0), irreps=None) -> dict:
         out["translation_form"] = same_element(
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
-            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(
-                cls, coeffs, spect, irreps)
+            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(cls, coeffs, spect)
         except UnsupportedGroupError:
             pass
     return out
@@ -626,6 +594,6 @@ def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         "curvature": curvature_report(cal),
         "ricci": ricci_report(cal),
         "dirac": dirac_report(dirac),
-        "wave": wave_report(cls, mu, dirac.form.irreps),
+        "wave": wave_report(cls, mu),
         "spectral_action": spectral_action_report(dirac.spectrum, mu),
     }

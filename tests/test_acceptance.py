@@ -167,8 +167,8 @@ def test_criterion_06_wave_operator_and_catalog_certification(
 
 def test_criterion_07_chirality_grading(d6, dirac0_coeffs_d6, dirac0_d6):
     # the grading built on the irreducible blocks, carried to G
-    form, spect = certify_blocks(dirac0_coeffs_d6, irreducibles(d6))
-    g = grading_on_group(form, chirality(form, spect))
+    form = certify_blocks(dirac0_coeffs_d6, irreducibles(d6))[0]
+    g = grading_on_group(form, chirality(form))
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 

@@ -26,8 +26,10 @@ from groupgeo.dirac import (
     chirality,
     dirac_operator,
     eigenmode_catalog,
+    eigenspaces,
     exp_taylor_coefficients,
     gamma_matrices,
+    grading_checks,
     irreducible_blocks,
     metric,
     poly_from_roots,
@@ -505,40 +507,58 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
 def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
         monkeypatch, krylov_d6, cal_d6, cls_d6, mu):
     expected = {name: krylov for name, (_, krylov) in krylov_d6(mu).items()}
-    reductions = []
+    kernels = []
+    ranks = []
     starts = []
 
-    def counted(matrix):
-        reductions.append(matrix.nrows)
+    def counted_kernel(matrix):
+        kernels.append(matrix.nrows)
+        return kernel_basis(matrix)
+
+    def counted_rank(matrix):
+        ranks.append(matrix.nrows)
         return rref(matrix)
 
     def recorded(op, start):
         starts.append((op.nrows, start))
         return vector_minimal_polynomial(op, start)
 
-    rref = dirac.rref
+    kernel_basis, rref = dirac.kernel_basis, dirac.rref
     vector_minimal_polynomial = dirac._vector_minimal_polynomial
-    monkeypatch.setattr(dirac, "rref", counted)
+    monkeypatch.setattr(dirac, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(dirac, "rref", counted_rank)
     monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
     # the matrix Krylov minimal polynomial is a test oracle only
     assert not hasattr(dirac, "minimal_polynomial")
     cert = reporting.certify_dirac(cal_d6, mu)
-    # one reduction per eigenvalue of each irreducible block: 2 x 2 for the
-    # four characters, 4 x 4 for the two planar irreducibles
-    assert reductions == [b.nrows for b, s in zip(cert.form.blocks, cert.form.spectra)
-                          for _ in s.pairs]
-    assert len(reductions) == 10
+    report = reporting.dirac_report(cert)
+    assert report["minimal_polynomial"] == expected["dirac"]
+    # one kernel per eigenvalue of each irreducible block, 2 x 2 for the
+    # four characters, 4 x 4 for the two planar irreducibles, and none in
+    # the grading, which reads the certificate's kernels
+    assert kernels == [b.nrows for b, spaces in zip(cert.form.blocks, cert.form.eigenspaces)
+                       for _ in spaces]
+    assert len(kernels) == 10
     # e_0 reaches every eigenvalue of a character block, e_0 and e_1 those
     # of a planar one
     assert starts == [(2, 0)] * 4 + [(4, 0), (4, 1)] * 2
-    reductions.clear()
+    # the catalog ranks each summarised value's modes once per copy that
+    # holds one: 0 in the two rows of planar1 and of planar2; +3 and -3 in
+    # a character, rot-parity or rot-parity*sign and the same four rows
+    assert len(ranks) == {Fraction(0): 4 + 6 + 6, Fraction(1, 2): 0}[mu]
+    assert max(ranks, default=0) <= 4
+    kernels.clear()
+    ranks.clear()
     starts.clear()
-    spect = certify(wave_operator(cls_d6, mu), cls_d6)[1]
-    assert reductions == [6] * len(spect) == [6] * 3
+    report = reporting.wave_report(cls_d6, mu)
+    assert report["minimal_polynomial"] == expected["wave"]
+    assert kernels == [6] * len(report["spectrum"]["pairs"]) == [6] * 3
     assert starts == [(6, 0)]
-    monkeypatch.undo()
-    assert reporting.dirac_report(cert)["minimal_polynomial"] == expected["dirac"]
-    assert reporting.wave_report(cls_d6, mu)["minimal_polynomial"] == expected["wave"]
+    # one rank per copy in the wave catalog's summaries: a character and
+    # rot-parity*sign at 0, sign and rot-parity at -12, the rows of planar1
+    # and planar2 at -6
+    assert len(ranks) == {Fraction(0): 2 + 2 + 4, Fraction(1, 2): 0}[mu]
+    assert max(ranks, default=0) <= 2
 
 
 # -- group-algebra assembly and the reduction to H = <C> -------------------
@@ -637,7 +657,8 @@ def test_irreducible_blocks_certify_the_dirac_operator(request, cal_name, mu):
     assert spect.dimension == rep.dim * group.order
     assert form.irreps == tuple(irreps)
     assert list(form.blocks) == irreducible_blocks(coeffs, irreps)
-    assert [s.pairs for s in form.spectra] == [spectrum(b).pairs for b in form.blocks]
+    assert list(form.eigenspaces) == [eigenspaces(b) for b in form.blocks]
+    assert form.spectrum().pairs == spect.pairs
     assert max(b.nrows for b in form.blocks) == 4
     op = assemble(coeffs, group)
     basis = peter_weyl_basis(irreps, rep.dim)
@@ -648,23 +669,23 @@ def test_irreducible_blocks_certify_the_dirac_operator(request, cal_name, mu):
         dense = dense_chirality(op)
     except AsymmetricSpectrumError as exc:
         with pytest.raises(AsymmetricSpectrumError) as info:
-            chirality(form, spect)
+            chirality(form)
         assert str(info.value) == str(exc)
         return
     assert mu == 0
     ident = Mat.identity(op.nrows)
     assert dense @ dense == ident and (dense @ op + op @ dense).is_zero()
-    gam = chirality(form, spect)
+    gam = chirality(form)
     full = block_matrix(gam, [b.nrows for b in form.copy_blocks()])
     assert full @ full == ident
     assert (full @ copies + copies @ full).is_zero()
-    assert reporting._grading_checks(form, gam) == (True, True)
+    assert grading_checks(form, gam) == (True, True)
     # a block grading that is not an involution, or that commutes with the
     # blocks, fails the report's checks
     doubled = {key: m * 2 for key, m in gam.items()}
-    assert reporting._grading_checks(form, doubled) == (False, True)
+    assert grading_checks(form, doubled) == (False, True)
     identity = {(c, c): Mat.identity(b.nrows) for c, b in enumerate(form.copy_blocks())}
-    assert reporting._grading_checks(form, identity) == (True, False)
+    assert grading_checks(form, identity) == (True, False)
 
 
 _ENTRIES = st.builds(lambda x, y: rat(x) + cyclo(4) * y,
@@ -793,16 +814,16 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
 
         monkeypatch.setattr(module, name, call)
 
-    certify, build = dirac.spectrum, linalg.assemble
-    monkeypatch.setattr(dirac, "spectrum", certified)
+    certify, build = dirac.eigenspaces, linalg.assemble
+    monkeypatch.setattr(dirac, "eigenspaces", certified)
     # linalg.assemble, where each module that assembles holds it
     for module in (dirac, reporting):
         monkeypatch.setattr(module, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(connections, "levi_civita")
     report = reporting.full_report(cls_d6)
-    # one Dirac build and one certification of each of its irreducible
-    # blocks, 2 x 2 for the four characters and 4 x 4 for the two planar
+    # one Dirac build and one certification of the eigenspaces of each of
+    # its irreducible blocks, 2 x 2 for the four characters and 4 x 4 for the two planar
     # irreducibles, read by the dirac and spectral-action sections, and the
     # 6 x 6 wave block; levi_civita once each for connection, curvature,
     # ricci and dirac
@@ -871,7 +892,7 @@ def dirac0_form(d6, dirac0_coeffs_d6):
 
 @pytest.fixture(scope="module")
 def dirac_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form):
-    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, *dirac0_form)
+    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0])
 
 
 @pytest.fixture(scope="module")
@@ -921,16 +942,22 @@ def test_catalogs_rebuild_no_operator_or_connection(
     def rebuilt(*_args, **_kwargs):
         raise AssertionError("a catalog rebuilt what the report already holds")
 
-    irreps = dirac0_form[0].irreps
+    irreducibles_of = representations.irreducibles
+    built = []
     monkeypatch.setattr(dirac, "dirac_operator", rebuilt)
     monkeypatch.setattr(dirac, "wave_operator", rebuilt)
     monkeypatch.setattr(dirac, "certify_blocks", rebuilt)
+    monkeypatch.setattr(dirac, "eigenspaces", rebuilt)
     monkeypatch.setattr(connections, "levi_civita", rebuilt)
-    # given the irreducibles, neither catalog builds a representation
     monkeypatch.setattr(representations, "builtin_rep", rebuilt)
+    # the Dirac catalog reads the certificate's irreducibles; the wave
+    # catalog, whose certificate is dense, builds them once
     monkeypatch.setattr(representations, "irreducibles", rebuilt)
-    assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, *dirac0_form) == dirac_catalog
-    assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0, irreps) == wave_catalog
+    assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0]) == dirac_catalog
+    monkeypatch.setattr(representations, "irreducibles",
+                        lambda group: built.append(group) or irreducibles_of(group))
+    assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0) == wave_catalog
+    assert built == [cls_d6.group]
 
 
 def test_dirac_catalog_family_statuses(dirac_catalog):
@@ -1020,7 +1047,7 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
     monkeypatch.setattr(representations, "builtin_rep", built)
     monkeypatch.setattr(representations, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
-        eigenmode_catalog(s3_cls, dirac_coeffs, *dirac_form)
+        eigenmode_catalog(s3_cls, dirac_coeffs, dirac_form[0])
     with pytest.raises(UnsupportedGroupError):
         wave_eigenmode_catalog(s3_cls, wave_coeffs, wave_spect)
 
@@ -1056,7 +1083,7 @@ def s_class_catalogs(d6):
     cls = conjugacy_class(d6, "s")
     dirac_cert = reporting.certify_dirac(differential_calculus(cls), 0)
     wave = wave_operator(cls)
-    return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.form, dirac_cert.spectrum),
+    return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.form),
             wave_eigenmode_catalog(cls, wave, certify(wave, cls)[1]))
 
 
@@ -1160,7 +1187,7 @@ def test_block_catalogs_score_as_the_function_oracles(request, cal_name):
     on both reflection classes of D6 and on a relabelled table."""
     cls = request.getfixturevalue(cal_name).cls
     cert = reporting.certify_dirac(request.getfixturevalue(cal_name), 0)
-    assert eigenmode_catalog(cls, cert.coeffs, cert.form, cert.spectrum) == (
+    assert eigenmode_catalog(cls, cert.coeffs, cert.form) == (
         function_eigenmode_catalog(cls, cert.coeffs, cert.spectrum))
     wave = wave_operator(cls)
     spect = certify(wave, cls)[1]
@@ -1198,8 +1225,7 @@ def test_block_coordinates_of_the_catalog_representations(group):
 def grading0_d6(dirac0_form):
     """The grading of the D6 mu = 0 Dirac operator, carried from its blocks
     to G by the Peter-Weyl basis."""
-    form, spect = dirac0_form
-    return grading_on_group(form, chirality(form, spect))
+    return grading_on_group(dirac0_form[0], chirality(dirac0_form[0]))
 
 
 def test_chirality_properties(dirac0_d6, grading0_d6):
@@ -1225,23 +1251,37 @@ def test_chirality_kernel_sign_choices(dirac0_d6, spect0, grading0_d6):
 def test_chirality_of_zero_operator():
     form, spect = certify_blocks({0: Mat.zeros(2, 2)}, irreducibles(dihedral(3)))
     assert spect.pairs == ((rat(0), 12),)
-    assert chirality(form, spect) == {
+    assert chirality(form) == {
         (c, c): Mat.identity(block.nrows) for c, block in enumerate(form.copy_blocks())}
 
 
 def test_chirality_rejects_asymmetric_spectrum(d6, rep_d6, lc_d6):
-    form, spect = certify_blocks(dirac_operator(rep_d6, lc_d6, mu=Fraction(1)),
-                                 irreducibles(d6))
+    form = certify_blocks(dirac_operator(rep_d6, lc_d6, mu=Fraction(1)), irreducibles(d6))[0]
     with pytest.raises(AsymmetricSpectrumError, match="-27/5"):
-        chirality(form, spect)
+        chirality(form)
 
 
-def test_chirality_with_explicit_candidates(dirac0_d6, dirac0_form):
-    # a spectrum assembled from the closed-form candidates grades alike
-    ident = Mat.identity(24)
-    counts = {v: len(kernel_basis(dirac0_d6 - ident * v)) for v in dirac_candidates()}
-    form, spect = dirac0_form
-    assert chirality(form, Spectrum(counts, 24)) == chirality(form, spect)
+def test_chirality_with_explicit_candidates(dirac0_d6, dirac0_form, spect0):
+    # eigenspaces taken at the closed-form candidates, not at certified
+    # roots, with the bases of the positive values listed in reverse: the
+    # form states the dense spectrum, and the grading built from those bases
+    # is another grading of the operator, so chirality pairs the
+    # eigenvectors the form holds
+    form = dirac0_form[0]
+    spaces = []
+    for block in form.blocks:
+        ident = Mat.identity(block.nrows)
+        kernels = {rat(v): kernel_basis(block - ident * v) for v in dirac_candidates()}
+        spaces.append({v: basis[::-1] if v.as_fraction() > 0 else basis
+                       for v, basis in kernels.items() if basis})
+    candidate_form = form._replace(eigenspaces=tuple(spaces))
+    assert candidate_form.spectrum().pairs == spect0.pairs
+    gam = chirality(candidate_form)
+    assert gam != chirality(form)
+    assert grading_checks(form, gam) == (True, True)
+    g = grading_on_group(form, gam)
+    assert g @ g == Mat.identity(24)
+    assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()
 
 
 # -- spectral action --------------------------------------------------------
@@ -1326,7 +1366,7 @@ def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     rep = builtin_rep(s3_group, "spinor")
     coeffs = dirac_operator(rep, levi_civita(s3_cal))
     op = assemble(coeffs, s3_group)
-    form, spect = certify_blocks(coeffs, irreducibles(s3_group))
-    for g in (dense_chirality(op), grading_on_group(form, chirality(form, spect))):
+    form = certify_blocks(coeffs, irreducibles(s3_group))[0]
+    for g in (dense_chirality(op), grading_on_group(form, chirality(form))):
         assert g @ g == Mat.identity(12)
         assert (g @ op + op @ g).is_zero()
