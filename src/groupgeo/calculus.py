@@ -165,7 +165,7 @@ class Calculus:
         self.circulant = cls.circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
-        self._theta = None
+        self._theta = self._levi_civita = None
         self._de_cache: dict[int, TwoForm] = {}
 
     # -- quotient structure ------------------------------------------------

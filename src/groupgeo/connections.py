@@ -11,8 +11,8 @@ class member.  Three residuals classify a connection:
 For a 3-member class with circulant products the torsion-free connections
 form a chart: a symmetric coefficient pattern in three parameter functions
 alpha, beta, gamma constrained by alpha + beta + gamma = -1.  levi_civita
-finds the one regular constant chart member, once per calculus, and proves
-the three residuals zero there.
+finds the one regular constant chart member, once per calculus, which
+holds it, and proves the three residuals zero there.
 
 The layer reads only the 2-form relations and the class's conjugation
 and product tables (ConjClass.ad and ConjClass.products).  The metric
@@ -25,7 +25,6 @@ levi_civita makes it before any other work.
 
 from __future__ import annotations
 
-import functools
 from typing import Optional, Sequence
 
 from .calculus import Calculus, GroupFunction, OneForm, TwoForm
@@ -208,10 +207,11 @@ def levi_civita(calculus: Calculus) -> Connection:
     """The unique torsion-free, cotorsion-free, regular constant chart
     member, the same at every metric modulus."""
     require_chart_class(calculus.cls)
-    return _regular_chart_member(calculus)
+    if calculus._levi_civita is None:
+        calculus._levi_civita = _regular_chart_member(calculus)
+    return calculus._levi_civita
 
 
-@functools.cache
 def _regular_chart_member(calculus: Calculus) -> Connection:
     """The one constant chart member that is regular, with its three
     residuals proved zero.

@@ -285,10 +285,10 @@ def spectrum(op: Mat) -> Spectrum:
     return Spectrum({v: len(basis) for v, basis in eigenspaces(op).items()}, op.nrows)
 
 
-def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
-    """The block on W tensor (functions on H), H = <C>, of the spinor
-    operator sum_h coeffs[h] (x) R(h) on W tensor (functions on G), and
-    the certified spectrum of that operator.
+def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> Spectrum:
+    """The certified spectrum of the spinor operator sum_h coeffs[h] (x) R(h)
+    on W tensor (functions on G), read from its block on W tensor
+    (functions on H), H = <C>.
 
     Every h must lie in H.  The operator commutes with left translation and
     keeps each left coset gH to itself, so it is [G:H] copies of the block
@@ -304,8 +304,7 @@ def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> tuple[Mat, Spectrum]:
         block_spect = spectrum(block)
     except IncompleteSpectrumError as exc:
         raise IncompleteSpectrumError(exc.total * copies, exc.dimension * copies) from exc
-    return block, Spectrum({v: m * copies for v, m in block_spect.pairs},
-                           block.nrows * copies)
+    return Spectrum({v: m * copies for v, m in block_spect.pairs}, block.nrows * copies)
 
 
 # ---------------------------------------------------------------------------

@@ -451,19 +451,19 @@ class DiracCertificate(NamedTuple):
 
 
 def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
-    from .representations import builtin_rep, irreducibles
+    from .representations import irreducibles
 
     mu = Fraction(mu)
-    cls = cal.cls
-    # a group without a dihedral presentation stops here, before the
-    # spinor layer is imported
-    rep = builtin_rep(cls.group, "spinor")
+    # a group without a dihedral presentation stops here, before the spinor
+    # layer is imported.  The spinor is planar1, which D3 and D6, the only
+    # dihedral groups with a 3-member cyclic class, both have
+    irreps = irreducibles(cal.group)
+    rep = next(rho for rho in irreps if rho.name == "planar1")
     from .connections import levi_civita
     from . import dirac as spinops
 
     coeffs = spinops.dirac_operator(rep, levi_civita(cal), mu)
-    return DiracCertificate(cls, mu, rep, coeffs,
-                            *spinops.certify_blocks(coeffs, irreducibles(cls.group)))
+    return DiracCertificate(cal.cls, mu, rep, coeffs, *spinops.certify_blocks(coeffs, irreps))
 
 
 def dirac_report(dirac: DiracCertificate) -> dict:
@@ -523,7 +523,7 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
 
     mu = Fraction(mu)
     coeffs = spinops.wave_operator(cls, mu)
-    spect = spinops.certify(coeffs, cls)[1]
+    spect = spinops.certify(coeffs, cls)
     out = {
         "mu": mu,
         "operator": assemble(coeffs, cls.group).rows,

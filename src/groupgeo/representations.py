@@ -1,32 +1,27 @@
 """Unitary representations with exact cyclotomic entries.
 
-The built-in catalog covers groups with dihedral structure: an index-2
-cyclic subgroup generated by some element of maximal order together with a
+The catalog covers groups with dihedral structure: an index-2 cyclic
+subgroup generated by some element of maximal order together with a
 reflection.  The detection, groups.dihedral_structure, is structural, not
 name-based, so a group loaded from a Cayley-table file (an S3 for
 instance) gets the same catalog as the built-in construction.  A group
-without that structure has no catalog: builtin_rep and irreducibles raise
+without that structure has no catalog: irreducibles raises
 UnsupportedGroupError for it, and the command line refuses such a group
 with the same check before it imports this module.
 
-The two named spinor-side representations are
-  spinor: dimension 2, rotation -> diag(z, z^-1) with z = zeta_(subgroup order),
-  sign2:  dimension 2, rotation -> id, reflection -> diag(-1, 1),
-matching the matrices used in the Dirac and wave-operator constructions.
-spinor has the matrices of the irreducible planar1 and sign2 is the sum of
-the sign and trivial characters; the eigenmode catalogs declare their
-candidates in the irreducibles' coordinates by these identities.
+The spinor of the Dirac operator is the irreducible planar1, of dimension
+2: rotation -> diag(z, z^-1) with z = zeta_(subgroup order), and each
+reflection on the antidiagonal.  The eigenmode catalogs declare their
+candidates in the irreducibles' coordinates.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import cyclo, rat
-from .errors import UnsupportedGroupError
 from .groups import FiniteGroup, dihedral_structure
 from .linalg import Mat
 
 _ZERO = rat(0)
-_ONE = rat(1)
 
 
 class Representation:
@@ -95,33 +90,14 @@ def _one_dim(decomp, sign_r: int, sign_s: int) -> list[Mat]:
     return vals
 
 
-def builtin_rep(group: FiniteGroup, name: str) -> Representation:
-    """The named 2-dimensional representation on a dihedral-structured group.
-
-    spinor is faithful on the rotation subgroup; sign2 factors through the
-    rotation/reflection parity.
-    """
-    decomp = dihedral_structure(group)
-    if name == "spinor":
-        return Representation(group, _spinor_matrices(decomp, 1), name="spinor")
-    if name == "sign2":
-        mats = []
-        for flip, _ in decomp:
-            if flip:
-                mats.append(Mat([[rat(-1), _ZERO], [_ZERO, _ONE]]))
-            else:
-                mats.append(Mat.identity(2))
-        return Representation(group, mats, name="sign2")
-    raise UnsupportedGroupError(f"no built-in representation named {name!r}")
-
-
 def irreducibles(group: FiniteGroup) -> list[Representation]:
     """The complete irreducible catalog of a dihedral-structured group.
 
     For rotation order n even: four 1-dimensional characters and n/2 - 1
     two-dimensional representations; for n odd: two characters and
     (n - 1)/2 two-dimensional ones.  Completeness is the standard dihedral
-    classification; the test suite certifies sum-of-squares and character
+    classification (Serre, Linear Representations of Finite Groups,
+    section 5.3); the test suite certifies sum-of-squares and character
     orthogonality exactly.
     """
     decomp = dihedral_structure(group)

@@ -18,7 +18,7 @@ from groupgeo.curvature import ricci, ricci_flat_solve
 from groupgeo.dirac import dirac_operator, wave_operator
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.linalg import assemble
-from groupgeo.representations import builtin_rep
+from oracles import planar1
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -45,7 +45,7 @@ def lc_d6(cal_d6):
 
 @pytest.fixture(scope="session")
 def rep_d6(d6):
-    return builtin_rep(d6, "spinor")
+    return planar1(d6)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,8 @@ its |G|-length members beside the directions the package states it by, a
 certificate the package does not need at run time (the Peter-Weyl rank),
 or a helper only the tests use (the rank of a matrix, diagonal and
 entrywise conjugate matrices, conjugacy class lists, Cayley-table dicts,
-characters, matrix-element functions, conjugate representations, coframe
+the spinor planar1 and the twisted sign2 representations, characters,
+matrix-element functions, conjugate representations, coframe
 coefficients and the right module action on 1-forms).
 """
 
@@ -49,10 +50,10 @@ from groupgeo.curvature import connection_grid
 from groupgeo.cyclotomic import Cyclotomic, dot, rat
 from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
 from groupgeo.errors import SingularMetricError
-from groupgeo.groups import ConjClass, FiniteGroup
+from groupgeo.groups import ConjClass, FiniteGroup, dihedral_structure
 from groupgeo.linalg import (Mat, as_scalar, assemble, coset_lift, inverse, kernel_basis, rref,
                             solve_affine)
-from groupgeo.representations import Representation, builtin_rep, irreducibles
+from groupgeo.representations import Representation, irreducibles
 
 _ZERO = rat(0)
 _ONE = rat(1)
@@ -975,7 +976,7 @@ def function_assess(coeffs, group: FiniteGroup, spect, families, completions) ->
 def _function_catalog_context(C: ConjClass):
     group = C.group
     reps = {r.name: r for r in irreducibles(group)}
-    return group, builtin_rep(group, "spinor"), builtin_rep(group, "sign2"), reps
+    return group, reps["planar1"], sign2(group), reps
 
 
 def function_eigenmode_catalog(C: ConjClass, coeffs, spect) -> dict:
@@ -1123,6 +1124,21 @@ def cayley_dict(group: FiniteGroup) -> dict:
 
 
 # -- representations --------------------------------------------------------
+
+def planar1(group: FiniteGroup) -> Representation:
+    """The spinor of the Dirac operator: the irreducible planar1 of a
+    dihedral-structured group, as reporting.certify_dirac selects it."""
+    return next(r for r in irreducibles(group) if r.name == "planar1")
+
+
+def sign2(group: FiniteGroup) -> Representation:
+    """The twisted 2-dimensional representation the eigenmode catalogs name
+    their candidates by: rotation -> id, reflection -> diag(-1, 1), the sum
+    of the sign and trivial characters."""
+    flipped = Mat([[rat(-1), _ZERO], [_ZERO, _ONE]])
+    return Representation(group, [flipped if flip else Mat.identity(2)
+                                  for flip, _ in dihedral_structure(group)], name="sign2")
+
 
 def matrix_element(rep: Representation, i: int, j: int) -> list[Cyclotomic]:
     """The function g -> rep(g)[i][j] as a value vector in element order."""

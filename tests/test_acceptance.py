@@ -31,9 +31,9 @@ from groupgeo.dirac import (
     wave_operator,
 )
 from groupgeo.linalg import Mat, assemble
-from groupgeo.representations import builtin_rep, irreducibles
-from oracles import (class_translation_sum, grading_on_group, right_mul, torsion_family_members,
-                     translation_block)
+from groupgeo.representations import irreducibles
+from oracles import (class_translation_sum, grading_on_group, planar1, right_mul,
+                     torsion_family_members, translation_block)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -209,7 +209,7 @@ def test_criterion_09_order_six_cross_check(s3_group, s3_cls, s3_cal, cls_d6):
     third = Fraction(1, 3)
     for pos in range(3):
         assert lc.components[pos] == s3_cal.basis_one_form(pos) - s3_cal.theta * third
-    rep = builtin_rep(s3_group, "spinor")
+    rep = planar1(s3_group)
     op = assemble(dirac_operator(rep, lc), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))

@@ -2,10 +2,12 @@
 regularity scan."""
 
 import contextlib
+import gc
 import os
 import random
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -313,6 +315,17 @@ def test_report_all_derives_the_connection_once(monkeypatch):
     reporting.full_report(conjugacy_class(dihedral(6), "sr"))
     # six scan points and one proof, though four sections read levi_civita
     assert len(calls) == 7
+
+
+def test_levi_civita_memo_dies_with_its_calculus():
+    cal = differential_calculus(conjugacy_class(dihedral(6), "sr"))
+    conn = levi_civita(cal)
+    assert levi_civita(cal) is conn
+    dropped = weakref.ref(cal)
+    # the memo lives on the calculus, not in a process-wide cache
+    del cal, conn
+    gc.collect()
+    assert dropped() is None
 
 
 def test_connection_command_never_imports_sympy():

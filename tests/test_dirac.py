@@ -45,9 +45,9 @@ from groupgeo.errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from groupgeo.groups import conjugacy_class, dihedral
+from groupgeo.groups import conjugacy_class, dihedral, dihedral_structure
 from groupgeo.linalg import Mat, assemble, coset_lift, is_hermitian, kernel_basis, same_element
-from groupgeo.representations import builtin_rep, irreducibles
+from groupgeo.representations import irreducibles
 from oracles import (
     apply,
     block_diagonal,
@@ -67,8 +67,10 @@ from oracles import (
     minimal_polynomial,
     minimal_polynomial_check,
     peter_weyl_basis,
+    planar1,
     rank,
     right_translation,
+    sign2,
     spinor_blocks,
     span_dim,
     sturm_integer_roots,
@@ -249,7 +251,7 @@ def test_dirac_candidate_values():
 
 
 def test_dirac_operator_validates_inputs(cal_d3, lc_d6):
-    rep_d3 = builtin_rep(cal_d3.group, "spinor")
+    rep_d3 = planar1(cal_d3.group)
     with pytest.raises(ValueError, match="share one group"):
         dirac_operator(rep_d3, lc_d6)
 
@@ -378,7 +380,7 @@ def test_dirac_spectrum_near_a_singular_modulus(cal_d3):
     # (oracles.sturm_integer_roots) needs some 10^5 chain evaluations
     mu = Fraction("-0." + "3" * 400)
     cls = cal_d3.cls
-    op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
+    op = assemble(dirac_operator(planar1(cls.group),
                                  levi_civita(cal_d3), mu), cls.group)
     spect = spectrum(op)
     assert set(spect.multiplicities) <= {rat(c) for c in dirac_candidates(mu)}
@@ -390,7 +392,7 @@ def test_spectrum_at_a_modulus_with_large_denominators(cal_d3):
     # (here 45-digit) coefficients
     mu = Fraction(123456789, 987654321)
     cls = cal_d3.cls
-    op = assemble(dirac_operator(builtin_rep(cls.group, "spinor"),
+    op = assemble(dirac_operator(planar1(cls.group),
                                  levi_civita(cal_d3), mu), cls.group)
     _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
 
@@ -497,7 +499,7 @@ def test_certified_roots_give_krylov_minimal_polynomial_d6(certified, krylov_d6,
 def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name):
     cal = request.getfixturevalue(cal_name)
     cls = cal.cls
-    rep = builtin_rep(cls.group, "spinor")
+    rep = planar1(cls.group)
     for mu in MUS:
         op = assemble(dirac_operator(rep, levi_civita(cal), mu), cls.group)
         _certified_from_the_operator(spectrum(op), minimal_polynomial(op), dirac_candidates(mu))
@@ -564,15 +566,15 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
 # -- group-algebra assembly and the reduction to H = <C> -------------------
 
 def _assert_block_certifies(op, coeffs, cls, dense):
-    """certify assembles the coefficients on H; its spectrum is the dense
-    spectrum of op, with every multiplicity [G:H] times the block's; each
-    block eigenvector carried to every left coset by coset_lift is an
-    eigenvector of op, and the lifted vectors of each value are
+    """certify's spectrum is the dense spectrum of op, with every
+    multiplicity [G:H] times that of the block the coefficients assemble
+    on H; each block eigenvector carried to every left coset by coset_lift
+    is an eigenvector of op, and the lifted vectors of each value are
     independent."""
     subgroup = cls.generated_subgroup()
     copies = cls.group.order // len(subgroup)
-    block, spect = certify(coeffs, cls)
-    assert block == assemble(coeffs, cls.group, subgroup)
+    spect = certify(coeffs, cls)
+    block = assemble(coeffs, cls.group, subgroup)
     assert block.nrows * copies == op.nrows
     block_spect = spectrum(block)
     assert spect.dimension == op.nrows
@@ -601,7 +603,7 @@ def _test_vector(size):
 @pytest.mark.parametrize("mu", MUS, ids=str)
 def test_assembled_operators_match_dense_oracles(certified, oracle_cal, mu):
     cls = oracle_cal.cls
-    rep = builtin_rep(cls.group, "spinor")
+    rep = planar1(cls.group)
     lc = levi_civita(oracle_cal)
     coeffs = dirac_operator(rep, lc, mu)
     op = assemble(coeffs, cls.group)
@@ -649,11 +651,11 @@ def test_irreducible_blocks_certify_the_dirac_operator(request, cal_name, mu):
     cal = request.getfixturevalue(cal_name)
     cls = cal.cls
     group = cls.group
-    rep = builtin_rep(group, "spinor")
+    rep = planar1(group)
     coeffs = dirac_operator(rep, levi_civita(cal), mu)
     irreps = irreducibles(group)
     form, spect = certify_blocks(coeffs, irreps)
-    assert spect.pairs == certify(coeffs, cls)[1].pairs
+    assert spect.pairs == certify(coeffs, cls).pairs
     assert spect.dimension == rep.dim * group.order
     assert form.irreps == tuple(irreps)
     assert list(form.blocks) == irreducible_blocks(coeffs, irreps)
@@ -949,11 +951,13 @@ def test_catalogs_rebuild_no_operator_or_connection(
     monkeypatch.setattr(dirac, "certify_blocks", rebuilt)
     monkeypatch.setattr(dirac, "eigenspaces", rebuilt)
     monkeypatch.setattr(connections, "levi_civita", rebuilt)
-    monkeypatch.setattr(representations, "builtin_rep", rebuilt)
-    # the Dirac catalog reads the certificate's irreducibles; the wave
-    # catalog, whose certificate is dense, builds them once
+    # the Dirac catalog reads the certificate's irreducibles and builds no
+    # representation; the wave catalog, whose certificate is dense, builds
+    # the irreducibles once
     monkeypatch.setattr(representations, "irreducibles", rebuilt)
-    assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0]) == dirac_catalog
+    with monkeypatch.context() as patched:
+        patched.setattr(representations.Representation, "__init__", rebuilt)
+        assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0]) == dirac_catalog
     monkeypatch.setattr(representations, "irreducibles",
                         lambda group: built.append(group) or irreducibles_of(group))
     assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0) == wave_catalog
@@ -1035,7 +1039,7 @@ def test_wave_catalog_conjugate_redundancy(wave_catalog):
 
 
 def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_cal):
-    dirac_coeffs = dirac_operator(builtin_rep(s3_cls.group, "spinor"), levi_civita(s3_cal))
+    dirac_coeffs = dirac_operator(planar1(s3_cls.group), levi_civita(s3_cal))
     dirac_form = certify_blocks(dirac_coeffs, irreducibles(s3_cls.group))
     wave_coeffs = wave_operator(s3_cls)
     wave_spect = spectrum(assemble(wave_coeffs, s3_cls.group))
@@ -1044,7 +1048,7 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
         raise AssertionError("a representation was built before the refusal")
 
     # the refusal comes before any representation is built
-    monkeypatch.setattr(representations, "builtin_rep", built)
+    monkeypatch.setattr(representations.Representation, "__init__", built)
     monkeypatch.setattr(representations, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
         eigenmode_catalog(s3_cls, dirac_coeffs, dirac_form[0])
@@ -1084,7 +1088,7 @@ def s_class_catalogs(d6):
     dirac_cert = reporting.certify_dirac(differential_calculus(cls), 0)
     wave = wave_operator(cls)
     return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.form),
-            wave_eigenmode_catalog(cls, wave, certify(wave, cls)[1]))
+            wave_eigenmode_catalog(cls, wave, certify(wave, cls)))
 
 
 def _summary_row(catalog, value):
@@ -1190,7 +1194,7 @@ def test_block_catalogs_score_as_the_function_oracles(request, cal_name):
     assert eigenmode_catalog(cls, cert.coeffs, cert.form) == (
         function_eigenmode_catalog(cls, cert.coeffs, cert.spectrum))
     wave = wave_operator(cls)
-    spect = certify(wave, cls)[1]
+    spect = certify(wave, cls)
     assert wave_eigenmode_catalog(cls, wave, spect) == (
         function_wave_eigenmode_catalog(cls, wave, spect))
 
@@ -1199,18 +1203,22 @@ def test_block_catalogs_score_as_the_function_oracles(request, cal_name):
     relabelled(dihedral(6), 5)], ids=lambda g: g.name)
 def test_block_coordinates_of_the_catalog_representations(group):
     """The identities the catalogs declare their candidates by: the spinor
-    representation is planar1 and sign2 is diag(sign, trivial); on every
-    planar irreducible the sign character acts as conjugation by
-    D = diag(1, -1), chi(g) rho(g) = D rho(g) D, and complex conjugation as
-    conjugation by the swap J, conj rho(g) = J rho(g) J."""
+    planar1 is r^i -> diag(z^i, z^-i) for z = zeta_n and
+    s r^i -> J diag(z^i, z^-i) with J the swap, and sign2 is
+    diag(sign, trivial); on every planar irreducible the sign character
+    acts as conjugation by D = diag(1, -1), chi(g) rho(g) = D rho(g) D, and
+    complex conjugation as conjugation by J, conj rho(g) = J rho(g) J."""
     reps = {r.name: r for r in irreducibles(group)}
     chi = reps["sign"]
     d = Mat([[1, 0], [0, -1]])
     j = Mat([[0, 1], [1, 0]])
-    assert builtin_rep(group, "spinor").matrices == reps["planar1"].matrices
-    sign2 = builtin_rep(group, "sign2")
+    n = group.order // 2
+    for g, (flip, i) in enumerate(dihedral_structure(group)):
+        rotation = Mat([[cyclo(n, i), 0], [0, cyclo(n, -i)]])
+        assert reps["planar1"](g) == (j @ rotation if flip else rotation)
+    twisted = sign2(group)
     for g in range(group.order):
-        assert sign2(g) == Mat([[chi(g)[0, 0], 0], [0, 1]])
+        assert twisted(g) == Mat([[chi(g)[0, 0], 0], [0, 1]])
     planar = [r for r in reps.values() if r.dim == 2]
     assert planar
     for rho in planar:
@@ -1319,7 +1327,7 @@ def test_spectral_action_scale_validation(spect0):
 
 def test_s3_dirac_spectrum(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
-    rep = builtin_rep(s3_group, "spinor")
+    rep = planar1(s3_group)
     op = assemble(dirac_operator(rep, levi_civita(s3_cal)), s3_group)
     spect = spectrum(op)
     assert spect.pairs == ((rat(-3), 4), (rat(0), 4), (rat(3), 4))
@@ -1363,7 +1371,7 @@ def test_s3_times_cyclic_wave_spectrum_is_m_copies(s3_group, s3_wave_spectra, m,
 
 def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     from groupgeo.connections import levi_civita
-    rep = builtin_rep(s3_group, "spinor")
+    rep = planar1(s3_group)
     coeffs = dirac_operator(rep, levi_civita(s3_cal))
     op = assemble(coeffs, s3_group)
     form = certify_blocks(coeffs, irreducibles(s3_group))[0]

@@ -1,7 +1,7 @@
 """Whole-pipeline pins on figures that do not depend on timing: the report
 digests the benchmark records in ``perfbench/expected.json`` (read here,
-never written), and the number of cyclotomic scalars one D6 ``report-all``
-allocates."""
+never written), the number of cyclotomic scalars one D6 ``report-all``
+allocates, and the number of representations each spinor command builds."""
 
 import hashlib
 import json
@@ -10,7 +10,7 @@ import os
 import pytest
 
 from conftest import direct_product_cyclic
-from groupgeo import cyclotomic
+from groupgeo import cyclotomic, representations
 from groupgeo.cli import main
 from groupgeo.groups import dihedral
 from oracles import cayley_dict
@@ -71,3 +71,29 @@ def test_d6_report_all_allocates_a_bounded_number_of_scalars(monkeypatch, tmp_pa
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     # the hook sees the arithmetic, and the arithmetic stays under the ceiling
     assert 1000 < count <= D6_REPORT_ALL_SCALARS
+
+
+@pytest.mark.parametrize("group,cmd,mu,built", [
+    ("dihedral:6", "dirac", "0", 6),
+    ("dihedral:6", "spectral-action", "0", 6),
+    ("dihedral:6", "report-all", "0", 12),
+    ("dihedral:3", "dirac", "0", 3),
+    ("dihedral:6", "wave", "0", 6),
+    ("dihedral:6", "wave", "1", 0),
+], ids=str)
+def test_representations_built_per_command(monkeypatch, tmp_path, group, cmd, mu, built):
+    """The Dirac certificate builds the irreducibles once and takes the
+    spinor from them; the wave catalog, at mu = 0 only, builds them once
+    more."""
+    count = 0
+    init = representations.Representation.__init__
+
+    def counted(*args, **kwargs):
+        nonlocal count
+        count += 1
+        init(*args, **kwargs)
+
+    monkeypatch.setattr(representations.Representation, "__init__", counted)
+    argv = ["--group", group, "--class", "sr", f"--mu={mu}", "--cmd", cmd]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert count == built

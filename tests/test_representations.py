@@ -10,11 +10,7 @@ from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import dihedral
 from groupgeo.linalg import Mat
-from groupgeo.representations import (
-    Representation,
-    builtin_rep,
-    irreducibles,
-)
+from groupgeo.representations import Representation, irreducibles
 from oracles import (
     character,
     conj_entries,
@@ -24,7 +20,9 @@ from oracles import (
     matrix_element,
     peter_weyl_matrix,
     peter_weyl_rank,
+    planar1,
     rank,
+    sign2,
 )
 
 
@@ -50,22 +48,17 @@ def test_spinor_unitary(d6, rep_d6):
 
 
 def test_sign2_values(d6):
-    rep = builtin_rep(d6, "sign2")
+    rep = sign2(d6)
     assert rep(d6.index("r")) == Mat.identity(2)
     assert rep(d6.index("s")) == Mat([[-1, 0], [0, 1]])
     assert rep(d6.index("sr3")) == Mat([[-1, 0], [0, 1]])
-
-
-def test_unknown_builtin_name(d6):
-    with pytest.raises(UnsupportedGroupError, match="no built-in"):
-        builtin_rep(d6, "mystery")
 
 
 def test_non_dihedral_group_rejected():
     from groupgeo.groups import FiniteGroup
     z3 = FiniteGroup(["e", "a", "b"], [[0, 1, 2], [1, 2, 0], [2, 0, 1]], name="z3")
     with pytest.raises(UnsupportedGroupError, match="no dihedral presentation"):
-        builtin_rep(z3, "spinor")
+        irreducibles(z3)
 
 
 def test_irreducible_catalog_of_d6(d6):
@@ -100,7 +93,7 @@ def test_irreducible_catalog_of_d3():
 
 
 def test_spinor_on_loaded_cayley_group(s3_group, s3_cls):
-    rep = builtin_rep(s3_group, "spinor")
+    rep = planar1(s3_group)
     assert rep.dim == 2
     total = Mat.zeros(2, 2)
     for a in s3_cls:
@@ -115,7 +108,7 @@ def test_homomorphism_check_rejects_garbage(d6):
 
 
 def _reps_to_perturb(group):
-    return [builtin_rep(group, "spinor"), builtin_rep(group, "sign2")] + [
+    return [sign2(group)] + [
         rep for rep in irreducibles(group) if rep.name.startswith("planar")]
 
 
@@ -174,8 +167,9 @@ def test_homomorphism_check_costs_generators_times_order_products(monkeypatch, d
             products.append((self.nrows, other.ncols))
         return matmul(self, other)
 
+    spinor = planar1(d6).matrices
     monkeypatch.setattr(Mat, "__matmul__", counted)
-    rep = builtin_rep(d6, "spinor")
+    rep = Representation(d6, spinor, name="spinor")
     # S = (r, s): 2 x 12 products instead of all 144 pairs
     assert len(products) == len(d6.generators) * d6.order == 24
     # the conjugate representation runs the same check

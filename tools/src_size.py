@@ -1,5 +1,7 @@
 """Print the size of the package source: its line count and its AST node
-count, every module, class and function docstring blanked.  Then, for each
+count, every module, class and function docstring blanked, in total and
+for each module, so that two runs name the modules that grew or shrank.
+Then, for each
 command the package's cli lists (cli.COMMANDS) on dihedral:6 at mu = 0 and
 mu = -1/3, the package modules the command loads and their summed line
 count, the package __init__ included.
@@ -50,21 +52,17 @@ def blank_docstrings(tree: ast.AST) -> ast.AST:
     return tree
 
 
-def source_size(package: str) -> tuple[int, int]:
-    """(lines, AST nodes) summed over the package's .py files."""
-    lines = nodes = 0
+def module_sizes(package: str) -> dict[str, tuple[int, int]]:
+    """(lines, AST nodes) of each of the package's .py files, by module
+    name."""
+    sizes = {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 text = fh.read()
-            lines += len(text.splitlines())
-            nodes += sum(1 for _ in ast.walk(blank_docstrings(ast.parse(text))))
-    return lines, nodes
-
-
-def line_count(path: str) -> int:
-    with open(path, encoding="utf-8") as fh:
-        return len(fh.read().splitlines())
+            sizes[name[:-3]] = (len(text.splitlines()),
+                                sum(1 for _ in ast.walk(blank_docstrings(ast.parse(text)))))
+    return sizes
 
 
 def _fresh(package: str, code: str, *argv: str):
@@ -87,15 +85,16 @@ def command_loads(package: str, cmd: str, mu: str) -> tuple[int, list[str]]:
 def main(argv: list[str]) -> int:
     here = os.path.dirname(os.path.abspath(__file__))
     package = argv[0] if argv else os.path.join(here, os.pardir, "src", "groupgeo")
-    lines, nodes = source_size(package)
-    print(f"lines {lines}")
-    print(f"ast_nodes {nodes}")
+    sizes = module_sizes(package)
+    print(f"lines {sum(lines for lines, _ in sizes.values())}")
+    print(f"ast_nodes {sum(nodes for _, nodes in sizes.values())}")
+    for name, (lines, nodes) in sizes.items():
+        print(f"module {name} lines {lines} ast_nodes {nodes}")
     commands = _fresh(package, _COMMANDS)
     for mu in MUS:
         for cmd in commands:
             code, modules = command_loads(package, cmd, mu)
-            loaded = sum(line_count(os.path.join(package, f"{name}.py"))
-                         for name in ["__init__"] + modules)
+            loaded = sum(sizes[name][0] for name in ["__init__"] + modules)
             print(f"loads dihedral:6 mu={mu} {cmd} exit {code} lines {loaded} "
                   f"modules {' '.join(modules)}")
     return 0
