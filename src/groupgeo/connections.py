@@ -174,8 +174,8 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     that d e_a, being left-invariant, gives every group element, so the
     particular solution is constant.  It is the system on K = {e}, and the
     dense kernel basis is, vector for vector, each factor-kernel vector
-    lifted by linalg.coset_lift over the single coset (h,) for h in
-    ascending order, factor vector slowest.
+    placed at the single element h, for h in ascending order, factor
+    vector slowest.
     """
     cal = calculus
     m = cal.n_members

@@ -22,14 +22,14 @@ exterior derivatives of the basis forms themselves), which is the
 normalisation that makes the distinguished connection Ricci-flat.
 
 The Ricci-flat chart members solve an exact linear system that commutes
-with left translation and reads only structure constants inside
-H = <C>: a group-algebra element in the coefficient form of linalg.  On G
-it is [G:H] copies, one per left coset gH, of the same system on the
-calculus of (H, C), so ricci_system builds its coefficients on that
-calculus and linalg.solve_lifted solves the block and lifts the solution
-over the cosets, in the basis the dense solve on G gives (see Serre,
-Linear Representations of Finite Groups, section 7, on restriction and
-induction).
+with left translation, has a constant right-hand side and reads only
+structure constants inside H = <C>: a group-algebra element in the
+coefficient form of linalg.  So ricci_system builds its coefficients on
+the calculus of (H, C), and linalg.solve_invariant finds a constant
+solution and the kernel dimension on H.  On G the system is [G:H]
+copies, one per left coset gH, of the system on H, so its kernel is
+[G:H] times as large (see Serre, Linear Representations of Finite
+Groups, section 7, on restriction and induction).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
 from .connections import Connection, chart_connection
 from .cyclotomic import rat
 from .groups import FiniteGroup, require_chart_class
-from .linalg import Mat, solve_lifted
+from .linalg import Mat, solve_invariant
 
 LIFT_VARIANTS = ("canonical", "braided")
 
@@ -255,37 +255,30 @@ def subgroup_calculus(calculus: Calculus) -> Calculus:
     return sub_cal
 
 
-def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, list]]:
-    """Solve for all chart parameter triples with vanishing Ricci, once per
+def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
+    """Solve for the chart parameter triples with vanishing Ricci, once per
     lift variant, keyed as in LIFT_VARIANTS.
 
     Ricci is affine in the three parameter functions, so this is an exact
-    linear solve in 3|G| scalars, chart constraint included.  Every
+    linear system in 3|G| scalars, chart constraint included.  Every
     structure constant it reads lies in H = <C>, so the coefficients of
     both variants come from one ricci_system call on subgroup_calculus,
-    re-keyed by the elements of H in G, and linalg.solve_lifted solves
-    their block, 10|H| rows by 3|H| unknowns, and lifts it to G in the
-    basis the dense solve gives.  The expected outcome for the supported
-    classes is a single isolated triple; without the constraint the
-    solution set would pick up the constant shifts that leave the relative
-    curvature unchanged.
+    and linalg.solve_invariant solves them on constants, 10 rows by 3
+    unknowns, and reduces their block on H, 10|H| rows by 3|H| unknowns,
+    for its kernel dimension, whatever |G| is.  The expected outcome for
+    the supported classes is a single isolated triple; without the
+    constraint the solution set would pick up the constant shifts that
+    leave the relative curvature unchanged.
 
-    Each entry is (particular, kernel) where particular is a parameter
-    triple and kernel is a basis of homogeneous triples.
+    Each entry is (parameters, kernel_dimension): a constant parameter
+    triple solving the system and the dimension of the homogeneous
+    solutions on G, [G:H] times that on H.
     """
     require_chart_class(calculus.cls)
-    cls = calculus.cls
-    grp = cls.group
-    order = grp.order
-    elements = cls.generated_subgroup()
-
-    def params_from_vec(vec):
-        return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
-                     for i in range(3))
-
+    sub = subgroup_calculus(calculus)
+    copies = calculus.group.order // sub.group.order
     solves = {}
-    for variant, (coeffs, rhs) in ricci_system(subgroup_calculus(calculus)).items():
-        particular, kern = solve_lifted({elements[h]: m for h, m in coeffs.items()},
-                                        rhs, cls)
-        solves[variant] = (params_from_vec(particular), [params_from_vec(v) for v in kern])
+    for variant, (coeffs, rhs) in ricci_system(sub).items():
+        constant, nullity = solve_invariant(coeffs, rhs, sub.group)
+        solves[variant] = (tuple(calculus.constant(x) for x in constant), nullity * copies)
     return solves

@@ -292,7 +292,7 @@ def certify(coeffs: Mapping[int, Mat], C: ConjClass) -> Spectrum:
 
     Every h must lie in H.  The operator commutes with left translation and
     keeps each left coset gH to itself, so it is [G:H] copies of the block
-    (each block eigenvector, carried to a coset by linalg.coset_lift, is an
+    (each block eigenvector, carried to a coset by left translation, is an
     eigenvector of the operator).  The spectrum counts each of the block's
     multiplicities [G:H] times; an incomplete block spectrum is reported
     with the operator's numbers.

@@ -18,9 +18,8 @@ its conjugation orbit; otherwise ascending element index.  Beside that
 order it builds, once, the two tables every layer reads: ad[i][j], the
 position of c_i c_j c_i^-1, and products[i][j], the element c_i c_j.  A
 conjugate x = c^-1 a c is read as a = ad[c][x], so no inverse is needed.
-It also gives the subgroup H = <C> it generates and the left cosets of H,
-the element sets on which linalg assembles a left-covariant operator's
-block and lifts its solutions.
+It also gives the subgroup H = <C> it generates, on which the layers
+build a left-covariant operator's block.
 
 Preconditions.  Every refusal that depends on the input alone is stated
 here, so the command line can run it before it imports a layer: a calculus
@@ -266,22 +265,6 @@ class ConjClass:
         """The elements of H = <C> in ascending order, so the identity
         comes first."""
         return sorted(_right_closure(self.group.table, self.members))
-
-    def left_cosets(self) -> list[tuple[int, ...]]:
-        """The left cosets gH of H = <C>, g the least element of its coset,
-        in ascending order of g.  Each coset lists g h for h in the order of
-        generated_subgroup(), so it starts with g, and position p of every
-        coset is the left translate of the subgroup's position p."""
-        group = self.group
-        subgroup = self.generated_subgroup()
-        cosets: list[tuple[int, ...]] = []
-        covered: set[int] = set()
-        for g in range(group.order):
-            if g not in covered:
-                coset = tuple(group.mul(g, h) for h in subgroup)
-                cosets.append(coset)
-                covered.update(coset)
-        return cosets
 
     def __contains__(self, element: int) -> bool:
         return element in self.members

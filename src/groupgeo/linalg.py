@@ -22,10 +22,9 @@ right translations, and this module alone knows the layout of their
 coefficient form {h: M_h} on functions: on functions on K, the p-th
 element of K in component i is index i*|K| + p (dirac.irreducible_blocks
 reads the same coefficients in the coordinates of matrix coefficients).
-With every h in H = <C> such an operator is [G:H] copies of its block on
-H, one per left coset; coset_lift and solve_lifted carry the block's
-solutions to G (induction: Serre, Linear Representations of Finite
-Groups, section 7).
+Such an operator commutes with left translation, so with a constant
+right-hand side solve_invariant finds a constant solution from
+sum_h M_h alone and counts the kernel from the operator's rank.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic, dot, rat, submul
 from .errors import InfeasibleSystemError
-from .groups import ConjClass, FiniteGroup
+from .groups import FiniteGroup
 
 Scalar = Cyclotomic
 Vector = list
@@ -286,50 +285,22 @@ def is_hermitian(coeffs: Mapping[int, Mat], group: FiniteGroup) -> bool:
     return same_element(coeffs, {group.inv(h): m.conj_transpose() for h, m in coeffs.items()})
 
 
-def coset_lift(vec: Sequence, cosets: Sequence[Sequence[int]], order: int) -> list:
-    """Carry a vector on a subgroup K to the group of the given order by
-    left translation over the given left cosets of K, each listing g k for
-    k in K in order: entry i*|G| + coset[p] of the result is
-    vec[i*|K| + p] on every given coset, and zero off them.  A solution of
-    a left-covariant system lifted over one coset is a solution, and over
-    all of them its induced copy.
+def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence,
+                    group: FiniteGroup) -> tuple[Vector, int]:
+    """A constant solution c of S x = b and the dimension of the kernel of
+    S, for S = assemble(coeffs, group) and b holding rhs[i] at every
+    element in row component i: x holds c[j] at every element in
+    component j.
+
+    S commutes with every left translation L_g and b is constant, so if x
+    solves S x = b then so does each L_g x, and so does their mean over g,
+    which is constant.  As S maps the constant holding c to the constant
+    holding (sum_h M_h) c, solve_affine on (sum_h M_h) c = rhs, nrows x
+    ncols, raises InfeasibleSystemError exactly when it would on S, and c
+    sets its free entries to zero.  The kernel of S has dimension
+    |G| ncols less the rank of S.
     """
-    k = len(cosets[0])
-    out = [rat(0)] * (len(vec) // k * order)
-    for start in range(0, len(vec), k):
-        base = start // k * order
-        for coset in cosets:
-            for p, x in enumerate(coset):
-                out[base + x] = vec[start + p]
-    return out
-
-
-def solve_lifted(coeffs: Mapping[int, Mat], rhs: Sequence,
-                 cls: ConjClass) -> tuple[Vector, list[Vector]]:
-    """All solutions of assemble(coeffs, G) x = b, b holding rhs[i] at
-    every element in row component i, in the form solve_affine gives on G,
-    from the system's block on H = <C>; every h must lie in H.
-
-    The block's particular solution is lifted over every coset, and each
-    kernel vector over each coset.  solve_affine's kernel basis on G is
-    the free-column basis of the dense RREF: column j is free exactly when
-    some kernel vector ends at j, so reducing the lifted kernel with its
-    columns reversed gives that basis, and subtracting it clears the
-    particular solution's free columns.
-    """
-    subgroup = cls.generated_subgroup()
-    cosets = cls.left_cosets()
-    n = cls.group.order
-    particular, kernel = solve_affine(assemble(coeffs, cls.group, subgroup),
-                                      [b for b in rhs for _ in subgroup])
-    particular = coset_lift(particular, cosets, n)
-    lifted = [coset_lift(vec, [coset], n) for vec in kernel for coset in cosets]
-    if not lifted:
-        return particular, []
-    red, pivots = rref(Mat([vec[::-1] for vec in lifted]))
-    basis = [list(row[::-1]) for row in reversed(red.rows[:len(pivots)])]
-    for col, vec in zip(reversed(pivots), basis):
-        c = particular[-1 - col]
-        if c:
-            particular = [a - c * b for a, b in zip(particular, vec)]
-    return particular, basis
+    blocks = list(coeffs.values())
+    constant, _ = solve_affine(sum(blocks[1:], blocks[0]), rhs)
+    op = assemble(coeffs, group)
+    return constant, op.ncols - len(rref(op)[1])

@@ -359,8 +359,7 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
         "sum_of_components_vanishes": sum_ok,
         "constant_regular_scan": [tuple(p(0) for p in lc.parameters)],
         "levi_civita": {
-            "parameters": None if lc.parameters is None else [
-                p.values for p in lc.parameters],
+            "parameters": [p.values for p in lc.parameters],
             "components": {
                 cal.cls.labels()[pos]: one_form_json(comp)
                 for pos, comp in enumerate(lc.components)
@@ -418,11 +417,11 @@ def ricci_report(cal: Calculus) -> dict:
             "tensor": tensor_json(tensor),
             "zero": tensor.is_zero(),
         }
-        params, kernel = solves[variant]
+        params, kernel_dimension = solves[variant]
         out["flat_solve"][variant] = {
             "parameters": [p.values for p in params],
-            "kernel_dimension": len(kernel),
-            "unique": len(kernel) == 0,
+            "kernel_dimension": kernel_dimension,
+            "unique": kernel_dimension == 0,
         }
     return out
 

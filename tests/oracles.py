@@ -51,8 +51,7 @@ from groupgeo.cyclotomic import Cyclotomic, dot, rat
 from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup, dihedral_structure
-from groupgeo.linalg import (Mat, as_scalar, assemble, coset_lift, inverse, kernel_basis, rref,
-                            solve_affine)
+from groupgeo.linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref, solve_affine
 from groupgeo.representations import Representation, irreducibles
 
 _ZERO = rat(0)
@@ -508,8 +507,43 @@ def apply(coeffs, group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
 def dense_system(coeffs, rhs, group: FiniteGroup) -> tuple[Mat, list]:
     """The system assemble(coeffs, group) x = b on all of G, b holding the
     constant rhs[i] at every element in row component i: what
-    linalg.solve_lifted solves from its block on H."""
+    linalg.solve_invariant solves on constants."""
     return assemble(coeffs, group), [as_scalar(b) for b in rhs for _ in range(group.order)]
+
+
+def left_cosets(cls: ConjClass) -> list[tuple[int, ...]]:
+    """The left cosets gH of H = <C>, g the least element of its coset, in
+    ascending order of g.  Each coset lists g h for h in the order of
+    generated_subgroup(), so it starts with g, and position p of every
+    coset is the left translate of the subgroup's position p."""
+    group = cls.group
+    subgroup = cls.generated_subgroup()
+    cosets: list[tuple[int, ...]] = []
+    covered: set[int] = set()
+    for g in range(group.order):
+        if g not in covered:
+            coset = tuple(group.mul(g, h) for h in subgroup)
+            cosets.append(coset)
+            covered.update(coset)
+    return cosets
+
+
+def coset_lift(vec: Sequence, cosets: Sequence[Sequence[int]], order: int) -> list:
+    """Carry a vector on a subgroup K to the group of the given order by
+    left translation over the given left cosets of K, each listing g k for
+    k in K in order: entry i*|G| + coset[p] of the result is
+    vec[i*|K| + p] on every given coset, and zero off them.  A solution of
+    a left-covariant system lifted over one coset is a solution, and over
+    all of them its induced copy.
+    """
+    k = len(cosets[0])
+    out = [rat(0)] * (len(vec) // k * order)
+    for start in range(0, len(vec), k):
+        base = start // k * order
+        for coset in cosets:
+            for p, x in enumerate(coset):
+                out[base + x] = vec[start + p]
+    return out
 
 
 def torsion_family_members(calculus: Calculus, directions) -> list[list[OneForm]]:

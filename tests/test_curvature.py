@@ -27,7 +27,7 @@ from groupgeo.cyclotomic import rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import conjugacy_class, dihedral
 from oracles import curvature_of, dense_system, rank, riemann
-from groupgeo.linalg import Mat, same_element, solve_affine, solve_lifted
+from groupgeo.linalg import Mat, same_element, solve_affine
 
 
 def _basis_two_form(cal, k):
@@ -128,8 +128,8 @@ def test_off_distinguished_chart_is_not_ricci_flat(cal_d6):
 
 def test_ricci_flat_solve_unique_with_constraint(ricci_solve_d6, cal_d6):
     for variant in ("canonical", "braided"):
-        particular, kernel = ricci_solve_d6[variant]
-        assert kernel == []
+        particular, kernel_dimension = ricci_solve_d6[variant]
+        assert kernel_dimension == 0
         for func in particular:
             assert func == cal_d6.constant(Fraction(-1, 3))
 
@@ -280,39 +280,55 @@ def test_ricci_system_is_keyed_by_e_and_the_class(h_block_cal):
 
 @pytest.mark.parametrize("variant", LIFT_VARIANTS)
 def test_ricci_flat_solve_equals_dense_solve(h_block_cal, variant):
-    particular, kernel = ricci_flat_solve(h_block_cal)[variant]
-    dense = solve_affine(*dense_system(*ricci_system(h_block_cal)[variant], h_block_cal.group))
-    assert (_flat(particular), [_flat(v) for v in kernel]) == dense
+    # the dense solution is unique, so it is the constant one
+    particular, kernel_dimension = ricci_flat_solve(h_block_cal)[variant]
+    dense, kernel = solve_affine(*dense_system(*ricci_system(h_block_cal)[variant],
+                                               h_block_cal.group))
+    assert kernel == []
+    assert (_flat(particular), kernel_dimension) == (dense, 0)
 
 
-def _unconstrained_h_block_solve(cal, variant):
-    """The Ricci-flat solve without the chart constraint on H, lifted to G."""
-    elements = cal.cls.generated_subgroup()
-    coeffs, rhs = _unconstrained(ricci_system(subgroup_calculus(cal))[variant])
-    particular, kernel = solve_lifted({elements[h]: m for h, m in coeffs.items()}, rhs, cal.cls)
-    assert kernel
-    return particular, kernel
+@pytest.fixture
+def unconstrained_h_block_solve(monkeypatch):
+    """ricci_flat_solve on the Ricci system without the chart constraint,
+    which has a kernel: the parameters as one vector on G, and the kernel
+    dimension on G."""
+    real = curvature.ricci_system
+    monkeypatch.setattr(curvature, "ricci_system", lambda cal: {
+        variant: _unconstrained(system) for variant, system in real(cal).items()})
+
+    def solve(cal, variant):
+        params, kernel_dimension = ricci_flat_solve(cal)[variant]
+        assert kernel_dimension
+        return _flat(params), kernel_dimension
+    return solve
 
 
 @pytest.mark.parametrize("variant", LIFT_VARIANTS)
-def test_lift_solution_reduces_a_kernel_to_the_dense_basis(h_block_cal, variant):
-    # the lifted kernel matches the dense one vector for vector only after
-    # the free-column reduction
-    particular, kernel = _unconstrained_h_block_solve(h_block_cal, variant)
-    dense_particular, dense_kernel = _unconstrained_ricci_flat_solve(h_block_cal, variant)
-    assert particular == _flat(dense_particular)
-    assert kernel == [_flat(v) for v in dense_kernel]
+def test_lift_solution_reduces_a_kernel_to_the_dense_basis(h_block_cal, variant,
+                                                           unconstrained_h_block_solve):
+    # with a kernel the dense solve's particular solution follows its free
+    # columns; the constant one solves the same system, and the kernel on
+    # H, counted once per coset, has the size of the dense kernel basis
+    particular, kernel_dimension = unconstrained_h_block_solve(h_block_cal, variant)
+    op, b = dense_system(*_unconstrained(ricci_system(h_block_cal)[variant]), h_block_cal.group)
+    assert op @ particular == b
+    assert kernel_dimension == len(_unconstrained_ricci_flat_solve(h_block_cal, variant)[1])
 
 
 @pytest.mark.parametrize("build,kernel_dimension", [
     (lambda: dihedral(6), 4),
     (lambda: direct_product_cyclic(dihedral(6), 2), 8),
 ], ids=["d6", "d6xz2"])
-def test_unconstrained_kernel_is_one_copy_per_coset(build, kernel_dimension):
-    # the kernel on H has dimension 2
-    cal = _calculus_of(build())
-    _, kernel = _unconstrained_h_block_solve(cal, "canonical")
-    assert len(kernel) == kernel_dimension == 2 * len(cal.cls.left_cosets())
+def test_unconstrained_kernel_is_one_copy_per_coset(build, kernel_dimension,
+                                                   unconstrained_h_block_solve):
+    # the kernel on H has dimension 2, and the constant solution does not
+    # depend on how the elements are numbered
+    natural = unconstrained_h_block_solve(_calculus_of(build()), "canonical")
+    assert natural[1] == kernel_dimension
+    for seed in (3, 29, 8):
+        assert unconstrained_h_block_solve(
+            _calculus_of(relabelled(build(), seed)), "canonical") == natural
 
 
 @pytest.mark.parametrize("build,rep", [
@@ -334,13 +350,13 @@ def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, bui
     monkeypatch.setattr(linalg, "rref", recording_rref)
     solves = ricci_flat_solve(cal)
     assert list(solves) == list(LIFT_VARIANTS)
-    for particular, kernel in solves.values():
-        assert kernel == []
+    for particular, kernel_dimension in solves.values():
+        assert kernel_dimension == 0
         assert all(f == cal.constant(Fraction(-1, 3)) for f in particular)
-    # 10|H| rows by 3|H| unknowns and the right-hand side, |H| = 6
+    # per variant, 10 rows by 3 unknowns and the right-hand side on
+    # constants, and the block on H, 10|H| rows by 3|H| unknowns, |H| = 6
     assert len(cal.cls.generated_subgroup()) == 6
-    assert max(rows for rows, _ in shapes) == 60
-    assert max(cols for _, cols in shapes) == 19
+    assert shapes == [(10, 4), (60, 18)] * len(LIFT_VARIANTS)
 
 
 def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatch):
@@ -396,8 +412,8 @@ def _label_free_layers(group) -> dict:
         "family_dimension": report["torsion_free_family_dimension"],
         "sum_of_components_vanishes": report["sum_of_components_vanishes"],
     }
-    for variant, (params, kernel) in ricci_flat_solve(cal).items():
-        out[variant] = ([by_name(p) for p in params], len(kernel))
+    for variant, (params, kernel_dimension) in ricci_flat_solve(cal).items():
+        out[variant] = ([by_name(p) for p in params], kernel_dimension)
     return out
 
 

@@ -46,7 +46,7 @@ from groupgeo.errors import (
     UnsupportedGroupError,
 )
 from groupgeo.groups import conjugacy_class, dihedral, dihedral_structure
-from groupgeo.linalg import Mat, assemble, coset_lift, is_hermitian, kernel_basis, same_element
+from groupgeo.linalg import Mat, assemble, is_hermitian, kernel_basis, same_element
 from groupgeo.representations import irreducibles
 from oracles import (
     apply,
@@ -54,6 +54,7 @@ from oracles import (
     block_matrix,
     class_translation_sum,
     coframe_coefficients,
+    coset_lift,
     dense_chirality,
     dense_dirac_operator,
     dense_wave_operator,
@@ -62,6 +63,7 @@ from oracles import (
     function_wave_eigenmode_catalog,
     grading_on_group,
     kron,
+    left_cosets,
     matrix_element,
     metric_tensor,
     minimal_polynomial,
@@ -583,7 +585,7 @@ def _assert_block_certifies(op, coeffs, cls, dense):
     for value in spect.multiplicities:
         basis = kernel_basis(block - Mat.identity(block.nrows) * value)
         lifted = [coset_lift(vec, [coset], cls.group.order)
-                  for coset in cls.left_cosets() for vec in basis]
+                  for coset in left_cosets(cls) for vec in basis]
         assert rank(Mat(lifted)) == len(lifted) == spect.multiplicity(value)
         for vec in lifted:
             assert op @ vec == [value * x for x in vec]

@@ -1,5 +1,6 @@
 """Exact linear algebra over cyclotomic fields."""
 
+import os
 import random
 import re
 from fractions import Fraction
@@ -7,22 +8,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dicyclic3, direct_product_cyclic, relabelled
+from conftest import DATA_DIR, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo.cyclotomic import Cyclotomic, cyclo, rat
 from groupgeo.errors import InfeasibleSystemError
-from groupgeo.groups import conjugacy_class, dihedral
+from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.linalg import (
     Mat,
     assemble,
-    coset_lift,
     inverse,
     kernel_basis,
     rref,
     solve_affine,
-    solve_lifted,
+    solve_invariant,
 )
-from oracles import (FractionCyclotomic, apply, dense_system, eval_poly, kron, oracle_rref, rank,
-                     unfused_rref, vec_is_zero)
+from oracles import (FractionCyclotomic, apply, dense_system, eval_poly, kron, left_cosets,
+                     oracle_rref, rank, unfused_rref, vec_is_zero)
 
 
 def _random_mat(rng, n, m, order=6):
@@ -339,12 +339,38 @@ def test_block_on_h_is_the_operator_on_g_restricted(data, nrows, ncols):
     assert apply(coeffs, group, vec) == op @ vec
 
 
+def _subgroup(cls):
+    """H = <C> as a group of its own, and its elements in G in ascending
+    order: element p of H is elements[p] of G."""
+    group, elements = cls.group, cls.generated_subgroup()
+    pos = {g: p for p, g in enumerate(elements)}
+    return FiniteGroup([group.label(g) for g in elements],
+                       [[pos[group.mul(a, b)] for b in elements] for a in elements]), elements
+
+
+# H of index 2 on D6 and on a D6 table that lists the second coset of H out
+# of index order, and of index 1 on S3
+INVARIANT_CLASSES = [conjugacy_class(dihedral(6), "sr"),
+                     conjugacy_class(relabelled(dihedral(6), 0), "sr"),
+                     conjugacy_class(FiniteGroup.from_json_file(
+                         os.path.join(DATA_DIR, "s3_cayley.json")), "u")]
+
+
+def test_a_relabelled_d6_lists_a_coset_of_h_out_of_order():
+    assert any(list(coset) != sorted(coset) for coset in left_cosets(INVARIANT_CLASSES[1]))
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data(), nrows=st.integers(1, 3), ncols=st.integers(1, 3),
        consistent=st.booleans())
-def test_solve_lifted_matches_the_dense_solve(data, nrows, ncols, consistent):
-    cls = data.draw(st.sampled_from(CLASSES))
-    coeffs = data.draw(st.dictionaries(st.sampled_from(cls.generated_subgroup()),
+def test_solve_invariant_matches_the_dense_solve(data, nrows, ncols, consistent):
+    """solve_invariant on the block over H agrees with solve_affine on the
+    system over G: both find a solution or neither does, the constant
+    solution solves the system on G, and the kernel on G is [G:H] copies
+    of the kernel on H."""
+    cls = data.draw(st.sampled_from(INVARIANT_CLASSES))
+    sub, elements = _subgroup(cls)
+    coeffs = data.draw(st.dictionaries(st.integers(0, sub.order - 1),
                                        _matrices(nrows, ncols, _RATIONALS), min_size=1))
     if consistent:
         # a constant x is carried to the constant (sum_h M_h) x
@@ -354,31 +380,16 @@ def test_solve_lifted_matches_the_dense_solve(data, nrows, ncols, consistent):
         rhs = total @ data.draw(st.lists(_RATIONALS, min_size=ncols, max_size=ncols))
     else:
         rhs = data.draw(st.lists(_RATIONALS, min_size=nrows, max_size=nrows))
+    group = cls.group
+    op, b = dense_system({elements[h]: m for h, m in coeffs.items()}, rhs, group)
     try:
-        dense = solve_affine(*dense_system(coeffs, rhs, cls.group))
+        _, dense_kernel = solve_affine(op, b)
     except InfeasibleSystemError:
         assert not consistent
         with pytest.raises(InfeasibleSystemError):
-            solve_lifted(coeffs, rhs, cls)
+            solve_invariant(coeffs, rhs, sub)
         return
-    assert solve_lifted(coeffs, rhs, cls) == dense
-
-
-def test_solve_lifted_re_reduces_the_kernel_over_an_unordered_coset():
-    """A left-covariant system whose block on H has a kernel, on a D6 table
-    that lists the second coset of H out of index order: the lifted kernel
-    is re-reduced to solve_affine's free-column basis on G, and the lifted
-    particular solution has its free columns cleared."""
-    group = relabelled(dihedral(6), 0)
-    cls = conjugacy_class(group, "sr")
-    assert any(list(coset) != sorted(coset) for coset in cls.left_cosets())
-    coeffs = {group.index("sr"): Mat([[-1, 0]]), group.index("sr3"): Mat([[1, 0]]),
-              0: Mat([[0, 2]])}
-    subgroup = cls.generated_subgroup()
-    block_particular, block_kernel = solve_affine(assemble(coeffs, group, subgroup),
-                                                  [rat(-1)] * len(subgroup))
-    assert len(block_kernel) == 6
-    particular, kernel = solve_lifted(coeffs, [-1], cls)
-    assert (particular, kernel) == solve_affine(*dense_system(coeffs, [-1], group))
-    assert len(kernel) == 12
-    assert coset_lift(block_particular, cls.left_cosets(), group.order) != particular
+    constant, nullity = solve_invariant(coeffs, rhs, sub)
+    assert len(constant) == ncols
+    assert op @ [c for c in constant for _ in range(group.order)] == b
+    assert nullity * (group.order // sub.order) == len(dense_kernel)
