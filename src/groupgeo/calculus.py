@@ -165,8 +165,12 @@ class Calculus:
         self.circulant = cls.circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
+        # memos filled on first use, each living as long as the calculus:
+        # the differentials of the basis, the distinguished connection
+        # (connections.levi_civita) and each lift variant's table (curvature.lift)
         self._theta = self._levi_civita = None
         self._de_cache: dict[int, TwoForm] = {}
+        self._lift_tables = {}
 
     # -- quotient structure ------------------------------------------------
 

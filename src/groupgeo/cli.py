@@ -55,9 +55,10 @@ MAX_MU_LENGTH = 2000
 # its length before the file system is asked about it
 MAX_OUT_LENGTH = 4096
 
-# a plain rational or decimal; exponents are refused because Fraction
-# would expand "1e999999999" into a billion-digit integer first
-_MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)")
+# a plain rational or decimal in ASCII digits; exponents are refused
+# because Fraction would expand "1e999999999" into a billion-digit integer
+# first, and other scripts' digits because Fraction reads them too
+_MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
 # the checks each command's layers make of the input alone, in the order
 # they make them; an input one of them refuses is refused before any layer

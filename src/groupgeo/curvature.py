@@ -17,16 +17,24 @@ two lifts are provided:
     well defined because the relation space is exactly the braiding-fixed
     subspace, but is not a section of the wedge.
 
+Each variant's lift table is built once per calculus and kept on it.
+
 Ricci contracts the lifted curvature relative to the flat background (the
 exterior derivatives of the basis forms themselves), which is the
-normalisation that makes the distinguished connection Ricci-flat.
+normalisation that makes the distinguished connection Ricci-flat.  One
+ricci call computes the relative curvature once and gives the tensor of
+both lift variants.
 
 The Ricci-flat chart members solve an exact linear system that commutes
 with left translation, has a constant right-hand side and reads only
 structure constants inside H = <C>: a group-algebra element in the
-coefficient form of linalg.  So ricci_system builds its coefficients on
-the calculus of (H, C), and linalg.solve_invariant finds a constant
-solution and the kernel dimension on H.  On G the system is [G:H]
+coefficient form of linalg.  The zero chart, A_a = e_a, has vanishing
+relative curvature, so Ricci is linear in the chart parameters and three
+chart evaluations, one per parameter at delta_e, state the system of both
+variants; the right-hand side is the chart constraint's alone.  So
+ricci_system builds its coefficients on the calculus of (H, C), and
+linalg.solve_invariant finds a constant solution and the kernel dimension
+on H.  On G the system is [G:H]
 copies, one per left coset gH, of the system on H, so its kernel is
 [G:H] times as large (see Serre, Linear Representations of Finite
 Groups, section 7, on restriction and induction).
@@ -89,15 +97,16 @@ def curvature_forms(conn: Connection) -> list[TwoForm]:
     F_a = dA_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c)."""
     cal = conn.calculus
     cls = cal.cls
+    comps = conn.components
     out = []
-    for apos, a in enumerate(cls.members):
-        f = cal.d_one_form(conn.components[apos])
-        for cpos, row in enumerate(cls.products):
-            for dpos, cd in enumerate(row):
+    for a, comp_a in zip(cls.members, comps):
+        f = cal.d_one_form(comp_a)
+        for comp_c, row in zip(comps, cls.products):
+            for comp_d, cd in zip(comps, row):
                 if cd == a:
-                    f = f + cal.wedge(conn.components[cpos], conn.components[dpos])
-            f = f - cal.wedge(conn.components[cpos], conn.components[apos])
-            f = f - cal.wedge(conn.components[apos], conn.components[cpos])
+                    f = f + cal.wedge(comp_c, comp_d)
+            f = f - cal.wedge(comp_c, comp_a)
+            f = f - cal.wedge(comp_a, comp_c)
         out.append(f)
     return out
 
@@ -107,8 +116,8 @@ def relative_curvature(conn: Connection) -> list[TwoForm]:
     connection with vanishing component sum the quadratic terms of the
     component curvature cancel, leaving dA_a - de_a."""
     cal = conn.calculus
-    return [cal.d_one_form(conn.components[apos]) - cal.d_basis(apos)
-            for apos in range(cal.n_members)]
+    return [cal.d_one_form(comp) - cal.d_basis(apos)
+            for apos, comp in enumerate(conn.components)]
 
 
 # -- lifting 2-forms into the tensor square ---------------------------------
@@ -139,10 +148,12 @@ def lift(omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
     """Lift a 2-form into the tensor square; the canonical variant is a
     section of the wedge, the braided one is well defined but not."""
     cal = omega.calculus
+    if variant not in cal._lift_tables:
+        cal._lift_tables[variant] = _lift_table(cal, variant)
     m = cal.n_members
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
-    for k, entry in enumerate(_lift_table(cal, variant)):
+    for k, entry in enumerate(cal._lift_tables[variant]):
         f = omega.coeffs[k]
         if f.is_zero():
             continue
@@ -158,18 +169,22 @@ def wedge_of_tensor(t: TensorOneOne) -> TwoForm:
 
 # -- Ricci ------------------------------------------------------------------
 
-def ricci(conn: Connection, variant: str = "canonical") -> TensorOneOne:
+def ricci(conn: Connection) -> dict[str, TensorOneOne]:
     """Contract the lifted relative curvature through the connection's
     conjugation pattern:
 
         sum_{a,c} lift(G_c)^{a b} e_b (x) (e_{c^-1 a c} - e_a)
 
-    with G_c the relative curvature of component c.  Vanishes for the
-    distinguished connection under every lift variant because the relative
-    curvature itself vanishes there.
+    with G_c the relative curvature of component c, under each lift
+    variant, keyed as in LIFT_VARIANTS.  The relative curvature does not
+    depend on the lift, so it is computed once and lifted and contracted
+    per variant.  Vanishes for the distinguished connection under every
+    lift variant because the relative curvature itself vanishes there.
     """
     cal = conn.calculus
-    return _contract(cal, [lift(g, variant) for g in relative_curvature(conn)])
+    forms = relative_curvature(conn)
+    return {variant: _contract(cal, [lift(g, variant) for g in forms])
+            for variant in LIFT_VARIANTS}
 
 
 def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
@@ -198,17 +213,17 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     LIFT_VARIANTS: coefficients {h: M_h} in linalg's form and a constant
     right-hand side, which every element repeats.
 
-    Ricci is affine in the parameters and commutes with left translation:
-    the exterior derivative uses only right translations, and the lift and
-    contraction have constant coefficients.  So the system is
-    sum_h M_h (x) R(h), from the parameters (alpha, beta, gamma) to the
-    Ricci coordinates (p, q), row p*m + q, and the chart constraint, row 9.
-    Column i of M_{k^-1} holds the Ricci coordinates at k of delta_e in
-    parameter i less the zero chart's, which the right-hand side negates;
-    row 9 is alpha + beta + gamma = -1, (1, 1, 1) in M_e.  Four Ricci
-    evaluations give the system, and the relative curvature of those
-    charts, which does not depend on the lift, is computed once and only
-    lifted and contracted per variant.
+    Ricci is linear in the parameters and commutes with left translation:
+    the zero chart is the connection A_a = e_a, whose relative curvature
+    d(e_a) - de_a vanishes, the exterior derivative uses only right
+    translations, and the lift and contraction have constant coefficients.
+    So the system is sum_h M_h (x) R(h), from the parameters
+    (alpha, beta, gamma) to the Ricci coordinates (p, q), row p*m + q, and
+    the chart constraint, row 9.  Column i of M_{k^-1} holds the Ricci
+    coordinates at k of delta_e in parameter i; row 9 is
+    alpha + beta + gamma = -1, (1, 1, 1) in M_e; and the right-hand side
+    is the constant (0, ..., 0, -1).  Three ricci calls, one per delta_e
+    chart, give the systems of both variants.
 
     The column of delta_e is supported on e and the inverses of the class
     members, so the keys are e and the class members, all in H = <C>.
@@ -220,20 +235,18 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     grp = cal.group
     zero = cal.zero_function()
     delta_e = GroupFunction.delta(grp, 0)
-    charts = [(zero, zero, zero)] + [
-        tuple(delta_e if j == i else zero for j in range(3)) for i in range(3)]
-    curvatures = [relative_curvature(chart_connection(cal, *params)) for params in charts]
+    tensors = [ricci(chart_connection(cal, *(delta_e if j == i else zero for j in range(3))))
+               for i in range(3)]
     systems = {}
     for variant in LIFT_VARIANTS:
-        base, *deltas = [_contract(cal, [lift(f, variant) for f in forms]).coeffs
-                         for forms in curvatures]
+        columns = [t[variant].coeffs for t in tensors]
         coeffs = {}
         for k in range(grp.order):
-            block = Mat([[d[r](k) - f(k) for d in deltas] for r, f in enumerate(base)]
+            block = Mat([[f(k) for f in row] for row in zip(*columns)]
                         + [[int(k == 0)] * 3])
             if not block.is_zero():
                 coeffs[grp.inv(k)] = block
-        systems[variant] = (coeffs, [-f(0) for f in base] + [rat(-1)])
+        systems[variant] = (coeffs, [rat(0)] * len(columns[0]) + [rat(-1)])
     return systems
 
 

@@ -876,11 +876,14 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) 
     return out
 
 
-def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
+def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum,
+                           irreps=None) -> dict:
     """Replay the closed-form wave eigenfunction list against the mu = 0
     wave operator, given by its coefficients, and its certified spectrum
-    spect, in the blocks of the operator for the irreducibles of the
-    group.
+    spect, in the blocks of the operator for irreps, the irreducibles of
+    the group.  A report that holds them, from its Dirac certificate,
+    passes them; without them the catalog builds them, after its order-12
+    check, so a refused class loads no representation.
 
     Claimed families: the second twisted column at eigenvalue 0, the first
     twisted column at -12, and the spinor matrix elements together with
@@ -890,10 +893,11 @@ def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spect
     part of the certified eigenspace; the completions name the missing
     characters and the second planar family.
     """
-    group = _require_catalog_class(C)
-    from .representations import irreducibles
+    _require_catalog_class(C)
+    if irreps is None:
+        from .representations import irreducibles
 
-    irreps = irreducibles(group)
+        irreps = irreducibles(C.group)
     reps = {r.name: r for r in irreps}
     rho = reps["planar1"]
 

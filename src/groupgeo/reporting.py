@@ -382,14 +382,10 @@ def curvature_report(cal: Calculus) -> dict:
     labels = cal.cls.labels()
     forms = curvature_forms(lc)
     matches = all(forms[pos] == cal.d_basis(pos) for pos in range(cal.cls.size))
-    lift_section = {}
-    for variant in LIFT_VARIANTS:
-        ok = True
-        for k in range(cal.quotient_dim):
-            basis_form = TwoForm(cal, [
-                cal.constant(1 if i == k else 0) for i in range(cal.quotient_dim)])
-            ok = ok and wedge_of_tensor(lift(basis_form, variant)) == basis_form
-        lift_section[variant] = ok
+    basis = [TwoForm(cal, [cal.constant(int(i == k)) for i in range(cal.quotient_dim)])
+             for k in range(cal.quotient_dim)]
+    lift_section = {variant: all(wedge_of_tensor(lift(b, variant)) == b for b in basis)
+                    for variant in LIFT_VARIANTS}
     return {
         "covariant_derivatives": {
             labels[pos]: tensor_json(
@@ -408,11 +404,11 @@ def ricci_report(cal: Calculus) -> dict:
     from .connections import levi_civita
     from .curvature import LIFT_VARIANTS, ricci, ricci_flat_solve
 
-    lc = levi_civita(cal)
+    tensors = ricci(levi_civita(cal))
     solves = ricci_flat_solve(cal)
     out = {"levi_civita": {}, "flat_solve": {}}
     for variant in LIFT_VARIANTS:
-        tensor = ricci(lc, variant)
+        tensor = tensors[variant]
         out["levi_civita"][variant] = {
             "tensor": tensor_json(tensor),
             "zero": tensor.is_zero(),
@@ -517,7 +513,7 @@ def dirac_report(dirac: DiracCertificate) -> dict:
     return out
 
 
-def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
+def wave_report(cls: ConjClass, mu=Fraction(0), irreps=None) -> dict:
     from . import dirac as spinops
 
     mu = Fraction(mu)
@@ -535,7 +531,7 @@ def wave_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         out["translation_form"] = same_element(
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
-            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(cls, coeffs, spect)
+            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(cls, coeffs, spect, irreps)
         except UnsupportedGroupError:
             pass
     return out
@@ -593,6 +589,6 @@ def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
         "curvature": curvature_report(cal),
         "ricci": ricci_report(cal),
         "dirac": dirac_report(dirac),
-        "wave": wave_report(cls, mu),
+        "wave": wave_report(cls, mu, dirac.form.irreps),
         "spectral_action": spectral_action_report(dirac.spectrum, mu),
     }

@@ -66,7 +66,7 @@ def scan_d6(cal_d6):
 
 @pytest.fixture(scope="session")
 def ricci_lc_d6(cal_d6, lc_d6):
-    return {v: ricci(lc_d6, variant=v) for v in ("canonical", "braided")}
+    return ricci(lc_d6)
 
 
 @pytest.fixture(scope="session")

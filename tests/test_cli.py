@@ -99,7 +99,10 @@ def test_negative_mu_needs_equals_form(capsys):
     assert "error(precondition)" in err
 
 
-@pytest.mark.parametrize("mu", ["1e5", "2.5e-3", "inf", "nan", "1/0", " 1/3", "5."])
+# Fraction reads the digits of every script; the flag takes ASCII digits,
+# as dihedral:N does: Arabic-Indic and full-width one half are refused
+@pytest.mark.parametrize("mu", ["1e5", "2.5e-3", "inf", "nan", "1/0", " 1/3", "5.",
+                                "\u0661/\u0662", "\uff11/\uff12", "0.\u0665"])
 def test_mu_outside_plain_rational_syntax_exits_2(capsys, mu):
     code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                         f"--mu={mu}", "--cmd", "calculus")
@@ -674,6 +677,8 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
     # the command stop in the front
     runs += [(argv + ["--cmd", "ricci"], code, _FRONT) for argv, code in (
         (["--group", "dihedral:6", "--class", "sr", "--mu=1e5"], 2),
+        (["--group", "dihedral:6", "--class", "sr", "--mu=\u0661/\u0662"], 2),
+        (["--group", "dihedral:6", "--class", "sr", "--mu=\uff11/\uff12"], 2),
         (["--cayley", str(broken), "--class", "sr"], 3),
         (["--group", "dihedral:6", "--class", "q"], 3))]
     runs += [(argv + ["--class", "a", "--cmd", "calculus"], 3, _FRONT)

@@ -123,7 +123,7 @@ def test_distinguished_connection_is_ricci_flat(ricci_lc_d6):
 def test_off_distinguished_chart_is_not_ricci_flat(cal_d6):
     conn = chart_connection(
         cal_d6, cal_d6.constant(-1), cal_d6.constant(0), cal_d6.constant(0))
-    assert not ricci(conn, "canonical").is_zero()
+    assert not ricci(conn)["canonical"].is_zero()
 
 
 def test_ricci_flat_solve_unique_with_constraint(ricci_solve_d6, cal_d6):
@@ -172,14 +172,15 @@ def test_unconstrained_kernel_directions_preserve_flatness(cal_d6, d6):
     alpha, beta, gamma = kernel[0]
     shifted = chart_connection(
         cal_d6, particular[0] + alpha, particular[1] + beta, particular[2] + gamma)
-    assert ricci(shifted, "canonical").is_zero()
+    assert ricci(shifted)["canonical"].is_zero()
 
 
 def test_s3_ricci_flat(s3_cal):
     from groupgeo.connections import levi_civita
     lc = levi_civita(s3_cal)
-    assert ricci(lc, "canonical").is_zero()
-    assert ricci(lc, "braided").is_zero()
+    tensors = ricci(lc)
+    assert list(tensors) == list(LIFT_VARIANTS)
+    assert all(t.is_zero() for t in tensors.values())
 
 
 def _jacobian_by_evaluation(cal, variant):
@@ -199,7 +200,7 @@ def _jacobian_by_evaluation(cal, variant):
                 for g in range(order)]
 
     def ricci_at(vec):
-        return flatten(ricci(chart_connection(cal, *params_from_vec(vec)), variant))
+        return flatten(ricci(chart_connection(cal, *params_from_vec(vec)))[variant])
 
     base = ricci_at([rat(0)] * nunk)
     cols = []
@@ -376,8 +377,8 @@ def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatc
 
 
 def test_ricci_report_assembles_the_curvature_once(monkeypatch, cal_d6):
-    # the distinguished connection's relative curvature once per lift
-    # variant, and the four charts of the system on H once for both
+    # the distinguished connection's relative curvature once for both lift
+    # variants, and the three delta_e charts of the system on H once for both
     calls = Counter()
 
     def counting(name):
@@ -391,7 +392,66 @@ def test_ricci_report_assembles_the_curvature_once(monkeypatch, cal_d6):
     for name in ("relative_curvature", "subgroup_calculus"):
         monkeypatch.setattr(curvature, name, counting(name))
     reporting.ricci_report(cal_d6)
-    assert calls == {"relative_curvature": 6, "subgroup_calculus": 1}
+    assert calls == {"relative_curvature": 4, "subgroup_calculus": 1}
+
+
+# -- the identities the Ricci system rests on ---------------------------------
+
+CHART_CLASS_CASES = {
+    "d3": lambda fixture: fixture("cal_d3"),
+    "d6": lambda fixture: fixture("cal_d6"),
+    "d6xz2": lambda fixture: differential_calculus(fixture("cls_d6z2")),
+    "s3xz4": lambda fixture: _calculus_of(direct_product_cyclic(fixture("s3_group"), 4), "u"),
+}
+
+
+@pytest.fixture(scope="module", params=list(CHART_CLASS_CASES))
+def chart_cal(request):
+    return CHART_CLASS_CASES[request.param](request.getfixturevalue)
+
+
+def _constrained_members(cal):
+    """Chart members with alpha + beta + gamma = -1 at every element, three
+    with constant parameters and three with parameters valued in delta_e
+    beside constants."""
+    const = cal.constant
+    delta_e = GroupFunction.delta(cal.group, 0)
+    third = const(Fraction(-1, 3))
+    params = [
+        (third, third, third),
+        (const(-1), const(0), const(0)),
+        (const(2), const(Fraction(-5, 2)), const(Fraction(-1, 2))),
+        (delta_e - const(1), -delta_e, const(0)),
+        (third + delta_e * 2, third - delta_e, third - delta_e),
+        (delta_e * Fraction(1, 2), const(-1), -delta_e * Fraction(1, 2)),
+    ]
+    for alpha, beta, gamma in params:
+        assert alpha + beta + gamma == const(-1)
+    return [chart_connection(cal, *p) for p in params]
+
+
+def test_zero_chart_has_vanishing_relative_curvature(chart_cal):
+    # A_a = e_a, so d(A_a) - de_a = 0: the Ricci system needs no zero chart
+    zero = chart_cal.zero_function()
+    forms = relative_curvature(chart_connection(chart_cal, zero, zero, zero))
+    assert len(forms) == 3 and all(g.is_zero() for g in forms)
+
+
+def test_constrained_members_curvature_is_relative_plus_background(chart_cal):
+    # the quadratic terms of the component curvature cancel on the chart
+    # constraint, constant parameters or not
+    for conn in _constrained_members(chart_cal):
+        assert conn.sum_form().is_zero()
+        relative = relative_curvature(conn)
+        for pos, form in enumerate(curvature_forms(conn)):
+            assert form == relative[pos] + chart_cal.d_basis(pos)
+
+
+def test_no_product_of_two_chart_class_members_is_a_member(chart_cal):
+    # so the term sum_{cd=a} A_c ^ A_d of curvature_forms is always empty
+    cls = chart_cal.cls
+    assert cls.size == 3
+    assert not {cd for row in cls.products for cd in row} & set(cls.members)
 
 
 # -- relabelling the group elements ------------------------------------------

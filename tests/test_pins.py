@@ -1,7 +1,8 @@
 """Whole-pipeline pins on figures that do not depend on timing: the report
 digests the benchmark records in ``perfbench/expected.json`` (read here,
 never written), the number of cyclotomic scalars one D6 ``report-all``
-allocates, and the number of representations each spinor command builds."""
+allocates, the number of lift tables and distinguished connections it
+asks for, and the number of representations each spinor command builds."""
 
 import hashlib
 import json
@@ -10,7 +11,7 @@ import os
 import pytest
 
 from conftest import direct_product_cyclic
-from groupgeo import cyclotomic, representations
+from groupgeo import connections, curvature, cyclotomic, representations
 from groupgeo.cli import main
 from groupgeo.groups import dihedral
 from oracles import cayley_dict
@@ -54,7 +55,7 @@ def test_report_matches_the_recorded_digest(key, d6z2_table, tmp_path):
 # Scalars one in-process D6 report-all allocates, about a tenth above the
 # measured count; every Cyclotomic the package builds comes from
 # cyclotomic._new, so counting its calls counts them all.
-D6_REPORT_ALL_SCALARS = 26_600
+D6_REPORT_ALL_SCALARS = 24_600
 
 
 def test_d6_report_all_allocates_a_bounded_number_of_scalars(monkeypatch, tmp_path):
@@ -73,18 +74,46 @@ def test_d6_report_all_allocates_a_bounded_number_of_scalars(monkeypatch, tmp_pa
     assert 1000 < count <= D6_REPORT_ALL_SCALARS
 
 
+def test_d6_report_all_builds_each_lift_table_once(monkeypatch, tmp_path):
+    """Each lift variant's table is built once per calculus, on G for the
+    curvature and Ricci sections and on H = <C> for the Ricci-flat system:
+    four tables.  levi_civita is asked for by the connection, curvature,
+    Ricci and Dirac sections, four calls."""
+    tables = []
+    levi_civita_calls = 0
+    lift_table = curvature._lift_table
+    levi_civita = connections.levi_civita
+
+    def counted_table(cal, variant):
+        tables.append((id(cal), variant))
+        return lift_table(cal, variant)
+
+    def counted_levi_civita(cal):
+        nonlocal levi_civita_calls
+        levi_civita_calls += 1
+        return levi_civita(cal)
+
+    monkeypatch.setattr(curvature, "_lift_table", counted_table)
+    monkeypatch.setattr(connections, "levi_civita", counted_levi_civita)
+    argv = ["--group", "dihedral:6", "--class", "sr", "--cmd", "report-all"]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert len(tables) == len(set(tables)) == 4
+    assert {variant for _, variant in tables} == set(curvature.LIFT_VARIANTS)
+    assert levi_civita_calls == 4
+
+
 @pytest.mark.parametrize("group,cmd,mu,built", [
     ("dihedral:6", "dirac", "0", 6),
     ("dihedral:6", "spectral-action", "0", 6),
-    ("dihedral:6", "report-all", "0", 12),
+    ("dihedral:6", "report-all", "0", 6),
     ("dihedral:3", "dirac", "0", 3),
     ("dihedral:6", "wave", "0", 6),
     ("dihedral:6", "wave", "1", 0),
 ], ids=str)
 def test_representations_built_per_command(monkeypatch, tmp_path, group, cmd, mu, built):
     """The Dirac certificate builds the irreducibles once and takes the
-    spinor from them; the wave catalog, at mu = 0 only, builds them once
-    more."""
+    spinor from them, and report-all hands them on to the wave catalog; a
+    standalone wave report builds them itself, at mu = 0 only."""
     count = 0
     init = representations.Representation.__init__
 

@@ -10,8 +10,13 @@ of equal length for both trees, and writes no bytecode
 child runs in the tree itself, so relative paths in the arguments work,
 and its report goes to the null device.  For each tree the script prints
 the median and quartiles of the children's user + sys CPU seconds, read
-from os.wait4, and then how many pairs each tree won.  It exits 1 if a
-child's exit code differs between the trees or from one run to the next.
+from os.wait4.  Then it prints the median and quartiles of the per-pair
+difference, change minus base, and how many pairs each tree won.  The
+machine's speed drifts between pairs, which moves both children of a pair
+alike and widens each tree's own spread, so the paired difference is the
+figure to read: two trees' medians can differ by more than their median
+difference does.  The script exits 1 if a child's exit code differs
+between the trees or from one run to the next.
 
 Run from anywhere:
 
@@ -81,8 +86,9 @@ def main(argv=None) -> int:
                 codes.add(code)
                 cpu[name].append(seconds)
     for name, values in cpu.items():
-        print(f"{name:<7} {summary(values)}  (n {len(values)})")
+        print(f"{name:<13} {summary(values)}  (n {len(values)})")
     pairs = list(zip(cpu["base"], cpu["change"]))
+    print(f"{'change - base':<13} {summary([c - b for b, c in pairs])}  (n {len(pairs)} pairs)")
     print(f"change lower in {sum(c < b for b, c in pairs)} of {args.n} pairs, "
           f"base lower in {sum(b < c for b, c in pairs)}")
     if len(codes) != 1:
