@@ -18,7 +18,10 @@ The front (this module, groups and errors) reads the input and runs every
 check that needs nothing else, PRECONDITIONS per command, in the order the
 command's layers would raise them.  Only an input that passes imports
 reporting and the layers the command runs, so a refusal compiles no
-layer and gives the exit code and message the layer itself would.
+layer and gives the exit code and message the layer itself would.  Every
+command then runs the same way: its report, looked up on reporting by
+name (report_of), is called with one reporting.Geometry of the class and
+the modulus.
 """
 
 from __future__ import annotations
@@ -140,6 +143,15 @@ def _parse_mu(text: str) -> Fraction:
     return Fraction(text)
 
 
+def report_of(cmd: str):
+    """The reporting function that runs cmd, looked up on the module by
+    name each time, so a patched attribute is the one that runs."""
+    from . import reporting
+
+    return (reporting.full_report if cmd == "report-all"
+            else getattr(reporting, cmd.replace("-", "_") + "_report"))
+
+
 def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
@@ -147,29 +159,9 @@ def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
         _CHECKS[check](cls, mu)
     # the layers load only for an accepted input, and each report loads
     # only the layers it runs
-    from . import reporting
+    from .reporting import Geometry
 
-    if args.cmd == "report-all":
-        return reporting.full_report(cls, mu)
-    if args.cmd == "wave":
-        return reporting.wave_report(cls, mu)
-    from .calculus import differential_calculus
-
-    cal = differential_calculus(cls)
-    if args.cmd == "calculus":
-        return reporting.calculus_report(cal)
-    if args.cmd == "connection":
-        return reporting.connection_report(cal, mu)
-    if args.cmd == "curvature":
-        return reporting.curvature_report(cal)
-    if args.cmd == "ricci":
-        return reporting.ricci_report(cal)
-    if args.cmd == "dirac":
-        return reporting.dirac_report(reporting.certify_dirac(cal, mu))
-    if args.cmd == "spectral-action":
-        return reporting.spectral_action_report(
-            reporting.certify_dirac(cal, mu).spectrum, mu)
-    raise AssertionError(f"unhandled command {args.cmd}")
+    return report_of(args.cmd)(Geometry(cls, mu))
 
 
 def render(report: dict, pretty: bool) -> str:

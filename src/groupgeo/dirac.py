@@ -57,11 +57,12 @@ from .errors import (
     SingularMetricError,
     UnsupportedGroupError,
 )
-from .groups import ConjClass, FiniteGroup, require_invertible_metric
+from .groups import ConjClass, require_invertible_metric
 from .linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref
 
 if TYPE_CHECKING:
     from .connections import Connection
+    from .reporting import Geometry
     from .representations import Representation
 
 _ZERO = rat(0)
@@ -712,12 +713,11 @@ def _mode_spans(modes: list[tuple], first: int) -> tuple[int, int]:
     return span, combined
 
 
-def _require_catalog_class(C: ConjClass) -> FiniteGroup:
+def _require_catalog_class(C: ConjClass) -> None:
     if C.group.order != 12 or C.size != 3:
         raise UnsupportedGroupError(
             "the closed-form eigenmode catalog is stated for the 12-element "
             "dihedral group with its 3-member reflection class")
-    return C.group
 
 
 def _assess(irreps: Sequence[Representation], blocks: Sequence[Mat], spect: Spectrum,
@@ -876,14 +876,12 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) 
     return out
 
 
-def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spectrum,
-                           irreps=None) -> dict:
+def wave_eigenmode_catalog(geo: Geometry, coeffs: Mapping[int, Mat], spect: Spectrum) -> dict:
     """Replay the closed-form wave eigenfunction list against the mu = 0
-    wave operator, given by its coefficients, and its certified spectrum
-    spect, in the blocks of the operator for irreps, the irreducibles of
-    the group.  A report that holds them, from its Dirac certificate,
-    passes them; without them the catalog builds them, after its order-12
-    check, so a refused class loads no representation.
+    wave operator on the class of geo, given by its coefficients, and its
+    certified spectrum spect, in the blocks of the operator for the
+    irreducibles of the group.  It reads them from geo after its order-12
+    check, so a refused class builds no representation.
 
     Claimed families: the second twisted column at eigenvalue 0, the first
     twisted column at -12, and the spinor matrix elements together with
@@ -893,11 +891,8 @@ def wave_eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], spect: Spect
     part of the certified eigenspace; the completions name the missing
     characters and the second planar family.
     """
-    _require_catalog_class(C)
-    if irreps is None:
-        from .representations import irreducibles
-
-        irreps = irreducibles(C.group)
+    _require_catalog_class(geo.cls)
+    irreps = geo.irreps
     reps = {r.name: r for r in irreps}
     rho = reps["planar1"]
 

@@ -16,11 +16,12 @@ always runs inside its own precision context, so the decimals depend neither
 on the platform nor on the caller's mpmath settings. Nothing in a report
 depends on time, paths or dictionary iteration order.
 
-Each report imports the layers it runs inside its own body, the calculus
-among them, so a command compiles only the modules it needs: the wave
-report, which reads the class alone, loads neither calculus nor
-connections.  The reports keep the layers' checks; the command line runs
-the same input-only checks (groups) before it imports this module.
+Every report takes one Geometry, which builds what several sections read
+once, on first read.  Each imports the layers it runs in its own body, so
+a command compiles only the modules it needs: the wave report, which reads
+the class alone, loads neither calculus nor connections.  The reports keep
+the layers' checks; the command line runs the same input-only checks
+(groups) before it imports this module.
 """
 
 from __future__ import annotations
@@ -305,8 +306,53 @@ def spectrum_json(spect: Spectrum) -> dict:
 # per-command reports
 
 
-def calculus_report(cal: Calculus) -> dict:
-    cls = cal.cls
+class DiracCertificate(NamedTuple):
+    """The Dirac operator of the spinor and the distinguished connection at
+    a Geometry's mu: the spinor, the coefficients {h: M_h}, the irreducible
+    blocks with their certified eigenspaces, and the spectrum on G."""
+
+    rep: Representation
+    coeffs: dict
+    form: BlockForm
+    spectrum: Spectrum
+
+
+class Geometry:
+    """One run's class and metric modulus, and what its reports share, each
+    built on first read and then kept: the calculus, the irreducibles of G
+    and the Dirac certificate.  What one report reads stays in it."""
+
+    def __init__(self, cls: ConjClass, mu=Fraction(0)):
+        self.cls = cls
+        self.mu = Fraction(mu)
+
+    @functools.cached_property
+    def calculus(self) -> Calculus:
+        from .calculus import differential_calculus
+
+        return differential_calculus(self.cls)
+
+    @functools.cached_property
+    def irreps(self) -> list[Representation]:
+        # a group with no dihedral presentation stops here, before any spinor layer
+        from .representations import irreducibles
+
+        return irreducibles(self.cls.group)
+
+    @functools.cached_property
+    def dirac(self) -> DiracCertificate:
+        # the spinor is planar1, which D3 and D6, the only dihedral groups
+        # with a 3-member cyclic class, both have
+        rep = next(rho for rho in self.irreps if rho.name == "planar1")
+        from .connections import levi_civita
+        from . import dirac as spinops
+
+        coeffs = spinops.dirac_operator(rep, levi_civita(self.calculus), self.mu)
+        return DiracCertificate(rep, coeffs, *spinops.certify_blocks(coeffs, self.irreps))
+
+
+def calculus_report(geo: Geometry) -> dict:
+    cal, cls = geo.calculus, geo.cls
     group = cls.group
     theta = cal.theta
     d_theta = cal.d_one_form(theta)
@@ -341,10 +387,10 @@ def calculus_report(cal: Calculus) -> dict:
     }
 
 
-def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
+def connection_report(geo: Geometry) -> dict:
     from .connections import Connection, levi_civita, torsion_free_family
 
-    mu = Fraction(mu)
+    cal, mu = geo.calculus, geo.mu
     lc = levi_civita(cal)
     # reject a singular mu after the chart check and before the torsion solve
     require_invertible_metric(cal.n_members, mu)
@@ -372,12 +418,13 @@ def connection_report(cal: Calculus, mu=Fraction(0)) -> dict:
     }
 
 
-def curvature_report(cal: Calculus) -> dict:
+def curvature_report(geo: Geometry) -> dict:
     from .calculus import TwoForm
     from .connections import levi_civita
     from .curvature import (LIFT_VARIANTS, covariant_derivative, curvature_forms,
                             lift, wedge_of_tensor)
 
+    cal = geo.calculus
     lc = levi_civita(cal)
     labels = cal.cls.labels()
     forms = curvature_forms(lc)
@@ -400,12 +447,12 @@ def curvature_report(cal: Calculus) -> dict:
     }
 
 
-def ricci_report(cal: Calculus) -> dict:
+def ricci_report(geo: Geometry) -> dict:
     from .connections import levi_civita
     from .curvature import LIFT_VARIANTS, ricci, ricci_flat_solve
 
-    tensors = ricci(levi_civita(cal))
-    solves = ricci_flat_solve(cal)
+    tensors = ricci(levi_civita(geo.calculus))
+    solves = ricci_flat_solve(geo.calculus)
     out = {"levi_civita": {}, "flat_solve": {}}
     for variant in LIFT_VARIANTS:
         tensor = tensors[variant]
@@ -430,41 +477,11 @@ def _certified_minimal_polynomial(spect: Spectrum) -> list:
     return poly_from_roots(spect.multiplicities)
 
 
-class DiracCertificate(NamedTuple):
-    """The Dirac operator of the spinor representation and the distinguished
-    connection at mu, built and certified once for every section that
-    reads it: its coefficients {h: M_h}, its blocks for the irreducibles
-    of G with their certified eigenspaces, and the certified spectrum of the
-    operator on G."""
-
-    cls: ConjClass
-    mu: Fraction
-    rep: Representation
-    coeffs: dict
-    form: BlockForm
-    spectrum: Spectrum
-
-
-def certify_dirac(cal: Calculus, mu) -> DiracCertificate:
-    from .representations import irreducibles
-
-    mu = Fraction(mu)
-    # a group without a dihedral presentation stops here, before the spinor
-    # layer is imported.  The spinor is planar1, which D3 and D6, the only
-    # dihedral groups with a 3-member cyclic class, both have
-    irreps = irreducibles(cal.group)
-    rep = next(rho for rho in irreps if rho.name == "planar1")
-    from .connections import levi_civita
+def dirac_report(geo: Geometry) -> dict:
     from . import dirac as spinops
 
-    coeffs = spinops.dirac_operator(rep, levi_civita(cal), mu)
-    return DiracCertificate(cal.cls, mu, rep, coeffs, *spinops.certify_blocks(coeffs, irreps))
-
-
-def dirac_report(dirac: DiracCertificate) -> dict:
-    from . import dirac as spinops
-
-    cls, mu, rep, coeffs, form, spect = dirac
+    cls, mu = geo.cls, geo.mu
+    rep, coeffs, form, spect = geo.dirac
     group = cls.group
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
@@ -513,10 +530,10 @@ def dirac_report(dirac: DiracCertificate) -> dict:
     return out
 
 
-def wave_report(cls: ConjClass, mu=Fraction(0), irreps=None) -> dict:
+def wave_report(geo: Geometry) -> dict:
     from . import dirac as spinops
 
-    mu = Fraction(mu)
+    cls, mu = geo.cls, geo.mu
     coeffs = spinops.wave_operator(cls, mu)
     spect = spinops.certify(coeffs, cls)
     out = {
@@ -531,16 +548,16 @@ def wave_report(cls: ConjClass, mu=Fraction(0), irreps=None) -> dict:
         out["translation_form"] = same_element(
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
-            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(cls, coeffs, spect, irreps)
+            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(geo, coeffs, spect)
         except UnsupportedGroupError:
             pass
     return out
 
 
-def spectral_action_report(spect: Spectrum, mu) -> dict:
+def spectral_action_report(geo: Geometry) -> dict:
     from .dirac import exp_taylor_coefficients, spectral_action
 
-    mu = Fraction(mu)
+    spect = geo.dirac.spectrum
     functions = (
         ("1", [Fraction(1)]),
         ("u", [Fraction(0), Fraction(1)]),
@@ -558,23 +575,19 @@ def spectral_action_report(spect: Spectrum, mu) -> dict:
                 "value": value,
             })
     return {
-        "mu": mu,
+        "mu": geo.mu,
         "spectrum": spectrum_json(spect),
         "battery": battery,
     }
 
 
-def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
-    from .calculus import differential_calculus
-
-    mu = Fraction(mu)
-    group = cls.group
-    cal = differential_calculus(cls)
+def full_report(geo: Geometry) -> dict:
+    group = geo.cls.group
     # a singular mu stops at the connection section; a group without a
-    # dihedral presentation stops at the Dirac certificate, made before
-    # the curvature and Ricci sections so they are not computed in vain
-    connection = connection_report(cal, mu)
-    dirac = certify_dirac(cal, mu)
+    # dihedral presentation stops at the Dirac section, made before the
+    # curvature and Ricci sections so they are not computed in vain
+    connection = connection_report(geo)
+    dirac = dirac_report(geo)
     return {
         "tool": {"name": "groupgeo", "version": __version__},
         "group": {
@@ -582,13 +595,13 @@ def full_report(cls: ConjClass, mu=Fraction(0)) -> dict:
             "order": group.order,
             "elements": list(group.names),
         },
-        "class": list(cls.labels()),
-        "mu": mu,
-        "calculus": calculus_report(cal),
+        "class": list(geo.cls.labels()),
+        "mu": geo.mu,
+        "calculus": calculus_report(geo),
         "connection": connection,
-        "curvature": curvature_report(cal),
-        "ricci": ricci_report(cal),
-        "dirac": dirac_report(dirac),
-        "wave": wave_report(cls, mu, dirac.form.irreps),
-        "spectral_action": spectral_action_report(dirac.spectrum, mu),
+        "curvature": curvature_report(geo),
+        "ricci": ricci_report(geo),
+        "dirac": dirac,
+        "wave": wave_report(geo),
+        "spectral_action": spectral_action_report(geo),
     }

@@ -1161,7 +1161,7 @@ def cayley_dict(group: FiniteGroup) -> dict:
 
 def planar1(group: FiniteGroup) -> Representation:
     """The spinor of the Dirac operator: the irreducible planar1 of a
-    dihedral-structured group, as reporting.certify_dirac selects it."""
+    dihedral-structured group, as reporting.Geometry selects it."""
     return next(r for r in irreducibles(group) if r.name == "planar1")
 
 

@@ -31,6 +31,7 @@ from groupgeo.dirac import (
     wave_operator,
 )
 from groupgeo.linalg import Mat, assemble
+from groupgeo.reporting import Geometry, calculus_report
 from groupgeo.representations import irreducibles
 from oracles import (class_translation_sum, grading_on_group, planar1, right_mul,
                      torsion_family_members, translation_block)
@@ -56,8 +57,7 @@ def test_criterion_01_two_form_relations_and_braiding_oracle(cal_d6, cls_d6):
     assert cal_d6.quotient_dim == 4
     # the documented dimension claim of 6 disagrees with the computation;
     # the report carries the discrepancy instead of hiding it
-    from groupgeo.reporting import calculus_report
-    disc = calculus_report(cal_d6)["dimension_discrepancy"]
+    disc = calculus_report(Geometry(cls_d6))["dimension_discrepancy"]
     assert disc == {"documented_claim": 6, "computed": 4, "agrees": False}
 
 
@@ -152,7 +152,7 @@ def test_criterion_06_wave_operator_and_catalog_certification(
     assert wave0_d6 == d0 * 2 - Mat.identity(12) * 6
     spect = spectrum(wave0_d6)
     assert spect.pairs == ((rat(-12), 2), (rat(-6), 8), (rat(0), 2))
-    catalog = wave_eigenmode_catalog(cls_d6, wave_operator(cls_d6), spect)
+    catalog = wave_eigenmode_catalog(Geometry(cls_d6), wave_operator(cls_d6), spect)
     nonzero = 0
     for fam in catalog["families"]:
         claimed = fam["claimed_eigenvalue"]

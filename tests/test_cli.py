@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, determinism, serialization."""
 
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -18,6 +19,7 @@ from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import CayleyValidationError, SingularMetricError, UnsupportedGroupError
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
+from groupgeo.reporting import Geometry
 from oracles import (cayley_dict, expanded_functions, mpmath_cyclotomic_decimal,
                      mpmath_rational_decimal)
 
@@ -168,6 +170,30 @@ def test_connection_command_proves_each_residual_once(monkeypatch, capsys):
     lc = json.loads(out)["levi_civita"]
     assert (lc["torsion_residual_zero"], lc["cotorsion_residual_zero"], lc["regular"]) == (
         True, True, True)
+
+
+def test_each_command_calls_its_reporting_function_on_one_geometry(monkeypatch, capsys):
+    """Each command is looked up by name on reporting, a function of one
+    Geometry; the lookup happens at call time, so a patched attribute, as a
+    tracer wrapping the module's functions installs, is the one that runs
+    on the run's Geometry."""
+    for cmd in cli.COMMANDS:
+        params = inspect.signature(cli.report_of(cmd)).parameters
+        assert cli.report_of(cmd).__module__ == "groupgeo.reporting"
+        assert [p.annotation for p in params.values()] == ["Geometry"]
+    runs = []
+
+    def patched(geo):
+        runs.append(geo)
+        return {"patched": True}
+
+    monkeypatch.setattr(reporting, "ricci_report", patched)
+    assert cli.report_of("ricci") is patched
+    assert _run(capsys, "--group", "dihedral:6", "--class", "sr", "--mu=1/2",
+                "--cmd", "ricci") == (0, '{"patched":true}\n', "")
+    [geo] = runs
+    assert type(geo) is Geometry
+    assert (list(geo.cls.labels()), geo.mu) == (["sr", "sr3", "sr5"], Fraction(1, 2))
 
 
 REPORT_BUILDERS = ("calculus_report", "connection_report", "curvature_report",
@@ -518,8 +544,8 @@ _GEOMETRY_SECTIONS = ("calculus", "connection", "curvature", "ricci")
 
 
 def _geometry_bytes(group) -> dict:
-    cal = differential_calculus(conjugacy_class(group, "sr"))
-    return {name: render(getattr(reporting, f"{name}_report")(cal), False)
+    geo = Geometry(conjugacy_class(group, "sr"))
+    return {name: render(getattr(reporting, f"{name}_report")(geo), False)
             for name in _GEOMETRY_SECTIONS}
 
 
@@ -738,20 +764,6 @@ def _d6z2():
     return direct_product_cyclic(dihedral(6), 2)
 
 
-def _layer(cmd):
-    """The library call behind a command, on a class and a modulus."""
-    return {
-        "connection": lambda cls, mu: reporting.connection_report(
-            differential_calculus(cls), mu),
-        "curvature": lambda cls, mu: reporting.curvature_report(differential_calculus(cls)),
-        "ricci": lambda cls, mu: reporting.ricci_report(differential_calculus(cls)),
-        "dirac": lambda cls, mu: reporting.certify_dirac(differential_calculus(cls), mu),
-        "spectral-action": lambda cls, mu: reporting.certify_dirac(
-            differential_calculus(cls), mu),
-        "report-all": reporting.full_report,
-    }[cmd]
-
-
 @pytest.mark.parametrize("build, label, cmd, mu, code, exc_type, fragment", [
     # no dihedral presentation and a singular metric: the spinor layer
     # refuses the group first
@@ -772,7 +784,7 @@ def test_front_refuses_with_the_error_of_the_layer(tmp_path, capsys, build, labe
                                                    mu, code, exc_type, fragment):
     group = build()
     cls = conjugacy_class(group, label)
-    expect = _library_error(lambda: _layer(cmd)(cls, Fraction(mu)), exc_type)
+    expect = _library_error(lambda: cli.report_of(cmd)(Geometry(cls, mu)), exc_type)
     assert fragment in expect
     argv = _table_argv(tmp_path, group) + ["--class", label, "--cmd", cmd, f"--mu={mu}"]
     assert _run(capsys, *argv) == (code, "", expect)

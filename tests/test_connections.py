@@ -32,6 +32,7 @@ from groupgeo.errors import (GroupGeoError, InfeasibleSystemError, SingularMetri
                              UnsupportedGroupError)
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
+from groupgeo.reporting import Geometry
 from oracles import expanded_functions, torsion_family_members, torsion_system
 
 
@@ -76,13 +77,14 @@ def test_torsion_free_family_dimension(family_d6, cal_d6):
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_torsion_family_has_two_directions_on_s3_times_cyclic(s3_group, m):
-    cal = differential_calculus(conjugacy_class(direct_product_cyclic(s3_group, m), "u"))
+    geo = Geometry(conjugacy_class(direct_product_cyclic(s3_group, m), "u"))
+    cal = geo.calculus
     _, directions = torsion_free_family(cal)
     assert len(directions) == 2
     # every direction holds constants, one value per coefficient
     assert all(f.constant_value is not None
                for direction in directions for comp in direction for f in comp.coeffs)
-    report = reporting.connection_report(cal)
+    report = reporting.connection_report(geo)
     assert report["torsion_free_family_dimension"] == 2 * cal.group.order == 12 * m
     assert report["sum_of_components_vanishes"]
 
@@ -178,14 +180,14 @@ def test_levi_civita_residuals(cal_d6, lc_d6):
     assert _identity_bucket(lc_d6).is_zero()
 
 
-def test_levi_civita_singular_metric(cal_d6):
+def test_levi_civita_singular_metric(cls_d6):
     with pytest.raises(SingularMetricError, match="-1/3"):
-        reporting.connection_report(cal_d6, Fraction(-1, 3))
+        reporting.connection_report(Geometry(cls_d6, Fraction(-1, 3)))
     # mu = -1/4 is singular for the 4-member class of A4, but the chart
     # check comes first
-    a4 = differential_calculus(conjugacy_class(alternating4(), "1203"))
+    a4 = conjugacy_class(alternating4(), "1203")
     with pytest.raises(UnsupportedGroupError, match="connection chart requires"):
-        reporting.connection_report(a4, Fraction(-1, 4))
+        reporting.connection_report(Geometry(a4, Fraction(-1, 4)))
 
 
 def test_generic_chart_member_is_not_regular(cal_d6):
@@ -312,7 +314,7 @@ def test_report_all_derives_the_connection_once(monkeypatch):
         return original(conn)
 
     monkeypatch.setattr(connections, "regularity_residual", counted)
-    reporting.full_report(conjugacy_class(dihedral(6), "sr"))
+    reporting.full_report(Geometry(conjugacy_class(dihedral(6), "sr")))
     # six scan points and one proof, though four sections read levi_civita
     assert len(calls) == 7
 

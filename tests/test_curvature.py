@@ -28,6 +28,7 @@ from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import conjugacy_class, dihedral
 from oracles import curvature_of, dense_system, rank, riemann
 from groupgeo.linalg import Mat, same_element, solve_affine
+from groupgeo.reporting import Geometry
 
 
 def _basis_two_form(cal, k):
@@ -376,7 +377,7 @@ def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatc
         "connection chart requires a 3-member class with circulant products")
 
 
-def test_ricci_report_assembles_the_curvature_once(monkeypatch, cal_d6):
+def test_ricci_report_assembles_the_curvature_once(monkeypatch, cls_d6):
     # the distinguished connection's relative curvature once for both lift
     # variants, and the three delta_e charts of the system on H once for both
     calls = Counter()
@@ -391,7 +392,7 @@ def test_ricci_report_assembles_the_curvature_once(monkeypatch, cal_d6):
 
     for name in ("relative_curvature", "subgroup_calculus"):
         monkeypatch.setattr(curvature, name, counting(name))
-    reporting.ricci_report(cal_d6)
+    reporting.ricci_report(Geometry(cls_d6))
     assert calls == {"relative_curvature": 4, "subgroup_calculus": 1}
 
 
@@ -460,12 +461,13 @@ def _label_free_layers(group) -> dict:
     """What the connection and Ricci layers compute on the class of sr, each
     function read by element name so that renumbering the elements cannot
     change it."""
-    cal = differential_calculus(conjugacy_class(group, "sr"))
+    geo = Geometry(conjugacy_class(group, "sr"))
+    cal = geo.calculus
 
     def by_name(f):
         return {group.names[g]: f(g) for g in range(group.order)}
 
-    report = reporting.connection_report(cal)
+    report = reporting.connection_report(geo)
     out = {
         "levi_civita": [by_name(p) for p in levi_civita(cal).parameters],
         "scan": report["constant_regular_scan"],

@@ -47,6 +47,7 @@ from groupgeo.errors import (
 )
 from groupgeo.groups import conjugacy_class, dihedral, dihedral_structure
 from groupgeo.linalg import Mat, assemble, is_hermitian, kernel_basis, same_element
+from groupgeo.reporting import Geometry
 from groupgeo.representations import irreducibles
 from oracles import (
     apply,
@@ -509,7 +510,7 @@ def test_certified_roots_give_krylov_minimal_polynomial_small(request, cal_name)
 
 @pytest.mark.parametrize("mu", [Fraction(0), Fraction(1, 2)], ids=str)
 def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
-        monkeypatch, krylov_d6, cal_d6, cls_d6, mu):
+        monkeypatch, krylov_d6, cls_d6, mu):
     expected = {name: krylov for name, (_, krylov) in krylov_d6(mu).items()}
     kernels = []
     ranks = []
@@ -534,8 +535,9 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
     # the matrix Krylov minimal polynomial is a test oracle only
     assert not hasattr(dirac, "minimal_polynomial")
-    cert = reporting.certify_dirac(cal_d6, mu)
-    report = reporting.dirac_report(cert)
+    geo = Geometry(cls_d6, mu)
+    report = reporting.dirac_report(geo)
+    cert = geo.dirac
     assert report["minimal_polynomial"] == expected["dirac"]
     # one kernel per eigenvalue of each irreducible block, 2 x 2 for the
     # four characters, 4 x 4 for the two planar irreducibles, and none in
@@ -554,7 +556,7 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     kernels.clear()
     ranks.clear()
     starts.clear()
-    report = reporting.wave_report(cls_d6, mu)
+    report = reporting.wave_report(Geometry(cls_d6, mu))
     assert report["minimal_polynomial"] == expected["wave"]
     assert kernels == [6] * len(report["spectrum"]["pairs"]) == [6] * 3
     assert starts == [(6, 0)]
@@ -785,16 +787,16 @@ def test_incomplete_block_spectrum_states_the_operator_dimension(d6, cls_d6):
 
 
 @pytest.mark.parametrize("mu", MUS[1:], ids=str)
-def test_chirality_reason_states_the_operator_multiplicities(krylov_d6, cal_d6, mu):
+def test_chirality_reason_states_the_operator_multiplicities(krylov_d6, cls_d6, mu):
     op, _ = krylov_d6(mu)["dirac"]
     with pytest.raises(AsymmetricSpectrumError) as info:
         dense_chirality(op)
     assert "multiplicity 4" in str(info.value)
-    assert reporting.dirac_report(reporting.certify_dirac(cal_d6, mu))["chirality"] == {
+    assert reporting.dirac_report(Geometry(cls_d6, mu))["chirality"] == {
         "available": False, "reason": str(info.value)}
 
 
-def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
+def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
     sizes = []
     on_g = []
     calls = {"dirac_operator": 0, "levi_civita": 0}
@@ -825,7 +827,7 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
         monkeypatch.setattr(module, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(connections, "levi_civita")
-    report = reporting.full_report(cls_d6)
+    report = reporting.full_report(Geometry(cls_d6))
     # one Dirac build and one certification of the eigenspaces of each of
     # its irreducible blocks, 2 x 2 for the four characters and 4 x 4 for the two planar
     # irreducibles, read by the dirac and spectral-action sections, and the
@@ -838,29 +840,28 @@ def test_reports_certify_only_the_block(monkeypatch, cal_d6, cls_d6, cls_d6z2):
     # catalogs replay against the coefficients
     assert [op.rows for op in on_g] == [report["wave"]["operator"]]
     on_g.clear()
-    assert "eigenmode_catalog" in reporting.dirac_report(reporting.certify_dirac(cal_d6, 0))
+    assert "eigenmode_catalog" in reporting.dirac_report(Geometry(cls_d6))
     assert on_g == []
     sizes.clear()
-    report = reporting.wave_report(cls_d6z2, Fraction(1, 2))
+    report = reporting.wave_report(Geometry(cls_d6z2, Fraction(1, 2)))
     assert sizes == [6]
     assert report["spectrum"]["dimension"] == 24
 
 
 @pytest.fixture(scope="module")
-def d6_spectrum_tables(cal_d6):
+def d6_spectrum_tables(cls_d6):
     cache = {}
 
     def at(mu):
         if mu not in cache:
-            cache[mu] = _spectrum_tables(cal_d6, mu)
+            cache[mu] = _spectrum_tables(Geometry(cls_d6, mu))
         return cache[mu]
 
     return at
 
 
-def _spectrum_tables(cal, mu):
-    reports = (("dirac", reporting.dirac_report(reporting.certify_dirac(cal, mu))),
-               ("wave", reporting.wave_report(cal.cls, mu)))
+def _spectrum_tables(geo):
+    reports = (("dirac", reporting.dirac_report(geo)), ("wave", reporting.wave_report(geo)))
     return {name: (report["spectrum"]["table"], report["spectrum"]["dimension"])
             for name, report in reports}
 
@@ -868,8 +869,8 @@ def _spectrum_tables(cal, mu):
 @settings(max_examples=3, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), mu=st.sampled_from(MUS))
 def test_spectra_survive_relabelling(d6, d6_spectrum_tables, seed, mu):
-    cal = differential_calculus(conjugacy_class(relabelled(d6, seed), "sr"))
-    assert _spectrum_tables(cal, mu) == d6_spectrum_tables(mu)
+    geo = Geometry(conjugacy_class(relabelled(d6, seed), "sr"), mu)
+    assert _spectrum_tables(geo) == d6_spectrum_tables(mu)
 
 
 # -- eigenmode catalogs -----------------------------------------------------
@@ -901,7 +902,7 @@ def dirac_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form):
 
 @pytest.fixture(scope="module")
 def wave_catalog(cls_d6, wave0_coeffs_d6, wave_spect0):
-    return wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0)
+    return wave_eigenmode_catalog(Geometry(cls_d6), wave0_coeffs_d6, wave_spect0)
 
 
 def _rank_multiplicity(op, value):
@@ -924,12 +925,13 @@ def test_matrix_json_renders_like_each_entry_alone(coefficient_classes, monkeypa
     their own rendering, and so do z_3 and z_6, whose coordinates agree."""
     mixed = [cyclo(3), cyclo(6), cyclo(6, 2), rat(1, 2), cyclo(3), rat(1, 2).to_order(4)]
     assert reporting.to_json(mixed) == [reporting.to_json(v) for v in mixed]
-    reports = [reporting.to_json(reporting.wave_report(cls)) for cls in coefficient_classes[3:]]
+    reports = [reporting.to_json(reporting.wave_report(Geometry(cls)))
+               for cls in coefficient_classes[3:]]
     # the walk without its cache renders every entry on its own
     monkeypatch.setattr(reporting, "_rendered_once", lambda render: render)
     for cls, report in zip(coefficient_classes[3:], reports):
         assert json.dumps(report, sort_keys=True) == json.dumps(
-            reporting.to_json(reporting.wave_report(cls)), sort_keys=True)
+            reporting.to_json(reporting.wave_report(Geometry(cls))), sort_keys=True)
 
 
 def test_catalog_multiplicities_match_rank_oracle(
@@ -954,15 +956,15 @@ def test_catalogs_rebuild_no_operator_or_connection(
     monkeypatch.setattr(dirac, "eigenspaces", rebuilt)
     monkeypatch.setattr(connections, "levi_civita", rebuilt)
     # the Dirac catalog reads the certificate's irreducibles and builds no
-    # representation; the wave catalog, whose certificate is dense, builds
-    # the irreducibles once
+    # representation; the wave catalog, whose certificate is dense, reads
+    # them from its Geometry, which builds them once
     monkeypatch.setattr(representations, "irreducibles", rebuilt)
     with monkeypatch.context() as patched:
         patched.setattr(representations.Representation, "__init__", rebuilt)
         assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0]) == dirac_catalog
     monkeypatch.setattr(representations, "irreducibles",
                         lambda group: built.append(group) or irreducibles_of(group))
-    assert wave_eigenmode_catalog(cls_d6, wave0_coeffs_d6, wave_spect0) == wave_catalog
+    assert wave_eigenmode_catalog(Geometry(cls_d6), wave0_coeffs_d6, wave_spect0) == wave_catalog
     assert built == [cls_d6.group]
 
 
@@ -1055,42 +1057,40 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
     with pytest.raises(UnsupportedGroupError):
         eigenmode_catalog(s3_cls, dirac_coeffs, dirac_form[0])
     with pytest.raises(UnsupportedGroupError):
-        wave_eigenmode_catalog(s3_cls, wave_coeffs, wave_spect)
+        wave_eigenmode_catalog(Geometry(s3_cls), wave_coeffs, wave_spect)
 
 
-def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d6, cal_d3, cls_d6):
-    assert "eigenmode_catalog" not in reporting.dirac_report(reporting.certify_dirac(cal_d3, 0))
-    assert "eigenmode_catalog" not in reporting.wave_report(cal_d3.cls)
+def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d3, cls_d6):
+    assert "eigenmode_catalog" not in reporting.dirac_report(Geometry(cal_d3.cls))
+    assert "eigenmode_catalog" not in reporting.wave_report(Geometry(cal_d3.cls))
 
     def unreachable(*_args, **_kwargs):
         raise AssertionError("a catalog ran away from mu = 0")
 
     monkeypatch.setattr(dirac, "eigenmode_catalog", unreachable)
     monkeypatch.setattr(dirac, "wave_eigenmode_catalog", unreachable)
-    assert "eigenmode_catalog" not in reporting.dirac_report(
-        reporting.certify_dirac(cal_d6, Fraction(1)))
-    assert "eigenmode_catalog" not in reporting.wave_report(cls_d6, Fraction(1))
+    assert "eigenmode_catalog" not in reporting.dirac_report(Geometry(cls_d6, Fraction(1)))
+    assert "eigenmode_catalog" not in reporting.wave_report(Geometry(cls_d6, Fraction(1)))
 
 
-def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cal_d6, cls_d6):
+def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cls_d6):
     def broken(*_args, **_kwargs):
         raise ValueError("a bug inside the catalog")
 
     monkeypatch.setattr(dirac, "_assess", broken)
     with pytest.raises(ValueError, match="a bug inside the catalog"):
-        reporting.dirac_report(reporting.certify_dirac(cal_d6, 0))
+        reporting.dirac_report(Geometry(cls_d6))
     with pytest.raises(ValueError, match="a bug inside the catalog"):
-        reporting.wave_report(cls_d6)
+        reporting.wave_report(Geometry(cls_d6))
 
 
 @pytest.fixture(scope="module")
 def s_class_catalogs(d6):
     """Both catalogs on the other reflection class of D6, the class of s."""
-    cls = conjugacy_class(d6, "s")
-    dirac_cert = reporting.certify_dirac(differential_calculus(cls), 0)
-    wave = wave_operator(cls)
-    return (eigenmode_catalog(cls, dirac_cert.coeffs, dirac_cert.form),
-            wave_eigenmode_catalog(cls, wave, certify(wave, cls)))
+    geo = Geometry(conjugacy_class(d6, "s"))
+    wave = wave_operator(geo.cls)
+    return (eigenmode_catalog(geo.cls, geo.dirac.coeffs, geo.dirac.form),
+            wave_eigenmode_catalog(geo, wave, certify(wave, geo.cls)))
 
 
 def _summary_row(catalog, value):
@@ -1191,13 +1191,13 @@ def test_block_catalogs_score_as_the_function_oracles(request, cal_name):
     """Each catalog in block coordinates gives the report its function-level
     oracle gives: every status, eigenvalue, span, gap, completion and flag,
     on both reflection classes of D6 and on a relabelled table."""
-    cls = request.getfixturevalue(cal_name).cls
-    cert = reporting.certify_dirac(request.getfixturevalue(cal_name), 0)
+    geo = Geometry(request.getfixturevalue(cal_name).cls)
+    cls, cert = geo.cls, geo.dirac
     assert eigenmode_catalog(cls, cert.coeffs, cert.form) == (
         function_eigenmode_catalog(cls, cert.coeffs, cert.spectrum))
     wave = wave_operator(cls)
     spect = certify(wave, cls)
-    assert wave_eigenmode_catalog(cls, wave, spect) == (
+    assert wave_eigenmode_catalog(geo, wave, spect) == (
         function_wave_eigenmode_catalog(cls, wave, spect))
 
 
@@ -1349,7 +1349,7 @@ def s3_wave_spectra(s3_cls):
 
     def at(mu):
         if mu not in cache:
-            cache[mu] = reporting.wave_report(s3_cls, mu)["spectrum"]
+            cache[mu] = reporting.wave_report(Geometry(s3_cls, mu))["spectrum"]
         return cache[mu]
 
     return at
@@ -1363,7 +1363,7 @@ def test_s3_times_cyclic_wave_spectrum_is_m_copies(s3_group, s3_wave_spectra, m,
     """On S3 x Z_m the wave spectrum has the values of S3's, each m times as
     often; the dense operator on the whole group agrees."""
     cls = conjugacy_class(direct_product_cyclic(s3_group, m), "u")
-    report = reporting.wave_report(cls, mu)["spectrum"]
+    report = reporting.wave_report(Geometry(cls, mu))["spectrum"]
     s3 = s3_wave_spectra(mu)
     assert report["dimension"] == 6 * m
     assert report["table"] == {value: m * mult for value, mult in s3["table"].items()}

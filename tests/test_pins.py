@@ -2,7 +2,8 @@
 digests the benchmark records in ``perfbench/expected.json`` (read here,
 never written), the number of cyclotomic scalars one D6 ``report-all``
 allocates, the number of lift tables and distinguished connections it
-asks for, and the number of representations each spinor command builds."""
+asks for, the number of representations each spinor command builds, and
+the number of calculi each command builds."""
 
 import hashlib
 import json
@@ -11,7 +12,7 @@ import os
 import pytest
 
 from conftest import direct_product_cyclic
-from groupgeo import connections, curvature, cyclotomic, representations
+from groupgeo import calculus, connections, curvature, cyclotomic, reporting, representations
 from groupgeo.cli import main
 from groupgeo.groups import dihedral
 from oracles import cayley_dict
@@ -111,9 +112,10 @@ def test_d6_report_all_builds_each_lift_table_once(monkeypatch, tmp_path):
     ("dihedral:6", "wave", "1", 0),
 ], ids=str)
 def test_representations_built_per_command(monkeypatch, tmp_path, group, cmd, mu, built):
-    """The Dirac certificate builds the irreducibles once and takes the
-    spinor from them, and report-all hands them on to the wave catalog; a
-    standalone wave report builds them itself, at mu = 0 only."""
+    """The run's Geometry builds the irreducibles once, on first read: the
+    Dirac certificate takes the spinor from them and, at mu = 0, the wave
+    catalog reads them, so a standalone wave report builds them at mu = 0
+    only."""
     count = 0
     init = representations.Representation.__init__
 
@@ -126,3 +128,32 @@ def test_representations_built_per_command(monkeypatch, tmp_path, group, cmd, mu
     argv = ["--group", group, "--class", "sr", f"--mu={mu}", "--cmd", cmd]
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
     assert count == built
+
+
+CALCULI_BUILT = {"calculus": 1, "connection": 1, "curvature": 1, "ricci": 2, "dirac": 1,
+                 "wave": 0, "spectral-action": 1, "report-all": 2}
+
+
+@pytest.mark.parametrize("mu", ["0", "1"])
+@pytest.mark.parametrize("cmd", sorted(CALCULI_BUILT))
+def test_calculi_built_per_command(monkeypatch, tmp_path, cmd, mu):
+    """Each run builds one Geometry, which builds the calculus of G once for
+    every section that reads it; the Ricci section adds the calculus of
+    H = <C> for the Ricci-flat system, and the wave report reads the class
+    alone."""
+    built = {"Geometry": 0, "Calculus": 0}
+
+    def counted(owner):
+        init = owner.__init__
+
+        def call(*args, **kwargs):
+            built[owner.__name__] += 1
+            init(*args, **kwargs)
+
+        monkeypatch.setattr(owner, "__init__", call)
+
+    counted(reporting.Geometry)
+    counted(calculus.Calculus)
+    argv = ["--group", "dihedral:6", "--class", "sr", f"--mu={mu}", "--cmd", cmd]
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert built == {"Geometry": 1, "Calculus": CALCULI_BUILT[cmd]}

@@ -8,15 +8,17 @@ copy of the tree's src made without its __pycache__ directories, at paths
 of equal length for both trees, and writes no bytecode
 (PYTHONDONTWRITEBYTECODE); the standard library keeps its bytecode.  The
 child runs in the tree itself, so relative paths in the arguments work,
-and its report goes to the null device.  For each tree the script prints
+and its report goes to a temporary file.  For each tree the script prints
 the median and quartiles of the children's user + sys CPU seconds, read
 from os.wait4.  Then it prints the median and quartiles of the per-pair
 difference, change minus base, and how many pairs each tree won.  The
 machine's speed drifts between pairs, which moves both children of a pair
 alike and widens each tree's own spread, so the paired difference is the
 figure to read: two trees' medians can differ by more than their median
-difference does.  The script exits 1 if a child's exit code differs
-between the trees or from one run to the next.
+difference does.  The script exits 1 if a child's exit code or the sha256
+of its report (none for a refused input, which writes no report) differs
+between the trees or from one run to the next, so a refactor is timed by
+the same tool that shows its output did not move.
 
 Run from anywhere:
 
@@ -29,6 +31,7 @@ Only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import os
 import shutil
 import statistics
@@ -37,17 +40,25 @@ import sys
 import tempfile
 
 
-def child_cpu(tree: str, src: str, argv: list[str], env: dict) -> tuple[int, float]:
-    """Exit code and user + sys CPU seconds of one CLI child run in tree
-    with the package imported from src."""
+def child_cpu(tree: str, src: str, argv: list[str], env: dict,
+              out: str) -> tuple[tuple[int, str | None], float]:
+    """(Exit code, sha256 of the report or None) and user + sys CPU seconds
+    of one CLI child run in tree with the package imported from src and
+    its report written to out."""
+    if os.path.exists(out):
+        os.remove(out)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "groupgeo.cli", *argv, "--out", os.devnull],
+        [sys.executable, "-m", "groupgeo.cli", *argv, "--out", out],
         cwd=tree, env=dict(env, PYTHONPATH=src),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     # reaped here, so Popen must not wait for it again
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_utime + usage.ru_stime
+    digest = None
+    if os.path.exists(out):
+        with open(out, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    return (proc.returncode, digest), usage.ru_utime + usage.ru_stime
 
 
 def summary(values: list[float]) -> str:
@@ -71,7 +82,7 @@ def main(argv=None) -> int:
         parser.error("need n >= 2 and the CLI arguments after --")
     trees = {"base": os.path.abspath(args.base), "change": os.path.abspath(args.change)}
     cpu: dict[str, list[float]] = {name: [] for name in trees}
-    codes: set[int] = set()
+    outcomes: set[tuple[int, str | None]] = set()
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as scratch:
         # "base" and "change" copied to names of one length
@@ -79,11 +90,12 @@ def main(argv=None) -> int:
         for name, tree in trees.items():
             shutil.copytree(os.path.join(tree, "src"), srcs[name],
                             ignore=shutil.ignore_patterns("__pycache__"))
+        out = os.path.join(scratch, "report.json")
         for pair in range(args.n):
             order = list(trees) if pair % 2 == 0 else list(reversed(trees))
             for name in order:
-                code, seconds = child_cpu(trees[name], srcs[name], cli_args, env)
-                codes.add(code)
+                outcome, seconds = child_cpu(trees[name], srcs[name], cli_args, env, out)
+                outcomes.add(outcome)
                 cpu[name].append(seconds)
     for name, values in cpu.items():
         print(f"{name:<13} {summary(values)}  (n {len(values)})")
@@ -91,10 +103,13 @@ def main(argv=None) -> int:
     print(f"{'change - base':<13} {summary([c - b for b, c in pairs])}  (n {len(pairs)} pairs)")
     print(f"change lower in {sum(c < b for b, c in pairs)} of {args.n} pairs, "
           f"base lower in {sum(b < c for b, c in pairs)}")
-    if len(codes) != 1:
-        print(f"exit codes differ: {sorted(codes)}", file=sys.stderr)
+    if len(outcomes) != 1:
+        print("exit codes or report sha256 differ: "
+              + ", ".join(f"{code} {digest}" for code, digest in sorted(outcomes, key=str)),
+              file=sys.stderr)
         return 1
-    print(f"exit code {codes.pop()} in every child")
+    code, digest = outcomes.pop()
+    print(f"exit code {code} and report sha256 {digest} in every child")
     return 0
 
 
