@@ -43,6 +43,7 @@ after these for every command that needs it.
 
 from __future__ import annotations
 
+import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -115,10 +116,15 @@ class FiniteGroup:
         return cls(names, table, name=data.get("name"))
 
     @classmethod
-    def from_json_file(cls, path) -> "FiniteGroup":
+    def from_json_file(cls, path, max_bytes: int = -1) -> "FiniteGroup":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(path, "rb") as fh:
+                # a file longer than max_bytes >= 0 shows it by one byte more
+                raw = fh.read(max_bytes + 1 if max_bytes >= 0 else -1)
+            if len(raw) > max_bytes >= 0:
+                raise CayleyValidationError(
+                    f"Cayley table {path} is longer than the limit of {max_bytes} bytes")
+            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8
             raise CayleyValidationError(f"cannot read Cayley table {path}: {exc}") from exc
@@ -346,14 +352,6 @@ def require_invertible_metric(size: int, mu) -> None:
             f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
 
 
-def _element_order(group: FiniteGroup, g: int) -> int:
-    k, cur = 1, g
-    while cur != 0:
-        cur = group.mul(cur, g)
-        k += 1
-    return k
-
-
 def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
     """Detect dihedral structure: the first element r of order n = |G|/2 and
     the first involution s outside <r> with s r s^-1 = r^-1.  Returns the
@@ -365,14 +363,8 @@ def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
         raise UnsupportedGroupError(
             f"group {group.name} of order {order} has no dihedral presentation")
     n = order // 2
-    for r in range(order) if n > 1 else [0]:
-        if _element_order(group, r) != n and n > 1:
-            continue
-        subgroup = set()
-        cur = 0
-        for _ in range(n):
-            subgroup.add(cur)
-            cur = group.mul(cur, r)
+    for r in range(order):
+        subgroup = _right_closure(group.table, [r])
         if len(subgroup) != n:
             continue
         for s in range(order):

@@ -7,14 +7,12 @@ writes a report for json.dumps (cli.render calls it) in one walk, which
 renders each distinct scalar once: a rational becomes {"num", "den"} and a
 general cyclotomic value {"zeta_order", "coeffs"} with rational coordinate
 pairs, each alongside a 12-digit decimal rendering for human readers.
-A rational's decimal is computed with integer arithmetic that reproduces
-mpmath's ``nstr`` at 30 digits byte for byte, and a cyclotomic value's is
-read off exact enclosures of its parts (_cyclotomic_decimal).  mpmath is
-only the fallback, for rationals beyond 2**3500 or below 2**-3500 and for
-cyclotomic parts an enclosure cannot decide; it is imported there alone and
-always runs inside its own precision context, so the decimals depend neither
-on the platform nor on the caller's mpmath settings. Nothing in a report
-depends on time, paths or dictionary iteration order.
+That decimal is the exact value rounded half up to 12 significant digits,
+in the layout of mpmath's ``nstr``, computed in integers: a rational's by
+integer division, a cyclotomic value's parts from exact fixed-point
+enclosures (_cyclotomic_decimal).  No setting of any library reaches it,
+and nothing in a report depends on time, paths or dictionary iteration
+order.
 
 Every report takes one Geometry, which builds what several sections read
 once, on first read.  Each imports the layers it runs in its own body, so
@@ -32,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclo
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, require_invertible_metric
 from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
@@ -42,74 +40,38 @@ if TYPE_CHECKING:
     from .dirac import BlockForm, Spectrum
     from .representations import Representation
 
-_DPS = 30
 _DIGITS = 12
-# the binary precision mpmath works at for _DPS digits (mp.prec)
-_PREC = 103
-# mpmath's to_digits_exp: the bits it carries for _DIGITS + 3 digits, and
-# the binary magnitude past which it first divides by a power of ten
-_LOG2_10 = math.log(10, 2)
-_DIGIT_BITS = int((_DIGITS + 3) * _LOG2_10) + 10
-_SCALED_MAGNITUDE = 3500
 # nstr prints fixed-point when min_fixed < decimal exponent < max_fixed
 _MIN_FIXED = -5
 _MAX_FIXED = _DIGITS
-# the bits of the fixed-point roots of unity a cyclotomic decimal is summed
-# from, and the enclosure around each sum: (1 + sum|w_j|) 2**-_SLACK_BITS
-# bounds mpmath's error for fewer than _MAX_TERMS terms
+# the bits of the fixed-point roots of unity a cyclotomic decimal is first
+# summed from; a part they leave undecided is summed again at twice as many
 _FIXED = 256
-_SLACK_BITS = 85
-_MAX_TERMS = 1 << 17
-
-
-def _round_quotient(p: int, q: int) -> tuple[int, int]:
-    """(man, exp) with man * 2**exp the positive p/q rounded to _PREC bits,
-    to nearest with ties to even."""
-    shift = _PREC + 1 - p.bit_length() + q.bit_length()
-    if shift >= 0:
-        man, rem = divmod(p << shift, q)
-    else:
-        man, rem = divmod(p, q << -shift)
-    # 2**(_PREC) <= p/q * 2**shift < 2**(_PREC + 2): one or two bits to drop
-    drop = man.bit_length() - _PREC
-    low = man & ((1 << drop) - 1)
-    half = 1 << (drop - 1)
-    man >>= drop
-    if low > half or (low == half and (rem or man & 1)):
-        man += 1
-    return man, drop - shift
-
-
-def _mpmath_decimal(num: int, den: int) -> str:
-    from mpmath import mp, mpf
-
-    with mp.workdps(_DPS):
-        return mp.nstr(mpf(num) / mpf(den), _DIGITS)
 
 
 def _rational_decimal(num: int, den: int) -> str:
-    """mp.nstr(mpf(num) / mpf(den), 12) at mp.dps = 30, in integers: num and
-    den each round to _PREC bits and so does their quotient (mpf_div is
-    correctly rounded), then libmpf.to_str's digit extraction and layout."""
+    """num/den rounded half up (ties away from zero) to _DIGITS significant
+    digits by integer division, in mpmath's nstr layout."""
     if not num:
         return "0.0"
-    a, ea = _round_quotient(abs(num), 1)
-    b, eb = _round_quotient(den, 1)
-    man, exp = _round_quotient(a, b)
-    exp += ea - eb
-    magnitude = exp + man.bit_length()
-    if abs(magnitude) > _SCALED_MAGNITUDE:
-        return _mpmath_decimal(num, den)
-    # to_digits_exp at _DIGITS + 3 digits, each step rounding down
-    fixprec = max(_DIGIT_BITS - magnitude, 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    offset = exp + fixprec
-    fixed = man << offset if offset >= 0 else man >> -offset
-    digits = str(fixed * 10 ** fixdps >> fixprec)
-    exponent = len(digits) - fixdps - 1
-    # to_str: round half up on the first dropped digit, carrying into the
-    # exponent when every kept digit was a 9
-    lead = int(digits[:_DIGITS]) + (digits[_DIGITS] in "56789")
+    size = abs(num)
+    # size/den lies strictly between 2**(bits - 1) and 2**(bits + 1), so its
+    # decimal exponent is this estimate or one more (0.5 is log10(2) and
+    # 0.2 to spare for float rounding)
+    bits = size.bit_length() - den.bit_length()
+    exponent = math.floor(bits * math.log10(2) - 0.5)
+    scale = _DIGITS - 1 - exponent
+    if scale >= 0:
+        size *= 10 ** scale
+    else:
+        den *= 10 ** -scale
+    if size >= den * 10 ** _DIGITS:
+        den *= 10
+        exponent += 1
+    # 10**(_DIGITS - 1) <= size/den < 10**_DIGITS: round half up, carrying
+    # into the exponent when every kept digit was a 9
+    lead, rest = divmod(size, den)
+    lead += 2 * rest >= den
     if lead == 10 ** _DIGITS:
         lead //= 10
         exponent += 1
@@ -130,21 +92,6 @@ def _rational_decimal(num: int, den: int) -> str:
     return f"{sign}{text}e{exponent:+d}"
 
 
-def _mpmath_cyclotomic_decimal(c) -> str:
-    from mpmath import mp, mpf
-
-    with mp.workdps(_DPS):
-        re = mpf(0)
-        im = mpf(0)
-        for j, coeff in enumerate(c.coeffs):
-            if coeff:
-                w = mpf(coeff.numerator) / mpf(coeff.denominator)
-                angle = mpf(2 * j) / mpf(c.order)
-                re += w * mp.cospi(angle)
-                im += w * mp.sinpi(angle)
-        return f"{mp.nstr(re, _DIGITS)} + {mp.nstr(im, _DIGITS)}i"
-
-
 def _arctan_inverse(m: int, one: int) -> int:
     """atan(1/m) times one, for an integer m > 1, every term rounded down."""
     power = total = one // m
@@ -158,19 +105,20 @@ def _arctan_inverse(m: int, one: int) -> int:
 
 
 @functools.cache
-def _fixed_pi() -> int:
-    """pi times 2**_FIXED by Machin's formula, computed once per process."""
-    one = 1 << _FIXED
+def _fixed_pi(bits: int) -> int:
+    """pi times 2**bits by Machin's formula, computed once per precision
+    and process."""
+    one = 1 << bits
     return 4 * (4 * _arctan_inverse(5, one) - _arctan_inverse(239, one))
 
 
 @functools.cache
-def _unit_root(j: int, n: int) -> tuple[int, int]:
-    """cos and sin of 2 pi j/n times 2**_FIXED, each within 2**16 of the
+def _unit_root(j: int, n: int, bits: int = _FIXED) -> tuple[int, int]:
+    """cos and sin of 2 pi j/n times 2**bits, each within bits * 2**8 of the
     exact value: the Taylor series at the angle taken into (-pi, pi],
-    every term rounded down.  Each (j, n) is summed once per process."""
-    one = 1 << _FIXED
-    pi = _fixed_pi()
+    every term rounded down.  Each (j, n, bits) is summed once per process."""
+    one = 1 << bits
+    pi = _fixed_pi(bits)
     turn = j if 2 * j <= n else j - n
     x = 2 * pi * abs(turn) // n
     parts = [0, 0]
@@ -183,35 +131,47 @@ def _unit_root(j: int, n: int) -> tuple[int, int]:
     return cos, sin if turn >= 0 else -sin
 
 
-def _cyclotomic_decimal(c) -> str:
-    """mpmath's 12-digit rendering of c's real and imaginary parts
-    (_mpmath_cyclotomic_decimal), read off exact enclosures where it can.
-
-    Each part sum_j w_j cos(2 pi j/n), or sin, is summed exactly from the
-    _FIXED-bit roots of unity and widened by (1 + sum|w_j|) 2**-_SLACK_BITS.
-    mpmath's _PREC-bit sum of k nonzero terms lies within
-    (12 + k) sum|w_j| 2**-_PREC of the exact part, inside that interval
-    while k < _MAX_TERMS, and nstr is monotone: when both ends render alike,
-    so does the sum.  Otherwise mpmath renders it: a part on or near a
-    12-digit tie, or an interval about 0, whose ends differ in sign (an
-    exact zero part is one).
-    """
-    nums = c.nums
-    if len(nums) >= _MAX_TERMS:
-        return _mpmath_cyclotomic_decimal(c)
+def _enclosure_decimals(c, bits: int) -> list[tuple[str, str]]:
+    """The decimals of the two ends of an enclosure of c's real part and of
+    its imaginary part, summed exactly from the bits-bit roots of unity."""
     re = im = 0
-    for j, x in enumerate(nums):
+    for j, x in enumerate(c.nums):
         if x:
-            cos, sin = _unit_root(j, c.order)
+            cos, sin = _unit_root(j, c.order, bits)
             re += x * cos
             im += x * sin
-    den = c.den << _FIXED
-    radius = (c.den + sum(map(abs, nums))) << (_FIXED - _SLACK_BITS)
-    lo_re, hi_re, lo_im, hi_im = (_rational_decimal(part + side * radius, den)
-                                  for part in (re, im) for side in (-1, 1))
-    if lo_re != hi_re or lo_im != hi_im:
-        return _mpmath_cyclotomic_decimal(c)
-    return f"{lo_re} + {lo_im}i"
+    den = c.den << bits
+    radius = sum(map(abs, c.nums)) * bits << 8
+    return [(_rational_decimal(part - radius, den), _rational_decimal(part + radius, den))
+            for part in (re, im)]
+
+
+def _cyclotomic_decimal(c) -> str:
+    """c's real and imaginary parts, each rounded half up to _DIGITS
+    significant digits (_rational_decimal), read off exact enclosures.
+
+    Each part sum_j w_j cos(2 pi j/n), or sin, is enclosed by its sum from
+    the _FIXED-bit roots of unity widened by sum|w_j| times their error.
+    Rounding is monotone: when both ends render alike, so does the part.
+    A part whose ends differ is rendered exactly when it is rational (the
+    real part when c + conj(c) is, the imaginary part when (c - conj(c))/i
+    is, zero included); any other part is enclosed again at twice the bits
+    until its ends agree.  That ends, because every value where the
+    rendering changes is rational, and an irrational part is none of them.
+    """
+    parts = []
+    for k, (lo, hi) in enumerate(_enclosure_decimals(c, _FIXED)):
+        if lo != hi:
+            twice = c + c.conj() if k == 0 else (c - c.conj()) * cyclo(4, 3)
+            if twice.is_rational():
+                half = twice.as_fraction() / 2
+                lo = hi = _rational_decimal(half.numerator, half.denominator)
+        bits = _FIXED
+        while lo != hi:
+            bits *= 2
+            lo, hi = _enclosure_decimals(c, bits)[k]
+        parts.append(lo)
+    return f"{parts[0]} + {parts[1]}i"
 
 
 def _scalar_json(value) -> dict:

@@ -13,7 +13,8 @@ out of an assembled operator and the dense class translation sums beside
 the coefficients the reports read,
 the full associativity and homomorphism scans beside the checks over a
 generating set, dense right translation matrices beside the group table, mpmath's rendering of a rational's decimal beside the
-integer one and of a cyclotomic value's beside its exact enclosure, Sturm bisection beside p-adic lifting for integer roots,
+integer one and of a cyclotomic value's beside its exact enclosure, the
+exact decimals by stdlib decimal and mpmath intervals beside both, Sturm bisection beside p-adic lifting for integer roots,
 the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
 integer numerators over one denominator, the row update as a product and
 a subtraction beside the fused multiply-subtract, each span ranked alone beside
@@ -37,17 +38,19 @@ coefficients and the right module action on 1-forms).
 from __future__ import annotations
 
 import contextlib
+import decimal
 import functools
 import math
 from fractions import Fraction
 from typing import Sequence
 
-from mpmath import mp, mpf
+from mpmath import iv, mp, mpf
+from mpmath.libmp import to_rational
 
 from groupgeo.calculus import Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm, braiding
 from groupgeo.connections import Connection
 from groupgeo.curvature import connection_grid
-from groupgeo.cyclotomic import Cyclotomic, dot, rat
+from groupgeo.cyclotomic import Cyclotomic, cyclo, dot, rat
 from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import ConjClass, FiniteGroup, dihedral_structure
@@ -81,6 +84,53 @@ def mpmath_cyclotomic_decimal(c: Cyclotomic) -> str:
                 re += w * mp.cospi(angle)
                 im += w * mp.sinpi(angle)
         return f"{mp.nstr(re, 12)} + {mp.nstr(im, 12)}i"
+
+
+def exact_rational_decimal(num: int, den: int) -> str:
+    """num/den rounded half up (ties away from zero) to 12 significant
+    digits, in mpmath's nstr layout, by stdlib decimal: the quotient cut to
+    50 digits compares with every 13-digit tie as num/den does, and is then
+    rounded to 12."""
+    if not num:
+        return "0.0"
+    cut = decimal.Context(prec=50, rounding=decimal.ROUND_DOWN).divide(
+        decimal.Decimal(abs(num)), decimal.Decimal(den))
+    value = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_UP).plus(cut)
+    exponent = value.adjusted()
+    sign = "-" if num < 0 else ""
+    if -5 < exponent < 12:
+        text = format(value, "f")
+        text = text.rstrip("0") if "." in text else text + "."
+        return sign + text + ("0" if text.endswith(".") else "")
+    digits = "".join(map(str, value.as_tuple().digits)).rstrip("0")
+    return f"{sign}{digits[0]}.{digits[1:] or '0'}e{exponent:+d}"
+
+
+def exact_cyclotomic_decimal(c: Cyclotomic) -> str:
+    """The real and imaginary parts of c, each rounded half up to 12
+    significant digits (exact_rational_decimal): a rational part from its
+    exact value, and any other from mpmath interval sums of w_j cos(2 pi
+    j/order), or sin, at twice the precision until both ends render alike."""
+    parts = []
+    prec = iv.prec
+    try:
+        # twice the real part and twice the imaginary part
+        for wave, twice in ((iv.cos, c + c.conj()), (iv.sin, (c - c.conj()) * cyclo(4, 3))):
+            if twice.is_rational():
+                half = twice.as_fraction() / 2
+                parts.append(exact_rational_decimal(half.numerator, half.denominator))
+                continue
+            iv.prec = 64
+            ends = ("", None)
+            while ends[0] != ends[1]:
+                iv.prec *= 2
+                total = sum(iv.mpf(w.numerator) / w.denominator * wave(2 * iv.pi * j / c.order)
+                            for j, w in enumerate(c.coeffs) if w)
+                ends = [exact_rational_decimal(*to_rational(end)) for end in total._mpi_]
+            parts.append(ends[0])
+    finally:
+        iv.prec = prec
+    return f"{parts[0]} + {parts[1]}i"
 
 
 # -- scalars ------------------------------------------------------------------

@@ -325,6 +325,51 @@ def test_invalid_cayley_table_exits_3(tmp_path, capsys, content, fragment):
     assert fragment in err
 
 
+def test_cayley_file_at_the_byte_limit_loads_and_one_byte_over_is_refused(
+        tmp_path, monkeypatch, capsys):
+    table = json.dumps(cayley_dict(dihedral(3)))
+    monkeypatch.setattr(cli, "MAX_CAYLEY_BYTES", len(table) + 1)
+    parsed = []
+    load = json.load
+
+    def counted(handle):
+        parsed.append(handle)
+        return load(handle)
+
+    monkeypatch.setattr(json, "load", counted)
+    # one byte under the limit, at it and one byte over
+    for padding, code in ((0, 0), (1, 0), (2, 3)):
+        path = tmp_path / f"d3-{padding}.json"
+        path.write_text(table + " " * padding)
+        got, out, err = _run(capsys, "--cayley", str(path), "--class", "s",
+                             "--cmd", "calculus")
+        assert got == code, err
+        if code:
+            assert err == (f"error(validation): Cayley table {path} is longer than "
+                           f"the limit of {len(table) + 1} bytes\n")
+    # the refused file was never parsed
+    assert len(parsed) == 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_cayley_file_is_refused_in_bounded_memory(tmp_path):
+    # the address-space cap makes an unbounded read fail fast, with a
+    # MemoryError and exit 1, instead of taking all the memory it can get
+    resource = pytest.importorskip("resource")
+    cap = 400 * 2 ** 20
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    run = subprocess.run(
+        [sys.executable, "-m", "groupgeo.cli", "--cayley", "/dev/zero", "--class", "e",
+         "--cmd", "calculus", "--out", str(tmp_path / "report.json")],
+        env=_source_env(), capture_output=True, text=True, preexec_fn=limit, timeout=120)
+    assert (run.returncode, run.stdout) == (3, "")
+    assert run.stderr == ("error(validation): Cayley table /dev/zero is longer than the "
+                          f"limit of {cli.MAX_CAYLEY_BYTES} bytes\n")
+
+
 _Z2 = [[0, 1], [1, 0]]
 
 
@@ -592,7 +637,7 @@ _RENDER_CASES = [
 ] + [
     pytest.param("d6xz2", cmd, "0", id=f"d6xz2-{cmd}") for cmd in _RATIONAL_COMMANDS
 ] + [
-    # past 2**3500 and below 2**-3500 the decimal of mu comes from mpmath
+    # a mu past 2**3500 and one below 2**-3500
     pytest.param("d3", "connection", "1" + "0" * 1200, id="d3-connection-huge-mu"),
     pytest.param("d3", "connection", "0." + "0" * 1200 + "1",
                  id="d3-connection-tiny-mu"),
@@ -613,17 +658,22 @@ def test_reports_render_as_with_mpmath_decimals(tmp_path, monkeypatch, capsys,
 
 _IMPORT_PROBE = """
 import json, sys
+# what the interpreter loaded before the package, site's .pth imports among it
+baseline = set(sys.modules)
+own = sys.stdlib_module_names | {"groupgeo"}
 loaded = []
 for argv in json.loads(sys.argv[1]):
     # each command starts from a fresh import of the package, as in its own
-    # process; mpmath stays loaded once any command has imported it
+    # process; a module from outside the standard library stays loaded once
+    # any command has imported it
     for name in [m for m in sys.modules if m.split(".")[0] == "groupgeo"]:
         del sys.modules[name]
     import groupgeo.cli
     code = groupgeo.cli.main(argv + ["--out", sys.argv[2]])
     layers = sorted(m[len("groupgeo."):] for m in sys.modules
                     if m.startswith("groupgeo."))
-    loaded.append([code, layers, "mpmath" in sys.modules])
+    foreign = sorted(m for m in set(sys.modules) - baseline if m.split(".")[0] not in own)
+    loaded.append([code, layers, foreign])
 print(json.dumps(loaded))
 """
 
@@ -713,14 +763,22 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
               4, _FRONT) for cmd in ("connection", "wave")]
     runs += [(_table_argv(tmp_path, alternating4()) + [
         "--class", "1203", "--cmd", "connection"], 3, _FRONT)]
+    # an endless table is refused after MAX_CAYLEY_BYTES + 1 bytes
+    if os.path.exists("/dev/zero"):
+        runs += [(["--cayley", "/dev/zero", "--class", "e", "--cmd", "calculus"], 3, _FRONT)]
+    # a 1101-digit mu, past 2**3600, in the spinor layers and the connection
+    runs += [(["--group", "dihedral:3", "--class", "sr", "--mu=1" + "0" * 1100, "--cmd", cmd],
+              code, layers) for cmd, (code, layers) in _D3_LOADS.items()
+             if cmd in ("connection", "wave", "dirac")]
     probe = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps([r[0] for r in runs]),
          str(tmp_path / "report.json")],
         env=_source_env(), capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
-    # no command imports mpmath: every decimal is read off an enclosure
+    # no command imports a module from outside the standard library, mpmath
+    # among them: every decimal is computed in integers
     assert dict(zip((" ".join(r[0]) for r in runs), json.loads(probe.stdout))) == {
-        " ".join(argv): [code, sorted(layers), False] for argv, code, layers in runs}
+        " ".join(argv): [code, sorted(layers), []] for argv, code, layers in runs}
 
 
 def test_package_root_loads_the_scalars_on_first_use():

@@ -1,9 +1,11 @@
 """Decimal annotations: the integer renderer of a rational and the exact
-enclosure of a cyclotomic value against mpmath's nstr, and reports that do
-not depend on the caller's mpmath precision."""
+enclosures of a cyclotomic value, against mpmath's nstr where the inputs do
+not seek a 12-digit tie and against exact oracles everywhere else, and
+reports that do not depend on the caller's mpmath precision."""
 
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +16,8 @@ from groupgeo import reporting
 from groupgeo.cli import main
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 from groupgeo.reporting import to_json
-from oracles import mpmath_cyclotomic_decimal, mpmath_rational_decimal
+from oracles import (exact_cyclotomic_decimal, exact_rational_decimal,
+                     mpmath_cyclotomic_decimal, mpmath_rational_decimal)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_d6_report.json")
 
@@ -26,6 +29,18 @@ def _decimal(value: Fraction) -> str:
 def _check(value: Fraction):
     assert _decimal(value) == mpmath_rational_decimal(
         value.numerator, value.denominator), value
+
+
+def _check_exact(value: Fraction):
+    # on and beside a 12-digit tie the decimal is the exact value rounded
+    # half up, where mpmath rounds its 103-bit approximation of it
+    assert _decimal(value) == exact_rational_decimal(
+        value.numerator, value.denominator), value
+
+
+def _without_mpmath(monkeypatch):
+    """Make any import of mpmath fail until the test ends."""
+    monkeypatch.setitem(sys.modules, "mpmath", None)
 
 
 def _scaled(mantissas, exponents):
@@ -75,7 +90,7 @@ def test_huge_and_tiny_fractions_match_mpmath(value):
 @settings(max_examples=300, deadline=None)
 @given(_scaled(_TIES | _NINES, st.integers(-40, 40)))
 def test_ties_and_carries_match_mpmath(value):
-    _check(value)
+    _check_exact(value)
 
 
 @settings(max_examples=200, deadline=None)
@@ -87,13 +102,13 @@ def test_ties_and_carries_match_mpmath(value):
 @example(2726332289225, 11, 1068201392605930471718040750734402239504543778505788159)
 def test_ties_over_wide_denominators_match_mpmath(digits, exponent, den):
     tie = Fraction(digits) * Fraction(10) ** (exponent - 13)
-    _check(Fraction(round(tie * den), den))
+    _check_exact(Fraction(round(tie * den), den))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_BINARY_TIES, st.sampled_from([1, -1]))
 def test_binary_ties_round_to_even_like_mpmath(num, sign):
-    _check(Fraction(sign * num))
+    _check_exact(Fraction(sign * num))
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,7 +117,7 @@ def test_binary_ties_round_to_even_like_mpmath(num, sign):
 def test_fixed_and_exponent_switch_points_match_mpmath(value):
     # m has up to 21 digits, so m * 10**e straddles 1e-5 .. 1e-4 and
     # 1e11 .. 1e12, where nstr moves between fixed and exponent form
-    _check(value)
+    _check_exact(value)
 
 
 @settings(max_examples=100, deadline=None)
@@ -110,20 +125,26 @@ def test_fixed_and_exponent_switch_points_match_mpmath(value):
                | st.integers(-1120, -1060)))
 def test_values_beyond_the_scaled_cut_match_mpmath(value):
     # past 2**3500 either way mpmath divides by a power of ten first
-    _check(value)
+    _check_exact(value)
 
 
 def test_layout_examples():
-    assert _decimal(Fraction(0)) == "0.0"
-    assert _decimal(Fraction(72)) == "72.0"
-    assert _decimal(Fraction(1, 3)) == "0.333333333333"
-    assert _decimal(Fraction(-2, 3)) == "-0.666666666667"
-    assert _decimal(Fraction(1, 10 ** 4)) == "0.0001"
-    assert _decimal(Fraction(1, 10 ** 5)) == "1.0e-5"
-    assert _decimal(Fraction(10 ** 11)) == "100000000000.0"
-    assert _decimal(Fraction(10 ** 12)) == "1.0e+12"
-    assert _decimal(Fraction(10 ** 12 - 1, 10)) == "99999999999.9"
-    assert _decimal(Fraction(10 ** 13 - 1, 100)) == "100000000000.0"
+    examples = {
+        Fraction(0): "0.0",
+        Fraction(72): "72.0",
+        Fraction(1, 3): "0.333333333333",
+        Fraction(-2, 3): "-0.666666666667",
+        Fraction(1, 10 ** 4): "0.0001",
+        Fraction(1, 10 ** 5): "1.0e-5",
+        Fraction(10 ** 11): "100000000000.0",
+        Fraction(10 ** 12): "1.0e+12",
+        Fraction(10 ** 12 - 1, 10): "99999999999.9",
+        Fraction(10 ** 13 - 1, 100): "100000000000.0",
+    }
+    for value, text in examples.items():
+        assert _decimal(value) == text
+        # the exact oracle lays its digits out alike
+        assert exact_rational_decimal(value.numerator, value.denominator) == text
 
 
 def test_decimals_ignore_the_callers_mpmath_precision(monkeypatch, tmp_path,
@@ -158,18 +179,24 @@ def _cyclotomics(draw):
 @settings(max_examples=300, deadline=None)
 @given(_cyclotomics())
 def test_cyclotomic_decimals_match_mpmath(c):
-    assert reporting._cyclotomic_decimal(c) == mpmath_cyclotomic_decimal(c)
+    # not mpmath's 30-digit sum: where the terms cancel it keeps little but
+    # its rounding error of the larger ones (a real part of -0.0114 beside
+    # 3.3e+35 i comes out 0.0), and it renders an exact zero part as that
+    # error
+    assert reporting._cyclotomic_decimal(c) == exact_cyclotomic_decimal(c)
 
 
 def test_unit_roots_in_fixed_point_are_within_their_bound():
-    # 2**16 units of 2**-256, checked at 120 digits
-    with mp.workdps(120):
-        for n in range(1, 49):
-            for j in range(n):
-                cos, sin = reporting._unit_root(j, n)
-                angle = mp.mpf(2 * j) / n
-                assert abs(cos - mp.cospi(angle) * 2 ** 256) < 2 ** 16
-                assert abs(sin - mp.sinpi(angle) * 2 ** 256) < 2 ** 16
+    # bits * 2**8 units of 2**-bits, 2**16 at 256 bits, checked with 64
+    # bits to spare
+    for bits in (256, 1024):
+        with mp.workprec(bits + 64):
+            for n in range(1, 49):
+                for j in range(n):
+                    cos, sin = reporting._unit_root(j, n, bits)
+                    angle = mp.mpf(2 * j) / n
+                    assert abs(cos - mp.cospi(angle) * 2 ** bits) < bits << 8
+                    assert abs(sin - mp.sinpi(angle) * 2 ** bits) < bits << 8
 
 
 def test_pi_is_summed_once_per_process(monkeypatch):
@@ -191,37 +218,51 @@ def test_pi_is_summed_once_per_process(monkeypatch):
     assert calls == [5, 239]
 
 
-@pytest.mark.parametrize("value", [
-    # a real part that is exactly zero
-    cyclo(4),
-    cyclo(3) - cyclo(3, 2),
+@pytest.mark.parametrize("value, expected, mpmath_renders", [
+    # a real part that is exactly zero; mpmath's 103-bit cos(2 pi/3) leaves
+    # 2e-31 of the second one
+    (cyclo(4), "0.0 + 1.0i", "0.0 + 1.0i"),
+    (cyclo(3) - cyclo(3, 2), "0.0 + 1.73205080757i", "1.97215226305e-31 + 1.73205080757i"),
     # a real part on a 12-digit tie: 1000000000.125 is exact in binary
-    rat(Fraction(8000000001, 8)) + cyclo(4),
+    (rat(Fraction(8000000001, 8)) + cyclo(4), "1000000000.13 + 1.0i", "1000000000.13 + 1.0i"),
 ], ids=["zeta4", "zeta3-minus-square", "tie"])
-def test_undecided_enclosures_fall_back_to_mpmath(monkeypatch, value):
-    fallback = []
-    real = reporting._mpmath_cyclotomic_decimal
-
-    def recorded(c):
-        fallback.append(c)
-        return real(c)
-
-    expected = mpmath_cyclotomic_decimal(value)
-    monkeypatch.setattr(reporting, "_mpmath_cyclotomic_decimal", recorded)
-    # the fallback keeps its own precision, whatever the caller's
-    monkeypatch.setattr(mp, "dps", 5)
+def test_undecided_enclosures_fall_back_to_mpmath(monkeypatch, value, expected,
+                                                  mpmath_renders):
+    # the first enclosure of the real part straddles a change of rendering,
+    # and the exact rational part decides it, with mpmath out of reach
+    assert len(set(reporting._enclosure_decimals(value, reporting._FIXED)[0])) == 2
+    assert exact_cyclotomic_decimal(value) == expected
+    assert mpmath_cyclotomic_decimal(value) == mpmath_renders
+    _without_mpmath(monkeypatch)
     assert reporting._cyclotomic_decimal(value) == expected
-    assert fallback == [value]
-    assert mp.dps == 5
 
 
 def test_decided_enclosures_need_no_mpmath(monkeypatch):
-    def unreachable(c):
-        raise AssertionError(f"{c!r} fell back to mpmath")
+    values = (cyclo(12), cyclo(3) + rat(Fraction(1, 3)), cyclo(24, 5) * rat(10 ** 40))
+    expected = [mpmath_cyclotomic_decimal(value) for value in values]
+    _without_mpmath(monkeypatch)
+    assert [reporting._cyclotomic_decimal(value) for value in values] == expected
 
-    monkeypatch.setattr(reporting, "_mpmath_cyclotomic_decimal", unreachable)
-    for value in (cyclo(12), cyclo(3) + rat(Fraction(1, 3)), cyclo(24, 5) * rat(10 ** 40)):
-        assert reporting._cyclotomic_decimal(value) == mpmath_cyclotomic_decimal(value)
+
+@pytest.mark.parametrize("side, expected", [(1, "1000000000.13 + 5.0e-71i"),
+                                            (-1, "1000000000.12 + -5.0e-71i")])
+def test_undecided_irrational_parts_are_enclosed_again(monkeypatch, side, expected):
+    # 1000000000.125 + side 10**-70 cos(pi/6) sits 2**-262 of itself off the
+    # tie: 256 bits leave it undecided and 512 decide it; the imaginary
+    # part, side 10**-70 / 2, is rational
+    value = rat(Fraction(8000000001, 8)) + rat(Fraction(side, 10 ** 70)) * cyclo(12)
+    assert exact_cyclotomic_decimal(value) == expected
+    bits = []
+    real = reporting._enclosure_decimals
+
+    def recorded(c, precision):
+        bits.append(precision)
+        return real(c, precision)
+
+    monkeypatch.setattr(reporting, "_enclosure_decimals", recorded)
+    _without_mpmath(monkeypatch)
+    assert reporting._cyclotomic_decimal(value) == expected
+    assert bits == [256, 512]
 
 
 # -- the report walk --------------------------------------------------------
@@ -244,8 +285,9 @@ def _standalone(c: Cyclotomic) -> dict:
         fr = c.as_fraction()
         return {"num": fr.numerator, "den": fr.denominator,
                 "decimal": mpmath_rational_decimal(fr.numerator, fr.denominator)}
+    # random cyclotomic leaves meet the cancellations mpmath's sum loses
     return {"zeta_order": c.order, "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
-            "decimal": mpmath_cyclotomic_decimal(c)}
+            "decimal": exact_cyclotomic_decimal(c)}
 
 
 def _compare(node, out, shared: dict):

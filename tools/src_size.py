@@ -2,9 +2,12 @@
 count, every module, class and function docstring blanked, in total and
 for each module, so that two runs name the modules that grew or shrank.
 Then, for each
-command the package's cli lists (cli.COMMANDS) on dihedral:6 at mu = 0 and
-mu = -1/3, the package modules the command loads and their summed line
-count, the package __init__ included.
+command the package's cli lists (cli.COMMANDS) on dihedral:6 at mu = 0,
+mu = 1 and mu = -1/3, the package modules the command loads and their
+summed line count, the package __init__ included.  mu = 0 runs the
+eigenmode catalogs, mu = 1 stands for every other accepted modulus, which
+skips them, and mu = -1/3 is refused by every command that reads the
+metric.
 
 The line count is that of the files as they stand.  The node count is
 taken after each docstring's text is emptied, so a docstring weighs one
@@ -25,7 +28,7 @@ import os
 import subprocess
 import sys
 
-MUS = ("0", "-1/3")
+MUS = ("0", "1", "-1/3")
 
 # run one command and print its exit code and the package modules loaded
 _PROBE = """
