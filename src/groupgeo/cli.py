@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 usage errors (including an --out path longer than
 MAX_OUT_LENGTH, that is a directory, lies in a missing directory or cannot
 be written, a ``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than
 MAX_MU_LENGTH), 3 validation failures (bad Cayley table, a --cayley file
-longer than MAX_CAYLEY_BYTES, unknown label, non-cyclic or otherwise
+longer than groups.MAX_CAYLEY_BYTES, unknown label, non-cyclic or otherwise
 unsupported class or group), 4 mathematical failures on valid input
 (singular metric values, an operator whose certified spectrum misses
 dimensions or leaves Q, an infeasible exact system).
@@ -49,10 +49,6 @@ PRECONDITION_EXIT = 4
 # largest builtin dihedral:N; its (2N)^2 table is validated by Light's
 # associativity test in O(N^2 log N)
 MAX_DIHEDRAL = 256
-
-# longest --cayley file read, in bytes (one byte more shows a file longer):
-# almost seven times the 1.23 MB table of AGL(1,23), of order 506
-MAX_CAYLEY_BYTES = 8 * 2 ** 20
 
 # longest --mu text accepted; the report integers grow with its digits, and
 # dihedral:3 report-all at this length takes a few seconds
@@ -223,7 +219,7 @@ def _run(argv) -> int:
             except ValueError as exc:
                 return _refused(USAGE_EXIT, str(exc))
         else:
-            group = FiniteGroup.from_json_file(args.cayley, MAX_CAYLEY_BYTES)
+            group = FiniteGroup.from_json_file(args.cayley)
         try:
             group.index(args.class_label)
         except KeyError:

@@ -43,7 +43,6 @@ after these for every command that needs it.
 
 from __future__ import annotations
 
-import io
 import json
 from collections import Counter
 from fractions import Fraction
@@ -51,6 +50,10 @@ from typing import Sequence
 
 from .errors import (CayleyValidationError, NonCyclicClassError, SingularMetricError,
                      UnsupportedGroupError)
+
+# longest Cayley table file read, in bytes (one byte more shows a file
+# longer): almost seven times the 1.23 MB table of AGL(1,23), of order 506
+MAX_CAYLEY_BYTES = 8 * 2 ** 20
 
 
 class FiniteGroup:
@@ -116,15 +119,14 @@ class FiniteGroup:
         return cls(names, table, name=data.get("name"))
 
     @classmethod
-    def from_json_file(cls, path, max_bytes: int = -1) -> "FiniteGroup":
+    def from_json_file(cls, path) -> "FiniteGroup":
         try:
             with open(path, "rb") as fh:
-                # a file longer than max_bytes >= 0 shows it by one byte more
-                raw = fh.read(max_bytes + 1 if max_bytes >= 0 else -1)
-            if len(raw) > max_bytes >= 0:
+                raw = fh.read(MAX_CAYLEY_BYTES + 1)
+            if len(raw) > MAX_CAYLEY_BYTES:
                 raise CayleyValidationError(
-                    f"Cayley table {path} is longer than the limit of {max_bytes} bytes")
-            data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+                    f"Cayley table {path} is longer than the limit of {MAX_CAYLEY_BYTES} bytes")
+            data = json.loads(raw.decode("utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8
             raise CayleyValidationError(f"cannot read Cayley table {path}: {exc}") from exc

@@ -113,7 +113,7 @@ def _fixed_pi(bits: int) -> int:
 
 
 @functools.cache
-def _unit_root(j: int, n: int, bits: int = _FIXED) -> tuple[int, int]:
+def _unit_root(j: int, n: int, bits: int) -> tuple[int, int]:
     """cos and sin of 2 pi j/n times 2**bits, each within bits * 2**8 of the
     exact value: the Taylor series at the angle taken into (-pi, pi],
     every term rounded down.  Each (j, n, bits) is summed once per process."""

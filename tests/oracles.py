@@ -70,12 +70,12 @@ def mpmath_rational_decimal(num: int, den: int) -> str:
         return mp.nstr(mpf(num) / mpf(den), 12)
 
 
-def mpmath_cyclotomic_decimal(c: Cyclotomic) -> str:
-    """The real and imaginary parts of c as mpmath prints them at 30 digits:
-    each coordinate w_j of zeta**j, its numerator and denominator rounded
-    to mp.prec bits, times cospi and sinpi of 2j/order, summed in mpmath,
-    then nstr."""
-    with mp.workdps(30):
+def mpmath_cyclotomic_decimal(c: Cyclotomic, dps: int = 30) -> str:
+    """The real and imaginary parts of c as mpmath prints them at dps
+    digits: each coordinate w_j of zeta**j, its numerator and denominator
+    rounded to mp.prec bits, times cospi and sinpi of 2j/order, summed in
+    mpmath, then nstr."""
+    with mp.workdps(dps):
         re = im = mpf(0)
         for j, w in enumerate(c.coeffs):
             if w:

@@ -328,15 +328,15 @@ def test_invalid_cayley_table_exits_3(tmp_path, capsys, content, fragment):
 def test_cayley_file_at_the_byte_limit_loads_and_one_byte_over_is_refused(
         tmp_path, monkeypatch, capsys):
     table = json.dumps(cayley_dict(dihedral(3)))
-    monkeypatch.setattr(cli, "MAX_CAYLEY_BYTES", len(table) + 1)
+    monkeypatch.setattr(groups, "MAX_CAYLEY_BYTES", len(table) + 1)
     parsed = []
-    load = json.load
+    loads = json.loads
 
-    def counted(handle):
-        parsed.append(handle)
-        return load(handle)
+    def counted(text):
+        parsed.append(text)
+        return loads(text)
 
-    monkeypatch.setattr(json, "load", counted)
+    monkeypatch.setattr(json, "loads", counted)
     # one byte under the limit, at it and one byte over
     for padding, code in ((0, 0), (1, 0), (2, 3)):
         path = tmp_path / f"d3-{padding}.json"
@@ -367,7 +367,7 @@ def test_endless_cayley_file_is_refused_in_bounded_memory(tmp_path):
         env=_source_env(), capture_output=True, text=True, preexec_fn=limit, timeout=120)
     assert (run.returncode, run.stdout) == (3, "")
     assert run.stderr == ("error(validation): Cayley table /dev/zero is longer than the "
-                          f"limit of {cli.MAX_CAYLEY_BYTES} bytes\n")
+                          f"limit of {groups.MAX_CAYLEY_BYTES} bytes\n")
 
 
 _Z2 = [[0, 1], [1, 0]]
