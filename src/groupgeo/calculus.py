@@ -70,12 +70,6 @@ class GroupFunction:
     def zero(cls, group: FiniteGroup) -> "GroupFunction":
         return cls.constant(group, 0)
 
-    @classmethod
-    def delta(cls, group: FiniteGroup, g: int) -> "GroupFunction":
-        vals = [rat(0)] * group.order
-        vals[g] = rat(1)
-        return cls(group, vals)
-
     @property
     def values(self) -> tuple:
         if self._values is None:

@@ -74,11 +74,14 @@ class Connection:
         return "Connection(\n  " + "\n  ".join(lines) + "\n)"
 
 
+CHART = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
+
+
 def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFunction,
                      gamma: GroupFunction) -> Connection:
-    """The chart pattern: A_a has coefficient row a of
-    [[1 + alpha, gamma, beta], [gamma, 1 + beta, alpha], [beta, alpha, 1 + gamma]]
-    over the basis 1-forms in class order.
+    """The chart pattern: A_a = e_a + sum_b (alpha, beta, gamma)[CHART[a][b]] e_b,
+    coefficient row a of [[1 + alpha, gamma, beta], [gamma, 1 + beta, alpha],
+    [beta, alpha, 1 + gamma]] over the basis 1-forms in class order.
 
     The chart is stated for a 3-member class with circulant products
     (groups.require_chart_class, which callers check first) and parameters
@@ -86,10 +89,10 @@ def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFuncti
     torsion-free and every torsion-free connection on the class is one.
     The constraint is not imposed, so linear systems in the chart
     parameters can state it as equations of their own."""
-    one = calculus.constant(1)
-    rows = [[one + alpha, gamma, beta], [gamma, one + beta, alpha], [beta, alpha, one + gamma]]
-    return Connection(calculus, [calculus.one_form(row) for row in rows],
-                      parameters=(alpha, beta, gamma))
+    params, one = (alpha, beta, gamma), calculus.constant(1)
+    rows = [[one + params[i] if a == b else params[i] for b, i in enumerate(row)]
+            for a, row in enumerate(CHART)]
+    return Connection(calculus, [calculus.one_form(row) for row in rows], parameters=params)
 
 
 # -- residuals --------------------------------------------------------------

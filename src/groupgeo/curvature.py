@@ -29,27 +29,33 @@ The Ricci-flat chart members solve an exact linear system that commutes
 with left translation, has a constant right-hand side and reads only
 structure constants inside H = <C>: a group-algebra element in the
 coefficient form of linalg.  The zero chart, A_a = e_a, has vanishing
-relative curvature, so Ricci is linear in the chart parameters and three
-chart evaluations, one per parameter at delta_e, state the system of both
-variants; the right-hand side is the chart constraint's alone.  So
-ricci_system builds its coefficients on the calculus of (H, C), and
-linalg.solve_invariant finds a constant solution and the kernel dimension
-on H.  On G the system is [G:H]
-copies, one per left coset gH, of the system on H, so its kernel is
-[G:H] times as large (see Serre, Linear Representations of Finite
-Groups, section 7, on restriction and induction).
+relative curvature, so Ricci is linear in the chart parameters and the
+delta_e chart in each parameter states the system of both variants; the
+right-hand side is the chart constraint's alone.  That chart's relative
+curvature lives on e and the inverses of the class members, so
+ricci_system reads the coefficients off the class tables: the reduction
+of monomials, the differentials of the basis, and per variant one
+rational matrix that composes the lift and the contraction.  It builds no
+function on the group and no calculus of H.  solve_invariant finds a
+constant solution and proves the kernel on the elements of H zero by a
+rank modulo a prime, with the exact rref as its fallback.  On G the
+system is [G:H] copies, one per left coset gH, of the system on H, so its
+kernel is [G:H] times as large (see Serre, Linear Representations of
+Finite Groups, section 7, on restriction and induction; and Dumas, Giorgi
+and Pernet, Dense linear algebra over word-size prime fields: the FFLAS
+and FFPACK packages, ACM TOMS 35 (2008), on ranks modulo a prime).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
-from .calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm,
-                       differential_calculus)
-from .connections import Connection, chart_connection
+from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
+from .connections import CHART, Connection
 from .cyclotomic import rat
 from .groups import FiniteGroup, require_chart_class
-from .linalg import Mat, solve_invariant
+from .linalg import Mat, Vector, assemble, rref, solve_affine
 
 LIFT_VARIANTS = ("canonical", "braided")
 
@@ -144,16 +150,21 @@ def _lift_table(cal: Calculus, variant: str) -> list[dict]:
     return table
 
 
+def _table(cal: Calculus, variant: str) -> list[dict]:
+    # the lift table of a variant, built on first use and kept on the calculus
+    if variant not in cal._lift_tables:
+        cal._lift_tables[variant] = _lift_table(cal, variant)
+    return cal._lift_tables[variant]
+
+
 def lift(omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
     """Lift a 2-form into the tensor square; the canonical variant is a
     section of the wedge, the braided one is well defined but not."""
     cal = omega.calculus
-    if variant not in cal._lift_tables:
-        cal._lift_tables[variant] = _lift_table(cal, variant)
     m = cal.n_members
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
-    for k, entry in enumerate(cal._lift_tables[variant]):
+    for k, entry in enumerate(_table(cal, variant)):
         f = omega.coeffs[k]
         if f.is_zero():
             continue
@@ -169,6 +180,27 @@ def wedge_of_tensor(t: TensorOneOne) -> TwoForm:
 
 # -- Ricci ------------------------------------------------------------------
 
+def _ricci_map(cal: Calculus, variant: str) -> Mat:
+    """Lift and contraction as one constant matrix, m^2 by m * dim Omega^2:
+    coordinate k of the relative curvature of component c, column
+    c * dim Omega^2 + k, to the Ricci coordinate (p, q), row p*m + q."""
+    m, qdim = cal.n_members, cal.quotient_dim
+    rows = [[rat(0)] * (m * qdim) for _ in range(m * m)]
+    table = _table(cal, variant)
+    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
+    for cpos, ad_row in enumerate(cal.cls.ad):
+        for conj_pos, apos in enumerate(ad_row):
+            if conj_pos == apos:
+                continue
+            for k, entry in enumerate(table):
+                for b in range(m):
+                    w = entry.get((apos, b))
+                    if w is not None:
+                        rows[b * m + conj_pos][cpos * qdim + k] += w
+                        rows[b * m + apos][cpos * qdim + k] -= w
+    return Mat(rows)
+
+
 def ricci(conn: Connection) -> dict[str, TensorOneOne]:
     """Contract the lifted relative curvature through the connection's
     conjugation pattern:
@@ -177,34 +209,20 @@ def ricci(conn: Connection) -> dict[str, TensorOneOne]:
 
     with G_c the relative curvature of component c, under each lift
     variant, keyed as in LIFT_VARIANTS.  The relative curvature does not
-    depend on the lift, so it is computed once and lifted and contracted
-    per variant.  Vanishes for the distinguished connection under every
-    lift variant because the relative curvature itself vanishes there.
+    depend on the lift, so it is computed once and mapped through each
+    variant's _ricci_map.  Vanishes for the distinguished connection under
+    every lift variant because the relative curvature itself vanishes
+    there.
     """
     cal = conn.calculus
-    forms = relative_curvature(conn)
-    return {variant: _contract(cal, [lift(g, variant) for g in forms])
-            for variant in LIFT_VARIANTS}
-
-
-def _contract(cal: Calculus, lifted: Sequence[TensorOneOne]) -> TensorOneOne:
-    # the contraction of ricci, given the lifted curvature of each component
     m = cal.n_members
-    z = cal.zero_function()
-    coords = [[z for _ in range(m)] for _ in range(m)]
-    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
-    for lift_c, row in zip(lifted, cal.cls.ad):
-        h = lift_c.coeffs
-        for conj_pos, apos in enumerate(row):
-            if conj_pos == apos:
-                continue
-            for b in range(m):
-                f = h[apos * m + b]
-                if f.is_zero():
-                    continue
-                coords[b][conj_pos] = coords[b][conj_pos] + f
-                coords[b][apos] = coords[b][apos] - f
-    return TensorOneOne(cal, coords)
+    forms = [f for g in relative_curvature(conn) for f in g.coeffs]
+    tensors = {}
+    for variant in LIFT_VARIANTS:
+        coords = [sum((f * w for f, w in zip(forms, row) if w and not f.is_zero()),
+                      cal.zero_function()) for row in _ricci_map(cal, variant).rows]
+        tensors[variant] = TensorOneOne(cal, [coords[p * m:(p + 1) * m] for p in range(m)])
+    return tensors
 
 
 def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
@@ -219,53 +237,127 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     translations, and the lift and contraction have constant coefficients.
     So the system is sum_h M_h (x) R(h), from the parameters
     (alpha, beta, gamma) to the Ricci coordinates (p, q), row p*m + q, and
-    the chart constraint, row 9.  Column i of M_{k^-1} holds the Ricci
-    coordinates at k of delta_e in parameter i; row 9 is
+    the chart constraint, row 9.  Column i of M_{g^-1} holds the Ricci
+    coordinates at g of the delta_e chart in parameter i; row 9 is
     alpha + beta + gamma = -1, (1, 1, 1) in M_e; and the right-hand side
-    is the constant (0, ..., 0, -1).  Three ricci calls, one per delta_e
-    chart, give the systems of both variants.
+    is the constant (0, ..., 0, -1).
 
-    The column of delta_e is supported on e and the inverses of the class
-    members, so the keys are e and the class members, all in H = <C>.
-    ricci_flat_solve calls this on subgroup_calculus(calculus) only;
-    assembled on the calculus of G it is the dense oracle for that solve.
+    That chart adds delta_e e_b to A_a where CHART[a][b] == i, with
+    relative curvature d(delta_e e_b) = sum_c (delta_{c^-1} - delta_e)
+    e_c ^ e_b + delta_e de_b: red(c, b) = calculus.reduction[(c, b)] at
+    c^-1 and de_b - sum_c red(c, b) at e, de_b the constant coordinates of
+    calculus.d_basis(b).  So column i of M_h is _ricci_map of those
+    coordinates at h^-1, the keys are e and the class members, and no
+    function on the group is built.  The tables read are the same on the
+    calculus of G and on that of (H, C), H = <C>.
     """
     cal = calculus
     require_chart_class(cal.cls)
-    grp = cal.group
-    zero = cal.zero_function()
-    delta_e = GroupFunction.delta(grp, 0)
-    tensors = [ricci(chart_connection(cal, *(delta_e if j == i else zero for j in range(3))))
-               for i in range(3)]
+    m, red = cal.n_members, cal.reduction
+    # at[h][b]: the coordinates of d(delta_e e_b) at h^-1
+    at = {c: [red[(cpos, b)] for b in range(m)] for cpos, c in enumerate(cal.cls.members)}
+    at[0] = [[f(0) - sum((red[(cpos, b)][k] for cpos in range(m)), rat(0))
+              for k, f in enumerate(cal.d_basis(b).coeffs)] for b in range(m)]
+    # row (a, k), column i: coordinate k of component a of the delta_e chart
+    # in parameter i, which sits on e_b for b = CHART[a].index(i)
+    forms = {h: Mat([[vecs[row.index(i)][k] for i in range(3)]
+                     for row in CHART for k in range(cal.quotient_dim)])
+             for h, vecs in at.items()}
     systems = {}
     for variant in LIFT_VARIANTS:
-        columns = [t[variant].coeffs for t in tensors]
-        coeffs = {}
-        for k in range(grp.order):
-            block = Mat([[f(k) for f in row] for row in zip(*columns)]
-                        + [[int(k == 0)] * 3])
-            if not block.is_zero():
-                coeffs[grp.inv(k)] = block
-        systems[variant] = (coeffs, [rat(0)] * len(columns[0]) + [rat(-1)])
+        ricci_map = _ricci_map(cal, variant)
+        blocks = {h: Mat((ricci_map @ form).rows + ([int(h == 0)] * 3,))
+                  for h, form in forms.items()}
+        systems[variant] = ({h: b for h, b in blocks.items() if not b.is_zero()},
+                            [rat(0)] * (m * m) + [rat(-1)])
     return systems
 
 
-def subgroup_calculus(calculus: Calculus) -> Calculus:
-    """The calculus of (H, C) for H = <C>, with H a group of its own: the
-    elements of H in ascending order with their names, and the class of
-    the same members in the same order."""
-    cls = calculus.cls
-    group = cls.group
-    elements = cls.generated_subgroup()
-    pos = {g: p for p, g in enumerate(elements)}
-    sub = FiniteGroup([group.label(g) for g in elements],
-                      [[pos[group.mul(a, b)] for b in elements] for a in elements],
-                      name=f"<{', '.join(cls.labels())}>")
-    sub_cal = differential_calculus(sub.conjugacy_class(pos[cls.members[0]]))
-    # conjugation by the class alone orders the members and H keeps the
-    # ascending order of G, so the two orders agree
-    assert [elements[a] for a in sub_cal.cls.members] == list(cls.members)
-    return sub_cal
+# a prime below 2**31, fixed, so that every run reduces alike
+PRIME = 2 ** 31 - 1
+
+
+def _full_column_rank_mod_p(coeffs: Mapping[int, Mat], group: FiniteGroup,
+                            elements: Sequence[int]) -> bool:
+    """Whether S = assemble(coeffs, group, elements) is rational and has
+    full column rank modulo PRIME, which proves its kernel zero.
+
+    One common denominator of row i of every M_h makes the rows of S in
+    component i integer rows of the same rank over Q, and a minor nonzero
+    modulo PRIME is nonzero over Q, so the rank modulo PRIME is at most
+    the rank over Q.  False proves nothing.  The rows, as {column:
+    residue}, join an echelon form one at a time, element by element
+    breadth first along right multiplication by the keys, which keeps the
+    fill-in near the diagonal."""
+    if any(not x.is_rational() for m in coeffs.values() for row in m.rows for x in row):
+        return False
+    shape = next(iter(coeffs.values()))
+    ncols = shape.ncols * len(elements)
+    order, pos, k = [], {}, 0
+    for start in elements:
+        if start not in pos:
+            pos[start] = len(order)
+            order.append(start)
+        while k < len(order):
+            for gh in [group.mul(order[k], h) for h in coeffs]:
+                if gh not in pos:
+                    pos[gh] = len(order)
+                    order.append(gh)
+            k += 1
+    if len(order) != len(elements):
+        return False  # not closed under the keys, which assemble refuses
+    comps = []
+    for i in range(shape.nrows):
+        scale = lcm(*(x.den for m in coeffs.values() for x in m.rows[i]))
+        entries = [(h, j, x.nums[0] * (scale // x.den) % PRIME)
+                   for h, m in coeffs.items() for j, x in enumerate(m.rows[i])]
+        comps.append([e for e in entries if e[2]])
+    pivots: dict[int, dict[int, int]] = {}
+    for g in order:
+        for entries in comps:
+            row = {pos[group.mul(g, h)] * shape.ncols + j: v for h, j, v in entries}
+            while row:
+                c = min(row)
+                if c not in pivots:
+                    inv = pow(row[c], -1, PRIME)
+                    pivots[c] = {j: v * inv % PRIME for j, v in row.items()}
+                    if len(pivots) == ncols:
+                        return True
+                    break
+                f = row[c]
+                for j, v in pivots[c].items():
+                    # f * v is nonzero, so a zero result was an entry of row
+                    w = (row.get(j, 0) - f * v) % PRIME
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+    return False
+
+
+def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence, group: FiniteGroup,
+                    elements: Sequence[int]) -> tuple[Vector, int]:
+    """A constant solution c of S x = b and the dimension of the kernel of
+    S, for S = assemble(coeffs, group, elements) and b holding rhs[i] at
+    every element in row component i: x holds c[j] at every element in
+    component j.
+
+    S commutes with every left translation L_g and b is constant, so if x
+    solves S x = b then so does each L_g x, and so does their mean over g,
+    which is constant.  As S maps the constant holding c to the constant
+    holding (sum_h M_h) c, solve_affine on (sum_h M_h) c = rhs, nrows x
+    ncols, raises InfeasibleSystemError exactly when it would on S, and c
+    sets its free entries to zero.  The kernel dimension is 0 when S has
+    full column rank modulo PRIME, which is at most its rank over Q
+    (_full_column_rank_mod_p); when that rank falls short or an entry is
+    irrational, it is ncols |elements| less the rank the exact rref finds.
+    """
+    blocks = list(coeffs.values())
+    constant, _ = solve_affine(sum(blocks[1:], blocks[0]), rhs)
+    if _full_column_rank_mod_p(coeffs, group, elements):
+        return constant, 0
+    op = assemble(coeffs, group, elements)
+    return constant, op.ncols - len(rref(op)[1])
 
 
 def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
@@ -273,13 +365,12 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
     lift variant, keyed as in LIFT_VARIANTS.
 
     Ricci is affine in the three parameter functions, so this is an exact
-    linear system in 3|G| scalars, chart constraint included.  Every
-    structure constant it reads lies in H = <C>, so the coefficients of
-    both variants come from one ricci_system call on subgroup_calculus,
-    and linalg.solve_invariant solves them on constants, 10 rows by 3
-    unknowns, and reduces their block on H, 10|H| rows by 3|H| unknowns,
-    for its kernel dimension, whatever |G| is.  The expected outcome for
-    the supported classes is a single isolated triple; without the
+    linear system in 3|G| scalars, chart constraint included.  Its keys lie
+    in H = <C>, so on G it is [G:H] copies of its block on the elements of
+    H, and solve_invariant solves the coefficients of ricci_system on
+    constants, 10 rows by 3 unknowns, and counts the kernel of that block,
+    10|H| rows by 3|H| unknowns, whatever |G| is.  The expected outcome
+    for the supported classes is a single isolated triple; without the
     constraint the solution set would pick up the constant shifts that
     leave the relative curvature unchanged.
 
@@ -287,11 +378,11 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
     triple solving the system and the dimension of the homogeneous
     solutions on G, [G:H] times that on H.
     """
-    require_chart_class(calculus.cls)
-    sub = subgroup_calculus(calculus)
-    copies = calculus.group.order // sub.group.order
+    systems = ricci_system(calculus)
+    elements = calculus.cls.generated_subgroup()
+    copies = calculus.group.order // len(elements)
     solves = {}
-    for variant, (coeffs, rhs) in ricci_system(sub).items():
-        constant, nullity = solve_invariant(coeffs, rhs, sub.group)
+    for variant, (coeffs, rhs) in systems.items():
+        constant, nullity = solve_invariant(coeffs, rhs, calculus.group, elements)
         solves[variant] = (tuple(calculus.constant(x) for x in constant), nullity * copies)
     return solves

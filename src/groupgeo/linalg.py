@@ -23,8 +23,8 @@ coefficient form {h: M_h} on functions: on functions on K, the p-th
 element of K in component i is index i*|K| + p (dirac.irreducible_blocks
 reads the same coefficients in the coordinates of matrix coefficients).
 Such an operator commutes with left translation, so with a constant
-right-hand side solve_invariant finds a constant solution from
-sum_h M_h alone and counts the kernel from the operator's rank.
+right-hand side curvature.solve_invariant finds a constant solution from
+sum_h M_h alone, and a rank modulo a prime proves the kernel zero.
 """
 
 from __future__ import annotations
@@ -283,24 +283,3 @@ def is_hermitian(coeffs: Mapping[int, Mat], group: FiniteGroup) -> bool:
     """Whether sum_h M_h (x) R(h) equals its conjugate transpose
     sum_h M_h^dagger (x) R(h^-1), that is M_{h^-1} = M_h^dagger for every h."""
     return same_element(coeffs, {group.inv(h): m.conj_transpose() for h, m in coeffs.items()})
-
-
-def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence,
-                    group: FiniteGroup) -> tuple[Vector, int]:
-    """A constant solution c of S x = b and the dimension of the kernel of
-    S, for S = assemble(coeffs, group) and b holding rhs[i] at every
-    element in row component i: x holds c[j] at every element in
-    component j.
-
-    S commutes with every left translation L_g and b is constant, so if x
-    solves S x = b then so does each L_g x, and so does their mean over g,
-    which is constant.  As S maps the constant holding c to the constant
-    holding (sum_h M_h) c, solve_affine on (sum_h M_h) c = rhs, nrows x
-    ncols, raises InfeasibleSystemError exactly when it would on S, and c
-    sets its free entries to zero.  The kernel of S has dimension
-    |G| ncols less the rank of S.
-    """
-    blocks = list(coeffs.values())
-    constant, _ = solve_affine(sum(blocks[1:], blocks[0]), rhs)
-    op = assemble(coeffs, group)
-    return constant, op.ncols - len(rref(op)[1])

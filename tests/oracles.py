@@ -4,7 +4,10 @@ Each one is the direct, unoptimised form of something the package computes
 another way (functions stored as one value per group element beside the
 one-value form of constants, the dense torsion system beside the
 Kronecker-factored solve, a group-algebra system assembled on G beside
-its solve on H = <C>,
+its solve on H = <C>, Ricci lifted and contracted term by term beside
+one matrix per lift variant, the Ricci system from three Ricci
+evaluations on delta_e charts beside its reading off the class tables,
+and the calculus of (H, C) beside the elements of H in G,
 a polynomial evaluated on a matrix beside a certified spectrum, the matrix
 Krylov minimal polynomial beside the vector one, the Dirac and wave
 operators summed from dense Kronecker and translation matrices beside
@@ -47,13 +50,14 @@ from typing import Sequence
 from mpmath import iv, mp, mpf
 from mpmath.libmp import to_rational
 
-from groupgeo.calculus import Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm, braiding
-from groupgeo.connections import Connection
-from groupgeo.curvature import connection_grid
+from groupgeo.calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm, braiding,
+                               differential_calculus)
+from groupgeo.connections import Connection, chart_connection
+from groupgeo.curvature import LIFT_VARIANTS, connection_grid, lift, relative_curvature
 from groupgeo.cyclotomic import Cyclotomic, cyclo, dot, rat
 from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
 from groupgeo.errors import SingularMetricError
-from groupgeo.groups import ConjClass, FiniteGroup, dihedral_structure
+from groupgeo.groups import ConjClass, FiniteGroup, dihedral_structure, require_chart_class
 from groupgeo.linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref, solve_affine
 from groupgeo.representations import Representation, irreducibles
 
@@ -557,8 +561,72 @@ def apply(coeffs, group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
 def dense_system(coeffs, rhs, group: FiniteGroup) -> tuple[Mat, list]:
     """The system assemble(coeffs, group) x = b on all of G, b holding the
     constant rhs[i] at every element in row component i: what
-    linalg.solve_invariant solves on constants."""
+    curvature.solve_invariant solves on constants."""
     return assemble(coeffs, group), [as_scalar(b) for b in rhs for _ in range(group.order)]
+
+
+def delta(group: FiniteGroup, g: int) -> GroupFunction:
+    """The function that is 1 at g and 0 elsewhere."""
+    return GroupFunction(group, [rat(int(k == g)) for k in range(group.order)])
+
+
+def lifted_ricci(conn: Connection, variant: str) -> TensorOneOne:
+    """Ricci of curvature.ricci, one variant, by lifting each relative
+    curvature form with curvature.lift and contracting the lifted tensors
+    through the conjugation pattern term by term."""
+    cal = conn.calculus
+    m = cal.n_members
+    z = cal.zero_function()
+    coords = [[z for _ in range(m)] for _ in range(m)]
+    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
+    for form, row in zip(relative_curvature(conn), cal.cls.ad):
+        lifted = lift(form, variant).coeffs
+        for conj_pos, apos in enumerate(row):
+            if conj_pos != apos:
+                for b in range(m):
+                    coords[b][conj_pos] = coords[b][conj_pos] + lifted[apos * m + b]
+                    coords[b][apos] = coords[b][apos] - lifted[apos * m + b]
+    return TensorOneOne(cal, coords)
+
+
+def three_chart_ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
+    """The Ricci system of curvature.ricci_system from three Ricci
+    evaluations (lifted_ricci), one per delta_e chart: column i of
+    M_{k^-1} holds the Ricci coordinates at k of the chart with delta_e in
+    parameter i, read off |G|-valued functions, and row 9 is (1, 1, 1) in
+    M_e.  Keyed by every k whose block is nonzero."""
+    cal = calculus
+    require_chart_class(cal.cls)
+    grp = cal.group
+    zero = cal.zero_function()
+    delta_e = delta(grp, 0)
+    charts = [chart_connection(cal, *(delta_e if j == i else zero for j in range(3)))
+              for i in range(3)]
+    systems = {}
+    for variant in LIFT_VARIANTS:
+        columns = [lifted_ricci(chart, variant).coeffs for chart in charts]
+        coeffs = {}
+        for k in range(grp.order):
+            block = Mat([[f(k) for f in row] for row in zip(*columns)]
+                        + [[int(k == 0)] * 3])
+            if not block.is_zero():
+                coeffs[grp.inv(k)] = block
+        systems[variant] = (coeffs, [rat(0)] * len(columns[0]) + [rat(-1)])
+    return systems
+
+
+def subgroup_calculus(calculus: Calculus) -> Calculus:
+    """The calculus of (H, C) for H = <C>, with H a group of its own: the
+    elements of H in ascending order with their names, and the class of
+    the same members in the same order."""
+    cls = calculus.cls
+    group = cls.group
+    elements = cls.generated_subgroup()
+    pos = {g: p for p, g in enumerate(elements)}
+    sub = FiniteGroup([group.label(g) for g in elements],
+                      [[pos[group.mul(a, b)] for b in elements] for a in elements],
+                      name=f"<{', '.join(cls.labels())}>")
+    return differential_calculus(sub.conjugacy_class(pos[cls.members[0]]))
 
 
 def left_cosets(cls: ConjClass) -> list[tuple[int, ...]]:

@@ -18,7 +18,7 @@ from groupgeo.calculus import Calculus, GroupFunction, braiding
 from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import NonCyclicClassError
 from groupgeo.groups import conjugacy_class, dihedral
-from oracles import conjugacy_classes, eliminated_quotient, right_mul
+from oracles import conjugacy_classes, delta, eliminated_quotient, right_mul
 
 
 def _braiding_cycles(cls):
@@ -300,7 +300,7 @@ def test_s3_calculus_matches_d6_structure(s3_cal):
 
 
 def test_delta_functions_and_arithmetic(d6):
-    f = GroupFunction.delta(d6, 3)
+    f = delta(d6, 3)
     g = GroupFunction.constant(d6, 2)
     assert (f * g)(3) == rat(2)
     assert (f * g)(4) == rat(0)

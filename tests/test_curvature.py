@@ -9,7 +9,7 @@ import pytest
 
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import curvature, linalg, reporting
-from groupgeo.calculus import GroupFunction, TensorOneOne, TwoForm, differential_calculus
+from groupgeo.calculus import Calculus, GroupFunction, TensorOneOne, TwoForm, differential_calculus
 from groupgeo.connections import chart_connection, levi_civita
 from groupgeo.curvature import (
     LIFT_VARIANTS,
@@ -20,13 +20,13 @@ from groupgeo.curvature import (
     ricci,
     ricci_flat_solve,
     ricci_system,
-    subgroup_calculus,
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
 from groupgeo.errors import UnsupportedGroupError
-from groupgeo.groups import conjugacy_class, dihedral
-from oracles import curvature_of, dense_system, rank, riemann
+from groupgeo.groups import ConjClass, conjugacy_class, dihedral
+from oracles import (curvature_of, delta, dense_system, lifted_ricci, rank, riemann,
+                     subgroup_calculus, three_chart_ricci_system)
 from groupgeo.linalg import Mat, same_element, solve_affine
 from groupgeo.reporting import Geometry
 
@@ -280,6 +280,26 @@ def test_ricci_system_is_keyed_by_e_and_the_class(h_block_cal):
         assert h_rhs == rhs
 
 
+def _is_the_three_chart_system(cal):
+    three_charts = three_chart_ricci_system(cal)
+    systems = ricci_system(cal)
+    assert list(systems) == list(three_charts) == list(LIFT_VARIANTS)
+    return all(same_element(systems[v][0], three_charts[v][0])
+               and systems[v][1] == three_charts[v][1] for v in LIFT_VARIANTS)
+
+
+def test_class_table_system_is_the_three_chart_system_on_h_blocks(h_block_cal):
+    assert _is_the_three_chart_system(h_block_cal)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 10])
+def test_class_table_system_is_the_three_chart_system_on_d3_times_cyclic(m):
+    # H = <C> has order 3m, and index 2 in D3 x Z_m
+    cal = _calculus_of(direct_product_cyclic(dihedral(3), m), "s.z")
+    assert len(cal.cls.generated_subgroup()) == 3 * m
+    assert _is_the_three_chart_system(cal)
+
+
 @pytest.mark.parametrize("variant", LIFT_VARIANTS)
 def test_ricci_flat_solve_equals_dense_solve(h_block_cal, variant):
     # the dense solution is unique, so it is the constant one
@@ -342,23 +362,32 @@ def test_unconstrained_kernel_is_one_copy_per_coset(build, kernel_dimension,
 ], ids=["d6", "d6xz2", "s3xz1", "s3xz2", "s3xz3", "s3xz4"])
 def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, build, rep):
     cal = _calculus_of(build(request.getfixturevalue), rep)
-    shapes = []
+    shapes, certified = [], []
 
     def recording_rref(matrix):
         shapes.append((matrix.nrows, matrix.ncols))
         return real_rref(matrix)
 
-    real_rref = linalg.rref
+    def recording_certificate(coeffs, group, elements):
+        block = next(iter(coeffs.values()))
+        full = real_certificate(coeffs, group, elements)
+        certified.append(((block.nrows * len(elements), block.ncols * len(elements)), full))
+        return full
+
+    real_rref, real_certificate = linalg.rref, curvature._full_column_rank_mod_p
     monkeypatch.setattr(linalg, "rref", recording_rref)
+    monkeypatch.setattr(curvature, "_full_column_rank_mod_p", recording_certificate)
     solves = ricci_flat_solve(cal)
     assert list(solves) == list(LIFT_VARIANTS)
     for particular, kernel_dimension in solves.values():
         assert kernel_dimension == 0
         assert all(f == cal.constant(Fraction(-1, 3)) for f in particular)
-    # per variant, 10 rows by 3 unknowns and the right-hand side on
-    # constants, and the block on H, 10|H| rows by 3|H| unknowns, |H| = 6
+    # per variant, the exact rref sees 10 rows by 3 unknowns and the
+    # right-hand side on constants, and the block on H, 10|H| rows by 3|H|
+    # unknowns, |H| = 6, has full rank modulo the prime, with no fallback
     assert len(cal.cls.generated_subgroup()) == 6
-    assert shapes == [(10, 4), (60, 18)] * len(LIFT_VARIANTS)
+    assert shapes == [(10, 4)] * len(LIFT_VARIANTS)
+    assert certified == [((60, 18), True)] * len(LIFT_VARIANTS)
 
 
 def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatch):
@@ -367,10 +396,11 @@ def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatc
     cal = _calculus_of(alternating4(), "1203")
     assert cal.n_members == 4
 
-    def unreachable(_):
+    def unreachable(*_):
         raise AssertionError("H was built for a class that is not a chart class")
 
-    monkeypatch.setattr(curvature, "subgroup_calculus", unreachable)
+    monkeypatch.setattr(ConjClass, "generated_subgroup", unreachable)
+    monkeypatch.setattr(curvature, "solve_invariant", unreachable)
     with pytest.raises(UnsupportedGroupError) as err:
         ricci_flat_solve(cal)
     assert str(err.value) == (
@@ -379,21 +409,25 @@ def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatc
 
 def test_ricci_report_assembles_the_curvature_once(monkeypatch, cls_d6):
     # the distinguished connection's relative curvature once for both lift
-    # variants, and the three delta_e charts of the system on H once for both
+    # variants; the Ricci system reads the class tables of the calculus of
+    # G, so no chart is evaluated and no calculus of H is built
     calls = Counter()
 
-    def counting(name):
-        real = getattr(curvature, name)
+    def counting(owner, name):
+        real = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return real(*args)
-        return counted
+        monkeypatch.setattr(owner, name, counted)
 
-    for name in ("relative_curvature", "subgroup_calculus"):
-        monkeypatch.setattr(curvature, name, counting(name))
-    reporting.ricci_report(Geometry(cls_d6))
-    assert calls == {"relative_curvature": 4, "subgroup_calculus": 1}
+    geo = Geometry(cls_d6)
+    geo.calculus
+    for owner, name in ((curvature, "relative_curvature"), (curvature, "ricci_system"),
+                        (ConjClass, "generated_subgroup"), (Calculus, "__init__")):
+        counting(owner, name)
+    reporting.ricci_report(geo)
+    assert calls == {"relative_curvature": 1, "ricci_system": 1, "generated_subgroup": 1}
 
 
 # -- the identities the Ricci system rests on ---------------------------------
@@ -416,7 +450,7 @@ def _constrained_members(cal):
     with constant parameters and three with parameters valued in delta_e
     beside constants."""
     const = cal.constant
-    delta_e = GroupFunction.delta(cal.group, 0)
+    delta_e = delta(cal.group, 0)
     third = const(Fraction(-1, 3))
     params = [
         (third, third, third),
@@ -429,6 +463,21 @@ def _constrained_members(cal):
     for alpha, beta, gamma in params:
         assert alpha + beta + gamma == const(-1)
     return [chart_connection(cal, *p) for p in params]
+
+
+def test_class_table_system_is_the_three_chart_system_on_chart_classes(chart_cal):
+    assert _is_the_three_chart_system(chart_cal)
+
+
+def test_ricci_is_the_lifted_and_contracted_curvature(chart_cal):
+    # off the distinguished connection, with constant parameters and with
+    # parameters valued in delta_e
+    for conn in _constrained_members(chart_cal)[1:]:
+        tensors = ricci(conn)
+        assert list(tensors) == list(LIFT_VARIANTS)
+        for variant, tensor in tensors.items():
+            assert not tensor.is_zero()
+            assert tensor == lifted_ricci(conn, variant)
 
 
 def test_zero_chart_has_vanishing_relative_curvature(chart_cal):

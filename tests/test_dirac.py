@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import direct_product_cyclic, relabelled
 from groupgeo import connections, dirac, linalg, reporting, representations
-from groupgeo.calculus import GroupFunction, differential_calculus
+from groupgeo.calculus import differential_calculus
 from groupgeo.connections import Connection, chart_connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.dirac import (
@@ -56,6 +56,7 @@ from oracles import (
     class_translation_sum,
     coframe_coefficients,
     coset_lift,
+    delta,
     dense_chirality,
     dense_dirac_operator,
     dense_wave_operator,
@@ -743,7 +744,7 @@ def test_block_reads_hermiticity_and_trace_of_the_full_operator(
 
 def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, d6):
     # a torsion-free chart connection whose first parameter is a delta
-    alpha = GroupFunction.delta(d6, 1)
+    alpha = delta(d6, 1)
     conn = chart_connection(cal_d6, alpha, cal_d6.constant(-1) - alpha,
                             cal_d6.constant(0))
     with pytest.raises(ValueError, match="constant coefficients"):

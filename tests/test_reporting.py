@@ -89,7 +89,7 @@ def test_huge_and_tiny_fractions_match_mpmath(value):
 
 @settings(max_examples=300, deadline=None)
 @given(_scaled(_TIES | _NINES, st.integers(-40, 40)))
-def test_ties_and_carries_match_mpmath(value):
+def test_ties_and_carries_match_the_exact_decimal(value):
     _check_exact(value)
 
 
@@ -100,21 +100,21 @@ def test_ties_and_carries_match_mpmath(value):
 @example(4716994378505, 12,
          43119155660649004230245735858394502250720237370630905791451)
 @example(2726332289225, 11, 1068201392605930471718040750734402239504543778505788159)
-def test_ties_over_wide_denominators_match_mpmath(digits, exponent, den):
+def test_ties_over_wide_denominators_match_the_exact_decimal(digits, exponent, den):
     tie = Fraction(digits) * Fraction(10) ** (exponent - 13)
     _check_exact(Fraction(round(tie * den), den))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_BINARY_TIES, st.sampled_from([1, -1]))
-def test_binary_ties_round_to_even_like_mpmath(num, sign):
+def test_values_just_below_binary_ties_match_the_exact_decimal(num, sign):
     _check_exact(Fraction(sign * num))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_scaled(_ANY_DIGITS | _TIES | _NINES, st.integers(-28, -22)
                | st.integers(-9, 0)))
-def test_fixed_and_exponent_switch_points_match_mpmath(value):
+def test_fixed_and_exponent_switch_points_match_the_exact_decimal(value):
     # m has up to 21 digits, so m * 10**e straddles 1e-5 .. 1e-4 and
     # 1e11 .. 1e12, where nstr moves between fixed and exponent form
     _check_exact(value)
@@ -123,8 +123,8 @@ def test_fixed_and_exponent_switch_points_match_mpmath(value):
 @settings(max_examples=100, deadline=None)
 @given(_scaled(_ANY_DIGITS | _TIES | _NINES, st.integers(1040, 1100)
                | st.integers(-1120, -1060)))
-def test_values_beyond_the_scaled_cut_match_mpmath(value):
-    # past 2**3500 either way mpmath divides by a power of ten first
+def test_thousand_digit_magnitudes_match_the_exact_decimal(value):
+    # magnitudes near 10**1070 and 10**-1090, past 2**3500 either way
     _check_exact(value)
 
 
@@ -249,8 +249,8 @@ def test_pi_is_summed_once_per_process(monkeypatch):
     # a real part on a 12-digit tie: 1000000000.125 is exact in binary
     (rat(Fraction(8000000001, 8)) + cyclo(4), "1000000000.13 + 1.0i", "1000000000.13 + 1.0i"),
 ], ids=["zeta4", "zeta3-minus-square", "tie"])
-def test_undecided_enclosures_fall_back_to_mpmath(monkeypatch, value, expected,
-                                                  mpmath_renders):
+def test_undecided_enclosures_are_decided_without_mpmath(monkeypatch, value, expected,
+                                                         mpmath_renders):
     # the first enclosure of the real part straddles a change of rendering,
     # and the exact rational part decides it, with mpmath out of reach
     assert len(set(reporting._enclosure_decimals(value, reporting._FIXED)[0])) == 2
