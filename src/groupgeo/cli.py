@@ -9,8 +9,9 @@ Exit codes: 0 success, 2 usage errors (including an --out path longer than
 MAX_OUT_LENGTH, that is a directory, lies in a missing directory or cannot
 be written, a ``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than
 MAX_MU_LENGTH), 3 validation failures (bad Cayley table, a --cayley file
-longer than groups.MAX_CAYLEY_BYTES, unknown label, non-cyclic or otherwise
-unsupported class or group), 4 mathematical failures on valid input
+longer than groups.MAX_CAYLEY_BYTES or with an integer over Python's int
+<-> str digit cap, unknown label, non-cyclic or otherwise unsupported
+class or group), 4 mathematical failures on valid input
 (singular metric values, an operator whose certified spectrum misses
 dimensions or leaves Q, an infeasible exact system).
 
@@ -39,7 +40,7 @@ from .errors import (
     NonCyclicClassError,
     UnsupportedGroupError,
 )
-from .groups import (FiniteGroup, conjugacy_class, dihedral, dihedral_structure,
+from .groups import (FiniteGroup, conjugacy_class, dihedral, dihedral_structure, quoted,
                      require_chart_class, require_invertible_metric)
 
 USAGE_EXIT = 2
@@ -108,20 +109,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _quoted(text: str) -> str:
-    """repr(text), or for a text that could be any length its start and length."""
-    return repr(text) if len(text) <= 64 else f"{text[:64]!r}... ({len(text)} characters)"
-
-
 def parse_group_spec(spec: str) -> FiniteGroup:
     """Resolve a builtin group spec of the form name:param."""
     name, sep, param = spec.partition(":")
     if not sep or not param:
-        raise ValueError(f"group spec {_quoted(spec)} must look like name:param")
+        raise ValueError(f"group spec {quoted(spec)} must look like name:param")
     if name == "dihedral":
         # int() would also read spaces, signs, underscores and non-ASCII digits
         if not (param.isascii() and param.isdigit()):
-            raise ValueError(f"dihedral parameter {_quoted(param)} is not in ASCII digits")
+            raise ValueError(f"dihedral parameter {quoted(param)} is not in ASCII digits")
         if len(param) > MAX_DIHEDRAL:
             # refused unconverted and not echoed: it could be any length
             raise ValueError(f"dihedral parameter of {len(param)} digits exceeds "
@@ -133,7 +129,7 @@ def parse_group_spec(spec: str) -> FiniteGroup:
             raise ValueError(
                 f"dihedral parameter {n} exceeds the limit of {MAX_DIHEDRAL}")
         return dihedral(n)
-    raise UnsupportedGroupError(f"no builtin group family named {_quoted(name)}")
+    raise UnsupportedGroupError(f"no builtin group family named {quoted(name)}")
 
 
 def _parse_mu(text: str) -> Fraction:
@@ -172,13 +168,12 @@ def render(report: dict, pretty: bool) -> str:
 
 
 def main(argv=None) -> int:
-    # lift Python's 4300-digit int <-> str cap for report integers; a limit
-    # of 0 means none, as on Pythons before 3.10.7, which lack the functions
+    # Python's 4300-digit int <-> str cap, which _run lifts for the report
+    # integers once the group is loaded; a limit of 0 means none, as on
+    # Pythons before 3.10.7, which lack the functions
     limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
+        return _run(argv, limit)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -191,7 +186,7 @@ def _refused(code: int, message: str) -> int:
     return code
 
 
-def _run(argv) -> int:
+def _run(argv, limit: int) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -220,11 +215,13 @@ def _run(argv) -> int:
                 return _refused(USAGE_EXIT, str(exc))
         else:
             group = FiniteGroup.from_json_file(args.cayley)
+        # lifted only now, so that json.loads refuses an over-cap literal at once
+        if limit:
+            sys.set_int_max_str_digits(0)
         try:
             group.index(args.class_label)
-        except KeyError:
-            return _refused(VALIDATION_EXIT, f"no element named {_quoted(args.class_label)} "
-                                             f"in group {group.name}")
+        except KeyError as exc:
+            return _refused(VALIDATION_EXIT, exc.args[0])
         report = _build_report(args, group, mu)
     except (CayleyValidationError, NonCyclicClassError, UnsupportedGroupError,
             OSError) as exc:

@@ -37,25 +37,22 @@ ricci_system reads the coefficients off the class tables: the reduction
 of monomials, the differentials of the basis, and per variant one
 rational matrix that composes the lift and the contraction.  It builds no
 function on the group and no calculus of H.  solve_invariant finds a
-constant solution and proves the kernel on the elements of H zero by a
-rank modulo a prime, with the exact rref as its fallback.  On G the
-system is [G:H] copies, one per left coset gH, of the system on H, so its
-kernel is [G:H] times as large (see Serre, Linear Representations of
-Finite Groups, section 7, on restriction and induction; and Dumas, Giorgi
-and Pernet, Dense linear algebra over word-size prime fields: the FFLAS
-and FFPACK packages, ACM TOMS 35 (2008), on ranks modulo a prime).
+constant solution and counts the kernel on the elements of H with
+linalg.nullity.  On G the system is [G:H] copies, one per left coset gH,
+of the system on H, so its kernel is [G:H] times as large (see Serre,
+Linear Representations of Finite Groups, section 7, on restriction and
+induction).
 """
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Mapping, Sequence
 
 from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
 from .connections import CHART, Connection
 from .cyclotomic import rat
 from .groups import FiniteGroup, require_chart_class
-from .linalg import Mat, Vector, assemble, rref, solve_affine
+from .linalg import Mat, Vector, nullity, solve_affine
 
 LIFT_VARIANTS = ("canonical", "braided")
 
@@ -273,68 +270,6 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     return systems
 
 
-# a prime below 2**31, fixed, so that every run reduces alike
-PRIME = 2 ** 31 - 1
-
-
-def _full_column_rank_mod_p(coeffs: Mapping[int, Mat], group: FiniteGroup,
-                            elements: Sequence[int]) -> bool:
-    """Whether S = assemble(coeffs, group, elements) is rational and has
-    full column rank modulo PRIME, which proves its kernel zero.
-
-    One common denominator of row i of every M_h makes the rows of S in
-    component i integer rows of the same rank over Q, and a minor nonzero
-    modulo PRIME is nonzero over Q, so the rank modulo PRIME is at most
-    the rank over Q.  False proves nothing.  The rows, as {column:
-    residue}, join an echelon form one at a time, element by element
-    breadth first along right multiplication by the keys, which keeps the
-    fill-in near the diagonal."""
-    if any(not x.is_rational() for m in coeffs.values() for row in m.rows for x in row):
-        return False
-    shape = next(iter(coeffs.values()))
-    ncols = shape.ncols * len(elements)
-    order, pos, k = [], {}, 0
-    for start in elements:
-        if start not in pos:
-            pos[start] = len(order)
-            order.append(start)
-        while k < len(order):
-            for gh in [group.mul(order[k], h) for h in coeffs]:
-                if gh not in pos:
-                    pos[gh] = len(order)
-                    order.append(gh)
-            k += 1
-    if len(order) != len(elements):
-        return False  # not closed under the keys, which assemble refuses
-    comps = []
-    for i in range(shape.nrows):
-        scale = lcm(*(x.den for m in coeffs.values() for x in m.rows[i]))
-        entries = [(h, j, x.nums[0] * (scale // x.den) % PRIME)
-                   for h, m in coeffs.items() for j, x in enumerate(m.rows[i])]
-        comps.append([e for e in entries if e[2]])
-    pivots: dict[int, dict[int, int]] = {}
-    for g in order:
-        for entries in comps:
-            row = {pos[group.mul(g, h)] * shape.ncols + j: v for h, j, v in entries}
-            while row:
-                c = min(row)
-                if c not in pivots:
-                    inv = pow(row[c], -1, PRIME)
-                    pivots[c] = {j: v * inv % PRIME for j, v in row.items()}
-                    if len(pivots) == ncols:
-                        return True
-                    break
-                f = row[c]
-                for j, v in pivots[c].items():
-                    # f * v is nonzero, so a zero result was an entry of row
-                    w = (row.get(j, 0) - f * v) % PRIME
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-    return False
-
-
 def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence, group: FiniteGroup,
                     elements: Sequence[int]) -> tuple[Vector, int]:
     """A constant solution c of S x = b and the dimension of the kernel of
@@ -347,17 +282,13 @@ def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence, group: FiniteGroup
     which is constant.  As S maps the constant holding c to the constant
     holding (sum_h M_h) c, solve_affine on (sum_h M_h) c = rhs, nrows x
     ncols, raises InfeasibleSystemError exactly when it would on S, and c
-    sets its free entries to zero.  The kernel dimension is 0 when S has
-    full column rank modulo PRIME, which is at most its rank over Q
-    (_full_column_rank_mod_p); when that rank falls short or an entry is
-    irrational, it is ncols |elements| less the rank the exact rref finds.
+    sets its free entries to zero.  linalg.nullity counts the kernel of S
+    by one exact elimination over the integers, so the coefficients must
+    be rational, as the Ricci system's are.
     """
     blocks = list(coeffs.values())
     constant, _ = solve_affine(sum(blocks[1:], blocks[0]), rhs)
-    if _full_column_rank_mod_p(coeffs, group, elements):
-        return constant, 0
-    op = assemble(coeffs, group, elements)
-    return constant, op.ncols - len(rref(op)[1])
+    return constant, nullity(coeffs, group, elements)
 
 
 def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
@@ -369,7 +300,8 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
     in H = <C>, so on G it is [G:H] copies of its block on the elements of
     H, and solve_invariant solves the coefficients of ricci_system on
     constants, 10 rows by 3 unknowns, and counts the kernel of that block,
-    10|H| rows by 3|H| unknowns, whatever |G| is.  The expected outcome
+    10|H| rows by 3|H| unknowns, by one integer elimination that never
+    writes it out, whatever |G| is.  The expected outcome
     for the supported classes is a single isolated triple; without the
     constraint the solution set would pick up the constant shifts that
     leave the relative curvature unchanged.
@@ -383,6 +315,6 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
     copies = calculus.group.order // len(elements)
     solves = {}
     for variant, (coeffs, rhs) in systems.items():
-        constant, nullity = solve_invariant(coeffs, rhs, calculus.group, elements)
-        solves[variant] = (tuple(calculus.constant(x) for x in constant), nullity * copies)
+        constant, kernel = solve_invariant(coeffs, rhs, calculus.group, elements)
+        solves[variant] = (tuple(calculus.constant(x) for x in constant), kernel * copies)
     return solves

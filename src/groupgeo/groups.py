@@ -56,6 +56,14 @@ from .errors import (CayleyValidationError, NonCyclicClassError, SingularMetricE
 MAX_CAYLEY_BYTES = 8 * 2 ** 20
 
 
+def quoted(text: str, bare: bool = False) -> str:
+    """repr(text), or text itself if bare; for a text that could be any
+    length, its start and length."""
+    if len(text) > 64:
+        return f"{text[:64]!r}... ({len(text)} characters)"
+    return text if bare else repr(text)
+
+
 class FiniteGroup:
     """A finite group given by names and a Cayley table of indices."""
 
@@ -91,14 +99,12 @@ class FiniteGroup:
 
     def index(self, label: str) -> int:
         if label not in self._index:
-            raise KeyError(f"no element named {label!r} in group {self.name}")
+            raise KeyError(f"no element named {quoted(label)} "
+                           f"in group {quoted(self.name, bare=True)}")
         return self._index[label]
 
     def label(self, a: int) -> str:
         return self.names[a]
-
-    def conjugacy_class(self, g: int) -> "ConjClass":
-        return ConjClass(self, g)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FiniteGroup":
@@ -158,8 +164,8 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
         for h in range(n):
             v = table[g][h]
             if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
-                raise CayleyValidationError(
-                    f"table entry ({names[g]}, {names[h]}) = {v!r} is not an element index")
+                raise CayleyValidationError(f"table entry ({names[g]}, {names[h]}) = "
+                                            f"{quoted(repr(v), bare=True)} is not an element index")
     for g in range(n):
         if table[0][g] != g:
             raise CayleyValidationError(
@@ -333,7 +339,7 @@ def conjugacy_class(group: FiniteGroup, g) -> ConjClass:
     """Class of a representative given by index or by element name."""
     if isinstance(g, str):
         g = group.index(g)
-    return group.conjugacy_class(g)
+    return ConjClass(group, g)
 
 
 # -- preconditions that read only the input --------------------------------
@@ -360,10 +366,8 @@ def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
     decomposition of the group by them, in element order: (0, i) for r^i
     and (1, i) for s r^i.  Raises UnsupportedGroupError when the group has
     no such presentation."""
+    # an odd order holds no involution but e, which lies in every <r>
     order = group.order
-    if order % 2 or order < 2:
-        raise UnsupportedGroupError(
-            f"group {group.name} of order {order} has no dihedral presentation")
     n = order // 2
     for r in range(order):
         subgroup = _right_closure(group.table, [r])
@@ -375,7 +379,7 @@ def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:
             if group.conj(s, r) == group.inv(r):
                 return _decomposition(group, r, s)
     raise UnsupportedGroupError(
-        f"group {group.name} of order {order} has no dihedral presentation")
+        f"group {quoted(group.name, bare=True)} of order {order} has no dihedral presentation")
 
 
 def _decomposition(group: FiniteGroup, rotation: int,

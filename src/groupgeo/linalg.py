@@ -18,17 +18,19 @@ which is what makes downstream eigenvalue certification possible.
 
 The Ricci system and the Dirac and wave operators are group-algebra
 elements sum_h M_h (x) R(h), constant nrows x ncols coefficients times
-right translations, and this module alone knows the layout of their
-coefficient form {h: M_h} on functions: on functions on K, the p-th
-element of K in component i is index i*|K| + p (dirac.irreducible_blocks
-reads the same coefficients in the coordinates of matrix coefficients).
-Such an operator commutes with left translation, so with a constant
-right-hand side curvature.solve_invariant finds a constant solution from
-sum_h M_h alone, and a rank modulo a prime proves the kernel zero.
+right translations, and this module alone lays out their coefficient form
+{h: M_h} as rows: assemble writes the matrix on functions on K, the p-th
+element of K in component i at index i*|K| + p (dirac.irreducible_blocks
+reads the same coefficients in the coordinates of matrix coefficients),
+and nullity counts its kernel, for rational coefficients, without
+building it.  Such an operator commutes with left translation, so with a
+constant right-hand side curvature.solve_invariant finds a constant
+solution from sum_h M_h alone.
 """
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .cyclotomic import Cyclotomic, dot, rat, submul
@@ -269,6 +271,67 @@ def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
                 for j, w in enumerate(coeff_row):
                     row[j * m + q] = w
     return Mat(rows)
+
+
+def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[int]) -> int:
+    """The kernel dimension of assemble(coeffs, group, elements) for
+    rational coefficients, by fraction-free elimination over the integers:
+    row i of every M_h is cleared by one common denominator, and the rows
+    join an echelon form element by element, breadth first along right
+    multiplication by the keys, which keeps the fill-in near the diagonal.
+    ValueError on elements not closed under the keys, as from assemble,
+    and on an irrational coefficient."""
+    shape = next(iter(coeffs.values()))
+    ncols = shape.ncols * len(elements)
+    members = set(elements)
+    order, pos, k = [], {}, 0
+    for start in elements:
+        if start not in pos:
+            pos[start] = len(order)
+            order.append(start)
+        while k < len(order):
+            for h in coeffs:
+                gh = group.mul(order[k], h)
+                if gh not in members:
+                    raise ValueError("elements are not closed under right "
+                                     f"multiplication by {group.label(h)}")
+                if gh not in pos:
+                    pos[gh] = len(order)
+                    order.append(gh)
+            k += 1
+    comps = []
+    for i in range(shape.nrows):
+        row = [(h, j, x.as_fraction()) for h, m in coeffs.items() for j, x in enumerate(m.rows[i])]
+        scale = lcm(*(x.denominator for _, _, x in row))
+        comps.append([(h, j, int(x * scale)) for h, j, x in row if x])
+    pivots: dict[int, dict[int, int]] = {}
+    for g in order:
+        for entries in comps:
+            row = {pos[group.mul(g, h)] * shape.ncols + j: v for h, j, v in entries}
+            # reduced in place by integer cross-multiplication, then a new
+            # pivot row is divided by its content
+            while row:
+                c = min(row)
+                if c not in pivots:
+                    content = gcd(*row.values())
+                    pivots[c] = {j: v // content for j, v in row.items()}
+                    if len(pivots) == ncols:
+                        return 0
+                    break
+                pivot = pivots[c]
+                common = gcd(row[c], pivot[c])
+                f, d = row[c] // common, pivot[c] // common
+                if d != 1:
+                    for j in row:
+                        row[j] *= d
+                for j, v in pivot.items():
+                    # f * v is nonzero, so a zero result was an entry of row
+                    w = row.get(j, 0) - f * v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+    return ncols - len(pivots)
 
 
 def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:

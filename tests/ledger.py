@@ -26,7 +26,7 @@ import tempfile
 
 from conftest import alternating4, dicyclic3, direct_product_cyclic
 from groupgeo.cli import COMMANDS, main
-from groupgeo.groups import FiniteGroup, dihedral
+from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 LEDGER = os.path.join(DATA_DIR, "ledger.json")
@@ -57,7 +57,7 @@ def write_table(name: str, directory: str) -> tuple[str, FiniteGroup]:
 
 def representatives(group: FiniteGroup) -> list[str]:
     """The least element of each non-identity class, by name, ascending."""
-    reps = {min(group.conjugacy_class(g).members) for g in range(1, group.order)}
+    reps = {min(conjugacy_class(group, g).members) for g in range(1, group.order)}
     return [group.label(g) for g in sorted(reps)]
 
 

@@ -57,7 +57,8 @@ from groupgeo.curvature import LIFT_VARIANTS, connection_grid, lift, relative_cu
 from groupgeo.cyclotomic import Cyclotomic, cyclo, dot, rat
 from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
 from groupgeo.errors import SingularMetricError
-from groupgeo.groups import ConjClass, FiniteGroup, dihedral_structure, require_chart_class
+from groupgeo.groups import (ConjClass, FiniteGroup, conjugacy_class, dihedral_structure,
+                             require_chart_class)
 from groupgeo.linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref, solve_affine
 from groupgeo.representations import Representation, irreducibles
 
@@ -626,7 +627,7 @@ def subgroup_calculus(calculus: Calculus) -> Calculus:
     sub = FiniteGroup([group.label(g) for g in elements],
                       [[pos[group.mul(a, b)] for b in elements] for a in elements],
                       name=f"<{', '.join(cls.labels())}>")
-    return differential_calculus(sub.conjugacy_class(pos[cls.members[0]]))
+    return differential_calculus(conjugacy_class(sub, pos[cls.members[0]]))
 
 
 def left_cosets(cls: ConjClass) -> list[tuple[int, ...]]:

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -394,6 +395,42 @@ def test_non_string_cayley_names_exit_3(tmp_path, capsys, data, fragment):
     assert (code, out) == (3, "")
     assert err.startswith("error(validation)")
     assert fragment in err
+
+
+@pytest.mark.parametrize("digits, fragment", [
+    # over Python's 4300-digit cap: json.loads refuses the literal unconverted
+    (100_000, "cannot read Cayley table"),
+    # under it: the entry is read and quoted by its start and length
+    (4000, "= '1111"),
+], ids=["over-the-cap", "under-the-cap"])
+def test_a_long_integer_entry_is_refused_at_once_and_quoted(tmp_path, capsys, digits,
+                                                            fragment):
+    table = json.dumps(cayley_dict(dihedral(3))).replace("[0, 1,", "[" + "1" * digits + ", 1,", 1)
+    path = tmp_path / "long-entry.json"
+    path.write_text(table)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "--cayley", str(path), "--class", "s", "--cmd", "calculus")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err.startswith("error(validation)") and fragment in err
+    assert len(err) < 300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+@pytest.mark.parametrize("build, argv", [
+    (lambda: dihedral(6), ["--class", "nope", "--cmd", "calculus"]),
+    (dicyclic3, ["--class", "a0x1", "--cmd", "dirac"]),
+], ids=["unknown-label", "no-dihedral-presentation"])
+def test_a_long_group_name_is_quoted_by_its_start_and_length(tmp_path, capsys, build, argv):
+    data = cayley_dict(build())
+    data["name"] = "n" * 200_000
+    path = tmp_path / "long-name.json"
+    path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, "--cayley", str(path), *argv)
+    assert (code, out) == (3, "")
+    assert "group 'nnn" in err and "(200000 characters)" in err
+    assert len(err) < 300
 
 
 def test_cayley_group_end_to_end(s3_path, capsys):

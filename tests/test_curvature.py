@@ -362,32 +362,31 @@ def test_unconstrained_kernel_is_one_copy_per_coset(build, kernel_dimension,
 ], ids=["d6", "d6xz2", "s3xz1", "s3xz2", "s3xz3", "s3xz4"])
 def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, build, rep):
     cal = _calculus_of(build(request.getfixturevalue), rep)
-    shapes, certified = [], []
+    shapes, counted = [], []
 
     def recording_rref(matrix):
         shapes.append((matrix.nrows, matrix.ncols))
         return real_rref(matrix)
 
-    def recording_certificate(coeffs, group, elements):
-        block = next(iter(coeffs.values()))
-        full = real_certificate(coeffs, group, elements)
-        certified.append(((block.nrows * len(elements), block.ncols * len(elements)), full))
-        return full
+    def recording_nullity(coeffs, group, elements):
+        kernel = real_nullity(coeffs, group, elements)
+        counted.append((len(elements), {(m.nrows, m.ncols) for m in coeffs.values()}, kernel))
+        return kernel
 
-    real_rref, real_certificate = linalg.rref, curvature._full_column_rank_mod_p
+    real_rref, real_nullity = linalg.rref, curvature.nullity
     monkeypatch.setattr(linalg, "rref", recording_rref)
-    monkeypatch.setattr(curvature, "_full_column_rank_mod_p", recording_certificate)
+    monkeypatch.setattr(curvature, "nullity", recording_nullity)
     solves = ricci_flat_solve(cal)
     assert list(solves) == list(LIFT_VARIANTS)
     for particular, kernel_dimension in solves.values():
         assert kernel_dimension == 0
         assert all(f == cal.constant(Fraction(-1, 3)) for f in particular)
     # per variant, the exact rref sees 10 rows by 3 unknowns and the
-    # right-hand side on constants, and the block on H, 10|H| rows by 3|H|
-    # unknowns, |H| = 6, has full rank modulo the prime, with no fallback
+    # right-hand side on constants, and nullity counts the kernel on the
+    # |H| = 6 elements of H from 10 x 3 coefficients, and finds it zero
     assert len(cal.cls.generated_subgroup()) == 6
     assert shapes == [(10, 4)] * len(LIFT_VARIANTS)
-    assert certified == [((60, 18), True)] * len(LIFT_VARIANTS)
+    assert counted == [(6, {(10, 3)}, 0)] * len(LIFT_VARIANTS)
 
 
 def test_ricci_flat_solve_rejects_a_non_chart_class_before_building_h(monkeypatch):

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, dicyclic3, direct_product_cyclic, relabelled
-from groupgeo import curvature
-from groupgeo.curvature import PRIME, solve_invariant
+from groupgeo.curvature import solve_invariant
 from groupgeo.cyclotomic import Cyclotomic, cyclo, rat
 from groupgeo.errors import InfeasibleSystemError
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
@@ -19,6 +18,7 @@ from groupgeo.linalg import (
     assemble,
     inverse,
     kernel_basis,
+    nullity,
     rref,
     solve_affine,
 )
@@ -396,69 +396,61 @@ def test_solve_invariant_matches_the_dense_solve(data, nrows, ncols, consistent)
     assert nullity * (group.order // sub.order) == len(dense_kernel)
 
 
-# -- the rank certificate of the Ricci solve ----------------------------------
+# -- the kernel count of the Ricci solve --------------------------------------
 
 # on the one-element group the coefficients {e: M} are the matrix M itself
 TRIVIAL = FiniteGroup(["e"], [[0]])
 
-_CERTIFICATE_ENTRIES = st.one_of(
+WORD_PRIME = 2 ** 31 - 1
+
+_HARD_ENTRIES = st.one_of(
     st.integers(-3, 3),
-    # zero modulo the prime
-    st.integers(-2, 2).map(lambda k: k * PRIME),
-    # denominators the prime divides
-    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([PRIME, 2 * PRIME, PRIME ** 2])),
+    # multiples of a word-size prime
+    st.integers(-2, 2).map(lambda k: k * WORD_PRIME),
+    # denominators that prime divides
+    st.builds(Fraction, st.integers(-3, 3),
+              st.sampled_from([WORD_PRIME, 2 * WORD_PRIME, WORD_PRIME ** 2])),
     # wide denominators
     st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 40)),
 )
 
 
-def _certifies(matrix) -> bool:
-    return curvature._full_column_rank_mod_p({0: matrix}, TRIVIAL, [0])
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), nrows=st.integers(1, 6), ncols=st.integers(2, 5), thin=st.booleans(),
        zeta=st.sampled_from([None] * 3 + [cyclo(3), cyclo(4) * 2 - 1]))
-def test_rank_certificate_never_claims_a_rank_the_exact_rref_denies(data, nrows, ncols, thin,
-                                                                    zeta):
-    """Full column rank modulo the prime only where the exact rref finds
-    it: a product through fewer than ncols dimensions is rank deficient,
-    and a block with an irrational entry (zeta added to one entry) is left
-    to the exact rref.  Either way solve_invariant counts the exact
-    kernel."""
+def test_nullity_is_the_exact_rref_nullity(data, nrows, ncols, thin, zeta):
+    """nullity counts the kernel the exact rref finds, on hard integers and
+    on products through fewer than ncols dimensions, and solve_invariant
+    returns that count; an irrational entry (zeta added to one entry) is
+    refused."""
     if thin:
         inner = data.draw(st.integers(1, ncols - 1))
-        matrix = (data.draw(_matrices(nrows, inner, _CERTIFICATE_ENTRIES))
-                  @ data.draw(_matrices(inner, ncols, _CERTIFICATE_ENTRIES)))
+        matrix = (data.draw(_matrices(nrows, inner, _HARD_ENTRIES))
+                  @ data.draw(_matrices(inner, ncols, _HARD_ENTRIES)))
     else:
-        matrix = data.draw(_matrices(nrows, ncols, _CERTIFICATE_ENTRIES))
+        matrix = data.draw(_matrices(nrows, ncols, _HARD_ENTRIES))
     if zeta is not None:
         i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, ncols - 1))
         rows = [list(row) for row in matrix.rows]
         rows[i][j] = rows[i][j] + zeta
-        matrix = Mat(rows)
-    exact_rank = len(rref(matrix)[1])
-    if _certifies(matrix):
-        assert exact_rank == ncols
-        assert not thin
-        assert all(x.is_rational() for row in matrix.rows for x in row)
-    assert solve_invariant({0: matrix}, [0] * nrows, TRIVIAL, [0]) == (
-        [rat(0)] * ncols, ncols - exact_rank)
+        with pytest.raises(ValueError, match="not rational"):
+            nullity({0: Mat(rows)}, TRIVIAL, [0])
+        with pytest.raises(ValueError, match="not rational"):
+            solve_invariant({0: Mat(rows)}, [0] * nrows, TRIVIAL, [0])
+        return
+    kernel = ncols - len(rref(matrix)[1])
+    if thin:
+        assert kernel > 0
+    assert nullity({0: matrix}, TRIVIAL, [0]) == kernel
+    assert solve_invariant({0: matrix}, [0] * nrows, TRIVIAL, [0]) == ([rat(0)] * ncols, kernel)
 
 
-def test_rank_certificate_proves_full_rank_on_rationals_only():
-    assert _certifies(Mat.identity(4))
-    # zero modulo the prime above the diagonal, and a denominator it divides
-    assert _certifies(Mat([[1, PRIME], [0, Fraction(1, 2 * PRIME)], [5, 7]]))
-    # full rank over Q(zeta_3), and singular: the exact rref decides both
-    regular = Mat([[cyclo(3), 1], [0, 1]])
-    singular = Mat([[cyclo(3), 1], [cyclo(3) * 2, 2]])
-    assert not _certifies(regular) and not _certifies(singular)
-    assert solve_invariant({0: regular}, [0, 0], TRIVIAL, [0])[1] == 0
-    assert solve_invariant({0: singular}, [0, 0], TRIVIAL, [0])[1] == 1
-    # elements not closed under the keys: no certificate, and assemble refuses
+def test_nullity_refuses_elements_not_closed_under_the_keys():
+    # as assemble refuses them, and before any row is reduced
     d6 = dihedral(6)
     coeffs = {d6.index("s"): Mat.identity(2)}
-    assert not curvature._full_column_rank_mod_p(coeffs, d6, [0])
+    for count in (nullity, assemble):
+        with pytest.raises(ValueError, match="not closed"):
+            count(coeffs, d6, [0])
     with pytest.raises(ValueError, match="not closed"):
         solve_invariant(coeffs, [0, 0], d6, [0])

@@ -17,7 +17,11 @@ standard library and the grid builders of the test suite.
 
 Run from the repository root:
 
-    python tools/traffic.py
+    python tools/traffic.py [src-dir]
+
+The package comes from src-dir, by default this checkout's src, and the
+inputs always from this checkout, so two source trees can be compared on
+the same inputs.
 """
 
 import ast
@@ -27,7 +31,6 @@ import tempfile
 from collections import Counter
 
 ROOT = os.path.realpath(os.path.join(os.path.dirname(__file__), os.pardir))
-PACKAGE = os.path.join(ROOT, "src", "groupgeo")
 
 
 def code_lines(code) -> set[int]:
@@ -128,11 +131,10 @@ def unreached(path: str, hit: set[int]) -> tuple[int, int, list[tuple[int, int, 
     return count, missed, runs
 
 
-def replay() -> tuple[Counter, Counter]:
-    """Run every input in this process; the exit codes of the ledger runs
-    and of the benchmark runs."""
-    sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
-                    os.path.join(ROOT, "perfbench")]
+def replay(src: str) -> tuple[Counter, Counter]:
+    """Run every input in this process on the package in src; the exit
+    codes of the ledger runs and of the benchmark runs."""
+    sys.path[:0] = [src, os.path.join(ROOT, "tests"), os.path.join(ROOT, "perfbench")]
     import ledger
     import workloads
 
@@ -150,13 +152,15 @@ def _tally(codes: Counter) -> str:
     return ", ".join(f"{codes[c]} exit {c}" for c in sorted(codes))
 
 
-def main() -> int:
-    files = sorted(os.path.join(PACKAGE, name) for name in os.listdir(PACKAGE)
+def main(argv: list[str]) -> int:
+    src = os.path.realpath(argv[0] if argv else os.path.join(ROOT, "src"))
+    package = os.path.join(src, "groupgeo")
+    files = sorted(os.path.join(package, name) for name in os.listdir(package)
                    if name.endswith(".py"))
     tracer = Tracer(files)
     sys.settrace(tracer)
     try:
-        ledger_codes, bench_codes = replay()
+        ledger_codes, bench_codes = replay(src)
     finally:
         sys.settrace(None)
     total = missed = 0
@@ -176,7 +180,7 @@ def main() -> int:
 
 if __name__ == "__main__":
     try:
-        raise SystemExit(main())
+        raise SystemExit(main(sys.argv[1:]))
     except BrokenPipeError:
         # the reader (head, say) stopped early: drop what is left unwritten
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
