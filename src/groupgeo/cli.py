@@ -9,8 +9,8 @@ Exit codes: 0 success, 2 usage errors (including an --out path longer than
 MAX_OUT_LENGTH, that is a directory, lies in a missing directory or cannot
 be written, a ``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than
 MAX_MU_LENGTH), 3 validation failures (bad Cayley table, a --cayley file
-longer than groups.MAX_CAYLEY_BYTES or with an integer over Python's int
-<-> str digit cap, unknown label, non-cyclic or otherwise unsupported
+longer than groups.MAX_CAYLEY_BYTES or with an integer longer than
+groups.MAX_INT_DIGITS, unknown label, non-cyclic or otherwise unsupported
 class or group), 4 mathematical failures on valid input
 (singular metric values, an operator whose certified spectrum misses
 dimensions or leaves Q, an infeasible exact system).
@@ -41,7 +41,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import (FiniteGroup, conjugacy_class, dihedral, dihedral_structure, quoted,
-                     require_chart_class, require_invertible_metric)
+                     require_chart_class, require_invertible_metric, require_regular_casimir)
 
 USAGE_EXIT = 2
 VALIDATION_EXIT = 3
@@ -71,16 +71,17 @@ _CHECKS = {
     "chart": lambda cls, mu: require_chart_class(cls),
     "metric": lambda cls, mu: require_invertible_metric(cls.size, mu),
     "dihedral": lambda cls, mu: dihedral_structure(cls.group),
+    "casimir": lambda cls, mu: require_regular_casimir(mu),
 }
 PRECONDITIONS = {
     "calculus": (),
     "connection": ("chart", "metric"),
     "curvature": ("chart",),
     "ricci": ("chart",),
-    "dirac": ("dihedral", "chart", "metric"),
+    "dirac": ("dihedral", "chart", "metric", "casimir"),
     "wave": ("metric",),
-    "spectral-action": ("dihedral", "chart", "metric"),
-    "report-all": ("chart", "metric", "dihedral"),
+    "spectral-action": ("dihedral", "chart", "metric", "casimir"),
+    "report-all": ("chart", "metric", "dihedral", "casimir"),
 }
 COMMANDS = tuple(PRECONDITIONS)
 
@@ -215,7 +216,8 @@ def _run(argv, limit: int) -> int:
                 return _refused(USAGE_EXIT, str(exc))
         else:
             group = FiniteGroup.from_json_file(args.cayley)
-        # lifted only now, so that json.loads refuses an over-cap literal at once
+        # lifted only once the table is read, whose integers the reader
+        # refuses past groups.MAX_INT_DIGITS
         if limit:
             sys.set_int_max_str_digits(0)
         try:

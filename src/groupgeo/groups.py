@@ -25,20 +25,18 @@ Preconditions.  Every refusal that depends on the input alone is stated
 here, so the command line can run it before it imports a layer: a calculus
 needs require_calculus_admissible, the connection chart a 3-member class
 with circulant products (require_chart_class), the frame metric
-mu != -1/|C| (require_invertible_metric) and the spinor representations a
-dihedral presentation (dihedral_structure).  The layers call the same
+mu != -1/|C| (require_invertible_metric), the spinor representations a
+dihedral presentation (dihedral_structure) and the gamma matrices
+mu != -1/4 (require_regular_casimir).  The layers call the same
 functions.  Each command meets them in this order, after the calculus
 check:
 
     calculus                  none
     connection                chart, metric
     curvature, ricci          chart
-    dirac, spectral-action    dihedral presentation, chart, metric
+    dirac, spectral-action    dihedral presentation, chart, metric, casimir
     wave                      metric
-    report-all                chart, metric, dihedral presentation
-
-The casimir normalisation mu != -1/4 is checked by dirac alone; it comes
-after these for every command that needs it.
+    report-all                chart, metric, dihedral presentation, casimir
 """
 
 from __future__ import annotations
@@ -55,13 +53,37 @@ from .errors import (CayleyValidationError, NonCyclicClassError, SingularMetricE
 # longer): almost seven times the 1.23 MB table of AGL(1,23), of order 506
 MAX_CAYLEY_BYTES = 8 * 2 ** 20
 
+# most digits of a Cayley table integer, Python's default int <-> str cap
+MAX_INT_DIGITS = 4300
+
 
 def quoted(text: str, bare: bool = False) -> str:
     """repr(text), or text itself if bare; for a text that could be any
-    length, its start and length."""
+    length, the repr of its start, at most 66 characters, and its length."""
     if len(text) > 64:
-        return f"{text[:64]!r}... ({len(text)} characters)"
+        start = text[:64]
+        # an escape renders one character in up to 10
+        while len(repr(start)) > 66:
+            start = start[:-1]
+        return f"{start!r}... ({len(text)} characters)"
     return text if bare else repr(text)
+
+
+def _listing(labels: Sequence[str]) -> str:
+    """The labels as a tuple, each quoted; past 150 characters, so that a
+    class refusal stays under 300, the first member and the size."""
+    items = [quoted(label) for label in labels]
+    text = f"({', '.join(items)}{',' if len(items) == 1 else ''})"
+    return text if len(text) <= 150 else f"({items[0]}, ...) of {len(items)} members"
+
+
+def _table_int(digits: str) -> int:
+    """A Cayley table integer, refused unconverted past MAX_INT_DIGITS."""
+    length = len(digits.lstrip("-"))
+    if length > MAX_INT_DIGITS:
+        raise ValueError(f"an integer of {length} digits is longer than the limit of "
+                         f"{MAX_INT_DIGITS} digits")
+    return int(digits)
 
 
 class FiniteGroup:
@@ -132,7 +154,7 @@ class FiniteGroup:
             if len(raw) > MAX_CAYLEY_BYTES:
                 raise CayleyValidationError(
                     f"Cayley table {path} is longer than the limit of {MAX_CAYLEY_BYTES} bytes")
-            data = json.loads(raw.decode("utf-8"))
+            data = json.loads(raw.decode("utf-8"), parse_int=_table_int)
         except (OSError, ValueError, RecursionError) as exc:
             # ValueError covers malformed JSON and bytes that are not UTF-8
             raise CayleyValidationError(f"cannot read Cayley table {path}: {exc}") from exc
@@ -149,6 +171,16 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order {self.order})"
 
 
+def _refusal(template: str, names: Sequence[str], *elements: int,
+             **texts: str) -> CayleyValidationError:
+    """template.format(*the elements' names, **texts): a name over 64
+    characters as #index, quoted once after the text however often it recurs."""
+    shown = [names[i] if len(names[i]) <= 64 else f"#{i}" for i in elements]
+    notes = "".join(f"; element #{i} is {quoted(names[i])}"
+                    for i in dict.fromkeys(elements) if len(names[i]) > 64)
+    return CayleyValidationError(template.format(*shown, **texts) + notes)
+
+
 def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     """Check the group axioms; return the generating set of Light's test."""
     n = len(names)
@@ -157,30 +189,29 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
     counts = Counter(names)
     if len(counts) != n:
         dup = next(x for x in names if counts[x] > 1)
-        raise CayleyValidationError(f"element names must be unique: {dup!r} repeats")
+        raise CayleyValidationError(f"element names must be unique: {quoted(dup)} repeats")
     if len(table) != n or any(len(row) != n for row in table):
         raise CayleyValidationError(f"table must be {n}x{n} to match the {n} names")
     for g in range(n):
         for h in range(n):
             v = table[g][h]
             if isinstance(v, bool) or not isinstance(v, int) or not (0 <= v < n):
-                raise CayleyValidationError(f"table entry ({names[g]}, {names[h]}) = "
-                                            f"{quoted(repr(v), bare=True)} is not an element index")
+                raise _refusal("table entry ({0}, {1}) = {value} is not an element index",
+                               names, g, h, value=quoted(repr(v), bare=True))
     for g in range(n):
         if table[0][g] != g:
-            raise CayleyValidationError(
-                f"identity axiom violated: e*{names[g]} = {names[table[0][g]]}, expected {names[g]}")
+            raise _refusal("identity axiom violated: e*{0} = {1}, expected {0}",
+                           names, g, table[0][g])
         if table[g][0] != g:
-            raise CayleyValidationError(
-                f"identity axiom violated: {names[g]}*e = {names[table[g][0]]}, expected {names[g]}")
+            raise _refusal("identity axiom violated: {0}*e = {1}, expected {0}",
+                           names, g, table[g][0])
     for g in range(n):
         if len(set(table[g])) != n:
-            raise CayleyValidationError(
-                f"invertibility axiom violated: row of {names[g]} is not a permutation")
+            raise _refusal("invertibility axiom violated: row of {0} is not a permutation", names, g)
         col = [table[h][g] for h in range(n)]
         if len(set(col)) != n:
-            raise CayleyValidationError(
-                f"invertibility axiom violated: column of {names[g]} is not a permutation")
+            raise _refusal("invertibility axiom violated: column of {0} is not a permutation",
+                           names, g)
     gens = tuple(_right_generators(table))
     for h in gens:
         row_h = table[h]
@@ -188,11 +219,9 @@ def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...])
             row_g, row_gh = table[g], table[table[g][h]]
             if list(row_gh) != [row_g[x] for x in row_h]:
                 k = next(k for k in range(n) if row_gh[k] != row_g[row_h[k]])
-                raise CayleyValidationError(
-                    "associativity violated at triple "
-                    f"({names[g]}, {names[h]}, {names[k]}): "
-                    f"({names[g]}*{names[h]})*{names[k]} = {names[row_gh[k]]} but "
-                    f"{names[g]}*({names[h]}*{names[k]}) = {names[row_g[row_h[k]]]}")
+                raise _refusal("associativity violated at triple ({0}, {1}, {2}): "
+                               "({0}*{1})*{2} = {3} but {0}*({1}*{2}) = {4}",
+                               names, g, h, k, row_gh[k], row_g[row_h[k]])
     return gens
 
 
@@ -290,13 +319,13 @@ class ConjClass:
         """The cyclic witness, or a NonCyclicClassError explaining the failure."""
         if 0 in self.members:
             raise NonCyclicClassError(
-                f"class {self.labels()} contains the identity; no calculus exists for it")
+                f"class {_listing(self.labels())} contains the identity; no calculus exists "
+                "for it")
         if self.size < 2:
-            raise NonCyclicClassError(
-                f"class {self.labels()} has fewer than 2 members")
+            raise NonCyclicClassError(f"class {_listing(self.labels())} has fewer than 2 members")
         if self.cyclic_witness is None:
             raise NonCyclicClassError(
-                f"class {self.labels()} is not cyclic: no member's conjugation action "
+                f"class {_listing(self.labels())} is not cyclic: no member's conjugation action "
                 "cyclically permutes the others with a -> a t a^-1 onto the class")
         return self.cyclic_witness
 
@@ -358,6 +387,24 @@ def require_invertible_metric(size: int, mu) -> None:
     if 1 + size * Fraction(mu) == 0:
         raise SingularMetricError(
             f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
+
+
+def require_regular_casimir(mu) -> None:
+    """Raise SingularMetricError at mu = -1/4, where the quadratic casimir's
+    normalisation 1/(1 + 4 mu) is singular."""
+    if 1 + 4 * Fraction(mu) == 0:
+        raise SingularMetricError(
+            "casimir normalisation 1/(1 + 4 mu) is singular at mu = -1/4")
+
+
+def require_catalog_class(cls: ConjClass) -> None:
+    """Raise UnsupportedGroupError unless the class is a 3-member class of a
+    12-element group, the dihedral group's reflection class the eigenmode
+    catalogs are stated for."""
+    if cls.group.order != 12 or cls.size != 3:
+        raise UnsupportedGroupError(
+            "the closed-form eigenmode catalog is stated for the 12-element "
+            "dihedral group with its 3-member reflection class")
 
 
 def dihedral_structure(group: FiniteGroup) -> tuple[tuple[int, int], ...]:

@@ -20,7 +20,7 @@ The Ricci system and the Dirac and wave operators are group-algebra
 elements sum_h M_h (x) R(h), constant nrows x ncols coefficients times
 right translations, and this module alone lays out their coefficient form
 {h: M_h} as rows: assemble writes the matrix on functions on K, the p-th
-element of K in component i at index i*|K| + p (dirac.irreducible_blocks
+element of K in component i at index i*|K| + p (spectra.irreducible_blocks
 reads the same coefficients in the coordinates of matrix coefficients),
 and nullity counts its kernel, for rational coefficients, without
 building it.  Such an operator commutes with left translation, so with a
@@ -280,7 +280,8 @@ def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[in
     join an echelon form element by element, breadth first along right
     multiplication by the keys, which keeps the fill-in near the diagonal.
     ValueError on elements not closed under the keys, as from assemble,
-    and on an irrational coefficient."""
+    and on an irrational coefficient.  Each reduction uses a distinct pivot,
+    so a row that needs more raises RuntimeError instead of looping."""
     shape = next(iter(coeffs.values()))
     ncols = shape.ncols * len(elements)
     members = set(elements)
@@ -310,6 +311,7 @@ def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[in
             row = {pos[group.mul(g, h)] * shape.ncols + j: v for h, j, v in entries}
             # reduced in place by integer cross-multiplication, then a new
             # pivot row is divided by its content
+            reductions = 0
             while row:
                 c = min(row)
                 if c not in pivots:
@@ -318,6 +320,10 @@ def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[in
                     if len(pivots) == ncols:
                         return 0
                     break
+                reductions += 1
+                if reductions > len(pivots):
+                    raise RuntimeError("linalg.nullity: a row took more reductions than "
+                                       f"the {len(pivots)} pivots; the elimination is broken")
                 pivot = pivots[c]
                 common = gcd(row[c], pivot[c])
                 f, d = row[c] // common, pivot[c] // common

@@ -17,7 +17,8 @@ order.
 Every report takes one Geometry, which builds what several sections read
 once, on first read.  Each imports the layers it runs in its own body, so
 a command compiles only the modules it needs: the wave report, which reads
-the class alone, loads neither calculus nor connections.  The reports keep
+the class alone, loads neither calculus nor connections, and the eigenmode
+catalogs load only for the class they are stated for.  The reports keep
 the layers' checks; the command line runs the same input-only checks
 (groups) before it imports this module.
 """
@@ -32,12 +33,12 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import __version__
 from .cyclotomic import Cyclotomic, cyclo
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
-from .groups import ConjClass, require_invertible_metric
+from .groups import ConjClass, require_catalog_class, require_invertible_metric
 from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
     from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
-    from .dirac import BlockForm, Spectrum
+    from .spectra import BlockForm, Spectrum
     from .representations import Representation
 
 _DIGITS = 12
@@ -268,13 +269,12 @@ def spectrum_json(spect: Spectrum) -> dict:
 
 class DiracCertificate(NamedTuple):
     """The Dirac operator of the spinor and the distinguished connection at
-    a Geometry's mu: the spinor, the coefficients {h: M_h}, the irreducible
-    blocks with their certified eigenspaces, and the spectrum on G."""
+    a Geometry's mu: the spinor, the coefficients {h: M_h}, and the
+    irreducible blocks with their eigenspaces and the spectrum on G."""
 
     rep: Representation
     coeffs: dict
     form: BlockForm
-    spectrum: Spectrum
 
 
 class Geometry:
@@ -305,10 +305,10 @@ class Geometry:
         # with a 3-member cyclic class, both have
         rep = next(rho for rho in self.irreps if rho.name == "planar1")
         from .connections import levi_civita
-        from . import dirac as spinops
+        from . import dirac as spinops, spectra
 
         coeffs = spinops.dirac_operator(rep, levi_civita(self.calculus), self.mu)
-        return DiracCertificate(rep, coeffs, *spinops.certify_blocks(coeffs, self.irreps))
+        return DiracCertificate(rep, coeffs, spectra.certify_blocks(coeffs, self.irreps))
 
 
 def calculus_report(geo: Geometry) -> dict:
@@ -430,7 +430,7 @@ def ricci_report(geo: Geometry) -> dict:
 
 
 def _certified_minimal_polynomial(spect: Spectrum) -> list:
-    from .dirac import poly_from_roots
+    from .spectra import poly_from_roots
 
     # the multiplicities fill the space, so the operator is diagonalisable
     # and its minimal polynomial has exactly the certified eigenvalues as roots
@@ -441,7 +441,8 @@ def dirac_report(geo: Geometry) -> dict:
     from . import dirac as spinops
 
     cls, mu = geo.cls, geo.mu
-    rep, coeffs, form, spect = geo.dirac
+    rep, coeffs, form = geo.dirac
+    spect = form.spectrum
     group = cls.group
     gamma_sum = Mat.zeros(rep.dim, rep.dim)
     for a in cls.members:
@@ -484,18 +485,21 @@ def dirac_report(geo: Geometry) -> dict:
         out["chirality"] = {"available": False, "reason": str(exc)}
     if mu == 0:
         try:
-            out["eigenmode_catalog"] = spinops.eigenmode_catalog(cls, coeffs, form)
+            # the catalog module loads only for the class it is stated for
+            require_catalog_class(cls)
+            from . import catalogs
+            out["eigenmode_catalog"] = catalogs.eigenmode_catalog(cls, coeffs, form)
         except UnsupportedGroupError:
             pass
     return out
 
 
 def wave_report(geo: Geometry) -> dict:
-    from . import dirac as spinops
+    from . import dirac as spinops, spectra
 
     cls, mu = geo.cls, geo.mu
     coeffs = spinops.wave_operator(cls, mu)
-    spect = spinops.certify(coeffs, cls)
+    spect = spectra.certify(coeffs, cls)
     out = {
         "mu": mu,
         "operator": assemble(coeffs, cls.group).rows,
@@ -508,7 +512,9 @@ def wave_report(geo: Geometry) -> dict:
         out["translation_form"] = same_element(
             coeffs, {0: Mat([[-2 * cls.size]]), **{a: Mat([[2]]) for a in cls.members}})
         try:
-            out["eigenmode_catalog"] = spinops.wave_eigenmode_catalog(geo, coeffs, spect)
+            require_catalog_class(cls)
+            from . import catalogs
+            out["eigenmode_catalog"] = catalogs.wave_eigenmode_catalog(geo, coeffs, spect)
         except UnsupportedGroupError:
             pass
     return out
@@ -517,7 +523,7 @@ def wave_report(geo: Geometry) -> dict:
 def spectral_action_report(geo: Geometry) -> dict:
     from .dirac import exp_taylor_coefficients, spectral_action
 
-    spect = geo.dirac.spectrum
+    spect = geo.dirac.form.spectrum
     functions = (
         ("1", [Fraction(1)]),
         ("u", [Fraction(0), Fraction(1)]),

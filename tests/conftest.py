@@ -8,6 +8,7 @@ suite.  All fixtures return exact objects; nothing here touches floats.
 import itertools
 import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,33 @@ from groupgeo.linalg import assemble
 from oracles import planar1
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+
+# wall seconds after which a test fails instead of stalling the suite; the
+# slowest test takes a few seconds
+DEADLINE_S = 60
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test that runs past DEADLINE_S seconds, from SIGALRM of the
+    real-time interval timer, and restore the previous handler and timer
+    afterwards.  A platform without setitimer runs the test unbounded."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expired(signum, frame):
+        pytest.fail(f"the test ran past its deadline of {DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    delay, interval = signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if delay:
+            signal.setitimer(signal.ITIMER_REAL, delay, interval)
 
 
 @pytest.fixture(scope="session")

@@ -55,12 +55,13 @@ from groupgeo.calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, T
 from groupgeo.connections import Connection, chart_connection
 from groupgeo.curvature import LIFT_VARIANTS, connection_grid, lift, relative_curvature
 from groupgeo.cyclotomic import Cyclotomic, cyclo, dot, rat
-from groupgeo.dirac import gamma_matrices, metric, poly_from_roots, require_symmetric, spectrum
+from groupgeo.dirac import gamma_matrices, metric, require_symmetric
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import (ConjClass, FiniteGroup, conjugacy_class, dihedral_structure,
                              require_chart_class)
 from groupgeo.linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref, solve_affine
 from groupgeo.representations import Representation, irreducibles
+from groupgeo.spectra import poly_from_roots, spectrum
 
 _ZERO = rat(0)
 _ONE = rat(1)
@@ -1013,7 +1014,7 @@ def peter_weyl_basis(irreps: Sequence[Representation], dim_w: int) -> Mat:
     """The change of basis from block coordinates to W (x) C[G]: column
     (copy (rho, k), coordinate j dim(rho) + l) is the vector whose spinor
     component j is the matrix coefficient g -> rho(g)[k, l], the copies in
-    dirac.BlockForm order."""
+    spectra.BlockForm order."""
     columns = []
     for rho in irreps:
         for k in range(rho.dim):
@@ -1133,7 +1134,7 @@ def _function_catalog_context(C: ConjClass):
 
 
 def function_eigenmode_catalog(C: ConjClass, coeffs, spect) -> dict:
-    """dirac.eigenmode_catalog on functions: the same families and
+    """catalogs.eigenmode_catalog on functions: the same families and
     completions, each candidate the |G|-valued functions it names."""
     group, spinor, twisted, reps = _function_catalog_context(C)
     n = group.order
@@ -1205,7 +1206,7 @@ def function_eigenmode_catalog(C: ConjClass, coeffs, spect) -> dict:
 
 
 def function_wave_eigenmode_catalog(C: ConjClass, coeffs, spect) -> dict:
-    """dirac.wave_eigenmode_catalog on functions, the conjugated matrix
+    """catalogs.wave_eigenmode_catalog on functions, the conjugated matrix
     elements computed entry by entry."""
     group, spinor, twisted, reps = _function_catalog_context(C)
     rho, rho2, sig = (functools.partial(_element, r)

@@ -21,18 +21,12 @@ from groupgeo.curvature import (
     wedge_of_tensor,
 )
 from groupgeo.cyclotomic import rat
-from groupgeo.dirac import (
-    certify_blocks,
-    chirality,
-    dirac_operator,
-    spectral_action,
-    spectrum,
-    wave_eigenmode_catalog,
-    wave_operator,
-)
+from groupgeo.catalogs import wave_eigenmode_catalog
+from groupgeo.dirac import chirality, dirac_operator, spectral_action, wave_operator
 from groupgeo.linalg import Mat, assemble
 from groupgeo.reporting import Geometry, calculus_report
 from groupgeo.representations import irreducibles
+from groupgeo.spectra import certify_blocks, spectrum
 from oracles import (class_translation_sum, grading_on_group, planar1, right_mul,
                      torsion_family_members, translation_block)
 
@@ -167,7 +161,7 @@ def test_criterion_06_wave_operator_and_catalog_certification(
 
 def test_criterion_07_chirality_grading(d6, dirac0_coeffs_d6, dirac0_d6):
     # the grading built on the irreducible blocks, carried to G
-    form = certify_blocks(dirac0_coeffs_d6, irreducibles(d6))[0]
+    form = certify_blocks(dirac0_coeffs_d6, irreducibles(d6))
     g = grading_on_group(form, chirality(form))
     assert g @ g == Mat.identity(24)
     assert (g @ dirac0_d6 + dirac0_d6 @ g).is_zero()

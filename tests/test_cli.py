@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import groupgeo
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
@@ -333,9 +334,9 @@ def test_cayley_file_at_the_byte_limit_loads_and_one_byte_over_is_refused(
     parsed = []
     loads = json.loads
 
-    def counted(text):
+    def counted(text, **options):
         parsed.append(text)
-        return loads(text)
+        return loads(text, **options)
 
     monkeypatch.setattr(json, "loads", counted)
     # one byte under the limit, at it and one byte over
@@ -717,24 +718,28 @@ print(json.dumps(loaded))
 # the modules every command loads before its input is accepted
 _FRONT = {"cli", "errors", "groups"}
 _REPORT = _FRONT | {"calculus", "cyclotomic", "linalg", "reporting"}
-_SPINOR = _REPORT | {"connections", "dirac", "representations"}
-# exit code and groupgeo modules per command on D6; the wave report reads
-# the class alone, so it builds no calculus and no connection
+_SPINOR = _REPORT | {"connections", "dirac", "representations", "spectra"}
+# exit code and groupgeo modules per command on D6 at mu = 0; the wave
+# report reads the class alone, so it builds no calculus and no connection,
+# and the eigenmode catalogs load for the D6 reflection class only
 _D6_LOADS = {
     "calculus": (0, _REPORT),
     "connection": (0, _REPORT | {"connections"}),
     "curvature": (0, _REPORT | {"connections", "curvature"}),
     "ricci": (0, _REPORT | {"connections", "curvature"}),
-    "dirac": (0, _SPINOR),
-    "wave": (0, _SPINOR - {"calculus", "connections"}),
+    "dirac": (0, _SPINOR | {"catalogs"}),
+    "wave": (0, _SPINOR - {"calculus", "connections"} | {"catalogs"}),
     "spectral-action": (0, _SPINOR),
-    "report-all": (0, _SPINOR | {"curvature"}),
+    "report-all": (0, _SPINOR | {"catalogs", "curvature"}),
 }
-# off order 12 the wave report states no catalog, so it builds no
-# representation; on D6 x Z2 the spinor commands and report-all stop at the
-# missing dihedral presentation, which the front checks
+# off order 12 the reports state no catalog, so they load no catalog and
+# the wave report builds no representation; on D6 x Z2 the spinor commands
+# and report-all stop at the missing dihedral presentation, which the front
+# checks
 _D3_LOADS = {**_D6_LOADS,
-             "wave": (0, _SPINOR - {"calculus", "connections", "representations"})}
+             "dirac": (0, _SPINOR),
+             "wave": (0, _SPINOR - {"calculus", "connections", "representations"}),
+             "report-all": (0, _SPINOR | {"curvature"})}
 _D6Z2_LOADS = {
     **_D3_LOADS,
     "dirac": (3, _FRONT),
@@ -798,6 +803,13 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
              for argv in _corrupt_tables(tmp_path)]
     runs += [(["--group", "dihedral:6", "--class", "sr", "--mu=-1/3", "--cmd", cmd],
               4, _FRONT) for cmd in ("connection", "wave")]
+    # the casimir normalisation, singular at mu = -1/4, is checked in the front
+    runs += [([*source, "--class", "sr", "--mu=-1/4", "--cmd", cmd], 4, _FRONT)
+             for source in (["--group", "dihedral:3"], ["--group", "dihedral:6"])
+             for cmd in ("dirac", "spectral-action", "report-all")]
+    # at mu = 1 no report states a catalog, as off order 12
+    runs += [(["--group", "dihedral:6", "--class", "sr", "--mu=1", "--cmd", cmd], code, layers)
+             for cmd, (code, layers) in _D3_LOADS.items()]
     runs += [(_table_argv(tmp_path, alternating4()) + [
         "--class", "1203", "--cmd", "connection"], 3, _FRONT)]
     # an endless table is refused after MAX_CAYLEY_BYTES + 1 bytes
@@ -818,6 +830,16 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
         " ".join(argv): [code, sorted(layers), []] for argv, code, layers in runs}
 
 
+def test_spectra_and_catalogs_load_without_the_spinor_layer():
+    probe = subprocess.run([sys.executable, "-c", (
+        "import sys, groupgeo.catalogs\n"
+        "print(sorted(m for m in sys.modules if m.startswith('groupgeo.')))")],
+        env=_source_env(), capture_output=True, text=True)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == repr(sorted(f"groupgeo.{m}" for m in (
+        "catalogs", "cyclotomic", "errors", "groups", "linalg", "spectra")))
+
+
 def test_package_root_loads_the_scalars_on_first_use():
     probe = subprocess.run([sys.executable, "-c", (
         "import sys, groupgeo\n"
@@ -835,7 +857,8 @@ def test_package_root_loads_the_scalars_on_first_use():
 # -- the front refuses with the error of the layer ---------------------------
 
 def test_groups_docstring_states_the_precondition_order():
-    names = {"chart": "chart", "metric": "metric", "dihedral": "dihedral presentation"}
+    names = {"chart": "chart", "metric": "metric", "dihedral": "dihedral presentation",
+             "casimir": "casimir"}
     table = {}
     for line in groups.__doc__.split("after the calculus\ncheck:")[1].splitlines():
         if "  " in line.strip():
@@ -871,7 +894,7 @@ def _d6z2():
     (alternating4, "1203", "connection", "-1/4", 3, UnsupportedGroupError, "chart"),
     (alternating4, "1203", "curvature", "-1/4", 3, UnsupportedGroupError, "chart"),
     (alternating4, "1203", "ricci", "-1/4", 3, UnsupportedGroupError, "chart"),
-    # the casimir check is the dirac layer's own, and comes last
+    # the casimir check comes last
     (lambda: dihedral(3), "sr", "dirac", "-1/4", 4, SingularMetricError, "casimir"),
 ], ids=["d6xz2-dirac", "d6xz2-spectral-action", "d6xz2-report-all", "a4-connection",
         "a4-curvature", "a4-ricci", "d3-dirac-casimir"])
@@ -921,6 +944,95 @@ _SINGULAR_METRIC = ("error(precondition): metric modulus mu = -1/3 is singular "
                     "for a class of size 3\n")
 _SINGULAR_CASIMIR = ("error(precondition): casimir normalisation 1/(1 + 4 mu) "
                      "is singular at mu = -1/4\n")
+
+
+_LONG = 200_000
+
+
+def _hostile_table(case: str, long: str, where: int) -> tuple[dict, str]:
+    """A Cayley object and a --class label that put the long name on one
+    refusal path: each corrupted table of _CORRUPT_TABLES, a repeated name,
+    an out-of-range entry in the long name's row and column, and classes
+    of one member, of the identity and of two long members.  where picks
+    the element that carries the name where the path leaves a choice."""
+    if case in _CORRUPT_TABLES:
+        table = _CORRUPT_TABLES[case]
+        names = _NAMES[:len(table)]
+        names[where % len(names)] = long
+        return {"names": names, "table": table}, "a"
+    data = cayley_dict(dihedral(6 if case.endswith("class") else 3))
+    names, table = data["names"], data["table"]
+    i = 1 + where % (len(names) - 1)
+    if case == "repeated":
+        names[i] = names[1 + i % (len(names) - 1)] = long
+    elif case == "entry-out-of-range":
+        names[i] = long
+        table[i][i] = len(names)
+    elif case == "one-member-class":
+        names[3] = long
+        return data, long
+    elif case == "identity-class":
+        names[0] = long
+        return data, long
+    elif case == "two-member-class":
+        # the rotations r and r5 of D6, a class that is not cyclic
+        names[1], names[5] = long, long[:-1] + "x"
+        return data, long
+    return data, "s"
+
+
+@settings(max_examples=4, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fill=st.characters())
+@pytest.mark.parametrize("case", [*_CORRUPT_TABLES, "repeated", "entry-out-of-range",
+                                  "one-member-class", "identity-class", "two-member-class"])
+def test_a_hostile_element_name_is_refused_at_once_and_quoted(tmp_path, capsys, case, fill):
+    quoted = 0
+    # the long name on each of the first five elements in turn
+    for where in range(5):
+        data, label = _hostile_table(case, fill * _LONG, where)
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "--cayley", str(path), "--class", label,
+                              "--cmd", "calculus")
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (3, "")
+        assert err.startswith("error(validation)") and len(err) < 300
+        quoted += f"({_LONG} characters)" in err
+    # every refusal but the table's shape names an element
+    assert quoted or case == "not-square"
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(digits=st.integers(4301, 100_000), row=st.integers(0, 5), column=st.integers(0, 5))
+def test_an_over_cap_table_integer_is_refused_in_the_tools_words(tmp_path, capsys, digits,
+                                                                 row, column):
+    data = cayley_dict(dihedral(3))
+    data["table"][row][column] = "entry"
+    path = tmp_path / "over-cap.json"
+    # an integer literal of that many digits, written without int -> str
+    path.write_text(json.dumps(data).replace('"entry"', "1" * digits))
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "--cayley", str(path), "--class", "s", "--cmd", "calculus")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert err == (f"error(validation): cannot read Cayley table {path}: an integer of "
+                   f"{digits} digits is longer than the limit of 4300 digits\n")
+    assert "set_int_max_str_digits" not in err
+
+
+def test_a_long_non_split_polynomial_is_quoted_by_its_degree_and_start(tmp_path, capsys):
+    # D3 x Z_10 with the class of s.z: |H| = 30, and the wave operator's
+    # minimal polynomial of degree 15 does not split over Q
+    argv = _table_argv(tmp_path, direct_product_cyclic(dihedral(3), 10))
+    code, out, err = _run(capsys, *argv, "--class", "s.z", "--cmd", "wave", "--mu=1")
+    assert (code, out) == (4, "")
+    assert err.startswith("error(precondition): minimal polynomial of degree 15, x^15 ")
+    assert err.endswith(" characters) does not split into rational linear factors; "
+                        "eigenvalues outside Q are not certified\n")
+    assert len(err) < 300
 
 
 def _no_dihedral(name, order):

@@ -14,28 +14,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import direct_product_cyclic, relabelled
-from groupgeo import connections, dirac, linalg, reporting, representations
+from groupgeo import catalogs, connections, dirac, linalg, reporting, representations, spectra
 from groupgeo.calculus import differential_calculus
 from groupgeo.connections import Connection, chart_connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
+from groupgeo.catalogs import eigenmode_catalog, wave_eigenmode_catalog
 from groupgeo.dirac import (
-    Spectrum,
     casimir,
-    certify,
-    certify_blocks,
     chirality,
     dirac_operator,
-    eigenmode_catalog,
-    eigenspaces,
     exp_taylor_coefficients,
     gamma_matrices,
     grading_checks,
-    irreducible_blocks,
     metric,
-    poly_from_roots,
     spectral_action,
-    spectrum,
-    wave_eigenmode_catalog,
     wave_operator,
 )
 from groupgeo.errors import (
@@ -49,6 +41,15 @@ from groupgeo.groups import conjugacy_class, dihedral, dihedral_structure
 from groupgeo.linalg import Mat, assemble, is_hermitian, kernel_basis, same_element
 from groupgeo.reporting import Geometry
 from groupgeo.representations import irreducibles
+from groupgeo.spectra import (
+    Spectrum,
+    certify,
+    certify_blocks,
+    eigenspaces,
+    irreducible_blocks,
+    poly_from_roots,
+    spectrum,
+)
 from oracles import (
     apply,
     block_diagonal,
@@ -289,8 +290,8 @@ def test_spectrum_of_jordan_block_is_incomplete(monkeypatch):
         starts.append(start)
         return vector_minimal_polynomial(op, start)
 
-    vector_minimal_polynomial = dirac._vector_minimal_polynomial
-    monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
+    vector_minimal_polynomial = spectra._vector_minimal_polynomial
+    monkeypatch.setattr(spectra, "_vector_minimal_polynomial", recorded)
     # e_0 is an eigenvector; e_1 only finds the same root again
     with pytest.raises(IncompleteSpectrumError, match="misses 1 dimensions"):
         spectrum(Mat([[2, 1], [0, 2]]))
@@ -310,21 +311,21 @@ def test_spectrum_refuses_eigenvalues_outside_q():
 ], ids=["small", "large-denominators", "repeated"])
 def test_rational_roots_of_split_polynomials(roots):
     expect = sorted(set(Fraction(r) for r in roots))
-    assert dirac._rational_roots(poly_from_roots(roots)) == expect
+    assert spectra._rational_roots(poly_from_roots(roots)) == expect
 
 
 @pytest.mark.parametrize("coeffs", [[1, 0, 1], [0, -2, 0, 1], [-4, 0, 0, 0, 1]],
                          ids=["complex", "irrational", "quartic"])
 def test_rational_roots_refuse_polynomials_that_do_not_split(coeffs):
     with pytest.raises(GroupGeoError, match="does not split"):
-        dirac._rational_roots([rat(c) for c in coeffs])
+        spectra._rational_roots([rat(c) for c in coeffs])
 
 
 def test_rational_roots_refuse_a_non_rational_coefficient():
     # x^2 + i x: the vector polynomials of an operator with an entry outside
     # Q can have such a coefficient
     with pytest.raises(GroupGeoError) as info:
-        dirac._rational_roots([rat(0), cyclo(4), rat(1)])
+        spectra._rational_roots([rat(0), cyclo(4), rat(1)])
     assert str(info.value) == (
         "minimal polynomial x^2 + (z4)*x has non-rational coefficients; "
         "eigenvalues outside Q are not certified")
@@ -368,14 +369,14 @@ def test_rational_roots_of_large_linear_times_irreducible_quadratic_factors(root
         poly = _poly_mul(poly, [c, b, Fraction(1)])
     if quadratics:
         with pytest.raises(GroupGeoError, match="does not split"):
-            dirac._rational_roots([rat(c) for c in poly])
+            spectra._rational_roots([rat(c) for c in poly])
     else:
-        assert dirac._rational_roots([rat(c) for c in poly]) == sorted({r for r, _ in roots})
+        assert spectra._rational_roots([rat(c) for c in poly]) == sorted({r for r, _ in roots})
     # the same integer polynomial _rational_roots hands to _integer_roots
     n = len(poly) - 1
     den = math.lcm(*(c.denominator for c in poly))
     ints = [int(c * den ** (n - k)) for k, c in enumerate(poly)]
-    assert dirac._integer_roots(ints) == sturm_integer_roots(ints)
+    assert spectra._integer_roots(ints) == sturm_integer_roots(ints)
 
 
 def test_dirac_spectrum_near_a_singular_modulus(cal_d3):
@@ -529,13 +530,13 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
         starts.append((op.nrows, start))
         return vector_minimal_polynomial(op, start)
 
-    kernel_basis, rref = dirac.kernel_basis, dirac.rref
-    vector_minimal_polynomial = dirac._vector_minimal_polynomial
-    monkeypatch.setattr(dirac, "kernel_basis", counted_kernel)
-    monkeypatch.setattr(dirac, "rref", counted_rank)
-    monkeypatch.setattr(dirac, "_vector_minimal_polynomial", recorded)
+    kernel_basis, rref = spectra.kernel_basis, catalogs.rref
+    vector_minimal_polynomial = spectra._vector_minimal_polynomial
+    monkeypatch.setattr(spectra, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(catalogs, "rref", counted_rank)
+    monkeypatch.setattr(spectra, "_vector_minimal_polynomial", recorded)
     # the matrix Krylov minimal polynomial is a test oracle only
-    assert not hasattr(dirac, "minimal_polynomial")
+    assert not any(hasattr(module, "minimal_polynomial") for module in (dirac, spectra))
     geo = Geometry(cls_d6, mu)
     report = reporting.dirac_report(geo)
     cert = geo.dirac
@@ -659,13 +660,13 @@ def test_irreducible_blocks_certify_the_dirac_operator(request, cal_name, mu):
     rep = planar1(group)
     coeffs = dirac_operator(rep, levi_civita(cal), mu)
     irreps = irreducibles(group)
-    form, spect = certify_blocks(coeffs, irreps)
+    form = certify_blocks(coeffs, irreps)
+    spect = form.spectrum
     assert spect.pairs == certify(coeffs, cls).pairs
     assert spect.dimension == rep.dim * group.order
     assert form.irreps == tuple(irreps)
     assert list(form.blocks) == irreducible_blocks(coeffs, irreps)
     assert list(form.eigenspaces) == [eigenspaces(b) for b in form.blocks]
-    assert form.spectrum().pairs == spect.pairs
     assert max(b.nrows for b in form.blocks) == 4
     op = assemble(coeffs, group)
     basis = peter_weyl_basis(irreps, rep.dim)
@@ -821,10 +822,10 @@ def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
 
         monkeypatch.setattr(module, name, call)
 
-    certify, build = dirac.eigenspaces, linalg.assemble
-    monkeypatch.setattr(dirac, "eigenspaces", certified)
+    certify, build = spectra.eigenspaces, linalg.assemble
+    monkeypatch.setattr(spectra, "eigenspaces", certified)
     # linalg.assemble, where each module that assembles holds it
-    for module in (dirac, reporting):
+    for module in (spectra, reporting):
         monkeypatch.setattr(module, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(connections, "levi_civita")
@@ -898,7 +899,7 @@ def dirac0_form(d6, dirac0_coeffs_d6):
 
 @pytest.fixture(scope="module")
 def dirac_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form):
-    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0])
+    return eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form)
 
 
 @pytest.fixture(scope="module")
@@ -917,7 +918,7 @@ def test_spans_from_one_reduction_match_ranking_each_set(vectors, data):
     first = data.draw(st.integers(0, len(vectors)))
     if len(vectors) > 2:
         vectors.append([x + y for x, y in zip(vectors[0], vectors[-1])])
-    assert dirac._spans(vectors, first) == (span_dim(vectors[:first]), span_dim(vectors))
+    assert catalogs._spans(vectors, first) == (span_dim(vectors[:first]), span_dim(vectors))
 
 
 def test_matrix_json_renders_like_each_entry_alone(coefficient_classes, monkeypatch):
@@ -953,8 +954,8 @@ def test_catalogs_rebuild_no_operator_or_connection(
     built = []
     monkeypatch.setattr(dirac, "dirac_operator", rebuilt)
     monkeypatch.setattr(dirac, "wave_operator", rebuilt)
-    monkeypatch.setattr(dirac, "certify_blocks", rebuilt)
-    monkeypatch.setattr(dirac, "eigenspaces", rebuilt)
+    monkeypatch.setattr(spectra, "certify_blocks", rebuilt)
+    monkeypatch.setattr(spectra, "eigenspaces", rebuilt)
     monkeypatch.setattr(connections, "levi_civita", rebuilt)
     # the Dirac catalog reads the certificate's irreducibles and builds no
     # representation; the wave catalog, whose certificate is dense, reads
@@ -962,7 +963,7 @@ def test_catalogs_rebuild_no_operator_or_connection(
     monkeypatch.setattr(representations, "irreducibles", rebuilt)
     with monkeypatch.context() as patched:
         patched.setattr(representations.Representation, "__init__", rebuilt)
-        assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form[0]) == dirac_catalog
+        assert eigenmode_catalog(cls_d6, dirac0_coeffs_d6, dirac0_form) == dirac_catalog
     monkeypatch.setattr(representations, "irreducibles",
                         lambda group: built.append(group) or irreducibles_of(group))
     assert wave_eigenmode_catalog(Geometry(cls_d6), wave0_coeffs_d6, wave_spect0) == wave_catalog
@@ -1056,7 +1057,7 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
     monkeypatch.setattr(representations.Representation, "__init__", built)
     monkeypatch.setattr(representations, "irreducibles", built)
     with pytest.raises(UnsupportedGroupError):
-        eigenmode_catalog(s3_cls, dirac_coeffs, dirac_form[0])
+        eigenmode_catalog(s3_cls, dirac_coeffs, dirac_form)
     with pytest.raises(UnsupportedGroupError):
         wave_eigenmode_catalog(Geometry(s3_cls), wave_coeffs, wave_spect)
 
@@ -1068,8 +1069,8 @@ def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d3, cls_d6)
     def unreachable(*_args, **_kwargs):
         raise AssertionError("a catalog ran away from mu = 0")
 
-    monkeypatch.setattr(dirac, "eigenmode_catalog", unreachable)
-    monkeypatch.setattr(dirac, "wave_eigenmode_catalog", unreachable)
+    monkeypatch.setattr(catalogs, "eigenmode_catalog", unreachable)
+    monkeypatch.setattr(catalogs, "wave_eigenmode_catalog", unreachable)
     assert "eigenmode_catalog" not in reporting.dirac_report(Geometry(cls_d6, Fraction(1)))
     assert "eigenmode_catalog" not in reporting.wave_report(Geometry(cls_d6, Fraction(1)))
 
@@ -1078,7 +1079,7 @@ def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cls_d6):
     def broken(*_args, **_kwargs):
         raise ValueError("a bug inside the catalog")
 
-    monkeypatch.setattr(dirac, "_assess", broken)
+    monkeypatch.setattr(catalogs, "_assess", broken)
     with pytest.raises(ValueError, match="a bug inside the catalog"):
         reporting.dirac_report(Geometry(cls_d6))
     with pytest.raises(ValueError, match="a bug inside the catalog"):
@@ -1141,7 +1142,8 @@ def test_assess_scores_a_declared_table(dirac0_form):
     operator reaches every status, a true eigenvector claimed at the wrong
     value among them, counts one vector in two copies twice, and leaves its
     inputs as they were."""
-    form, spect = dirac0_form
+    form = dirac0_form
+    spect = form.spectrum
     blocks = {rho.name: block for rho, block in zip(form.irreps, form.blocks)}
 
     def eigenvector(name, value):
@@ -1162,9 +1164,9 @@ def test_assess_scores_a_declared_table(dirac0_form):
     completions = {3: [("plus2", plus2), ("minus", minus), ("sign plus", sign_plus)],
                    0: [("kernel", kernel)]}
     snapshot = copy.deepcopy((families, completions))
-    out = dirac._assess(form.irreps, form.blocks, spect, families, completions)
+    out = catalogs._assess(form.irreps, form.blocks, spect, families, completions)
     assert (families, completions) == snapshot
-    assert dirac._assess(form.irreps, form.blocks, spect, families, completions) == out
+    assert catalogs._assess(form.irreps, form.blocks, spect, families, completions) == out
     assert [(c["label"], c["status"], c["eigenvalue"])
             for fam in out["families"] for c in fam["candidates"]] == [
         ("plus", "eigenmode", rat(3)), ("zero", "zero_vector", None),
@@ -1195,7 +1197,7 @@ def test_block_catalogs_score_as_the_function_oracles(request, cal_name):
     geo = Geometry(request.getfixturevalue(cal_name).cls)
     cls, cert = geo.cls, geo.dirac
     assert eigenmode_catalog(cls, cert.coeffs, cert.form) == (
-        function_eigenmode_catalog(cls, cert.coeffs, cert.spectrum))
+        function_eigenmode_catalog(cls, cert.coeffs, cert.form.spectrum))
     wave = wave_operator(cls)
     spect = certify(wave, cls)
     assert wave_eigenmode_catalog(geo, wave, spect) == (
@@ -1236,7 +1238,7 @@ def test_block_coordinates_of_the_catalog_representations(group):
 def grading0_d6(dirac0_form):
     """The grading of the D6 mu = 0 Dirac operator, carried from its blocks
     to G by the Peter-Weyl basis."""
-    return grading_on_group(dirac0_form[0], chirality(dirac0_form[0]))
+    return grading_on_group(dirac0_form, chirality(dirac0_form))
 
 
 def test_chirality_properties(dirac0_d6, grading0_d6):
@@ -1260,14 +1262,14 @@ def test_chirality_kernel_sign_choices(dirac0_d6, spect0, grading0_d6):
 
 
 def test_chirality_of_zero_operator():
-    form, spect = certify_blocks({0: Mat.zeros(2, 2)}, irreducibles(dihedral(3)))
-    assert spect.pairs == ((rat(0), 12),)
+    form = certify_blocks({0: Mat.zeros(2, 2)}, irreducibles(dihedral(3)))
+    assert form.spectrum.pairs == ((rat(0), 12),)
     assert chirality(form) == {
         (c, c): Mat.identity(block.nrows) for c, block in enumerate(form.copy_blocks())}
 
 
 def test_chirality_rejects_asymmetric_spectrum(d6, rep_d6, lc_d6):
-    form = certify_blocks(dirac_operator(rep_d6, lc_d6, mu=Fraction(1)), irreducibles(d6))[0]
+    form = certify_blocks(dirac_operator(rep_d6, lc_d6, mu=Fraction(1)), irreducibles(d6))
     with pytest.raises(AsymmetricSpectrumError, match="-27/5"):
         chirality(form)
 
@@ -1278,7 +1280,7 @@ def test_chirality_with_explicit_candidates(dirac0_d6, dirac0_form, spect0):
     # form states the dense spectrum, and the grading built from those bases
     # is another grading of the operator, so chirality pairs the
     # eigenvectors the form holds
-    form = dirac0_form[0]
+    form = dirac0_form
     spaces = []
     for block in form.blocks:
         ident = Mat.identity(block.nrows)
@@ -1286,7 +1288,11 @@ def test_chirality_with_explicit_candidates(dirac0_d6, dirac0_form, spect0):
         spaces.append({v: basis[::-1] if v.as_fraction() > 0 else basis
                        for v, basis in kernels.items() if basis})
     candidate_form = form._replace(eigenspaces=tuple(spaces))
-    assert candidate_form.spectrum().pairs == spect0.pairs
+    counts = {}
+    for rho, found in zip(form.irreps, spaces):
+        for v, basis in found.items():
+            counts[v] = counts.get(v, 0) + rho.dim * len(basis)
+    assert Spectrum(counts, 24).pairs == spect0.pairs
     gam = chirality(candidate_form)
     assert gam != chirality(form)
     assert grading_checks(form, gam) == (True, True)
@@ -1377,7 +1383,7 @@ def test_s3_chirality_exists(s3_group, s3_cls, s3_cal):
     rep = planar1(s3_group)
     coeffs = dirac_operator(rep, levi_civita(s3_cal))
     op = assemble(coeffs, s3_group)
-    form = certify_blocks(coeffs, irreducibles(s3_group))[0]
+    form = certify_blocks(coeffs, irreducibles(s3_group))
     for g in (dense_chirality(op), grading_on_group(form, chirality(form))):
         assert g @ g == Mat.identity(12)
         assert (g @ op + op @ g).is_zero()
