@@ -22,13 +22,15 @@ rest of its orbit, so no elimination is needed.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
 
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import ONE, ZERO, Cyclotomic, rat
 from .errors import NonCyclicClassError
 from .groups import ConjClass, FiniteGroup
-from .linalg import as_scalar
+
+LIFT_VARIANTS = ("canonical", "braided")
 
 
 class GroupFunction:
@@ -46,7 +48,7 @@ class GroupFunction:
     __slots__ = ("group", "constant_value", "_values")
 
     def __init__(self, group: FiniteGroup, values: Sequence):
-        vals = tuple([v if type(v) is Cyclotomic else as_scalar(v) for v in values])
+        vals = tuple([v if type(v) is Cyclotomic else rat(v) for v in values])
         if len(vals) != group.order:
             raise ValueError("one value per group element required")
         varies = any(v != vals[0] for v in vals)
@@ -63,12 +65,12 @@ class GroupFunction:
     @classmethod
     def constant(cls, group: FiniteGroup, value) -> "GroupFunction":
         f = object.__new__(cls)
-        f._hold(group, value if type(value) is Cyclotomic else as_scalar(value), None)
+        f._hold(group, value if type(value) is Cyclotomic else rat(value), None)
         return f
 
     @classmethod
     def zero(cls, group: FiniteGroup) -> "GroupFunction":
-        return cls.constant(group, 0)
+        return cls.constant(group, ZERO)
 
     @property
     def values(self) -> tuple:
@@ -144,14 +146,14 @@ def braiding(cls: ConjClass, a: int, b: int) -> tuple[int, int]:
 
 
 class Calculus:
-    """The full degree <= 2 exterior structure for one conjugacy class."""
+    """The full degree <= 2 exterior structure for one conjugacy class, with
+    theta, each de_a and, on first read, the lift tables."""
 
     def __init__(self, cls: ConjClass):
         cls.require_calculus_admissible()
         self.cls = cls
         self.group = cls.group
-        m = cls.size
-        self.n_members = m
+        self.n_members = m = cls.size
         self.pairs = [(i, j) for i in range(m) for j in range(m)]
         # braiding as a permutation of the m^2 monomials, row-major (a, b)
         self.braid_perm = {p: braiding(cls, *p) for p in self.pairs}
@@ -159,12 +161,10 @@ class Calculus:
         self.circulant = cls.circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
-        # memos filled on first use, each living as long as the calculus:
-        # the differentials of the basis, the distinguished connection
-        # (connections.levi_civita) and each lift variant's table (curvature.lift)
-        self._theta = self._levi_civita = None
-        self._de_cache: dict[int, TwoForm] = {}
-        self._lift_tables = {}
+        self.theta = OneForm(self, [self.constant(ONE)] * m)
+        self._de = tuple(self.wedge(self.theta, ea) + self.wedge(ea, self.theta)
+                         for ea in map(self.basis_one_form, range(m)))
+        self._levi_civita = None  # set once, by connections.levi_civita
 
     # -- quotient structure ------------------------------------------------
 
@@ -220,6 +220,10 @@ class Calculus:
                     coords[q][index[p]] = minus_one
         self.reduction = {p: tuple(c) for p, c in coords.items()}
 
+    @functools.cached_property
+    def lift_tables(self) -> dict[str, list[dict]]:
+        return {variant: _lift_table(self, variant) for variant in LIFT_VARIANTS}
+
     @property
     def quotient_dim(self) -> int:
         return len(self.quotient_pairs)
@@ -244,15 +248,8 @@ class Calculus:
 
     def basis_one_form(self, pos: int) -> "OneForm":
         coeffs = [self.zero_function() for _ in range(self.n_members)]
-        coeffs[pos] = self.constant(1)
+        coeffs[pos] = self.constant(ONE)
         return OneForm(self, coeffs)
-
-    @property
-    def theta(self) -> "OneForm":
-        """The sum of all basis 1-forms; generates d as a graded commutator."""
-        if self._theta is None:
-            self._theta = OneForm(self, [self.constant(1)] * self.n_members)
-        return self._theta
 
     def zero_two_form(self) -> "TwoForm":
         return TwoForm(self, [self.zero_function() for _ in range(self.quotient_dim)])
@@ -284,12 +281,9 @@ class Calculus:
         return OneForm(self, [f.partial(a) for a in self.cls.members])
 
     def d_basis(self, pos: int) -> "TwoForm":
-        """d e_a via the Maurer-Cartan identity theta^e_a + e_a^theta."""
-        if pos not in self._de_cache:
-            ea = self.basis_one_form(pos)
-            th = self.theta
-            self._de_cache[pos] = self.wedge(th, ea) + self.wedge(ea, th)
-        return self._de_cache[pos]
+        """d e_a via the Maurer-Cartan identity theta^e_a + e_a^theta, where
+        theta, the sum of the basis 1-forms, generates d as a graded commutator."""
+        return self._de[pos]
 
     def d_one_form(self, alpha: "OneForm") -> "TwoForm":
         out = self.zero_two_form()
@@ -299,6 +293,21 @@ class Calculus:
             out = out + self.wedge(self.d_function(f), self.basis_one_form(pos)) \
                       + self.d_basis(pos) * f
         return out
+
+
+def _lift_table(cal: Calculus, variant: str) -> list[dict]:
+    """Each quotient basis monomial e_p ^ e_q lifted, as a pair -> rational
+    map, to e_p (x) e_q minus half of each off-diagonal monomial with the
+    product c_p c_q (canonical) or minus its braiding image (braided)."""
+    products, half, table = cal.cls.products, rat(1, 2), []
+    for p, q in cal.quotient_pairs:
+        minus = ({(c, d): half for c, row in enumerate(products) for d, cd in enumerate(row)
+                  if c != d and cd == products[p][q]} if variant == "canonical"
+                 else {cal.braid_perm[(p, q)]: ONE})
+        entry = {pair: -w for pair, w in minus.items()}
+        entry[(p, q)] = ONE - minus.get((p, q), ZERO)
+        table.append({pair: w for pair, w in entry.items() if w})
+    return table
 
 
 class _Form:

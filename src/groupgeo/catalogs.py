@@ -15,9 +15,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import ONE, ZERO, Cyclotomic, rat
 from .groups import require_catalog_class
-from .linalg import Mat, as_scalar, rref
+from .linalg import Mat, rref
 from .spectra import irreducible_blocks
 
 if TYPE_CHECKING:
@@ -26,20 +26,17 @@ if TYPE_CHECKING:
     from .representations import Representation
     from .spectra import BlockForm, Spectrum
 
-_ZERO = rat(0)
-_ONE = rat(1)
-
 
 def _unit(d: int, l: int) -> list[Cyclotomic]:
     """The l-th unit vector of length d, l from 1."""
-    return [_ONE if i == l - 1 else _ZERO for i in range(d)]
+    return [ONE if i == l - 1 else ZERO for i in range(d)]
 
 
 def _mode(name: str, k: int, *components: Sequence) -> tuple:
     """The mode of copy (name, row k), k from 1, from the coordinates of its
     spinor components in turn; the unit vector of l is the matrix
     coefficient name[k, l]."""
-    return (name, k - 1), [as_scalar(v) for comp in components for v in comp]
+    return (name, k - 1), [rat(v) for comp in components for v in comp]
 
 
 def _column(m: Mat, l: int) -> list[Cyclotomic]:
@@ -53,8 +50,8 @@ def _twisted(k: int, l: int, component: int, dim_w: int) -> tuple:
     and trivial characters, so sign2[k, l] is sign for k = l = 1, trivial
     for k = l = 2 and identically zero off the diagonal."""
     name = ("sign", "trivial")[k - 1]
-    value = _ONE if k == l else _ZERO
-    return _mode(name, 1, *([value if j == component else _ZERO] for j in range(dim_w)))
+    value = ONE if k == l else ZERO
+    return _mode(name, 1, *([value if j == component else ZERO] for j in range(dim_w)))
 
 
 def _sign_image(mode: tuple) -> tuple:
@@ -112,7 +109,7 @@ def _assess(irreps: Sequence[Representation], blocks: Sequence[Mat], spect: Spec
     verified: dict[Cyclotomic, list] = {}
     scored = []
     for name, claimed, candidates in families:
-        claimed = as_scalar(claimed)
+        claimed = rat(claimed)
         rows = []
         for label, mode in candidates:
             if not any(mode[1]):
@@ -128,7 +125,7 @@ def _assess(irreps: Sequence[Representation], blocks: Sequence[Mat], spect: Spec
         scored.append({"name": name, "claimed_eigenvalue": claimed, "candidates": rows})
     summaries = []
     for value, named in completions.items():
-        v = as_scalar(value)
+        v = rat(value)
         modes = verified.get(v, [])
         mult = spect.multiplicity(v)
         comp_entries = []
@@ -177,10 +174,10 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) 
     require_catalog_class(C)
     reps = {r.name: r for r in form.irreps}
     rho = reps["planar1"]
-    zero = [_ZERO] * rho.dim
+    zero = [ZERO] * rho.dim
     # the translation blocks of the free part, as group-algebra elements
     elements = {name: {a: Mat([[w(rho(a))]]) for a in C.members} for name, w in (
-        ("lower", lambda m: m[1, 0]), ("upper", lambda m: m[0, 1]), ("diag", lambda m: _ONE))}
+        ("lower", lambda m: m[1, 0]), ("upper", lambda m: m[0, 1]), ("diag", lambda m: ONE))}
     fourier = {name: irreducible_blocks(x, form.irreps) for name, x in elements.items()}
     lower, upper = (fourier[name][form.irreps.index(rho)] for name in ("lower", "upper"))
     t, x = C.members[0], C.members[1]
@@ -214,12 +211,12 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) 
     completions = {
         0: [(f"(planar2[{k},2], 0)", _mode("planar2", k, _unit(2, 2), zero)) for k in (1, 2)]
         + [(f"(0, planar2[{k},1])", _mode("planar2", k, zero, _unit(2, 1))) for k in (1, 2)],
-        3: [("(rot-parity, 0)", _mode("rot-parity", 1, [_ONE], [_ZERO])),
-            ("(0, rot-parity)", _mode("rot-parity", 1, [_ZERO], [_ONE]))]
+        3: [("(rot-parity, 0)", _mode("rot-parity", 1, [ONE], [ZERO])),
+            ("(0, rot-parity)", _mode("rot-parity", 1, [ZERO], [ONE]))]
         + [(f"(planar2[{k},1], -planar2[{k},2])",
             _mode("planar2", k, _unit(2, 1), [-v for v in _unit(2, 2)])) for k in (1, 2)],
-        -3: [("(rot-parity*sign, 0)", _mode("rot-parity*sign", 1, [_ONE], [_ZERO])),
-             ("(0, rot-parity*sign)", _mode("rot-parity*sign", 1, [_ZERO], [_ONE]))]
+        -3: [("(rot-parity*sign, 0)", _mode("rot-parity*sign", 1, [ONE], [ZERO])),
+             ("(0, rot-parity*sign)", _mode("rot-parity*sign", 1, [ZERO], [ONE]))]
         + [(f"(planar2[{k},1], planar2[{k},2])", _mode("planar2", k, _unit(2, 1), _unit(2, 2)))
            for k in (1, 2)],
     }
@@ -233,8 +230,8 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) 
     # wherever M_h != 0, and P^2 = 1 exactly when chi^2 = 1
     chi = [m[0, 0] for m in reps["sign"].matrices]
     out["sign_multiplication_anticommutes"] = (
-        all(chi[h] == -_ONE for h, m in coeffs.items() if not m.is_zero())
-        and all(c * c == _ONE for c in chi))
+        all(chi[h] == -ONE for h, m in coeffs.items() if not m.is_zero())
+        and all(c * c == ONE for c in chi))
     # XY = 0 in the group algebra exactly when every irreducible block of
     # XY, the product of the blocks of X and Y, vanishes
     out["component_identities"] = {

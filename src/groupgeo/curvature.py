@@ -17,7 +17,8 @@ two lifts are provided:
     well defined because the relation space is exactly the braiding-fixed
     subspace, but is not a section of the wedge.
 
-Each variant's lift table is built once per calculus and kept on it.
+Each variant's lift table is built once per calculus, by the calculus
+(Calculus.lift_tables).
 
 Ricci contracts the lifted curvature relative to the flat background (the
 exterior derivatives of the basis forms themselves), which is the
@@ -48,13 +49,11 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
+from .calculus import LIFT_VARIANTS, Calculus, OneForm, TensorOneOne, TwoForm
 from .connections import CHART, Connection
 from .cyclotomic import rat
 from .groups import FiniteGroup, require_chart_class
-from .linalg import Mat, Vector, nullity, solve_affine
-
-LIFT_VARIANTS = ("canonical", "braided")
+from .linalg import Mat, nullity, solve_affine
 
 
 # -- the connection action --------------------------------------------------
@@ -125,43 +124,16 @@ def relative_curvature(conn: Connection) -> list[TwoForm]:
 
 # -- lifting 2-forms into the tensor square ---------------------------------
 
-def _lift_table(cal: Calculus, variant: str) -> list[dict]:
-    """For each quotient basis monomial, its lift as a pair -> rational map."""
-    if variant not in LIFT_VARIANTS:
-        raise ValueError(f"unknown lift variant {variant!r}; use one of {LIFT_VARIANTS}")
-    products = cal.cls.products
-    table = []
-    for (p, q) in cal.quotient_pairs:
-        entry: dict = {(p, q): rat(1)}
-        if variant == "canonical":
-            prod = products[p][q]
-            half = rat(1, 2)
-            for c, row in enumerate(products):
-                for d, cd in enumerate(row):
-                    if c != d and cd == prod:
-                        entry[(c, d)] = entry.get((c, d), rat(0)) - half
-        else:
-            img = cal.braid_perm[(p, q)]
-            entry[img] = entry.get(img, rat(0)) - rat(1)
-        table.append({k: v for k, v in entry.items() if not v.is_zero()})
-    return table
-
-
-def _table(cal: Calculus, variant: str) -> list[dict]:
-    # the lift table of a variant, built on first use and kept on the calculus
-    if variant not in cal._lift_tables:
-        cal._lift_tables[variant] = _lift_table(cal, variant)
-    return cal._lift_tables[variant]
-
-
 def lift(omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
     """Lift a 2-form into the tensor square; the canonical variant is a
     section of the wedge, the braided one is well defined but not."""
+    if variant not in LIFT_VARIANTS:
+        raise ValueError(f"unknown lift variant {variant!r}; use one of {LIFT_VARIANTS}")
     cal = omega.calculus
     m = cal.n_members
     z = cal.zero_function()
     coords = [[z for _ in range(m)] for _ in range(m)]
-    for k, entry in enumerate(_table(cal, variant)):
+    for k, entry in enumerate(cal.lift_tables[variant]):
         f = omega.coeffs[k]
         if f.is_zero():
             continue
@@ -183,7 +155,7 @@ def _ricci_map(cal: Calculus, variant: str) -> Mat:
     c * dim Omega^2 + k, to the Ricci coordinate (p, q), row p*m + q."""
     m, qdim = cal.n_members, cal.quotient_dim
     rows = [[rat(0)] * (m * qdim) for _ in range(m * m)]
-    table = _table(cal, variant)
+    table = cal.lift_tables[variant]
     # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
     for cpos, ad_row in enumerate(cal.cls.ad):
         for conj_pos, apos in enumerate(ad_row):
@@ -271,7 +243,7 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
 
 
 def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence, group: FiniteGroup,
-                    elements: Sequence[int]) -> tuple[Vector, int]:
+                    elements: Sequence[int]) -> tuple[list, int]:
     """A constant solution c of S x = b and the dimension of the kernel of
     S, for S = assemble(coeffs, group, elements) and b holding rhs[i] at
     every element in row component i: x holds c[j] at every element in

@@ -430,13 +430,15 @@ def cyclo(order: int, power: int = 1) -> Cyclotomic:
     return _make(order, _power_table(order)[power % order], 1)
 
 
-def rat(value: int | Fraction, den: int | None = None) -> Cyclotomic:
-    """A rational number as an (order-1) cyclotomic element."""
+def rat(value, den: int | None = None) -> Cyclotomic:
+    """The one coercion to an exact scalar: a Cyclotomic as it is, and an int,
+    a Fraction, value/den or anything Fraction reads as an order-1 element."""
     if den is not None:
         value = Fraction(value, den)
-    elif not isinstance(value, (int, Fraction)):
+    elif not isinstance(value, (int, Fraction, Cyclotomic)):
         value = Fraction(value)
     return _wrap(value)
 
 
+ZERO = rat(0)
 ONE = rat(1)

@@ -17,19 +17,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import ONE, ZERO, Cyclotomic, rat
 from .errors import AsymmetricSpectrumError
 from .groups import require_invertible_metric, require_regular_casimir
-from .linalg import Mat, as_scalar, inverse
+from .linalg import Mat, inverse
 
 if TYPE_CHECKING:
     from .connections import Connection
     from .groups import ConjClass
     from .representations import Representation
     from .spectra import BlockForm, Spectrum
-
-_ZERO = rat(0)
-_ONE = rat(1)
 
 
 # ---------------------------------------------------------------------------
@@ -46,11 +43,11 @@ def metric(cls: ConjClass, mu) -> tuple[Mat, Mat]:
     mu = Fraction(mu)
     n = cls.size
     require_invertible_metric(n, mu)
-    eta = Mat([[rat(mu) + (_ONE if i == j else _ZERO) for j in range(n)]
+    eta = Mat([[rat(mu) + (ONE if i == j else ZERO) for j in range(n)]
                for i in range(n)])
     # inverse of I + mu J in closed form: I - mu/(1 + n mu) J
     c = Fraction(mu, 1 + n * mu)
-    eta_inv = Mat([[rat(-c) + (_ONE if i == j else _ZERO) for j in range(n)]
+    eta_inv = Mat([[rat(-c) + (ONE if i == j else ZERO) for j in range(n)]
                    for i in range(n)])
     assert eta @ eta_inv == Mat.identity(n)
     return eta, eta_inv
@@ -155,7 +152,7 @@ def wave_operator(C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
         for bpos, b in enumerate(C.members):
             w = eta_inv[apos, bpos]
             for h, sign in ((group.mul(a, b), -1), (a, 1), (b, 1), (0, -1)):
-                coeffs[h] = coeffs.get(h, _ZERO) + w * sign
+                coeffs[h] = coeffs.get(h, ZERO) + w * sign
     return {h: Mat([[c]]) for h, c in coeffs.items()}
 
 
@@ -244,7 +241,6 @@ def grading_checks(form: BlockForm, gamma: Mapping[tuple[int, int], Mat]) -> tup
     return squares, anticommutes
 
 
-
 # ---------------------------------------------------------------------------
 # spectral action
 
@@ -259,7 +255,7 @@ def spectral_action(spect: Spectrum, coeffs: Sequence, lam) -> Cyclotomic:
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("the scale must be a positive rational")
-    cs = [as_scalar(c) for c in coeffs]
+    cs = [rat(c) for c in coeffs]
     scale = rat(Fraction(1, lam * lam))
     out = rat(0)
     for value, mult in spect.pairs:

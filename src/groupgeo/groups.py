@@ -58,9 +58,9 @@ MAX_INT_DIGITS = 4300
 
 
 def quoted(text: str, bare: bool = False) -> str:
-    """repr(text), or text itself if bare; for a text that could be any
-    length, the repr of its start, at most 66 characters, and its length."""
-    if len(text) > 64:
+    """repr(text), or text itself if bare; for a text over 64 characters or not
+    printable, the repr of its start, at most 66 characters, and its length."""
+    if len(text) > 64 or not text.isprintable():
         start = text[:64]
         # an escape renders one character in up to 10
         while len(repr(start)) > 66:
@@ -173,12 +173,16 @@ class FiniteGroup:
 
 def _refusal(template: str, names: Sequence[str], *elements: int,
              **texts: str) -> CayleyValidationError:
-    """template.format(*the elements' names, **texts): a name over 64
-    characters as #index, quoted once after the text however often it recurs."""
-    shown = [names[i] if len(names[i]) <= 64 else f"#{i}" for i in elements]
-    notes = "".join(f"; element #{i} is {quoted(names[i])}"
-                    for i in dict.fromkeys(elements) if len(names[i]) > 64)
-    return CayleyValidationError(template.format(*shown, **texts) + notes)
+    """template.format(*the elements' names, **texts) in under 270 characters:
+    it shows a name over 64 characters or not printable, or every name if the
+    text would pass 150, as #index, and quotes the first one hidden once."""
+    hidden = [i for i in elements if len(names[i]) > 64 or not names[i].isprintable()]
+    text = template.format(*(f"#{i}" if i in hidden else names[i] for i in elements), **texts)
+    if len(text) > 150:
+        text = template.format(*(f"#{i}" for i in elements), **texts)
+        hidden = hidden or list(elements)
+    note = f"; element #{hidden[0]} is {quoted(names[hidden[0]])}" if hidden else ""
+    return CayleyValidationError(text + note)
 
 
 def _validate_cayley(names: tuple[str, ...], table: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -272,9 +276,7 @@ class ConjClass:
 
     def __init__(self, group: FiniteGroup, representative: int):
         orbit = sorted({group.conj(h, representative) for h in range(group.order)})
-        witness = None
-        if len(orbit) >= 2:
-            witness = _find_cyclic_witness(group, orbit)
+        witness = _find_cyclic_witness(group, orbit) if len(orbit) >= 2 else None
         if witness is not None:
             rest = [a for a in orbit if a != witness]
             ordered = [witness]
@@ -366,9 +368,7 @@ def _find_cyclic_witness(group: FiniteGroup, orbit: list[int]) -> int | None:
 
 def conjugacy_class(group: FiniteGroup, g) -> ConjClass:
     """Class of a representative given by index or by element name."""
-    if isinstance(g, str):
-        g = group.index(g)
-    return ConjClass(group, g)
+    return ConjClass(group, group.index(g) if isinstance(g, str) else g)
 
 
 # -- preconditions that read only the input --------------------------------

@@ -33,16 +33,9 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import Cyclotomic, dot, rat, submul
+from .cyclotomic import ONE, ZERO, Cyclotomic, dot, rat, submul
 from .errors import InfeasibleSystemError
 from .groups import FiniteGroup
-
-Scalar = Cyclotomic
-Vector = list
-
-
-def as_scalar(value) -> Cyclotomic:
-    return Cyclotomic._wrap(value)
 
 
 class Mat:
@@ -51,7 +44,7 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
-        rs = tuple(tuple([x if type(x) is Cyclotomic else as_scalar(x) for x in row])
+        rs = tuple(tuple([x if type(x) is Cyclotomic else rat(x) for x in row])
                    for row in rows)
         if rs and any(len(r) != len(rs[0]) for r in rs):
             raise ValueError("ragged rows in matrix constructor")
@@ -62,13 +55,11 @@ class Mat:
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "Mat":
-        z = rat(0)
-        return cls([[z] * ncols for _ in range(nrows)])
+        return cls([[ZERO] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        z, o = rat(0), rat(1)
-        return cls([[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
 
     @property
     def nrows(self) -> int:
@@ -99,7 +90,7 @@ class Mat:
         return Mat([[-a for a in row] for row in self.rows])
 
     def __mul__(self, scalar) -> "Mat":
-        s = as_scalar(scalar)
+        s = rat(scalar)
         return Mat([[a * s for a in row] for row in self.rows])
 
     __rmul__ = __mul__
@@ -110,7 +101,7 @@ class Mat:
                 raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ {other.nrows}x{other.ncols}")
             cols = list(zip(*other.rows)) if other.rows else []
             return Mat([[dot(row, c) for c in cols] for row in self.rows])
-        vec = [as_scalar(x) for x in other]
+        vec = [rat(x) for x in other]
         if self.ncols != len(vec):
             raise ValueError(f"shape mismatch {self.nrows}x{self.ncols} @ vector[{len(vec)}]")
         return [dot(row, vec) for row in self.rows]
@@ -122,10 +113,7 @@ class Mat:
         return Mat([[a.conj() for a in row] for row in zip(*self.rows)]) if self.rows else Mat([])
 
     def trace(self) -> Cyclotomic:
-        t = rat(0)
-        for i in range(min(self.nrows, self.ncols)):
-            t = t + self.rows[i][i]
-        return t
+        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), ZERO)
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
@@ -187,31 +175,30 @@ def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(rows), tuple(pivots)
 
 
-def _kernel_from_rref(red: Mat, pivots: Sequence[int], nc: int) -> list[Vector]:
+def _kernel_from_rref(red: Mat, pivots: Sequence[int], nc: int) -> list[list]:
     """One kernel vector per free column among the first ``nc`` columns of
     a reduced matrix, with a 1 in the free position."""
     pivot_set = set(pivots)
-    zero, one = rat(0), rat(1)
     basis = []
     for fc in range(nc):
         if fc in pivot_set:
             continue
-        v = [zero] * nc
-        v[fc] = one
+        v = [ZERO] * nc
+        v[fc] = ONE
         for r_i, pc in enumerate(pivots):
             v[pc] = -red.rows[r_i][fc]
         basis.append(v)
     return basis
 
 
-def kernel_basis(matrix: Mat) -> list[Vector]:
+def kernel_basis(matrix: Mat) -> list[list]:
     """A deterministic basis of the right null space, one vector per free
     column, with a 1 in the free position."""
     red, pivots = rref(matrix)
     return _kernel_from_rref(red, pivots, matrix.ncols)
 
 
-def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[Vector, list[Vector]]:
+def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[list, list[list]]:
     """All solutions of ``matrix @ x = rhs`` as particular + span(kernel),
     from one reduction of ``[matrix | rhs]``.
 
@@ -220,7 +207,7 @@ def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[Vector, list[Vector]]:
     The particular solution sets every free variable to zero.  Raises
     InfeasibleSystemError when the system is inconsistent.
     """
-    b = [as_scalar(x) for x in rhs]
+    b = [rat(x) for x in rhs]
     if len(b) != matrix.nrows:
         raise ValueError("right hand side length does not match row count")
     red, pivots = rref(Mat([list(row) + [b[i]] for i, row in enumerate(matrix.rows)]))
@@ -228,7 +215,7 @@ def solve_affine(matrix: Mat, rhs: Sequence) -> tuple[Vector, list[Vector]]:
     if pivots and pivots[-1] == nc:
         raise InfeasibleSystemError(
             f"inconsistent system: row {len(pivots) - 1} of the reduced form reads 0 = 1")
-    particular = [rat(0)] * nc
+    particular = [ZERO] * nc
     for r_i, pc in enumerate(pivots):
         particular[pc] = red.rows[r_i][nc]
     return particular, _kernel_from_rref(red, pivots, nc)
@@ -259,7 +246,7 @@ def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
     pos = {g: p for p, g in enumerate(elements)}
     m = len(elements)
     shape = next(iter(coeffs.values()))
-    rows = [[rat(0)] * (shape.ncols * m) for _ in range(shape.nrows * m)]
+    rows = [[ZERO] * (shape.ncols * m) for _ in range(shape.nrows * m)]
     for h, block in coeffs.items():
         for p, g in enumerate(elements):
             q = pos.get(group.mul(g, h))

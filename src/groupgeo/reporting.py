@@ -31,10 +31,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .cyclotomic import Cyclotomic, cyclo
+from .cyclotomic import Cyclotomic, cyclo, rat
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import ConjClass, require_catalog_class, require_invertible_metric
-from .linalg import Mat, as_scalar, assemble, is_hermitian, same_element
 
 if TYPE_CHECKING:
     from .calculus import Calculus, OneForm, TensorOneOne, TwoForm
@@ -177,7 +176,7 @@ def _cyclotomic_decimal(c) -> str:
 
 def _scalar_json(value) -> dict:
     """The JSON form of one rational or cyclotomic scalar."""
-    c = as_scalar(value)
+    c = rat(value)
     if c.is_rational():
         fr = c.as_fraction()
         return {
@@ -202,7 +201,7 @@ def _rendered_once(render):
     def scalar(value) -> dict:
         entry = by_id.get(id(value))
         if entry is None:
-            c = as_scalar(value)
+            c = rat(value)
             key = (c.order, c.nums, c.den)
             entry = by_form.get(key)
             if entry is None:
@@ -439,6 +438,7 @@ def _certified_minimal_polynomial(spect: Spectrum) -> list:
 
 def dirac_report(geo: Geometry) -> dict:
     from . import dirac as spinops
+    from .linalg import Mat, is_hermitian
 
     cls, mu = geo.cls, geo.mu
     rep, coeffs, form = geo.dirac
@@ -496,6 +496,7 @@ def dirac_report(geo: Geometry) -> dict:
 
 def wave_report(geo: Geometry) -> dict:
     from . import dirac as spinops, spectra
+    from .linalg import Mat, assemble, is_hermitian, same_element
 
     cls, mu = geo.cls, geo.mu
     coeffs = spinops.wave_operator(cls, mu)

@@ -17,11 +17,9 @@ candidates in the irreducibles' coordinates.
 
 from __future__ import annotations
 
-from .cyclotomic import cyclo, rat
+from .cyclotomic import ZERO, cyclo, rat
 from .groups import FiniteGroup, dihedral_structure
 from .linalg import Mat
-
-_ZERO = rat(0)
 
 
 class Representation:
@@ -76,9 +74,9 @@ def _spinor_matrices(decomp, k: int) -> list[Mat]:
         zp = cyclo(n, k * i)
         zm = cyclo(n, -k * i)
         if flip:
-            out.append(Mat([[_ZERO, zm], [zp, _ZERO]]))
+            out.append(Mat([[ZERO, zm], [zp, ZERO]]))
         else:
-            out.append(Mat([[zp, _ZERO], [_ZERO, zm]]))
+            out.append(Mat([[zp, ZERO], [ZERO, zm]]))
     return out
 
 

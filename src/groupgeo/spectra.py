@@ -20,16 +20,13 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from .cyclotomic import Cyclotomic, dot, rat
+from .cyclotomic import ONE, ZERO, Cyclotomic, dot, rat
 from .errors import GroupGeoError, IncompleteSpectrumError
-from .linalg import Mat, as_scalar, assemble, kernel_basis
+from .linalg import Mat, assemble, kernel_basis
 
 if TYPE_CHECKING:
     from .groups import ConjClass
     from .representations import Representation
-
-_ZERO = rat(0)
-_ONE = rat(1)
 
 
 class Spectrum:
@@ -43,7 +40,7 @@ class Spectrum:
     __slots__ = ("multiplicities", "dimension")
 
     def __init__(self, multiplicities: Mapping | Sequence[tuple], dimension: int):
-        pairs = sorted(((as_scalar(v), m) for v, m in dict(multiplicities).items()),
+        pairs = sorted(((rat(v), m) for v, m in dict(multiplicities).items()),
                        key=lambda item: item[0].as_fraction())
         total = sum(m for _, m in pairs)
         if total != dimension:
@@ -59,7 +56,7 @@ class Spectrum:
         return tuple(self.multiplicities.items())
 
     def multiplicity(self, value) -> int:
-        return self.multiplicities.get(as_scalar(value), 0)
+        return self.multiplicities.get(rat(value), 0)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -171,7 +168,7 @@ class BlockForm(NamedTuple):
     def trace(self, blocks: Sequence[Mat]) -> Cyclotomic:
         """The trace on W (x) C[G] of the operator whose blocks, in this
         form's layout, are the given ones: dim rho copies of each."""
-        total = _ZERO
+        total = ZERO
         for rho, block in zip(self.irreps, blocks):
             total = total + block.trace() * rho.dim
         return total
@@ -224,18 +221,18 @@ def _vector_minimal_polynomial(op: Mat, start: int) -> list[Cyclotomic]:
     op, and every eigenvalue is a root for some start.
     """
     n = op.nrows
-    power = [_ONE if i == start else _ZERO for i in range(n)]
+    power = [ONE if i == start else ZERO for i in range(n)]
     pivots: list[tuple[int, list[Cyclotomic], list[Cyclotomic]]] = []
     degree = 0
     while True:
         vec = power
-        combo = [_ZERO] * degree + [_ONE]
+        combo = [ZERO] * degree + [ONE]
         for col, pvec, pcombo in pivots:
             f = vec[col]
             if f:
                 vec = [x - f * y for x, y in zip(vec, pvec)]
                 combo = [x - f * y for x, y in
-                         zip(combo, pcombo + [_ZERO] * (len(combo) - len(pcombo)))]
+                         zip(combo, pcombo + [ZERO] * (len(combo) - len(pcombo)))]
         lead = next((i for i, x in enumerate(vec) if x), None)
         if lead is None:
             return combo
@@ -249,10 +246,10 @@ def _vector_minimal_polynomial(op: Mat, start: int) -> list[Cyclotomic]:
 
 def poly_from_roots(roots: Sequence) -> list[Cyclotomic]:
     """Monic polynomial with the given roots, low-to-high coefficients."""
-    coeffs = [_ONE]
+    coeffs = [ONE]
     for r in roots:
-        s = as_scalar(r)
-        coeffs = ([_ZERO] + coeffs)
+        s = rat(r)
+        coeffs = ([ZERO] + coeffs)
         for i in range(len(coeffs) - 1):
             coeffs[i] = coeffs[i] - s * coeffs[i + 1]
     return coeffs
@@ -343,6 +340,12 @@ def _integer_roots(ints: list[int]) -> tuple[list[int], int]:
     step, until the modulus exceeds twice Fujiwara's bound on |root|.  A
     symmetric residue is kept only where q vanishes exactly.  The cost
     follows the degree, not the digits.
+
+    The search for l ends: q is squarefree, so its discriminant is not
+    zero, and at a prime l that divides neither lc(q) nor disc(q), q mod l
+    has no repeated root, so q' vanishes at none of its roots mod l.  The
+    search stops at the first such prime, if not before.  Euclid's loop
+    ends as the degree falls, and each lift as the modulus squares.
     """
     p = prev = [Fraction(c) for c in ints]
     gcd = [k * c for k, c in enumerate(p)][1:]

@@ -5,6 +5,7 @@ once per session and reused across test modules, including the acceptance
 suite.  All fixtures return exact objects; nothing here touches floats.
 """
 
+import contextlib
 import itertools
 import os
 import random
@@ -28,27 +29,46 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DEADLINE_S = 60
 
 
-@pytest.fixture(autouse=True)
-def deadline():
-    """Fail a test that runs past DEADLINE_S seconds, from SIGALRM of the
-    real-time interval timer, and restore the previous handler and timer
-    afterwards.  A platform without setitimer runs the test unbounded."""
+@contextlib.contextmanager
+def _bounded(what: str):
+    """Fail what runs past DEADLINE_S seconds, from SIGALRM of the
+    real-time interval timer, and afterwards restore the previous handler
+    and the previous timer, less the time spent here.  A platform without
+    setitimer runs it unbounded."""
     if not hasattr(signal, "setitimer"):
         yield
         return
 
     def expired(signum, frame):
-        pytest.fail(f"the test ran past its deadline of {DEADLINE_S} s")
+        pytest.fail(f"{what} ran past its deadline of {DEADLINE_S} s")
 
     previous = signal.signal(signal.SIGALRM, expired)
     delay, interval = signal.setitimer(signal.ITIMER_REAL, DEADLINE_S)
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
+        left, _ = signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
         if delay:
-            signal.setitimer(signal.ITIMER_REAL, delay, interval)
+            signal.setitimer(signal.ITIMER_REAL, max(delay - (DEADLINE_S - left), 1e-3),
+                             interval)
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test that runs past DEADLINE_S seconds."""
+    with _bounded("the test"):
+        yield
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_fixture_setup(fixturedef, request):
+    """Bound the setup of every fixture by DEADLINE_S seconds as well: a
+    session fixture is set up before the test's deadline is armed."""
+    if fixturedef.argname == "deadline":
+        return (yield)
+    with _bounded(f"the setup of fixture {fixturedef.argname}"):
+        return (yield)
 
 
 @pytest.fixture(scope="session")

@@ -59,7 +59,7 @@ from groupgeo.dirac import gamma_matrices, metric, require_symmetric
 from groupgeo.errors import SingularMetricError
 from groupgeo.groups import (ConjClass, FiniteGroup, conjugacy_class, dihedral_structure,
                              require_chart_class)
-from groupgeo.linalg import Mat, as_scalar, assemble, inverse, kernel_basis, rref, solve_affine
+from groupgeo.linalg import Mat, assemble, inverse, kernel_basis, rref, solve_affine
 from groupgeo.representations import Representation, irreducibles
 from groupgeo.spectra import poly_from_roots, spectrum
 
@@ -382,12 +382,12 @@ def span_dim(vectors: list[list[Cyclotomic]]) -> int:
 
 
 def vec_is_zero(a: Sequence) -> bool:
-    return all(as_scalar(x).is_zero() for x in a)
+    return all(rat(x).is_zero() for x in a)
 
 
 def diagonal(entries: Sequence) -> Mat:
     """The square matrix with the given diagonal and zeros elsewhere."""
-    es = [as_scalar(e) for e in entries]
+    es = [rat(e) for e in entries]
     return Mat([[es[i] if i == j else _ZERO for j in range(len(es))]
                 for i in range(len(es))])
 
@@ -417,7 +417,7 @@ def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:
     out = Mat.zeros(n, n)
     power = Mat.identity(n)
     for c in coeffs:
-        cs = as_scalar(c)
+        cs = rat(c)
         if cs:
             out = out + power * cs
         power = power @ matrix
@@ -435,7 +435,7 @@ def expanded_functions():
     levi_civita derives once per calculus) keep their form; build what is
     compared inside it, and derive no shared calculus's connection in it."""
     def init(self, group, values):
-        vals = tuple(as_scalar(v) for v in values)
+        vals = tuple(rat(v) for v in values)
         if len(vals) != group.order:
             raise ValueError("one value per group element required")
         self._hold(group, None, vals)
@@ -540,7 +540,7 @@ def apply(coeffs, group: FiniteGroup, vec: Sequence) -> list[Cyclotomic]:
     G, with no matrix: entry (i, g) is sum_h sum_j coeffs[h][i, j]
     vec[(j, gh)], its nonzero factors gathered first and summed by one dot."""
     n = group.order
-    vec = [as_scalar(x) for x in vec]
+    vec = [rat(x) for x in vec]
     shape = next(iter(coeffs.values()))
     if len(vec) != shape.ncols * n:
         raise ValueError(f"a vector of length {len(vec)} does not fit the operator")
@@ -564,7 +564,7 @@ def dense_system(coeffs, rhs, group: FiniteGroup) -> tuple[Mat, list]:
     """The system assemble(coeffs, group) x = b on all of G, b holding the
     constant rhs[i] at every element in row component i: what
     curvature.solve_invariant solves on constants."""
-    return assemble(coeffs, group), [as_scalar(b) for b in rhs for _ in range(group.order)]
+    return assemble(coeffs, group), [rat(b) for b in rhs for _ in range(group.order)]
 
 
 def delta(group: FiniteGroup, g: int) -> GroupFunction:
@@ -983,7 +983,7 @@ def minimal_polynomial_check(op: Mat, candidates: Sequence | None = None) -> boo
     if candidates is None:
         coeffs = minimal_polynomial(op)
     else:
-        coeffs = poly_from_roots(dict.fromkeys(as_scalar(c) for c in candidates))
+        coeffs = poly_from_roots(dict.fromkeys(rat(c) for c in candidates))
     return eval_poly(op, coeffs).is_zero()
 
 
@@ -1061,7 +1061,7 @@ def grading_on_group(form, gam: dict) -> Mat:
 # representations' matrix-element functions, and scored by linalg.apply.
 
 def _vec_of(*components: Sequence) -> list[Cyclotomic]:
-    return [as_scalar(v) for comp in components for v in comp]
+    return [rat(v) for comp in components for v in comp]
 
 
 def _element(rep: Representation, k: int, l: int) -> list[Cyclotomic]:
@@ -1082,7 +1082,7 @@ def function_assess(coeffs, group: FiniteGroup, spect, families, completions) ->
     verified: dict = {}
     scored = []
     for name, claimed, candidates in families:
-        claimed = as_scalar(claimed)
+        claimed = rat(claimed)
         rows = []
         for label, vec in candidates:
             if not any(vec):
@@ -1098,7 +1098,7 @@ def function_assess(coeffs, group: FiniteGroup, spect, families, completions) ->
         scored.append({"name": name, "claimed_eigenvalue": claimed, "candidates": rows})
     summaries = []
     for value, named in completions.items():
-        v = as_scalar(value)
+        v = rat(value)
         vecs = verified.get(v, [])
         mult = spect.multiplicity(v)
         entries, comp_vecs = [], []

@@ -723,7 +723,7 @@ _SPINOR = _REPORT | {"connections", "dirac", "representations", "spectra"}
 # report reads the class alone, so it builds no calculus and no connection,
 # and the eigenmode catalogs load for the D6 reflection class only
 _D6_LOADS = {
-    "calculus": (0, _REPORT),
+    "calculus": (0, _REPORT - {"linalg"}),
     "connection": (0, _REPORT | {"connections"}),
     "curvature": (0, _REPORT | {"connections", "curvature"}),
     "ricci": (0, _REPORT | {"connections", "curvature"}),
@@ -949,12 +949,21 @@ _SINGULAR_CASIMIR = ("error(precondition): casimir normalisation 1/(1 + 4 mu) "
 _LONG = 200_000
 
 
-def _hostile_table(case: str, long: str, where: int) -> tuple[dict, str]:
-    """A Cayley object and a --class label that put the long name on one
+def _hostile_table(case: str, long: str, where: int) -> tuple[dict | str, str]:
+    """A Cayley object, or its JSON text, and a --class label that put the long name on one
     refusal path: each corrupted table of _CORRUPT_TABLES, a repeated name,
     an out-of-range entry in the long name's row and column, and classes
     of one member, of the identity and of two long members.  where picks
-    the element that carries the name where the path leaves a choice."""
+    the element that carries the name where the path leaves a choice.  Two
+    more cases give every name of the loop of _CORRUPT_TABLES a hostile
+    one, long or of 61 characters none of which prints, and one nests the
+    table too deep to read, as JSON text."""
+    if case == "deep-nesting":
+        return ('{"names": ' + json.dumps([long]) + ', "table": '
+                + "[" * 100_000 + "]" * 100_000 + "}"), "a"
+    if case.startswith("loop-"):
+        names = [(long if case == "loop-long" else "\0" * 61)[:-1] + c for c in "abcde"]
+        return {"names": names, "table": _CORRUPT_TABLES["not-associative"]}, "a"
     if case in _CORRUPT_TABLES:
         table = _CORRUPT_TABLES[case]
         names = _NAMES[:len(table)]
@@ -985,23 +994,29 @@ def _hostile_table(case: str, long: str, where: int) -> tuple[dict, str]:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fill=st.characters())
 @pytest.mark.parametrize("case", [*_CORRUPT_TABLES, "repeated", "entry-out-of-range",
-                                  "one-member-class", "identity-class", "two-member-class"])
+                                  "one-member-class", "identity-class", "two-member-class",
+                                  "loop-long", "loop-unprintable", "deep-nesting"])
 def test_a_hostile_element_name_is_refused_at_once_and_quoted(tmp_path, capsys, case, fill):
     quoted = 0
     # the long name on each of the first five elements in turn
     for where in range(5):
         data, label = _hostile_table(case, fill * _LONG, where)
         path = tmp_path / "hostile.json"
-        path.write_text(json.dumps(data))
+        path.write_text(data if isinstance(data, str) else json.dumps(data))
         start = time.perf_counter()
-        code, out, err = _run(capsys, "--cayley", str(path), "--class", label,
+        # one argument, so that a label starting with "-" is not read as an option
+        code, out, err = _run(capsys, "--cayley", str(path), f"--class={label}",
                               "--cmd", "calculus")
         assert time.perf_counter() - start < 2
         assert (code, out) == (3, "")
         assert err.startswith("error(validation)") and len(err) < 300
-        quoted += f"({_LONG} characters)" in err
-    # every refusal but the table's shape names an element
-    assert quoted or case == "not-square"
+        # every control character is escaped
+        assert err.endswith("\n") and err[:-1].isprintable()
+        quoted += case != "deep-nesting" and any(
+            f"({len(name)} characters)" in err for name in data["names"]
+            if len(name) > 64 or not name.isprintable())
+    # every refusal but the table's shape and an unreadable file names an element
+    assert quoted or case in ("not-square", "deep-nesting")
 
 
 @settings(max_examples=10, deadline=None,

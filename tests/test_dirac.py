@@ -332,6 +332,25 @@ def test_rational_roots_refuse_a_non_rational_coefficient():
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_integer_roots_search_primes_up_to_the_first_that_separates_the_roots(monkeypatch):
+    # mod every prime below 31 the roots 0 .. 30 collide, so q' vanishes at
+    # a root there; mod 31 they are distinct and q = x^31 - x
+    ints = [1]
+    for r in range(31):
+        ints = [a - r * b for a, b in zip([0] + ints, ints + [0])]
+    mods = set()
+    value_mod = spectra._value_mod
+
+    def recorded(poly, x, m):
+        mods.add(m)
+        return value_mod(poly, x, m)
+
+    monkeypatch.setattr(spectra, "_value_mod", recorded)
+    assert spectra._integer_roots(ints) == (list(range(31)), 31)
+    # the search reads every l up to 31, and the lifts only powers of 31
+    assert {m for m in mods if m < 31 ** 2} == set(range(2, 32))
+
+
 def _poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -825,7 +844,7 @@ def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
     certify, build = spectra.eigenspaces, linalg.assemble
     monkeypatch.setattr(spectra, "eigenspaces", certified)
     # linalg.assemble, where each module that assembles holds it
-    for module in (spectra, reporting):
+    for module in (spectra, linalg):
         monkeypatch.setattr(module, "assemble", assembled)
     counted(dirac, "dirac_operator")
     counted(connections, "levi_civita")

@@ -109,6 +109,16 @@ def test_solve_affine_infeasible():
         solve_affine(a, [0, 1])
 
 
+@pytest.mark.parametrize("rows, rhs, row", [
+    ([[1, 0], [0, 1], [1, 1]], [1, 1, 3], 2),
+    ([[1, 1], [1, 1]], [0, 1], 1),
+], ids=["third-row", "second-row"])
+def test_solve_affine_names_the_row_that_reads_0_eq_1(rows, rhs, row):
+    with pytest.raises(InfeasibleSystemError) as info:
+        solve_affine(Mat(rows), rhs)
+    assert str(info.value) == f"inconsistent system: row {row} of the reduced form reads 0 = 1"
+
+
 def test_inverse_round_trip():
     rng = random.Random(3)
     for _ in range(5):

@@ -82,7 +82,7 @@ def test_d6_report_all_builds_each_lift_table_once(monkeypatch, tmp_path):
     and Dirac sections, four calls."""
     tables = []
     levi_civita_calls = 0
-    lift_table = curvature._lift_table
+    lift_table = calculus._lift_table
     levi_civita = connections.levi_civita
 
     def counted_table(cal, variant):
@@ -94,7 +94,7 @@ def test_d6_report_all_builds_each_lift_table_once(monkeypatch, tmp_path):
         levi_civita_calls += 1
         return levi_civita(cal)
 
-    monkeypatch.setattr(curvature, "_lift_table", counted_table)
+    monkeypatch.setattr(calculus, "_lift_table", counted_table)
     monkeypatch.setattr(connections, "levi_civita", counted_levi_civita)
     argv = ["--group", "dihedral:6", "--class", "sr", "--cmd", "report-all"]
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
