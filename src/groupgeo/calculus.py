@@ -147,7 +147,7 @@ def braiding(cls: ConjClass, a: int, b: int) -> tuple[int, int]:
 
 class Calculus:
     """The full degree <= 2 exterior structure for one conjugacy class, with
-    theta, each de_a and, on first read, the lift tables."""
+    theta, each de_a and, on first read, the lift tables and Ricci maps."""
 
     def __init__(self, cls: ConjClass):
         cls.require_calculus_admissible()
@@ -223,6 +223,13 @@ class Calculus:
     @functools.cached_property
     def lift_tables(self) -> dict[str, list[dict]]:
         return {variant: _lift_table(self, variant) for variant in LIFT_VARIANTS}
+
+    @functools.cached_property
+    def ricci_maps(self) -> dict:
+        # the curvature layer's matrices, loaded with it on first read
+        from .curvature import ricci_map
+
+        return {variant: ricci_map(self, variant) for variant in LIFT_VARIANTS}
 
     @property
     def quotient_dim(self) -> int:

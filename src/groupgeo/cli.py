@@ -18,11 +18,11 @@ dimensions or leaves Q, an infeasible exact system).
 The front (this module, groups and errors) reads the input and runs every
 check that needs nothing else, PRECONDITIONS per command, in the order the
 command's layers would raise them.  Only an input that passes imports
-reporting and the layers the command runs, so a refusal compiles no
-layer and gives the exit code and message the layer itself would.  Every
-command then runs the same way: its report, looked up on reporting by
-name (report_of), is called with one reporting.Geometry of the class and
-the modulus.
+reporting, its report's module and the layers it runs, so a refusal
+compiles no layer and gives the exit code and message the layer itself
+would.  Every command then runs the same way: its report, looked up on
+reporting by name (report_of) in geometry_reports or spinor_reports, is
+called with one reporting.Geometry of the class and the modulus.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _parse_mu(text: str) -> Fraction:
 
 
 def report_of(cmd: str):
-    """The reporting function that runs cmd, looked up on the module by
+    """The reporting function that runs cmd, looked up on reporting by
     name each time, so a patched attribute is the one that runs."""
     from . import reporting
 

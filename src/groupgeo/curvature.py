@@ -18,7 +18,8 @@ two lifts are provided:
     subspace, but is not a section of the wedge.
 
 Each variant's lift table is built once per calculus, by the calculus
-(Calculus.lift_tables).
+(Calculus.lift_tables), and so is its Ricci map (Calculus.ricci_maps),
+which ricci and ricci_system both read.
 
 Ricci contracts the lifted curvature relative to the flat background (the
 exterior derivatives of the basis forms themselves), which is the
@@ -149,10 +150,11 @@ def wedge_of_tensor(t: TensorOneOne) -> TwoForm:
 
 # -- Ricci ------------------------------------------------------------------
 
-def _ricci_map(cal: Calculus, variant: str) -> Mat:
+def ricci_map(cal: Calculus, variant: str) -> Mat:
     """Lift and contraction as one constant matrix, m^2 by m * dim Omega^2:
     coordinate k of the relative curvature of component c, column
-    c * dim Omega^2 + k, to the Ricci coordinate (p, q), row p*m + q."""
+    c * dim Omega^2 + k, to the Ricci coordinate (p, q), row p*m + q.
+    Read it as cal.ricci_maps[variant], built once per calculus."""
     m, qdim = cal.n_members, cal.quotient_dim
     rows = [[rat(0)] * (m * qdim) for _ in range(m * m)]
     table = cal.lift_tables[variant]
@@ -179,7 +181,7 @@ def ricci(conn: Connection) -> dict[str, TensorOneOne]:
     with G_c the relative curvature of component c, under each lift
     variant, keyed as in LIFT_VARIANTS.  The relative curvature does not
     depend on the lift, so it is computed once and mapped through each
-    variant's _ricci_map.  Vanishes for the distinguished connection under
+    variant's ricci_map.  Vanishes for the distinguished connection under
     every lift variant because the relative curvature itself vanishes
     there.
     """
@@ -189,7 +191,7 @@ def ricci(conn: Connection) -> dict[str, TensorOneOne]:
     tensors = {}
     for variant in LIFT_VARIANTS:
         coords = [sum((f * w for f, w in zip(forms, row) if w and not f.is_zero()),
-                      cal.zero_function()) for row in _ricci_map(cal, variant).rows]
+                      cal.zero_function()) for row in cal.ricci_maps[variant].rows]
         tensors[variant] = TensorOneOne(cal, [coords[p * m:(p + 1) * m] for p in range(m)])
     return tensors
 
@@ -215,7 +217,7 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     relative curvature d(delta_e e_b) = sum_c (delta_{c^-1} - delta_e)
     e_c ^ e_b + delta_e de_b: red(c, b) = calculus.reduction[(c, b)] at
     c^-1 and de_b - sum_c red(c, b) at e, de_b the constant coordinates of
-    calculus.d_basis(b).  So column i of M_h is _ricci_map of those
+    calculus.d_basis(b).  So column i of M_h is the Ricci map of those
     coordinates at h^-1, the keys are e and the class members, and no
     function on the group is built.  The tables read are the same on the
     calculus of G and on that of (H, C), H = <C>.
@@ -234,8 +236,8 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
              for h, vecs in at.items()}
     systems = {}
     for variant in LIFT_VARIANTS:
-        ricci_map = _ricci_map(cal, variant)
-        blocks = {h: Mat((ricci_map @ form).rows + ([int(h == 0)] * 3,))
+        to_ricci = cal.ricci_maps[variant]
+        blocks = {h: Mat((to_ricci @ form).rows + ([int(h == 0)] * 3,))
                   for h, form in forms.items()}
         systems[variant] = ({h: b for h, b in blocks.items() if not b.is_zero()},
                             [rat(0)] * (m * m) + [rat(-1)])

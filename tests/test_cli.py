@@ -11,11 +11,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import groupgeo
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
-from groupgeo import cli, connections, groups, reporting
+from groupgeo import cli, connections, enclosures, geometry_reports, groups, reporting
 from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
 from groupgeo.cyclotomic import rat
@@ -175,14 +175,20 @@ def test_connection_command_proves_each_residual_once(monkeypatch, capsys):
 
 
 def test_each_command_calls_its_reporting_function_on_one_geometry(monkeypatch, capsys):
-    """Each command is looked up by name on reporting, a function of one
-    Geometry; the lookup happens at call time, so a patched attribute, as a
-    tracer wrapping the module's functions installs, is the one that runs
-    on the run's Geometry."""
+    """Each command is looked up by name on reporting, which finds it in the
+    module that runs its layers, a function of one Geometry; the lookup
+    happens at call time, so a patched attribute, as a tracer wrapping the
+    module's functions installs, is the one that runs on the run's
+    Geometry."""
     for cmd in cli.COMMANDS:
         params = inspect.signature(cli.report_of(cmd)).parameters
-        assert cli.report_of(cmd).__module__ == "groupgeo.reporting"
+        assert cli.report_of(cmd).__module__ == (
+            "groupgeo.reporting" if cmd == "report-all" else
+            "groupgeo.spinor_reports" if cmd in ("dirac", "wave", "spectral-action")
+            else "groupgeo.geometry_reports")
         assert [p.annotation for p in params.values()] == ["Geometry"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_report'"):
+        reporting.no_such_report
     runs = []
 
     def patched(geo):
@@ -689,8 +695,8 @@ def test_reports_render_as_with_mpmath_decimals(tmp_path, monkeypatch, capsys,
         "--class", "sr", "--cmd", cmd, f"--mu={mu}"]
     code, fast, _ = _run(capsys, *argv)
     assert code == 0
-    monkeypatch.setattr(reporting, "_rational_decimal", mpmath_rational_decimal)
-    monkeypatch.setattr(reporting, "_cyclotomic_decimal", mpmath_cyclotomic_decimal)
+    monkeypatch.setattr(reporting, "rational_decimal", mpmath_rational_decimal)
+    monkeypatch.setattr(enclosures, "cyclotomic_decimal", mpmath_cyclotomic_decimal)
     assert _run(capsys, *argv) == (0, fast, "")
 
 
@@ -718,28 +724,31 @@ print(json.dumps(loaded))
 # the modules every command loads before its input is accepted
 _FRONT = {"cli", "errors", "groups"}
 _REPORT = _FRONT | {"calculus", "cyclotomic", "linalg", "reporting"}
-_SPINOR = _REPORT | {"connections", "dirac", "representations", "spectra"}
+_GEOMETRY = _REPORT | {"geometry_reports"}
+_SPINOR = _REPORT | {"connections", "dirac", "representations", "spectra", "spinor_reports"}
 # exit code and groupgeo modules per command on D6 at mu = 0; the wave
 # report reads the class alone, so it builds no calculus and no connection,
-# and the eigenmode catalogs load for the D6 reflection class only
+# the eigenmode catalogs load for the D6 reflection class only, and the
+# enclosures only for the reports that print an irrational scalar, the
+# gamma matrices of the Dirac report
 _D6_LOADS = {
-    "calculus": (0, _REPORT - {"linalg"}),
-    "connection": (0, _REPORT | {"connections"}),
-    "curvature": (0, _REPORT | {"connections", "curvature"}),
-    "ricci": (0, _REPORT | {"connections", "curvature"}),
-    "dirac": (0, _SPINOR | {"catalogs"}),
+    "calculus": (0, _GEOMETRY - {"linalg"}),
+    "connection": (0, _GEOMETRY | {"connections"}),
+    "curvature": (0, _GEOMETRY | {"connections", "curvature"}),
+    "ricci": (0, _GEOMETRY | {"connections", "curvature"}),
+    "dirac": (0, _SPINOR | {"catalogs", "enclosures"}),
     "wave": (0, _SPINOR - {"calculus", "connections"} | {"catalogs"}),
     "spectral-action": (0, _SPINOR),
-    "report-all": (0, _SPINOR | {"catalogs", "curvature"}),
+    "report-all": (0, _SPINOR | _GEOMETRY | {"catalogs", "curvature", "enclosures"}),
 }
 # off order 12 the reports state no catalog, so they load no catalog and
 # the wave report builds no representation; on D6 x Z2 the spinor commands
 # and report-all stop at the missing dihedral presentation, which the front
 # checks
 _D3_LOADS = {**_D6_LOADS,
-             "dirac": (0, _SPINOR),
+             "dirac": (0, _SPINOR | {"enclosures"}),
              "wave": (0, _SPINOR - {"calculus", "connections", "representations"}),
-             "report-all": (0, _SPINOR | {"curvature"})}
+             "report-all": (0, _SPINOR | _GEOMETRY | {"curvature", "enclosures"})}
 _D6Z2_LOADS = {
     **_D3_LOADS,
     "dirac": (3, _FRONT),
@@ -785,12 +794,15 @@ def _corrupt_tables(tmp_path) -> list:
 def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text('{"names": ["e", "a"], "table": [[0, 1], [1, 1]]}')
-    sources = ((["--group", "dihedral:3"], _D3_LOADS),
-               (["--group", "dihedral:6"], _D6_LOADS),
+    # the loads at mu = 0 and at mu = 1, where no report states a catalog,
+    # as off order 12
+    sources = ((["--group", "dihedral:3"], _D3_LOADS, _D3_LOADS),
+               (["--group", "dihedral:6"], _D6_LOADS, _D3_LOADS),
                (_table_argv(tmp_path, direct_product_cyclic(dihedral(6), 2)),
-                _D6Z2_LOADS))
-    runs = [(source + ["--class", "sr", "--cmd", cmd], code, layers)
-            for source, loads in sources for cmd, (code, layers) in loads.items()]
+                _D6Z2_LOADS, _D6Z2_LOADS))
+    runs = [(source + ["--class", "sr", f"--mu={mu}", "--cmd", cmd], code, layers)
+            for source, *per_mu in sources for mu, loads in zip("01", per_mu)
+            for cmd, (code, layers) in loads.items()]
     # usage errors, table rejects and inputs that fail a precondition of
     # the command stop in the front
     runs += [(argv + ["--cmd", "ricci"], code, _FRONT) for argv, code in (
@@ -807,9 +819,6 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
     runs += [([*source, "--class", "sr", "--mu=-1/4", "--cmd", cmd], 4, _FRONT)
              for source in (["--group", "dihedral:3"], ["--group", "dihedral:6"])
              for cmd in ("dirac", "spectral-action", "report-all")]
-    # at mu = 1 no report states a catalog, as off order 12
-    runs += [(["--group", "dihedral:6", "--class", "sr", "--mu=1", "--cmd", cmd], code, layers)
-             for cmd, (code, layers) in _D3_LOADS.items()]
     runs += [(_table_argv(tmp_path, alternating4()) + [
         "--class", "1203", "--cmd", "connection"], 3, _FRONT)]
     # an endless table is refused after MAX_CAYLEY_BYTES + 1 bytes
@@ -962,6 +971,10 @@ def _hostile_table(case: str, long: str, where: int) -> tuple[dict | str, str]:
         return ('{"names": ' + json.dumps([long]) + ', "table": '
                 + "[" * 100_000 + "]" * 100_000 + "}"), "a"
     if case.startswith("loop-"):
+        # five names of half the length: json.dumps writes a character
+        # outside the BMP as 12 bytes, and five whole ones would pass
+        # groups.MAX_CAYLEY_BYTES and be refused by size, naming none
+        long = long[:len(long) // 2]
         names = [(long if case == "loop-long" else "\0" * 61)[:-1] + c for c in "abcde"]
         return {"names": names, "table": _CORRUPT_TABLES["not-associative"]}, "a"
     if case in _CORRUPT_TABLES:
@@ -993,6 +1006,8 @@ def _hostile_table(case: str, long: str, where: int) -> tuple[dict | str, str]:
 @settings(max_examples=4, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(fill=st.characters())
+# a character that json.dumps writes as a 12-byte surrogate pair
+@example(fill="\U00010000")
 @pytest.mark.parametrize("case", [*_CORRUPT_TABLES, "repeated", "entry-out-of-range",
                                   "one-member-class", "identity-class", "two-member-class",
                                   "loop-long", "loop-unprintable", "deep-nesting"])
@@ -1094,6 +1109,6 @@ def test_report_all_outcome_per_input(request, tmp_path, capsys, name, mu):
 def test_report_all_rejects_a_table_without_dihedral_presentation_early(
         request, tmp_path, monkeypatch, capsys, name):
     # the Dirac certificate fails before curvature and Ricci are computed
-    _forbid(monkeypatch, reporting, "curvature_report", "ricci_report")
+    _forbid(monkeypatch, geometry_reports, "curvature_report", "ricci_report")
     code, _, err = _report_all(request, tmp_path, capsys, name, "0")
     assert (code, err) == _REPORT_ALL_OUTCOMES[(name, "0")]

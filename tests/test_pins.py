@@ -1,9 +1,9 @@
 """Whole-pipeline pins on figures that do not depend on timing: the report
 digests the benchmark records in ``perfbench/expected.json`` (read here,
 never written), the number of cyclotomic scalars one D6 ``report-all``
-allocates, the number of lift tables and distinguished connections it
-asks for, the number of representations each spinor command builds, and
-the number of calculi each command builds."""
+allocates, the number of lift tables, Ricci maps and distinguished
+connections it asks for, the number of representations each spinor
+command builds, and the number of calculi each command builds."""
 
 import hashlib
 import json
@@ -78,16 +78,22 @@ def test_d6_report_all_allocates_a_bounded_number_of_scalars(monkeypatch, tmp_pa
 def test_d6_report_all_builds_each_lift_table_once(monkeypatch, tmp_path):
     """Each lift variant's table is built once per calculus, on G, for the
     curvature and Ricci sections and the Ricci-flat system alike: two
-    tables.  levi_civita is asked for by the connection, curvature, Ricci
-    and Dirac sections, four calls."""
-    tables = []
+    tables, and so is its Ricci map, for the Ricci tensor and the
+    Ricci-flat system: two maps.  levi_civita is asked for by the
+    connection, curvature, Ricci and Dirac sections, four calls."""
+    tables, maps = [], []
     levi_civita_calls = 0
     lift_table = calculus._lift_table
+    ricci_map = curvature.ricci_map
     levi_civita = connections.levi_civita
 
     def counted_table(cal, variant):
         tables.append((id(cal), variant))
         return lift_table(cal, variant)
+
+    def counted_map(cal, variant):
+        maps.append((id(cal), variant))
+        return ricci_map(cal, variant)
 
     def counted_levi_civita(cal):
         nonlocal levi_civita_calls
@@ -95,11 +101,13 @@ def test_d6_report_all_builds_each_lift_table_once(monkeypatch, tmp_path):
         return levi_civita(cal)
 
     monkeypatch.setattr(calculus, "_lift_table", counted_table)
+    monkeypatch.setattr(curvature, "ricci_map", counted_map)
     monkeypatch.setattr(connections, "levi_civita", counted_levi_civita)
     argv = ["--group", "dihedral:6", "--class", "sr", "--cmd", "report-all"]
     assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
-    assert len(tables) == len(set(tables)) == 2
-    assert {variant for _, variant in tables} == set(curvature.LIFT_VARIANTS)
+    for built in (tables, maps):
+        assert len(built) == len(set(built)) == 2
+        assert {variant for _, variant in built} == set(curvature.LIFT_VARIANTS)
     assert levi_civita_calls == 4
 
 

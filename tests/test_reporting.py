@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
-from groupgeo import reporting
+from groupgeo import enclosures, reporting
 from groupgeo.cli import main
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 from groupgeo.reporting import to_json
@@ -27,8 +27,13 @@ def _decimal(value: Fraction) -> str:
 
 
 def _check(value: Fraction):
-    assert _decimal(value) == mpmath_rational_decimal(
-        value.numerator, value.denominator), value
+    rendered = _decimal(value)
+    assert rendered == exact_rational_decimal(value.numerator, value.denominator), value
+    # mpmath rounds its 103-bit approximation, so a value whose 13th to
+    # 15th digits read 499 or 500, on a 12-digit tie or beside one, may come
+    # out one unit off in the 12th; the exact oracle above checks those
+    if not value or _digits_13_to_15(value) not in ("499", "500"):
+        assert rendered == mpmath_rational_decimal(value.numerator, value.denominator), value
 
 
 def _check_exact(value: Fraction):
@@ -76,6 +81,8 @@ def test_small_fractions_match_mpmath():
 
 @settings(max_examples=300, deadline=None)
 @given(st.fractions())
+# 100000000.0025, a 12-digit tie that mpmath prints 100000000.002
+@example(Fraction(40000000001, 400))
 def test_arbitrary_fractions_match_mpmath(value):
     _check(value)
 
@@ -204,7 +211,7 @@ def _mpmath_digits_13_to_15(c: Cyclotomic) -> list[str]:
 # a real part, -1.125000001125...e-7, just above a tie
 @example(rat(Fraction(-112, 999999999)) + cyclo(3) * rat(Fraction(1, 999999999)))
 def test_cyclotomic_decimals_match_mpmath(c):
-    rendered = reporting._cyclotomic_decimal(c)
+    rendered = enclosures.cyclotomic_decimal(c)
     assert rendered == exact_cyclotomic_decimal(c)
     # mpmath's own sum agrees at 300 digits; at 30, where the terms cancel
     # it keeps little but the rounding error of the larger ones (a real
@@ -234,7 +241,7 @@ def test_unit_roots_in_fixed_point_are_within_their_bound():
         with mp.workprec(bits + 64):
             for n in range(1, 49):
                 for j in range(n):
-                    cos, sin = reporting._unit_root(j, n, bits)
+                    cos, sin = enclosures._unit_root(j, n, bits)
                     angle = mp.mpf(2 * j) / n
                     assert abs(cos - mp.cospi(angle) * 2 ** bits) < bits << 8
                     assert abs(sin - mp.sinpi(angle) * 2 ** bits) < bits << 8
@@ -242,18 +249,18 @@ def test_unit_roots_in_fixed_point_are_within_their_bound():
 
 def test_pi_is_summed_once_per_process(monkeypatch):
     calls = []
-    real = reporting._arctan_inverse
+    real = enclosures._arctan_inverse
 
     def counted(m, one):
         calls.append(m)
         return real(m, one)
 
-    monkeypatch.setattr(reporting, "_arctan_inverse", counted)
-    reporting._fixed_pi.cache_clear()
-    reporting._unit_root.cache_clear()
-    bits = reporting._FIXED
-    first = [reporting._unit_root(j, n, bits) for n in (3, 6, 12, 7) for j in range(n)]
-    assert first == [reporting._unit_root(j, n, bits) for n in (3, 6, 12, 7) for j in range(n)]
+    monkeypatch.setattr(enclosures, "_arctan_inverse", counted)
+    enclosures._fixed_pi.cache_clear()
+    enclosures._unit_root.cache_clear()
+    bits = enclosures._FIXED
+    first = [enclosures._unit_root(j, n, bits) for n in (3, 6, 12, 7) for j in range(n)]
+    assert first == [enclosures._unit_root(j, n, bits) for n in (3, 6, 12, 7) for j in range(n)]
     assert reporting.to_json(cyclo(12) + cyclo(7))["decimal"] == mpmath_cyclotomic_decimal(
         cyclo(12) + cyclo(7))
     # Machin's two arctangents, once
@@ -272,18 +279,18 @@ def test_undecided_enclosures_are_decided_without_mpmath(monkeypatch, value, exp
                                                          mpmath_renders):
     # the first enclosure of the real part straddles a change of rendering,
     # and the exact rational part decides it, with mpmath out of reach
-    assert len(set(reporting._enclosure_decimals(value, reporting._FIXED)[0])) == 2
+    assert len(set(enclosures._enclosure_decimals(value, enclosures._FIXED)[0])) == 2
     assert exact_cyclotomic_decimal(value) == expected
     assert mpmath_cyclotomic_decimal(value) == mpmath_renders
     _without_mpmath(monkeypatch)
-    assert reporting._cyclotomic_decimal(value) == expected
+    assert enclosures.cyclotomic_decimal(value) == expected
 
 
 def test_decided_enclosures_need_no_mpmath(monkeypatch):
     values = (cyclo(12), cyclo(3) + rat(Fraction(1, 3)), cyclo(24, 5) * rat(10 ** 40))
     expected = [mpmath_cyclotomic_decimal(value) for value in values]
     _without_mpmath(monkeypatch)
-    assert [reporting._cyclotomic_decimal(value) for value in values] == expected
+    assert [enclosures.cyclotomic_decimal(value) for value in values] == expected
 
 
 @pytest.mark.parametrize("side, expected", [(1, "1000000000.13 + 5.0e-71i"),
@@ -295,15 +302,15 @@ def test_undecided_irrational_parts_are_enclosed_again(monkeypatch, side, expect
     value = rat(Fraction(8000000001, 8)) + rat(Fraction(side, 10 ** 70)) * cyclo(12)
     assert exact_cyclotomic_decimal(value) == expected
     bits = []
-    real = reporting._enclosure_decimals
+    real = enclosures._enclosure_decimals
 
     def recorded(c, precision):
         bits.append(precision)
         return real(c, precision)
 
-    monkeypatch.setattr(reporting, "_enclosure_decimals", recorded)
+    monkeypatch.setattr(enclosures, "_enclosure_decimals", recorded)
     _without_mpmath(monkeypatch)
-    assert reporting._cyclotomic_decimal(value) == expected
+    assert enclosures.cyclotomic_decimal(value) == expected
     assert bits == [256, 512]
 
 

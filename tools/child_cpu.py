@@ -15,10 +15,14 @@ difference, change minus base, and how many pairs each tree won.  The
 machine's speed drifts between pairs, which moves both children of a pair
 alike and widens each tree's own spread, so the paired difference is the
 figure to read: two trees' medians can differ by more than their median
-difference does.  The script exits 1 if a child's exit code or the sha256
-of its report (none for a refused input, which writes no report) differs
-between the trees or from one run to the next, so a refactor is timed by
-the same tool that shows its output did not move.
+difference does.  Last it says whether the runs meet the rule for
+claiming a gain: the change is lower in at least nine tenths of the pairs
+(a tie counts for neither tree), and its median is lower than the base's
+by more than the base's quartile spread (IQR).  The script exits 1 if a
+child's exit code or the sha256 of its report (none for a refused input,
+which writes no report) differs between the trees or from one run to the
+next, so a refactor is timed by the same tool that shows its output did
+not move.
 
 Run from anywhere:
 
@@ -101,8 +105,15 @@ def main(argv=None) -> int:
         print(f"{name:<13} {summary(values)}  (n {len(values)})")
     pairs = list(zip(cpu["base"], cpu["change"]))
     print(f"{'change - base':<13} {summary([c - b for b, c in pairs])}  (n {len(pairs)} pairs)")
-    print(f"change lower in {sum(c < b for b, c in pairs)} of {args.n} pairs, "
+    wins = sum(c < b for b, c in pairs)
+    print(f"change lower in {wins} of {args.n} pairs, "
           f"base lower in {sum(b < c for b, c in pairs)}")
+    q1, _, q3 = statistics.quantiles(cpu["base"], n=4)
+    gain = statistics.median(cpu["base"]) - statistics.median(cpu["change"])
+    met = 10 * wins >= 9 * args.n and gain > q3 - q1
+    print(f"claim rule {'met' if met else 'not met'}: change lower in {wins} of {args.n} "
+          f"pairs (needs {-(-9 * args.n // 10)}), median lower by {gain:.4f} s "
+          f"(needs more than the base IQR {q3 - q1:.4f})")
     if len(outcomes) != 1:
         print("exit codes or report sha256 differ: "
               + ", ".join(f"{code} {digest}" for code, digest in sorted(outcomes, key=str)),
