@@ -5,9 +5,9 @@ or a Cayley-table JSON file), a conjugacy class by representative label, a
 rational metric modulus, and a command; the result is a deterministic JSON
 report on stdout or in a file.  Identical inputs give byte-identical bytes.
 
-Exit codes: 0 success, 2 usage errors (including an --out path longer than
-MAX_OUT_LENGTH, that is a directory, lies in a missing directory or cannot
-be written, a ``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than
+Exit codes: 0 success, 2 usage errors (including an --out path that is
+empty, longer than MAX_OUT_LENGTH, a directory, in a missing directory or
+cannot be written, a ``dihedral:N`` above MAX_DIHEDRAL and a --mu longer than
 MAX_MU_LENGTH), 3 validation failures (bad Cayley table, a --cayley file
 longer than groups.MAX_CAYLEY_BYTES or with an integer longer than
 groups.MAX_INT_DIGITS, unknown label, non-cyclic or otherwise unsupported
@@ -20,14 +20,15 @@ check that needs nothing else, PRECONDITIONS per command, in the order the
 command's layers would raise them.  Only an input that passes imports
 reporting, its report's module and the layers it runs, so a refusal
 compiles no layer and gives the exit code and message the layer itself
-would.  Every command then runs the same way: its report, looked up on
-reporting by name (report_of) in geometry_reports or spinor_reports, is
-called with one reporting.Geometry of the class and the modulus.
+would.  Every command then runs the same way: its report, named in its
+row beside its checks and read off its module (report_of), is called
+with one reporting.Geometry of the class and the modulus.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import re
@@ -64,26 +65,36 @@ MAX_OUT_LENGTH = 4096
 # first, and other scripts' digits because Fraction reads them too
 _MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
-# the checks each command's layers make of the input alone, in the order
-# they make them; an input one of them refuses is refused before any layer
-# is imported, with the layer's own error
 _CHECKS = {
     "chart": lambda cls, mu: require_chart_class(cls),
     "metric": lambda cls, mu: require_invertible_metric(cls.size, mu),
     "dihedral": lambda cls, mu: dihedral_structure(cls.group),
     "casimir": lambda cls, mu: require_regular_casimir(mu),
 }
-PRECONDITIONS = {
-    "calculus": (),
-    "connection": ("chart", "metric"),
-    "curvature": ("chart",),
-    "ricci": ("chart",),
-    "dirac": ("dihedral", "chart", "metric", "casimir"),
-    "wave": ("metric",),
-    "spectral-action": ("dihedral", "chart", "metric", "casimir"),
-    "report-all": ("chart", "metric", "dihedral", "casimir"),
+
+
+def _module(name: str):
+    return importlib.import_module(f"{__package__}.{name}")
+
+
+# one row per command: the checks its layers make of the input alone, in
+# the order they make them, which refuse an input before any layer loads
+# with the layer's own error; and its report, read off its module when run
+_ROWS = {
+    "calculus": ((), lambda: _module("geometry_reports").calculus_report),
+    "connection": (("chart", "metric"), lambda: _module("geometry_reports").connection_report),
+    "curvature": (("chart",), lambda: _module("geometry_reports").curvature_report),
+    "ricci": (("chart",), lambda: _module("geometry_reports").ricci_report),
+    "dirac": (("dihedral", "chart", "metric", "casimir"),
+              lambda: _module("spinor_reports").dirac_report),
+    "wave": (("metric",), lambda: _module("spinor_reports").wave_report),
+    "spectral-action": (("dihedral", "chart", "metric", "casimir"),
+                        lambda: _module("spinor_reports").spectral_action_report),
+    "report-all": (("chart", "metric", "dihedral", "casimir"),
+                   lambda: _module("reporting").full_report),
 }
-COMMANDS = tuple(PRECONDITIONS)
+PRECONDITIONS = {cmd: checks for cmd, (checks, _) in _ROWS.items()}
+COMMANDS = tuple(_ROWS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -141,12 +152,9 @@ def _parse_mu(text: str) -> Fraction:
 
 
 def report_of(cmd: str):
-    """The reporting function that runs cmd, looked up on reporting by
-    name each time, so a patched attribute is the one that runs."""
-    from . import reporting
-
-    return (reporting.full_report if cmd == "report-all"
-            else getattr(reporting, cmd.replace("-", "_") + "_report"))
+    """The function that runs cmd's report, read off its module each time,
+    so a patched attribute is the one that runs."""
+    return _ROWS[cmd][1]()
 
 
 def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
@@ -194,6 +202,8 @@ def _run(argv, limit: int) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; pass both through
         return int(exc.code or 0)
+    if args.out == "":
+        return _refused(USAGE_EXIT, "--out is an empty path")
     if args.out and len(args.out) > MAX_OUT_LENGTH:
         return _refused(USAGE_EXIT, f"--out has {len(args.out)} characters, more than "
                                     f"the limit of {MAX_OUT_LENGTH}")

@@ -14,17 +14,16 @@ no library setting, time, path or dictionary order reaches a report.
 
 Every report takes one Geometry, which builds what several sections read
 once, on first read.  This module holds it and full_report.  Each other
-report, reporting.<cmd>_report, is looked up by name in the module that
-imports its layers, geometry_reports (calculus, connection, curvature,
-Ricci) or spinor_reports (Dirac, wave, spectral action), so a command
-compiles only the modules it needs.  The reports keep the layers' checks;
-the command line runs the input-only ones (groups) before this import.
+report lives in the module that imports its layers, geometry_reports
+(calculus, connection, curvature, Ricci) or spinor_reports (Dirac, wave,
+spectral action), so a command compiles only the modules it needs.  The
+reports keep the layers' checks; the command line runs the input-only
+ones (groups) before this import.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib
 import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -190,19 +189,6 @@ class Geometry:
 
         coeffs = spinops.dirac_operator(rep, levi_civita(self.calculus), self.mu)
         return DiracCertificate(rep, coeffs, spectra.certify_blocks(coeffs, self.irreps))
-
-
-# the module that holds each command's report
-_REPORTS = dict.fromkeys(("calculus_report", "connection_report", "curvature_report",
-                          "ricci_report"), "geometry_reports") | dict.fromkeys(
-    ("dirac_report", "wave_report", "spectral_action_report"), "spinor_reports")
-
-
-def __getattr__(name):
-    module = _REPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 def full_report(geo: Geometry) -> dict:

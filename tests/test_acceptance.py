@@ -24,7 +24,8 @@ from groupgeo.cyclotomic import rat
 from groupgeo.catalogs import wave_eigenmode_catalog
 from groupgeo.dirac import chirality, dirac_operator, spectral_action, wave_operator
 from groupgeo.linalg import Mat, assemble
-from groupgeo.reporting import Geometry, calculus_report
+from groupgeo.geometry_reports import calculus_report
+from groupgeo.reporting import Geometry
 from groupgeo.representations import irreducibles
 from groupgeo.spectra import certify_blocks, spectrum
 from oracles import (class_translation_sum, grading_on_group, planar1, right_mul,

@@ -13,12 +13,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-import groupgeo
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
-from groupgeo import cli, connections, enclosures, geometry_reports, groups, reporting
+from groupgeo import (cli, connections, enclosures, geometry_reports, groups, reporting,
+                      spinor_reports)
 from groupgeo.calculus import differential_calculus
 from groupgeo.cli import main, parse_group_spec, render
-from groupgeo.cyclotomic import rat
 from groupgeo.errors import CayleyValidationError, SingularMetricError, UnsupportedGroupError
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.reporting import Geometry
@@ -175,11 +174,10 @@ def test_connection_command_proves_each_residual_once(monkeypatch, capsys):
 
 
 def test_each_command_calls_its_reporting_function_on_one_geometry(monkeypatch, capsys):
-    """Each command is looked up by name on reporting, which finds it in the
-    module that runs its layers, a function of one Geometry; the lookup
-    happens at call time, so a patched attribute, as a tracer wrapping the
-    module's functions installs, is the one that runs on the run's
-    Geometry."""
+    """Each command's report is a function of one Geometry in the module
+    that runs its layers; it is read off that module at call time, so a
+    patched attribute, as a tracer wrapping the module's functions
+    installs, is the one that runs on the run's Geometry."""
     for cmd in cli.COMMANDS:
         params = inspect.signature(cli.report_of(cmd)).parameters
         assert cli.report_of(cmd).__module__ == (
@@ -187,15 +185,16 @@ def test_each_command_calls_its_reporting_function_on_one_geometry(monkeypatch, 
             "groupgeo.spinor_reports" if cmd in ("dirac", "wave", "spectral-action")
             else "groupgeo.geometry_reports")
         assert [p.annotation for p in params.values()] == ["Geometry"]
-    with pytest.raises(AttributeError, match="no attribute 'no_such_report'"):
-        reporting.no_such_report
+    # each report has one name, on the module that defines it
+    assert not any(hasattr(reporting, name) for module, names in REPORT_BUILDERS
+                   if module is not reporting for name in names)
     runs = []
 
     def patched(geo):
         runs.append(geo)
         return {"patched": True}
 
-    monkeypatch.setattr(reporting, "ricci_report", patched)
+    monkeypatch.setattr(geometry_reports, "ricci_report", patched)
     assert cli.report_of("ricci") is patched
     assert _run(capsys, "--group", "dihedral:6", "--class", "sr", "--mu=1/2",
                 "--cmd", "ricci") == (0, '{"patched":true}\n', "")
@@ -204,13 +203,21 @@ def test_each_command_calls_its_reporting_function_on_one_geometry(monkeypatch, 
     assert (list(geo.cls.labels()), geo.mu) == (["sr", "sr3", "sr5"], Fraction(1, 2))
 
 
-REPORT_BUILDERS = ("calculus_report", "connection_report", "curvature_report",
-                   "ricci_report", "dirac_report", "wave_report",
-                   "spectral_action_report", "full_report")
+REPORT_BUILDERS = (
+    (geometry_reports, ("calculus_report", "connection_report", "curvature_report",
+                        "ricci_report")),
+    (spinor_reports, ("dirac_report", "wave_report", "spectral_action_report")),
+    (reporting, ("full_report",)),
+)
+
+
+def _forbid_reports(monkeypatch):
+    for module, names in REPORT_BUILDERS:
+        _forbid(monkeypatch, module, *names)
 
 
 def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
-    _forbid(monkeypatch, reporting, *REPORT_BUILDERS)
+    _forbid_reports(monkeypatch)
     target = tmp_path / "missing" / "r.json"
     code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                           "--cmd", "calculus", "--out", str(target))
@@ -221,8 +228,16 @@ def test_out_into_missing_directory_exits_2(tmp_path, monkeypatch, capsys):
     assert not target.parent.exists()
 
 
+def test_empty_out_exits_2_before_any_report(monkeypatch, capsys):
+    _forbid_reports(monkeypatch)
+    code, out, err = _run(capsys, "--group", "dihedral:3", "--class", "s",
+                          "--cmd", "calculus", "--out", "")
+    assert (code, out) == (2, "")
+    assert err == "error(usage): --out is an empty path\n"
+
+
 def test_out_naming_a_directory_exits_2(tmp_path, monkeypatch, capsys):
-    _forbid(monkeypatch, reporting, *REPORT_BUILDERS)
+    _forbid_reports(monkeypatch)
     code, out, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
                           "--cmd", "calculus", "--out", str(tmp_path))
     assert code == 2
@@ -249,7 +264,7 @@ def test_unwritable_out_exits_2(tmp_path, monkeypatch, capsys):
 def test_overlong_out_exits_2_before_touching_the_file_system(monkeypatch, capsys, length):
     def unreachable(*_args, **_kwargs):
         raise AssertionError("asked the file system about an --out over the cap")
-    _forbid(monkeypatch, reporting, *REPORT_BUILDERS)
+    _forbid_reports(monkeypatch)
     monkeypatch.setattr(cli.os.path, "isdir", unreachable)
     monkeypatch.setattr(cli, "open", unreachable, raising=False)
     target = "/nonexistent/" + "x" * (length - 20) + "/r.json"
@@ -634,7 +649,7 @@ _GEOMETRY_SECTIONS = ("calculus", "connection", "curvature", "ricci")
 
 def _geometry_bytes(group) -> dict:
     geo = Geometry(conjugacy_class(group, "sr"))
-    return {name: render(getattr(reporting, f"{name}_report")(geo), False)
+    return {name: render(getattr(geometry_reports, f"{name}_report")(geo), False)
             for name in _GEOMETRY_SECTIONS}
 
 
@@ -849,18 +864,20 @@ def test_spectra_and_catalogs_load_without_the_spinor_layer():
         "catalogs", "cyclotomic", "errors", "groups", "linalg", "spectra")))
 
 
-def test_package_root_loads_the_scalars_on_first_use():
+def test_package_root_loads_no_submodule():
     probe = subprocess.run([sys.executable, "-c", (
-        "import sys, groupgeo\n"
-        "print('groupgeo.cyclotomic' in sys.modules)\n"
-        "print(repr(groupgeo.rat(1, 2)), groupgeo.rat is groupgeo.cyclotomic.rat)\n"
-        "print(groupgeo.Cyclotomic.__name__, groupgeo.cyclo(4, 1).order)")],
+        "import json, sys, groupgeo\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('groupgeo.')),\n"
+        "                  sorted(vars(groupgeo))]))")],
         env=_source_env(), capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.splitlines() == [
-        "False", f"{rat(1, 2)!r} True", "Cyclotomic 4"]
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        groupgeo.no_such_name
+    loaded, names = json.loads(probe.stdout)
+    assert loaded == []
+    # beside what the import system sets on every package, the version is
+    # the root's one name: every other is imported from the module that
+    # defines it
+    assert set(names) - {"__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+                         "__name__", "__package__", "__path__", "__spec__"} == {"__version__"}
 
 
 # -- the front refuses with the error of the layer ---------------------------

@@ -15,7 +15,7 @@ import pytest
 
 from conftest import (ORACLE_CALS, affine_group, alternating4, direct_product_cyclic,
                       regular_constants)
-from groupgeo import connections, cyclotomic, reporting
+from groupgeo import connections, cyclotomic, geometry_reports, reporting
 from groupgeo.calculus import GroupFunction, differential_calculus
 from groupgeo.connections import (
     Connection,
@@ -84,7 +84,7 @@ def test_torsion_family_has_two_directions_on_s3_times_cyclic(s3_group, m):
     # every direction holds constants, one value per coefficient
     assert all(f.constant_value is not None
                for direction in directions for comp in direction for f in comp.coeffs)
-    report = reporting.connection_report(geo)
+    report = geometry_reports.connection_report(geo)
     assert report["torsion_free_family_dimension"] == 2 * cal.group.order == 12 * m
     assert report["sum_of_components_vanishes"]
 
@@ -182,12 +182,12 @@ def test_levi_civita_residuals(cal_d6, lc_d6):
 
 def test_levi_civita_singular_metric(cls_d6):
     with pytest.raises(SingularMetricError, match="-1/3"):
-        reporting.connection_report(Geometry(cls_d6, Fraction(-1, 3)))
+        geometry_reports.connection_report(Geometry(cls_d6, Fraction(-1, 3)))
     # mu = -1/4 is singular for the 4-member class of A4, but the chart
     # check comes first
     a4 = conjugacy_class(alternating4(), "1203")
     with pytest.raises(UnsupportedGroupError, match="connection chart requires"):
-        reporting.connection_report(Geometry(a4, Fraction(-1, 4)))
+        geometry_reports.connection_report(Geometry(a4, Fraction(-1, 4)))
 
 
 def test_generic_chart_member_is_not_regular(cal_d6):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
-from groupgeo import curvature, linalg, reporting
+from groupgeo import curvature, geometry_reports, linalg
 from groupgeo.calculus import Calculus, GroupFunction, TensorOneOne, TwoForm, differential_calculus
 from groupgeo.connections import chart_connection, levi_civita
 from groupgeo.curvature import (
@@ -425,7 +425,7 @@ def test_ricci_report_assembles_the_curvature_once(monkeypatch, cls_d6):
     for owner, name in ((curvature, "relative_curvature"), (curvature, "ricci_system"),
                         (ConjClass, "generated_subgroup"), (Calculus, "__init__")):
         counting(owner, name)
-    reporting.ricci_report(geo)
+    geometry_reports.ricci_report(geo)
     assert calls == {"relative_curvature": 1, "ricci_system": 1, "generated_subgroup": 1}
 
 
@@ -515,7 +515,7 @@ def _label_free_layers(group) -> dict:
     def by_name(f):
         return {group.names[g]: f(g) for g in range(group.order)}
 
-    report = reporting.connection_report(geo)
+    report = geometry_reports.connection_report(geo)
     out = {
         "levi_civita": [by_name(p) for p in levi_civita(cal).parameters],
         "scan": report["constant_regular_scan"],

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import direct_product_cyclic, relabelled
-from groupgeo import catalogs, connections, dirac, linalg, reporting, representations, spectra
+from groupgeo import (catalogs, connections, dirac, linalg, reporting, representations, spectra,
+                      spinor_reports)
 from groupgeo.calculus import differential_calculus
 from groupgeo.connections import Connection, chart_connection, levi_civita
 from groupgeo.cyclotomic import cyclo, rat
@@ -557,7 +558,7 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     # the matrix Krylov minimal polynomial is a test oracle only
     assert not any(hasattr(module, "minimal_polynomial") for module in (dirac, spectra))
     geo = Geometry(cls_d6, mu)
-    report = reporting.dirac_report(geo)
+    report = spinor_reports.dirac_report(geo)
     cert = geo.dirac
     assert report["minimal_polynomial"] == expected["dirac"]
     # one kernel per eigenvalue of each irreducible block, 2 x 2 for the
@@ -577,7 +578,7 @@ def test_reports_reduce_each_eigenvalue_once_and_skip_krylov(
     kernels.clear()
     ranks.clear()
     starts.clear()
-    report = reporting.wave_report(Geometry(cls_d6, mu))
+    report = spinor_reports.wave_report(Geometry(cls_d6, mu))
     assert report["minimal_polynomial"] == expected["wave"]
     assert kernels == [6] * len(report["spectrum"]["pairs"]) == [6] * 3
     assert starts == [(6, 0)]
@@ -813,7 +814,7 @@ def test_chirality_reason_states_the_operator_multiplicities(krylov_d6, cls_d6, 
     with pytest.raises(AsymmetricSpectrumError) as info:
         dense_chirality(op)
     assert "multiplicity 4" in str(info.value)
-    assert reporting.dirac_report(Geometry(cls_d6, mu))["chirality"] == {
+    assert spinor_reports.dirac_report(Geometry(cls_d6, mu))["chirality"] == {
         "available": False, "reason": str(info.value)}
 
 
@@ -861,10 +862,10 @@ def test_reports_certify_only_the_block(monkeypatch, cls_d6, cls_d6z2):
     # catalogs replay against the coefficients
     assert [op.rows for op in on_g] == [report["wave"]["operator"]]
     on_g.clear()
-    assert "eigenmode_catalog" in reporting.dirac_report(Geometry(cls_d6))
+    assert "eigenmode_catalog" in spinor_reports.dirac_report(Geometry(cls_d6))
     assert on_g == []
     sizes.clear()
-    report = reporting.wave_report(Geometry(cls_d6z2, Fraction(1, 2)))
+    report = spinor_reports.wave_report(Geometry(cls_d6z2, Fraction(1, 2)))
     assert sizes == [6]
     assert report["spectrum"]["dimension"] == 24
 
@@ -882,7 +883,7 @@ def d6_spectrum_tables(cls_d6):
 
 
 def _spectrum_tables(geo):
-    reports = (("dirac", reporting.dirac_report(geo)), ("wave", reporting.wave_report(geo)))
+    reports = (("dirac", spinor_reports.dirac_report(geo)), ("wave", spinor_reports.wave_report(geo)))
     return {name: (report["spectrum"]["table"], report["spectrum"]["dimension"])
             for name, report in reports}
 
@@ -946,13 +947,13 @@ def test_matrix_json_renders_like_each_entry_alone(coefficient_classes, monkeypa
     their own rendering, and so do z_3 and z_6, whose coordinates agree."""
     mixed = [cyclo(3), cyclo(6), cyclo(6, 2), rat(1, 2), cyclo(3), rat(1, 2).to_order(4)]
     assert reporting.to_json(mixed) == [reporting.to_json(v) for v in mixed]
-    reports = [reporting.to_json(reporting.wave_report(Geometry(cls)))
+    reports = [reporting.to_json(spinor_reports.wave_report(Geometry(cls)))
                for cls in coefficient_classes[3:]]
     # the walk without its cache renders every entry on its own
     monkeypatch.setattr(reporting, "_rendered_once", lambda render: render)
     for cls, report in zip(coefficient_classes[3:], reports):
         assert json.dumps(report, sort_keys=True) == json.dumps(
-            reporting.to_json(reporting.wave_report(Geometry(cls))), sort_keys=True)
+            reporting.to_json(spinor_reports.wave_report(Geometry(cls))), sort_keys=True)
 
 
 def test_catalog_multiplicities_match_rank_oracle(
@@ -1082,16 +1083,16 @@ def test_catalogs_unavailable_off_the_supported_group(monkeypatch, s3_cls, s3_ca
 
 
 def test_reports_state_the_catalogs_at_mu_zero_only(monkeypatch, cal_d3, cls_d6):
-    assert "eigenmode_catalog" not in reporting.dirac_report(Geometry(cal_d3.cls))
-    assert "eigenmode_catalog" not in reporting.wave_report(Geometry(cal_d3.cls))
+    assert "eigenmode_catalog" not in spinor_reports.dirac_report(Geometry(cal_d3.cls))
+    assert "eigenmode_catalog" not in spinor_reports.wave_report(Geometry(cal_d3.cls))
 
     def unreachable(*_args, **_kwargs):
         raise AssertionError("a catalog ran away from mu = 0")
 
     monkeypatch.setattr(catalogs, "eigenmode_catalog", unreachable)
     monkeypatch.setattr(catalogs, "wave_eigenmode_catalog", unreachable)
-    assert "eigenmode_catalog" not in reporting.dirac_report(Geometry(cls_d6, Fraction(1)))
-    assert "eigenmode_catalog" not in reporting.wave_report(Geometry(cls_d6, Fraction(1)))
+    assert "eigenmode_catalog" not in spinor_reports.dirac_report(Geometry(cls_d6, Fraction(1)))
+    assert "eigenmode_catalog" not in spinor_reports.wave_report(Geometry(cls_d6, Fraction(1)))
 
 
 def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cls_d6):
@@ -1100,9 +1101,9 @@ def test_catalog_errors_other_than_unsupported_propagate(monkeypatch, cls_d6):
 
     monkeypatch.setattr(catalogs, "_assess", broken)
     with pytest.raises(ValueError, match="a bug inside the catalog"):
-        reporting.dirac_report(Geometry(cls_d6))
+        spinor_reports.dirac_report(Geometry(cls_d6))
     with pytest.raises(ValueError, match="a bug inside the catalog"):
-        reporting.wave_report(Geometry(cls_d6))
+        spinor_reports.wave_report(Geometry(cls_d6))
 
 
 @pytest.fixture(scope="module")
@@ -1375,7 +1376,7 @@ def s3_wave_spectra(s3_cls):
 
     def at(mu):
         if mu not in cache:
-            cache[mu] = reporting.wave_report(Geometry(s3_cls, mu))["spectrum"]
+            cache[mu] = spinor_reports.wave_report(Geometry(s3_cls, mu))["spectrum"]
         return cache[mu]
 
     return at
@@ -1389,7 +1390,7 @@ def test_s3_times_cyclic_wave_spectrum_is_m_copies(s3_group, s3_wave_spectra, m,
     """On S3 x Z_m the wave spectrum has the values of S3's, each m times as
     often; the dense operator on the whole group agrees."""
     cls = conjugacy_class(direct_product_cyclic(s3_group, m), "u")
-    report = reporting.wave_report(Geometry(cls, mu))["spectrum"]
+    report = spinor_reports.wave_report(Geometry(cls, mu))["spectrum"]
     s3 = s3_wave_spectra(mu)
     assert report["dimension"] == 6 * m
     assert report["table"] == {value: m * mult for value, mult in s3["table"].items()}

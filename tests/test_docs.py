@@ -1,6 +1,7 @@
 """The README's library example runs as written, the package ships no
 public function or method that nothing calls, no module imports a name
-it never uses, and no package module imports another's private name."""
+it never uses or serves one through a module __getattr__, and no package
+module imports another's private name."""
 
 import ast
 import os
@@ -102,10 +103,22 @@ def test_no_unused_imports():
     unused = []
     for directory in (PACKAGE, TESTS):
         for filename in sorted(os.listdir(directory)):
-            # a package __init__ imports names to re-export them
-            if filename.endswith(".py") and filename != "__init__.py":
+            if filename.endswith(".py"):
                 unused += _unused_imports(os.path.join(directory, filename))
     assert unused == []
+
+
+def test_no_module_resolves_names_lazily():
+    # a module __getattr__ serves names no statement defines; every name is
+    # an attribute of the module that defines it
+    lazy = []
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PACKAGE, filename), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename)
+            lazy += [f"{filename}:{node.lineno}" for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+    assert lazy == []
 
 
 def _private_imports(directory: str) -> list:

@@ -15,7 +15,10 @@ difference, change minus base, and how many pairs each tree won.  The
 machine's speed drifts between pairs, which moves both children of a pair
 alike and widens each tree's own spread, so the paired difference is the
 figure to read: two trees' medians can differ by more than their median
-difference does.  Last it says whether the runs meet the rule for
+difference does.  Even two identical trees read about a millisecond apart
+(+1.2 ms over 20 pairs of a D6 command, the second tree lower in 7), so a
+paired median under 2 ms needs a run of the base against a copy of itself
+before it is trusted.  Last it says whether the runs meet the rule for
 claiming a gain: the change is lower in at least nine tenths of the pairs
 (a tie counts for neither tree), and its median is lower than the base's
 by more than the base's quartile spread (IQR).  The script exits 1 if a
