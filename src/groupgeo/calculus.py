@@ -2,8 +2,12 @@
 conjugacy class, with the degree-2 exterior structure.
 
 The calculus is generated by Maurer-Cartan 1-forms e_a indexed by class
-members, with the bimodule rule e_a f = (R_a f) e_a as the single source of
-right multiplication, and d f = sum_a (R_a f - f) e_a.
+members, with the bimodule rule e_a f = (R_a f) e_a and d f =
+sum_a (R_a f - f) e_a.  Every form the package builds is left-invariant:
+its coefficients over the e_a are constants, one exact scalar each, which
+commute through the e_a and have vanishing differentials.  The algebra of
+forms whose coefficients vary over the group is a test oracle
+(tests/oracles.py).
 
 Degree 2 comes from the braiding  psi(e_a (x) e_b) = e_{a b a^-1} (x) e_a,
 which permutes the monomials: the relation space, the kernel of (id - psi)
@@ -23,121 +27,13 @@ rest of its orbit, so no elimination is needed.
 from __future__ import annotations
 
 import functools
-import operator
 from typing import Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, rat
 from .errors import NonCyclicClassError
-from .groups import ConjClass, FiniteGroup
+from .groups import ConjClass
 
 LIFT_VARIANTS = ("canonical", "braided")
-
-
-class GroupFunction:
-    """An exact-valued function on the group; pointwise algebra.
-
-    A constant function holds its one value as constant_value, whichever
-    constructor built it, and every operation between constants costs one
-    scalar operation.  Left-invariant forms have constant coefficients, so
-    the calculus, connection, curvature and Ricci layers run on single
-    values.  A varying function holds one value per group element and its
-    constant_value is None; values lists every element's value in both
-    forms.
-    """
-
-    __slots__ = ("group", "constant_value", "_values")
-
-    def __init__(self, group: FiniteGroup, values: Sequence):
-        vals = tuple([v if type(v) is Cyclotomic else rat(v) for v in values])
-        if len(vals) != group.order:
-            raise ValueError("one value per group element required")
-        varies = any(v != vals[0] for v in vals)
-        self._hold(group, None if varies else vals[0], vals if varies else None)
-
-    def _hold(self, group, value, values):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "constant_value", value)
-        object.__setattr__(self, "_values", values)
-
-    def __setattr__(self, *_):
-        raise AttributeError("GroupFunction is immutable")
-
-    @classmethod
-    def constant(cls, group: FiniteGroup, value) -> "GroupFunction":
-        f = object.__new__(cls)
-        f._hold(group, value if type(value) is Cyclotomic else rat(value), None)
-        return f
-
-    @classmethod
-    def zero(cls, group: FiniteGroup) -> "GroupFunction":
-        return cls.constant(group, ZERO)
-
-    @property
-    def values(self) -> tuple:
-        if self._values is None:
-            return (self.constant_value,) * self.group.order
-        return self._values
-
-    def __call__(self, g: int) -> Cyclotomic:
-        return self.constant_value if self._values is None else self._values[g]
-
-    def _pointwise(self, other: "GroupFunction", op) -> "GroupFunction":
-        if self._values is None and other._values is None:
-            return GroupFunction.constant(self.group, op(self.constant_value,
-                                                         other.constant_value))
-        return GroupFunction(self.group, [op(a, b) for a, b in zip(self.values, other.values)])
-
-    def __add__(self, other: "GroupFunction") -> "GroupFunction":
-        return self._pointwise(other, operator.add)
-
-    def __sub__(self, other: "GroupFunction") -> "GroupFunction":
-        return self._pointwise(other, operator.sub)
-
-    def __neg__(self) -> "GroupFunction":
-        if self._values is None:
-            return GroupFunction.constant(self.group, -self.constant_value)
-        return GroupFunction(self.group, [-a for a in self._values])
-
-    def __mul__(self, other):
-        if not isinstance(other, GroupFunction):
-            other = GroupFunction.constant(self.group, other)
-        return self._pointwise(other, operator.mul)
-
-    __rmul__ = __mul__
-
-    def translate(self, a: int) -> "GroupFunction":
-        """R_a f with (R_a f)(g) = f(ga)."""
-        if self._values is None:
-            return self
-        mul = self.group.mul
-        return GroupFunction(self.group, [self._values[mul(g, a)] for g in range(self.group.order)])
-
-    def partial(self, a: int) -> "GroupFunction":
-        """The finite difference R_a f - f."""
-        if self._values is None:
-            return GroupFunction.zero(self.group)
-        return self.translate(a) - self
-
-    def is_zero(self) -> bool:
-        if self._values is None:
-            return self.constant_value.is_zero()
-        return all(v.is_zero() for v in self._values)
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupFunction):
-            return NotImplemented
-        if self.group is not other.group:
-            return False
-        if self._values is None and other._values is None:
-            return self.constant_value == other.constant_value
-        return all(a == b for a, b in zip(self.values, other.values))
-
-    __hash__ = None
-
-    def __repr__(self):
-        parts = [f"{self.group.label(g)}:{v!r}" for g, v in enumerate(self.values)
-                 if not v.is_zero()]
-        return "GroupFunction{" + ", ".join(parts) + "}" if parts else "GroupFunction{0}"
 
 
 def braiding(cls: ConjClass, a: int, b: int) -> tuple[int, int]:
@@ -161,7 +57,7 @@ class Calculus:
         self.circulant = cls.circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
-        self.theta = OneForm(self, [self.constant(ONE)] * m)
+        self.theta = OneForm(self, [ONE] * m)
         self._de = tuple(self.wedge(self.theta, ea) + self.wedge(ea, self.theta)
                          for ea in map(self.basis_one_form, range(m)))
         self._levi_civita = None  # set once, by connections.levi_civita
@@ -241,30 +137,24 @@ class Calculus:
 
     # -- form constructors -------------------------------------------------
 
-    def zero_function(self) -> GroupFunction:
-        return GroupFunction.zero(self.group)
-
-    def constant(self, value) -> GroupFunction:
-        return GroupFunction.constant(self.group, value)
-
-    def one_form(self, coeffs: Sequence[GroupFunction]) -> "OneForm":
+    def one_form(self, coeffs: Sequence[Cyclotomic]) -> "OneForm":
         return OneForm(self, list(coeffs))
 
     def zero_one_form(self) -> "OneForm":
-        return OneForm(self, [self.zero_function() for _ in range(self.n_members)])
+        return OneForm(self, [ZERO] * self.n_members)
 
     def basis_one_form(self, pos: int) -> "OneForm":
-        coeffs = [self.zero_function() for _ in range(self.n_members)]
-        coeffs[pos] = self.constant(ONE)
+        coeffs = [ZERO] * self.n_members
+        coeffs[pos] = ONE
         return OneForm(self, coeffs)
 
     def zero_two_form(self) -> "TwoForm":
-        return TwoForm(self, [self.zero_function() for _ in range(self.quotient_dim)])
+        return TwoForm(self, [ZERO] * self.quotient_dim)
 
     # -- exterior operations ----------------------------------------------
 
-    def reduce_tensor(self, coeffs: dict[tuple[int, int], GroupFunction]) -> "TwoForm":
-        out = [self.zero_function() for _ in range(self.quotient_dim)]
+    def reduce_tensor(self, coeffs: dict[tuple[int, int], Cyclotomic]) -> "TwoForm":
+        out = [ZERO] * self.quotient_dim
         for p, f in coeffs.items():
             if f.is_zero():
                 continue
@@ -274,18 +164,17 @@ class Calculus:
         return TwoForm(self, out)
 
     def wedge(self, left: "OneForm", right: "OneForm") -> "TwoForm":
+        """(sum_i f_i e_i) ^ (sum_j g_j e_j) = sum_ij f_i g_j e_i ^ e_j: a
+        constant g_j commutes through e_i unchanged."""
         tensor = {}
         for i, f in enumerate(left.coeffs):
             if f.is_zero():
                 continue
             for j, g in enumerate(right.coeffs):
-                prod = f * g.translate(self.cls.members[i])
+                prod = f * g
                 if not prod.is_zero():
                     tensor[(i, j)] = prod
         return self.reduce_tensor(tensor)
-
-    def d_function(self, f: GroupFunction) -> "OneForm":
-        return OneForm(self, [f.partial(a) for a in self.cls.members])
 
     def d_basis(self, pos: int) -> "TwoForm":
         """d e_a via the Maurer-Cartan identity theta^e_a + e_a^theta, where
@@ -293,12 +182,12 @@ class Calculus:
         return self._de[pos]
 
     def d_one_form(self, alpha: "OneForm") -> "TwoForm":
+        """d(sum_a alpha_a e_a) = sum_a alpha_a de_a, as constant
+        coefficients have vanishing differentials."""
         out = self.zero_two_form()
         for pos, f in enumerate(alpha.coeffs):
-            if f.is_zero():
-                continue
-            out = out + self.wedge(self.d_function(f), self.basis_one_form(pos)) \
-                      + self.d_basis(pos) * f
+            if not f.is_zero():
+                out = out + self.d_basis(pos) * f
         return out
 
 
@@ -318,12 +207,12 @@ def _lift_table(cal: Calculus, variant: str) -> list[dict]:
 
 
 class _Form:
-    """Coefficient functions over a basis of forms, immutable, with the
+    """Constant coefficients over a basis of forms, immutable, with the
     linear operations that 1-forms, 2-forms and tensors share."""
 
     __slots__ = ("calculus", "coeffs")
 
-    def __init__(self, calculus: Calculus, coeffs: Sequence[GroupFunction]):
+    def __init__(self, calculus: Calculus, coeffs: Sequence[Cyclotomic]):
         object.__setattr__(self, "calculus", calculus)
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -347,7 +236,7 @@ class _Form:
         return self._like([-a for a in self.coeffs])
 
     def __mul__(self, scalar):
-        """Left multiplication by a function or exact scalar."""
+        """Multiplication by an exact scalar."""
         return self._like([f * scalar for f in self.coeffs])
 
     __rmul__ = __mul__
@@ -368,9 +257,9 @@ class OneForm(_Form):
 
     __slots__ = ()
 
-    def __init__(self, calculus: Calculus, coeffs: Sequence[GroupFunction]):
+    def __init__(self, calculus: Calculus, coeffs: Sequence[Cyclotomic]):
         if len(coeffs) != calculus.n_members:
-            raise ValueError("one coefficient function per class member")
+            raise ValueError("one coefficient per class member")
         super().__init__(calculus, coeffs)
 
     def __repr__(self):
@@ -384,9 +273,9 @@ class TwoForm(_Form):
 
     __slots__ = ()
 
-    def __init__(self, calculus: Calculus, coeffs: Sequence[GroupFunction]):
+    def __init__(self, calculus: Calculus, coeffs: Sequence[Cyclotomic]):
         if len(coeffs) != calculus.quotient_dim:
-            raise ValueError("one coefficient function per quotient basis monomial")
+            raise ValueError("one coefficient per quotient basis monomial")
         super().__init__(calculus, coeffs)
 
     def __repr__(self):
@@ -403,14 +292,14 @@ class TensorOneOne(_Form):
 
     __slots__ = ()
 
-    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[GroupFunction]]):
+    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[Cyclotomic]]):
         m = calculus.n_members
         if len(coords) != m or any(len(row) != m for row in coords):
-            raise ValueError("square grid of coefficient functions required")
+            raise ValueError("square grid of coefficients required")
         super().__init__(calculus, [f for row in coords for f in row])
 
     @property
-    def coords(self) -> tuple[tuple[GroupFunction, ...], ...]:
+    def coords(self) -> tuple[tuple[Cyclotomic, ...], ...]:
         m = self.calculus.n_members
         return tuple(self.coeffs[p * m:(p + 1) * m] for p in range(m))
 

@@ -9,10 +9,10 @@ class member.  Three residuals classify a connection:
   * regularity: sum_{ab=g} A_a ^ A_b for g off the class and not e
 
 For a 3-member class with circulant products the torsion-free connections
-form a chart: a symmetric coefficient pattern in three parameter functions
-alpha, beta, gamma constrained by alpha + beta + gamma = -1.  levi_civita
-finds the one regular constant chart member, once per calculus, which
-holds it, and proves the three residuals zero there.
+with constant coefficients form a chart: a symmetric coefficient pattern in
+three parameters alpha, beta, gamma constrained by alpha + beta + gamma =
+-1.  levi_civita finds the one regular chart member, once per calculus,
+which holds it, and proves the three residuals zero there.
 
 The layer reads only the 2-form relations and the class's conjugation
 and product tables (ConjClass.ad and ConjClass.products).  The metric
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .calculus import Calculus, GroupFunction, OneForm, TwoForm
-from .cyclotomic import rat
+from .calculus import Calculus, OneForm, TwoForm
+from .cyclotomic import ONE, Cyclotomic, rat
 from .errors import GroupGeoError, InfeasibleSystemError
 from .groups import require_chart_class
 from .linalg import Mat, solve_affine
@@ -51,8 +51,8 @@ class Connection:
     def __setattr__(self, *_):
         raise AttributeError("Connection is immutable")
 
-    def coefficient(self, a: int, b: int) -> GroupFunction:
-        """The function multiplying e_b inside A_a."""
+    def coefficient(self, a: int, b: int) -> Cyclotomic:
+        """The constant multiplying e_b inside A_a."""
         return self.components[a].coeffs[b]
 
     def sum_form(self) -> OneForm:
@@ -77,20 +77,20 @@ class Connection:
 CHART = ((0, 2, 1), (2, 1, 0), (1, 0, 2))
 
 
-def chart_connection(calculus: Calculus, alpha: GroupFunction, beta: GroupFunction,
-                     gamma: GroupFunction) -> Connection:
+def chart_connection(calculus: Calculus, alpha: Cyclotomic, beta: Cyclotomic,
+                     gamma: Cyclotomic) -> Connection:
     """The chart pattern: A_a = e_a + sum_b (alpha, beta, gamma)[CHART[a][b]] e_b,
     coefficient row a of [[1 + alpha, gamma, beta], [gamma, 1 + beta, alpha],
     [beta, alpha, 1 + gamma]] over the basis 1-forms in class order.
 
     The chart is stated for a 3-member class with circulant products
     (groups.require_chart_class, which callers check first) and parameters
-    with alpha + beta + gamma = -1 pointwise: every such member is
-    torsion-free and every torsion-free connection on the class is one.
-    The constraint is not imposed, so linear systems in the chart
+    with alpha + beta + gamma = -1: every such member is torsion-free and
+    every torsion-free connection on the class with constant coefficients
+    is one.  The constraint is not imposed, so linear systems in the chart
     parameters can state it as equations of their own."""
-    params, one = (alpha, beta, gamma), calculus.constant(1)
-    rows = [[one + params[i] if a == b else params[i] for b, i in enumerate(row)]
+    params = (alpha, beta, gamma)
+    rows = [[ONE + params[i] if a == b else params[i] for b, i in enumerate(row)]
             for a, row in enumerate(CHART)]
     return Connection(calculus, [calculus.one_form(row) for row in rows], parameters=params)
 
@@ -184,7 +184,7 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
     m = cal.n_members
     qdim = cal.quotient_dim
     factor = [[rat(0)] * (m * m) for _ in range(m * qdim)]
-    rhs = [-cal.d_basis(apos).coeffs[k](0) for apos in range(m) for k in range(qdim)]
+    rhs = [-cal.d_basis(apos).coeffs[k] for apos in range(m) for k in range(qdim)]
     # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
     for cpos, row in enumerate(cal.cls.ad):
         for conj_pos, apos in enumerate(row):
@@ -197,8 +197,7 @@ def torsion_free_family(calculus: Calculus) -> tuple[Connection, list[list[OneFo
 
     def to_components(values) -> list[OneForm]:
         # values[c*m + b] is the constant coefficient of e_b in A_c
-        return [cal.one_form([cal.constant(x) for x in values[cpos * m:(cpos + 1) * m]])
-                for cpos in range(m)]
+        return [cal.one_form(values[cpos * m:(cpos + 1) * m]) for cpos in range(m)]
 
     return (Connection(cal, to_components(particular)),
             [to_components(v) for v in factor_kernel])
@@ -231,16 +230,11 @@ def _regular_chart_member(calculus: Calculus) -> Connection:
     whatever the group order, is solved exactly; anything but one solution
     is an error.
     """
-    const = calculus.constant
-
     def chart(a, b) -> Connection:
-        return chart_connection(calculus, const(a), const(b), const(-1 - a - b))
+        return chart_connection(calculus, rat(a), rat(b), rat(-1 - a - b))
 
     def residual(a, b) -> list:
-        # constant parameters give a left-invariant residual: every
-        # coefficient is constant, so its value at e stands for the group
-        return [f(0) for form in regularity_residual(chart(a, b)).values()
-                for f in form.coeffs]
+        return [f for form in regularity_residual(chart(a, b)).values() for f in form.coeffs]
 
     r0 = residual(0, 0)
     da = [x - y for x, y in zip(residual(1, 0), r0)]

@@ -5,7 +5,8 @@ On basis forms the connection acts through the conjugation pattern
 
     nabla e_a = - sum_c A_c (x) (e_{c^-1 a c} - e_a)
 
-and extends to 1-forms by the left Leibniz rule.  Curvature is the usual
+and extends to 1-forms by the left Leibniz rule, whose d f term vanishes
+on the constant coefficients of the package's forms.  Curvature is the usual
 square of nabla written with the exterior derivative and a wedge on the
 middle legs.  Ricci needs a lift of 2-forms back into the tensor square;
 two lifts are provided:
@@ -37,8 +38,8 @@ right-hand side is the chart constraint's alone.  That chart's relative
 curvature lives on e and the inverses of the class members, so
 ricci_system reads the coefficients off the class tables: the reduction
 of monomials, the differentials of the basis, and per variant one
-rational matrix that composes the lift and the contraction.  It builds no
-function on the group and no calculus of H.  solve_invariant finds a
+rational matrix that composes the lift and the contraction.  It evaluates
+no chart and builds no calculus of H.  solve_invariant finds a
 constant solution and counts the kernel on the elements of H with
 linalg.nullity.  On G the system is [G:H] copies, one per left coset gH,
 of the system on H, so its kernel is [G:H] times as large (see Serre,
@@ -52,7 +53,7 @@ from typing import Mapping, Sequence
 
 from .calculus import LIFT_VARIANTS, Calculus, OneForm, TensorOneOne, TwoForm
 from .connections import CHART, Connection
-from .cyclotomic import rat
+from .cyclotomic import ZERO, rat
 from .groups import FiniteGroup, require_chart_class
 from .linalg import Mat, nullity, solve_affine
 
@@ -73,18 +74,15 @@ def connection_grid(conn: Connection) -> list[list[OneForm]]:
 
 
 def covariant_derivative(conn: Connection, alpha: OneForm) -> TensorOneOne:
-    """nabla alpha for a 1-form, left Leibniz rule over the coefficients."""
+    """nabla alpha = sum_a alpha_a nabla e_a for a 1-form, by the left
+    Leibniz rule over its constant coefficients."""
     cal = conn.calculus
     m = cal.n_members
     grid = connection_grid(conn)
-    z = cal.zero_function()
-    coords = [[z for _ in range(m)] for _ in range(m)]
+    coords = [[ZERO] * m for _ in range(m)]
     for apos, f in enumerate(alpha.coeffs):
         if f.is_zero():
             continue
-        df = cal.d_function(f)
-        for p in range(m):
-            coords[p][apos] = coords[p][apos] + df.coeffs[p]
         for q in range(m):
             v = grid[apos][q]
             for p in range(m):
@@ -132,8 +130,7 @@ def lift(omega: TwoForm, variant: str = "canonical") -> TensorOneOne:
         raise ValueError(f"unknown lift variant {variant!r}; use one of {LIFT_VARIANTS}")
     cal = omega.calculus
     m = cal.n_members
-    z = cal.zero_function()
-    coords = [[z for _ in range(m)] for _ in range(m)]
+    coords = [[ZERO] * m for _ in range(m)]
     for k, entry in enumerate(cal.lift_tables[variant]):
         f = omega.coeffs[k]
         if f.is_zero():
@@ -191,7 +188,7 @@ def ricci(conn: Connection) -> dict[str, TensorOneOne]:
     tensors = {}
     for variant in LIFT_VARIANTS:
         coords = [sum((f * w for f, w in zip(forms, row) if w and not f.is_zero()),
-                      cal.zero_function()) for row in cal.ricci_maps[variant].rows]
+                      ZERO) for row in cal.ricci_maps[variant].rows]
         tensors[variant] = TensorOneOne(cal, [coords[p * m:(p + 1) * m] for p in range(m)])
     return tensors
 
@@ -219,7 +216,7 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     c^-1 and de_b - sum_c red(c, b) at e, de_b the constant coordinates of
     calculus.d_basis(b).  So column i of M_h is the Ricci map of those
     coordinates at h^-1, the keys are e and the class members, and no
-    function on the group is built.  The tables read are the same on the
+    chart is evaluated.  The tables read are the same on the
     calculus of G and on that of (H, C), H = <C>.
     """
     cal = calculus
@@ -227,7 +224,7 @@ def ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
     m, red = cal.n_members, cal.reduction
     # at[h][b]: the coordinates of d(delta_e e_b) at h^-1
     at = {c: [red[(cpos, b)] for b in range(m)] for cpos, c in enumerate(cal.cls.members)}
-    at[0] = [[f(0) - sum((red[(cpos, b)][k] for cpos in range(m)), rat(0))
+    at[0] = [[f - sum((red[(cpos, b)][k] for cpos in range(m)), ZERO)
               for k, f in enumerate(cal.d_basis(b).coeffs)] for b in range(m)]
     # row (a, k), column i: coordinate k of component a of the delta_e chart
     # in parameter i, which sits on e_b for b = CHART[a].index(i)
@@ -290,5 +287,5 @@ def ricci_flat_solve(calculus: Calculus) -> dict[str, tuple[tuple, int]]:
     solves = {}
     for variant, (coeffs, rhs) in systems.items():
         constant, kernel = solve_invariant(coeffs, rhs, calculus.group, elements)
-        solves[variant] = (tuple(calculus.constant(x) for x in constant), kernel * copies)
+        solves[variant] = (tuple(constant), kernel * copies)
     return solves

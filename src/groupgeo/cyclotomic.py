@@ -280,18 +280,6 @@ class Cyclotomic:
     def __rtruediv__(self, other):
         return _wrap(other) / self
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        out = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                out = out * base
-            base = base * base
-            exponent >>= 1
-        return out
-
     def conj(self) -> "Cyclotomic":
         """Complex conjugate: zeta -> zeta^(order-1)."""
         return _make(self._order, self._galois(self._order - 1), self._den)

@@ -103,12 +103,11 @@ def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[i
     The free part couples each gamma matrix to the corresponding partial
     translation R_a - id; the connection part subtracts, for every pair of
     class members, the gamma-weighted translation generator times the
-    coefficient of the connection.  With constant coefficients the
-    operator is the group-algebra element with coefficient M_a = gamma_a
+    coefficient of the connection.  Those coefficients are constants, so
+    the operator is the group-algebra element with coefficient M_a = gamma_a
     at each class member a and the rest at the identity; assemble writes
     its matrix on G or on H = <C>, C the class of the connection's
-    calculus.  Raises ValueError on a representation of another group and
-    on a connection whose coefficients vary over the group.
+    calculus.  Raises ValueError on a representation of another group.
     """
     mu = Fraction(mu)
     group = rep.group
@@ -124,13 +123,7 @@ def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[i
     for apos, a in enumerate(C.members):
         tau = rep(group.inv(a)) - ident_w
         for bpos, b in enumerate(C.members):
-            value = A.coefficient(apos, bpos).constant_value
-            if value is None:
-                raise ValueError(
-                    "the Dirac operator needs a connection with constant "
-                    f"coefficients; A_{group.label(a)} varies over the group "
-                    f"in its e_{group.label(b)} coefficient")
-            coeffs[0] = coeffs[0] - (gammas[b] @ tau) * value
+            coeffs[0] = coeffs[0] - (gammas[b] @ tau) * A.coefficient(apos, bpos)
     return coeffs
 
 

@@ -1,18 +1,21 @@
 """The rational reports of the class calculus and its distinguished
 connection: calculus, connection, curvature and Ricci.  The connection and
 curvature layers load in the reports that run them, so the calculus
-command compiles no linear algebra."""
+command compiles no linear algebra.  A report prints each constant
+coefficient as the list of its values at the |G| group elements."""
 
 from __future__ import annotations
 
 from .calculus import LIFT_VARIANTS, Calculus, OneForm, TensorOneOne, TwoForm
+from .cyclotomic import ONE, ZERO
 from .groups import require_invertible_metric
 from .reporting import Geometry
 
 
 def one_form_json(alpha: OneForm) -> dict:
-    labels = alpha.calculus.cls.labels()
-    return {labels[pos]: f.values for pos, f in enumerate(alpha.coeffs)}
+    cal = alpha.calculus
+    labels = cal.cls.labels()
+    return {labels[pos]: [f] * cal.group.order for pos, f in enumerate(alpha.coeffs)}
 
 
 def _pair_label(cal: Calculus, pair) -> str:
@@ -22,13 +25,13 @@ def _pair_label(cal: Calculus, pair) -> str:
 
 def two_form_json(omega: TwoForm) -> dict:
     cal = omega.calculus
-    return {_pair_label(cal, pair): f.values
+    return {_pair_label(cal, pair): [f] * cal.group.order
             for pair, f in zip(cal.quotient_pairs, omega.coeffs)}
 
 
 def tensor_json(t: TensorOneOne) -> dict:
-    labels = t.calculus.cls.labels()
-    return {labels[p]: {labels[q]: f.values for q, f in enumerate(row)}
+    labels, order = t.calculus.cls.labels(), t.calculus.group.order
+    return {labels[p]: {labels[q]: [f] * order for q, f in enumerate(row)}
             for p, row in enumerate(t.coords)}
 
 
@@ -84,9 +87,9 @@ def connection_report(geo: Geometry) -> dict:
         "mu": mu,
         "torsion_free_family_dimension": len(directions) * cal.group.order,
         "sum_of_components_vanishes": sum_ok,
-        "constant_regular_scan": [tuple(p(0) for p in lc.parameters)],
+        "constant_regular_scan": [tuple(lc.parameters)],
         "levi_civita": {
-            "parameters": [p.values for p in lc.parameters],
+            "parameters": [[p] * cal.group.order for p in lc.parameters],
             "components": {
                 cal.cls.labels()[pos]: one_form_json(comp)
                 for pos, comp in enumerate(lc.components)
@@ -107,7 +110,7 @@ def curvature_report(geo: Geometry) -> dict:
     labels = cal.cls.labels()
     forms = curvature.curvature_forms(lc)
     matches = all(forms[pos] == cal.d_basis(pos) for pos in range(cal.cls.size))
-    basis = [TwoForm(cal, [cal.constant(int(i == k)) for i in range(cal.quotient_dim)])
+    basis = [TwoForm(cal, [ONE if i == k else ZERO for i in range(cal.quotient_dim)])
              for k in range(cal.quotient_dim)]
     lift_section = {variant: all(curvature.wedge_of_tensor(curvature.lift(b, variant)) == b
                                  for b in basis)
@@ -129,8 +132,9 @@ def curvature_report(geo: Geometry) -> dict:
 def ricci_report(geo: Geometry) -> dict:
     from . import connections, curvature
 
-    tensors = curvature.ricci(connections.levi_civita(geo.calculus))
-    solves = curvature.ricci_flat_solve(geo.calculus)
+    cal = geo.calculus
+    tensors = curvature.ricci(connections.levi_civita(cal))
+    solves = curvature.ricci_flat_solve(cal)
     out = {"levi_civita": {}, "flat_solve": {}}
     for variant in LIFT_VARIANTS:
         tensor = tensors[variant]
@@ -140,7 +144,7 @@ def ricci_report(geo: Geometry) -> dict:
         }
         params, kernel_dimension = solves[variant]
         out["flat_solve"][variant] = {
-            "parameters": [p.values for p in params],
+            "parameters": [[p] * cal.group.order for p in params],
             "kernel_dimension": kernel_dimension,
             "unique": kernel_dimension == 0,
         }

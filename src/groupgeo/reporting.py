@@ -1,16 +1,17 @@
 """Deterministic JSON reports: the core that every accepted command loads.
 
 Each report is a record of exact values: its scalar leaves are Cyclotomic
-and Fraction values, alone or in the tuples of a Mat's rows and a
-GroupFunction's values, beside ints, bools, strings and None.  to_json
-writes a report for json.dumps (cli.render calls it) in one walk, which
-renders each distinct scalar once: a rational becomes {"num", "den"} and a
-general cyclotomic value {"zeta_order", "coeffs"} with rational coordinate
-pairs, each beside its value rounded half up to 12 significant digits in
-the layout of mpmath's ``nstr``.  That decimal is computed in integers, a
-rational's by division (rational_decimal) and the parts of any other
-value from exact enclosures (enclosures, loaded on the first such value);
-no library setting, time, path or dictionary order reaches a report.
+and Fraction values, alone or in lists and tuples (a Mat's rows, a
+coefficient's value at each group element), beside ints, bools, strings
+and None.  to_json writes a report for json.dumps (cli.render calls it) in
+one walk, which renders each distinct scalar once: a rational becomes
+{"num", "den"} and a general cyclotomic value {"zeta_order", "coeffs"} with
+rational coordinate pairs, each beside its value rounded half up to 12
+significant digits in the layout of mpmath's ``nstr``.  That decimal is
+computed in integers, a rational's by division (rational_decimal) and the
+parts of any other value from exact enclosures (enclosures, loaded on the
+first such value); no library setting, time, path or dictionary order
+reaches a report.
 
 Every report takes one Geometry, which builds what several sections read
 once, on first read.  This module holds it and full_report.  Each other

@@ -102,9 +102,9 @@ def family_d6(cal_d6):
 
 
 def regular_constants(cal):
-    """levi_civita's chart parameters (alpha, beta, gamma) at e, as the
-    one-hit list the connection report prints under constant_regular_scan."""
-    return [tuple(p(0).as_fraction() for p in levi_civita(cal).parameters)]
+    """levi_civita's chart parameters (alpha, beta, gamma), as the one-hit
+    list the connection report prints under constant_regular_scan."""
+    return [tuple(p.as_fraction() for p in levi_civita(cal).parameters)]
 
 
 @pytest.fixture(scope="session")

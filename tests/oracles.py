@@ -1,46 +1,56 @@
 """Test oracles: plain reference computations that only the tests call.
 
-Each one is the direct, unoptimised form of something the package computes
-another way (functions stored as one value per group element beside the
-one-value form of constants, the dense torsion system beside the
-Kronecker-factored solve, a group-algebra system assembled on G beside
-its solve on H = <C>, Ricci lifted and contracted term by term beside
-one matrix per lift variant, the Ricci system from three Ricci
-evaluations on delta_e charts beside its reading off the class tables,
-and the calculus of (H, C) beside the elements of H in G,
-a polynomial evaluated on a matrix beside a certified spectrum, the matrix
-Krylov minimal polynomial beside the vector one, the Dirac and wave
-operators summed from dense Kronecker and translation matrices beside
-their assembly from group-algebra coefficients, the spinor blocks sliced
-out of an assembled operator and the dense class translation sums beside
-the coefficients the reports read,
-the full associativity and homomorphism scans beside the checks over a
-generating set, dense right translation matrices beside the group table, mpmath's rendering of a rational's decimal beside the
-integer one and of a cyclotomic value's beside its exact enclosure, the
-exact decimals by stdlib decimal and mpmath intervals beside both, Sturm bisection beside p-adic lifting for integer roots,
-the Fraction-tuple cyclotomic scalar and its whole-row elimination beside
-integer numerators over one denominator, the row update as a product and
-a subtraction beside the fused multiply-subtract, each span ranked alone beside
-the spans read off one reduction, the degree-2 quotient by elimination
-beside the braid orbits, the chirality grading from the dense
-eigenvectors and the Peter-Weyl basis that carries block gradings to G
-beside the grading built on the irreducible blocks, the eigenmode
-catalogs declared on |G|-valued functions and scored by apply beside
-their declaration and scoring in block coordinates), a
-closed form the package derives from the operator instead (the
-hand-derived eigenvalue candidates), the torsion-free family expanded to
-its |G|-length members beside the directions the package states it by, a
-certificate the package does not need at run time (the Peter-Weyl rank),
-or a helper only the tests use (the rank of a matrix, diagonal and
+Each is one of four kinds.
+
+The direct, unoptimised form of something the package computes another
+way, beside:
+
+  * forms whose coefficients vary over the group, one package form per
+    element, with translation, d and the wedge read off the group table:
+    the package's constant coefficients, one scalar each;
+  * the dense torsion system, and the torsion-free family expanded to its
+    |G|-valued members: the Kronecker-factored solve, and the directions
+    the package states the family by;
+  * a group-algebra system assembled on G: its solve on H = <C>;
+  * Ricci lifted and contracted term by term, and the Ricci system from
+    three Ricci evaluations on delta_e charts: one matrix per lift
+    variant, and the system read off the class tables;
+  * the calculus of (H, C): the elements of H in G;
+  * the degree-2 quotient by elimination: the braid orbits;
+  * a polynomial evaluated on a matrix, and the matrix Krylov minimal
+    polynomial: a certified spectrum, and the vector one;
+  * the Dirac and wave operators summed from dense Kronecker and
+    translation matrices, the spinor blocks sliced out of an assembled
+    operator and the dense class translation sums: their assembly from
+    group-algebra coefficients and the coefficients the reports read;
+  * the chirality grading from the dense eigenvectors, and the
+    Peter-Weyl basis that carries block gradings to G: the grading built
+    on the irreducible blocks;
+  * the eigenmode catalogs declared on |G|-valued functions and scored by
+    apply: their declaration and scoring in block coordinates;
+  * the full associativity and homomorphism scans, and dense right
+    translation matrices: the checks over a generating set, and the
+    group table;
+  * mpmath's rendering of a rational's decimal and of a cyclotomic
+    value's, and the exact decimals by stdlib decimal and mpmath
+    intervals: the integer decimal and the exact enclosure;
+  * Sturm bisection: p-adic lifting for integer roots;
+  * the Fraction-tuple cyclotomic scalar and its whole-row elimination,
+    the row update as a product and a subtraction, and each span ranked
+    alone: integer numerators over one denominator, the fused
+    multiply-subtract, and the spans read off one reduction.
+
+A closed form the package derives from the operator instead: the
+hand-derived eigenvalue candidates.  A certificate the package does not need at run time: the Peter-Weyl rank.
+Or a helper only the tests use: the rank of a matrix, diagonal and
 entrywise conjugate matrices, conjugacy class lists, Cayley-table dicts,
 the spinor planar1 and the twisted sign2 representations, characters,
-matrix-element functions, conjugate representations, coframe
-coefficients and the right module action on 1-forms).
+matrix-element functions, conjugate representations and coframe
+coefficients.
 """
 
 from __future__ import annotations
 
-import contextlib
 import decimal
 import functools
 import math
@@ -50,10 +60,10 @@ from typing import Sequence
 from mpmath import iv, mp, mpf
 from mpmath.libmp import to_rational
 
-from groupgeo.calculus import (Calculus, GroupFunction, OneForm, TensorOneOne, TwoForm, braiding,
-                               differential_calculus)
-from groupgeo.connections import Connection, chart_connection
-from groupgeo.curvature import LIFT_VARIANTS, connection_grid, lift, relative_curvature
+from groupgeo.calculus import Calculus, TensorOneOne, TwoForm, braiding, differential_calculus
+from groupgeo.connections import Connection, chart_connection, levi_civita
+from groupgeo.curvature import (LIFT_VARIANTS, connection_grid, lift, ricci_system,
+                                wedge_of_tensor)
 from groupgeo.cyclotomic import Cyclotomic, cyclo, dot, rat
 from groupgeo.dirac import gamma_matrices, metric, require_symmetric
 from groupgeo.errors import SingularMetricError
@@ -424,32 +434,190 @@ def eval_poly(matrix: Mat, coeffs: Sequence) -> Mat:
     return out
 
 
-# -- functions on the group ------------------------------------------------
+# -- forms whose coefficients vary over the group ------------------------------
+# The package's forms are left-invariant: each coefficient is one constant.
+# Here a function on G is the tuple of its |G| values, in element order, and
+# a form, tensor or connection component whose coefficients vary is a Field:
+# one package object with constant coefficients per group element, its
+# value there.  Sums, products with scalars and functions, lifts and the
+# reduction run the package's constant code at each element; only
+# translation, d and the wedge read the group table.
 
-@contextlib.contextmanager
-def expanded_functions():
-    """Inside the block every GroupFunction built holds one value per group
-    element, constants included, so each operation runs element by element:
-    the |G|-tuple path that the one-value form of constants replaces.
-    Objects cached before the block (a calculus's d e_a, the connection
-    levi_civita derives once per calculus) keep their form; build what is
-    compared inside it, and derive no shared calculus's connection in it."""
-    def init(self, group, values):
-        vals = tuple(rat(v) for v in values)
-        if len(vals) != group.order:
+def translate(group: FiniteGroup, f: Sequence, a: int) -> tuple:
+    """R_a f, with (R_a f)(g) = f(ga)."""
+    return tuple(f[group.mul(g, a)] for g in range(group.order))
+
+
+def delta(group: FiniteGroup, g: int) -> tuple:
+    """The function that is 1 at g and 0 elsewhere."""
+    return tuple(_ONE if k == g else _ZERO for k in range(group.order))
+
+
+class Field:
+    """A package form, tensor or 2-form-valued vector at every group
+    element: at[g] is the value at g, with constant coefficients."""
+
+    __slots__ = ("group", "at")
+
+    def __init__(self, group: FiniteGroup, at: Sequence):
+        values = tuple(at)
+        if len(values) != group.order:
             raise ValueError("one value per group element required")
-        self._hold(group, None, vals)
+        self.group = group
+        self.at = values
 
-    def constant(cls, group, value):
+    @classmethod
+    def constant(cls, group: FiniteGroup, value) -> "Field":
         return cls(group, [value] * group.order)
 
-    saved = GroupFunction.__dict__["__init__"], GroupFunction.__dict__["constant"]
-    GroupFunction.__init__ = init
-    GroupFunction.constant = classmethod(constant)
-    try:
-        yield
-    finally:
-        GroupFunction.__init__, GroupFunction.constant = saved
+    def __add__(self, other: "Field") -> "Field":
+        return Field(self.group, [a + b for a, b in zip(self.at, other.at)])
+
+    def __sub__(self, other: "Field") -> "Field":
+        return Field(self.group, [a - b for a, b in zip(self.at, other.at)])
+
+    def __neg__(self) -> "Field":
+        return Field(self.group, [-a for a in self.at])
+
+    def __mul__(self, factor) -> "Field":
+        """Times an exact scalar, or a function on G element by element."""
+        if isinstance(factor, tuple):
+            return Field(self.group, [a * f for a, f in zip(self.at, factor)])
+        return Field(self.group, [a * factor for a in self.at])
+
+    def coefficient(self, k: int) -> tuple:
+        """Coefficient k of a form as a function on G."""
+        return tuple(a.coeffs[k] for a in self.at)
+
+    def is_zero(self) -> bool:
+        return all(a.is_zero() for a in self.at)
+
+    def __eq__(self, other):
+        if not isinstance(other, Field):
+            return NotImplemented
+        return self.group is other.group and self.at == other.at
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Field({list(self.at)!r})"
+
+    # -- 1-forms -----------------------------------------------------------
+
+    def right_mul(self, f: Sequence) -> "Field":
+        """alpha . f, commuting f through each e_a by the bimodule rule
+        e_a f = (R_a f) e_a."""
+        cal = self.at[0].calculus
+        coeffs = [tuple(c * x for c, x in zip(self.coefficient(pos), translate(self.group, f, a)))
+                  for pos, a in enumerate(cal.cls.members)]
+        return one_form_field(cal, coeffs)
+
+    def wedge(self, other: "Field") -> "Field":
+        """alpha ^ beta for 1-forms: at g, sum_i alpha_i(g) e_i ^ beta(g a_i),
+        the coefficients of beta moved through e_i by the bimodule rule."""
+        cal, mul = self.at[0].calculus, self.group.mul
+        out = []
+        for g, alpha in enumerate(self.at):
+            total = cal.zero_two_form()
+            for i, (f, a) in enumerate(zip(alpha.coeffs, cal.cls.members)):
+                if not f.is_zero():
+                    total = total + cal.wedge(cal.basis_one_form(i) * f, other.at[mul(g, a)])
+            out.append(total)
+        return Field(self.group, out)
+
+    def d(self) -> "Field":
+        """d(sum_a f_a e_a) = sum_a (df_a ^ e_a + f_a de_a)."""
+        cal = self.at[0].calculus
+        total = Field.constant(self.group, cal.zero_two_form())
+        for pos in range(cal.n_members):
+            f = self.coefficient(pos)
+            basis = Field.constant(self.group, cal.basis_one_form(pos))
+            total = (total + d_function(cal, f).wedge(basis)
+                     + Field.constant(self.group, cal.d_basis(pos)) * f)
+        return total
+
+    # -- 2-forms and tensors, element by element -----------------------------
+
+    def lift(self, variant: str) -> "Field":
+        return Field(self.group, [lift(a, variant) for a in self.at])
+
+    def wedge_of_tensor(self) -> "Field":
+        return Field(self.group, [wedge_of_tensor(a) for a in self.at])
+
+
+def one_form_field(calculus: Calculus, functions: Sequence[Sequence]) -> Field:
+    """sum_a functions[a] e_a, each coefficient a function on G."""
+    return Field(calculus.group, [calculus.one_form([f[g] for f in functions])
+                                  for g in range(calculus.group.order)])
+
+
+def d_function(calculus: Calculus, f: Sequence) -> Field:
+    """d f = sum_a (R_a f - f) e_a."""
+    return one_form_field(calculus, [tuple(x - y for x, y in zip(translate(calculus.group, f, a), f))
+                                     for a in calculus.cls.members])
+
+
+def constant_fields(group: FiniteGroup, forms: Sequence) -> list[Field]:
+    """Each form, a connection's components say, held at every element."""
+    return [Field.constant(group, form) for form in forms]
+
+
+def dense_vector(components: Sequence[Field]) -> list:
+    """A connection's coefficients in the column order of torsion_system:
+    the coefficient of e_b in A_c at h sits at (c*m + b)*|G| + h."""
+    m = len(components)
+    return [x for comp in components for b in range(m) for x in comp.coefficient(b)]
+
+
+def field_chart(calculus: Calculus, alpha: Sequence, beta: Sequence,
+                gamma: Sequence) -> list[Field]:
+    """The component fields of the chart pattern in three parameter
+    functions: connections.chart_connection at each element."""
+    conns = [chart_connection(calculus, *params) for params in zip(alpha, beta, gamma)]
+    return [Field(calculus.group, [conn.components[a] for conn in conns])
+            for a in range(calculus.n_members)]
+
+
+def field_covariant_derivative(components: Sequence[Field], alpha: Field) -> Field:
+    """nabla alpha = sum_a (df_a (x) e_a + f_a nabla e_a), nabla e_a read off
+    curvature.connection_grid at each element."""
+    cal = alpha.at[0].calculus
+    m = cal.n_members
+    differentials = [d_function(cal, alpha.coefficient(a)) for a in range(m)]
+    out = []
+    for g, form in enumerate(alpha.at):
+        grid = connection_grid(Connection(cal, [comp.at[g] for comp in components]))
+        coords = [[_ZERO] * m for _ in range(m)]
+        for a, f in enumerate(form.coeffs):
+            for p in range(m):
+                coords[p][a] = coords[p][a] + differentials[a].at[g].coeffs[p]
+                for q in range(m):
+                    coords[p][q] = coords[p][q] + f * grid[a][q].coeffs[p]
+        out.append(TensorOneOne(cal, coords))
+    return Field(alpha.group, out)
+
+
+def field_curvature_forms(components: Sequence[Field]) -> list[Field]:
+    """The component curvature
+    F_a = dA_a + sum_{cd=a} A_c ^ A_d - sum_c (A_c ^ A_a + A_a ^ A_c)."""
+    cls = components[0].at[0].calculus.cls
+    out = []
+    for a, comp_a in zip(cls.members, components):
+        f = comp_a.d()
+        for comp_c, row in zip(components, cls.products):
+            for comp_d, cd in zip(components, row):
+                if cd == a:
+                    f = f + comp_c.wedge(comp_d)
+            f = f - comp_c.wedge(comp_a) - comp_a.wedge(comp_c)
+        out.append(f)
+    return out
+
+
+def field_relative_curvature(components: Sequence[Field]) -> list[Field]:
+    """dA_a - de_a for every component."""
+    cal = components[0].at[0].calculus
+    return [comp.d() - Field.constant(comp.group, cal.d_basis(pos))
+            for pos, comp in enumerate(components)]
 
 
 # -- the degree-2 quotient -----------------------------------------------------
@@ -484,13 +652,6 @@ def eliminated_quotient(calculus: Calculus) -> tuple[list, int, dict]:
     return basis, len(relations), reduction
 
 
-def right_mul(alpha: OneForm, func: GroupFunction) -> OneForm:
-    """alpha . f, commuting f through each e_a by the bimodule rule."""
-    members = alpha.calculus.cls.members
-    return OneForm(alpha.calculus, [g * func.translate(members[pos])
-                                    for pos, g in enumerate(alpha.coeffs)])
-
-
 # -- connections and curvature ----------------------------------------------
 
 def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
@@ -517,7 +678,7 @@ def torsion_system(calculus: Calculus) -> tuple[Mat, list]:
         de = cal.d_basis(apos)
         for k in range(qdim):
             for g in range(order):
-                rhs[(apos * qdim + k) * order + g] = -de.coeffs[k](g)
+                rhs[(apos * qdim + k) * order + g] = -de.coeffs[k]
         for cpos, c in enumerate(cls.members):
             conj_pos = cls.members.index(grp.conj(grp.inv(c), a))
             for bpos in range(m):
@@ -567,28 +728,27 @@ def dense_system(coeffs, rhs, group: FiniteGroup) -> tuple[Mat, list]:
     return assemble(coeffs, group), [rat(b) for b in rhs for _ in range(group.order)]
 
 
-def delta(group: FiniteGroup, g: int) -> GroupFunction:
-    """The function that is 1 at g and 0 elsewhere."""
-    return GroupFunction(group, [rat(int(k == g)) for k in range(group.order)])
-
-
-def lifted_ricci(conn: Connection, variant: str) -> TensorOneOne:
-    """Ricci of curvature.ricci, one variant, by lifting each relative
-    curvature form with curvature.lift and contracting the lifted tensors
-    through the conjugation pattern term by term."""
-    cal = conn.calculus
+def lifted_ricci(components: Sequence[Field], variant: str) -> Field:
+    """Ricci of curvature.ricci, one variant, for a connection given by its
+    component fields: each relative curvature form lifted with curvature.lift
+    and the lifted tensors contracted through the conjugation pattern term by
+    term, at every element."""
+    cal = components[0].at[0].calculus
     m = cal.n_members
-    z = cal.zero_function()
-    coords = [[z for _ in range(m)] for _ in range(m)]
-    # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
-    for form, row in zip(relative_curvature(conn), cal.cls.ad):
-        lifted = lift(form, variant).coeffs
-        for conj_pos, apos in enumerate(row):
-            if conj_pos != apos:
-                for b in range(m):
-                    coords[b][conj_pos] = coords[b][conj_pos] + lifted[apos * m + b]
-                    coords[b][apos] = coords[b][apos] - lifted[apos * m + b]
-    return TensorOneOne(cal, coords)
+    relative = field_relative_curvature(components)
+    out = []
+    for g in range(cal.group.order):
+        coords = [[_ZERO] * m for _ in range(m)]
+        # conj_pos = c^-1 a c runs over the class as a = c conj_pos c^-1 does
+        for form, row in zip(relative, cal.cls.ad):
+            lifted = lift(form.at[g], variant).coeffs
+            for conj_pos, apos in enumerate(row):
+                if conj_pos != apos:
+                    for b in range(m):
+                        coords[b][conj_pos] = coords[b][conj_pos] + lifted[apos * m + b]
+                        coords[b][apos] = coords[b][apos] - lifted[apos * m + b]
+        out.append(TensorOneOne(cal, coords))
+    return Field(cal.group, out)
 
 
 def three_chart_ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Mat], list]]:
@@ -600,20 +760,20 @@ def three_chart_ricci_system(calculus: Calculus) -> dict[str, tuple[dict[int, Ma
     cal = calculus
     require_chart_class(cal.cls)
     grp = cal.group
-    zero = cal.zero_function()
+    zero = (_ZERO,) * grp.order
     delta_e = delta(grp, 0)
-    charts = [chart_connection(cal, *(delta_e if j == i else zero for j in range(3)))
+    charts = [field_chart(cal, *(delta_e if j == i else zero for j in range(3)))
               for i in range(3)]
     systems = {}
     for variant in LIFT_VARIANTS:
-        columns = [lifted_ricci(chart, variant).coeffs for chart in charts]
+        tensors = [lifted_ricci(chart, variant).at for chart in charts]
         coeffs = {}
         for k in range(grp.order):
-            block = Mat([[f(k) for f in row] for row in zip(*columns)]
+            block = Mat([list(row) for row in zip(*(t[k].coeffs for t in tensors))]
                         + [[int(k == 0)] * 3])
             if not block.is_zero():
                 coeffs[grp.inv(k)] = block
-        systems[variant] = (coeffs, [rat(0)] * len(columns[0]) + [rat(-1)])
+        systems[variant] = (coeffs, [rat(0)] * cal.n_members ** 2 + [rat(-1)])
     return systems
 
 
@@ -666,23 +826,89 @@ def coset_lift(vec: Sequence, cosets: Sequence[Sequence[int]], order: int) -> li
     return out
 
 
-def torsion_family_members(calculus: Calculus, directions) -> list[list[OneForm]]:
+def torsion_family_members(calculus: Calculus, directions) -> list[list[Field]]:
     """The basis delta_h * direction of the torsion-free family on G that
     torsion_free_family states by its directions, direction slowest and h
-    fastest: each direction's constant coefficients lifted by coset_lift
-    over the single coset (h,) of K = {e}."""
-    grp = calculus.group
-    n = grp.order
+    fastest, each as its component fields: each direction's constant
+    coefficients lifted by coset_lift over the single coset (h,) of K = {e}."""
+    n = calculus.group.order
     m = calculus.n_members
     members = []
     for direction in directions:
-        vec = [f(0) for comp in direction for f in comp.coeffs]
+        vec = [f for comp in direction for f in comp.coeffs]
         for coset in [(h,) for h in range(n)]:
             full = coset_lift(vec, [coset], n)
-            members.append([calculus.one_form([
-                GroupFunction(grp, full[(c * m + b) * n:(c * m + b + 1) * n])
-                for b in range(m)]) for c in range(m)])
+            members.append([one_form_field(calculus, [
+                full[(c * m + b) * n:(c * m + b + 1) * n] for b in range(m)])
+                for c in range(m)])
     return members
+
+
+def expanded_geometry_sections(calculus: Calculus) -> dict:
+    """What the calculus, connection, curvature and Ricci reports print
+    about forms, keyed by report and section, computed by the |G|-valued
+    algebra above on forms held at every group element, each coefficient
+    listed by element.  The distinguished connection is the chart at the
+    parameters levi_civita scans for, its torsion read off the dense
+    torsion system; the torsion-free family and the Ricci-flat solves are
+    the dense ones on G."""
+    cal, group = calculus, calculus.group
+    order, m, labels = group.order, calculus.n_members, calculus.cls.labels()
+    pairs = [f"e_{labels[i]}^e_{labels[j]}" for i, j in cal.quotient_pairs]
+
+    def listed(field: Field, names: Sequence[str]) -> dict:
+        return {name: list(field.coefficient(k)) for k, name in enumerate(names)}
+
+    def tensor(field: Field) -> dict:
+        return {labels[p]: {labels[q]: list(field.coefficient(p * m + q)) for q in range(m)}
+                for p in range(m)}
+
+    theta = Field.constant(group, cal.theta)
+    basis = constant_fields(group, [cal.basis_one_form(a) for a in range(m)])
+    two_basis = constant_fields(group, [TwoForm(cal, [_ONE if i == k else _ZERO
+                                                      for i in range(cal.quotient_dim)])
+                                        for k in range(cal.quotient_dim)])
+    params = [(p,) * order for p in levi_civita(cal).parameters]
+    lc = field_chart(cal, *params)
+    torsion, rhs = torsion_system(cal)
+    ricci, flat = {}, {}
+    for variant in LIFT_VARIANTS:
+        ricci[variant] = lifted_ricci(lc, variant)
+        flat[variant] = solve_affine(*dense_system(*ricci_system(cal)[variant], group))
+    return {
+        "calculus": {
+            "background_differentials": {labels[a]: listed(e.d(), pairs)
+                                         for a, e in enumerate(basis)},
+            "maurer_cartan": {"d_theta_zero": theta.d().is_zero(),
+                              "theta_wedge_theta_zero": theta.wedge(theta).is_zero()},
+        },
+        "connection": {
+            "torsion_free_family_dimension": len(solve_affine(torsion, rhs)[1]),
+            "levi_civita": {
+                "parameters": [list(p) for p in params],
+                "components": {labels[a]: listed(comp, labels) for a, comp in enumerate(lc)},
+                "torsion_residual_zero": torsion @ dense_vector(lc) == rhs,
+            },
+        },
+        "curvature": {
+            "covariant_derivatives": {labels[a]: tensor(field_covariant_derivative(lc, e))
+                                      for a, e in enumerate(basis)},
+            "curvature_forms": {labels[a]: listed(f, pairs)
+                                for a, f in enumerate(field_curvature_forms(lc))},
+            "lift_is_section": {variant: all(w.lift(variant).wedge_of_tensor() == w
+                                             for w in two_basis)
+                                for variant in LIFT_VARIANTS},
+        },
+        "ricci": {
+            "levi_civita": {variant: {"tensor": tensor(t), "zero": t.is_zero()}
+                            for variant, t in ricci.items()},
+            "flat_solve": {variant: {
+                "parameters": [solution[i * order:(i + 1) * order] for i in range(3)],
+                "kernel_dimension": len(kernel),
+                "unique": not kernel,
+            } for variant, (solution, kernel) in flat.items()},
+        },
+    }
 
 
 class TensorTwoOne:
@@ -691,7 +917,7 @@ class TensorTwoOne:
 
     __slots__ = ("calculus", "coords")
 
-    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[GroupFunction]]):
+    def __init__(self, calculus: Calculus, coords: Sequence[Sequence[Cyclotomic]]):
         grid = tuple(tuple(row) for row in coords)
         if len(grid) != calculus.quotient_dim or any(
                 len(row) != calculus.n_members for row in grid):
@@ -704,8 +930,7 @@ class TensorTwoOne:
 
     @classmethod
     def zero(cls, calculus: Calculus) -> "TensorTwoOne":
-        z = calculus.zero_function()
-        return cls(calculus, [[z] * calculus.n_members
+        return cls(calculus, [[_ZERO] * calculus.n_members
                               for _ in range(calculus.quotient_dim)])
 
     def __add__(self, other: "TensorTwoOne") -> "TensorTwoOne":
@@ -752,17 +977,20 @@ def riemann(conn: Connection) -> list[TensorTwoOne]:
     return out
 
 
-def curvature_of(conn: Connection, alpha: OneForm) -> TensorTwoOne:
-    """Curvature acting on a general 1-form; tensorial over left
-    multiplication, so it is the coefficient-weighted sum of the basis
-    curvatures."""
+def curvature_of(conn: Connection, alpha: Field) -> Field:
+    """Curvature acting on a 1-form whose coefficients may vary; tensorial
+    over left multiplication, so at each element it is the
+    coefficient-weighted sum of the basis curvatures."""
     cal = conn.calculus
-    total = TensorTwoOne.zero(cal)
     basis = riemann(conn)
-    for apos, f in enumerate(alpha.coeffs):
-        if not f.is_zero():
-            total = total + basis[apos] * f
-    return total
+    out = []
+    for form in alpha.at:
+        total = TensorTwoOne.zero(cal)
+        for apos, f in enumerate(form.coeffs):
+            if not f.is_zero():
+                total = total + basis[apos] * f
+        out.append(total)
+    return Field(alpha.group, out)
 
 
 # -- spinor geometry --------------------------------------------------------
@@ -780,7 +1008,7 @@ def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
     """
     mu = Fraction(mu)
     m = calculus.cls.size
-    grid = [[calculus.constant(Fraction(mu) + (1 if p == q else 0))
+    grid = [[rat(Fraction(mu) + (1 if p == q else 0))
              for q in range(m)] for p in range(m)]
     return TensorOneOne(calculus, grid)
 
@@ -788,8 +1016,7 @@ def metric_tensor(calculus: Calculus, mu) -> TensorOneOne:
 def dense_dirac_operator(rep: Representation, A: Connection, C: ConjClass,
                          mu=Fraction(0)) -> Mat:
     """The Dirac operator summed from Kronecker products of the gamma
-    matrices with dense translation and multiplication matrices; the
-    connection coefficients may vary over the group."""
+    matrices with dense translation and multiplication matrices."""
     mu = Fraction(mu)
     group = rep.group
     gammas = gamma_matrices(rep, C, mu)
@@ -802,9 +1029,7 @@ def dense_dirac_operator(rep: Representation, A: Connection, C: ConjClass,
     for apos, a in enumerate(C.members):
         tau = rep(group.inv(a)) - ident_w
         for bpos, b in enumerate(C.members):
-            coeff = A.coefficient(apos, bpos)
-            values = [coeff(g) for g in range(n)]
-            op = op - kron(gammas[b] @ tau, diagonal(values))
+            op = op - kron(gammas[b] @ tau, diagonal([A.coefficient(apos, bpos)] * n))
     return op
 
 

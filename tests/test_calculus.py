@@ -14,11 +14,14 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import linalg
-from groupgeo.calculus import Calculus, GroupFunction, braiding
+from groupgeo.calculus import Calculus, TensorOneOne, TwoForm, braiding
+from groupgeo.connections import chart_connection
+from groupgeo.curvature import LIFT_VARIANTS, covariant_derivative, lift, wedge_of_tensor
 from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import NonCyclicClassError
 from groupgeo.groups import conjugacy_class, dihedral
-from oracles import conjugacy_classes, delta, eliminated_quotient, right_mul
+from oracles import (Field, conjugacy_classes, constant_fields, d_function, delta,
+                     eliminated_quotient, field_covariant_derivative, one_form_field, translate)
 
 
 def _braiding_cycles(cls):
@@ -193,7 +196,7 @@ def test_basis_wedges_match_reduction(cal_d6):
             w = cal_d6.wedge(cal_d6.basis_one_form(i), cal_d6.basis_one_form(j))
             expect = cal_d6.reduction[(i, j)]
             for k in range(4):
-                assert w.coeffs[k] == cal_d6.constant(expect[k])
+                assert w.coeffs[k] == expect[k]
 
 
 def test_background_differentials_pinned(cal_d6):
@@ -201,50 +204,52 @@ def test_background_differentials_pinned(cal_d6):
     for pos, coords in expect.items():
         de = cal_d6.d_basis(pos)
         for k in range(4):
-            assert de.coeffs[k] == cal_d6.constant(coords[k])
+            assert de.coeffs[k] == rat(coords[k])
 
 
 def test_theta_properties(cal_d6):
     theta = cal_d6.theta
-    one = cal_d6.constant(1)
-    assert all(c == one for c in theta.coeffs)
+    assert all(c == rat(1) for c in theta.coeffs)
     assert cal_d6.d_one_form(theta).is_zero()
     assert cal_d6.wedge(theta, theta).is_zero()
 
 
+# -- forms whose coefficients vary, by the oracle --------------------------------
+
 def _random_function(cal, rng):
-    return GroupFunction(cal.group, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                                     for _ in range(cal.group.order)])
+    return tuple(rat(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                 for _ in range(cal.group.order))
+
+
+def _random_one_form(cal, rng):
+    return one_form_field(cal, [_random_function(cal, rng) for _ in range(cal.n_members)])
 
 
 def test_differential_is_theta_commutator(cal_d6):
     rng = random.Random(1234)
-    theta = cal_d6.theta
+    theta = Field.constant(cal_d6.group, cal_d6.theta)
     for _ in range(20):
         f = _random_function(cal_d6, rng)
-        lhs = cal_d6.d_function(f)
-        rhs = right_mul(theta, f) - cal_d6.one_form([f * c for c in theta.coeffs])
-        assert lhs == rhs
+        assert d_function(cal_d6, f) == theta.right_mul(f) - theta * f
 
 
 def test_partials_are_translates_minus_identity(cal_d6, cls_d6):
     rng = random.Random(77)
     f = _random_function(cal_d6, rng)
-    df = cal_d6.d_function(f)
+    df = d_function(cal_d6, f)
     for pos, a in enumerate(cls_d6.members):
-        assert df.coeffs[pos] == f.translate(a) - f
-        assert df.coeffs[pos] == f.partial(a)
+        assert df.coefficient(pos) == tuple(x - y for x, y in zip(translate(cal_d6.group, f, a), f))
 
 
 def test_d_squared_vanishes(cal_d6):
     rng = random.Random(5150)
     for _ in range(10):
         f = _random_function(cal_d6, rng)
-        assert cal_d6.d_one_form(cal_d6.d_function(f)).is_zero()
+        assert d_function(cal_d6, f).d().is_zero()
 
 
 def test_d_of_constant_vanishes(cal_d6):
-    assert cal_d6.d_function(cal_d6.constant(Fraction(3, 7))).is_zero()
+    assert d_function(cal_d6, (rat(Fraction(3, 7)),) * cal_d6.group.order).is_zero()
 
 
 def test_d_basis_consistent_with_d_one_form(cal_d6):
@@ -256,36 +261,28 @@ def test_leibniz_rule_for_one_forms(cal_d6):
     rng = random.Random(31)
     for _ in range(5):
         f = _random_function(cal_d6, rng)
-        alpha = cal_d6.one_form([_random_function(cal_d6, rng) for _ in range(3)])
-        f_alpha = cal_d6.one_form([f * c for c in alpha.coeffs])
-        lhs = cal_d6.d_one_form(f_alpha)
-        rhs = cal_d6.wedge(cal_d6.d_function(f), alpha) + _scale_two_form(cal_d6.d_one_form(alpha), f)
-        assert lhs == rhs
-
-
-def _scale_two_form(w, f):
-    return type(w)(w.calculus, [f * c for c in w.coeffs])
+        alpha = _random_one_form(cal_d6, rng)
+        assert (alpha * f).d() == d_function(cal_d6, f).wedge(alpha) + alpha.d() * f
 
 
 def test_right_module_relation(cal_d6, cls_d6):
     # e_a . f = (R_a f) e_a
     rng = random.Random(8)
     f = _random_function(cal_d6, rng)
+    zero = (rat(0),) * cal_d6.group.order
     for pos, a in enumerate(cls_d6.members):
-        moved = right_mul(cal_d6.basis_one_form(pos), f)
+        moved = Field.constant(cal_d6.group, cal_d6.basis_one_form(pos)).right_mul(f)
         for k in range(3):
-            expect = f.translate(a) if k == pos else cal_d6.zero_function()
-            assert moved.coeffs[k] == expect
+            assert moved.coefficient(k) == (translate(cal_d6.group, f, a) if k == pos else zero)
 
 
 def test_wedge_balances_middle_function(cal_d6):
     # (alpha . f) ^ beta = alpha ^ (f . beta)
     rng = random.Random(99)
     f = _random_function(cal_d6, rng)
-    alpha = cal_d6.one_form([_random_function(cal_d6, rng) for _ in range(3)])
-    beta = cal_d6.one_form([_random_function(cal_d6, rng) for _ in range(3)])
-    f_beta = cal_d6.one_form([f * c for c in beta.coeffs])
-    assert cal_d6.wedge(right_mul(alpha, f), beta) == cal_d6.wedge(alpha, f_beta)
+    alpha = _random_one_form(cal_d6, rng)
+    beta = _random_one_form(cal_d6, rng)
+    assert alpha.right_mul(f).wedge(beta) == alpha.wedge(beta * f)
 
 
 def test_s3_calculus_matches_d6_structure(s3_cal):
@@ -296,20 +293,21 @@ def test_s3_calculus_matches_d6_structure(s3_cal):
     for pos, coords in expect.items():
         de = s3_cal.d_basis(pos)
         for k in range(4):
-            assert de.coeffs[k] == s3_cal.constant(coords[k])
+            assert de.coeffs[k] == rat(coords[k])
 
 
-def test_delta_functions_and_arithmetic(d6):
+def test_delta_functions_and_arithmetic(cal_d6, d6):
     f = delta(d6, 3)
-    g = GroupFunction.constant(d6, 2)
-    assert (f * g)(3) == rat(2)
-    assert (f * g)(4) == rat(0)
-    assert (f + g - g)(3) == rat(1)
-    assert (-f)(3) == rat(-1)
-    assert f.translate(d6.index("r"))(2) == rat(1)  # (R_r f)(r2) = f(r3)
+    assert f[3] == rat(1) and f.count(rat(0)) == 11
+    assert translate(d6, f, d6.index("r"))[2] == rat(1)  # (R_r f)(r2) = f(r3)
+    e_t = cal_d6.basis_one_form(0)
+    form = Field.constant(d6, e_t) * f * rat(2)
+    assert form.at[3] == e_t * 2 and form.at[4].is_zero()
+    assert form + form - form == form
+    assert (-form).at[3] == e_t * -2
 
 
-# -- the one-value form of constants, against plain tuple arithmetic ---------
+# -- the package's constant forms against the oracle's varying ones ------------
 
 _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # rationals and elements of Q(zeta_12), which has degree 4
@@ -318,66 +316,47 @@ _SCALARS = st.one_of(
     st.builds(lambda cs: Cyclotomic(12, cs), st.lists(_RATIONALS, min_size=4, max_size=4)))
 
 
-def _one_value_form(f: GroupFunction) -> bool:
-    return f.constant_value is not None
-
-
-def _constant_values(vals) -> bool:
-    return all(v == vals[0] for v in vals)
-
-
-@st.composite
-def _function_values(draw, n):
-    """|G| values: constant (its rationals sometimes written in Q(zeta_12),
-    an equal value in a wider field) or drawn element by element."""
-    if draw(st.booleans()):
-        c = draw(_SCALARS)
-        wide = c.to_order(12)
-        return [draw(st.sampled_from([c, wide])) for _ in range(n)]
-    return draw(st.lists(_SCALARS, min_size=n, max_size=n))
-
-
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), which=st.sampled_from(["d6", "s3", "relabelled"]),
-       seed=st.integers(0, 10**6))
-def test_one_value_form_matches_tuple_arithmetic(d6, s3_group, data, which, seed):
-    group = {"d6": d6, "s3": s3_group}.get(which) or relabelled(d6, seed)
-    n = group.order
-    fv = data.draw(_function_values(n))
-    gv = data.draw(_function_values(n))
-    s = data.draw(_SCALARS)
-    a = data.draw(st.integers(0, n - 1))
-    f, g = GroupFunction(group, fv), GroupFunction(group, gv)
-    assert _one_value_form(f) == _constant_values(fv)
-    assert _one_value_form(g) == _constant_values(gv)
-
-    def same(h, expected):
-        expected = tuple(expected)
-        assert h.values == expected
-        assert [h(x) for x in range(n)] == list(expected)
-        assert _one_value_form(h) == _constant_values(expected)
-
-    same(f, fv)
-    same(f + g, (x + y for x, y in zip(fv, gv)))
-    same(f - g, (x - y for x, y in zip(fv, gv)))
-    same(-f, (-x for x in fv))
-    same(f * g, (x * y for x, y in zip(fv, gv)))
-    same(f * s, (x * s for x in fv))
-    same(s * f, (s * x for x in fv))
-    same(f.translate(a), (fv[group.mul(x, a)] for x in range(n)))
-    same(f.partial(a), (fv[group.mul(x, a)] - fv[x] for x in range(n)))
-    assert f.is_zero() == all(x.is_zero() for x in fv)
-    assert (f == g) == all(x == y for x, y in zip(fv, gv))
-    assert f == GroupFunction(group, list(fv))
+def _group(which, seed):
+    if which == "d3":
+        return dihedral(3)
+    if which == "d6xz2":
+        return direct_product_cyclic(dihedral(6), 2)
+    return relabelled(dihedral(6), seed) if which == "relabelled" else dihedral(6)
 
 
 @settings(max_examples=30, deadline=None)
-@given(c=_SCALARS, which=st.sampled_from(["d6", "s3", "relabelled"]),
+@given(data=st.data(), which=st.sampled_from(["d3", "d6", "relabelled", "d6xz2"]),
        seed=st.integers(0, 10**6))
-def test_equal_values_build_the_constant(d6, s3_group, c, which, seed):
-    group = {"d6": d6, "s3": s3_group}.get(which) or relabelled(d6, seed)
-    listed = GroupFunction(group, [c] * group.order)
-    constant = GroupFunction.constant(group, c)
-    assert listed == constant
-    assert _one_value_form(listed) and _one_value_form(constant)
-    assert listed.constant_value == constant.constant_value == c
+def test_constant_forms_match_the_varying_algebra(data, which, seed):
+    # each package operation on constant coefficients is the oracle's
+    # operation on the same forms held at every group element
+    group = _group(which, seed)
+    cal = Calculus(conjugacy_class(group, "sr"))
+    m, qdim = cal.n_members, cal.quotient_dim
+
+    def scalars(n):
+        return data.draw(st.lists(_SCALARS, min_size=n, max_size=n))
+
+    alpha, beta = cal.one_form(scalars(m)), cal.one_form(scalars(m))
+    omega = TwoForm(cal, scalars(qdim))
+    t = TensorOneOne(cal, [scalars(m) for _ in range(m)])
+    s = data.draw(_SCALARS)
+    conn = chart_connection(cal, *scalars(3))
+    A, B, W, T = constant_fields(group, (alpha, beta, omega, t))
+
+    def same(constant, varying):
+        assert varying == Field.constant(group, constant)
+
+    same(alpha + beta, A + B)
+    same(alpha - beta, A - B)
+    same(-alpha, -A)
+    same(alpha * s, A * s)
+    same(s * omega, W * s)
+    same(t * s, T * s)
+    same(cal.wedge(alpha, beta), A.wedge(B))
+    same(cal.d_one_form(alpha), A.d())
+    for variant in LIFT_VARIANTS:
+        same(lift(omega, variant), W.lift(variant))
+    same(wedge_of_tensor(t), T.wedge_of_tensor())
+    same(covariant_derivative(conn, alpha),
+         field_covariant_derivative(constant_fields(group, conn.components), A))

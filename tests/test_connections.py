@@ -16,9 +16,8 @@ import pytest
 from conftest import (ORACLE_CALS, affine_group, alternating4, direct_product_cyclic,
                       regular_constants)
 from groupgeo import connections, cyclotomic, geometry_reports, reporting
-from groupgeo.calculus import GroupFunction, differential_calculus
+from groupgeo.calculus import differential_calculus
 from groupgeo.connections import (
-    Connection,
     chart_connection,
     cotorsion_residual,
     is_regular,
@@ -27,27 +26,28 @@ from groupgeo.connections import (
     torsion_free_family,
     torsion_residual,
 )
-from groupgeo.cyclotomic import rat
+from groupgeo.cyclotomic import Cyclotomic, rat
 from groupgeo.errors import (GroupGeoError, InfeasibleSystemError, SingularMetricError,
                              UnsupportedGroupError)
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
 from groupgeo.reporting import Geometry
-from oracles import delta, expanded_functions, torsion_family_members, torsion_system
+from oracles import (constant_fields, delta, dense_vector, field_chart, torsion_family_members,
+                     torsion_system)
 
 
 def _const_chart(cal, a, b, c):
-    return chart_connection(cal, cal.constant(a), cal.constant(b), cal.constant(c))
+    return chart_connection(cal, rat(a), rat(b), rat(c))
 
 
 def test_chart_rows_layout(cal_d6):
     # the pattern holds off the constraint alpha + beta + gamma = -1 too
-    conn = chart_connection(cal_d6, *(cal_d6.constant(x) for x in (2, 3, 5)))
+    conn = _const_chart(cal_d6, 2, 3, 5)
     # rows (1+alpha, gamma, beta), (gamma, 1+beta, alpha), (beta, alpha, 1+gamma)
     expect = [(3, 5, 3), (5, 4, 2), (3, 2, 6)]
     for i in range(3):
         for j in range(3):
-            assert conn.coefficient(i, j) == cal_d6.constant(expect[i][j])
+            assert conn.coefficient(i, j) == rat(expect[i][j])
 
 
 def test_every_chart_member_is_torsion_free(cal_d6):
@@ -59,13 +59,20 @@ def test_every_chart_member_is_torsion_free(cal_d6):
         assert all(t.is_zero() for t in torsion_residual(conn))
 
 
+def _is_torsion_free(components) -> bool:
+    """The dense torsion system holds at the connection's coefficients."""
+    matrix, rhs = torsion_system(components[0].at[0].calculus)
+    return matrix @ dense_vector(components) == rhs
+
+
 def test_nonconstant_chart_parameters_allowed(cal_d6, d6):
     # pointwise constraint, not a constants-only one
-    alpha = delta(d6, 0) * rat(2)
-    beta = GroupFunction.constant(d6, Fraction(1, 2))
-    gamma = (alpha + beta + GroupFunction.constant(d6, 1)) * rat(-1)
-    conn = chart_connection(cal_d6, alpha, beta, gamma)
-    assert all(t.is_zero() for t in torsion_residual(conn))
+    alpha = tuple(x * 2 for x in delta(d6, 0))
+    beta = (rat(Fraction(1, 2)),) * d6.order
+    gamma = tuple(-1 - a - b for a, b in zip(alpha, beta))
+    assert _is_torsion_free(field_chart(cal_d6, alpha, beta, gamma))
+    # and the dense system does not hold off the constraint
+    assert not _is_torsion_free(field_chart(cal_d6, alpha, beta, beta))
 
 
 def test_torsion_free_family_dimension(family_d6, cal_d6):
@@ -81,8 +88,8 @@ def test_torsion_family_has_two_directions_on_s3_times_cyclic(s3_group, m):
     cal = geo.calculus
     _, directions = torsion_free_family(cal)
     assert len(directions) == 2
-    # every direction holds constants, one value per coefficient
-    assert all(f.constant_value is not None
+    # every direction holds constants, one scalar per coefficient
+    assert all(type(f) is Cyclotomic
                for direction in directions for comp in direction for f in comp.coeffs)
     report = geometry_reports.connection_report(geo)
     assert report["torsion_free_family_dimension"] == 2 * cal.group.order == 12 * m
@@ -94,19 +101,13 @@ def test_torsion_free_family_members_are_torsion_free(family_d6, cal_d6):
     kernel = torsion_family_members(cal_d6, directions)
     rng = random.Random(2718)
     for _ in range(4):
-        comps = list(particular.components)
+        comps = constant_fields(cal_d6.group, particular.components)
         for vec in rng.sample(kernel, 5):
             scale = rat(rng.randint(-2, 2))
             comps = [c + v * scale for c, v in zip(comps, vec)]
-        member = Connection(cal_d6, comps)
-        assert all(t.is_zero() for t in torsion_residual(member))
+        assert _is_torsion_free(comps)
         # torsion freedom forces the component sum to vanish
-        assert member.sum_form().is_zero()
-
-
-def _dense_vector(components, order):
-    # the column order of torsion_system: (c*m + b)*|G| + h
-    return [f(h) for comp in components for f in comp.coeffs for h in range(order)]
+        assert sum(comps[1:], comps[0]).is_zero()
 
 
 @pytest.mark.parametrize("name", ORACLE_CALS + ["cal_a4"])
@@ -114,11 +115,10 @@ def test_factored_family_matches_dense_torsion_solve(name, request):
     cal = request.getfixturevalue(name)
     conn, directions = torsion_free_family(cal)
     particular, dense_kernel = solve_affine(*torsion_system(cal))
-    order = cal.group.order
-    assert _dense_vector(conn.components, order) == particular
+    assert dense_vector(constant_fields(cal.group, conn.components)) == particular
     # the directions lifted over the cosets (h,) of K = {e}, vector for vector
     members = torsion_family_members(cal, directions)
-    assert [_dense_vector(k, order) for k in members] == dense_kernel
+    assert [dense_vector(k) for k in members] == dense_kernel
     if name == "cal_a4":
         # a 4-member class: three directions, placed at each of 12 elements
         assert len(directions) == 3 and len(dense_kernel) == 36
@@ -134,23 +134,6 @@ def test_affine_group_of_order_20_has_no_torsion_free_connection():
         solve_affine(*torsion_system(cal))
 
 
-def test_torsion_free_family_builds_no_function_of_the_group_order(monkeypatch):
-    # the family is stated on its factor: every coefficient is a constant,
-    # and no function holding |G| values is built
-    cal = differential_calculus(conjugacy_class(direct_product_cyclic(dihedral(6), 2), "sr"))
-    built = []
-    init = GroupFunction.__init__
-
-    def counted(self, group, values):
-        built.append(group.order)
-        init(self, group, values)
-
-    monkeypatch.setattr(GroupFunction, "__init__", counted)
-    _, directions = torsion_free_family(cal)
-    assert built == []
-    assert len(directions) == 2
-
-
 def test_levi_civita_components(cal_d6, lc_d6):
     third = Fraction(1, 3)
     for pos in range(3):
@@ -158,7 +141,7 @@ def test_levi_civita_components(cal_d6, lc_d6):
         assert lc_d6.components[pos] == expect
     assert lc_d6.parameters is not None
     for p in lc_d6.parameters:
-        assert p == cal_d6.constant(-third)
+        assert p == rat(-third)
 
 
 def _identity_bucket(conn):
@@ -277,7 +260,7 @@ def test_scan_rejects_non_affine_residual(monkeypatch):
 
     def with_square(conn):
         out = original(conn)
-        alpha = conn.parameters[0](0)
+        alpha = conn.parameters[0]
         g = next(iter(out))
         out[g] = out[g] + conn.calculus.d_basis(0) * (alpha * alpha)
         return out
@@ -302,6 +285,20 @@ def test_scan_requires_exactly_one_regular_member(monkeypatch, value, error, mat
     monkeypatch.setattr(connections, "regularity_residual", constant_residual)
     cal = differential_calculus(conjugacy_class(dihedral(6), "sr"))
     with pytest.raises(error, match=match):
+        levi_civita(cal)
+
+
+@pytest.mark.parametrize("name,fake,check", [
+    ("torsion_residual", lambda conn: [conn.calculus.d_basis(0)], "torsion"),
+    ("cotorsion_residual", lambda conn: [conn.calculus.d_basis(0)], "cotorsion"),
+    ("is_regular", lambda conn: False, "regularity"),
+], ids=["torsion", "cotorsion", "regularity"])
+def test_the_solved_member_must_pass_each_check(monkeypatch, name, fake, check):
+    # the connection report states the three residuals zero because
+    # levi_civita refuses a solved member that fails any of them
+    monkeypatch.setattr(connections, name, fake)
+    cal = differential_calculus(conjugacy_class(dihedral(6), "sr"))
+    with pytest.raises(GroupGeoError, match=f"failed the {check} check"):
         levi_civita(cal)
 
 
@@ -363,8 +360,7 @@ def _counting_scalars():
 
 def _geometry_counts() -> list:
     """Scalars allocated by a first and a second levi_civita call on a fresh
-    calculus of D3, D6 and D6 x Z2 (orders 6, 12 and 24).  Each calculus is
-    built here, so no shared calculus is derived inside expanded_functions."""
+    calculus of D3, D6 and D6 x Z2 (orders 6, 12 and 24)."""
     out = []
     for group in (dihedral(3), dihedral(6), direct_product_cyclic(dihedral(6), 2)):
         cal = differential_calculus(conjugacy_class(group, "sr"))
@@ -383,9 +379,14 @@ def test_levi_civita_and_scan_arithmetic_is_independent_of_the_order():
     assert counts[0] == counts[1] == counts[2]
 
 
-def test_the_order_check_sees_the_expanded_path():
-    # the same counts with every function held as |G| values grow with |G|,
-    # so the check above would fail on that path
-    with expanded_functions():
-        counts = _geometry_counts()
-    assert counts[0] != counts[1] != counts[2]
+def test_torsion_free_family_builds_no_function_of_the_group_order():
+    # the family is stated on its factor: the same scalars are allocated on
+    # D3, D6 and D6 x Z2 (orders 6, 12 and 24), and none grows with |G|
+    counts = []
+    for group in (dihedral(3), dihedral(6), direct_product_cyclic(dihedral(6), 2)):
+        cal = differential_calculus(conjugacy_class(group, "sr"))
+        with _counting_scalars() as count:
+            _, directions = torsion_free_family(cal)
+        assert len(directions) == 2
+        counts.append(count[0])
+    assert counts[0] > 0 and counts[0] == counts[1] == counts[2]

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import alternating4, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import curvature, geometry_reports, linalg
-from groupgeo.calculus import Calculus, GroupFunction, TensorOneOne, TwoForm, differential_calculus
+from groupgeo.calculus import Calculus, TensorOneOne, TwoForm, differential_calculus
 from groupgeo.connections import chart_connection, levi_civita
 from groupgeo.curvature import (
     LIFT_VARIANTS,
@@ -22,17 +22,19 @@ from groupgeo.curvature import (
     ricci_system,
     wedge_of_tensor,
 )
-from groupgeo.cyclotomic import rat
+from groupgeo.cyclotomic import ZERO, rat
 from groupgeo.errors import UnsupportedGroupError
 from groupgeo.groups import ConjClass, conjugacy_class, dihedral
-from oracles import (curvature_of, delta, dense_system, lifted_ricci, rank, riemann,
-                     subgroup_calculus, three_chart_ricci_system)
+from oracles import (Field, constant_fields, curvature_of, d_function, delta, dense_system,
+                     field_chart, field_covariant_derivative, field_curvature_forms,
+                     field_relative_curvature, lifted_ricci, rank, riemann, subgroup_calculus,
+                     three_chart_ricci_system, translate)
 from groupgeo.linalg import Mat, same_element, solve_affine
 from groupgeo.reporting import Geometry
 
 
 def _basis_two_form(cal, k):
-    return TwoForm(cal, [cal.constant(1 if i == k else 0) for i in range(4)])
+    return TwoForm(cal, [rat(1 if i == k else 0) for i in range(4)])
 
 
 def test_covariant_derivative_of_first_basis_form(cal_d6, lc_d6):
@@ -44,20 +46,22 @@ def test_covariant_derivative_of_first_basis_form(cal_d6, lc_d6):
     nabla = covariant_derivative(lc_d6, cal_d6.basis_one_form(0))
     for p in range(3):
         for q in range(3):
-            assert nabla.coords[p][q] == cal_d6.constant(grid[p][q])
+            assert nabla.coords[p][q] == rat(grid[p][q])
 
 
 def test_covariant_derivative_leibniz(cal_d6, lc_d6):
+    # the oracle's nabla of f e_b against the package's nabla e_b
     rng = random.Random(404)
-    f = GroupFunction(cal_d6.group, [Fraction(rng.randint(-4, 4)) for _ in range(12)])
+    group = cal_d6.group
+    f = tuple(rat(rng.randint(-4, 4)) for _ in range(12))
     alpha = cal_d6.basis_one_form(1)
-    f_alpha = cal_d6.one_form([f * c for c in alpha.coeffs])
-    lhs = covariant_derivative(lc_d6, f_alpha)
-    df = cal_d6.d_function(f)
-    rhs = covariant_derivative(lc_d6, alpha) * f
-    extra = TensorOneOne(cal_d6, [
-        [df.coeffs[p] if q == 1 else cal_d6.zero_function() for q in range(3)]
-        for p in range(3)])
+    lhs = field_covariant_derivative(constant_fields(group, lc_d6.components),
+                                     Field.constant(group, alpha) * f)
+    df = d_function(cal_d6, f)
+    rhs = Field.constant(group, covariant_derivative(lc_d6, alpha)) * f
+    extra = Field(group, [TensorOneOne(cal_d6, [
+        [form.coeffs[p] if q == 1 else ZERO for q in range(3)] for p in range(3)])
+        for form in df.at])
     assert lhs == rhs + extra
 
 
@@ -78,10 +82,10 @@ def test_riemann_follows_conjugation_pattern(cal_d6, cls_d6, lc_d6):
 
 def test_curvature_of_is_left_linear(cal_d6, lc_d6):
     rng = random.Random(111)
-    f = GroupFunction(cal_d6.group, [Fraction(rng.randint(-3, 3)) for _ in range(12)])
-    alpha = cal_d6.basis_one_form(2)
-    f_alpha = cal_d6.one_form([f * c for c in alpha.coeffs])
-    assert curvature_of(lc_d6, f_alpha) == riemann(lc_d6)[2] * f
+    group = cal_d6.group
+    f = tuple(rat(rng.randint(-3, 3)) for _ in range(12))
+    f_alpha = Field.constant(group, cal_d6.basis_one_form(2)) * f
+    assert curvature_of(lc_d6, f_alpha) == Field.constant(group, riemann(lc_d6)[2]) * f
 
 
 def test_canonical_lift_is_a_section(cal_d6):
@@ -97,7 +101,7 @@ def test_canonical_lift_of_first_monomial(cal_d6):
     expect = {(1, 0): half, (2, 1): -half, (0, 2): -half}
     for p in range(3):
         for q in range(3):
-            assert t.coords[p][q] == cal_d6.constant(expect.get((p, q), 0))
+            assert t.coords[p][q] == rat(expect.get((p, q), 0))
 
 
 def test_braided_lift_is_not_a_section(cal_d6):
@@ -106,7 +110,7 @@ def test_braided_lift_is_not_a_section(cal_d6):
     for k, coords in images.items():
         back = wedge_of_tensor(lift(_basis_two_form(cal_d6, k), "braided"))
         for i in range(4):
-            assert back.coeffs[i] == cal_d6.constant(coords[i])
+            assert back.coeffs[i] == rat(coords[i])
     assert any(images[k] != tuple(1 if i == k else 0 for i in range(4))
                for k in range(4))
 
@@ -122,8 +126,7 @@ def test_distinguished_connection_is_ricci_flat(ricci_lc_d6):
 
 
 def test_off_distinguished_chart_is_not_ricci_flat(cal_d6):
-    conn = chart_connection(
-        cal_d6, cal_d6.constant(-1), cal_d6.constant(0), cal_d6.constant(0))
+    conn = chart_connection(cal_d6, rat(-1), rat(0), rat(0))
     assert not ricci(conn)["canonical"].is_zero()
 
 
@@ -131,8 +134,8 @@ def test_ricci_flat_solve_unique_with_constraint(ricci_solve_d6, cal_d6):
     for variant in ("canonical", "braided"):
         particular, kernel_dimension = ricci_solve_d6[variant]
         assert kernel_dimension == 0
-        for func in particular:
-            assert func == cal_d6.constant(Fraction(-1, 3))
+        for value in particular:
+            assert value == rat(Fraction(-1, 3))
 
 
 def _unconstrained(system):
@@ -142,17 +145,17 @@ def _unconstrained(system):
 
 
 def _unconstrained_ricci_flat_solve(cal, variant):
-    """The Ricci-flat solve without the chart constraint, dense on G."""
+    """The Ricci-flat solve without the chart constraint, dense on G: each
+    solution as its three parameter functions."""
     grp = cal.group
-    order = grp.order
     unconstrained = _unconstrained(ricci_system(cal)[variant])
     particular, kernel = solve_affine(*dense_system(*unconstrained, grp))
+    return _params_from_vec(particular, grp.order), [_params_from_vec(v, grp.order)
+                                                     for v in kernel]
 
-    def params_from_vec(vec):
-        return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
-                     for i in range(3))
 
-    return params_from_vec(particular), [params_from_vec(v) for v in kernel]
+def _params_from_vec(vec, order):
+    return tuple(tuple(vec[i * order:(i + 1) * order]) for i in range(3))
 
 
 def test_ricci_flat_solve_unconstrained_kernel(cal_d6, d6):
@@ -162,18 +165,16 @@ def test_ricci_flat_solve_unconstrained_kernel(cal_d6, d6):
     for alpha, beta, gamma in kernel:
         # equal parameter shifts, constant on cosets of the r2 subgroup
         assert alpha == beta == gamma
-        assert alpha.translate(r2) == alpha
+        assert translate(d6, alpha, r2) == alpha
     # the four directions span all r2-coset-invariant functions
-    values = [[k[0](g) for g in range(12)] for k in kernel]
-    assert rank(Mat(values)) == 4
+    assert rank(Mat([k[0] for k in kernel])) == 4
 
 
 def test_unconstrained_kernel_directions_preserve_flatness(cal_d6, d6):
     particular, kernel = _unconstrained_ricci_flat_solve(cal_d6, "canonical")
-    alpha, beta, gamma = kernel[0]
-    shifted = chart_connection(
-        cal_d6, particular[0] + alpha, particular[1] + beta, particular[2] + gamma)
-    assert ricci(shifted)["canonical"].is_zero()
+    shifted = field_chart(cal_d6, *(tuple(x + y for x, y in zip(p, k))
+                                    for p, k in zip(particular, kernel[0])))
+    assert lifted_ricci(shifted, "canonical").is_zero()
 
 
 def test_s3_ricci_flat(s3_cal):
@@ -184,24 +185,22 @@ def test_s3_ricci_flat(s3_cal):
     assert all(t.is_zero() for t in tensors.values())
 
 
+def _ricci_vector(tensor):
+    """A Ricci tensor field in the row order of the dense Ricci system:
+    coordinate (p, q) at g sits at (p*m + q)*|G| + g."""
+    return [x for k in range(len(tensor.at[0].coeffs)) for x in tensor.coefficient(k)]
+
+
 def _jacobian_by_evaluation(cal, variant):
-    """The unconstrained Ricci system assembled from one ricci evaluation
-    per unknown: the oracle for the left-translation assembly."""
-    grp = cal.group
-    order = grp.order
-    m = cal.n_members
+    """The unconstrained Ricci system assembled from one evaluation of the
+    oracle's Ricci (lifted_ricci) per unknown: the oracle for the
+    left-translation assembly."""
+    order = cal.group.order
     nunk = 3 * order
 
-    def params_from_vec(vec):
-        return tuple(GroupFunction(grp, vec[i * order:(i + 1) * order])
-                     for i in range(3))
-
-    def flatten(t):
-        return [t.coords[p][q](g) for p in range(m) for q in range(m)
-                for g in range(order)]
-
     def ricci_at(vec):
-        return flatten(ricci(chart_connection(cal, *params_from_vec(vec)))[variant])
+        return _ricci_vector(lifted_ricci(field_chart(cal, *_params_from_vec(vec, order)),
+                                          variant))
 
     base = ricci_at([rat(0)] * nunk)
     cols = []
@@ -252,8 +251,9 @@ def h_block_cal(request):
     return H_BLOCK_CASES[request.param](request.getfixturevalue)
 
 
-def _flat(params):
-    return [x for f in params for x in f.values]
+def _flat(params, order):
+    # each constant parameter at every element, as a dense solve lists it
+    return [p for p in params for _ in range(order)]
 
 
 def test_subgroup_calculus_keeps_the_class_order(h_block_cal):
@@ -307,7 +307,7 @@ def test_ricci_flat_solve_equals_dense_solve(h_block_cal, variant):
     dense, kernel = solve_affine(*dense_system(*ricci_system(h_block_cal)[variant],
                                                h_block_cal.group))
     assert kernel == []
-    assert (_flat(particular), kernel_dimension) == (dense, 0)
+    assert (_flat(particular, h_block_cal.group.order), kernel_dimension) == (dense, 0)
 
 
 @pytest.fixture
@@ -322,7 +322,7 @@ def unconstrained_h_block_solve(monkeypatch):
     def solve(cal, variant):
         params, kernel_dimension = ricci_flat_solve(cal)[variant]
         assert kernel_dimension
-        return _flat(params), kernel_dimension
+        return _flat(params, cal.group.order), kernel_dimension
     return solve
 
 
@@ -380,7 +380,7 @@ def test_ricci_solve_size_does_not_grow_with_the_group(request, monkeypatch, bui
     assert list(solves) == list(LIFT_VARIANTS)
     for particular, kernel_dimension in solves.values():
         assert kernel_dimension == 0
-        assert all(f == cal.constant(Fraction(-1, 3)) for f in particular)
+        assert all(p == rat(Fraction(-1, 3)) for p in particular)
     # per variant, the exact rref sees 10 rows by 3 unknowns and the
     # right-hand side on constants, and nullity counts the kernel on the
     # |H| = 6 elements of H from 10 x 3 coefficients, and finds it zero
@@ -444,24 +444,32 @@ def chart_cal(request):
     return CHART_CLASS_CASES[request.param](request.getfixturevalue)
 
 
-def _constrained_members(cal):
-    """Chart members with alpha + beta + gamma = -1 at every element, three
-    with constant parameters and three with parameters valued in delta_e
-    beside constants."""
-    const = cal.constant
+_THIRD = Fraction(-1, 3)
+# chart parameters as (constant, coefficient of delta_e) each: three
+# constant triples and three valued in delta_e beside constants
+_CONSTRAINED = [
+    ((_THIRD, 0), (_THIRD, 0), (_THIRD, 0)),
+    ((-1, 0), (0, 0), (0, 0)),
+    ((2, 0), (Fraction(-5, 2), 0), (Fraction(-1, 2), 0)),
+    ((-1, 1), (0, -1), (0, 0)),
+    ((_THIRD, 2), (_THIRD, -1), (_THIRD, -1)),
+    ((0, Fraction(1, 2)), (-1, 0), (0, Fraction(-1, 2))),
+]
+
+
+def _constrained_parameters(cal):
+    """The chart parameter functions of _CONSTRAINED, alpha + beta + gamma
+    = -1 at every element, each with the package connection of its
+    constant ones (None when they vary)."""
     delta_e = delta(cal.group, 0)
-    third = const(Fraction(-1, 3))
-    params = [
-        (third, third, third),
-        (const(-1), const(0), const(0)),
-        (const(2), const(Fraction(-5, 2)), const(Fraction(-1, 2))),
-        (delta_e - const(1), -delta_e, const(0)),
-        (third + delta_e * 2, third - delta_e, third - delta_e),
-        (delta_e * Fraction(1, 2), const(-1), -delta_e * Fraction(1, 2)),
-    ]
-    for alpha, beta, gamma in params:
-        assert alpha + beta + gamma == const(-1)
-    return [chart_connection(cal, *p) for p in params]
+    out = []
+    for triple in _CONSTRAINED:
+        params = tuple(tuple(rat(c) + rat(d) * x for x in delta_e) for c, d in triple)
+        assert all(a + b + c == -1 for a, b, c in zip(*params))
+        varies = any(d for _, d in triple)
+        out.append((params, None if varies else
+                    chart_connection(cal, *(rat(c) for c, _ in triple))))
+    return out
 
 
 def test_class_table_system_is_the_three_chart_system_on_chart_classes(chart_cal):
@@ -470,30 +478,44 @@ def test_class_table_system_is_the_three_chart_system_on_chart_classes(chart_cal
 
 def test_ricci_is_the_lifted_and_contracted_curvature(chart_cal):
     # off the distinguished connection, with constant parameters and with
-    # parameters valued in delta_e
-    for conn in _constrained_members(chart_cal)[1:]:
-        tensors = ricci(conn)
-        assert list(tensors) == list(LIFT_VARIANTS)
-        for variant, tensor in tensors.items():
-            assert not tensor.is_zero()
-            assert tensor == lifted_ricci(conn, variant)
+    # parameters valued in delta_e: the package's Ricci of a constant member,
+    # and the Ricci system applied to any member's parameters, against the
+    # oracle's lifted and contracted Ricci
+    group = chart_cal.group
+    systems = ricci_system(chart_cal)
+    for params, conn in _constrained_parameters(chart_cal)[1:]:
+        tensors = ricci(conn) if conn is not None else None
+        for variant in LIFT_VARIANTS:
+            oracle = lifted_ricci(field_chart(chart_cal, *params), variant)
+            assert not oracle.is_zero()
+            if tensors is not None:
+                assert list(tensors) == list(LIFT_VARIANTS)
+                assert Field.constant(group, tensors[variant]) == oracle
+            op, _ = dense_system(*_unconstrained(systems[variant]), group)
+            assert op @ [x for p in params for x in p] == _ricci_vector(oracle)
 
 
 def test_zero_chart_has_vanishing_relative_curvature(chart_cal):
     # A_a = e_a, so d(A_a) - de_a = 0: the Ricci system needs no zero chart
-    zero = chart_cal.zero_function()
-    forms = relative_curvature(chart_connection(chart_cal, zero, zero, zero))
+    forms = relative_curvature(chart_connection(chart_cal, ZERO, ZERO, ZERO))
     assert len(forms) == 3 and all(g.is_zero() for g in forms)
 
 
 def test_constrained_members_curvature_is_relative_plus_background(chart_cal):
     # the quadratic terms of the component curvature cancel on the chart
-    # constraint, constant parameters or not
-    for conn in _constrained_members(chart_cal):
-        assert conn.sum_form().is_zero()
-        relative = relative_curvature(conn)
-        for pos, form in enumerate(curvature_forms(conn)):
-            assert form == relative[pos] + chart_cal.d_basis(pos)
+    # constraint, constant parameters (the package) or not (the oracle)
+    group = chart_cal.group
+    for params, conn in _constrained_parameters(chart_cal):
+        if conn is not None:
+            assert conn.sum_form().is_zero()
+            relative = relative_curvature(conn)
+            for pos, form in enumerate(curvature_forms(conn)):
+                assert form == relative[pos] + chart_cal.d_basis(pos)
+        comps = field_chart(chart_cal, *params)
+        assert sum(comps[1:], comps[0]).is_zero()
+        relative = field_relative_curvature(comps)
+        for pos, form in enumerate(field_curvature_forms(comps)):
+            assert form == relative[pos] + Field.constant(group, chart_cal.d_basis(pos))
 
 
 def test_no_product_of_two_chart_class_members_is_a_member(chart_cal):
@@ -507,23 +529,19 @@ def test_no_product_of_two_chart_class_members_is_a_member(chart_cal):
 
 def _label_free_layers(group) -> dict:
     """What the connection and Ricci layers compute on the class of sr, each
-    function read by element name so that renumbering the elements cannot
-    change it."""
+    a constant or a count, so that renumbering the elements cannot change
+    it."""
     geo = Geometry(conjugacy_class(group, "sr"))
     cal = geo.calculus
-
-    def by_name(f):
-        return {group.names[g]: f(g) for g in range(group.order)}
-
     report = geometry_reports.connection_report(geo)
     out = {
-        "levi_civita": [by_name(p) for p in levi_civita(cal).parameters],
+        "levi_civita": levi_civita(cal).parameters,
         "scan": report["constant_regular_scan"],
         "family_dimension": report["torsion_free_family_dimension"],
         "sum_of_components_vanishes": report["sum_of_components_vanishes"],
     }
     for variant, (params, kernel_dimension) in ricci_flat_solve(cal).items():
-        out[variant] = ([by_name(p) for p in params], kernel_dimension)
+        out[variant] = (params, kernel_dimension)
     return out
 
 

@@ -17,7 +17,7 @@ from conftest import direct_product_cyclic, relabelled
 from groupgeo import (catalogs, connections, dirac, linalg, reporting, representations, spectra,
                       spinor_reports)
 from groupgeo.calculus import differential_calculus
-from groupgeo.connections import Connection, chart_connection, levi_civita
+from groupgeo.connections import levi_civita
 from groupgeo.cyclotomic import cyclo, rat
 from groupgeo.catalogs import eigenmode_catalog, wave_eigenmode_catalog
 from groupgeo.dirac import (
@@ -58,7 +58,6 @@ from oracles import (
     class_translation_sum,
     coframe_coefficients,
     coset_lift,
-    delta,
     dense_chirality,
     dense_dirac_operator,
     dense_wave_operator,
@@ -761,27 +760,6 @@ def test_block_reads_hermiticity_and_trace_of_the_full_operator(
     dropped = data.draw(st.sampled_from(sorted(coeffs)))
     assert same_element(coeffs, {h: m for h, m in coeffs.items() if h != dropped}) == (
         coeffs[dropped].is_zero())
-
-
-def test_dirac_operator_refuses_a_varying_connection(rep_d6, cal_d6, d6):
-    # a torsion-free chart connection whose first parameter is a delta
-    alpha = delta(d6, 1)
-    conn = chart_connection(cal_d6, alpha, cal_d6.constant(-1) - alpha,
-                            cal_d6.constant(0))
-    with pytest.raises(ValueError, match="constant coefficients"):
-        dirac_operator(rep_d6, conn)
-
-
-def test_dirac_operator_accepts_equal_values_listed_per_element(
-        rep_d6, cal_d6, family_d6):
-    # the torsion solve lists |G| values per coefficient of its particular
-    # solution; equal values are a constant however they were built
-    particular, _ = family_d6
-    by_constants = Connection(cal_d6, [
-        cal_d6.one_form([cal_d6.constant(particular.coefficient(a, b)(0))
-                         for b in range(3)])
-        for a in range(3)])
-    assert dirac_operator(rep_d6, particular) == dirac_operator(rep_d6, by_constants)
 
 
 def test_assembly_needs_elements_closed_under_the_support(d6, cls_d6):
