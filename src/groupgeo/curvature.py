@@ -254,8 +254,7 @@ def solve_invariant(coeffs: Mapping[int, Mat], rhs: Sequence, group: FiniteGroup
     holding (sum_h M_h) c, solve_affine on (sum_h M_h) c = rhs, nrows x
     ncols, raises InfeasibleSystemError exactly when it would on S, and c
     sets its free entries to zero.  linalg.nullity counts the kernel of S
-    by one exact elimination over the integers, so the coefficients must
-    be rational, as the Ricci system's are.
+    by one fraction-free elimination, without writing S out.
     """
     blocks = list(coeffs.values())
     constant, _ = solve_affine(sum(blocks[1:], blocks[0]), rhs)

@@ -23,13 +23,10 @@ equally whatever their order, and a rational hashes like its ``int`` or
 ``Fraction``.
 
 Subtraction has its own body, shaped like addition, and builds no
-negated copy of its operand.  Two fused kernels serve elimination and
-matrix products: ``submul(a, f, b)`` is a - f*b, built directly when all
-three are rationals, and ``dot(xs, ys)`` sums the products of rational
-pairs as integers over a common denominator, adds the other nonzero
-products as elements and reduces once.  Each returns the reduced form,
-in the order, that the operators it stands for would (for ``dot``,
-adding the nonzero products one at a time).
+negated copy of its operand.  One fused kernel serves matrix products:
+``dot(xs, ys)`` sums the products of rational pairs as integers over one
+denominator, adds the others as elements and reduces once, in the order
+that adding the nonzero products one at a time would.
 """
 
 from __future__ import annotations
@@ -376,17 +373,6 @@ def _scale(x: Cyclotomic, num: int, den: int) -> Cyclotomic:
 def _common(a: Cyclotomic, b: Cyclotomic) -> tuple[Cyclotomic, Cyclotomic]:
     m = lcm(a._order, b._order)
     return a.to_order(m), b.to_order(m)
-
-
-def submul(a: Cyclotomic, f: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """a - f * b, one object when all three are rationals."""
-    if a._order == 1 == f._order == b._order:
-        (x,), ad = a._nums, a._den
-        pn, pd = f._nums[0] * b._nums[0], f._den * b._den
-        if ad == pd:
-            return _rational(x - pn, ad)
-        return _rational(x * pd - pn * ad, ad * pd)
-    return a - f * b
 
 
 def dot(xs, ys) -> Cyclotomic:

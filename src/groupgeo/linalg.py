@@ -2,19 +2,16 @@
 
 Matrices are immutable rectangular tuples of Cyclotomic entries.  Vectors
 are plain Python lists (or tuples) of scalars; a matrix acts on a vector
-with ``@``.  Elimination always picks the first row with a nonzero entry
-as pivot, so every reduction is deterministic and reproducible.
+with ``@``, each entry of the product one fused ``dot`` from the
+cyclotomic module.  The constructor keeps entries that are already
+Cyclotomic as they are.
 
-Gauss-Jordan elimination updates each row only in the nonzero columns of
-the pivot row, which keeps the sparse systems of the torsion and Ricci
-solves cheap.  Each update is one fused ``submul`` and each entry of a
-product one fused ``dot``, from the cyclotomic module: on rational entries,
-which the torsion and Ricci systems are throughout, they build one scalar
-per step and sum a row-by-column product as integers before reducing once.
-The constructor keeps entries that are already Cyclotomic as they are.
-
-Nothing here is floating point.  Rank, kernels and inverses are exact,
-which is what makes downstream eigenvalue certification possible.
+Every elimination in the package is one fraction-free Echelon, which
+divides in the field only to read a row out and, on an irrational system,
+once per new pivot row: rref reads out each pivot row, nullity counts the
+pivots, and spectra's Krylov step reads a minimal polynomial off the first
+row that reduces to its trailing columns.  Nothing here is floating point:
+rank, kernels and inverses are exact, as eigenvalue certification needs.
 
 The Ricci system and the Dirac and wave operators are group-algebra
 elements sum_h M_h (x) R(h), constant nrows x ncols coefficients times
@@ -22,18 +19,18 @@ right translations, and this module alone lays out their coefficient form
 {h: M_h} as rows: assemble writes the matrix on functions on K, the p-th
 element of K in component i at index i*|K| + p (spectra.irreducible_blocks
 reads the same coefficients in the coordinates of matrix coefficients),
-and nullity counts its kernel, for rational coefficients, without
-building it.  Such an operator commutes with left translation, so with a
-constant right-hand side curvature.solve_invariant finds a constant
-solution from sum_h M_h alone.
+and nullity counts its kernel without building it.  Such an operator
+commutes with left translation, so with a constant right-hand side
+curvature.solve_invariant finds a constant solution from sum_h M_h alone.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
+from operator import floordiv, truediv
 from typing import Iterable, Mapping, Sequence
 
-from .cyclotomic import ONE, ZERO, Cyclotomic, dot, rat, submul
+from .cyclotomic import ONE, ZERO, Cyclotomic, dot, rat
 from .errors import InfeasibleSystemError
 from .groups import FiniteGroup
 
@@ -140,39 +137,101 @@ class Mat:
         return f"Mat {self.nrows}x{self.ncols}\n{body}"
 
 
-def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and the pivot column indices.
+class Echelon:
+    """The package's one elimination: a fraction-free echelon form with
+    primitive rows, over Z or over Z[zeta_N] for N the common order of the
+    rows it is made for; clear writes a row as a sparse dict of integral
+    coordinates, ints when every scalar is rational.  A row joins at its
+    leftmost nonzero column, reduced there by integer cross-multiplication
+    with that column's pivot row, a new pivot each time, so a row that
+    needs more reductions than there are pivots raises RuntimeError."""
 
-    Pivot choice is positional (first nonzero in the column), never by
-    magnitude, so the result is identical on every run.
-    """
-    rows = [list(r) for r in matrix.rows]
-    nr, nc = len(rows), matrix.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        src = next((i for i in range(r, nr) if rows[i][c]), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[c]
-        # the pivot row is zero left of c, so updates touch only its
-        # nonzero columns
-        nonzero = [j for j in range(c, nc) if prow[j]]
-        for j in nonzero:
-            prow[j] = prow[j] * inv
-        for i in range(nr):
-            row = rows[i]
-            f = row[c]
-            if i != r and f:
-                for j in nonzero:
-                    row[j] = submul(row[j], f, prow[j])
-        pivots.append(c)
-        r += 1
-    return Mat(rows), tuple(pivots)
+    def __init__(self, rows: Iterable[Sequence[Cyclotomic]]):
+        self.pivots = {}
+        self.rational = all(x.is_rational() for row in rows for x in row)
+        self.content, self.exact = (gcd, floordiv) if self.rational else (_content, truediv)
+
+    def clear(self, xs: Sequence[Cyclotomic]) -> dict:
+        """The nonzero scalars of xs by position, times the lcm of their
+        denominators: ints on a rational echelon, integral elements otherwise."""
+        scale = lcm(*(x.den for x in xs))
+        if self.rational:
+            return {j: x.nums[0] * (scale // x.den) for j, x in enumerate(xs) if x}
+        return {j: x * scale for j, x in enumerate(xs) if x}
+
+    def insert(self, row: dict) -> int | None:
+        """Reduce row in place and add what is left, made primitive, as a
+        pivot row: its column, or None when the row reduces to zero."""
+        for _ in range(len(self.pivots) + 1):
+            if not row:
+                return None
+            c = min(row)
+            if c not in self.pivots:
+                if not self.rational:
+                    # a gcd keeps ring factors such as 1 - zeta, so the row times 1/lead,
+                    # cleared of denominators, leads with an integer for every reduction
+                    inv = row[c].inverse()
+                    row = {j: v * (inv * inv.den) for j, v in row.items()}
+                self.pivots[c] = self._primitive(row)
+                return c
+            self.eliminate(row, c)
+        raise RuntimeError("linalg.Echelon: a row took more reductions than "
+                           f"the {len(self.pivots)} pivots; the elimination is broken")
+
+    def eliminate(self, row: dict, c: int) -> None:
+        """row <- d row - f pivot for the pivot row of column c, f / d being
+        row[c] / pivot[c] cancelled by their content: clears column c."""
+        pivot = self.pivots[c]
+        common = self.content(row[c], pivot[c])
+        f, d = self.exact(row[c], common), self.exact(pivot[c], common)
+        if d != 1:
+            for j in row:
+                row[j] *= d
+        for j, v in pivot.items():
+            # f * v is nonzero, so a zero result was an entry of row
+            w = row.get(j, 0) - f * v
+            if w:
+                row[j] = w
+            else:
+                del row[j]
+
+    def back_reduce(self) -> None:
+        """Clear each pivot row at the other pivot columns, right to left,
+        with pivot rows that are already clear."""
+        for c in sorted(self.pivots, reverse=True):
+            row = self.pivots[c]
+            for k in [k for k in row if k != c and k in self.pivots]:
+                self.eliminate(row, k)
+            self.pivots[c] = self._primitive(row)
+
+    def _primitive(self, row: dict) -> dict:
+        g = self.content(*row.values())
+        return row if g == 1 else {j: self.exact(v, g) for j, v in row.items()}
+
+
+def _content(*scalars: Cyclotomic) -> int:
+    """The gcd of the integer coordinates of integral elements."""
+    return gcd(*(n for x in scalars for n in x.nums))
+
+
+def quotient(row: dict, column: int, columns: Iterable[int]) -> list[Cyclotomic]:
+    """An echelon row's entries in the given columns over its entry at
+    column, as exact scalars, by one field division."""
+    inv = ONE / row[column]
+    return [inv * row[j] if j in row else ZERO for j in columns]
+
+
+def rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Reduced row echelon form and the pivot column indices: every row
+    joins one Echelon, the pivot rows are back-reduced, and each is divided
+    by its pivot once.  The form is unique, whatever the order of reduction."""
+    echelon = Echelon(matrix.rows)
+    for row in matrix.rows:
+        echelon.insert(echelon.clear(row))
+    echelon.back_reduce()
+    pivots = sorted(echelon.pivots)
+    rows = [quotient(echelon.pivots[c], c, range(matrix.ncols)) for c in pivots]
+    return Mat(rows + [[ZERO] * matrix.ncols] * (matrix.nrows - len(pivots))), tuple(pivots)
 
 
 def _kernel_from_rref(red: Mat, pivots: Sequence[int], nc: int) -> list[list]:
@@ -261,14 +320,12 @@ def assemble(coeffs: Mapping[int, Mat], group: FiniteGroup,
 
 
 def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[int]) -> int:
-    """The kernel dimension of assemble(coeffs, group, elements) for
-    rational coefficients, by fraction-free elimination over the integers:
-    row i of every M_h is cleared by one common denominator, and the rows
-    join an echelon form element by element, breadth first along right
-    multiplication by the keys, which keeps the fill-in near the diagonal.
-    ValueError on elements not closed under the keys, as from assemble,
-    and on an irrational coefficient.  Each reduction uses a distinct pivot,
-    so a row that needs more raises RuntimeError instead of looping."""
+    """The kernel dimension of assemble(coeffs, group, elements), by one
+    Echelon and without writing the matrix out: row i of every M_h is
+    cleared by one common denominator, and the rows join element by
+    element, breadth first along right multiplication by the keys, which
+    keeps the fill-in near the diagonal, until the column rank is full.
+    ValueError on elements not closed under the keys, as from assemble."""
     shape = next(iter(coeffs.values()))
     ncols = shape.ncols * len(elements)
     members = set(elements)
@@ -287,44 +344,17 @@ def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[in
                     pos[gh] = len(order)
                     order.append(gh)
             k += 1
-    comps = []
-    for i in range(shape.nrows):
-        row = [(h, j, x.as_fraction()) for h, m in coeffs.items() for j, x in enumerate(m.rows[i])]
-        scale = lcm(*(x.denominator for _, _, x in row))
-        comps.append([(h, j, int(x * scale)) for h, j, x in row if x])
-    pivots: dict[int, dict[int, int]] = {}
+    echelon = Echelon(row for m in coeffs.values() for row in m.rows)
+    keys = [(h, j) for h in coeffs for j in range(shape.ncols)]
+    comps = [[(*keys[p], v) for p, v in echelon.clear(
+        [x for m in coeffs.values() for x in m.rows[i]]).items()]
+        for i in range(shape.nrows)]
     for g in order:
         for entries in comps:
-            row = {pos[group.mul(g, h)] * shape.ncols + j: v for h, j, v in entries}
-            # reduced in place by integer cross-multiplication, then a new
-            # pivot row is divided by its content
-            reductions = 0
-            while row:
-                c = min(row)
-                if c not in pivots:
-                    content = gcd(*row.values())
-                    pivots[c] = {j: v // content for j, v in row.items()}
-                    if len(pivots) == ncols:
-                        return 0
-                    break
-                reductions += 1
-                if reductions > len(pivots):
-                    raise RuntimeError("linalg.nullity: a row took more reductions than "
-                                       f"the {len(pivots)} pivots; the elimination is broken")
-                pivot = pivots[c]
-                common = gcd(row[c], pivot[c])
-                f, d = row[c] // common, pivot[c] // common
-                if d != 1:
-                    for j in row:
-                        row[j] *= d
-                for j, v in pivot.items():
-                    # f * v is nonzero, so a zero result was an entry of row
-                    w = row.get(j, 0) - f * v
-                    if w:
-                        row[j] = w
-                    else:
-                        del row[j]
-    return ncols - len(pivots)
+            echelon.insert({pos[group.mul(g, h)] * shape.ncols + j: v for h, j, v in entries})
+            if len(echelon.pivots) == ncols:
+                return 0
+    return ncols - len(echelon.pivots)
 
 
 def same_element(x: Mapping[int, Mat], y: Mapping[int, Mat]) -> bool:

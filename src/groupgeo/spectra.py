@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, dot, rat
 from .errors import GroupGeoError, IncompleteSpectrumError
-from .linalg import Mat, assemble, kernel_basis
+from .linalg import Echelon, Mat, assemble, kernel_basis, quotient
 
 if TYPE_CHECKING:
     from .groups import ConjClass
@@ -211,37 +211,21 @@ def certify_blocks(coeffs: Mapping[int, Mat], irreps: Sequence[Representation]) 
 
 def _vector_minimal_polynomial(op: Mat, start: int) -> list[Cyclotomic]:
     """Monic minimal polynomial of the unit vector e_start under op,
-    low-to-high coefficients.
-
-    Krylov elimination on e_start, op e_start, op^2 e_start, ... (see
-    Wiedemann, IEEE Trans. Inf. Theory 32, 1986): each new vector is
-    reduced against the pivots found so far while tracking the combination
-    of powers that produced it; the first vector that reduces to zero
-    gives the least p with p(op) e_start = 0.  Its roots are eigenvalues of
-    op, and every eigenvalue is a root for some start.
+    low-to-high coefficients, by Krylov elimination (see Wiedemann, IEEE
+    Trans. Inf. Theory 32, 1986): e_start, op e_start, op^2 e_start, ...
+    join one linalg.Echelon, each with its power of op as a trailing
+    column, and the first whose vector part reduces to zero holds the
+    least p with p(op) e_start = 0, made monic by one division.  Its roots
+    are eigenvalues of op, and every eigenvalue is a root for some start.
     """
     n = op.nrows
+    echelon = Echelon(op.rows)
     power = [ONE if i == start else ZERO for i in range(n)]
-    pivots: list[tuple[int, list[Cyclotomic], list[Cyclotomic]]] = []
-    degree = 0
-    while True:
-        vec = power
-        combo = [ZERO] * degree + [ONE]
-        for col, pvec, pcombo in pivots:
-            f = vec[col]
-            if f:
-                vec = [x - f * y for x, y in zip(vec, pvec)]
-                combo = [x - f * y for x, y in
-                         zip(combo, pcombo + [ZERO] * (len(combo) - len(pcombo)))]
-        lead = next((i for i, x in enumerate(vec) if x), None)
-        if lead is None:
-            return combo
-        piv_inv = vec[lead].inverse()
-        pivots.append((lead,
-                       [x * piv_inv for x in vec],
-                       [x * piv_inv for x in combo]))
+    for degree in itertools.count():
+        column = echelon.insert(echelon.clear(power + [ZERO] * degree + [ONE]))
+        if column >= n:
+            return quotient(echelon.pivots[column], n + degree, range(n, n + degree + 1))
         power = op @ power
-        degree += 1
 
 
 def poly_from_roots(roots: Sequence) -> list[Cyclotomic]:

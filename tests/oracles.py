@@ -35,10 +35,10 @@ way, beside:
     value's, and the exact decimals by stdlib decimal and mpmath
     intervals: the integer decimal and the exact enclosure;
   * Sturm bisection: p-adic lifting for integer roots;
-  * the Fraction-tuple cyclotomic scalar and its whole-row elimination,
-    the row update as a product and a subtraction, and each span ranked
-    alone: integer numerators over one denominator, the fused
-    multiply-subtract, and the spans read off one reduction.
+  * the Fraction-tuple cyclotomic scalar and its whole-row Gauss-Jordan
+    elimination, and each span ranked alone: integer numerators over one
+    denominator, the fraction-free echelon, and the spans read off one
+    reduction.
 
 A closed form the package derives from the operator instead: the
 hand-derived eigenvalue candidates.  A certificate the package does not need at run time: the Peter-Weyl rank.
@@ -348,36 +348,6 @@ def oracle_rref(rows: Sequence[Sequence]) -> tuple[list[list[FractionCyclotomic]
         pivots.append(c)
         r += 1
     return rows, pivots
-
-
-def unfused_rref(matrix: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """rref's elimination with each update written as row[j] - f * prow[j]:
-    the same pivots and sparse column walk, two scalar operations a cell."""
-    rows = [list(r) for r in matrix.rows]
-    nr, nc = len(rows), matrix.ncols
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        if r >= nr:
-            break
-        src = next((i for i in range(r, nr) if rows[i][c]), None)
-        if src is None:
-            continue
-        rows[r], rows[src] = rows[src], rows[r]
-        prow = rows[r]
-        inv = 1 / prow[c]
-        nonzero = [j for j in range(c, nc) if prow[j]]
-        for j in nonzero:
-            prow[j] = prow[j] * inv
-        for i in range(nr):
-            row = rows[i]
-            f = row[c]
-            if i != r and f:
-                for j in nonzero:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(c)
-        r += 1
-    return Mat(rows), tuple(pivots)
 
 
 # -- linear algebra ---------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, dot, rat, submul
+from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, dot, rat
 from oracles import FractionCyclotomic, fraction_cyclotomic_polynomial
 
 
@@ -290,14 +290,6 @@ def test_subtraction_is_adding_the_negation(a, b, q):
     _exactly(a - a, a + (-a))
     _exactly(a - q, a + (-rat(q)))
     _exactly(q - a, rat(q) + (-a))
-
-
-@settings(max_examples=120, deadline=None)
-@given(_elements(), _elements(), _elements())
-def test_submul_is_subtracting_the_product(a, f, b):
-    _exactly(submul(a, f, b), a - f * b)
-    _exactly(submul(a, a, rat(1)), a - a)
-    _exactly(submul(a, f, rat(0)), a - f * rat(0))
 
 
 def _skipping_dot(xs, ys):

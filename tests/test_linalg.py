@@ -1,5 +1,6 @@
 """Exact linear algebra over cyclotomic fields."""
 
+import math
 import os
 import random
 import re
@@ -9,11 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import DATA_DIR, dicyclic3, direct_product_cyclic, relabelled
+from groupgeo import spectra
 from groupgeo.curvature import solve_invariant
-from groupgeo.cyclotomic import Cyclotomic, cyclo, rat
+from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 from groupgeo.errors import InfeasibleSystemError
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.linalg import (
+    Echelon,
     Mat,
     assemble,
     inverse,
@@ -23,7 +26,7 @@ from groupgeo.linalg import (
     solve_affine,
 )
 from oracles import (FractionCyclotomic, apply, dense_system, eval_poly, kron, left_cosets,
-                     oracle_rref, rank, unfused_rref, vec_is_zero)
+                     oracle_rref, rank, vec_is_zero)
 
 
 def _random_mat(rng, n, m, order=6):
@@ -246,30 +249,46 @@ def test_submatrix_and_hstack():
 
 _small = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
+# Q and the cyclotomic fields the package's operators live in
+ORDERS = (1, 3, 4, 6, 12)
+
+
+def _entries(order):
+    degree = len(cyclotomic_polynomial(order)) - 1
+    return st.lists(_small, min_size=degree, max_size=degree).map(
+        lambda cs: Cyclotomic(order, cs))
+
 
 @st.composite
-def _matrices(draw, order):
-    """Small matrices over Q (order 1) or Q(zeta_6), with many zeros and,
-    now and then, a row that repeats the sum of the first two."""
-    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 5))
-    degree = 1 if order == 1 else 2
-    entry = st.lists(_small, min_size=degree, max_size=degree).map(
-        lambda cs: Cyclotomic(order, cs))
-    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+def _field_matrices(draw, order, square=False):
+    """Small matrices over Q(zeta_order), with many zeros and, now and
+    then, a row that repeats the sum of the first two."""
+    nr = draw(st.integers(1, 4))
+    nc = nr if square else draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(_entries(order), min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
     if nr > 2 and draw(st.booleans()):
         rows[-1] = [x + y for x, y in zip(rows[0], rows[1])]
     return Mat(rows)
 
 
+def _oracle_equal(got, want):
+    return len(got) == len(want) and all(FractionCyclotomic.of(x) == y for x, y in zip(got, want))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from((1, 6)).flatmap(_matrices))
-def test_rref_rank_and_kernel_match_elimination_over_the_oracle_scalar(a):
+@given(data=st.data(), order=st.sampled_from(ORDERS))
+def test_rref_rank_and_kernel_match_elimination_over_the_oracle_scalar(data, order):
+    """rref, kernel_basis, solve_affine and inverse agree with Gauss-Jordan
+    over the oracle scalar: the reduced form, the particular solution with
+    every free variable zero or the row that reads 0 = 1, and the inverse
+    or the singular refusal."""
+    a = data.draw(_field_matrices(order))
     expected, pivots = oracle_rref(a.rows)
     red, got = rref(a)
     assert list(got) == pivots
     assert rank(a) == len(pivots)
-    assert all(FractionCyclotomic.of(x) == y
-               for row, want in zip(red.rows, expected) for x, y in zip(row, want))
+    assert all(_oracle_equal(row, want) for row, want in zip(red.rows, expected))
     kernel = kernel_basis(a)
     assert len(kernel) == a.ncols - len(pivots)
     for v in kernel:
@@ -278,35 +297,64 @@ def test_rref_rank_and_kernel_match_elimination_over_the_oracle_scalar(a):
                  for row in a.rows]
         assert all(x.is_zero() for x in image)
 
+    nc = a.ncols
+    if data.draw(st.booleans()):
+        rhs = a @ data.draw(st.lists(_entries(order), min_size=nc, max_size=nc))
+    else:
+        rhs = data.draw(st.lists(_entries(order), min_size=a.nrows, max_size=a.nrows))
+    augmented, pivots = oracle_rref([list(row) + [b] for row, b in zip(a.rows, rhs)])
+    if pivots and pivots[-1] == nc:
+        with pytest.raises(InfeasibleSystemError) as info:
+            solve_affine(a, rhs)
+        assert str(info.value) == (f"inconsistent system: row {len(pivots) - 1} "
+                                   "of the reduced form reads 0 = 1")
+    else:
+        want = [FractionCyclotomic(1, [0])] * nc
+        for r, c in enumerate(pivots):
+            want[c] = augmented[r][nc]
+        assert _oracle_equal(solve_affine(a, rhs)[0], want)
 
-@st.composite
-def _dependent_matrices(draw, order):
-    """Small matrices over Q (order 1) or Q(zeta_12) with many zeros; now
-    and then the last row is a combination of two others, or a column is a
-    multiple of another, so the rank falls short."""
-    nr, nc = draw(st.integers(1, 5)), draw(st.integers(1, 6))
-    degree = 1 if order == 1 else 4
-    entry = st.lists(st.sampled_from((0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))),
-                     min_size=degree, max_size=degree).map(lambda cs: Cyclotomic(order, cs))
-    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
-    if nr > 2 and draw(st.booleans()):
-        f = draw(entry)
-        rows[-1] = [x + f * y for x, y in zip(rows[0], rows[1])]
-    if nc > 1 and draw(st.booleans()):
-        f = draw(entry)
+    square = data.draw(_field_matrices(order, square=True))
+    n = square.nrows
+    joined, pivots = oracle_rref(square.hstack(Mat.identity(n)).rows)
+    if pivots[-1] >= n:
+        with pytest.raises(ValueError, match="singular"):
+            inverse(square)
+    else:
+        got = inverse(square)
+        assert all(_oracle_equal(row, want[n:]) for row, want in zip(got.rows, joined))
+
+
+def _bits(echelon):
+    return max(abs(n).bit_length() for row in echelon.pivots.values() for v in row.values()
+               for n in v.nums)
+
+
+@pytest.mark.parametrize("order", ORDERS[1:])
+def test_irrational_echelon_rows_stay_small(order):
+    """On dense 12 x 10 systems over Z[zeta_order] with coordinates in
+    [-3, 3], every pivot row leads with a rational integer and no
+    coordinate passes 256 bits, before or after back-reduction, while the
+    reduced form is the oracle's.  Without the rational lead, a pivot row
+    keeps ring factors its gcd cannot divide out, and these draws reach
+    9,760 to 74,377 bits."""
+    rng = random.Random(order)
+    degree = len(cyclotomic_polynomial(order)) - 1
+    for _ in range(3):
+        rows = [[Cyclotomic(order, [rng.randint(-3, 3) for _ in range(degree)])
+                 if rng.random() < 0.5 else rat(0) for _ in range(10)] for _ in range(12)]
+        echelon = Echelon(rows)
+        assert not echelon.rational
         for row in rows:
-            row[-1] = f * row[0]
-    return Mat(rows)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from((1, 12)).flatmap(_dependent_matrices))
-def test_fused_rref_matches_the_unfused_update(a):
-    red, pivots = rref(a)
-    want, want_pivots = unfused_rref(a)
-    assert pivots == want_pivots
-    assert [[(x.order, x.nums, x.den) for x in row] for row in red.rows] == \
-        [[(x.order, x.nums, x.den) for x in row] for row in want.rows]
+            echelon.insert(echelon.clear(row))
+        assert all(row[c].is_rational() for c, row in echelon.pivots.items())
+        assert _bits(echelon) <= 256
+        echelon.back_reduce()
+        assert _bits(echelon) <= 256
+        expected, pivots = oracle_rref(rows)
+        red, got = rref(Mat(rows))
+        assert list(got) == pivots
+        assert all(_oracle_equal(row, want) for row, want in zip(red.rows, expected))
 
 
 # -- group-algebra coefficients ---------------------------------------------
@@ -429,10 +477,10 @@ _HARD_ENTRIES = st.one_of(
 @given(data=st.data(), nrows=st.integers(1, 6), ncols=st.integers(2, 5), thin=st.booleans(),
        zeta=st.sampled_from([None] * 3 + [cyclo(3), cyclo(4) * 2 - 1]))
 def test_nullity_is_the_exact_rref_nullity(data, nrows, ncols, thin, zeta):
-    """nullity counts the kernel the exact rref finds, on hard integers and
-    on products through fewer than ncols dimensions, and solve_invariant
-    returns that count; an irrational entry (zeta added to one entry) is
-    refused."""
+    """nullity counts the kernel that Gauss-Jordan over the oracle scalar
+    finds, on hard integers, on products through fewer than ncols
+    dimensions and with zeta added to one entry, and solve_invariant
+    returns that count."""
     if thin:
         inner = data.draw(st.integers(1, ncols - 1))
         matrix = (data.draw(_matrices(nrows, inner, _HARD_ENTRIES))
@@ -443,13 +491,9 @@ def test_nullity_is_the_exact_rref_nullity(data, nrows, ncols, thin, zeta):
         i, j = data.draw(st.integers(0, nrows - 1)), data.draw(st.integers(0, ncols - 1))
         rows = [list(row) for row in matrix.rows]
         rows[i][j] = rows[i][j] + zeta
-        with pytest.raises(ValueError, match="not rational"):
-            nullity({0: Mat(rows)}, TRIVIAL, [0])
-        with pytest.raises(ValueError, match="not rational"):
-            solve_invariant({0: Mat(rows)}, [0] * nrows, TRIVIAL, [0])
-        return
-    kernel = ncols - len(rref(matrix)[1])
-    if thin:
+        matrix = Mat(rows)
+    kernel = ncols - len(oracle_rref(matrix.rows)[1])
+    if thin and zeta is None:
         assert kernel > 0
     assert nullity({0: matrix}, TRIVIAL, [0]) == kernel
     assert solve_invariant({0: matrix}, [0] * nrows, TRIVIAL, [0]) == ([rat(0)] * ncols, kernel)
@@ -464,3 +508,51 @@ def test_nullity_refuses_elements_not_closed_under_the_keys():
             count(coeffs, d6, [0])
     with pytest.raises(ValueError, match="not closed"):
         solve_invariant(coeffs, [0, 0], d6, [0])
+
+
+# -- the one elimination's other callers ---------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(ORDERS).flatmap(_entries), max_size=6))
+def test_clear_writes_a_row_over_one_common_denominator(xs):
+    """Each nonzero scalar times the lcm of the denominators: an int on a
+    rational echelon, an element of denominator 1 otherwise."""
+    echelon = Echelon([xs])
+    row = echelon.clear(xs)
+    scale = math.lcm(*(x.den for x in xs))
+    assert sorted(row) == [j for j, x in enumerate(xs) if x]
+    for j, v in row.items():
+        assert v == xs[j] * scale
+        assert type(v) is int if echelon.rational else v.den == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), order=st.sampled_from(ORDERS), n=st.integers(1, 6))
+def test_vector_minimal_polynomial_is_the_least_annihilating_one(data, order, n):
+    """For every start, the Krylov polynomial is monic, annihilates e_start,
+    and its degree is the rank of the Krylov vectors."""
+    op = data.draw(st.lists(st.lists(_entries(order), min_size=n, max_size=n),
+                            min_size=n, max_size=n).map(Mat))
+    for start in range(n):
+        poly = spectra._vector_minimal_polynomial(op, start)
+        assert poly[-1] == rat(1)
+        unit = [rat(1) if i == start else rat(0) for i in range(n)]
+        assert vec_is_zero(eval_poly(op, poly) @ unit)
+        krylov = [unit]
+        for _ in range(n - 1):
+            krylov.append(op @ krylov[-1])
+        assert len(poly) - 1 == len(oracle_rref(krylov)[1])
+
+
+@pytest.mark.parametrize("eliminate", [
+    lambda: rref(Mat([[1, 2], [3, 4]])),
+    lambda: nullity({0: Mat([[1, 2], [3, 4]])}, TRIVIAL, [0]),
+    lambda: spectra._vector_minimal_polynomial(Mat([[0, 1], [1, 0]]), 0),
+], ids=["rref", "nullity", "krylov"])
+def test_a_reduction_that_keeps_its_column_raises_instead_of_looping(monkeypatch, eliminate):
+    """A reduction that fails to clear its column, as a broken content or
+    gcd step would, meets the bound on reductions per row: RuntimeError,
+    not a hang."""
+    monkeypatch.setattr(Echelon, "eliminate", lambda self, row, c: None)
+    with pytest.raises(RuntimeError, match=r"a row took more reductions than the \d pivots"):
+        eliminate()

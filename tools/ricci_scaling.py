@@ -56,7 +56,7 @@ def main(argv: list[str]) -> int:
         parts = [f"|G| {cls.group.order}", f"|H| {len(cls.generated_subgroup())}",
                  f"cpu_s {seconds:.4f}"]
         for variant, (params, kernel_dimension) in solves.items():
-            triple = " ".join(str(p(0).as_fraction()) for p in params)
+            triple = " ".join(str(p.as_fraction()) for p in params)
             parts.append(f"{variant} kernel {kernel_dimension} parameters {triple}")
         print("  ".join(parts), flush=True)
     return 0
