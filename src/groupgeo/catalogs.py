@@ -12,12 +12,11 @@ reported, not asserted away.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, rat
 from .groups import require_catalog_class
-from .linalg import Mat, rref
+from .linalg import Echelon, Mat
 from .spectra import irreducible_blocks
 
 if TYPE_CHECKING:
@@ -65,12 +64,11 @@ def _sign_image(mode: tuple) -> tuple:
 
 def _spans(vectors: list[list[Cyclotomic]], first: int) -> tuple[int, int]:
     """The dimensions of the spans of vectors[:first] and of all vectors,
-    from one reduction of the matrix with the vectors as its columns: the
-    pivots among its first columns span their prefix."""
-    if not vectors:
-        return 0, 0
-    pivots = rref(Mat(vectors).transpose())[1]
-    return sum(1 for p in pivots if p < first), len(pivots)
+    from one echelon the vectors join in order: each that does not reduce
+    to zero adds one to the span of those before it."""
+    echelon = Echelon(vectors)
+    kept = [echelon.insert(echelon.clear(vec)) is not None for vec in vectors]
+    return sum(kept[:first]), sum(kept)
 
 
 def _mode_spans(modes: list[tuple], first: int) -> tuple[int, int]:
@@ -222,7 +220,7 @@ def eigenmode_catalog(C: ConjClass, coeffs: Mapping[int, Mat], form: BlockForm) 
     }
 
     out = _assess(form.irreps, form.blocks, form.spectrum, families, completions)
-    out["mu"] = Fraction(0)
+    out["mu"] = ZERO
 
     # P = diag(chi) on each spinor component takes M_h (x) R(h) to
     # chi(g) chi(gh) M_h (x) R(h), and chi(g) chi(gh) = chi(h) as chi is a
@@ -280,7 +278,7 @@ def wave_eigenmode_catalog(geo: Geometry, coeffs: Mapping[int, Mat], spect: Spec
         -6: [(f"planar2[{k},{l}]", element("planar2", k, l)) for k in (1, 2) for l in (1, 2)],
     }
     out = _assess(irreps, irreducible_blocks(coeffs, irreps), spect, families, completions)
-    out["mu"] = Fraction(0)
+    out["mu"] = ZERO
     # the conjugated elements are the originals with both indices reversed
     out["conjugates_coincide_reversed"] = all(
         m[k, l].conj() == m[1 - k, 1 - l] for m in rho.matrices for k in (0, 1) for l in (0, 1))

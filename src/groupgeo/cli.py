@@ -15,10 +15,11 @@ class or group), 4 mathematical failures on valid input
 (singular metric values, an operator whose certified spectrum misses
 dimensions or leaves Q, an infeasible exact system).
 
-The front (this module, groups and errors) reads the input and runs every
-check that needs nothing else, PRECONDITIONS per command, in the order the
-command's layers would raise them.  Only an input that passes imports
-reporting, its report's module and the layers it runs, so a refusal
+The front (this module, groups, errors and cyclotomic, which holds mu)
+reads the input and runs every check that needs nothing else,
+PRECONDITIONS per command, in the order the command's layers would raise
+them.  Only an input that passes imports reporting, its report's module
+and the layers it runs, so a refusal
 compiles no layer and gives the exit code and message the layer itself
 would.  Every command then runs the same way: its report, named in its
 row beside its checks and read off its module (report_of), is called
@@ -33,8 +34,8 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 
+from .cyclotomic import Cyclotomic, rat
 from .errors import (
     CayleyValidationError,
     GroupGeoError,
@@ -60,9 +61,9 @@ MAX_MU_LENGTH = 2000
 # its length before the file system is asked about it
 MAX_OUT_LENGTH = 4096
 
-# a plain rational or decimal in ASCII digits; exponents are refused
-# because Fraction would expand "1e999999999" into a billion-digit integer
-# first, and other scripts' digits because Fraction reads them too
+# a plain rational or decimal in ASCII digits, read by int(); exponents are
+# refused because "1e999999999" stands for a billion-digit integer, and
+# other scripts' digits because int() reads them too
 _MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
 _CHECKS = {
@@ -144,11 +145,15 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     raise UnsupportedGroupError(f"no builtin group family named {quoted(name)}")
 
 
-def _parse_mu(text: str) -> Fraction:
-    """The --mu value as an exact rational; ValueError on anything else."""
+def _parse_mu(text: str) -> Cyclotomic:
+    """The --mu value as an exact rational; ValueError on anything else and
+    ZeroDivisionError on a zero denominator."""
     if not _MU_SYNTAX.fullmatch(text):
         raise ValueError(f"not a plain rational: {text!r}")
-    return Fraction(text)
+    # "-.5" reads as int("-5") tenths
+    whole, _, digits = text.partition(".")
+    num, _, den = (whole + digits).partition("/")
+    return rat(int(num), int(den or "1") * 10 ** len(digits))
 
 
 def report_of(cmd: str):
@@ -157,7 +162,7 @@ def report_of(cmd: str):
     return _ROWS[cmd][1]()
 
 
-def _build_report(args, group: FiniteGroup, mu: Fraction) -> dict:
+def _build_report(args, group: FiniteGroup, mu: Cyclotomic) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
     for check in PRECONDITIONS[args.cmd]:

@@ -19,8 +19,9 @@ automorphism zeta -> zeta ** (N - 1), i.e. complex conjugation on the
 standard embedding, and the inverse is the product of the other Galois
 conjugates over the norm.  Elements hash by their normalised trace
 Tr(x)/phi(N), which promotion leaves unchanged, so equal values hash
-equally whatever their order, and a rational hashes like its ``int`` or
-``Fraction``.
+equally whatever their order, and by CPython's rule for rationals, so a
+rational, the only kind of value that ``<`` orders, hashes like its
+``int`` or ``Fraction``.
 
 Subtraction has its own body, shaped like addition, and builds no
 negated copy of its operand.  One fused kernel serves matrix products:
@@ -31,11 +32,10 @@ that adding the nonzero products one at a time would.
 
 from __future__ import annotations
 
-import cmath
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, mul, sub
 
 
 @lru_cache(maxsize=None)
@@ -83,16 +83,17 @@ def _degree(order: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _trace_weights(order: int) -> tuple[Fraction, ...]:
-    """Tr(z^j)/phi(order) for each power-basis element z^j.  With
-    m = order/gcd(j, order), z^j is a primitive m-th root, and the m-th
+def _traces(order: int) -> tuple[int, ...]:
+    """Tr(z^j), an integer, for each power-basis element z^j.  With
+    m = order/gcd(j, order), z^j is a primitive m-th root, the m-th
     primitive roots sum to mu(m), the negated second-highest coefficient
-    of Phi_m; the trace normalises this by phi(m)."""
-    weights = []
-    for j in range(_degree(order)):
+    of Phi_m, and the trace meets each of them phi(order)/phi(m) times."""
+    d = _degree(order)
+    traces = []
+    for j in range(d):
         phi = cyclotomic_polynomial(order // gcd(j, order))
-        weights.append(Fraction(-phi[-2], len(phi) - 1))
-    return tuple(weights)
+        traces.append(-phi[-2] * d // (len(phi) - 1))
+    return tuple(traces)
 
 
 def _images(nums, rows, d: int) -> tuple[int, ...]:
@@ -124,35 +125,28 @@ class Cyclotomic:
     __slots__ = ("_order", "_nums", "_den")
 
     def __init__(self, order: int, coeffs):
-        """From rational power-basis coordinates; missing ones are zero."""
-        d = _degree(order)
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > d:
-            raise ValueError(f"expected at most {d} coordinates for order {order}")
-        den = lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (den // c.denominator) for c in cs] + [0] * (d - len(cs))
-        self._order, self._nums, self._den = order, tuple(nums), den
+        """sum_j coeffs[j] z^j in Q(zeta_order), each coefficient read as
+        rat reads it: from power-basis coordinates, missing ones zero."""
+        powers = [cyclo(order, j) for j in range(len(coeffs))]
+        value = dot(map(_wrap, coeffs), powers).to_order(order)
+        self._order, self._nums, self._den = order, value._nums, value._den
 
     # read-only views of the reduced form
     order = property(lambda self: self._order)
     nums = property(lambda self: self._nums)
     den = property(lambda self: self._den)
 
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The power-basis coordinates as ``Fraction``s."""
-        return tuple(Fraction(n, self._den) for n in self._nums)
-
     # -- coercion ---------------------------------------------------------
 
     @staticmethod
     def _wrap(value) -> "Cyclotomic":
+        """A Cyclotomic as it is; an int, or a value with an integer
+        numerator and positive denominator (a Fraction), as a rational."""
         if isinstance(value, Cyclotomic):
             return value
-        if isinstance(value, int):
-            return _rational(value, 1)
-        if isinstance(value, Fraction):
-            return _rational(value.numerator, value.denominator)
+        num, den = getattr(value, "numerator", None), getattr(value, "denominator", None)
+        if isinstance(num, int) and isinstance(den, int) and den > 0:
+            return _rational(num, den)
         raise TypeError(f"cannot interpret {value!r} as a cyclotomic number")
 
     def to_order(self, target: int) -> "Cyclotomic":
@@ -292,10 +286,12 @@ class Cyclotomic:
     def is_rational(self) -> bool:
         return not any(self._nums[1:])
 
-    def as_fraction(self) -> Fraction:
-        if any(self._nums[1:]):
-            raise ValueError(f"{self!r} is not rational")
-        return Fraction(self._nums[0], self._den)
+    def __lt__(self, other):
+        """The order of two rational values; TypeError for any other."""
+        diff = self - other
+        if not (self.is_rational() and diff.is_rational()):
+            raise TypeError("only rational cyclotomic values are ordered")
+        return diff._nums[0] < 0
 
     def __eq__(self, other):
         if type(other) is not Cyclotomic:
@@ -308,21 +304,29 @@ class Cyclotomic:
 
     def __hash__(self):
         # the normalised trace is the same in every field containing the
-        # value, and a rational's is the rational itself
+        # value, and a rational's is the rational itself; it hashes by
+        # CPython's rule for rationals, which int and Fraction follow too:
+        # |num| over den modulo the hash prime, with the sign of num
         nums, den = self._nums, self._den
-        if not any(nums[1:]):
-            return hash(nums[0]) if den == 1 else hash(Fraction(nums[0], den))
-        return hash(sum(n * w for n, w in zip(nums, _trace_weights(self._order))) / den)
+        if any(nums[1:]):
+            return hash(_rational(sum(map(mul, nums, _traces(self._order))), den * len(nums)))
+        prime = sys.hash_info.modulus
+        h = abs(nums[0]) * pow(den, -1, prime) % prime if den % prime else sys.hash_info.inf
+        return hash(-h if nums[0] < 0 else h)
 
     def __complex__(self) -> complex:
+        # cmath loads only for the float view, which no command uses
+        import cmath
+
         z = cmath.exp(2j * cmath.pi / self._order)
         return sum(n / self._den * z**j for j, n in enumerate(self._nums))
 
     def __repr__(self):
+        num, den = self._nums[0], self._den
         if self.is_rational():
-            return f"{self.as_fraction()}"
+            return f"{num}" if den == 1 else f"{num}/{den}"
         terms = []
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(_rational(n, den) for n in self._nums):
             if c == 0:
                 continue
             if j == 0:
@@ -405,13 +409,9 @@ def cyclo(order: int, power: int = 1) -> Cyclotomic:
 
 
 def rat(value, den: int | None = None) -> Cyclotomic:
-    """The one coercion to an exact scalar: a Cyclotomic as it is, and an int,
-    a Fraction, value/den or anything Fraction reads as an order-1 element."""
-    if den is not None:
-        value = Fraction(value, den)
-    elif not isinstance(value, (int, Fraction, Cyclotomic)):
-        value = Fraction(value)
-    return _wrap(value)
+    """The one coercion to an exact scalar: a Cyclotomic as it is, and an
+    int, a Fraction or value/den as an order-1 element (Cyclotomic._wrap)."""
+    return _wrap(value) if den is None else _wrap(value) / den
 
 
 ZERO = rat(0)

@@ -14,7 +14,7 @@ action read the certified spectrum.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import factorial, lcm
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, rat
@@ -40,15 +40,12 @@ def metric(cls: ConjClass, mu) -> tuple[Mat, Mat]:
     The coframe of the a-th basis 1-form has coefficient row eta[b][a] over
     b, the a-th row again.  Raises SingularMetricError at mu = -1/n.
     """
-    mu = Fraction(mu)
+    mu = rat(mu)
     n = cls.size
     require_invertible_metric(n, mu)
-    eta = Mat([[rat(mu) + (ONE if i == j else ZERO) for j in range(n)]
-               for i in range(n)])
+    eta = Mat.identity(n) + Mat([[mu] * n] * n)
     # inverse of I + mu J in closed form: I - mu/(1 + n mu) J
-    c = Fraction(mu, 1 + n * mu)
-    eta_inv = Mat([[rat(-c) + (ONE if i == j else ZERO) for j in range(n)]
-                   for i in range(n)])
+    eta_inv = Mat.identity(n) - Mat([[mu / (1 + n * mu)] * n] * n)
     assert eta @ eta_inv == Mat.identity(n)
     return eta, eta_inv
 
@@ -57,7 +54,7 @@ def metric(cls: ConjClass, mu) -> tuple[Mat, Mat]:
 # casimir and gamma matrices
 
 
-def casimir(rep: Representation, C: ConjClass, mu=Fraction(0)) -> Mat:
+def casimir(rep: Representation, C: ConjClass, mu=ZERO) -> Mat:
     """The quadratic casimir of the class in the given representation.
 
     In the group algebra this is the sum over class members a of
@@ -65,7 +62,6 @@ def casimir(rep: Representation, C: ConjClass, mu=Fraction(0)) -> Mat:
     class-sum vanishes the result is a scalar matrix; the trivial
     representation gives zero.
     """
-    mu = Fraction(mu)
     require_invertible_metric(C.size, mu)
     require_regular_casimir(mu)
     group = rep.group
@@ -76,20 +72,19 @@ def casimir(rep: Representation, C: ConjClass, mu=Fraction(0)) -> Mat:
         ia = group.inv(a)
         square = rep(group.mul(ia, ia))
         total = total + square - rep(ia) * rat(2) + ident
-    return total * rat(Fraction(1, 1 + 4 * mu))
+    return total * (ONE / (1 + 4 * mu))
 
 
-def gamma_matrices(rep: Representation, C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
+def gamma_matrices(rep: Representation, C: ConjClass, mu=ZERO) -> dict[int, Mat]:
     """One gamma matrix per class member, keyed by group element index.
 
     The casimir convention of the Dirac operator: the translation part
     rho(a^-1) - id shifted by 4 mu/(1 + 4 mu) times the identity.
     """
-    mu = Fraction(mu)
     require_invertible_metric(C.size, mu)
     require_regular_casimir(mu)
     ident = Mat.identity(rep.dim)
-    shift = rat(Fraction(4 * mu, 1 + 4 * mu))
+    shift = ONE - ONE / (1 + 4 * mu)
     return {a: rep(rep.group.inv(a)) - ident + ident * shift for a in C.members}
 
 
@@ -97,7 +92,7 @@ def gamma_matrices(rep: Representation, C: ConjClass, mu=Fraction(0)) -> dict[in
 # spinor operators as group-algebra elements
 
 
-def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[int, Mat]:
+def dirac_operator(rep: Representation, A: Connection, mu=ZERO) -> dict[int, Mat]:
     """The Dirac operator as its group-algebra coefficients {h: M_h}.
 
     The free part couples each gamma matrix to the corresponding partial
@@ -109,7 +104,6 @@ def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[i
     its matrix on G or on H = <C>, C the class of the connection's
     calculus.  Raises ValueError on a representation of another group.
     """
-    mu = Fraction(mu)
     group = rep.group
     C = A.calculus.cls
     if C.group != group:
@@ -127,7 +121,7 @@ def dirac_operator(rep: Representation, A: Connection, mu=Fraction(0)) -> dict[i
     return coeffs
 
 
-def wave_operator(C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
+def wave_operator(C: ConjClass, mu=ZERO) -> dict[int, Mat]:
     """The scalar wave operator, minus the inverse-metric contraction of the
     second partial translations, as its group-algebra coefficients
     {h: 1 x 1 matrix}.
@@ -137,7 +131,6 @@ def wave_operator(C: ConjClass, mu=Fraction(0)) -> dict[int, Mat]:
     collapses to twice the class translation sum minus twice the class
     size.
     """
-    mu = Fraction(mu)
     eta_inv = metric(C, mu)[1]
     group = C.group
     coeffs: dict[int, Cyclotomic] = {}
@@ -203,7 +196,7 @@ def chirality(form: BlockForm) -> dict[tuple[int, int], Mat]:
         duals.append(source[2])
 
     for v, plus in modes.items():
-        if v.as_fraction() > 0:
+        if ZERO < v:
             for x, y in zip(plus, modes[-v]):
                 send(x, y)
                 send(y, x)
@@ -240,33 +233,35 @@ def grading_checks(form: BlockForm, gamma: Mapping[tuple[int, int], Mat]) -> tup
 
 def spectral_action(spect: Spectrum, coeffs: Sequence, lam) -> Cyclotomic:
     """Sum of mult * f(lambda^2 / lam^2) over the certified spectrum, for the
-    polynomial f with low-to-high coefficients coeffs.
+    polynomial f with rational low-to-high coefficients coeffs.
 
     The scale lam must be a positive rational.  The result is exact because
-    the spectrum is.
+    the spectrum is, and it is reduced once: with the coefficients a_k / b
+    over one denominator b and the eigenvalues over one denominator L,
+    every u = lambda^2 / lam^2 is p / q for one q = (L lam's numerator)^2,
+    so f(u) = (sum_k a_k p^k q^(n-k)) / (b q^n), whose numerator is one
+    integer Horner pass in p, and the numerators add up over the spectrum.
     """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("the scale must be a positive rational")
-    cs = [rat(c) for c in coeffs]
-    scale = rat(Fraction(1, lam * lam))
-    out = rat(0)
+    lam, cs = rat(lam), [rat(c) for c in coeffs]
+    if not (ZERO < lam and all(c.is_rational() for c in cs)):
+        raise ValueError("the scale must be a positive rational, the coefficients rational")
+    b = lcm(*(c.den for c in cs))
+    L = lcm(*(v.den for v, _ in spect.pairs))
+    q = (L * lam.nums[0]) ** 2
+    # a_k q^(n-k), k from n down
+    terms = [c.nums[0] * (b // c.den) * q ** i for i, c in enumerate(reversed(cs))] or [0]
+    num = 0
     for value, mult in spect.pairs:
-        u = value * value * scale
-        acc = rat(0)
-        for c in reversed(cs):
-            acc = acc * u + c
-        out = out + acc * rat(mult)
-    return out
+        p = (value.nums[0] * (L // value.den) * lam.den) ** 2
+        acc = 0
+        for term in terms:
+            acc = acc * p + term
+        num += mult * acc
+    return rat(num, b * q ** (len(terms) - 1))
 
 
-def exp_taylor_coefficients(degree: int) -> list[Fraction]:
+def exp_taylor_coefficients(degree: int) -> list[Cyclotomic]:
     """Taylor coefficients of exp(-u) through the given degree."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    out = [Fraction(1)]
-    fact = 1
-    for k in range(1, degree + 1):
-        fact *= k
-        out.append(Fraction((-1) ** k, fact))
-    return out
+    return [rat((-1) ** k, factorial(k)) for k in range(degree + 1)]

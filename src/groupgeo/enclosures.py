@@ -87,8 +87,7 @@ def cyclotomic_decimal(c) -> str:
         if lo != hi:
             twice = c + c.conj() if k == 0 else (c - c.conj()) * cyclo(4, 3)
             if twice.is_rational():
-                half = twice.as_fraction() / 2
-                lo = hi = rational_decimal(half.numerator, half.denominator)
+                lo = hi = rational_decimal(twice.nums[0], 2 * twice.den)
         bits = _FIXED
         while lo != hi:
             bits *= 2

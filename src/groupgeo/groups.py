@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (CayleyValidationError, NonCyclicClassError, SingularMetricError,
@@ -383,16 +382,17 @@ def require_chart_class(cls: ConjClass) -> None:
 
 def require_invertible_metric(size: int, mu) -> None:
     """Raise SingularMetricError at mu = -1/size, where the frame metric
-    delta_{ab} + mu of a class of that size degenerates."""
-    if 1 + size * Fraction(mu) == 0:
+    delta_{ab} + mu of a class of that size degenerates; mu is an exact
+    rational (an int, a Fraction or an order-1 Cyclotomic)."""
+    if 1 + size * mu == 0:
         raise SingularMetricError(
-            f"metric modulus mu = {Fraction(mu)} is singular for a class of size {size}")
+            f"metric modulus mu = {mu} is singular for a class of size {size}")
 
 
 def require_regular_casimir(mu) -> None:
     """Raise SingularMetricError at mu = -1/4, where the quadratic casimir's
     normalisation 1/(1 + 4 mu) is singular."""
-    if 1 + 4 * Fraction(mu) == 0:
+    if 1 + 4 * mu == 0:
         raise SingularMetricError(
             "casimir normalisation 1/(1 + 4 mu) is singular at mu = -1/4")
 

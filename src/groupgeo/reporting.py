@@ -1,13 +1,13 @@
 """Deterministic JSON reports: the core that every accepted command loads.
 
 Each report is a record of exact values: its scalar leaves are Cyclotomic
-and Fraction values, alone or in lists and tuples (a Mat's rows, a
-coefficient's value at each group element), beside ints, bools, strings
-and None.  to_json writes a report for json.dumps (cli.render calls it) in
-one walk, which renders each distinct scalar once: a rational becomes
-{"num", "den"} and a general cyclotomic value {"zeta_order", "coeffs"} with
-rational coordinate pairs, each beside its value rounded half up to 12
-significant digits in the layout of mpmath's ``nstr``.  That decimal is
+values, rationals among them (order 1), alone or in lists and tuples (a
+Mat's rows, a coefficient's value at each group element), beside ints,
+bools, strings and None.  to_json writes a report for json.dumps
+(cli.render calls it) in one walk, which renders each distinct scalar
+once: a rational becomes {"num", "den"} and any other value {"zeta_order",
+"coeffs"} with rational coordinate pairs, each beside its value rounded
+half up to 12 significant digits in the layout of mpmath's ``nstr``.  That decimal is
 computed in integers, a rational's by division (rational_decimal) and the
 parts of any other value from exact enclosures (enclosures, loaded on the
 first such value); no library setting, time, path or dictionary order
@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
-from .cyclotomic import Cyclotomic, rat
+from .cyclotomic import ZERO, Cyclotomic, rat
 from .groups import ConjClass
 
 if TYPE_CHECKING:
@@ -87,22 +86,17 @@ def rational_decimal(num: int, den: int) -> str:
     return f"{sign}{text}e{exponent:+d}"
 
 
-def _scalar_json(value) -> dict:
-    """The JSON form of one rational or cyclotomic scalar."""
-    c = rat(value)
+def _scalar_json(c: Cyclotomic) -> dict:
+    """The JSON form of one scalar, rational or not."""
+    den = c.den
     if c.is_rational():
-        fr = c.as_fraction()
-        return {
-            "num": fr.numerator,
-            "den": fr.denominator,
-            "decimal": rational_decimal(fr.numerator, fr.denominator),
-        }
+        return {"num": c.nums[0], "den": den, "decimal": rational_decimal(c.nums[0], den)}
     # loaded on the first scalar that is not rational
     from .enclosures import cyclotomic_decimal
 
     return {
         "zeta_order": c.order,
-        "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
+        "coeffs": [[x.nums[0], x.den] for x in (rat(n, den) for n in c.nums)],
         "decimal": cyclotomic_decimal(c),
     }
 
@@ -114,28 +108,27 @@ def _rendered_once(render):
     by_id: dict = {}
     by_form: dict = {}
 
-    def scalar(value) -> dict:
-        entry = by_id.get(id(value))
+    def scalar(c: Cyclotomic) -> dict:
+        entry = by_id.get(id(c))
         if entry is None:
-            c = rat(value)
             key = (c.order, c.nums, c.den)
             entry = by_form.get(key)
             if entry is None:
                 entry = by_form[key] = render(c)
-            by_id[id(value)] = entry
+            by_id[id(c)] = entry
         return entry
 
     return scalar
 
 
 def to_json(report):
-    """The report with every Cyclotomic or Fraction leaf in its exact JSON
-    form, each distinct scalar rendered once, and every tuple a list; other
-    leaves pass through unchanged."""
+    """The report with every Cyclotomic leaf in its exact JSON form, each
+    distinct scalar rendered once, and every tuple a list; other leaves
+    pass through unchanged."""
     scalar = _rendered_once(_scalar_json)
 
     def walk(node):
-        if isinstance(node, (Cyclotomic, Fraction)):
+        if type(node) is Cyclotomic:
             return scalar(node)
         if isinstance(node, (list, tuple)):
             # a row of scalars skips a walk frame per entry
@@ -163,9 +156,9 @@ class Geometry:
     built on first read and then kept: the calculus, the irreducibles of G
     and the Dirac certificate.  What one report reads stays in it."""
 
-    def __init__(self, cls: ConjClass, mu=Fraction(0)):
+    def __init__(self, cls: ConjClass, mu=ZERO):
         self.cls = cls
-        self.mu = Fraction(mu)
+        self.mu = rat(mu)
 
     @functools.cached_property
     def calculus(self) -> Calculus:

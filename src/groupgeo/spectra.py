@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
@@ -40,8 +39,10 @@ class Spectrum:
     __slots__ = ("multiplicities", "dimension")
 
     def __init__(self, multiplicities: Mapping | Sequence[tuple], dimension: int):
-        pairs = sorted(((rat(v), m) for v, m in dict(multiplicities).items()),
-                       key=lambda item: item[0].as_fraction())
+        pairs = [(rat(v), m) for v, m in dict(multiplicities).items()]
+        if not all(v.is_rational() for v, _ in pairs):
+            raise ValueError("a spectrum's values must be rational")
+        pairs.sort()
         total = sum(m for _, m in pairs)
         if total != dimension:
             raise IncompleteSpectrumError(total, dimension)
@@ -86,14 +87,13 @@ def eigenspaces(op: Mat) -> dict[Cyclotomic, list[list[Cyclotomic]]]:
     for start in range(n):
         if filled == n:
             break
-        for root in _rational_roots(_vector_minimal_polynomial(op, start)):
-            v = rat(root)
+        for v in _rational_roots(_vector_minimal_polynomial(op, start)):
             if v not in spaces:
                 spaces[v] = kernel_basis(op - ident * v)
                 filled += len(spaces[v])
     if filled != n:
         raise IncompleteSpectrumError(filled, n)
-    return dict(sorted(spaces.items(), key=lambda item: item[0].as_fraction()))
+    return dict(sorted(spaces.items()))
 
 
 def spectrum(op: Mat) -> Spectrum:
@@ -254,55 +254,55 @@ def _poly_text(coeffs: Sequence[Cyclotomic]) -> str:
     return f"of degree {len(coeffs) - 1}, {text[:64]}... ({len(text)} characters)"
 
 
-def _rational_roots(coeffs: list[Cyclotomic]) -> list[Fraction]:
+def _rational_roots(coeffs: list[Cyclotomic]) -> list[Cyclotomic]:
     """The distinct roots of a monic exact polynomial of degree >= 1,
-    required rational.
+    required rational, in increasing order.
 
     Raises GroupGeoError, naming the polynomial, when a coefficient is
     irrational or when the polynomial does not split over the rationals:
     the spectrum then has eigenvalues outside Q, which are not certified.
     """
-    try:
-        fracs = [c.as_fraction() for c in coeffs]
-    except ValueError as exc:
+    if not all(c.is_rational() for c in coeffs):
         raise GroupGeoError(
             f"minimal polynomial {_poly_text(coeffs)} has non-rational "
-            "coefficients; eigenvalues outside Q are not certified") from exc
+            "coefficients; eigenvalues outside Q are not certified")
     # y = den * x turns p into a monic integer polynomial, whose rational
-    # roots are integers
-    n = len(fracs) - 1
-    den = math.lcm(*(c.denominator for c in fracs))
-    ints = [int(c * den ** (n - k)) for k, c in enumerate(fracs)]
+    # roots are integers: c_k den^(n-k) is an integer, as den is a multiple
+    # of c_k's denominator and n > k but for the leading 1
+    n = len(coeffs) - 1
+    den = math.lcm(*(c.den for c in coeffs))
+    ints = [c.nums[0] * den ** (n - k) // c.den for k, c in enumerate(coeffs)]
     roots, distinct = _integer_roots(ints)
     if len(roots) < distinct:
         raise GroupGeoError(
             f"minimal polynomial {_poly_text(coeffs)} does not split into "
             "rational linear factors; eigenvalues outside Q are not certified")
-    return [Fraction(r, den) for r in roots]
+    return [rat(r, den) for r in roots]
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of dense rational polynomials (low-to-high coeffs)."""
-    num = list(num)
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-quotient and pseudo-remainder of dense integer polynomials
+    (low-to-high coeffs): lc(den)^k num = q den + rem, k the number of
+    steps, which keeps every coefficient an integer; rem is trimmed."""
+    q = [0] * max(1, len(num) - len(den) + 1)
     dlead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] / dlead
-        if c:
-            q[k] = c
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    rem = num[: len(den) - 1] or [Fraction(0)]
+        c = num[k + len(den) - 1]
+        q = [x * dlead for x in q]
+        num = [x * dlead for x in num]
+        q[k] = c
+        for j, dj in enumerate(den):
+            num[k + j] -= c * dj
+    rem = num[: len(den) - 1] or [0]
     while len(rem) > 1 and rem[-1] == 0:
         rem.pop()
     return q, rem
 
 
-def _primitive(poly: Sequence[Fraction]) -> list[int]:
-    den = math.lcm(*(c.denominator for c in poly))
-    ints = [int(c * den) for c in poly]
-    g = math.gcd(*ints)
-    return [c // g for c in ints]
+def _primitive(poly: Sequence[int]) -> list[int]:
+    """poly divided by the gcd of its coefficients."""
+    g = math.gcd(*poly)
+    return [c // g for c in poly]
 
 
 def _value_mod(poly: Sequence[int], x: int, m: int) -> int:
@@ -317,7 +317,8 @@ def _integer_roots(ints: list[int]) -> tuple[list[int], int]:
     the number of its distinct complex roots, by p-adic lifting (Loos,
     SIAM J. Comput. 12, 1983).
 
-    q = p / gcd(p, p'), by Euclid over Q, has p's roots, each simple.  At
+    q = p / gcd(p, p') up to a constant factor, by Euclid on primitive
+    pseudo-remainders, has p's roots, each simple.  At
     the smallest prime l that divides neither q's leading coefficient nor
     q' at any root of q mod l, each of those roots is lifted by Newton's
     step, which squares the modulus and carries 1/q'(r) by its own Newton
@@ -331,11 +332,10 @@ def _integer_roots(ints: list[int]) -> tuple[list[int], int]:
     search stops at the first such prime, if not before.  Euclid's loop
     ends as the degree falls, and each lift as the modulus squares.
     """
-    p = prev = [Fraction(c) for c in ints]
-    gcd = [k * c for k, c in enumerate(p)][1:]
+    prev, gcd = ints, [k * c for k, c in enumerate(ints)][1:]
     while any(rem := _poly_divmod(prev, gcd)[1]):
-        prev, gcd = gcd, [Fraction(c) for c in _primitive(rem)]
-    q = _primitive(_poly_divmod(p, gcd)[0])
+        prev, gcd = gcd, _primitive(rem)
+    q = _primitive(_poly_divmod(ints, gcd)[0])
     dq = [k * c for k, c in enumerate(q)][1:]
     for ell in itertools.count(2):
         starts = [r for r in range(ell) if _value_mod(q, r, ell) == 0]

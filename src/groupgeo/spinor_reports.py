@@ -5,10 +5,9 @@ stated for."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 # layer functions are looked up on their modules, where a tracer wraps them
 from . import dirac as spinops, linalg, spectra
+from .cyclotomic import ONE, ZERO, rat
 from .errors import AsymmetricSpectrumError, UnsupportedGroupError
 from .groups import require_catalog_class
 from .linalg import Mat
@@ -110,14 +109,14 @@ def wave_report(geo: Geometry) -> dict:
 def spectral_action_report(geo: Geometry) -> dict:
     spect = geo.dirac.form.spectrum
     functions = (
-        ("1", [Fraction(1)]),
-        ("u", [Fraction(0), Fraction(1)]),
-        ("u^2", [Fraction(0), Fraction(0), Fraction(1)]),
+        ("1", [ONE]),
+        ("u", [ZERO, ONE]),
+        ("u^2", [ZERO, ZERO, ONE]),
         ("exp-taylor-4", spinops.exp_taylor_coefficients(4)),
     )
     battery = [{"function": name, "coefficients": coeffs, "scale": scale,
                 "value": spinops.spectral_action(spect, coeffs, scale)}
-               for name, coeffs in functions for scale in (Fraction(1), Fraction(3))]
+               for name, coeffs in functions for scale in (ONE, rat(3))]
     return {
         "mu": geo.mu,
         "spectrum": spectrum_json(spect),

@@ -20,7 +20,7 @@ from groupgeo.curvature import ricci, ricci_flat_solve
 from groupgeo.dirac import dirac_operator, wave_operator
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.linalg import assemble
-from oracles import planar1
+from oracles import fraction, planar1
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -104,7 +104,7 @@ def family_d6(cal_d6):
 def regular_constants(cal):
     """levi_civita's chart parameters (alpha, beta, gamma), as the one-hit
     list the connection report prints under constant_regular_scan."""
-    return [tuple(p.as_fraction() for p in levi_civita(cal).parameters)]
+    return [tuple(fraction(p) for p in levi_civita(cal).parameters)]
 
 
 @pytest.fixture(scope="session")

@@ -76,6 +76,19 @@ from groupgeo.spectra import poly_from_roots, spectrum
 _ZERO = rat(0)
 _ONE = rat(1)
 
+
+def coordinates(c: Cyclotomic) -> tuple[Fraction, ...]:
+    """The power-basis coordinates of c as Fractions."""
+    return tuple(Fraction(n, c.den) for n in c.nums)
+
+
+def fraction(c: Cyclotomic) -> Fraction:
+    """A rational c as a Fraction; ValueError for any other value."""
+    if not c.is_rational():
+        raise ValueError(f"{c!r} is not rational")
+    return Fraction(c.nums[0], c.den)
+
+
 # -- reporting --------------------------------------------------------------
 
 def mpmath_rational_decimal(num: int, den: int) -> str:
@@ -93,7 +106,7 @@ def mpmath_cyclotomic_decimal(c: Cyclotomic, dps: int = 30) -> str:
     mpmath, then nstr."""
     with mp.workdps(dps):
         re = im = mpf(0)
-        for j, w in enumerate(c.coeffs):
+        for j, w in enumerate(coordinates(c)):
             if w:
                 angle = mpf(2 * j) / mpf(c.order)
                 w = mpf(w.numerator) / mpf(w.denominator)
@@ -133,7 +146,7 @@ def exact_cyclotomic_decimal(c: Cyclotomic) -> str:
         # twice the real part and twice the imaginary part
         for wave, twice in ((iv.cos, c + c.conj()), (iv.sin, (c - c.conj()) * cyclo(4, 3))):
             if twice.is_rational():
-                half = twice.as_fraction() / 2
+                half = fraction(twice) / 2
                 parts.append(exact_rational_decimal(half.numerator, half.denominator))
                 continue
             iv.prec = 64
@@ -141,7 +154,7 @@ def exact_cyclotomic_decimal(c: Cyclotomic) -> str:
             while ends[0] != ends[1]:
                 iv.prec *= 2
                 total = sum(iv.mpf(w.numerator) / w.denominator * wave(2 * iv.pi * j / c.order)
-                            for j, w in enumerate(c.coeffs) if w)
+                            for j, w in enumerate(coordinates(c)) if w)
                 ends = [exact_rational_decimal(*to_rational(end)) for end in total._mpi_]
             parts.append(ends[0])
     finally:
@@ -221,7 +234,7 @@ class FractionCyclotomic:
         if isinstance(value, FractionCyclotomic):
             return value
         if isinstance(value, Cyclotomic):
-            return FractionCyclotomic(value.order, value.coeffs)
+            return FractionCyclotomic(value.order, coordinates(value))
         return FractionCyclotomic(1, [value])
 
     def to_order(self, target: int) -> "FractionCyclotomic":

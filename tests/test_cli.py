@@ -101,7 +101,7 @@ def test_negative_mu_needs_equals_form(capsys):
     assert "error(precondition)" in err
 
 
-# Fraction reads the digits of every script; the flag takes ASCII digits,
+# int() reads the digits of every script; the flag takes ASCII digits,
 # as dihedral:N does: Arabic-Indic and full-width one half are refused
 @pytest.mark.parametrize("mu", ["1e5", "2.5e-3", "inf", "nan", "1/0", " 1/3", "5.",
                                 "\u0661/\u0662", "\uff11/\uff12", "0.\u0665"])
@@ -119,12 +119,28 @@ def test_plain_rational_mu_accepted(capsys, mu):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("text", ["0", "-0", "+3/6", "-7/21", ".5", "-0.50", "12.125",
+                                  "-0." + "3" * 1996],
+                         ids=lambda text: text if len(text) < 10 else f"{len(text)}-characters")
+def test_mu_parses_to_the_rational_fraction_reads(text):
+    mu = cli._parse_mu(text)
+    expect = Fraction(text)
+    assert (mu.order, mu.nums, mu.den) == (1, (expect.numerator,), expect.denominator)
+
+
+def test_mu_with_a_zero_denominator_exits_2(capsys):
+    assert _run(capsys, "--group", "dihedral:6", "--class", "sr", "--mu=1/0",
+                "--cmd", "calculus") == (
+        2, "", "error(usage): --mu must be a rational like 1/3, got '1/0'\n")
+
+
 def test_mu_exponent_refused_before_expansion(monkeypatch, capsys):
-    # Fraction would build a 10^9-digit integer; it must never see the text,
-    # and the refusal comes before the group is built
+    # the exponent stands for a 10^9-digit integer; neither int() nor rat
+    # may see the text, and the refusal comes before the group is built
     def unreachable(*_args):
-        raise AssertionError("Fraction or the group builder ran")
-    monkeypatch.setattr(cli, "Fraction", unreachable)
+        raise AssertionError("the text was converted or the group builder ran")
+    monkeypatch.setattr(cli, "int", unreachable, raising=False)
+    monkeypatch.setattr(cli, "rat", unreachable)
     monkeypatch.setattr(cli, "dihedral", unreachable)
     code, _, err = _run(capsys, "--group", "dihedral:256", "--class", "sr",
                         "--mu=1e999999999", "--cmd", "calculus")
@@ -588,9 +604,12 @@ def test_dihedral_parameter_is_ascii_digits_only(param, capsys):
 
 
 def test_overlong_dihedral_parameter_is_refused_unconverted(monkeypatch, capsys):
-    def unreachable(_text):
-        raise AssertionError("converted an overlong parameter")
-    monkeypatch.setattr(cli, "int", unreachable, raising=False)
+    # the --mu text is read by int() too, and is short
+    def short_only(text, *args):
+        if len(text) > cli.MAX_DIHEDRAL:
+            raise AssertionError("converted an overlong parameter")
+        return int(text, *args)
+    monkeypatch.setattr(cli, "int", short_only, raising=False)
     digits = "1" * 100_000
     code, out, err = _run(capsys, "--group", f"dihedral:{digits}", "--class", "sr",
                           "--cmd", "calculus")
@@ -726,12 +745,15 @@ for argv in json.loads(sys.argv[1]):
     layers = sorted(m[len("groupgeo."):] for m in sys.modules
                     if m.startswith("groupgeo."))
     foreign = sorted(m for m in set(sys.modules) - baseline if m.split(".")[0] not in own)
-    loaded.append([code, layers, foreign])
+    # the standard library's rational and decimal types, which no command needs
+    numeric = sorted({"fractions", "decimal", "numbers"} & set(sys.modules))
+    loaded.append([code, layers, foreign, numeric])
 print(json.dumps(loaded))
 """
 
-# the modules every command loads before its input is accepted
-_FRONT = {"cli", "errors", "groups"}
+# the modules every command loads before its input is accepted: cyclotomic
+# among them, since the parsed --mu is an order-1 Cyclotomic
+_FRONT = {"cli", "cyclotomic", "errors", "groups"}
 _REPORT = _FRONT | {"calculus", "cyclotomic", "linalg", "reporting"}
 _GEOMETRY = _REPORT | {"geometry_reports"}
 _SPINOR = _REPORT | {"connections", "dirac", "representations", "spectra", "spinor_reports"}
@@ -843,9 +865,11 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
         env=_source_env(), capture_output=True, text=True)
     assert probe.returncode == 0, probe.stderr
     # no command imports a module from outside the standard library, mpmath
-    # among them: every decimal is computed in integers
+    # among them: every decimal is computed in integers; and none loads
+    # fractions, decimal or numbers, refusals included: every rational is
+    # an order-1 Cyclotomic
     assert dict(zip((" ".join(r[0]) for r in runs), json.loads(probe.stdout))) == {
-        " ".join(argv): [code, sorted(layers), []] for argv, code, layers in runs}
+        " ".join(argv): [code, sorted(layers), [], []] for argv, code, layers in runs}
 
 
 def test_spectra_and_catalogs_load_without_the_spinor_layer():
@@ -922,7 +946,7 @@ def test_front_refuses_with_the_error_of_the_layer(tmp_path, capsys, build, labe
                                                    mu, code, exc_type, fragment):
     group = build()
     cls = conjugacy_class(group, label)
-    expect = _library_error(lambda: cli.report_of(cmd)(Geometry(cls, mu)), exc_type)
+    expect = _library_error(lambda: cli.report_of(cmd)(Geometry(cls, Fraction(mu))), exc_type)
     assert fragment in expect
     argv = _table_argv(tmp_path, group) + ["--class", label, "--cmd", cmd, f"--mu={mu}"]
     assert _run(capsys, *argv) == (code, "", expect)

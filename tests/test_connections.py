@@ -32,8 +32,8 @@ from groupgeo.errors import (GroupGeoError, InfeasibleSystemError, SingularMetri
 from groupgeo.groups import conjugacy_class, dihedral
 from groupgeo.linalg import solve_affine
 from groupgeo.reporting import Geometry
-from oracles import (constant_fields, delta, dense_vector, field_chart, torsion_family_members,
-                     torsion_system)
+from oracles import (constant_fields, delta, dense_vector, field_chart, fraction,
+                     torsion_family_members, torsion_system)
 
 
 def _const_chart(cal, a, b, c):
@@ -230,7 +230,7 @@ def _sympy_scan(cal):
             for p in range(3):
                 for q in range(3):
                     for k in range(cal.quotient_dim):
-                        coeff = cal.reduction[(p, q)][k].as_fraction()
+                        coeff = fraction(cal.reduction[(p, q)][k])
                         vec[k] += rows[i][p] * rows[j][q] * sympy.Rational(
                             coeff.numerator, coeff.denominator)
     equations = [sympy.expand(e) for vec in buckets.values() for e in vec]

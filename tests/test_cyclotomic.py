@@ -4,13 +4,14 @@ and the fused kernels against the operators they stand for."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, dot, rat
-from oracles import FractionCyclotomic, fraction_cyclotomic_polynomial
+from oracles import FractionCyclotomic, coordinates, fraction, fraction_cyclotomic_polynomial
 
 
 def test_reduction_machinery_sanity():
@@ -58,12 +59,29 @@ def test_cross_order_equality():
 
 def test_rationality_detection():
     assert rat(5, 3).is_rational()
-    assert rat(5, 3).as_fraction() == Fraction(5, 3)
+    assert (rat(5, 3).nums, rat(5, 3).den) == ((5,), 3)
+    assert rat(5, 3) == Fraction(5, 3)
     assert (cyclo(6) + cyclo(6, 5)).is_rational()
-    assert (cyclo(6) + cyclo(6, 5)).as_fraction() == 1
+    assert cyclo(6) + cyclo(6, 5) == 1
     assert not cyclo(6).is_rational()
+    # only rationals are ordered
+    with pytest.raises(TypeError):
+        cyclo(6) < rat(0)
+
+
+def test_rat_reads_ints_fractions_and_quotients_only():
+    assert rat(Fraction(1, 3)) == Fraction(1, 3)
+    assert (rat(-6, 4).nums, rat(-6, 4).den) == ((-3,), 2)
+    assert rat(3, -6) == Fraction(-1, 2) and rat(Fraction(3), 6) == Fraction(1, 2)
+    assert Cyclotomic(4, [Fraction(1, 2), rat(-1, 3)]) == rat(1, 2) - cyclo(4) / 3
+    with pytest.raises(ZeroDivisionError):
+        rat(1, 0)
+    for value in ("1/3", 0.5, 1j, None):
+        with pytest.raises(TypeError):
+            rat(value)
+    # a coefficient of an order that does not divide the field's
     with pytest.raises(ValueError):
-        cyclo(6).as_fraction()
+        Cyclotomic(4, [0, cyclo(3)])
 
 
 def test_mixed_order_arithmetic_promotes():
@@ -172,6 +190,9 @@ def test_promotion_keeps_value_and_hash(case):
 
 @settings(deadline=None)
 @given(_fractions)
+# a denominator the hash prime divides, and a numerator it divides
+@example(Fraction(1, sys.hash_info.modulus))
+@example(Fraction(-sys.hash_info.modulus, 7))
 def test_rationals_hash_like_fractions(q):
     assert hash(rat(q)) == hash(q)
     assert hash(rat(q).to_order(12)) == hash(q)
@@ -205,9 +226,8 @@ def _pairs(draw, orders=_ORDERS):
 def _same(value, oracle):
     """Same order, same coordinates, and the reduced integer form."""
     assert isinstance(value, Cyclotomic)
-    assert (value.order, value.coeffs) == (oracle.order, oracle.coeffs)
+    assert (value.order, coordinates(value)) == (oracle.order, oracle.coeffs)
     assert value.den > 0 and math.gcd(value.den, *value.nums) == 1
-    assert value.coeffs == tuple(Fraction(n, value.den) for n in value.nums)
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,11 +262,13 @@ def test_views_equality_and_hash_match_the_fraction_oracle(x, y, k):
     assert a.is_rational() == oa.is_rational()
     assert a.is_zero() == oa.is_zero() == (not a)
     if oa.is_rational():
-        assert a.as_fraction() == oa.as_fraction()
+        assert fraction(a) == oa.as_fraction()
         assert hash(a) == hash(oa.as_fraction())
+        if ob.is_rational():
+            assert (a < b) == (oa.as_fraction() < ob.as_fraction())
     else:
-        with pytest.raises(ValueError):
-            a.as_fraction()
+        with pytest.raises(TypeError):
+            a < b
     promoted = a.to_order(a.order * k)
     _same(promoted, oa.to_order(a.order * k))
     assert promoted == a and hash(promoted) == hash(a)
@@ -256,7 +278,7 @@ def test_views_equality_and_hash_match_the_fraction_oracle(x, y, k):
 @given(_pairs(orders=(6,)), _pairs(orders=(1,)), st.integers(-3, 3))
 def test_integer_and_fraction_operands_match_the_oracle(x, q, n):
     (a, oa), (r, _) = x, q
-    f = r.as_fraction()
+    f = fraction(r)
     _same(a + n, oa + n)
     _same(n - a, FractionCyclotomic.of(n) - oa)
     _same(a * f, oa * f)
@@ -319,6 +341,6 @@ def test_dot_of_rationals_matches_fractions(terms):
     ys = [rat(n, d) for _, _, n, d in terms]
     got = dot(xs, ys)
     assert got.order == 1
-    assert got.as_fraction() == sum((Fraction(a, b) * Fraction(c, d) for a, b, c, d in terms),
+    assert fraction(got) == sum((Fraction(a, b) * Fraction(c, d) for a, b, c, d in terms),
                                     Fraction(0))
     _exactly(got, _skipping_dot(xs, ys))

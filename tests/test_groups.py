@@ -135,8 +135,8 @@ def test_right_translation_is_permutation(d6):
     m = right_translation(d6, 7)
     for g in range(12):
         row = [m[g, h] for h in range(12)]
-        assert sum(v.as_fraction() for v in row) == 1
-        assert m[g, d6.mul(g, 7)].as_fraction() == 1
+        assert sum(row) == 1
+        assert m[g, d6.mul(g, 7)] == 1
 
 
 def test_cayley_rejects_duplicate_names():

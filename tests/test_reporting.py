@@ -16,14 +16,14 @@ from groupgeo import enclosures, reporting
 from groupgeo.cli import main
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 from groupgeo.reporting import to_json
-from oracles import (exact_cyclotomic_decimal, exact_rational_decimal,
+from oracles import (coordinates, exact_cyclotomic_decimal, exact_rational_decimal, fraction,
                      mpmath_cyclotomic_decimal, mpmath_rational_decimal)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_d6_report.json")
 
 
 def _decimal(value: Fraction) -> str:
-    return to_json(value)["decimal"]
+    return to_json(rat(value))["decimal"]
 
 
 def _check(value: Fraction):
@@ -197,7 +197,7 @@ def _mpmath_digits_13_to_15(c: Cyclotomic) -> list[str]:
     of c as mpmath sums them at 300 digits and prints them to 20."""
     with mp.workdps(300):
         z = mp.fsum(mp.mpf(w.numerator) / w.denominator * mp.expjpi(mp.mpf(2 * j) / c.order)
-                    for j, w in enumerate(c.coeffs))
+                    for j, w in enumerate(coordinates(c)))
         texts = [mp.nstr(part, 20) for part in (z.real, z.imag)]
     digits = [t.lstrip("-").split("e")[0].replace(".", "").lstrip("0") for t in texts]
     return [d.ljust(15, "0")[12:15] for d in digits]
@@ -224,7 +224,7 @@ def test_cyclotomic_decimals_match_mpmath(c):
     for twice, digits in zip((c + c.conj(), (c - c.conj()) * cyclo(4, 3)),
                              _mpmath_digits_13_to_15(c)):
         if twice.is_rational():
-            part = twice.as_fraction() / 2
+            part = fraction(twice) / 2
             skip.append(not part or _digits_13_to_15(part) in ("499", "500"))
         else:
             skip.append(digits in ("499", "500"))
@@ -317,10 +317,10 @@ def test_undecided_irrational_parts_are_enclosed_again(monkeypatch, side, expect
 # -- the report walk --------------------------------------------------------
 
 _POOL = (cyclo(3), cyclo(6), cyclo(6, 2), cyclo(4) + rat(1, 3), rat(1, 2),
-         rat(1, 2).to_order(4), rat(-3), Fraction(1, 2))
+         rat(1, 2).to_order(4), rat(-3))
 
 _LEAVES = st.one_of(
-    st.sampled_from(_POOL), _cyclotomics(), st.fractions(max_denominator=10 ** 6),
+    st.sampled_from(_POOL), _cyclotomics(), st.fractions(max_denominator=10 ** 6).map(rat),
     st.fractions(max_denominator=12).map(rat), st.integers(), st.booleans(),
     st.none(), st.text(max_size=4))
 
@@ -331,11 +331,12 @@ _TREES = st.recursive(
 
 def _standalone(c: Cyclotomic) -> dict:
     if c.is_rational():
-        fr = c.as_fraction()
+        fr = fraction(c)
         return {"num": fr.numerator, "den": fr.denominator,
                 "decimal": mpmath_rational_decimal(fr.numerator, fr.denominator)}
     # random cyclotomic leaves meet the cancellations mpmath's sum loses
-    return {"zeta_order": c.order, "coeffs": [[x.numerator, x.denominator] for x in c.coeffs],
+    return {"zeta_order": c.order,
+            "coeffs": [[x.numerator, x.denominator] for x in coordinates(c)],
             "decimal": exact_cyclotomic_decimal(c)}
 
 
@@ -348,11 +349,10 @@ def _compare(node, out, shared: dict):
         assert type(out) is list and len(out) == len(node)
         for value, rendered in zip(node, out):
             _compare(value, rendered, shared)
-    elif isinstance(node, (Cyclotomic, Fraction)):
-        c = rat(node) if isinstance(node, Fraction) else node
-        assert out == _standalone(c)
+    elif isinstance(node, Cyclotomic):
+        assert out == _standalone(node)
         # one dict for every leaf of the same reduced form, wherever it sits
-        assert shared.setdefault((c.order, c.nums, c.den), out) is out
+        assert shared.setdefault((node.order, node.nums, node.den), out) is out
     else:
         assert out is node
 
@@ -360,7 +360,7 @@ def _compare(node, out, shared: dict):
 @settings(max_examples=150, deadline=None)
 @given(_TREES)
 # z_3 and z_6 have the same coordinates; 1/2 is at order 1 and at order 4
-@example((cyclo(3), [cyclo(6), Fraction(1, 2)], {"a": rat(1, 2).to_order(4), "b": rat(1, 2)}))
+@example((cyclo(3), [cyclo(6), rat(1, 2)], {"a": rat(1, 2).to_order(4), "b": rat(1, 2)}))
 def test_to_json_renders_each_scalar_as_it_renders_alone(tree):
     out = to_json(tree)
     _compare(tree, out, {})

@@ -1,13 +1,14 @@
 """Print the size of the package source: its line count and its AST node
 count, every module, class and function docstring blanked, in total and
 for each module, so that two runs name the modules that grew or shrank.
-Then, for each
-command the package's cli lists (cli.COMMANDS) on dihedral:6 at mu = 0,
-mu = 1 and mu = -1/3, the package modules the command loads and their
-summed line count, the package __init__ included.  mu = 0 runs the
-eigenmode catalogs, mu = 1 stands for every other accepted modulus, which
-skips them, and mu = -1/3 is refused by every command that reads the
-metric.
+Then, for each command the package's cli lists (cli.COMMANDS) on
+dihedral:6 at mu = 0, mu = 1 and mu = -1/3, the package modules the
+command loads and their summed line count, the package __init__
+included, and the top-level standard-library modules it loads beyond
+those a bare interpreter has loaded at start-up, so import growth shows
+beside the line counts.  mu = 0 runs the eigenmode catalogs, mu = 1
+stands for every other accepted modulus, which skips them, and
+mu = -1/3 is refused by every command that reads the metric.
 
 The line count is that of the files as they stand.  The node count is
 taken after each docstring's text is emptied, so a docstring weighs one
@@ -30,13 +31,19 @@ import sys
 
 MUS = ("0", "1", "-1/3")
 
-# run one command and print its exit code and the package modules loaded
+# run one command and print its exit code, the package modules loaded and
+# the top-level standard-library modules loaded beyond the bare interpreter's
 _PROBE = """
-import json, os, sys
+import sys
+bare = set(sys.modules)
+import os
 import groupgeo.cli
 code = groupgeo.cli.main(sys.argv[1:] + ["--out", os.devnull])
+stdlib = sorted(m for m in set(sys.modules) - bare
+                if "." not in m and m in sys.stdlib_module_names)
+import json
 print(json.dumps([code, sorted(m.partition(".")[2] for m in sys.modules
-                               if m.startswith("groupgeo."))]))
+                               if m.startswith("groupgeo.")), stdlib]))
 """
 
 # the package's own command list
@@ -77,12 +84,13 @@ def _fresh(package: str, code: str, *argv: str):
     return json.loads(out)
 
 
-def command_loads(package: str, cmd: str, mu: str) -> tuple[int, list[str]]:
-    """The exit code of a command on dihedral:6 and the package modules it
-    loads, from a fresh interpreter."""
-    code, modules = _fresh(package, _PROBE, "--group", "dihedral:6", "--class", "sr",
-                           "--cmd", cmd, f"--mu={mu}")
-    return code, modules
+def command_loads(package: str, cmd: str, mu: str) -> tuple[int, list[str], list[str]]:
+    """The exit code of a command on dihedral:6, the package modules it
+    loads and the standard-library modules it adds, from a fresh
+    interpreter."""
+    code, modules, stdlib = _fresh(package, _PROBE, "--group", "dihedral:6", "--class", "sr",
+                                   "--cmd", cmd, f"--mu={mu}")
+    return code, modules, stdlib
 
 
 def main(argv: list[str]) -> int:
@@ -96,10 +104,10 @@ def main(argv: list[str]) -> int:
     commands = _fresh(package, _COMMANDS)
     for mu in MUS:
         for cmd in commands:
-            code, modules = command_loads(package, cmd, mu)
+            code, modules, stdlib = command_loads(package, cmd, mu)
             loaded = sum(sizes[name][0] for name in ["__init__"] + modules)
             print(f"loads dihedral:6 mu={mu} {cmd} exit {code} lines {loaded} "
-                  f"modules {' '.join(modules)}")
+                  f"modules {' '.join(modules)} stdlib {' '.join(stdlib)}")
     return 0
 
 
