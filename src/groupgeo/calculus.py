@@ -12,16 +12,16 @@ forms whose coefficients vary over the group is a test oracle
 Degree 2 comes from the braiding  psi(e_a (x) e_b) = e_{a b a^-1} (x) e_a,
 which permutes the monomials: the relation space, the kernel of (id - psi)
 on the tensor square, is spanned by the sums over the braid orbits, and
-Omega^2 is the quotient.  When the class has 3 members whose products
-follow the circulant pattern (diagonal constant, two off-diagonal values
-each filling a broken diagonal), the quotient basis is fixed as
+Omega^2 is the quotient.  Its basis is every monomial except the least
+one of its orbit, the orbits taken from the greatest least pair down and
+each walked by the braiding from that pair, so the least monomial reduces
+to minus the sum of the rest of its orbit and no elimination is needed.
+On a 3-member class with circulant products (diagonal constant, two
+off-diagonal values each filling a broken diagonal) the braiding cycles
+(0,2) -> (1,0) -> (2,1) and (0,1) -> (2,0) -> (1,2), so the rule gives
+the paper's basis
 
     e_x^e_t,  e_y^e_x,  e_y^e_t,  e_x^e_y     (class order t, x, y)
-
-so every downstream coordinate expression is reproducible; otherwise the
-basis is every monomial except the least one of its orbit.  Either way the
-one monomial of an orbit outside the basis reduces to minus the sum of the
-rest of its orbit, so no elimination is needed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import functools
 from typing import Sequence
 
 from .cyclotomic import ONE, ZERO, Cyclotomic, rat
-from .errors import NonCyclicClassError
 from .groups import ConjClass
 
 LIFT_VARIANTS = ("canonical", "braided")
@@ -54,7 +53,6 @@ class Calculus:
         # braiding as a permutation of the m^2 monomials, row-major (a, b)
         self.braid_perm = {p: braiding(cls, *p) for p in self.pairs}
         self.orbits = self._braid_orbits()
-        self.circulant = cls.circulant_products()
         self.quotient_pairs = self._choose_quotient_basis()
         self._build_reduction()
         self.theta = OneForm(self, [ONE] * m)
@@ -80,40 +78,22 @@ class Calculus:
         return orbits
 
     def _choose_quotient_basis(self) -> list[tuple[int, int]]:
-        if self.circulant:
-            # (x,t), (y,x), (y,t), (x,y) in class positions
-            return [(1, 0), (2, 1), (2, 0), (1, 2)]
-        least = {orbit[0] for orbit in self.orbits}
-        return [p for p in self.pairs if p not in least]
+        return [p for orbit in reversed(self.orbits) for p in orbit[1:]]
 
     def _build_reduction(self):
         """Coordinates of every monomial e_a (x) e_b in the quotient basis,
-        modulo the relation space.  The orbit sums span the relations, so
-        the basis complements them exactly when each orbit has one monomial
-        outside it; that monomial is minus the sum of the rest of its orbit
-        and every basis monomial is its own unit vector.
-
-        The bases _choose_quotient_basis picks always pass: the general
-        one leaves out exactly the first pair of each orbit, and on a
-        circulant class no two distinct members commute (c_i c_j and
-        c_j c_i are distinct entries of the pattern), so c_i c_j c_i^-1 is
-        the third member, the braiding fixes (i, i) and has the two
-        3-cycles (0,1) -> (2,0) -> (1,2) and (1,0) -> (2,1) -> (0,2), and
-        the fixed basis leaves out (i, i), (0, 1) and (0, 2), one of each
-        orbit.  So an admissible class never fails here."""
+        modulo the relation space: a basis monomial is its own unit vector,
+        and the least pair of an orbit, the one monomial the basis leaves
+        out, is minus the sum of the rest of its orbit, as the orbit sums
+        span the relations."""
         index = {p: k for k, p in enumerate(self.quotient_pairs)}
-        outside = [[p for p in orbit if p not in index] for orbit in self.orbits]
-        if any(len(out) != 1 for out in outside):
-            raise NonCyclicClassError(
-                "chosen quotient monomials do not complement the relation space")
         zero, one, minus_one = rat(0), rat(1), rat(-1)
         coords = {p: [zero] * len(index) for p in self.pairs}
         for p, k in index.items():
             coords[p][k] = one
-        for orbit, (q,) in zip(self.orbits, outside):
-            for p in orbit:
-                if p != q:
-                    coords[q][index[p]] = minus_one
+        for first, *rest in self.orbits:
+            for p in rest:
+                coords[first][index[p]] = minus_one
         self.reduction = {p: tuple(c) for p, c in coords.items()}
 
     @functools.cached_property

@@ -15,15 +15,16 @@ class or group), 4 mathematical failures on valid input
 (singular metric values, an operator whose certified spectrum misses
 dimensions or leaves Q, an infeasible exact system).
 
-The front (this module, groups, errors and cyclotomic, which holds mu)
-reads the input and runs every check that needs nothing else,
-PRECONDITIONS per command, in the order the command's layers would raise
-them.  Only an input that passes imports reporting, its report's module
-and the layers it runs, so a refusal
-compiles no layer and gives the exit code and message the layer itself
-would.  Every command then runs the same way: its report, named in its
-row beside its checks and read off its module (report_of), is called
-with one reporting.Geometry of the class and the modulus.
+The front (this module, groups and errors) reads the input and runs
+every check that needs nothing else, PRECONDITIONS per command, in the
+order the command's layers would raise them.  It holds mu as the integer
+pair the text spells, and cyclotomic loads at the first check or report
+that reads mu as a scalar.  Only an input that passes imports reporting,
+its report's module and the layers it runs, so a refusal compiles no
+layer and gives the exit code and message the layer itself would.  Every
+command then runs the same way: its report, named in its row beside its
+checks and read off its module (report_of), is called with one
+reporting.Geometry of the class and the modulus.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import os
 import re
 import sys
 
-from .cyclotomic import Cyclotomic, rat
 from .errors import (
     CayleyValidationError,
     GroupGeoError,
@@ -66,16 +66,23 @@ MAX_OUT_LENGTH = 4096
 # other scripts' digits because int() reads them too
 _MU_SYNTAX = re.compile(r"[+-]?(\d+(/\d+)?|\d*\.\d+)", re.ASCII)
 
-_CHECKS = {
-    "chart": lambda cls, mu: require_chart_class(cls),
-    "metric": lambda cls, mu: require_invertible_metric(cls.size, mu),
-    "dihedral": lambda cls, mu: dihedral_structure(cls.group),
-    "casimir": lambda cls, mu: require_regular_casimir(mu),
-}
-
 
 def _module(name: str):
     return importlib.import_module(f"{__package__}.{name}")
+
+
+def _scalar(mu: tuple[int, int]):
+    """The parsed (num, den) modulus as an exact rational, which loads
+    cyclotomic."""
+    return _module("cyclotomic").rat(*mu)
+
+
+_CHECKS = {
+    "chart": lambda cls, mu: require_chart_class(cls),
+    "metric": lambda cls, mu: require_invertible_metric(cls.size, _scalar(mu)),
+    "dihedral": lambda cls, mu: dihedral_structure(cls.group),
+    "casimir": lambda cls, mu: require_regular_casimir(_scalar(mu)),
+}
 
 
 # one row per command: the checks its layers make of the input alone, in
@@ -145,15 +152,19 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     raise UnsupportedGroupError(f"no builtin group family named {quoted(name)}")
 
 
-def _parse_mu(text: str) -> Cyclotomic:
-    """The --mu value as an exact rational; ValueError on anything else and
-    ZeroDivisionError on a zero denominator."""
+def _parse_mu(text: str) -> tuple[int, int]:
+    """The --mu value as the integers (num, den) of a rational, den > 0;
+    ValueError on anything else and ZeroDivisionError on a zero
+    denominator."""
     if not _MU_SYNTAX.fullmatch(text):
         raise ValueError(f"not a plain rational: {text!r}")
     # "-.5" reads as int("-5") tenths
     whole, _, digits = text.partition(".")
     num, _, den = (whole + digits).partition("/")
-    return rat(int(num), int(den or "1") * 10 ** len(digits))
+    den = int(den or "1") * 10 ** len(digits)
+    if not den:
+        raise ZeroDivisionError(f"zero denominator: {text!r}")
+    return int(num), den
 
 
 def report_of(cmd: str):
@@ -162,7 +173,7 @@ def report_of(cmd: str):
     return _ROWS[cmd][1]()
 
 
-def _build_report(args, group: FiniteGroup, mu: Cyclotomic) -> dict:
+def _build_report(args, group: FiniteGroup, mu: tuple[int, int]) -> dict:
     cls = conjugacy_class(group, args.class_label)
     cls.require_calculus_admissible()
     for check in PRECONDITIONS[args.cmd]:
@@ -171,7 +182,7 @@ def _build_report(args, group: FiniteGroup, mu: Cyclotomic) -> dict:
     # only the layers it runs
     from .reporting import Geometry
 
-    return report_of(args.cmd)(Geometry(cls, mu))
+    return report_of(args.cmd)(Geometry(cls, _scalar(mu)))
 
 
 def render(report: dict, pretty: bool) -> str:

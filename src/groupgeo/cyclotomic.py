@@ -124,13 +124,6 @@ class Cyclotomic:
 
     __slots__ = ("_order", "_nums", "_den")
 
-    def __init__(self, order: int, coeffs):
-        """sum_j coeffs[j] z^j in Q(zeta_order), each coefficient read as
-        rat reads it: from power-basis coordinates, missing ones zero."""
-        powers = [cyclo(order, j) for j in range(len(coeffs))]
-        value = dot(map(_wrap, coeffs), powers).to_order(order)
-        self._order, self._nums, self._den = order, value._nums, value._den
-
     # read-only views of the reduced form
     order = property(lambda self: self._order)
     nums = property(lambda self: self._nums)
@@ -313,13 +306,6 @@ class Cyclotomic:
         prime = sys.hash_info.modulus
         h = abs(nums[0]) * pow(den, -1, prime) % prime if den % prime else sys.hash_info.inf
         return hash(-h if nums[0] < 0 else h)
-
-    def __complex__(self) -> complex:
-        # cmath loads only for the float view, which no command uses
-        import cmath
-
-        z = cmath.exp(2j * cmath.pi / self._order)
-        return sum(n / self._den * z**j for j, n in enumerate(self._nums))
 
     def __repr__(self):
         num, den = self._nums[0], self._den

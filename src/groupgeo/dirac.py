@@ -243,7 +243,7 @@ def spectral_action(spect: Spectrum, coeffs: Sequence, lam) -> Cyclotomic:
     integer Horner pass in p, and the numerators add up over the spectrum.
     """
     lam, cs = rat(lam), [rat(c) for c in coeffs]
-    if not (ZERO < lam and all(c.is_rational() for c in cs)):
+    if not (lam.is_rational() and ZERO < lam and all(c.is_rational() for c in cs)):
         raise ValueError("the scale must be a positive rational, the coefficients rational")
     b = lcm(*(c.den for c in cs))
     L = lcm(*(v.den for v, _ in spect.pairs))

@@ -323,9 +323,23 @@ def nullity(coeffs: Mapping[int, Mat], group: FiniteGroup, elements: Sequence[in
     """The kernel dimension of assemble(coeffs, group, elements), by one
     Echelon and without writing the matrix out: row i of every M_h is
     cleared by one common denominator, and the rows join element by
-    element, breadth first along right multiplication by the keys, which
-    keeps the fill-in near the diagonal, until the column rank is full.
-    ValueError on elements not closed under the keys, as from assemble."""
+    element, breadth first along right multiplication by the keys, until
+    the column rank is full.  ValueError on elements not closed under the
+    keys, as from assemble.
+
+    Two choices keep the elimination small (the Ricci kernel of D3 x Z_40,
+    |H| = 120, the largest size of tools/ricci_scaling.py, counting the
+    pivot entries the reductions visit).  The walk meets the elements in
+    an order the keys fix, so the work does not depend on how the table
+    numbers them: 80,074 entries with 4-bit integers on the natural table
+    and on three seeded relabellings, against 94,606 to 100,864 for rows
+    joined in ascending element order, whose integers reached 55 bits on
+    the natural table.  And the columns are element-major, index
+    p * ncols + j for the p-th element walked, not assemble's
+    component-major layout, so each row's entries sit at elements the
+    walk reaches close together: component-major columns took 2.28
+    million entries and 0.78 s against 0.03 s (CPU time, 2 vCPUs,
+    Python 3.11)."""
     shape = next(iter(coeffs.values()))
     ncols = shape.ncols * len(elements)
     members = set(elements)

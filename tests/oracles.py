@@ -51,6 +51,7 @@ coefficients.
 
 from __future__ import annotations
 
+import cmath
 import decimal
 import functools
 import math
@@ -80,6 +81,18 @@ _ONE = rat(1)
 def coordinates(c: Cyclotomic) -> tuple[Fraction, ...]:
     """The power-basis coordinates of c as Fractions."""
     return tuple(Fraction(n, c.den) for n in c.nums)
+
+
+def cyclotomic(order: int, coeffs) -> Cyclotomic:
+    """sum_j coeffs[j] z^j in Q(zeta_order), each coefficient read by rat;
+    ValueError for a coefficient whose order does not divide order."""
+    return sum((rat(c) * cyclo(order, j) for j, c in enumerate(coeffs)), _ZERO).to_order(order)
+
+
+def to_complex(c: Cyclotomic) -> complex:
+    """The value in floats, at zeta = exp(2 pi i / order)."""
+    z = cmath.exp(2j * cmath.pi / c.order)
+    return sum(n / c.den * z**j for j, n in enumerate(c.nums))
 
 
 def fraction(c: Cyclotomic) -> Fraction:
@@ -606,11 +619,13 @@ def field_relative_curvature(components: Sequence[Field]) -> list[Field]:
 # -- the degree-2 quotient -----------------------------------------------------
 
 def eliminated_quotient(calculus: Calculus) -> tuple[list, int, dict]:
-    """The quotient basis, the relation dimension and the reduction table
+    """The free monomials, the relation dimension and the reduction table
     found by elimination: the kernel of id - P for the braiding permutation
     P of the m^2 monomials (row-major), the free columns of the row-reduced
-    kernel basis (the paper's fixed basis on a circulant class), and one
-    solve per monomial against the basis monomials and the relations."""
+    kernel basis, and one solve per monomial against the relations and the
+    package's quotient basis, in the package's order.  Whatever rule picks
+    that basis, it complements the relations exactly when it is the set of
+    free monomials, and then every solve is unique."""
     cls = calculus.cls
     m = cls.size
     pairs = [(i, j) for i in range(m) for j in range(m)]
@@ -620,11 +635,9 @@ def eliminated_quotient(calculus: Calculus) -> tuple[list, int, dict]:
     for p in pairs:
         perm[pos[braiding(cls, *p)]][pos[p]] = 1
     relations = kernel_basis(Mat.identity(n2) - Mat(perm))
-    if calculus.circulant:
-        basis = [(1, 0), (2, 1), (2, 0), (1, 2)]
-    else:
-        _, pivots = rref(Mat(relations))
-        basis = [p for k, p in enumerate(pairs) if k not in pivots]
+    _, pivots = rref(Mat(relations))
+    free = [p for k, p in enumerate(pairs) if k not in pivots]
+    basis = calculus.quotient_pairs
     unit = Mat.identity(n2).rows
     system = Mat([unit[pos[p]] for p in basis] + relations).transpose()
     reduction = {}
@@ -632,7 +645,7 @@ def eliminated_quotient(calculus: Calculus) -> tuple[list, int, dict]:
         solution, kernel = solve_affine(system, unit[pos[p]])
         assert kernel == [], "the basis and the relations are dependent"
         reduction[p] = tuple(solution[:len(basis)])
-    return basis, len(relations), reduction
+    return free, len(relations), reduction
 
 
 # -- connections and curvature ----------------------------------------------

@@ -29,8 +29,8 @@ from groupgeo.reporting import Geometry
 from groupgeo.representations import irreducibles
 from groupgeo.spectra import certify_blocks, spectrum
 from oracles import (Field, class_translation_sum, constant_fields, d_function, dense_vector,
-                     grading_on_group, planar1, torsion_family_members, torsion_system,
-                     translation_block)
+                     grading_on_group, planar1, to_complex, torsion_family_members,
+                     torsion_system, translation_block)
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -213,7 +213,7 @@ def test_criterion_09_order_six_cross_check(s3_group, s3_cls, s3_cal, cls_d6):
     # group; we report the computed magnitude and the agreement flag
     # instead of asserting the reference number
     reference_magnitude = 1
-    computed_magnitudes = sorted({abs(complex(v).real) for v, _ in spect.pairs
+    computed_magnitudes = sorted({abs(to_complex(v).real) for v, _ in spect.pairs
                                   if not v.is_zero()})
     agreement = computed_magnitudes == [float(reference_magnitude)]
     print(f"order-6 check: computed nonzero magnitudes {computed_magnitudes}, "

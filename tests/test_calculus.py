@@ -17,10 +17,10 @@ from groupgeo import linalg
 from groupgeo.calculus import Calculus, TensorOneOne, TwoForm, braiding
 from groupgeo.connections import chart_connection
 from groupgeo.curvature import LIFT_VARIANTS, covariant_derivative, lift, wedge_of_tensor
-from groupgeo.cyclotomic import Cyclotomic, rat
+from groupgeo.cyclotomic import rat
 from groupgeo.errors import NonCyclicClassError
 from groupgeo.groups import conjugacy_class, dihedral
-from oracles import (Field, conjugacy_classes, constant_fields, d_function, delta,
+from oracles import (Field, conjugacy_classes, constant_fields, cyclotomic, d_function, delta,
                      eliminated_quotient, field_covariant_derivative, one_form_field, translate)
 
 
@@ -105,19 +105,6 @@ def test_reduction_table_takes_one_reduction(monkeypatch, cls_d6):
                              for p, coords in REDUCTION.items()}
 
 
-@pytest.mark.parametrize("basis", [
-    # e_t (x) e_t is braiding-fixed, so a relation itself: some monomial
-    # has no coordinates
-    [(0, 0), (1, 0), (2, 1), (2, 0)],
-    # one monomial too many: every coordinate is ambiguous
-    [(1, 0), (2, 1), (2, 0), (1, 2), (0, 1)],
-], ids=["inconsistent", "kernel"])
-def test_quotient_monomials_must_complement_the_relations(monkeypatch, cls_d6, basis):
-    monkeypatch.setattr(Calculus, "_choose_quotient_basis", lambda self: basis)
-    with pytest.raises(NonCyclicClassError, match="do not complement"):
-        Calculus(cls_d6)
-
-
 def _cyclic_classes(group):
     """Every conjugacy class of the group that has a calculus."""
     out = []
@@ -132,8 +119,8 @@ def _cyclic_classes(group):
 
 
 def _assert_matches_elimination(cal):
-    basis, relation_dim, reduction = eliminated_quotient(cal)
-    assert cal.quotient_pairs == basis
+    free, relation_dim, reduction = eliminated_quotient(cal)
+    assert sorted(cal.quotient_pairs) == free
     assert cal.relation_dim == relation_dim
     assert list(cal.reduction) == cal.pairs
     assert cal.reduction == reduction
@@ -143,9 +130,10 @@ def _assert_matches_elimination(cal):
     (lambda: dihedral(3), 1),
     (lambda: dihedral(6), 2),
     (lambda: direct_product_cyclic(dihedral(6), 2), 4),
+    (lambda: direct_product_cyclic(dihedral(3), 4), 4),
     (dicyclic3, 2),
     (alternating4, 2),
-], ids=["d3", "d6", "d6xz2", "dic3", "a4"])
+], ids=["d3", "d6", "d6xz2", "d3xz4", "dic3", "a4"])
 def test_orbit_quotient_matches_elimination(build, count):
     classes = _cyclic_classes(build())
     assert len(classes) == count
@@ -164,13 +152,11 @@ def test_orbit_quotient_matches_elimination(build, count):
 def test_an_admissible_class_always_has_a_calculus(build):
     # the command line checks require_calculus_admissible alone before it
     # builds a calculus: the quotient basis of every admissible class
-    # complements the relations, so _build_reduction never refuses one;
-    # A4's classes take the general basis, the others the fixed one
+    # complements the relations
     classes = _cyclic_classes(build())
     assert classes
     for cls in classes:
         cal = Calculus(cls)
-        assert cal.circulant is cls.circulant_products()
         assert cal.quotient_dim == cal.n_members ** 2 - cal.relation_dim
 
 
@@ -313,7 +299,7 @@ _RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 # rationals and elements of Q(zeta_12), which has degree 4
 _SCALARS = st.one_of(
     st.builds(rat, _RATIONALS),
-    st.builds(lambda cs: Cyclotomic(12, cs), st.lists(_RATIONALS, min_size=4, max_size=4)))
+    st.builds(lambda cs: cyclotomic(12, cs), st.lists(_RATIONALS, min_size=4, max_size=4)))
 
 
 def _group(which, seed):

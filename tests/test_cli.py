@@ -124,8 +124,7 @@ def test_plain_rational_mu_accepted(capsys, mu):
                          ids=lambda text: text if len(text) < 10 else f"{len(text)}-characters")
 def test_mu_parses_to_the_rational_fraction_reads(text):
     mu = cli._parse_mu(text)
-    expect = Fraction(text)
-    assert (mu.order, mu.nums, mu.den) == (1, (expect.numerator,), expect.denominator)
+    assert Fraction(*mu) == Fraction(text)
 
 
 def test_mu_with_a_zero_denominator_exits_2(capsys):
@@ -135,12 +134,11 @@ def test_mu_with_a_zero_denominator_exits_2(capsys):
 
 
 def test_mu_exponent_refused_before_expansion(monkeypatch, capsys):
-    # the exponent stands for a 10^9-digit integer; neither int() nor rat
-    # may see the text, and the refusal comes before the group is built
+    # the exponent stands for a 10^9-digit integer; int() may not see the
+    # text, and the refusal comes before the group is built
     def unreachable(*_args):
         raise AssertionError("the text was converted or the group builder ran")
     monkeypatch.setattr(cli, "int", unreachable, raising=False)
-    monkeypatch.setattr(cli, "rat", unreachable)
     monkeypatch.setattr(cli, "dihedral", unreachable)
     code, _, err = _run(capsys, "--group", "dihedral:256", "--class", "sr",
                         "--mu=1e999999999", "--cmd", "calculus")
@@ -157,12 +155,14 @@ def _forbid(monkeypatch, module, *names):
 
 def test_singular_mu_rejected_before_torsion_solve(monkeypatch, capsys):
     _forbid(monkeypatch, connections, "torsion_free_family")
-    code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
-                        "--mu=-1/3", "--cmd", "connection")
-    assert code == 4
-    # the one singular-metric check, with the text the wave command gives
-    assert err == ("error(precondition): metric modulus mu = -1/3 is singular "
-                   "for a class of size 3\n")
+    # the one singular-metric check, with the text the wave command gives,
+    # which quotes mu in lowest terms however it was spelt
+    for mu in ("-1/3", "-2/6"):
+        code, _, err = _run(capsys, "--group", "dihedral:6", "--class", "sr",
+                            f"--mu={mu}", "--cmd", "connection")
+        assert code == 4
+        assert err == ("error(precondition): metric modulus mu = -1/3 is singular "
+                       "for a class of size 3\n")
 
 
 def test_connection_command_proves_each_residual_once(monkeypatch, capsys):
@@ -751,9 +751,10 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
-# the modules every command loads before its input is accepted: cyclotomic
-# among them, since the parsed --mu is an order-1 Cyclotomic
-_FRONT = {"cli", "cyclotomic", "errors", "groups"}
+# the modules every command loads before its input is accepted; the front
+# holds the parsed --mu as two integers, and cyclotomic loads only for a
+# check or a report that reads it
+_FRONT = {"cli", "errors", "groups"}
 _REPORT = _FRONT | {"calculus", "cyclotomic", "linalg", "reporting"}
 _GEOMETRY = _REPORT | {"geometry_reports"}
 _SPINOR = _REPORT | {"connections", "dirac", "representations", "spectra", "spinor_reports"}
@@ -775,7 +776,7 @@ _D6_LOADS = {
 # off order 12 the reports state no catalog, so they load no catalog and
 # the wave report builds no representation; on D6 x Z2 the spinor commands
 # and report-all stop at the missing dihedral presentation, which the front
-# checks
+# checks, report-all after the metric, which reads mu
 _D3_LOADS = {**_D6_LOADS,
              "dirac": (0, _SPINOR | {"enclosures"}),
              "wave": (0, _SPINOR - {"calculus", "connections", "representations"}),
@@ -784,7 +785,7 @@ _D6Z2_LOADS = {
     **_D3_LOADS,
     "dirac": (3, _FRONT),
     "spectral-action": (3, _FRONT),
-    "report-all": (3, _FRONT),
+    "report-all": (3, _FRONT | {"cyclotomic"}),
 }
 
 _NAMES = ["e", "a", "b", "c", "d"]
@@ -845,9 +846,9 @@ def test_each_command_loads_only_its_layers_and_never_mpmath(tmp_path):
     runs += [(argv + ["--class", "a", "--cmd", "calculus"], 3, _FRONT)
              for argv in _corrupt_tables(tmp_path)]
     runs += [(["--group", "dihedral:6", "--class", "sr", "--mu=-1/3", "--cmd", cmd],
-              4, _FRONT) for cmd in ("connection", "wave")]
+              4, _FRONT | {"cyclotomic"}) for cmd in ("connection", "wave")]
     # the casimir normalisation, singular at mu = -1/4, is checked in the front
-    runs += [([*source, "--class", "sr", "--mu=-1/4", "--cmd", cmd], 4, _FRONT)
+    runs += [([*source, "--class", "sr", "--mu=-1/4", "--cmd", cmd], 4, _FRONT | {"cyclotomic"})
              for source in (["--group", "dihedral:3"], ["--group", "dihedral:6"])
              for cmd in ("dirac", "spectral-action", "report-all")]
     runs += [(_table_argv(tmp_path, alternating4()) + [

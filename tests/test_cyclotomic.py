@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, dot, rat
-from oracles import FractionCyclotomic, coordinates, fraction, fraction_cyclotomic_polynomial
+from oracles import (FractionCyclotomic, coordinates, cyclotomic, fraction,
+                     fraction_cyclotomic_polynomial, to_complex)
 
 
 def test_reduction_machinery_sanity():
@@ -73,15 +74,11 @@ def test_rat_reads_ints_fractions_and_quotients_only():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     assert (rat(-6, 4).nums, rat(-6, 4).den) == ((-3,), 2)
     assert rat(3, -6) == Fraction(-1, 2) and rat(Fraction(3), 6) == Fraction(1, 2)
-    assert Cyclotomic(4, [Fraction(1, 2), rat(-1, 3)]) == rat(1, 2) - cyclo(4) / 3
     with pytest.raises(ZeroDivisionError):
         rat(1, 0)
     for value in ("1/3", 0.5, 1j, None):
         with pytest.raises(TypeError):
             rat(value)
-    # a coefficient of an order that does not divide the field's
-    with pytest.raises(ValueError):
-        Cyclotomic(4, [0, cyclo(3)])
 
 
 def test_mixed_order_arithmetic_promotes():
@@ -111,13 +108,13 @@ def test_conjugation_is_complex_conjugation():
     rng = random.Random(20260825)
     for _ in range(10):
         z = _random_element(rng, 12)
-        zc = complex(z)
-        assert abs(complex(z.conj()) - zc.conjugate()) < 1e-12
+        zc = to_complex(z)
+        assert abs(to_complex(z.conj()) - zc.conjugate()) < 1e-12
         # z * conj(z) = |z|^2 lands in the real subfield: fixed by conj
         norm = z * z.conj()
         assert norm.conj() == norm
-        assert abs(complex(norm).imag) < 1e-12
-        assert complex(norm).real >= -1e-12
+        assert abs(to_complex(norm).imag) < 1e-12
+        assert to_complex(norm).real >= -1e-12
 
 
 def _random_element(rng, order):
@@ -134,12 +131,12 @@ def test_field_ops_match_complex_floats():
     for _ in range(25):
         a = _random_element(rng, 12)
         b = _random_element(rng, 12)
-        fa, fb = complex(a), complex(b)
-        assert abs(complex(a + b) - (fa + fb)) < 1e-9
-        assert abs(complex(a - b) - (fa - fb)) < 1e-9
-        assert abs(complex(a * b) - (fa * fb)) < 1e-9
+        fa, fb = to_complex(a), to_complex(b)
+        assert abs(to_complex(a + b) - (fa + fb)) < 1e-9
+        assert abs(to_complex(a - b) - (fa - fb)) < 1e-9
+        assert abs(to_complex(a * b) - (fa * fb)) < 1e-9
         if not b.is_zero():
-            assert abs(complex(a / b) - (fa / fb)) < 1e-9
+            assert abs(to_complex(a / b) - (fa / fb)) < 1e-9
             assert (a / b) * b == a
 
 
@@ -220,7 +217,7 @@ def _pairs(draw, orders=_ORDERS):
                            min_size=degree, max_size=degree))
     if draw(st.integers(0, 3)) == 0:
         coeffs[1:] = [0] * (degree - 1)
-    return Cyclotomic(order, coeffs), FractionCyclotomic(order, coeffs)
+    return cyclotomic(order, coeffs), FractionCyclotomic(order, coeffs)
 
 
 def _same(value, oracle):

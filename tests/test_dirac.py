@@ -1325,6 +1325,11 @@ def test_spectral_action_exp_taylor(spect0):
 def test_spectral_action_scale_validation(spect0):
     with pytest.raises(ValueError, match="positive"):
         spectral_action(spect0, [1], 0)
+    # an irrational scale is refused before it is compared with zero
+    with pytest.raises(ValueError, match="positive"):
+        spectral_action(spect0, [1], cyclo(4))
+    with pytest.raises(ValueError, match="coefficients rational"):
+        spectral_action(spect0, [1, cyclo(3)], 1)
     with pytest.raises(ValueError, match="nonnegative"):
         exp_taylor_coefficients(-1)
 

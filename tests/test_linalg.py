@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import DATA_DIR, dicyclic3, direct_product_cyclic, relabelled
 from groupgeo import spectra
 from groupgeo.curvature import solve_invariant
-from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
+from groupgeo.cyclotomic import cyclo, cyclotomic_polynomial, rat
 from groupgeo.errors import InfeasibleSystemError
 from groupgeo.groups import FiniteGroup, conjugacy_class, dihedral
 from groupgeo.linalg import (
@@ -25,8 +25,8 @@ from groupgeo.linalg import (
     rref,
     solve_affine,
 )
-from oracles import (FractionCyclotomic, apply, dense_system, eval_poly, kron, left_cosets,
-                     oracle_rref, rank, vec_is_zero)
+from oracles import (FractionCyclotomic, apply, cyclotomic, dense_system, eval_poly, kron,
+                     left_cosets, oracle_rref, rank, vec_is_zero)
 
 
 def _random_mat(rng, n, m, order=6):
@@ -256,7 +256,7 @@ ORDERS = (1, 3, 4, 6, 12)
 def _entries(order):
     degree = len(cyclotomic_polynomial(order)) - 1
     return st.lists(_small, min_size=degree, max_size=degree).map(
-        lambda cs: Cyclotomic(order, cs))
+        lambda cs: cyclotomic(order, cs))
 
 
 @st.composite
@@ -341,7 +341,7 @@ def test_irrational_echelon_rows_stay_small(order):
     rng = random.Random(order)
     degree = len(cyclotomic_polynomial(order)) - 1
     for _ in range(3):
-        rows = [[Cyclotomic(order, [rng.randint(-3, 3) for _ in range(degree)])
+        rows = [[cyclotomic(order, [rng.randint(-3, 3) for _ in range(degree)])
                  if rng.random() < 0.5 else rat(0) for _ in range(10)] for _ in range(12)]
         echelon = Echelon(rows)
         assert not echelon.rational

@@ -16,8 +16,8 @@ from groupgeo import enclosures, reporting
 from groupgeo.cli import main
 from groupgeo.cyclotomic import Cyclotomic, cyclo, cyclotomic_polynomial, rat
 from groupgeo.reporting import to_json
-from oracles import (coordinates, exact_cyclotomic_decimal, exact_rational_decimal, fraction,
-                     mpmath_cyclotomic_decimal, mpmath_rational_decimal)
+from oracles import (coordinates, cyclotomic, exact_cyclotomic_decimal, exact_rational_decimal,
+                     fraction, mpmath_cyclotomic_decimal, mpmath_rational_decimal)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_d6_report.json")
 
@@ -180,7 +180,7 @@ def _cyclotomics(draw):
     degree = len(cyclotomic_polynomial(order)) - 1
     nums = draw(st.lists(_NUMERATORS, min_size=degree, max_size=degree))
     den = draw(st.integers(1, 12) | st.integers(1, 10 ** 40))
-    return Cyclotomic(order, [Fraction(x, den) for x in nums])
+    return cyclotomic(order, [Fraction(x, den) for x in nums])
 
 
 def _digits_13_to_15(part: Fraction) -> str:
